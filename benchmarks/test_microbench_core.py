@@ -11,8 +11,8 @@ import random
 
 from repro.rns import Hop, RouteEncoder
 from repro.rns.wire import decode_header, encode_header
-from repro.sim import KarHeader, Packet, Simulator
-from repro.switches import KarSwitch, NotInputPort
+from repro.sim import KarHeader, Simulator
+from repro.switches import NotInputPort
 from repro.topology import fifteen_node
 
 
@@ -34,19 +34,30 @@ def test_microbench_incremental_hop(benchmark):
 
 
 def test_microbench_switch_decision(benchmark):
-    # The per-packet data plane: modulo + NIP strategy, no I/O.
-    sim = Simulator()
-    switch = KarSwitch("SW", sim, 5, 13, NotInputPort(), random.Random(1))
-    packet = Packet(src_host="a", dst_host="b", size_bytes=100,
-                    kar=KarHeader(route_id=44))
-    strategy = switch.strategy
+    # The per-packet data plane: modulo + NIP rule on the happy path —
+    # 44 mod 13 = 5, a healthy port that is not the input port.
+    strategy = NotInputPort()
+    healthy = (0, 1, 2, 3, 4, 5)
     rng = random.Random(2)
 
     def decide():
-        return strategy.select_port(switch, packet, 0, 44 % 13, rng)
+        return strategy.decide(healthy, 0, 44 % 13, False, rng)
 
-    decision = benchmark(decide)
-    assert decision.port is not None or decision.port is None  # ran
+    assert benchmark(decide) == (5, False)
+
+
+def test_microbench_switch_decision_fallback(benchmark):
+    # Same residue with port 5 down: one random draw over the healthy
+    # ports minus the input port.
+    strategy = NotInputPort()
+    healthy = (0, 1, 2, 3, 4)
+    rng = random.Random(2)
+
+    def decide():
+        return strategy.decide(healthy, 0, 44 % 13, False, rng)
+
+    port, deflected = benchmark(decide)
+    assert deflected and port in (1, 2, 3, 4)
 
 
 def test_microbench_wire_roundtrip(benchmark):

@@ -338,31 +338,6 @@ def deterministic_route_walk(
         )
 
 
-class _StaticPortView:
-    """The strategy-facing slice of a switch, backed by the graph.
-
-    Implements the ``PortView`` protocol from
-    :mod:`repro.switches.deflection` (``num_ports`` / ``port_up`` /
-    ``healthy_ports``) against a static down-link set, so real strategy
-    objects run unmodified inside the graph walk.
-    """
-
-    __slots__ = ("_graph", "_node", "num_ports", "_down")
-
-    def __init__(self, graph: PortGraph, node: str, down) -> None:
-        self._graph = graph
-        self._node = node
-        self.num_ports = graph.degree(node)
-        self._down = down
-
-    def port_up(self, port: int) -> bool:
-        neighbor = self._graph.neighbor_on_port(self._node, port)
-        return tuple(sorted((self._node, neighbor))) not in self._down
-
-    def healthy_ports(self) -> List[int]:
-        return [p for p in range(self.num_ports) if self.port_up(p)]
-
-
 class _NoRandomness:
     """RNG stand-in that fails loudly if a strategy draws from it.
 
@@ -395,11 +370,11 @@ def deterministic_strategy_walk(
     The strategy-aware sibling of :func:`deterministic_route_walk`: each
     core hop still computes ``route_id mod switch_id`` and keeps the
     TTL bookkeeping, but the out-port comes from
-    ``strategies[switch].select_port`` over a static port view of
-    *down_links* — exactly the call the real switch makes, minus the
-    event engine.  This is the oracle for the stateful failover
-    baselines (:mod:`repro.baselines`): pass the same per-switch
-    strategy instances the simulation runs with and diff the verdicts.
+    ``strategies[switch].decide`` over the ports *down_links* leaves up
+    — exactly the call the real switch makes, minus the event engine.
+    This is the oracle for the stateful failover baselines
+    (:mod:`repro.baselines`): pass the same per-switch strategy
+    instances the simulation runs with and diff the verdicts.
 
     Strategies must be RNG-free (the baselines are); a strategy that
     draws randomness raises.  Each hop records the strategy's deflected
@@ -414,6 +389,7 @@ def deterministic_strategy_walk(
     down = {tuple(sorted(key)) for key in down_links}
     rng = _NoRandomness()
     rid = route_id
+    deflected = False
     current = graph.neighbor_on_port(ingress_edge, out_port)
     in_port = graph.port_of(current, ingress_edge)
     while True:
@@ -427,14 +403,19 @@ def deterministic_strategy_walk(
                 computed = rid % graph.switch_id(current)
             else:
                 computed = port_at(rid, graph.switch_id(current))
-            view = _StaticPortView(graph, current, down)
-            decision = strategy.select_port(view, None, in_port, computed, rng)
-            if decision.port is None:
-                return dropped(current, f"no-usable-port({strategy.name})")
-            neighbor = graph.neighbor_on_port(current, decision.port)
-            hops.append(
-                WalkHop(current, in_port, decision.port, decision.deflected)
+            healthy = tuple(
+                p for p in range(graph.degree(current))
+                if tuple(sorted((current, graph.neighbor_on_port(current, p))))
+                not in down
             )
+            port, hop_deflected = strategy.decide(
+                healthy, in_port, computed, deflected, rng
+            )
+            if port is None:
+                return dropped(current, f"no-usable-port({strategy.name})")
+            deflected = deflected or hop_deflected
+            neighbor = graph.neighbor_on_port(current, port)
+            hops.append(WalkHop(current, in_port, port, hop_deflected))
             in_port = graph.port_of(neighbor, current)
             current = neighbor
             continue
@@ -451,6 +432,7 @@ def deterministic_strategy_walk(
             if ttl <= 0:
                 return dropped(current, "ttl-expired")
             rid, port = entry
+            deflected = False  # fresh route, fresh deflected flag
             neighbor = graph.neighbor_on_port(current, port)
             in_port = graph.port_of(neighbor, current)
             current = neighbor

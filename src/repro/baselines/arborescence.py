@@ -30,7 +30,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from repro.sim.engine import Simulator
 from repro.sim.trace import PacketTracer
 from repro.switches.core import KarSwitch
-from repro.switches.deflection import Decision, DeflectionStrategy
+from repro.switches.deflection import DeflectionStrategy
 from repro.topology.graph import NodeKind, PortGraph, TopologyError
 
 __all__ = [
@@ -181,22 +181,14 @@ class ArborescenceFailoverStrategy(DeflectionStrategy):
         self.tree_ports = tuple(plan.tree_ports)
         self.in_port_tree = dict(plan.in_port_tree)
 
-    def select_port(self, switch, packet, in_port, computed_port, rng):
+    def decide(self, healthy, in_port, computed, deflected, rng):
         count = len(self.tree_ports)
         start = self.in_port_tree.get(in_port, 0)
         for offset in range(count):
             port = self.tree_ports[(start + offset) % count]
-            if port is not None and switch.port_up(port):
-                return Decision(port=port, deflected=offset > 0)
-        return Decision.drop()
-
-    def fast_port(self, switch, packet, in_port, computed_port):
-        if not self.tree_ports:
-            return None
-        port = self.tree_ports[self.in_port_tree.get(in_port, 0)]
-        if port is not None and switch.port_up(port):
-            return port
-        return None
+            if port is not None and port in healthy:
+                return port, offset > 0
+        return None, False
 
 
 class ArborescenceFailoverSwitch(KarSwitch):

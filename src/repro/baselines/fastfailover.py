@@ -19,7 +19,7 @@ from typing import Dict, Optional, Sequence
 from repro.sim.engine import Simulator
 from repro.sim.trace import PacketTracer
 from repro.switches.core import KarSwitch
-from repro.switches.deflection import DeflectionStrategy, Decision, NoDeflection
+from repro.switches.deflection import DeflectionStrategy
 from repro.topology.graph import PortGraph, TopologyError
 from repro.topology.paths import NoPathError, shortest_path
 
@@ -59,15 +59,15 @@ class FastFailoverStrategy(DeflectionStrategy):
         self.backups = dict(backups or {})
         self.default_port = default_port
 
-    def select_port(self, switch, packet, in_port, computed_port, rng):
-        if self._computed_usable(switch, computed_port):
-            return Decision(port=computed_port)
-        backup = self.backups.get(computed_port)
-        if backup is not None and switch.port_up(backup):
-            return Decision(port=backup, deflected=True)
-        if self.default_port is not None and switch.port_up(self.default_port):
-            return Decision(port=self.default_port, deflected=True)
-        return Decision.drop()
+    def decide(self, healthy, in_port, computed, deflected, rng):
+        if computed in healthy:
+            return computed, False
+        backup = self.backups.get(computed)
+        if backup is not None and backup in healthy:
+            return backup, True
+        if self.default_port is not None and self.default_port in healthy:
+            return self.default_port, True
+        return None, False
 
 
 class FastFailoverSwitch(KarSwitch):

@@ -1,8 +1,8 @@
 """Performance benchmarks for the simulator and control plane.
 
-* :mod:`repro.bench.simbench` — ``repro bench sim``: reference vs fast
-  datapath, measured in the same process, digest-checked before any
-  speedup is reported (writes ``BENCH_sim.json``).
+* :mod:`repro.bench.simbench` — ``repro bench sim``: the vectorized and
+  2-shard epoch engines vs the scalar reference engine, digest-checked
+  before any speedup is reported (writes ``BENCH_sim.json``).
 * :mod:`repro.bench.crtbench` — ``repro bench crt``: naive vs pooled vs
   incremental route encoding, every cell verified bit-identical to the
   reference :func:`~repro.rns.crt.crt` solver (writes

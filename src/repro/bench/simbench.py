@@ -1,33 +1,18 @@
-"""``repro bench sim`` — reference vs fast datapath, same process.
+"""``repro bench sim`` — the epoch datapath, verified before timed.
 
-For each (topology size, deflection strategy) cell the benchmark runs
-the *same* seeded simulation twice — once with the datapath built in
-reference mode (:func:`repro.sim.fastpath.use_fastpath`), once fast —
-and compares full outcome digests (per-switch counters, drop reasons,
-event count, final RNG fingerprints) before reporting any speedup: a
-speedup over a run that computed something different is meaningless.
+For each (topology size, deflection strategy) cell the benchmark builds
+one seeded epoch-model workload (:mod:`repro.sim.vector`) — a random
+connected core, a flow mesh and mid-run link failures on flow 0's
+route, so every strategy exercises its deflection fallback as well as
+the steady state — and runs it through three engines: the scalar
+reference (:func:`~repro.sim.vector.run_epoch_reference`), the
+vectorized engine and the 2-shard engine (:mod:`repro.sim.shard`).
+**Every cell is digest-verified against the reference engine before a
+single timing repeat runs**: a speedup over a run that computed
+something different is meaningless.
 
-The workload is deliberately hop-heavy: a random connected core with a
-UDP probe flow and a mid-run failure on the primary path, so every
-strategy exercises its deflection fallback (where the reference path
-rebuilds ``healthy_ports()`` per decision) as well as the steady state
-(where the reference path pays the per-hop big-int modulo and a
-``Decision`` allocation).
-
-A separate microbenchmark times raw CRT encodes of the primary route
-(``crt_encodes_per_sec``) — the controller-side cost that incremental
-re-encoding (PR 1) and the farm (PR 2) care about.
-
-Since PR 9 the benchmark covers two datapath families (``--modes``):
-
-* ``des`` — the discrete-event engine, fast path vs in-process
-  reference (the original matrix);
-* ``epoch`` — the million-packet datapath: the epoch-quantized model's
-  vectorized engine (:mod:`repro.sim.vector`) and 2-shard engine
-  (:mod:`repro.sim.shard`) against the untouched-KarSwitch scalar
-  reference.  **Every cell is digest-verified against the reference
-  engine before a single timing repeat runs** — same discipline, one
-  order of magnitude more packets.
+DES throughput is not measured here; that is the ``paper15-tcp-des``
+workload of ``benchmarks/e2e``.
 
 Results land in ``BENCH_sim.json``; CI runs ``--quick`` and asserts
 only ``digests_match_reference`` and run-to-run digest identity (never
@@ -36,31 +21,13 @@ wall-clock — shared runners make absolute thresholds flaky).
 
 from __future__ import annotations
 
-import hashlib
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.bench.artifact import finish_artifact
-from repro.controller.protection import ProtectionPlanner
-from repro.farm.jobs import record_digest
-from repro.rns.encoder import Hop, RouteEncoder
-from repro.runner import KarSimulation
-from repro.sim.fastpath import use_fastpath
-from repro.switches.core import KarSwitch
 from repro.switches.deflection import STRATEGY_NAMES
-from repro.topology import (
-    NodeKind,
-    Scenario,
-    attach_host_pair,
-    random_connected,
-    shortest_path,
-)
 
-__all__ = ["SIZES", "MODES", "EPOCH_WORKLOADS", "run_sim_bench",
-           "render_sim_bench"]
-
-#: Datapath families the benchmark can exercise.
-MODES: Tuple[str, ...] = ("des", "epoch")
+__all__ = ["SIZES", "EPOCH_WORKLOADS", "run_sim_bench", "render_sim_bench"]
 
 #: Epoch-model workload scale per topology size.  Sized so the large
 #: cell pushes well past the ROADMAP's 10M forwarded packets/min on a
@@ -77,142 +44,13 @@ EPOCH_WORKLOADS: Dict[str, Dict[str, int]] = {
 EPOCH_TARGET_PER_MIN = 10_000_000
 
 #: Topology size presets.  ``min_switch_id`` scales with size so larger
-#: nets also mean larger route IDs (more big-int work on the reference
-#: path, like a real deployment's wider coprime pool).
+#: nets also mean larger route IDs (more big-int work per reference
+#: hop, like a real deployment's wider coprime pool).
 SIZES: Dict[str, Dict[str, Any]] = {
-    "small": dict(num_switches=8, extra_links=3, min_switch_id=29,
-                  rate_pps=500, traffic_s=1.2),
-    "medium": dict(num_switches=32, extra_links=8, min_switch_id=211,
-                   rate_pps=500, traffic_s=1.6),
-    "large": dict(num_switches=64, extra_links=16, min_switch_id=557,
-                  rate_pps=500, traffic_s=1.6),
+    "small": dict(num_switches=8, extra_links=3, min_switch_id=29),
+    "medium": dict(num_switches=32, extra_links=8, min_switch_id=211),
+    "large": dict(num_switches=64, extra_links=16, min_switch_id=557),
 }
-
-#: Simulated drain time after the probe stops (lets deflected packets
-#: finish wandering so conservation-style digests are stable).
-_DRAIN_S = 1.0
-
-
-def _far_apart(graph) -> Tuple[str, str]:
-    """Approximate diameter endpoints (double-BFS heuristic).
-
-    Hop-heavy routes keep the benchmark honest: the per-hop datapath
-    cost must dominate the fixed per-packet edge/host cost, or the
-    numbers measure transport plumbing instead.
-    """
-    names = sorted(graph.node_names())
-
-    def farthest(origin: str) -> str:
-        best, best_len = origin, -1
-        for name in names:
-            if name == origin:
-                continue
-            length = len(shortest_path(graph, origin, name))
-            if length > best_len:
-                best, best_len = name, length
-        return best
-
-    u = farthest(names[0])
-    return u, farthest(u)
-
-
-def _bench_scenario(size: str, seed: int) -> Scenario:
-    cfg = SIZES[size]
-    graph = random_connected(
-        cfg["num_switches"],
-        extra_links=cfg["extra_links"],
-        seed=seed,
-        min_switch_id=cfg["min_switch_id"],
-        rate_mbps=100.0,
-        delay_s=0.0002,
-    )
-    src_sw, dst_sw = _far_apart(graph)
-    src_host, dst_host = attach_host_pair(
-        graph, src_sw, dst_sw, rate_mbps=100.0, delay_s=0.0002
-    )
-    route = shortest_path(graph, src_sw, dst_sw)
-    plan = ProtectionPlanner(graph).full(route)
-    return Scenario(
-        name=f"bench-{size}-{seed}",
-        graph=graph,
-        primary_route=tuple(route),
-        src_host=src_host,
-        dst_host=dst_host,
-        protection={"full": tuple(plan.segments), "none": ()},
-    )
-
-
-def _outcome_record(ks: KarSimulation, src, sink) -> Dict[str, Any]:
-    """Canonical, digestable outcome of one run.
-
-    Includes the engine's event count and a fingerprint of every
-    switch's final RNG state, so two runs digest equal only if they
-    processed the same events in the same order and made the same
-    random draws — the bit-identical contract, not just equal totals.
-    """
-    switches: Dict[str, List[int]] = {}
-    rng_fp = hashlib.sha256()
-    for info in sorted(ks.scenario.graph.nodes(NodeKind.CORE),
-                       key=lambda i: i.name):
-        sw = ks.network.node(info.name)
-        assert isinstance(sw, KarSwitch)
-        switches[info.name] = [sw.forwarded, sw.deflections, sw.drops]
-        rng_fp.update(repr(sw._rng.getstate()).encode("utf-8"))
-    record: Dict[str, Any] = {
-        "sent": src.sent,
-        "received": sink.received,
-        "events": ks.sim.events_processed,
-        "drop_reasons": dict(sorted(ks.tracer.drop_reasons.items())),
-        "switches": switches,
-        "rng_fingerprint": rng_fp.hexdigest()[:16],
-    }
-    record["digest"] = record_digest(record)
-    return record
-
-
-def _run_once(
-    scenario: Scenario, strategy: str, seed: int, size: str
-) -> Tuple[float, Dict[str, Any]]:
-    """One seeded run; returns (wall seconds, outcome record)."""
-    cfg = SIZES[size]
-    traffic_s = cfg["traffic_s"]
-    route = scenario.primary_route
-    fail_a, fail_b = route[len(route) // 2 - 1], route[len(route) // 2]
-    ks = KarSimulation(
-        scenario, deflection=strategy, protection="none",
-        seed=seed, ttl=96,
-    )
-    src, sink = ks.add_udp_probe(
-        rate_pps=cfg["rate_pps"], duration_s=traffic_s
-    )
-    src.start(at=0.05)
-    ks.schedule_failure(
-        fail_a, fail_b, at=traffic_s / 3, repair_at=2 * traffic_s / 3
-    )
-    # Time only the event loop: this is a datapath benchmark, and
-    # topology/route construction is identical in both modes.
-    start = time.perf_counter()
-    ks.run(until=traffic_s + _DRAIN_S)
-    elapsed = time.perf_counter() - start
-    return elapsed, _outcome_record(ks, src, sink)
-
-
-def _crt_bench(scenario: Scenario, repeats: int) -> Dict[str, Any]:
-    """Encodes/sec for the primary route's CRT (controller-side cost)."""
-    graph = scenario.graph
-    hops = [Hop(graph.switch_id(n), 1) for n in scenario.primary_route]
-    encoder = RouteEncoder()
-    start = time.perf_counter()
-    for _ in range(repeats):
-        route = encoder.encode(hops)
-    elapsed = time.perf_counter() - start
-    return {
-        "encodes": repeats,
-        "route_hops": len(hops),
-        "route_bits": route.bit_length,
-        "wall_s": round(elapsed, 4),
-        "encodes_per_sec": round(repeats / elapsed) if elapsed > 0 else None,
-    }
 
 
 def _epoch_spec(size: str, strategy: str, seed: int) -> Dict[str, Any]:
@@ -341,134 +179,36 @@ def run_sim_bench(
     quick: bool = False,
     repeats: Optional[int] = None,
     out: Optional[str] = "BENCH_sim.json",
-    modes: Optional[Sequence[str]] = None,
 ) -> Dict[str, Any]:
-    """Run the datapath benchmark matrix; optionally write *out*.
+    """Run the epoch datapath benchmark matrix; optionally write *out*.
 
-    ``modes`` selects the datapath families (default: both): ``des``
-    (event loop, fast vs reference) and ``epoch`` (vectorized + 2-shard
-    batch engines vs the scalar reference engine).  ``quick`` trims the
-    matrix for CI smoke runs (small+medium, the digest checks still
-    cover every cell).
+    ``quick`` trims the matrix for CI smoke runs (small+medium, shards
+    in-process; the digest checks still cover every cell).
 
     Each timed cell runs ``repeats`` times per engine (interleaved, so
     OS scheduling drift hits all engines alike) and reports the
     **minimum** wall time — the standard estimator for wall-clock
     microbenchmarks, since noise on a quiet deterministic workload is
     strictly additive.  Every repeat must produce the same digest (the
-    simulation is seeded), which doubles as a determinism check; epoch
-    cells additionally verify vector and sharded digests against the
-    reference engine *before* the first timing repeat.
+    simulation is seeded), which doubles as a determinism check, and
+    vector and sharded digests are verified against the reference
+    engine *before* the first timing repeat.
     """
     if sizes is None:
         sizes = ("small", "medium") if quick else ("small", "medium", "large")
     if strategies is None:
         strategies = STRATEGY_NAMES
-    if modes is None:
-        modes = MODES
     for size in sizes:
         if size not in SIZES:
             raise ValueError(f"unknown size {size!r}; choose from {sorted(SIZES)}")
-    for mode in modes:
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}; choose from {list(MODES)}")
     if repeats is None:
         repeats = 2 if quick else 3
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    crt_repeats = 300 if quick else 2000
 
-    runs: List[Dict[str, Any]] = []
-    crt: Dict[str, Any] = {}
-    for size in sizes if "des" in modes else ():
-        scenario = _bench_scenario(size, seed)
-        crt[size] = _crt_bench(scenario, crt_repeats)
-        for strategy in strategies:
-            ref_times: List[float] = []
-            fast_times: List[float] = []
-            ref_record: Optional[Dict[str, Any]] = None
-            fast_record: Optional[Dict[str, Any]] = None
-            for _ in range(repeats):
-                with use_fastpath(False):
-                    wall, record = _run_once(scenario, strategy, seed, size)
-                ref_times.append(wall)
-                if ref_record is not None and record["digest"] != ref_record["digest"]:
-                    raise RuntimeError(
-                        f"non-deterministic reference run: {size}/{strategy}"
-                    )
-                ref_record = record
-                with use_fastpath(True):
-                    wall, record = _run_once(scenario, strategy, seed, size)
-                fast_times.append(wall)
-                if fast_record is not None and record["digest"] != fast_record["digest"]:
-                    raise RuntimeError(
-                        f"non-deterministic fast run: {size}/{strategy}"
-                    )
-                fast_record = record
-            ref_s, fast_s = min(ref_times), min(fast_times)
-            packets = ref_record["sent"]
-            forwarded = sum(v[0] for v in ref_record["switches"].values())
-            runs.append({
-                "size": size,
-                "strategy": strategy,
-                "packets": packets,
-                "events": ref_record["events"],
-                "forwarded": forwarded,
-                "reference": {
-                    "wall_s": round(ref_s, 4),
-                    "packets_per_sec": round(packets / ref_s),
-                    "events_per_sec": round(ref_record["events"] / ref_s),
-                    "forwarded_per_min": _per_min(forwarded, ref_s),
-                },
-                "fast": {
-                    "wall_s": round(fast_s, 4),
-                    "packets_per_sec": round(packets / fast_s),
-                    "events_per_sec": round(fast_record["events"] / fast_s),
-                    "forwarded_per_min": _per_min(forwarded, fast_s),
-                },
-                "speedup": round(ref_s / fast_s, 3) if fast_s > 0 else None,
-                "digest_reference": ref_record["digest"],
-                "digest_fast": fast_record["digest"],
-                "digests_match": ref_record["digest"] == fast_record["digest"],
-            })
-
-    epoch_runs: List[Dict[str, Any]] = []
-    if "epoch" in modes:
-        epoch_runs = _run_epoch_cells(
-            sizes, strategies, seed, repeats,
-            shard_processes=not quick,
-        )
-
-    def _aggregate(size: str) -> Optional[float]:
-        cells = [r for r in runs if r["size"] == size]
-        if not cells:
-            return None
-        ref = sum(c["reference"]["wall_s"] for c in cells)
-        fast = sum(c["fast"]["wall_s"] for c in cells)
-        return round(ref / fast, 3) if fast > 0 else None
-
-    def _epoch_vs_des(size: str) -> Optional[Dict[str, Any]]:
-        """Vectorized epoch datapath vs the PR-3 DES fast path, as
-        aggregate forwarded-packets/min over the size's cells."""
-        des_cells = [r for r in runs if r["size"] == size]
-        ep_cells = [r for r in epoch_runs if r["size"] == size]
-        if not des_cells or not ep_cells:
-            return None
-        des_fwd = sum(c["forwarded"] for c in des_cells)
-        des_wall = sum(c["fast"]["wall_s"] for c in des_cells)
-        ep_fwd = sum(c["forwarded"] for c in ep_cells)
-        ep_wall = sum(c["vector"]["wall_s"] for c in ep_cells)
-        des_per_min = _per_min(des_fwd, des_wall)
-        ep_per_min = _per_min(ep_fwd, ep_wall)
-        return {
-            "des_fast_forwarded_per_min": des_per_min,
-            "vector_forwarded_per_min": ep_per_min,
-            "ratio": (
-                round(ep_per_min / des_per_min, 2)
-                if des_per_min else None
-            ),
-        }
-
+    epoch_runs = _run_epoch_cells(
+        sizes, strategies, seed, repeats, shard_processes=not quick
+    )
     best_vector_per_min = max(
         (c["vector"]["forwarded_per_min"] or 0 for c in epoch_runs),
         default=0,
@@ -478,85 +218,43 @@ def run_sim_bench(
         "quick": quick,
         "repeats": repeats,
         "seed": seed,
-        "modes": list(modes),
         "sizes": {s: SIZES[s] for s in sizes},
-        "runs": runs,
-        "crt": crt,
-        "speedup_by_size": {s: _aggregate(s) for s in sizes},
         "epoch": {
             "workloads": {s: EPOCH_WORKLOADS[s] for s in sizes},
             "runs": epoch_runs,
-            "vs_des_fast": {s: _epoch_vs_des(s) for s in sizes},
             "target_forwarded_per_min": EPOCH_TARGET_PER_MIN,
             "best_vector_forwarded_per_min": best_vector_per_min,
             "target_met": best_vector_per_min >= EPOCH_TARGET_PER_MIN,
-        } if "epoch" in modes else None,
-        "digests_match_reference": (
-            all(r["digests_match"] for r in runs)
-            and all(r["digests_match"] for r in epoch_runs)
+        },
+        "digests_match_reference": all(
+            r["digests_match"] for r in epoch_runs
         ),
     }
     return finish_artifact(result, out)
 
 
 def render_sim_bench(result: Dict[str, Any]) -> str:
+    epoch = result["epoch"]
     lines = [
-        f"sim bench — datapath modes {result.get('modes', ['des'])} "
-        f"(seed {result['seed']}, {result['cpu_count']} CPU(s))",
+        f"sim bench — epoch datapath, vectorized / 2-shard vs scalar "
+        f"reference (seed {result['seed']}, {result['cpu_count']} CPU(s))",
+        f"  {'size':<8} {'strategy':<9} {'forwarded':>10} "
+        f"{'fwd/min vec':>12} {'fwd/min sh2':>12} {'vs ref':>8}  digests",
     ]
-    if result["runs"]:
+    for r in epoch["runs"]:
         lines.append(
-            f"  {'size':<8} {'strategy':<9} {'pkts/s ref':>11} "
-            f"{'pkts/s fast':>12} {'speedup':>8}  digests"
+            f"  {r['size']:<8} {r['strategy']:<9} "
+            f"{r['forwarded']:>10} "
+            f"{r['vector']['forwarded_per_min']:>12} "
+            f"{r['shard2']['forwarded_per_min']:>12} "
+            f"{r['speedup_vs_reference']:>7}x  "
+            f"{'match' if r['digests_match'] else 'MISMATCH'}"
         )
-        for r in result["runs"]:
-            lines.append(
-                f"  {r['size']:<8} {r['strategy']:<9} "
-                f"{r['reference']['packets_per_sec']:>11} "
-                f"{r['fast']['packets_per_sec']:>12} "
-                f"{r['speedup']:>7}x  "
-                f"{'match' if r['digests_match'] else 'MISMATCH'}"
-            )
-        for size, agg in result["speedup_by_size"].items():
-            crt = result["crt"].get(size)
-            if crt is None:
-                continue
-            lines.append(
-                f"  {size}: aggregate speedup {agg}x, CRT "
-                f"{crt['encodes_per_sec']} encodes/s "
-                f"({crt['route_hops']} hops, {crt['route_bits']} bits)"
-            )
-    epoch = result.get("epoch")
-    if epoch:
-        lines.append(
-            f"  epoch datapath (vectorized / 2-shard vs scalar reference):"
-        )
-        lines.append(
-            f"  {'size':<8} {'strategy':<9} {'forwarded':>10} "
-            f"{'fwd/min vec':>12} {'fwd/min sh2':>12} {'vs ref':>8}  digests"
-        )
-        for r in epoch["runs"]:
-            lines.append(
-                f"  {r['size']:<8} {r['strategy']:<9} "
-                f"{r['forwarded']:>10} "
-                f"{r['vector']['forwarded_per_min']:>12} "
-                f"{r['shard2']['forwarded_per_min']:>12} "
-                f"{r['speedup_vs_reference']:>7}x  "
-                f"{'match' if r['digests_match'] else 'MISMATCH'}"
-            )
-        for size, cmp in epoch["vs_des_fast"].items():
-            if cmp is None:
-                continue
-            lines.append(
-                f"  {size}: vector {cmp['vector_forwarded_per_min']} "
-                f"fwd/min vs DES fast {cmp['des_fast_forwarded_per_min']} "
-                f"fwd/min = {cmp['ratio']}x"
-            )
-        lines.append(
-            f"  epoch target: {epoch['best_vector_forwarded_per_min']} "
-            f"fwd/min best vs {epoch['target_forwarded_per_min']} target "
-            f"-> {'met' if epoch['target_met'] else 'NOT met'}"
-        )
+    lines.append(
+        f"  epoch target: {epoch['best_vector_forwarded_per_min']} "
+        f"fwd/min best vs {epoch['target_forwarded_per_min']} target "
+        f"-> {'met' if epoch['target_met'] else 'NOT met'}"
+    )
     lines.append(
         "  digests match reference: "
         f"{result['digests_match_reference']}"

@@ -89,11 +89,6 @@ _BENCH_SIZES = ("small", "medium", "large")
 _ORACLE_NAMES = ("backend", "datapath", "encoder", "strategy", "vector",
                  "walk", "wire")
 
-#: Kept in sync with repro.bench.simbench.MODES (asserted by tests);
-#: listed literally so the parser builds without importing the bench
-#: (whose epoch mode imports numpy).
-_BENCH_SIM_MODES = ("des", "epoch")
-
 #: Kept in sync with repro.bench.crtbench.POOLS (asserted by tests);
 #: listed literally so the parser builds without importing the bench.
 _BENCH_POOLS = ("small", "medium", "large")
@@ -324,13 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "bench",
-        help="performance benchmarks (datapath fast path vs reference)",
+        help="performance benchmarks, each verified before it is timed",
     )
     perf_sub = perf.add_subparsers(dest="bench_command", required=True)
     sim = perf_sub.add_parser(
         "sim",
-        help="packets/sec + events/sec + CRT encodes/sec, fast vs "
-             "reference datapath, with bit-identical digest checks",
+        help="epoch datapath forwarded/min: vectorized + 2-shard engines "
+             "vs the scalar reference, with bit-identical digest checks",
     )
     sim.add_argument("--quick", action="store_true",
                      help="CI smoke matrix (small+medium, fewer repeats)")
@@ -342,16 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
                      default=None, metavar="STRAT",
                      help="deflection strategies "
                           f"(choices: {', '.join(STRATEGY_NAMES)})")
-    sim.add_argument("--modes", nargs="+", choices=_BENCH_SIM_MODES,
-                     default=None, metavar="MODE",
-                     help="datapath families to benchmark: des (event "
-                          "loop, fast vs reference) and/or epoch "
-                          "(vectorized + sharded batch engines) "
-                          f"(choices: {', '.join(_BENCH_SIM_MODES)}; "
-                          "default: both)")
     sim.add_argument("--seed", type=int, default=1)
     sim.add_argument("--repeats", type=int, default=None, metavar="K",
-                     help="timing repeats per mode, min is reported "
+                     help="timing repeats per engine, min is reported "
                           "(default: 2 quick, 3 full)")
     sim.add_argument("--out", default="BENCH_sim.json",
                      help="result file (default: %(default)s)")
@@ -369,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
                           f"(choices: {', '.join(_BENCH_POOLS)})")
     crt.add_argument("--seed", type=int, default=1)
     crt.add_argument("--repeats", type=int, default=None, metavar="K",
-                     help="timing repeats per mode, min is reported "
+                     help="timing repeats per engine, min is reported "
                           "(default: 2 quick, 3 full)")
     crt.add_argument("--iters", type=int, default=None, metavar="N",
                      help="batch passes per timing repeat "
@@ -743,7 +731,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             quick=args.quick,
             repeats=args.repeats,
             out=args.out,
-            modes=args.modes,
         )
         print(render_sim_bench(result))
         if args.out:

@@ -536,7 +536,7 @@ def simvector_spec(
     ``workload`` is a plain workload spec for
     :func:`repro.sim.vector.build_workload` (the import-time
     ``WORKLOAD_BUILDERS`` registry rebuilds it in any worker).  ``mode``
-    selects the engine: ``reference`` (untouched KarSwitch oracle),
+    selects the engine: ``reference`` (the scalar oracle loop),
     ``vector`` (numpy batches) or ``sharded`` (epoch-barrier handoffs;
     ``shards``/``processes`` apply).  All engines must produce the same
     record digest — which makes this job a farm-schedulable

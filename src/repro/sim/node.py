@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.sim.engine import Simulator
-from repro.sim.fastpath import fastpath_enabled
 from repro.sim.link import Channel, Link
 from repro.sim.packet import Packet
 
@@ -38,11 +37,10 @@ class Node:
         # Per-port outbound channel, resolved once at attach time so
         # the datapath send is a single table lookup.
         self._channels: List[Optional[Channel]] = [None] * num_ports
-        # Fast path: the healthy-ports tuple is cached and invalidated
-        # by attach()/link flips (Link.set_up calls ports_changed()
+        # The healthy-ports tuple is cached and invalidated by
+        # attach()/link flips (Link.set_up calls ports_changed()
         # directly, so instance-level on_link_state overrides cannot
-        # break invalidation).  Reference mode recomputes per call.
-        self._fastpath = fastpath_enabled()
+        # break invalidation).
         self._healthy_cache: Optional[Tuple[int, ...]] = None
 
     # -- wiring ---------------------------------------------------------
@@ -77,21 +75,17 @@ class Node:
         return link is not None and link.up
 
     def healthy_ports(self) -> Tuple[int, ...]:
-        """Ports that exist, are cabled, and whose link is up.
+        """Ports that exist, are cabled, and whose link is up, ascending.
 
-        On the fast path the tuple is cached until a link attaches or
-        flips state; the reference path rebuilds it per call (the
-        original cost profile, retained for benchmarking).
+        Cached until a link attaches or flips state.
         """
-        if self._fastpath:
-            cached = self._healthy_cache
-            if cached is None:
-                cached = tuple(
-                    p for p in range(len(self._links)) if self.port_up(p)
-                )
-                self._healthy_cache = cached
-            return cached
-        return tuple(p for p in range(self.num_ports) if self.port_up(p))
+        cached = self._healthy_cache
+        if cached is None:
+            cached = tuple(
+                p for p in range(len(self._links)) if self.port_up(p)
+            )
+            self._healthy_cache = cached
+        return cached
 
     def ports_changed(self) -> None:
         """Invalidate cached port state (called by the attached links)."""

@@ -1,32 +1,30 @@
 """Epoch-batched forwarding: the million-packet datapath.
 
 The DES engine (:mod:`repro.sim.engine`) prices every hop as a heap
-event — exact, but bounded by Python per-event overhead even with the
-PR-3 fast path.  This module adds the ROADMAP's "million-packet
-datapath": an **epoch-quantized forwarding model** in which every live
-packet advances exactly one switch hop per epoch, and a whole switch's
-epoch queue is drained in one vectorized numpy pass (the CPU analogue
-of the array-batched bulk provisioner in
-:mod:`repro.controller.bulk`).
+event — exact, but bounded by Python per-event overhead.  This module
+adds the ROADMAP's "million-packet datapath": an **epoch-quantized
+forwarding model** in which every live packet advances exactly one
+switch hop per epoch, and a whole switch's epoch queue is drained in
+one vectorized numpy pass (the CPU analogue of the array-batched bulk
+provisioner in :mod:`repro.controller.bulk`).
 
 Two engines implement the *same* canonical model and must produce
 bit-identical outcome records (digested with
 :func:`repro.farm.jobs.record_digest`):
 
-* :func:`run_epoch_reference` — the oracle.  It drives **untouched**
-  :class:`~repro.switches.core.KarSwitch` objects, built in reference
-  mode (:func:`~repro.sim.fastpath.use_fastpath`), one
-  ``receive()`` call per packet per hop: per-hop big-int
-  ``R mod switch_id``, per-decision ``healthy_ports()`` rebuilds, real
-  ``Decision`` allocations, and the switch's own RNG stream draws.
+* :func:`run_epoch_reference` — the oracle.  A scalar loop over plain
+  data: per-switch queue lists, one healthy-port tuple and one RNG
+  stream per switch, and per packet per hop the big-int
+  ``R mod switch_id`` followed by one
+  :meth:`~repro.switches.deflection.DeflectionStrategy.decide` call.
 * :func:`run_epoch_vector` — the batch engine.  Per switch per epoch
   it resolves ``R mod switch_id`` for the whole queue at once (from
   per-flow residue arrays seeded by
   :meth:`~repro.rns.encoder.EncodedRoute.residue_map`), applies the
-  deflection strategy's happy-path predicate as a numpy mask, and only
-  the fallback minority goes through the *reference*
-  ``select_port`` — so every RNG draw is literally the reference
-  code's draw, in the reference order.
+  strategy's :meth:`~repro.switches.deflection.DeflectionStrategy.happy_mask`
+  as a numpy mask, and only the fallback minority goes through
+  ``decide`` — the same method on the same per-switch RNG stream in
+  the same queue order, so every draw is the reference's draw.
 
 Canonical model (shared by both engines, and by the sharded engine in
 :mod:`repro.sim.shard`):
@@ -74,12 +72,7 @@ import numpy as np
 
 from repro.farm.jobs import record_digest
 from repro.rns.encoder import Hop, RouteEncoder
-from repro.sim.engine import Simulator
-from repro.sim.fastpath import use_fastpath
-from repro.sim.invariants import InvariantChecker
-from repro.sim.packet import KarHeader, Packet
 from repro.sim.rng import RngRegistry
-from repro.switches.core import KarSwitch
 from repro.switches.deflection import strategy_by_name
 from repro.topology import random_connected, shortest_path
 from repro.topology.csr import CsrTopology
@@ -181,10 +174,11 @@ class EpochFlow:
     """One provisioned flow: a constant route ID entering at one switch.
 
     ``residues`` is the encode-time hint
-    (:meth:`~repro.rns.encoder.EncodedRoute.residue_map`); switches not
-    in it fall back to the big-int ``route_id % switch_id`` — computed
-    per packet by the reference engine, once per (flow, switch) by the
-    vector engine.
+    (:meth:`~repro.rns.encoder.EncodedRoute.residue_map`) the vector
+    engine seeds its per-switch residue arrays from, taking the big-int
+    ``route_id % switch_id`` once per (flow, switch) for switches not in
+    it.  The reference engine ignores the hint and takes the modulo per
+    packet per hop, so a wrong hint is a digest mismatch.
     """
 
     route_id: int
@@ -439,222 +433,115 @@ def _finish_record(
 
 
 # ---------------------------------------------------------------------------
-# reference engine: untouched KarSwitch objects, one receive() per hop
+# reference engine: a scalar loop, one decide() per packet per hop
 # ---------------------------------------------------------------------------
 
-class _StubState:
-    """Shared carrier state of one link (both endpoints read it)."""
-
-    __slots__ = ("up",)
-
-    def __init__(self) -> None:
-        self.up = True
-
-
-class _CaptureChannel:
-    """Records the switch's transmit instead of serializing it."""
-
-    __slots__ = ("sink", "port")
-
-    def __init__(self, sink: List[Tuple[int, Packet]], port: int):
-        self.sink = sink
-        self.port = port
-
-    def send(self, packet: Packet) -> bool:
-        self.sink.append((self.port, packet))
-        return True
-
-
-class _Peer:
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-
-class _StubLink:
-    """What :meth:`Node.attach` (and the invariant checker's violation
-    path, via ``peer_name``) need: an ``up`` flag, a channel, a peer."""
-
-    __slots__ = ("_state", "_channel", "_peer")
-
-    def __init__(self, state: _StubState, channel: _CaptureChannel,
-                 peer: str):
-        self._state = state
-        self._channel = channel
-        self._peer = _Peer(peer)
-
-    @property
-    def up(self) -> bool:
-        return self._state.up
-
-    def channel_from(self, node: Any) -> _CaptureChannel:
-        return self._channel
-
-    def peer_of(self, node: Any) -> _Peer:
-        return self._peer
-
-
-class _HopRecorder:
-    """Minimal tracer: drop-reason tally plus optional per-uid hops."""
-
-    def __init__(self, uid_of: Dict[int, int], trace: bool):
-        self.drop_reasons: Dict[str, int] = {}
-        self.uid_of = uid_of
-        self.trace = trace
-        self.hops: Dict[int, List[Tuple[Any, ...]]] = {}
-        self.last_drop: Optional[Tuple[str, str]] = None
-
-    def on_forward(self, now, name, packet, in_port, out_port, deflected):
-        if self.trace:
-            uid = self.uid_of[id(packet)]
-            self.hops.setdefault(uid, []).append(
-                (name, in_port, out_port, bool(deflected))
-            )
-
-    def on_drop(self, now, name, packet, reason):
-        self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + 1
-        self.last_drop = (name, reason)
-
-
 def run_epoch_reference(
-    workload: EpochWorkload,
-    trace: bool = False,
-    invariants: Optional[InvariantChecker] = None,
+    workload: EpochWorkload, trace: bool = False
 ) -> EpochOutcome:
-    """The oracle: untouched reference-mode switches, packet by packet.
-
-    ``invariants`` optionally attaches a live
-    :class:`~repro.sim.invariants.InvariantChecker` — the switches call
-    its forward hook themselves; injection/terminal hooks are driven by
-    the epoch loop, so conservation checks cover the whole model.
-    """
+    """The oracle: the canonical model, packet by packet, on plain data."""
     topo = workload.topo
-    sim = Simulator()
-    registry = RngRegistry(workload.seed)
-    strategy = strategy_by_name(workload.strategy)
-    uid_of: Dict[int, int] = {}
-    recorder = _HopRecorder(uid_of, trace)
-
-    switches: Dict[int, KarSwitch] = {}
-    sinks: Dict[int, List[Tuple[int, Packet]]] = {}
-    states: Dict[Tuple[str, str], _StubState] = {}
-    with use_fastpath(False):
-        for u in topo.core_indices:
-            name = topo.names[u]
-            sw = KarSwitch(
-                name, sim, num_ports=topo.degree[u],
-                switch_id=int(topo.switch_ids[u]),
-                strategy=strategy,
-                rng=registry.stream(f"deflect:{name}"),
-                tracer=recorder,
-                invariants=invariants,
-            )
-            switches[u] = sw
-            sinks[u] = []
-        for key, (u, pu, v, pv) in sorted(topo.links.items()):
-            state = _StubState()
-            states[key] = state
-            for node_idx, port, peer_idx in ((u, pu, v), (v, pv, u)):
-                sw = switches.get(node_idx)
-                if sw is not None:
-                    sw.attach(
-                        port,
-                        _StubLink(
-                            state,
-                            _CaptureChannel(sinks[node_idx], port),
-                            topo.names[peer_idx],
-                        ),
-                    )
-
+    names = topo.names
     flows = workload.flows
-    queues: Dict[int, List[Tuple[int, int, Packet, int]]] = {
-        u: [] for u in topo.core_indices
-    }
+    strategy = strategy_by_name(workload.strategy)
+    no_port = f"no-usable-port({strategy.name})"
+    registry = RngRegistry(workload.seed)
+    core = topo.core_indices
+    rngs = {u: registry.stream(f"deflect:{names[u]}") for u in core}
+    healthy = {u: tuple(range(topo.degree[u])) for u in core}
+    peer = [ports.tolist() for ports in topo.peer]
+    peer_port = [ports.tolist() for ports in topo.peer_port]
+    is_core = topo.core_mask.tolist()
+    # counters[u] = [forwarded, deflections, drops]
+    counters = {u: [0, 0, 0] for u in core}
+    drop_reasons: Dict[str, int] = {}
     delivered = 0
     misdelivered: Dict[str, int] = {}
     fates: Dict[int, Tuple[Any, ...]] = {}
+    hops: Dict[int, List[Tuple[Any, ...]]] = {}
+
+    # Queue entries: (uid, flow index, ttl, sticky deflected bit, in-port).
+    queues: Dict[int, List[Tuple[int, int, int, bool, int]]] = {
+        u: [] for u in core
+    }
     epoch = 0
     live = 0
     while epoch < workload.max_epochs and (
         live > 0 or epoch < workload.inject_epochs
     ):
         for key in workload.flips_at(epoch):
-            state = states[key]
-            state.up = not state.up
             u, pu, v, pv = topo.links[key]
-            for node_idx in (u, v):
-                sw = switches.get(node_idx)
-                if sw is not None:
-                    sw.ports_changed()
+            for node, port in ((u, pu), (v, pv)):
+                if node in healthy:
+                    healthy[node] = tuple(
+                        sorted(set(healthy[node]) ^ {port})
+                    )
         for uid, f in iter_injections(workload, epoch):
             flow = flows[f]
-            packet = Packet(
-                src_host=f"flow{f}", dst_host=f"flow{f}", size_bytes=100,
-                kar=KarHeader(
-                    route_id=flow.route_id, modulus=0, ttl=flow.ttl,
-                    residues=flow.residues,
-                ),
+            queues[flow.ingress].append(
+                (uid, f, flow.ttl, False, flow.in_port)
             )
-            uid_of[id(packet)] = uid
-            if invariants is not None:
-                invariants.on_encapsulate(0.0, topo.names[flow.ingress], packet)
-            queues[flow.ingress].append((uid, f, packet, flow.in_port))
             live += 1
-        next_queues: Dict[int, List[Tuple[int, int, Packet, int]]] = {
-            u: [] for u in topo.core_indices
+        next_queues: Dict[int, List[Tuple[int, int, int, bool, int]]] = {
+            u: [] for u in core
         }
-        for u in topo.core_indices:
-            sw = switches[u]
-            sink = sinks[u]
-            for uid, f, packet, in_port in queues[u]:
-                sw.receive(packet, in_port)
-                if sink:
-                    port, pkt = sink[0]
-                    del sink[:]
-                    v = int(topo.peer[u][port])
-                    if topo.core_mask[v]:
-                        next_queues[v].append(
-                            (uid, f, pkt, int(topo.peer_port[u][port]))
-                        )
-                    else:
-                        live -= 1
-                        edge_name = topo.names[v]
-                        if v == flows[f].egress:
-                            delivered += 1
-                            fates[uid] = ("delivered", edge_name)
-                        else:
-                            misdelivered[edge_name] = (
-                                misdelivered.get(edge_name, 0) + 1
-                            )
-                            fates[uid] = ("misdelivered", edge_name)
-                        if invariants is not None:
-                            invariants.on_deliver(0.0, edge_name, pkt)
+        for u in core:
+            name = names[u]
+            sid = int(topo.switch_ids[u])
+            tally = counters[u]
+            for uid, f, ttl, deflected, in_port in queues[u]:
+                if ttl <= 0:
+                    port, reason = None, "ttl-expired"
                 else:
-                    # The switch's _drop already notified tracer and
-                    # invariants; only the fate is ours to record.
+                    port, hop_deflected = strategy.decide(
+                        healthy[u], in_port, flows[f].route_id % sid,
+                        deflected, rngs[u],
+                    )
+                    reason = no_port
+                if port is None:
                     live -= 1
-                    node, reason = recorder.last_drop or (topo.names[u], "?")
-                    fates[uid] = ("dropped", node, reason)
+                    tally[2] += 1
+                    drop_reasons[reason] = drop_reasons.get(reason, 0) + 1
+                    fates[uid] = ("dropped", name, reason)
+                    continue
+                tally[0] += 1
+                if hop_deflected:
+                    tally[1] += 1
+                    deflected = True
+                if trace:
+                    hops.setdefault(uid, []).append(
+                        (name, in_port, port, hop_deflected)
+                    )
+                v = peer[u][port]
+                if is_core[v]:
+                    next_queues[v].append(
+                        (uid, f, ttl - 1, deflected, peer_port[u][port])
+                    )
+                    continue
+                live -= 1
+                edge_name = names[v]
+                if v == flows[f].egress:
+                    delivered += 1
+                    fates[uid] = ("delivered", edge_name)
+                else:
+                    misdelivered[edge_name] = (
+                        misdelivered.get(edge_name, 0) + 1
+                    )
+                    fates[uid] = ("misdelivered", edge_name)
         queues = next_queues
         epoch += 1
 
-    live_at_end = sum(len(q) for q in queues.values())
     record = _finish_record(
         workload, epoch,
-        {
-            topo.names[u]: [sw.forwarded, sw.deflections, sw.drops]
-            for u, sw in switches.items()
-        },
-        delivered, misdelivered, recorder.drop_reasons, live_at_end,
-        [(topo.names[u], rng_state_digest(sw._rng))
-         for u, sw in switches.items()],
+        {names[u]: tally for u, tally in counters.items()},
+        delivered, misdelivered, drop_reasons,
+        sum(len(q) for q in queues.values()),
+        [(names[u], rng_state_digest(rng)) for u, rng in rngs.items()],
     )
     return EpochOutcome(
         record=record,
         fates=fates,
-        traces={k: tuple(v) for k, v in recorder.hops.items()}
-        if trace else None,
+        traces={k: tuple(v) for k, v in hops.items()} if trace else None,
         meta={"engine": "reference"},
     )
 
@@ -662,51 +549,6 @@ def run_epoch_reference(
 # ---------------------------------------------------------------------------
 # vector engine: per-switch-per-epoch numpy batches
 # ---------------------------------------------------------------------------
-
-class _ArrayPortView:
-    """PortView over a numpy carrier array — what fallback decisions see.
-
-    ``healthy_ports`` is cached per epoch (flips invalidate it); the
-    tuple holds plain ints so ``select_port``'s RNG draws and candidate
-    lists are indistinguishable from the reference switch's.
-    """
-
-    __slots__ = ("num_ports", "_up", "_healthy")
-
-    def __init__(self, num_ports: int, up: np.ndarray):
-        self.num_ports = num_ports
-        self._up = up
-        self._healthy: Optional[Tuple[int, ...]] = None
-
-    def port_up(self, port: int) -> bool:
-        return 0 <= port < self.num_ports and bool(self._up[port])
-
-    def healthy_ports(self) -> Tuple[int, ...]:
-        cached = self._healthy
-        if cached is None:
-            cached = tuple(int(p) for p in np.nonzero(self._up)[0])
-            self._healthy = cached
-        return cached
-
-    def invalidate(self) -> None:
-        self._healthy = None
-
-
-class _ShimKar:
-    __slots__ = ("deflected",)
-
-    def __init__(self, deflected: bool):
-        self.deflected = deflected
-
-
-class _ShimPacket:
-    """The one attribute ``select_port`` reads from a packet."""
-
-    __slots__ = ("kar",)
-
-    def __init__(self, deflected: bool):
-        self.kar = _ShimKar(deflected)
-
 
 class EpochCore:
     """Vectorized switch state for a (subset of a) topology.
@@ -728,7 +570,6 @@ class EpochCore:
         self.workload = workload
         self.topo = topo
         self.strategy = strategy_by_name(workload.strategy)
-        self.strategy_name = workload.strategy
         self.owned: Tuple[int, ...] = tuple(
             int(u) for u in (owned if owned is not None else topo.core_indices)
         )
@@ -737,8 +578,9 @@ class EpochCore:
             u: registry.stream(f"deflect:{topo.names[u]}") for u in self.owned
         }
         self.up: List[np.ndarray] = topo.fresh_up_state()
-        self.views: Dict[int, _ArrayPortView] = {
-            u: _ArrayPortView(topo.degree[u], self.up[u]) for u in self.owned
+        # What decide() sees: each owned switch's up ports as plain ints.
+        self.healthy: Dict[int, Tuple[int, ...]] = {
+            u: tuple(range(topo.degree[u])) for u in self.owned
         }
         # counters[u] = [forwarded, deflections, drops]
         self.counters: Dict[int, List[int]] = {
@@ -775,9 +617,10 @@ class EpochCore:
             self.up[u][pu] = not self.up[u][pu]
             self.up[v][pv] = not self.up[v][pv]
             for node_idx in (u, v):
-                view = self.views.get(node_idx)
-                if view is not None:
-                    view.invalidate()
+                if node_idx in self.healthy:
+                    self.healthy[node_idx] = tuple(
+                        int(p) for p in np.nonzero(self.up[node_idx])[0]
+                    )
 
     def residues_for(self, u: int) -> np.ndarray:
         res = self._residues.get(u)
@@ -842,15 +685,8 @@ class EpochCore:
         usable = np.zeros(len(comp), dtype=bool)
         if valid.any():
             usable[valid] = up_u[comp[valid]]
-        s = self.strategy_name
-        if s == "none":
-            happy = usable
-        elif s == "hp":
-            happy = usable & ~deflected
-        elif s == "avp":
-            happy = usable
-        else:  # nip
-            happy = usable & (comp != in_port)
+        strategy = self.strategy
+        happy = strategy.happy_mask(usable, in_port, comp, deflected)
 
         out_port = np.where(happy, comp, -1)
         out_defl = deflected.copy()
@@ -859,42 +695,31 @@ class EpochCore:
         # even for a packet deflected upstream.
         hop_defl = np.zeros(len(comp), dtype=bool)
         dropped = np.zeros(len(comp), dtype=bool)
-        fallback = np.nonzero(~happy)[0]
-        if s == "none":
-            dropped[fallback] = True
-            n_drop = len(fallback)
-            if n_drop:
-                counters[2] += n_drop
-                self._drop_n("no-usable-port(none)", n_drop)
-        elif len(fallback):
-            # The slow minority goes through the reference select_port
-            # with the switch's real RNG stream, in queue order — the
-            # draws ARE the reference engine's draws.
-            strategy = self.strategy
-            view = self.views[u]
-            rng = self.rngs[u]
-            reason = f"no-usable-port({s})"
-            for w in fallback:
-                decision = strategy.select_port(
-                    view, _ShimPacket(bool(deflected[w])),
-                    int(in_port[w]), int(comp[w]), rng,
-                )
-                if decision.port is None:
-                    dropped[w] = True
-                    counters[2] += 1
-                    self._drop_n(reason, 1)
-                else:
-                    out_port[w] = decision.port
-                    if decision.deflected:
-                        out_defl[w] = True
-                        hop_defl[w] = True
-                        counters[1] += 1
-        if self.trace:
-            for w in np.nonzero(dropped & ~happy)[0]:
-                if int(uid[w]) not in self.fates:
-                    self.fates[int(uid[w])] = (
-                        "dropped", name, f"no-usable-port({s})"
-                    )
+        # The fallback minority takes the scalar rule on the switch's
+        # own RNG stream, in queue order — the reference engine's draws.
+        healthy = self.healthy[u]
+        rng = self.rngs[u]
+        for w in np.nonzero(~happy)[0]:
+            port, hop_deflected = strategy.decide(
+                healthy, int(in_port[w]), int(comp[w]),
+                bool(deflected[w]), rng,
+            )
+            if port is None:
+                dropped[w] = True
+            else:
+                out_port[w] = port
+                if hop_deflected:
+                    out_defl[w] = True
+                    hop_defl[w] = True
+                    counters[1] += 1
+        n_drop = int(dropped.sum())
+        if n_drop:
+            reason = f"no-usable-port({strategy.name})"
+            counters[2] += n_drop
+            self._drop_n(reason, n_drop)
+            if self.trace:
+                for w in np.nonzero(dropped)[0]:
+                    self.fates[int(uid[w])] = ("dropped", name, reason)
 
         fwd = ~dropped
         n_fwd = int(fwd.sum())

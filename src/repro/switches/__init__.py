@@ -4,7 +4,6 @@ from repro.switches.core import KarSwitch
 from repro.switches.deflection import (
     STRATEGY_NAMES,
     AnyValidPort,
-    Decision,
     DeflectionStrategy,
     HotPotato,
     NoDeflection,
@@ -19,7 +18,6 @@ __all__ = [
     "IngressEntry",
     "ReencodeService",
     "DeflectionStrategy",
-    "Decision",
     "NoDeflection",
     "HotPotato",
     "AnyValidPort",

@@ -20,7 +20,6 @@ import random
 from typing import Callable, Optional
 
 from repro.sim.engine import Simulator
-from repro.sim.fastpath import fastpath_enabled
 from repro.sim.invariants import InvariantChecker
 from repro.sim.node import Node
 from repro.sim.packet import Packet
@@ -82,21 +81,16 @@ class KarSwitch(Node):
         self.forwarded = 0
         self.deflections = 0
         self.drops = 0
-        # Fast path (snapshotted at build time, see repro.sim.fastpath):
-        # residues of recently seen route IDs, keyed by id() of the
+        # Residues of recently seen route IDs, keyed by id() of the
         # route-ID int.  Packets of a flow share the one int object
         # installed in the edge's ingress entry, so the key is stable —
         # and the cached entry holds a strong reference to that object,
         # so a key can never be silently reused while it is in the
         # cache.  Values are (route_id, residue) pairs; a hit requires
         # the stored object to be identical (`is`) to the packet's.
-        self._fastpath = fastpath_enabled()
         self._residue_cache: dict = {}
         self.residue_hits = 0
         self.residue_misses = 0
-        # Bound once: the strategy dispatch is per-hop.
-        self._fast_port = strategy.fast_port
-        self._fast_fallback = strategy.fast_fallback
 
     def receive(self, packet: Packet, in_port: int) -> None:
         kar = packet.kar
@@ -109,58 +103,33 @@ class KarSwitch(Node):
         kar.ttl -= 1
         packet.hops += 1
 
+        # Residue lookup: encode-time hint, then per-switch cache, then
+        # the big-int modulo — each step exact, so `computed` is always
+        # `R mod s` (or the backend's decode of it).
         sid = self.switch_id
-        if self._fastpath:
-            # Residue lookup: encode-time hint, then per-switch cache,
-            # then the big-int modulo (each step exact, so the result
-            # is bit-identical to the reference path's `R mod s`).
-            computed = None
-            residues = kar.residues
-            if residues is not None:
-                computed = residues.get(sid)
-            if computed is None:
-                rid = kar.route_id
-                cached = self._residue_cache.get(id(rid))
-                if cached is not None and cached[0] is rid:
-                    computed = cached[1]
-                    self.residue_hits += 1
-                else:
-                    if self._decode is None:
-                        computed = rid % sid
-                    else:
-                        computed = self._decode(rid, sid)
-                    cache = self._residue_cache
-                    if len(cache) >= RESIDUE_CACHE_SIZE:
-                        cache.clear()
-                    cache[id(rid)] = (rid, computed)
-                    self.residue_misses += 1
-            port = self._fast_port(self, packet, in_port, computed)
-            if port is not None:
-                # Allocation-free happy path: forward on the computed
-                # port, not deflected.
-                self.forwarded += 1
-                if self.invariants is not None:
-                    self.invariants.on_switch_forward(
-                        self.sim.now, self, packet, in_port, port
-                    )
-                if self.tracer is not None:
-                    self.tracer.on_forward(
-                        self.sim.now, self.name, packet, in_port, port, False
-                    )
-                self.send(port, packet)
-                return
-            out_port, deflected = self._fast_fallback(
-                self, packet, in_port, computed, self._rng
-            )
-        else:
-            if self._decode is None:
-                computed = kar.route_id % sid
+        computed = None
+        residues = kar.residues
+        if residues is not None:
+            computed = residues.get(sid)
+        if computed is None:
+            rid = kar.route_id
+            cached = self._residue_cache.get(id(rid))
+            if cached is not None and cached[0] is rid:
+                computed = cached[1]
+                self.residue_hits += 1
             else:
-                computed = self._decode(kar.route_id, sid)
-            decision = self.strategy.select_port(
-                self, packet, in_port, computed, self._rng
-            )
-            out_port, deflected = decision.port, decision.deflected
+                if self._decode is None:
+                    computed = rid % sid
+                else:
+                    computed = self._decode(rid, sid)
+                cache = self._residue_cache
+                if len(cache) >= RESIDUE_CACHE_SIZE:
+                    cache.clear()
+                cache[id(rid)] = (rid, computed)
+                self.residue_misses += 1
+        out_port, deflected = self.strategy.decide(
+            self.healthy_ports(), in_port, computed, kar.deflected, self._rng
+        )
         if out_port is None:
             self._drop(packet, f"no-usable-port({self.strategy.name})")
             return

@@ -24,14 +24,9 @@ matched seeds.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional, Protocol, Sequence, Tuple
-
-from repro.sim.packet import Packet
+from typing import Any, Optional, Sequence, Tuple
 
 __all__ = [
-    "PortView",
-    "Decision",
     "DeflectionStrategy",
     "NoDeflection",
     "HotPotato",
@@ -42,154 +37,65 @@ __all__ = [
 ]
 
 
-def _randbelow_matches_choice() -> bool:
-    """Import-time probe: is ``seq[rng._randbelow(len(seq))]`` the exact
-    draw ``rng.choice(seq)`` would make?
-
-    ``_randbelow`` is a private CPython detail — alternative
-    ``random.Random`` implementations may not have it, and nothing
-    guarantees ``choice()`` keeps delegating to it.  The fast path may
-    only index through it when this probe confirms both the values and
-    the stream positions agree; otherwise every caller falls back to
-    the reference ``choice(list(...))`` form.
-    """
-    try:
-        a = random.Random(0x5EED)
-        b = random.Random(0x5EED)
-        seq = tuple(range(1, 8))
-        for _ in range(16):
-            if seq[a._randbelow(len(seq))] != b.choice(list(seq)):
-                return False
-        return a.getstate() == b.getstate()
-    except Exception:
-        return False
-
-
-#: True when indexing via ``rng._randbelow`` is provably equivalent to
-#: ``rng.choice`` on this interpreter (always the case on CPython).
-_RANDBELOW_IS_CHOICE = _randbelow_matches_choice()
-
-
-class PortView(Protocol):
-    """The slice of a switch a strategy may look at."""
-
-    @property
-    def num_ports(self) -> int: ...
-
-    def port_up(self, port: int) -> bool: ...
-
-    def healthy_ports(self) -> Sequence[int]: ...
-
-
-@dataclass(frozen=True, slots=True)
-class Decision:
-    """A strategy's verdict for one packet.
-
-    Attributes:
-        port: the output port, or None to drop.
-        deflected: True when the choice departed from the computed port
-            (the switch then sets the packet's deflected flag).
-    """
-
-    port: Optional[int]
-    deflected: bool = False
-
-    @classmethod
-    def drop(cls) -> "Decision":
-        return cls(port=None)
+def _random_port(
+    candidates: Sequence[int], rng: random.Random
+) -> Tuple[Optional[int], bool]:
+    """Deflect to a uniformly random candidate: one ``rng.choice`` draw,
+    or a drop (and no draw) when there is none."""
+    if not candidates:
+        return None, False
+    return rng.choice(candidates), True
 
 
 class DeflectionStrategy:
-    """Base class; subclasses implement :meth:`select_port`.
+    """Base class: one technique, stated twice over the same plain values.
 
-    :meth:`select_port` is the **reference path**: one call, one
-    :class:`Decision`.  The fast datapath splits the same semantics in
-    two so the steady state allocates nothing:
-
-    * :meth:`fast_port` — the happy path: return the output port when
-      the packet forwards on the computed port *without* deflection
-      (no ``Decision``, no RNG), or None to fall back;
-    * :meth:`fast_fallback` — the slow path, returning a plain
-      ``(port, deflected)`` pair (``port`` None to drop) with
-      **exactly** the RNG draws :meth:`select_port` would make.  A
-      tuple, not a ``Decision``: HP random-walks take this path on
-      almost every hop, so even the slotted dataclass (whose frozen
-      ``__init__`` costs two ``object.__setattr__`` calls) showed up
-      in profiles.
-
-    The defaults make any custom strategy correct automatically (always
-    fall back to ``select_port``); the built-ins override both.  The
-    equivalence contract — same ports, same deflected flags, same RNG
-    stream consumption — is enforced by the fast-path equivalence test
-    suite.
+    :meth:`decide` is the per-hop rule every engine calls — the DES
+    switch, the epoch engines' scalar loops and the graph walk.
+    :meth:`happy_mask` is the same rule's "forward on the computed
+    port, undeflected" predicate over whole arrays, which the vector
+    engine uses to keep the majority of a queue out of the scalar loop;
+    it must be true exactly where :meth:`decide` returns
+    ``(computed, False)``.  Only the built-in techniques that the epoch
+    engines run need it.
     """
 
     #: short name used in configs, reports and benchmark tables.
     name = "abstract"
 
-    def select_port(
+    def decide(
         self,
-        switch: PortView,
-        packet: Packet,
+        healthy: Tuple[int, ...],
         in_port: int,
-        computed_port: int,
+        computed: int,
+        deflected: bool,
         rng: random.Random,
-    ) -> Decision:
+    ) -> Tuple[Optional[int], bool]:
+        """Pick the output port for one packet.
+
+        Args:
+            healthy: the switch's up ports, ascending.
+            in_port: the port the packet arrived on.
+            computed: ``R mod s`` — may exceed the port count.
+            deflected: the packet's sticky deflected bit.
+            rng: the switch's private stream; drawn from at most once.
+
+        Returns:
+            ``(port, deflected)``: the output port, or None to drop,
+            and whether this hop departed from the computed port.
+        """
         raise NotImplementedError
 
-    def fast_port(
-        self,
-        switch: PortView,
-        packet: Packet,
-        in_port: int,
-        computed_port: int,
-    ) -> Optional[int]:
-        """Happy path: the non-deflected output port, or None to fall back."""
-        return None
+    def happy_mask(
+        self, usable: Any, in_port: Any, computed: Any, deflected: Any
+    ) -> Any:
+        """Array form of "``decide`` returns ``(computed, False)``".
 
-    def fast_fallback(
-        self,
-        switch: PortView,
-        packet: Packet,
-        in_port: int,
-        computed_port: int,
-        rng: random.Random,
-    ) -> Tuple[Optional[int], bool]:
-        """Slow path after a :meth:`fast_port` miss; RNG-identical to
-        :meth:`select_port`.  Returns ``(port, deflected)``."""
-        decision = self.select_port(switch, packet, in_port, computed_port, rng)
-        return decision.port, decision.deflected
-
-    @staticmethod
-    def _computed_usable(switch: PortView, computed_port: int) -> bool:
-        return computed_port < switch.num_ports and switch.port_up(computed_port)
-
-    @staticmethod
-    def _random_from(candidates: Sequence[int], rng: random.Random) -> Decision:
-        if not candidates:
-            return Decision.drop()
-        return Decision(port=rng.choice(list(candidates)), deflected=True)
-
-    @staticmethod
-    def _random_from_seq(
-        candidates: Sequence[int], rng: random.Random
-    ) -> Tuple[Optional[int], bool]:
-        # Copy-free twin of _random_from: on CPython random.choice(seq)
-        # is exactly seq[rng._randbelow(len(seq))], so indexing directly
-        # makes the same draw (same RNG stream position) for a cached
-        # tuple as choice() makes for a fresh list copy of the same
-        # ports.  The indexing shortcut is gated on the import-time
-        # equivalence probe AND on the rng actually exposing the private
-        # API, so alternative Random implementations/subclasses get the
-        # reference choice(list(...)) semantics instead of an
-        # AttributeError.
-        if not candidates:
-            return None, False
-        if _RANDBELOW_IS_CHOICE:
-            randbelow = getattr(rng, "_randbelow", None)
-            if randbelow is not None:
-                return candidates[randbelow(len(candidates))], True
-        return rng.choice(list(candidates)), True
+        ``usable`` is ``computed in healthy`` per packet; all four
+        arguments are equal-length arrays.  Written with ``&``/``~``/
+        ``!=`` only, so this module needs no numpy import.
+        """
+        raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} ({self.name})>"
@@ -200,17 +106,13 @@ class NoDeflection(DeflectionStrategy):
 
     name = "none"
 
-    def select_port(self, switch, packet, in_port, computed_port, rng):
-        if self._computed_usable(switch, computed_port):
-            return Decision(port=computed_port)
-        return Decision.drop()
+    def decide(self, healthy, in_port, computed, deflected, rng):
+        if computed in healthy:
+            return computed, False
+        return None, False
 
-    def fast_port(self, switch, packet, in_port, computed_port):
-        # Membership in the cached healthy tuple is exactly the
-        # "exists, cabled, up" predicate — no port_up property chain.
-        if computed_port in switch.healthy_ports():
-            return computed_port
-        return None
+    def happy_mask(self, usable, in_port, computed, deflected):
+        return usable
 
 
 class HotPotato(DeflectionStrategy):
@@ -218,24 +120,14 @@ class HotPotato(DeflectionStrategy):
 
     name = "hp"
 
-    def select_port(self, switch, packet, in_port, computed_port, rng):
-        if packet.kar is not None and packet.kar.deflected:
-            # "it follows a complete random path in network"
-            return self._random_from(switch.healthy_ports(), rng)
-        if self._computed_usable(switch, computed_port):
-            return Decision(port=computed_port)
-        return self._random_from(switch.healthy_ports(), rng)
+    def decide(self, healthy, in_port, computed, deflected, rng):
+        # Once deflected, "it follows a complete random path in network".
+        if not deflected and computed in healthy:
+            return computed, False
+        return _random_port(healthy, rng)
 
-    def fast_port(self, switch, packet, in_port, computed_port):
-        kar = packet.kar
-        if kar is not None and kar.deflected:
-            return None  # random walk: needs the RNG
-        if computed_port in switch.healthy_ports():
-            return computed_port
-        return None
-
-    def fast_fallback(self, switch, packet, in_port, computed_port, rng):
-        return self._random_from_seq(switch.healthy_ports(), rng)
+    def happy_mask(self, usable, in_port, computed, deflected):
+        return usable & ~deflected
 
 
 class AnyValidPort(DeflectionStrategy):
@@ -243,18 +135,13 @@ class AnyValidPort(DeflectionStrategy):
 
     name = "avp"
 
-    def select_port(self, switch, packet, in_port, computed_port, rng):
-        if self._computed_usable(switch, computed_port):
-            return Decision(port=computed_port)
-        return self._random_from(switch.healthy_ports(), rng)
+    def decide(self, healthy, in_port, computed, deflected, rng):
+        if computed in healthy:
+            return computed, False
+        return _random_port(healthy, rng)
 
-    def fast_port(self, switch, packet, in_port, computed_port):
-        if computed_port in switch.healthy_ports():
-            return computed_port
-        return None
-
-    def fast_fallback(self, switch, packet, in_port, computed_port, rng):
-        return self._random_from_seq(switch.healthy_ports(), rng)
+    def happy_mask(self, usable, in_port, computed, deflected):
+        return usable
 
 
 class NotInputPort(DeflectionStrategy):
@@ -266,26 +153,13 @@ class NotInputPort(DeflectionStrategy):
 
     name = "nip"
 
-    def select_port(self, switch, packet, in_port, computed_port, rng):
-        if (
-            self._computed_usable(switch, computed_port)
-            and computed_port != in_port
-        ):
-            return Decision(port=computed_port)
-        candidates = [p for p in switch.healthy_ports() if p != in_port]
-        return self._random_from(candidates, rng)
+    def decide(self, healthy, in_port, computed, deflected, rng):
+        if computed != in_port and computed in healthy:
+            return computed, False
+        return _random_port([p for p in healthy if p != in_port], rng)
 
-    def fast_port(self, switch, packet, in_port, computed_port):
-        if (
-            computed_port != in_port
-            and computed_port in switch.healthy_ports()
-        ):
-            return computed_port
-        return None
-
-    def fast_fallback(self, switch, packet, in_port, computed_port, rng):
-        candidates = [p for p in switch.healthy_ports() if p != in_port]
-        return self._random_from_seq(candidates, rng)
+    def happy_mask(self, usable, in_port, computed, deflected):
+        return usable & (computed != in_port)
 
 
 _REGISTRY = {

@@ -4,7 +4,7 @@ Chiesa et al. and Dai & Foerster both show that failover-routing
 correctness fails on *adversarial combinations* of topology and
 failures, not on the examples papers print.  This package searches for
 such combinations mechanically: seeded random scenarios are replayed
-through independent oracle pairs (reference vs fast datapath, strategy
+through independent oracle pairs (kernel vs pseudocode datapath, strategy
 implementations vs paper pseudocode, wire codec vs in-memory headers,
 event simulator vs pure-graph walk model), divergences are shrunk to
 minimal cases, and every repro is a replayable JSON artifact.

@@ -4,14 +4,15 @@ Each oracle takes a :class:`~repro.verify.cases.FuzzCase` and replays
 it through two *independent* evaluations of the same semantics, then
 diffs the outcomes:
 
-* ``datapath`` — the reference datapath vs the fast datapath
-  (:mod:`repro.sim.fastpath`): full outcome digest (per-switch
+* ``datapath`` — a full simulation on the production decision kernel
+  (:mod:`repro.switches.deflection`) vs the same simulation with every
+  switch deciding through the paper-pseudocode transcription
+  (:mod:`repro.verify.pseudocode`): full outcome digest (per-switch
   counters, drop reasons, event counts, RNG stream positions) plus
   hop-by-hop per-packet traces.
-* ``strategy`` — each deflection strategy implementation vs the
-  paper-pseudocode transcription (:mod:`repro.verify.pseudocode`),
-  decision by decision, and the ``fast_port``/``fast_fallback`` split
-  vs ``select_port``, including RNG stream identity.
+* ``strategy`` — each deflection strategy's ``decide`` vs the same
+  transcription, decision by decision on fuzzed switch states,
+  including RNG stream identity.
 * ``wire`` — the :mod:`repro.rns.wire` codec vs in-memory
   :class:`~repro.sim.packet.KarHeader` semantics: round trips, the
   encode/decode inverse pair on arbitrary bytes, truncation at every
@@ -32,9 +33,8 @@ diffs the outcomes:
   :func:`~repro.rns.crt.crt` solver on the case's switch-ID pool:
   fuzzed subsets, mutation chains, identity mutations, off-pool
   fallback, and error parity on malformed systems.
-* ``vector`` — the vectorized and sharded epoch engines vs the
-  reference per-event KarSwitch engine: records, digests, hop traces
-  and terminal fates.
+* ``vector`` — the vectorized and sharded epoch engines vs the scalar
+  reference engine: records, digests, hop traces and terminal fates.
 * ``backend`` — every pluggable encoding backend
   (:data:`repro.rns.backends.BACKEND_NAMES`) vs the reference
   semantics: encoder contract fuzzing, bit-identical integer datapath
@@ -68,8 +68,7 @@ from repro.rns.wire import (
     header_wire_size,
 )
 from repro.runner import KarSimulation
-from repro.sim.fastpath import use_fastpath
-from repro.sim.packet import KarHeader, Packet
+from repro.sim.packet import KarHeader
 from repro.switches.core import KarSwitch
 from repro.switches.deflection import DeflectionStrategy, strategy_by_name
 from repro.switches.edge import IngressEntry
@@ -81,6 +80,7 @@ __all__ = [
     "Divergence",
     "OracleResult",
     "ORACLE_NAMES",
+    "PseudocodeStrategy",
     "check_datapaths",
     "check_strategy",
     "check_wire",
@@ -143,8 +143,23 @@ class OracleResult:
 
 
 # ---------------------------------------------------------------------------
-# (a) reference datapath vs fast datapath
+# (a) production decision kernel vs the paper pseudocode, whole simulations
 # ---------------------------------------------------------------------------
+
+class PseudocodeStrategy(DeflectionStrategy):
+    """A switch that decides by the paper transcription, not the kernel."""
+
+    def __init__(self, name: str, num_ports: int):
+        self.name = name
+        self._spec = PSEUDOCODE[name]
+        self._num_ports = num_ports
+
+    def decide(self, healthy, in_port, computed, deflected, rng):
+        return self._spec(
+            self._num_ports, frozenset(healthy), in_port, computed,
+            deflected, rng,
+        )
+
 
 def _run_case_sim(
     case: FuzzCase,
@@ -152,10 +167,12 @@ def _run_case_sim(
     deflection,
     ttl: int,
     backend: Optional[str] = None,
+    strategy_factory: Optional[Callable[[str], DeflectionStrategy]] = None,
 ) -> Tuple[KarSimulation, Any, Any]:
     ks = KarSimulation(
         scenario, deflection=deflection, protection="none",
         seed=case.seed, ttl=ttl, trace_paths=True, backend=backend,
+        strategy_factory=strategy_factory,
     )
     src, sink = ks.add_udp_probe(
         rate_pps=case.rate_pps, duration_s=case.traffic_s
@@ -189,46 +206,45 @@ def _outcome_record(ks: KarSimulation, src, sink) -> Dict[str, Any]:
 
 
 def check_datapaths(case: FuzzCase) -> OracleResult:
-    """Reference vs fast datapath on the full case (oracle a)."""
+    """Kernel DES vs pseudocode DES on the full case (oracle a)."""
     result = OracleResult("datapath")
     scenario = build_scenario(case)
-    with use_fastpath(False):
-        ks_ref, src, sink = _run_case_sim(
-            case, scenario, case.strategy, case.ttl
-        )
-        ref = _outcome_record(ks_ref, src, sink)
-    ref_paths = ks_ref.tracer._paths
-    with use_fastpath(True):
-        ks_fast, src, sink = _run_case_sim(
-            case, scenario, case.strategy, case.ttl
-        )
-        fast = _outcome_record(ks_fast, src, sink)
-    fast_paths = ks_fast.tracer._paths
+    ks_spec, src, sink = _run_case_sim(
+        case, scenario, case.strategy, case.ttl,
+        strategy_factory=lambda switch: PseudocodeStrategy(
+            case.strategy, scenario.graph.degree(switch)
+        ),
+    )
+    spec = _outcome_record(ks_spec, src, sink)
+    spec_paths = ks_spec.tracer._paths
+    ks_kernel, src, sink = _run_case_sim(case, scenario, case.strategy, case.ttl)
+    kernel = _outcome_record(ks_kernel, src, sink)
+    kernel_paths = ks_kernel.tracer._paths
 
-    for key in ref:
+    for key in spec:
         result.check(
-            fast[key] == ref[key],
+            kernel[key] == spec[key],
             lambda key=key: (
-                f"outcome[{key}] differs: reference={ref[key]!r} "
-                f"fast={fast[key]!r}"
+                f"outcome[{key}] differs: pseudocode={spec[key]!r} "
+                f"kernel={kernel[key]!r}"
             ),
         )
     # Hop-by-hop digest: every packet must take the same ports with the
     # same deflected flags at the same times.  Packet uids come from a
     # process-global counter, so traces pair up in uid order.
     if result.check(
-        len(fast_paths) == len(ref_paths),
+        len(kernel_paths) == len(spec_paths),
         lambda: (
-            f"traced packet count differs: reference={len(ref_paths)} "
-            f"fast={len(fast_paths)}"
+            f"traced packet count differs: pseudocode={len(spec_paths)} "
+            f"kernel={len(kernel_paths)}"
         ),
     ):
-        for ref_uid, fast_uid in zip(sorted(ref_paths), sorted(fast_paths)):
+        for spec_uid, kernel_uid in zip(sorted(spec_paths), sorted(kernel_paths)):
             result.check(
-                fast_paths[fast_uid] == ref_paths[ref_uid],
-                lambda r=ref_uid, f=fast_uid: (
-                    f"hop trace differs for packet pair ref#{r}/fast#{f}: "
-                    f"reference={ref_paths[r]!r} fast={fast_paths[f]!r}"
+                kernel_paths[kernel_uid] == spec_paths[spec_uid],
+                lambda r=spec_uid, f=kernel_uid: (
+                    f"hop trace differs for packet pair spec#{r}/kernel#{f}: "
+                    f"pseudocode={spec_paths[r]!r} kernel={kernel_paths[f]!r}"
                 ),
             )
     return result
@@ -237,22 +253,6 @@ def check_datapaths(case: FuzzCase) -> OracleResult:
 # ---------------------------------------------------------------------------
 # (b) strategy implementations vs paper pseudocode
 # ---------------------------------------------------------------------------
-
-class _FuzzPortView:
-    """A bare PortView: N ports, a subset of them healthy."""
-
-    __slots__ = ("num_ports", "_up")
-
-    def __init__(self, num_ports: int, up: Sequence[int]):
-        self.num_ports = num_ports
-        self._up = frozenset(up)
-
-    def port_up(self, port: int) -> bool:
-        return port in self._up
-
-    def healthy_ports(self) -> Tuple[int, ...]:
-        return tuple(p for p in range(self.num_ports) if p in self._up)
-
 
 def check_strategy(
     case: FuzzCase,
@@ -279,11 +279,6 @@ def check_strategy(
         already_deflected = rng.random() < 0.5
         draw_seed = rng.getrandbits(32)
 
-        view = _FuzzPortView(num_ports, up)
-        packet = Packet(
-            src_host="H-SRC", dst_host="H-DST", size_bytes=100,
-            kar=KarHeader(route_id=1, deflected=already_deflected, ttl=32),
-        )
         state = (
             f"ports={num_ports} up={sorted(up)} in={in_port} "
             f"computed={computed} deflected={already_deflected} "
@@ -296,44 +291,20 @@ def check_strategy(
         )
 
         rng_impl = random.Random(draw_seed)
-        decision = impl.select_port(view, packet, in_port, computed, rng_impl)
-        got = (decision.port, decision.deflected)
+        got = impl.decide(
+            tuple(sorted(up)), in_port, computed, already_deflected, rng_impl
+        )
         result.check(
             got == want,
             lambda s=state, g=got, w=want: (
-                f"select_port disagrees with pseudocode at {s}: "
+                f"decide disagrees with pseudocode at {s}: "
                 f"impl={g} paper={w}"
             ),
         )
         result.check(
             rng_impl.getstate() == rng_spec.getstate(),
             lambda s=state: (
-                f"select_port consumed a different RNG stream than the "
-                f"pseudocode at {s}"
-            ),
-        )
-
-        # The fast split must compose to the same decision with the
-        # same draws: fast_port (no RNG) or fast_fallback (RNG).
-        rng_fast = random.Random(draw_seed)
-        fast_hit = impl.fast_port(view, packet, in_port, computed)
-        if fast_hit is not None:
-            got_fast = (fast_hit, False)
-        else:
-            got_fast = impl.fast_fallback(
-                view, packet, in_port, computed, rng_fast
-            )
-        result.check(
-            got_fast == want,
-            lambda s=state, g=got_fast, w=want: (
-                f"fast_port/fast_fallback disagrees with pseudocode at "
-                f"{s}: fast={g} paper={w}"
-            ),
-        )
-        result.check(
-            rng_fast.getstate() == rng_spec.getstate(),
-            lambda s=state: (
-                f"fast path consumed a different RNG stream than the "
+                f"decide consumed a different RNG stream than the "
                 f"pseudocode at {s}"
             ),
         )
@@ -1006,7 +977,7 @@ def check_backend(case: FuzzCase) -> OracleResult:
 
 
 # ---------------------------------------------------------------------------
-# (f) epoch datapath: reference KarSwitch engine vs vector vs sharded
+# (f) epoch datapath: scalar reference engine vs vector vs sharded
 # ---------------------------------------------------------------------------
 
 def vector_workload_spec(case: FuzzCase) -> Dict[str, Any]:
@@ -1048,7 +1019,7 @@ def check_vector(case: FuzzCase) -> OracleResult:
     Decision-by-decision: full outcome records (counters, drop reasons,
     RNG fingerprints), record digests, per-packet hop traces (port and
     deflected flag at every hop) and terminal fates must all match the
-    untouched-KarSwitch reference run.
+    scalar reference run.
     """
     from repro.sim.shard import run_epoch_sharded
     from repro.sim.vector import (

@@ -2,12 +2,13 @@
 
 These functions are the *specification side* of the strategy oracle:
 each is written naively, straight from the paper's prose and Algorithm
-1, against a bare description of the switch state — no ``Decision``
-dataclass, no ``PortView`` protocol, no fast-path split.  The oracle
-(:func:`repro.verify.oracles.check_strategy`) then checks the real
-:mod:`repro.switches.deflection` implementations against them decision
-by decision, including RNG stream positions, so a refactor of the
-implementation cannot silently drift from the paper.
+1, against a bare description of the switch state — a port count and
+the set of up ports — and shares no code with the implementation.  The
+oracles (:func:`repro.verify.oracles.check_strategy` decision by
+decision, :func:`repro.verify.oracles.check_datapaths` over whole
+simulations) then check the real :mod:`repro.switches.deflection`
+kernel against them, including RNG stream positions, so a refactor of
+the implementation cannot silently drift from the paper.
 
 Shared conventions (mirroring the dataplane):
 

@@ -128,15 +128,9 @@ class TestPlanArborescences:
             plan_arborescences(g, "E")
 
 
-class FakeSwitch:
-    def __init__(self, num_ports, down=()):
-        self.num_ports, self._down = num_ports, set(down)
-
-    def port_up(self, p):
-        return 0 <= p < self.num_ports and p not in self._down
-
-    def healthy_ports(self):
-        return [p for p in range(self.num_ports) if self.port_up(p)]
+def up(num_ports, down=()):
+    """The healthy tuple of a switch with ports 0..n-1 minus *down*."""
+    return tuple(p for p in range(num_ports) if p not in down)
 
 
 class TestStrategy:
@@ -147,46 +141,35 @@ class TestStrategy:
         ))
 
     def test_rides_tree_zero_from_ingress(self):
-        d = self._strategy().select_port(FakeSwitch(8), None, 0, 7, None)
-        assert (d.port, d.deflected) == (1, False)
+        assert self._strategy().decide(up(8), 0, 7, False, None) == (1, False)
 
     def test_in_port_selects_the_current_tree(self):
-        d = self._strategy().select_port(FakeSwitch(8), None, 6, 7, None)
-        assert (d.port, d.deflected) == (3, False)
+        assert self._strategy().decide(up(8), 6, 7, False, None) == (3, False)
 
     def test_circular_hop_on_dead_port(self):
         strat = self._strategy()
-        d = strat.select_port(FakeSwitch(8, down={1}), None, 0, 7, None)
-        assert (d.port, d.deflected) == (2, True)
+        assert strat.decide(up(8, down={1}), 0, 7, False, None) == (2, True)
 
     def test_hopping_wraps_around(self):
         strat = self._strategy()
         # Current tree 2 (port 3) dead, tree 0 (port 1) dead: wraps to
         # tree 1 (port 2).
-        d = strat.select_port(FakeSwitch(8, down={3, 1}), None, 6, 7, None)
-        assert (d.port, d.deflected) == (2, True)
+        assert strat.decide(up(8, down={3, 1}), 6, 7, False, None) == (2, True)
 
     def test_none_slots_are_skipped(self):
         strat = ArborescenceFailoverStrategy(ArborescencePlan(
             tree_ports=(1, None, 3), in_port_tree={},
         ))
-        d = strat.select_port(FakeSwitch(8, down={1}), None, 0, 7, None)
-        assert (d.port, d.deflected) == (3, True)
+        assert strat.decide(up(8, down={1}), 0, 7, False, None) == (3, True)
 
     def test_drops_when_every_tree_is_dead(self):
         strat = self._strategy()
-        d = strat.select_port(FakeSwitch(8, down={1, 2, 3}), None, 0, 7, None)
-        assert d.port is None
+        port, _ = strat.decide(up(8, down={1, 2, 3}), 0, 7, False, None)
+        assert port is None
 
     def test_empty_plan_drops(self):
         strat = ArborescenceFailoverStrategy()
-        assert strat.select_port(FakeSwitch(4), None, 0, 1, None).port is None
-        assert strat.fast_port(FakeSwitch(4), None, 0, 1) is None
-
-    def test_fast_port_matches_select_on_happy_path(self):
-        strat = self._strategy()
-        assert strat.fast_port(FakeSwitch(8), None, 6, 7) == 3
-        assert strat.fast_port(FakeSwitch(8, down={3}), None, 6, 7) is None
+        assert strat.decide(up(4), 0, 1, False, None) == (None, False)
 
     def test_switch_wrapper_install_plan(self):
         sim = Simulator()

@@ -1,9 +1,15 @@
 """Tests for the executable baselines and the Table 2 matrix."""
 
+import itertools
 import random
 
 import pytest
 
+from repro.analysis.walk import _NoRandomness
+from repro.baselines.arborescence import (
+    ArborescenceFailoverStrategy,
+    ArborescencePlan,
+)
 from repro.baselines.fastfailover import (
     FastFailoverStrategy,
     FastFailoverSwitch,
@@ -62,51 +68,49 @@ class TestFeatureMatrix:
 
 
 class TestFastFailoverStrategy:
-    class FakeSwitch:
-        def __init__(self, num_ports, down=()):
-            self._n, self._down = num_ports, set(down)
-
-        @property
-        def num_ports(self):
-            return self._n
-
-        def port_up(self, p):
-            return 0 <= p < self._n and p not in self._down
-
-        def healthy_ports(self):
-            return [p for p in range(self._n) if self.port_up(p)]
-
     def test_primary_used_when_up(self):
         strat = FastFailoverStrategy({1: 2})
-        d = strat.select_port(self.FakeSwitch(3), None, 0, 1, random.Random(0))
-        assert (d.port, d.deflected) == (1, False)
+        assert strat.decide((0, 1, 2), 0, 1, False, None) == (1, False)
 
     def test_backup_used_when_primary_down(self):
         strat = FastFailoverStrategy({1: 2})
-        d = strat.select_port(
-            self.FakeSwitch(3, down={1}), None, 0, 1, random.Random(0)
-        )
-        assert (d.port, d.deflected) == (2, True)
+        assert strat.decide((0, 2), 0, 1, False, None) == (2, True)
 
     def test_drop_when_backup_down_too(self):
         strat = FastFailoverStrategy({1: 2})
-        d = strat.select_port(
-            self.FakeSwitch(3, down={1, 2}), None, 0, 1, random.Random(0)
-        )
-        assert d.port is None
+        assert strat.decide((0,), 0, 1, False, None) == (None, False)
 
     def test_drop_without_backup(self):
         strat = FastFailoverStrategy({})
-        d = strat.select_port(
-            self.FakeSwitch(3, down={1}), None, 0, 1, random.Random(0)
-        )
-        assert d.port is None
+        assert strat.decide((0, 2), 0, 1, False, None) == (None, False)
 
     def test_switch_wrapper_install(self):
         sim = Simulator()
         sw = FastFailoverSwitch("S", sim, 3, 7, random.Random(0))
         sw.install_backup(1, 2)
         assert sw.strategy.backups == {1: 2}
+
+
+class TestBaselinesNeverDraw:
+    """Both baselines are table lookups: the graph-walk oracle models
+    them without a random stream, so ``decide`` must not touch one."""
+
+    @pytest.mark.parametrize("strategy", [
+        FastFailoverStrategy({0: 1, 1: 2, 2: 0}, default_port=3),
+        ArborescenceFailoverStrategy(
+            ArborescencePlan((1, None, 2, 0), {0: 1, 3: 2})
+        ),
+    ], ids=["ff", "arb"])
+    def test_decide_never_touches_the_rng(self, strategy):
+        ports = range(4)
+        for r in range(5):
+            for healthy in itertools.combinations(ports, r):
+                for in_port in ports:
+                    for computed in range(6):
+                        port, _ = strategy.decide(
+                            healthy, in_port, computed, False, _NoRandomness()
+                        )
+                        assert port is None or port in healthy
 
 
 class TestPlanBackupPorts:

@@ -6,46 +6,39 @@ import pytest
 
 from repro.bench.simbench import (
     EPOCH_WORKLOADS,
-    MODES,
     SIZES,
     render_sim_bench,
     run_sim_bench,
 )
 
 
+@pytest.fixture(scope="module")
+def result(tmp_path_factory):
+    out = tmp_path_factory.mktemp("bench") / "BENCH_sim.json"
+    res = run_sim_bench(
+        sizes=["small"], strategies=["none", "nip"],
+        repeats=1, quick=True, out=str(out),
+    )
+    return res, out
+
+
 class TestRunSimBench:
-    @pytest.fixture(scope="class")
-    def result(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("bench") / "BENCH_sim.json"
-        res = run_sim_bench(
-            sizes=["small"], strategies=["none", "nip"],
-            repeats=1, out=str(out), modes=("des",),
-        )
-        return res, out
-
-    def test_des_only_run_has_no_epoch_section(self, result):
-        res, _ = result
-        assert res["modes"] == ["des"]
-        assert res["epoch"] is None
-
     def test_digests_match_in_every_cell(self, result):
         res, _ = result
         assert res["digests_match_reference"] is True
-        assert [r["strategy"] for r in res["runs"]] == ["none", "nip"]
-        for run in res["runs"]:
+        runs = res["epoch"]["runs"]
+        assert [r["strategy"] for r in runs] == ["none", "nip"]
+        for run in runs:
             assert run["digests_match"], run
-            assert run["digest_reference"] == run["digest_fast"]
 
     def test_throughput_fields_populated(self, result):
         res, _ = result
-        for run in res["runs"]:
-            for mode in ("reference", "fast"):
-                assert run[mode]["wall_s"] > 0
-                assert run[mode]["packets_per_sec"] > 0
-                assert run[mode]["events_per_sec"] > 0
-            assert run["packets"] > 0 and run["events"] > 0
-        assert res["speedup_by_size"]["small"] is not None
-        assert res["crt"]["small"]["encodes_per_sec"] > 0
+        for run in res["epoch"]["runs"]:
+            for engine in ("reference_epoch", "vector", "shard2"):
+                assert run[engine]["wall_s"] >= 0
+                assert run[engine]["forwarded_per_min"] > 0
+            assert run["packets"] > 0 and run["forwarded"] > 0
+            assert run["speedup_vs_reference"] > 0
 
     def test_json_written_and_round_trips(self, result):
         res, out = result
@@ -71,31 +64,12 @@ class TestRunSimBench:
 
 
 class TestEpochMode:
-    @pytest.fixture(scope="class")
-    def result(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("bench") / "BENCH_sim.json"
-        res = run_sim_bench(
-            sizes=["small"], strategies=["nip"], repeats=1,
-            quick=True, out=str(out), modes=("epoch",),
-        )
-        return res, out
-
     def test_epoch_cells_verified_before_timing(self, result):
         res, _ = result
-        assert res["modes"] == ["epoch"]
-        assert res["runs"] == []  # no DES cells requested
-        epoch = res["epoch"]
-        assert epoch is not None
-        assert len(epoch["runs"]) == 1
-        cell = epoch["runs"][0]
-        assert cell["digests_match"] is True
-        assert res["digests_match_reference"] is True
-        assert cell["forwarded"] > 0
-        for engine in ("reference_epoch", "vector", "shard2"):
-            assert cell[engine]["wall_s"] >= 0
-            assert cell[engine]["forwarded_per_min"] > 0
-        assert cell["shard2"]["handoff_checks"] > 0
-        assert cell["shard2"]["processes"] is False  # quick => in-process
+        for cell in res["epoch"]["runs"]:
+            assert cell["digests_match"] is True
+            assert cell["shard2"]["handoff_checks"] > 0
+            assert cell["shard2"]["processes"] is False  # quick => in-process
 
     def test_epoch_workloads_echoed(self, result):
         res, _ = result
@@ -108,10 +82,3 @@ class TestEpochMode:
         assert "epoch datapath" in text
         assert "fwd/min" in text
         assert "digests match reference: True" in text
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown mode"):
-            run_sim_bench(sizes=["small"], modes=("warp",), out=None)
-
-    def test_modes_registry_is_stable(self):
-        assert MODES == ("des", "epoch")

@@ -60,12 +60,14 @@ def test_walk_delivers_along_encoded_route(name, seed, extra):
     graph = random_connected(
         9, extra_links=extra, seed=seed, min_switch_id=23
     )
+    names = sorted(graph.switch_ids())
+    src_sw, dst_sw = names[0], names[-1]
+    # Hosts first: their edge links add a port to the end switches, and
+    # the re-assigned IDs must be able to address it.
+    src_host, dst_host = attach_host_pair(graph, src_sw, dst_sw)
     if name == "xsr":
         reassign_switch_ids(graph, strategy="xsr")
     backend.prepare(graph.switch_ids().values())
-    names = sorted(graph.switch_ids())
-    src_sw, dst_sw = names[0], names[-1]
-    src_host, dst_host = attach_host_pair(graph, src_sw, dst_sw)
     route_nodes = shortest_path(graph, src_sw, dst_sw)
     # Hop ports: toward the next core, then out the host-facing port.
     hops = []

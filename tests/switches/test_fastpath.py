@@ -1,13 +1,15 @@
-"""Unit tests for the fast datapath: flag snapshots, the residue
-cache, encode-time hints, and the strategy fast/reference split."""
+"""Unit tests for what keeps the per-hop cost flat: the residue cache,
+encode-time hints, and the vector engine's split of a queue into a
+happy-path mask and the scalar ``decide`` fallback."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from repro.rns.encoder import Hop, RouteEncoder
 from repro.sim import KarHeader, Link, Packet, Simulator
-from repro.sim.fastpath import fastpath_enabled, set_fastpath, use_fastpath
 from repro.sim.node import Node
 from repro.switches import KarSwitch, NoDeflection, NotInputPort
 from repro.switches.core import RESIDUE_CACHE_SIZE
@@ -46,33 +48,6 @@ def _pkt(route_id, residues=None, ttl=64):
     return Packet(src_host="s", dst_host="d", size_bytes=100,
                   kar=KarHeader(route_id=route_id, ttl=ttl,
                                 residues=residues))
-
-
-class TestFlag:
-    def test_default_is_fast(self):
-        assert fastpath_enabled() is True
-
-    def test_set_and_restore(self):
-        set_fastpath(False)
-        try:
-            assert fastpath_enabled() is False
-        finally:
-            set_fastpath(True)
-        assert fastpath_enabled() is True
-
-    def test_context_manager_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with use_fastpath(False):
-                assert fastpath_enabled() is False
-                raise RuntimeError("boom")
-        assert fastpath_enabled() is True
-
-    def test_switch_snapshots_flag_at_construction(self):
-        with use_fastpath(False):
-            _, sw_ref, _ = build_switch()
-        _, sw_fast, _ = build_switch()
-        assert sw_ref._fastpath is False
-        assert sw_fast._fastpath is True
 
 
 class TestResidueCache:
@@ -127,15 +102,6 @@ class TestResidueCache:
         assert len(sinks[2].received) == 1  # recomputed: port 2, not 0
         assert sw.residue_misses == 1 and sw.residue_hits == 0
 
-    def test_reference_mode_leaves_cache_untouched(self):
-        with use_fastpath(False):
-            sim, sw, sinks = build_switch()
-        sw.receive(_pkt(7 * 10**20 + 2, residues={7: 2}), in_port=0)
-        sim.run()
-        assert len(sinks[2].received) == 1
-        assert sw._residue_cache == {}
-        assert sw.residue_misses == 0 and sw.residue_hits == 0
-
 
 class TestEncoderResidueMap:
     def test_residue_map_matches_crt(self):
@@ -161,69 +127,62 @@ class TestEncoderResidueMap:
             assert shrunk.route_id % sid == port
 
 
-class _View:
-    """Minimal PortView stub with some ports down."""
+class _ExplodingRng:
+    def __getattr__(self, name):
+        raise AssertionError(f"happy-path packet drew rng.{name}")
 
-    def __init__(self, num_ports, down=()):
-        self._num = num_ports
-        self._down = set(down)
 
-    @property
-    def num_ports(self):
-        return self._num
-
-    def port_up(self, port):
-        return port not in self._down
-
-    def healthy_ports(self):
-        return tuple(p for p in range(self._num) if p not in self._down)
+def _mask(strategy, healthy, in_port, computed, deflected):
+    """``happy_mask`` on a one-packet queue, the way EpochCore calls it."""
+    return bool(strategy.happy_mask(
+        np.array([computed in healthy]), np.array([in_port]),
+        np.array([computed]), np.array([deflected]),
+    )[0])
 
 
 class TestStrategySplitEquivalence:
-    """fast_port/fast_fallback must equal select_port, draw for draw."""
+    """The array predicate and the scalar rule state one technique: the
+    mask is true exactly where ``decide`` forwards on the computed port,
+    undeflected and without a draw."""
 
     @pytest.mark.parametrize("name", STRATEGY_NAMES)
     @pytest.mark.parametrize("deflected", [False, True])
     def test_same_ports_flags_and_rng_consumption(self, name, deflected):
         strategy = strategy_by_name(name)
-        view = _View(4, down={1})
-        for computed in range(5):  # includes an out-of-range residue
-            for in_port in range(4):
-                packet = _pkt(44)
-                packet.kar.deflected = deflected
-                rng_ref = random.Random(901)
-                rng_fast = random.Random(901)
-                ref = strategy.select_port(
-                    view, packet, in_port, computed, rng_ref
-                )
-                packet.kar.deflected = deflected  # select_port never writes
-                port = strategy.fast_port(view, packet, in_port, computed)
-                if port is not None:
-                    fast = (port, False)
-                else:
-                    fast = strategy.fast_fallback(
-                        view, packet, in_port, computed, rng_fast
-                    )
-                case = f"{name} computed={computed} in={in_port}"
-                assert (ref.port, ref.deflected) == fast, case
-                assert rng_ref.getstate() == rng_fast.getstate(), case
+        for num_ports in (2, 3, 4):
+            ports = range(num_ports)
+            subsets = itertools.chain.from_iterable(
+                itertools.combinations(ports, r) for r in range(num_ports + 1)
+            )
+            for healthy in subsets:
+                for in_port in ports:
+                    for computed in range(num_ports + 2):  # incl. out of range
+                        case = (name, healthy, in_port, computed, deflected)
+                        happy = _mask(
+                            strategy, healthy, in_port, computed, deflected
+                        )
+                        got = strategy.decide(
+                            healthy, in_port, computed, deflected,
+                            _ExplodingRng() if happy else random.Random(901),
+                        )
+                        assert happy == (got == (computed, False)), case
 
     def test_all_ports_down_drops(self):
         strategy = AnyValidPort()
-        view = _View(2, down={0, 1})
-        assert strategy.fast_port(view, _pkt(44), 0, 0) is None
-        assert strategy.fast_fallback(
-            view, _pkt(44), 0, 0, random.Random(1)
-        ) == (None, False)
+        assert not _mask(strategy, (), 0, 0, False)
+        assert strategy.decide((), 0, 0, False, _ExplodingRng()) == (
+            None, False
+        )
 
     def test_hot_potato_deflected_always_falls_back(self):
-        packet = _pkt(44)
-        packet.kar.deflected = True
-        view = _View(3)
         # Computed port is healthy, but a deflected HP packet must
         # random-walk — the happy path may not capture it.
-        assert HotPotato().fast_port(view, packet, 0, 2) is None
+        assert not _mask(HotPotato(), (0, 1, 2), 0, 2, True)
+        assert _mask(HotPotato(), (0, 1, 2), 0, 2, False)
 
     def test_nip_never_returns_input_port(self):
-        view = _View(3)
-        assert NotInputPort().fast_port(view, _pkt(44), 2, 2) is None
+        assert not _mask(NotInputPort(), (0, 1, 2), 2, 2, False)
+        port, deflected = NotInputPort().decide(
+            (0, 1, 2), 2, 2, False, random.Random(1)
+        )
+        assert deflected and port != 2

@@ -94,27 +94,12 @@ class TestBenchParser:
         assert args.sizes is None and args.strategies is None
         assert args.seed == 1 and args.repeats is None
         assert not args.quick
-        assert args.modes is None  # None -> simbench runs every mode
-
-    def test_bench_sim_modes_parse(self):
-        args = build_parser().parse_args(
-            ["bench", "sim", "--modes", "epoch"]
-        )
-        assert args.modes == ["epoch"]
-        args = build_parser().parse_args(
-            ["bench", "sim", "--modes", "des", "epoch"]
-        )
-        assert args.modes == ["des", "epoch"]
 
     def test_bad_mode_rejected(self):
+        # The DES reference-vs-fast cells are gone and --modes with them:
+        # even a formerly valid value is now an unknown argument.
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "sim", "--modes", "warp"])
-
-    def test_modes_literal_matches_bench_registry(self):
-        from repro.bench.simbench import MODES
-        from repro.cli import _BENCH_SIM_MODES
-
-        assert sorted(_BENCH_SIM_MODES) == sorted(MODES)
+            build_parser().parse_args(["bench", "sim", "--modes", "epoch"])
 
     def test_bench_sim_flags_parse(self):
         args = build_parser().parse_args([

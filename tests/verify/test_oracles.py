@@ -3,7 +3,7 @@ and the mutation-detection hook the harness self-test relies on."""
 
 import pytest
 
-from repro.switches.deflection import Decision, NotInputPort
+from repro.switches.deflection import NotInputPort
 from repro.verify.cases import FuzzCase, generate_case
 from repro.verify.oracles import (
     ORACLE_NAMES,
@@ -31,16 +31,12 @@ class BrokenNip(NotInputPort):
     exists to prevent.  Used to prove the strategy oracle catches a
     plausible implementation slip."""
 
-    def select_port(self, switch, packet, in_port, computed_port, rng):
-        if (
-            self._computed_usable(switch, computed_port)
-            and computed_port != in_port
-        ):
-            return Decision(port=computed_port)
-        return self._random_from(switch.healthy_ports(), rng)
-
-    def fast_fallback(self, switch, packet, in_port, computed_port, rng):
-        return self._random_from_seq(switch.healthy_ports(), rng)
+    def decide(self, healthy, in_port, computed, deflected, rng):
+        if computed != in_port and computed in healthy:
+            return computed, False
+        if not healthy:
+            return None, False
+        return rng.choice(healthy), True
 
 
 class TestBookkeeping:
@@ -143,13 +139,13 @@ class TestMutationDetection:
         class ExtraDraw(NotInputPort):
             """Right answer, wrong number of RNG draws."""
 
-            def select_port(self, switch, packet, in_port, computed, rng):
-                decision = super().select_port(
-                    switch, packet, in_port, computed, rng
+            def decide(self, healthy, in_port, computed, deflected, rng):
+                verdict = super().decide(
+                    healthy, in_port, computed, deflected, rng
                 )
-                if decision.port is None:
+                if verdict[0] is None:
                     rng.random()  # stray draw desyncs the stream
-                return decision
+                return verdict
 
         result = check_strategy(SMALL_CASE, strategy=ExtraDraw())
         assert any(

@@ -12,28 +12,8 @@ import random
 
 import pytest
 
-from repro.sim.packet import KarHeader, Packet
 from repro.switches.deflection import STRATEGY_NAMES, strategy_by_name
 from repro.verify.pseudocode import PSEUDOCODE
-
-
-class PortView:
-    def __init__(self, num_ports, up):
-        self.num_ports = num_ports
-        self._up = frozenset(up)
-
-    def port_up(self, port):
-        return port in self._up
-
-    def healthy_ports(self):
-        return tuple(p for p in range(self.num_ports) if p in self._up)
-
-
-def _pkt(deflected):
-    return Packet(
-        src_host="H-SRC", dst_host="H-DST", size_bytes=100,
-        kar=KarHeader(route_id=1, deflected=deflected, ttl=32),
-    )
 
 
 def _small_states():
@@ -55,7 +35,7 @@ class TestPseudocodeRegistry:
 
 @pytest.mark.parametrize("name", STRATEGY_NAMES)
 class TestExhaustiveAgreement:
-    def test_select_port_matches_pseudocode(self, name):
+    def test_decide_matches_pseudocode(self, name):
         impl = strategy_by_name(name)
         spec = PSEUDOCODE[name]
         for num_ports, up, in_port, computed, deflected in _small_states():
@@ -65,36 +45,10 @@ class TestExhaustiveAgreement:
                 rng_spec,
             )
             rng_impl = random.Random(99)
-            decision = impl.select_port(
-                PortView(num_ports, up), _pkt(deflected), in_port,
-                computed, rng_impl,
-            )
-            state = (num_ports, up, in_port, computed, deflected)
-            assert (decision.port, decision.deflected) == want, state
-            assert rng_impl.getstate() == rng_spec.getstate(), state
-
-    def test_fast_split_matches_pseudocode(self, name):
-        impl = strategy_by_name(name)
-        spec = PSEUDOCODE[name]
-        for num_ports, up, in_port, computed, deflected in _small_states():
-            rng_spec = random.Random(7)
-            want = spec(
-                num_ports, frozenset(up), in_port, computed, deflected,
-                rng_spec,
-            )
-            view = PortView(num_ports, up)
-            packet = _pkt(deflected)
-            rng_fast = random.Random(7)
-            hit = impl.fast_port(view, packet, in_port, computed)
-            if hit is not None:
-                got = (hit, False)
-            else:
-                got = impl.fast_fallback(
-                    view, packet, in_port, computed, rng_fast
-                )
+            got = impl.decide(up, in_port, computed, deflected, rng_impl)
             state = (num_ports, up, in_port, computed, deflected)
             assert got == want, state
-            assert rng_fast.getstate() == rng_spec.getstate(), state
+            assert rng_impl.getstate() == rng_spec.getstate(), state
 
 
 class TestAlgorithmOneSpecifics:
