@@ -3,10 +3,6 @@
 * :mod:`repro.bench.simbench` — ``repro bench sim``: the vectorized and
   2-shard epoch engines vs the scalar reference engine, digest-checked
   before any speedup is reported (writes ``BENCH_sim.json``).
-* :mod:`repro.bench.crtbench` — ``repro bench crt``: naive vs pooled vs
-  incremental route encoding, every cell verified bit-identical to the
-  reference :func:`~repro.rns.crt.crt` solver (writes
-  ``BENCH_crt.json``).
 * :mod:`repro.bench.encodingbench` — ``repro bench encoding``: the
   backend x assigner matrix over the zoo corpus — bits per route and
   encode/decode throughput per backend, every backend run through the
@@ -21,7 +17,6 @@ separately in :mod:`repro.farm.bench`; this package measures the inside
 of a single run.
 """
 
-from repro.bench.crtbench import render_crt_bench, run_crt_bench
 from repro.bench.encodingbench import render_encoding_bench, run_encoding_bench
 from repro.bench.profiler import profile_call
 from repro.bench.simbench import render_sim_bench, run_sim_bench
@@ -30,8 +25,6 @@ from repro.bench.stamp import timestamp_fields, utc_stamp
 __all__ = [
     "run_sim_bench",
     "render_sim_bench",
-    "run_crt_bench",
-    "render_crt_bench",
     "run_encoding_bench",
     "render_encoding_bench",
     "profile_call",

@@ -8,21 +8,21 @@ For each Topology Zoo cell the benchmark measures, per encoding backend
   native ID assignment *and* the header-bit-optimal ``weighted``
   assigner, with the headline **% reduction vs greedy**;
 * **encode ops/sec** — controller-side encodes of a fixed path batch
-  through the backend's encoder (pooled timed warm, the amortized
-  regime a controller lives in);
+  through the backend's encoder (the integer ring's pool context is
+  built before the clock starts and timed warm, the amortized regime a
+  controller lives in);
 * **decode ops/sec** — the per-packet switch decode (``R mod s`` vs the
   carry-less GF(2) remainder), per hop.
 
 Honesty rules match the other benches — and go one further, as the
 issue demands: **before any timing**, every backend is driven through
 the real differential machinery — the ``backend`` verify oracle
-(encoder contract fuzzing, bit-identical integer datapath digests,
-XSR's full-sim walk-model equivalence) and the ``walk`` oracle — on
-freshly generated fuzz cases, and every timed route in every cell is
-decoded back to its ports hop by hop (integer backends additionally
-bit-compared against the reference :class:`~repro.rns.encoder.
-RouteEncoder`).  A speedup or a bit saving over wrong answers is
-neither.  Timing repeats are interleaved across backends so scheduling
+(encoder contract fuzzing, XSR's full-sim walk-model equivalence) and
+the ``walk`` oracle — on freshly generated fuzz cases, and every timed
+route in every cell is decoded back to its ports hop by hop (the
+integer ring additionally bit-compared against the reference
+:func:`~repro.rns.crt.crt` solve).  A speedup or a bit saving over
+wrong answers is neither.  Timing repeats are interleaved across backends so scheduling
 drift hits all alike; the minimum wall time per backend is reported.
 CI runs ``--quick`` and asserts only the verification flags, never
 wall-clock.
@@ -40,6 +40,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.bench.artifact import finish_artifact
 from repro.experiments.header_overhead import ZOO_CELLS, zoo_overhead
 from repro.rns.backends import BACKEND_NAMES, backend_by_name
+from repro.rns.crt import crt
 from repro.rns.encoder import Hop, RouteEncoder
 from repro.topology.graph import PortGraph
 from repro.topology.zoo import load_zoo_graph
@@ -53,9 +54,8 @@ CELLS: Dict[str, Dict[str, Any]] = {
     "synthwan754": dict(topology="synthwan754"),
 }
 
-#: Distinct sampled shortest paths per timed batch (crtbench's batch
-#: discipline: small enough to stay cache-resident, large enough that a
-#: pass is not loop overhead).
+#: Distinct sampled shortest paths per timed batch (small enough to
+#: stay cache-resident, large enough that a pass is not loop overhead).
 _BATCH = 64
 
 #: Fuzz cases driven through the verify oracles before any timing.
@@ -108,10 +108,9 @@ def _sample_hop_batch(
 def _run_verify_oracles(quick: bool) -> Dict[str, Any]:
     """Drive the real verify machinery before timing anything.
 
-    The ``backend`` oracle proves the encoder contract, the integer
-    backends' bit-identical datapath digests, and XSR's walk-model
-    equivalence; the ``walk`` oracle pins the integer datapath the
-    backends are diffed against.
+    The ``backend`` oracle proves the encoder contract (the integer
+    ring bit-identical to ``crt()``) and XSR's walk-model equivalence;
+    the ``walk`` oracle pins the integer datapath itself.
     """
     from repro.verify.cases import case_is_buildable, generate_case
     from repro.verify.oracles import run_oracle
@@ -142,28 +141,28 @@ def _run_verify_oracles(quick: bool) -> Dict[str, Any]:
 
 
 def _verify_cell_batches(
+    encoders: Dict[str, RouteEncoder],
     batches: Dict[str, List[List[Hop]]],
 ) -> bool:
     """Every timed route must decode back to its ports, hop by hop.
 
-    Integer backends are additionally bit-compared against the
-    reference :class:`RouteEncoder` on the same hop lists.
+    The integer ring is additionally bit-compared against the reference
+    :func:`~repro.rns.crt.crt` solve of the same hop lists.
     """
-    reference = RouteEncoder()
     for name, batch in batches.items():
-        backend = backend_by_name(name)
-        backend.prepare({h.switch_id for hops in batch for h in hops})
+        encoder = encoders[name]
         for hops in batch:
-            route = backend.encode(hops)
+            route = encoder.encode(hops)
             ids = [h.switch_id for h in hops]
-            if backend.decode(route.route_id, ids) != [h.port for h in hops]:
+            ports = [h.port for h in hops]
+            if encoder.decode(route.route_id, ids) != ports:
                 return False
-            if backend.header_bits(route.modulus) != route.bit_length:
+            if encoder.header_bits(route.modulus) != route.bit_length:
                 return False
-            if name != "xsr":
-                ref = reference.encode(hops)
-                if route != ref or route.residue_map() != ref.residue_map():
-                    return False
+            if name == "crt" and (
+                (route.route_id, route.modulus) != crt(ports, ids)
+            ):
+                return False
     return True
 
 
@@ -248,20 +247,19 @@ def run_encoding_bench(
             b: _sample_hop_batch(graphs[b], random.Random(rng.getrandbits(32)))
             for b in BACKEND_NAMES
         }
-        bit_identical = _verify_cell_batches(batches)
-
-        encoders = {}
-        systems = {}
-        for b in BACKEND_NAMES:
-            backend = backend_by_name(b)
-            backend.prepare(graphs[b].switch_ids().values())
-            encoders[b] = backend.encoder()
-            systems[b] = [
-                (r.route_id, [h.switch_id for h in hops])
-                for hops, r in (
-                    (hops, backend.encode(hops)) for hops in batches[b]
-                )
+        encoders = {
+            b: backend_by_name(b, pool=sorted(graphs[b].switch_ids().values()))
+            for b in BACKEND_NAMES
+        }
+        bit_identical = _verify_cell_batches(encoders, batches)
+        systems = {
+            b: [
+                (encoders[b].encode(hops).route_id,
+                 [h.switch_id for h in hops])
+                for hops in batches[b]
             ]
+            for b in BACKEND_NAMES
+        }
 
         encode_times: Dict[str, List[float]] = {b: [] for b in BACKEND_NAMES}
         decode_times: Dict[str, List[float]] = {b: [] for b in BACKEND_NAMES}
@@ -274,9 +272,7 @@ def run_encoding_bench(
                 )
             for b in BACKEND_NAMES:
                 decode_times[b].append(
-                    _time_decodes(
-                        backend_by_name(b).port_at, systems[b], iters
-                    )
+                    _time_decodes(encoders[b].port_at, systems[b], iters)
                 )
 
         backends_out: Dict[str, Any] = {}
@@ -285,9 +281,7 @@ def run_encoding_bench(
             dec_s = min(decode_times[b])
             encode_ops = len(batches[b]) * iters
             decode_ops = sum(len(ids) for _, ids in systems[b]) * iters
-            strat = backend_by_name(b).id_strategy
-            # pooled shares crt's modulus, so it shares crt's bit rows.
-            row = bit_rows.get((b, strat)) or bit_rows.get(("crt", strat))
+            row = bit_rows.get((b, encoders[b].id_strategy))
             backends_out[b] = {
                 "encode_per_sec": round(encode_ops / enc_s),
                 "decode_per_sec": round(decode_ops / dec_s),

@@ -10,7 +10,8 @@ not a bare engine call rate:
   with a pooled CRT encode per flow;
 * **reroute_incremental** — ``POST /flows/{id}/reroute`` alternating
   one switch between two live neighbors: the steady-state churn path,
-  one :meth:`~repro.rns.pool.ReencodeDelta.apply` addend per request.
+  one :meth:`~repro.rns.encoder.RouteEncoder.with_port` addend per
+  request.
   This is the cell with a stated target — **>= 100k requests/sec on
   one core** (the whole stack is single-threaded Python, so one core
   by construction); the artifact carries ``incremental_target_met``;
@@ -281,7 +282,7 @@ def _run_reroute_cell(
     repeats: int,
     violations: List[str],
 ) -> Dict[str, Any]:
-    """Alternating detours: one ReencodeDelta addend per request."""
+    """Alternating detours: one ``with_port`` addend per request."""
     plan = _reroute_plan(state, pairs)
     if plan is None:
         return {"skipped": "no multi-core path to detour"}

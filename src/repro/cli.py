@@ -20,9 +20,6 @@ runner:
 * ``farm bench`` — measure the farm's parallel/cache speedups.
 * ``bench sim`` — fast-datapath vs reference benchmark (packets/sec,
   events/sec, CRT encodes/sec), with bit-identical digest checking.
-* ``bench crt`` — control-plane encoder benchmark: naive vs pooled vs
-  incremental re-encode, every cell verified bit-identical to the
-  reference ``crt()`` solver.
 * ``bench provision`` — all-pairs provisioning benchmark over real ISP
   topologies: per-flow naive vs vectorized CSR bulk path, every route
   ID verified bit-identical to the per-flow reference before timing,
@@ -32,7 +29,7 @@ runner:
   with route-ID bit-identity to the offline engine asserted first.
 * ``bench encoding`` — encoding-backend benchmark over the Topology
   Zoo corpus: bits/route, encode+decode ops/sec per backend (integer
-  CRT, pooled CRT, XSR), and the weighted assigner's % header-bit
+  CRT, XSR), and the weighted assigner's % header-bit
   reduction vs greedy — every backend driven through the verify
   oracles before any timing.
 * ``serve`` — run the controller service: the HTTP/JSON multi-tenant
@@ -89,10 +86,6 @@ _BENCH_SIZES = ("small", "medium", "large")
 _ORACLE_NAMES = ("backend", "datapath", "encoder", "strategy", "vector",
                  "walk", "wire")
 
-#: Kept in sync with repro.bench.crtbench.POOLS (asserted by tests);
-#: listed literally so the parser builds without importing the bench.
-_BENCH_POOLS = ("small", "medium", "large")
-
 #: Kept in sync with repro.bench.provisionbench.CELLS (asserted by
 #: tests); listed literally so the parser builds without importing the
 #: bench (which imports numpy).
@@ -104,11 +97,6 @@ _BENCH_PROVISION_CELLS = (
 #: tests); listed literally so the parser builds without importing the
 #: bench (which pulls in the verify stack).
 _BENCH_ENCODING_CELLS = ("abilene", "synthwan754")
-
-#: Kept in sync with repro.rns.backends.BACKEND_NAMES (asserted by
-#: tests); listed literally so the parser builds without importing the
-#: rns stack.
-_BACKEND_NAMES = ("crt", "pooled", "xsr")
 
 #: Kept in sync with repro.service.topology.SERVICE_TOPOLOGIES
 #: (asserted by tests); listed literally so the parser builds without
@@ -342,27 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="timing repeats per engine, min is reported "
                           "(default: 2 quick, 3 full)")
     sim.add_argument("--out", default="BENCH_sim.json",
-                     help="result file (default: %(default)s)")
-    crt = perf_sub.add_parser(
-        "crt",
-        help="control-plane encodes/sec + re-encodes/sec: naive vs "
-             "pooled vs incremental, bit-identical to reference crt()",
-    )
-    crt.add_argument("--quick", action="store_true",
-                     help="CI smoke run (fewer iterations; bit-identity "
-                          "checks run at full strength)")
-    crt.add_argument("--pools", nargs="+", choices=_BENCH_POOLS,
-                     default=None, metavar="POOL",
-                     help="pool sizes to run "
-                          f"(choices: {', '.join(_BENCH_POOLS)})")
-    crt.add_argument("--seed", type=int, default=1)
-    crt.add_argument("--repeats", type=int, default=None, metavar="K",
-                     help="timing repeats per engine, min is reported "
-                          "(default: 2 quick, 3 full)")
-    crt.add_argument("--iters", type=int, default=None, metavar="N",
-                     help="batch passes per timing repeat "
-                          "(default: 2 quick, 20 full)")
-    crt.add_argument("--out", default="BENCH_crt.json",
                      help="result file (default: %(default)s)")
     provision = perf_sub.add_parser(
         "provision",
@@ -736,21 +703,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if args.out:
             print(f"wrote {args.out}")
         return 0 if result["digests_match_reference"] else 1
-    if args.bench_command == "crt":
-        from repro.bench.crtbench import render_crt_bench, run_crt_bench
-
-        result = run_crt_bench(
-            pools=args.pools,
-            seed=args.seed,
-            quick=args.quick,
-            repeats=args.repeats,
-            iters=args.iters,
-            out=args.out,
-        )
-        print(render_crt_bench(result))
-        if args.out:
-            print(f"wrote {args.out}")
-        return 0 if result["bit_identical_reference"] else 1
     if args.bench_command == "provision":
         from repro.bench.provisionbench import (
             render_provision_bench,

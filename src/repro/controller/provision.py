@@ -10,11 +10,11 @@ encode draws from the same coprime pool.  This module amortizes both:
 * one :class:`DestinationTree` per (topology epoch, destination edge) —
   a BFS tree over the core subgraph rooted at the destination, built
   once and reused by every flow to that destination;
-* one :class:`~repro.rns.pool.PoolContext` per topology epoch — all CRT
+* one :class:`~repro.rns.pool.PoolContext` per topology epoch, held by
+  the engine's one :class:`~repro.rns.encoder.RouteEncoder` — all CRT
   basis weights precomputed, so each encode is a cached-subset dot
-  product;
-* one :class:`~repro.rns.pool.ReencodeDelta` for failure-time updates —
-  a changed output port is a single CRT addend, not a re-solve.
+  product and a changed output port (:meth:`~repro.rns.encoder
+  .RouteEncoder.with_port`) is a single CRT addend, not a re-solve.
 
 Two invalidation granularities, split by what actually changed:
 
@@ -23,11 +23,11 @@ Two invalidation granularities, split by what actually changed:
   from a previous epoch must never encode a route for the current one.
 * :meth:`ProvisioningEngine.note_link_change` — only link *state*
   changed (a link went down or came back up).  Trees are rebuilt over
-  the residual graph, but the CRT pool, its memoized subset contexts
-  and the incremental re-encoder survive: they depend only on the
-  switch-ID set, which link churn cannot touch.  This is what lets a
-  long-running controller service absorb port flaps without ever
-  falling back to full CRT solves.
+  the residual graph, but the CRT pool and its memoized subset
+  contexts survive: they depend only on the switch-ID set, which link
+  churn cannot touch.  This is what lets a long-running controller
+  service absorb port flaps without ever falling back to full CRT
+  solves.
 
 Link state itself lives here as an overlay (:meth:`ProvisioningEngine
 .set_link_down` / :meth:`~ProvisioningEngine.set_link_up`): the
@@ -73,8 +73,8 @@ from typing import (
 from repro.controller.protection import CachedProtectionPlanner, ProtectionPlan
 from repro.controller.routing import RoutingError, hops_for_path
 from repro.rns.crt import CrtError
-from repro.rns.encoder import EncodedRoute
-from repro.rns.pool import PoolContext, PooledEncoder, ReencodeDelta
+from repro.rns.encoder import EncodedRoute, RouteEncoder
+from repro.rns.pool import PoolContext
 from repro.sim.packet import DEFAULT_TTL
 from repro.switches.edge import IngressEntry
 from repro.topology.graph import NodeKind, PortGraph, TopologyError
@@ -228,8 +228,8 @@ class ProvisioningEngine:
     incremental vs. full re-encodes — and exposed as one JSON-able
     mapping by :meth:`stats`, which is what the controller service's
     ``/stats`` endpoint serves.  Counters are cumulative across epoch
-    rebuilds (retired encoder/delta counters are accumulated before
-    their objects are replaced), so invalidation thrash is visible
+    rebuilds (the encoder object outlives its pool, and a replacement
+    pool inherits the subset counts), so invalidation thrash is visible
     instead of resetting the evidence.
     """
 
@@ -268,34 +268,19 @@ class ProvisioningEngine:
         self.epoch_bumps = 0
         self.full_rebuilds = 0
         self.link_invalidations = 0
-        self._retired: Dict[str, int] = {
-            "pooled_encodes": 0,
-            "fallback_encodes": 0,
-            "deltas_applied": 0,
-            "identity_skips": 0,
-            "full_solves": 0,
-            "subsets_built": 0,
-            "subset_hits": 0,
-        }
+        self.encoder = RouteEncoder()
         self._rebuild_epoch_state()
 
-    def _retire_counters(self) -> None:
-        """Bank the replaced objects' counters so stats stay cumulative."""
-        r = self._retired
-        r["pooled_encodes"] += self.encoder.pooled_encodes
-        r["fallback_encodes"] += self.encoder.fallback_encodes
-        r["deltas_applied"] += self.delta.deltas_applied
-        r["identity_skips"] += self.delta.identity_skips
-        r["full_solves"] += self.delta.full_solves
-        r["subsets_built"] += self.pool.subsets_built
-        r["subset_hits"] += self.pool.subset_hits
-
     def _rebuild_epoch_state(self) -> None:
-        self.pool = PoolContext.from_graph(
+        """A fresh pool and planner; the encoder and its counters stay."""
+        retired = self.encoder.pool
+        pool = PoolContext.from_graph(
             self.graph, validated=self._validated_pool
         )
-        self.encoder = PooledEncoder(self.pool)
-        self.delta = ReencodeDelta(self.pool)
+        if retired is not None:
+            pool.subsets_built = retired.subsets_built
+            pool.subset_hits = retired.subset_hits
+        self.encoder.pool = pool
         self.planner = CachedProtectionPlanner(self.graph)
 
     # ------------------------------------------------------------------
@@ -316,18 +301,17 @@ class ProvisioningEngine:
         self.full_rebuilds += 1
         self._trees.clear()
         self._retire_bulk()
-        self._retire_counters()
         self._rebuild_epoch_state()
 
     def note_link_change(self) -> None:
         """Invalidate link-state-dependent artifacts only.
 
         Trees and protection plans are rebuilt (they follow links); the
-        pool, its subset contexts and the incremental re-encoder are
-        kept — the switch-ID set is unchanged, so every precomputed CRT
-        weight is still exact.  This is the epoch bump a long-running
-        service issues on every ``link_down``/``link_up``/``port_flap``
-        event, and why steady-state churn never re-solves from scratch.
+        pool and its subset contexts are kept — the switch-ID set is
+        unchanged, so every precomputed CRT weight is still exact.  This
+        is the epoch bump a long-running service issues on every
+        ``link_down``/``link_up``/``port_flap`` event, and why
+        steady-state churn never re-solves from scratch.
         """
         self.epoch += 1
         self.epoch_bumps += 1
@@ -615,9 +599,10 @@ class ProvisioningEngine:
         """Re-encode *route* with *switch_name* exiting toward *new_next*.
 
         The incremental single-addend update (see
-        :class:`~repro.rns.pool.ReencodeDelta`) — O(1) big-int work,
-        never a full CRT solve.  Inputs are validated up front so the
-        delta's silent full-solve fallback can never mask a bad request:
+        :meth:`~repro.rns.encoder.RouteEncoder.with_port`) — O(1)
+        big-int work, never a full CRT solve.  Inputs are validated up
+        front so its silent full-solve fallback can never mask a bad
+        request:
 
         Raises:
             ProvisionError: unknown names (``unknown-node``), a non-
@@ -652,7 +637,8 @@ class ProvisioningEngine:
             )
         sid = info.switch_id
         residues = route.residue_map()
-        if sid not in self.pool or not self.pool.covers(residues):
+        pool = self.encoder.pool
+        if sid not in pool or not pool.covers(residues):
             raise ProvisionError(
                 "off-pool-switch",
                 f"route or switch {switch_name!r} (ID {sid}) is not covered "
@@ -669,7 +655,7 @@ class ProvisioningEngine:
                 f"{switch_name}: port {port} not addressable by switch ID "
                 f"{sid}",
             )
-        updated = self.delta.apply(route, sid, port)
+        updated = self.encoder.with_port(route, sid, port)
         self.reroutes += 1
         return updated
 
@@ -701,15 +687,14 @@ class ProvisioningEngine:
     def stats(self) -> Dict[str, Any]:
         """Cumulative engine counters as one JSON-able mapping.
 
-        The live encoder/delta/pool counters are summed with the
-        retired totals banked by full rebuilds, so a reader can tell
-        whether :meth:`note_topology_change` invalidation is thrashing
+        Cumulative across full rebuilds, so a reader can tell whether
+        :meth:`note_topology_change` invalidation is thrashing
         (``full_rebuilds`` climbing, ``subset_hits`` flat) versus the
         healthy steady state (``link_invalidations`` climbing while
         ``deltas_applied``/``subset_hits`` keep growing and
         ``full_solves`` stays zero).
         """
-        r = self._retired
+        encoder = self.encoder
         return {
             "epoch": self.epoch,
             "provisions": self.provisions,
@@ -736,20 +721,16 @@ class ProvisioningEngine:
                 "link_invalidations": self.link_invalidations,
             },
             "encoder": {
-                "pooled": r["pooled_encodes"] + self.encoder.pooled_encodes,
-                "fallback": (
-                    r["fallback_encodes"] + self.encoder.fallback_encodes
-                ),
+                "pooled": encoder.pooled_encodes,
+                "fallback": encoder.fallback_encodes,
             },
             "delta": {
-                "applied": r["deltas_applied"] + self.delta.deltas_applied,
-                "identity_skips": (
-                    r["identity_skips"] + self.delta.identity_skips
-                ),
-                "full_solves": r["full_solves"] + self.delta.full_solves,
+                "applied": encoder.deltas_applied,
+                "identity_skips": encoder.identity_skips,
+                "full_solves": encoder.full_solves,
             },
             "subsets": {
-                "built": r["subsets_built"] + self.pool.subsets_built,
-                "hits": r["subset_hits"] + self.pool.subset_hits,
+                "built": encoder.pool.subsets_built,
+                "hits": encoder.pool.subset_hits,
             },
         }

@@ -14,9 +14,9 @@ down) and does not perturb any other component's stream.
 retried requests: it fronts any re-encode service with a served-entry
 cache that is patched **incrementally** when a switch's output port
 changes — one CRT addend per affected route
-(:class:`~repro.rns.pool.ReencodeDelta`) instead of a fresh solve per
-(edge, destination) pair.  Under link churn, the retry storm hits the
-patched cache, not the solver.
+(:meth:`~repro.rns.encoder.RouteEncoder.with_port`) instead of a fresh
+solve per (edge, destination) pair.  Under link churn, the retry storm
+hits the patched cache, not the solver.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.rns.encoder import EncodedRoute, Hop
-from repro.rns.pool import ReencodeDelta
+from repro.rns.encoder import EncodedRoute, Hop, RouteEncoder
 from repro.switches.edge import IngressEntry, ReencodeService
 
 __all__ = [
@@ -134,8 +133,9 @@ class DeltaReencodeService:
     switch's output port changed (:meth:`note_port_change`), every
     served entry encoding that switch is patched in place with a
     single-addend CRT update — ``R' = <R + (p' − p) · M_i L_i>_M`` via
-    :class:`~repro.rns.pool.ReencodeDelta` — instead of recomputing one
-    route per (edge, destination) pair.  Edges keep calling
+    the pooled encoder's :meth:`~repro.rns.encoder.RouteEncoder
+    .with_port` — instead of recomputing one route per (edge,
+    destination) pair.  Edges keep calling
     :meth:`reencode` as before and observe the patched entries.
 
     Entries served without a residue hint cannot be patched (there is no
@@ -148,9 +148,9 @@ class DeltaReencodeService:
         served_inner: requests forwarded to the inner service.
     """
 
-    def __init__(self, inner: ReencodeService, delta: ReencodeDelta):
+    def __init__(self, inner: ReencodeService, encoder: RouteEncoder):
         self.inner = inner
-        self.delta = delta
+        self.encoder = encoder
         self._served: Dict[Tuple[str, str], Optional[IngressEntry]] = {}
         self.delta_updates = 0
         self.served_local = 0
@@ -199,7 +199,7 @@ class DeltaReencodeService:
                     Hop(s, p) for s, p in sorted(entry.residues.items())
                 ),
             )
-            updated = self.delta.apply(route, switch_id, new_port)
+            updated = self.encoder.with_port(route, switch_id, new_port)
             self._served[key] = dataclasses.replace(
                 entry,
                 route_id=updated.route_id,

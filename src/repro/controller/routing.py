@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.rns.encoder import EncodedRoute, Hop, RouteEncoder
-from repro.rns.pool import ReencodeDelta
 from repro.topology.graph import NodeKind, PortGraph, TopologyError
 from repro.topology.paths import shortest_path
 
@@ -108,16 +107,16 @@ def delta_reencode_route(
     route: EncodedRoute,
     switch_name: str,
     new_next: str,
-    delta: ReencodeDelta,
+    encoder: RouteEncoder,
 ) -> EncodedRoute:
     """Re-encode *route* so *switch_name* exits toward *new_next*.
 
     The link-failure re-route primitive: when a switch's primary output
     port dies and the controller picks a different neighbor, only that
     one residue changes — ``R' = <R + (p' − p) · M_i L_i>_M`` — so the
-    update goes through :class:`~repro.rns.pool.ReencodeDelta` (a single
-    CRT addend, with transparent full-solve fallback for routes off the
-    delta's pool) instead of re-solving the whole system.  Bit-identical
+    update goes through :meth:`RouteEncoder.with_port` (a single CRT
+    addend, with transparent full-solve fallback for routes off the
+    encoder's pool) instead of re-solving the whole system.  Bit-identical
     to a fresh encode of the mutated hop list.
 
     Raises:
@@ -133,4 +132,4 @@ def delta_reencode_route(
         raise RoutingError(
             f"{switch_name}: port {port} not addressable by switch ID {sid}"
         )
-    return delta.apply(route, sid, port)
+    return encoder.with_port(route, sid, port)

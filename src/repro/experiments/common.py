@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.stats import MeanCI, mean_ci
+from repro.rns.backends import resolve_backend_name
 from repro.runner import KarSimulation
 from repro.topology.topologies import Scenario, fifteen_node, redundant_path, rnp28
 from repro.transport.flow import IperfResult
@@ -149,14 +150,14 @@ def run_failure_experiment(
     *backend* selects the route-encoding backend
     (:data:`repro.rns.BACKEND_NAMES`); None is the default integer
     datapath.  The default sentinel ``"env"`` resolves the
-    ``REPRO_BACKEND`` environment variable, so a whole figure pipeline
-    (fig4/5/7/8) can be swept under e.g. XSR without touching its
-    module — the farm resolves the variable at *spec-build* time
+    ``REPRO_BACKEND`` environment variable
+    (:func:`repro.rns.backends.resolve_backend_name`), so a whole figure
+    pipeline (fig4/5/7/8) can be swept under e.g. XSR without touching
+    its module — the farm resolves the variable at *spec-build* time
     (:func:`repro.farm.jobs.failure_spec`) so a backend sweep can never
     alias a default run in the content-addressed cache.
     """
-    if backend == "env":
-        backend = os.environ.get("REPRO_BACKEND") or None
+    backend = resolve_backend_name(backend)
     ks = KarSimulation(
         scenario,
         deflection=deflection,

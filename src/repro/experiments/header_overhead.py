@@ -34,8 +34,9 @@ from repro.analysis.bitgrowth import (
     prefix_route_bits,
 )
 from repro.controller.idassign import reassign_switch_ids, route_frequency_weights
-from repro.rns.backends import EncodingBackend, backend_by_name
+from repro.rns.backends import backend_by_name
 from repro.rns.bitlength import route_id_bit_length
+from repro.rns.encoder import RouteEncoder
 from repro.rns.gf2 import gf2_degree
 from repro.rns.wire import FIXED_HEADER_BYTES, header_wire_size
 from repro.topology.graph import PortGraph
@@ -135,7 +136,7 @@ class ZooOverheadRow:
         return self.max_wire_bytes / MTU_BYTES
 
 
-def _all_pairs_route_bits(graph: PortGraph, backend: EncodingBackend) -> List[int]:
+def _all_pairs_route_bits(graph: PortGraph, backend: RouteEncoder) -> List[int]:
     """Header bits of every shortest path, one BFS tree per source.
 
     The bits accumulate *down the BFS tree* — one modulus extension per

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.farm.spec import RunSpec, canonical_json
+from repro.rns.backends import resolve_backend_name
 
 __all__ = [
     "JOB_KINDS",
@@ -145,15 +146,16 @@ def failure_spec(
     """Spec for one :func:`run_failure_experiment` call.
 
     ``backend`` is the encoding backend; the default sentinel ``"env"``
-    resolves ``REPRO_BACKEND`` *here*, at spec-build time, so the
-    resolved name lands in the content key — a figure swept under XSR
-    can never collide with a cached default-datapath run.  ``None``
+    resolves ``REPRO_BACKEND`` *here*, at spec-build time
+    (:func:`repro.rns.backends.resolve_backend_name`, which also rejects
+    unknown names), so the resolved name lands in the content key — a
+    figure swept under XSR can never collide with a cached
+    default-datapath run.  ``None``
     (the default datapath) is omitted from the params entirely, keeping
     every pre-PR-10 content key — and therefore the whole existing
     farm cache — valid.
     """
-    if backend == "env":
-        backend = os.environ.get("REPRO_BACKEND") or None
+    backend = resolve_backend_name(backend)
     params = {
         "deflection": deflection,
         "protection": protection,

@@ -6,25 +6,20 @@ Public surface:
   solver every faster encoder is checked against).
 * :class:`repro.rns.encoder.RouteEncoder` / :class:`~repro.rns.encoder.EncodedRoute`
   — (switch, port) hops ⇄ integer route IDs, with incremental updates.
-* :mod:`repro.rns.pool` — amortized control-plane encoding:
+* :mod:`repro.rns.pool` — amortized control-plane arithmetic:
   :class:`~repro.rns.pool.PoolContext` (per-pool precomputed CRT basis
-  weights + memoized subset products), :class:`~repro.rns.pool.PooledEncoder`
-  (bit-identical drop-in for :class:`~repro.rns.encoder.RouteEncoder`),
-  and :class:`~repro.rns.pool.ReencodeDelta` (single-addend failure-time
-  re-encodes).
+  weights, memoized subset products, single-addend re-encode weights),
+  which a :class:`~repro.rns.encoder.RouteEncoder` takes as an option.
 * :mod:`repro.rns.coprime` — switch-ID pool generation/validation.
 * :mod:`repro.rns.bitlength` — header-size analysis (Eq. 9, Table 1).
-* :mod:`repro.rns.backends` — pluggable encoding backends
-  (:class:`~repro.rns.backends.EncodingBackend`): reference CRT, pooled
-  CRT, and the carry-less XSR datapath built on :mod:`repro.rns.gf2`.
+* :mod:`repro.rns.backends` — the backend registry (one encoder class
+  per ring): the integer :class:`~repro.rns.encoder.RouteEncoder` and
+  the carry-less :class:`~repro.rns.backends.XsrEncoder` built on
+  :mod:`repro.rns.gf2`.
 """
 
 from repro.rns.backends import (
     BACKEND_NAMES,
-    CrtBackend,
-    EncodingBackend,
-    PooledCrtBackend,
-    XsrBackend,
     XsrEncodedRoute,
     XsrEncoder,
     backend_by_name,
@@ -64,7 +59,7 @@ from repro.rns.gf2 import (
     gf2_pairwise_coprime,
     min_gf2_id_for_ports,
 )
-from repro.rns.pool import PoolContext, PooledEncoder, ReencodeDelta, product_tree
+from repro.rns.pool import PoolContext, product_tree
 
 __all__ = [
     "crt",
@@ -79,8 +74,6 @@ __all__ = [
     "RouteEncoder",
     "DuplicateSwitchError",
     "PoolContext",
-    "PooledEncoder",
-    "ReencodeDelta",
     "product_tree",
     "route_id_bit_length",
     "bit_length_for_switches",
@@ -92,10 +85,6 @@ __all__ = [
     "validate_pool",
     "is_prime",
     "min_id_for_ports",
-    "EncodingBackend",
-    "CrtBackend",
-    "PooledCrtBackend",
-    "XsrBackend",
     "XsrEncodedRoute",
     "XsrEncoder",
     "BACKEND_NAMES",

@@ -1,52 +1,35 @@
-"""Pluggable route-encoding backends.
+"""The encoding-backend registry and the GF(2)[X] ring.
 
-PR 10's tentpole: every place the repo turns ``(switch, port)`` hops
-into a route ID — controller, verify oracles, analysis walks, benches —
-now goes through an :class:`EncodingBackend` instead of hard-coding the
-integer CRT.  Three backends ship:
+Every place the repo turns ``(switch, port)`` hops into a route ID —
+controller, verify oracles, analysis walks, benches — holds one encoder
+object, and there is one encoder class per ring:
 
-* ``crt`` — the reference integer CRT
-  (:class:`~repro.rns.encoder.RouteEncoder`), the oracle everything else
-  is verified against;
-* ``pooled`` — the amortized integer CRT
-  (:class:`~repro.rns.pool.PooledEncoder`): same math, precomputed basis
-  weights, bit-identical by the ``encoder`` verify oracle;
-* ``xsr`` — XOR-based Source Routing (:mod:`repro.rns.gf2`): the CRT
-  over GF(2)[X].  A genuinely different datapath — switch decode is a
-  carry-less shift/XOR remainder, not an integer modulo — with exact
-  ``deg(M)`` header cost instead of Eq. 9's ceiling.
+* ``crt`` — :class:`~repro.rns.encoder.RouteEncoder`, the integer CRT
+  (pooled dot product over a :class:`~repro.rns.pool.PoolContext` where
+  one is given, the validating reference solver otherwise);
+* ``xsr`` — :class:`XsrEncoder`, XOR-based Source Routing: the same CRT
+  template over GF(2)[X] (:mod:`repro.rns.gf2`).  A genuinely different
+  datapath — switch decode is a carry-less shift/XOR remainder, not an
+  integer modulo — with exact ``deg(M)`` header cost instead of Eq. 9's
+  ceiling.
 
-The protocol is deliberately small.  A backend must pin down exactly the
-three operations whose math differs between encodings:
-
-1. **encode** hops → an :class:`~repro.rns.encoder.EncodedRoute` (XSR
-   returns the :class:`XsrEncodedRoute` subclass so route objects stay
-   interchangeable — same fields, same ``residue_map()`` fast-path
-   contract);
-2. **port_at** — the switch-side decode ``(route_id, switch_id) →
-   port``, the one function the data plane executes per packet;
-3. **header_bits** — what a modulus costs on the wire (Eq. 9 for
-   integers, polynomial degree for XSR).
-
-plus the ID-feasibility rules (:meth:`EncodingBackend.min_switch_id`,
-:meth:`EncodingBackend.validate_switch_ids`) that the
-``controller.idassign`` strategies and the property suite enforce.
-``docs/encoding.md`` walks through adding a fourth backend.
+A ring pins down five primitives (``solve``, ``extend``, ``port_at``,
+``exact_div``, ``header_bits``) plus its ID-feasibility rules
+(``min_switch_id``, ``validate_switch_ids``, ``residue_space``) that the
+``controller.idassign`` strategies and the property suite enforce;
+``encode`` / ``decode`` / ``with_hop`` / ``without_switch`` /
+``with_port`` are inherited.  ``docs/encoding.md`` walks through adding
+a third ring.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+import os
+from typing import Dict, Optional, Sequence, Tuple, Type
 
-from repro.rns.bitlength import route_id_bit_length
 from repro.rns.coprime import min_id_for_ports, validate_pool
 from repro.rns.crt import CrtError
-from repro.rns.encoder import (
-    DuplicateSwitchError,
-    EncodedRoute,
-    Hop,
-    RouteEncoder,
-)
+from repro.rns.encoder import EncodedRoute, RouteEncoder
 from repro.rns.gf2 import (
     gf2_crt,
     gf2_crt_extend,
@@ -56,17 +39,14 @@ from repro.rns.gf2 import (
     gf2_mod,
     min_gf2_id_for_ports,
 )
-from repro.rns.pool import PoolContext, PooledEncoder
+from repro.rns.pool import PoolContext
 
 __all__ = [
-    "EncodingBackend",
-    "CrtBackend",
-    "PooledCrtBackend",
-    "XsrBackend",
     "XsrEncodedRoute",
     "XsrEncoder",
     "BACKEND_NAMES",
     "backend_by_name",
+    "resolve_backend_name",
 ]
 
 
@@ -75,7 +55,7 @@ class XsrEncodedRoute(EncodedRoute):
 
     ``residue_map()`` (the edge-to-switch fast-path hint) is inherited
     unchanged — it is built from the hops, not from the arithmetic, so
-    the PR-3 residue-hint datapath works identically under XSR.
+    the residue-hint datapath works identically under XSR.
     """
 
     def port_at(self, switch_id: int) -> int:
@@ -89,237 +69,34 @@ class XsrEncodedRoute(EncodedRoute):
 
 
 class XsrEncoder(RouteEncoder):
-    """Controller-side XSR encoder — :class:`RouteEncoder`, carry-less.
+    """XOR-based Source Routing — :class:`RouteEncoder` over GF(2)[X].
 
-    Same method surface (``encode`` / ``encode_path`` / ``decode`` /
-    ``with_hop`` / ``without_switch``), same incremental-update
-    guarantees, with every integer CRT primitive swapped for its
-    GF(2)[X] twin from :mod:`repro.rns.gf2`.
+    Every integer primitive is swapped for its carry-less twin from
+    :mod:`repro.rns.gf2`; the encode / decode / incremental-update
+    template is the base class's, untouched.  There is no pooled solve
+    for this ring, so :meth:`with_port` always re-solves.
     """
-
-    def encode(self, hops: Iterable[Hop]) -> XsrEncodedRoute:
-        hop_list = list(hops)
-        residues: Dict[int, int] = {}
-        for h in hop_list:
-            if h.switch_id in residues:
-                raise DuplicateSwitchError(h.switch_id)
-            residues[h.switch_id] = h.port
-        route_id, modulus = gf2_crt(
-            [h.port for h in hop_list], [h.switch_id for h in hop_list]
-        )
-        return XsrEncodedRoute(
-            route_id=route_id, modulus=modulus, hops=tuple(hop_list),
-            _residues=residues,
-        )
-
-    def decode(self, route_id: int, switch_ids: Sequence[int]) -> List[int]:
-        if route_id < 0:
-            raise CrtError(f"route ID must be non-negative, got {route_id}")
-        return [gf2_mod(route_id, s) for s in switch_ids]
-
-    def with_hop(self, route: EncodedRoute, hop: Hop) -> XsrEncodedRoute:
-        if route.encodes(hop.switch_id):
-            raise DuplicateSwitchError(hop.switch_id)
-        new_id, new_modulus = gf2_crt_extend(
-            route.route_id, route.modulus, hop.switch_id, hop.port
-        )
-        return XsrEncodedRoute(
-            route_id=new_id, modulus=new_modulus, hops=route.hops + (hop,),
-            _residues={**route.residue_map(), hop.switch_id: hop.port},
-        )
-
-    def without_switch(
-        self, route: EncodedRoute, switch_id: int
-    ) -> XsrEncodedRoute:
-        if not route.encodes(switch_id):
-            raise CrtError(f"switch ID {switch_id} is not encoded in this route")
-        new_modulus, rem = gf2_divmod(route.modulus, switch_id)
-        if rem != 0:
-            raise CrtError(
-                f"modulus is not GF(2)-divisible by switch ID {switch_id}"
-            )
-        new_hops = tuple(h for h in route.hops if h.switch_id != switch_id)
-        if not new_hops:
-            raise CrtError("cannot remove the last hop of a route")
-        return XsrEncodedRoute(
-            route_id=gf2_mod(route.route_id, new_modulus),
-            modulus=new_modulus,
-            hops=new_hops,
-            _residues={h.switch_id: h.port for h in new_hops},
-        )
-
-
-class EncodingBackend:
-    """Base class / protocol for route-encoding backends.
-
-    Subclasses set :attr:`name` and :attr:`id_strategy` and implement
-    the four ``NotImplementedError`` methods; everything else
-    (``decode``, ``encode_path``) is derived.
-
-    Attributes:
-        name: registry key (also the CLI / artifact spelling).
-        id_strategy: the ``controller.idassign`` strategy producing IDs
-            this backend can always consume (used by fuzzers and the
-            bench when re-IDing a graph for a backend).
-    """
-
-    name: str = "abstract"
-    id_strategy: str = "greedy"
-
-    # -- the three operations whose math differs -----------------------
-
-    def encoder(self) -> RouteEncoder:
-        """A controller-side encoder instance for this backend."""
-        raise NotImplementedError
-
-    def encode(self, hops: Iterable[Hop]) -> EncodedRoute:
-        """Encode hops into a route (convenience over :meth:`encoder`)."""
-        raise NotImplementedError
-
-    def port_at(self, route_id: int, switch_id: int) -> int:
-        """The per-packet switch decode.  Must be cheap and pure."""
-        raise NotImplementedError
-
-    def header_bits(self, modulus: int) -> int:
-        """Wire cost in bits of a route with product-of-IDs *modulus*."""
-        raise NotImplementedError
-
-    # -- ID feasibility -------------------------------------------------
-
-    def min_switch_id(self, port_count: int) -> int:
-        """Smallest ID this backend accepts for a *port_count*-port switch."""
-        raise NotImplementedError
-
-    def validate_switch_ids(self, ids: Sequence[int]) -> None:
-        """Raise ``ValueError``/:class:`CrtError` if *ids* cannot co-exist
-        in one route under this backend."""
-        raise NotImplementedError
-
-    def residue_space(self, switch_id: int) -> int:
-        """Number of residues decodable at *switch_id* (ports must be
-        below this).  ``R mod s`` spans ``[0, s)``; GF(2) remainders span
-        only ``[0, 2^deg(s))`` — the fuzzers and property suite draw
-        ports from here so every backend sees its full valid range."""
-        return switch_id
-
-    # -- derived --------------------------------------------------------
-
-    def prepare(self, ids: Iterable[int]) -> None:
-        """Announce the switch-ID universe before encoding starts.
-
-        A no-op for stateless backends; the pooled backend builds its
-        precomputed context here so :meth:`encoder` is warm from the
-        first flow (the runner calls this with the graph's core IDs).
-        """
-
-    def switch_decode(self):
-        """The decode callable to install in a :class:`KarSwitch`.
-
-        ``None`` means "the switch's built-in integer ``R mod s``" —
-        integer backends return None so the default datapath (and its
-        digest contracts) stay byte-identical; non-integer backends
-        return their :meth:`port_at`.
-        """
-        return self.port_at
-
-    def encode_path(
-        self, switch_ids: Sequence[int], ports: Sequence[int]
-    ) -> EncodedRoute:
-        return self.encoder().encode_path(switch_ids, ports)
-
-    def decode(self, route_id: int, switch_ids: Sequence[int]) -> List[int]:
-        return [self.port_at(route_id, s) for s in switch_ids]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{type(self).__name__} {self.name!r}>"
-
-
-class CrtBackend(EncodingBackend):
-    """The reference integer CRT — the oracle backend."""
-
-    name = "crt"
-    id_strategy = "greedy"
-
-    def encoder(self) -> RouteEncoder:
-        return RouteEncoder()
-
-    def encode(self, hops: Iterable[Hop]) -> EncodedRoute:
-        return RouteEncoder().encode(hops)
-
-    def port_at(self, route_id: int, switch_id: int) -> int:
-        return route_id % switch_id
-
-    def switch_decode(self):
-        return None  # the switch's own integer modulo — same math
-
-    def header_bits(self, modulus: int) -> int:
-        return route_id_bit_length(modulus)
-
-    def min_switch_id(self, port_count: int) -> int:
-        return min_id_for_ports(port_count)
-
-    def validate_switch_ids(self, ids: Sequence[int]) -> None:
-        validate_pool(ids)
-
-
-class PooledCrtBackend(CrtBackend):
-    """Amortized integer CRT over a precomputed pool context.
-
-    Same numbers as ``crt`` (enforced by the ``encoder`` verify oracle
-    and re-checked per bench cell); only the encode cost differs.  The
-    context is built lazily from the first hop set and regrown whenever
-    a route uses IDs outside the current pool, so the backend works on
-    arbitrary graphs while staying in the amortized regime once the ID
-    universe stabilizes (the regime a controller lives in).
-    """
-
-    name = "pooled"
-
-    def __init__(self, pool: Sequence[int] | None = None):
-        self._ids: Tuple[int, ...] = tuple(sorted(pool)) if pool else ()
-        self._encoder: PooledEncoder | None = (
-            PooledEncoder(PoolContext(self._ids)) if self._ids else None
-        )
-
-    def prepare(self, ids: Iterable[int]) -> None:
-        self._ensure(ids)
-
-    def encoder(self) -> RouteEncoder:
-        if self._encoder is None:
-            raise CrtError(
-                "pooled backend has an empty pool; prepare() or encode first"
-            )
-        return self._encoder
-
-    def _ensure(self, ids: Iterable[int]) -> PooledEncoder:
-        missing = set(ids) - set(self._ids)
-        if missing or self._encoder is None:
-            self._ids = tuple(sorted(set(self._ids) | missing))
-            self._encoder = PooledEncoder(PoolContext(self._ids))
-        return self._encoder
-
-    def encode(self, hops: Iterable[Hop]) -> EncodedRoute:
-        hop_list = list(hops)
-        return self._ensure(h.switch_id for h in hop_list).encode(hop_list)
-
-
-class XsrBackend(EncodingBackend):
-    """XOR-based Source Routing — the CRT over GF(2)[X]."""
 
     name = "xsr"
     id_strategy = "xsr"
+    route_type = XsrEncodedRoute
 
-    def encoder(self) -> RouteEncoder:
-        return XsrEncoder()
+    def __init__(self) -> None:
+        super().__init__(pool=None)
 
-    def encode(self, hops: Iterable[Hop]) -> XsrEncodedRoute:
-        return XsrEncoder().encode(hops)
+    solve = staticmethod(gf2_crt)
+    extend = staticmethod(gf2_crt_extend)
+    port_at = staticmethod(gf2_mod)
+    header_bits = staticmethod(gf2_degree)
 
-    def port_at(self, route_id: int, switch_id: int) -> int:
-        return gf2_mod(route_id, switch_id)
-
-    def header_bits(self, modulus: int) -> int:
-        return gf2_degree(modulus)
+    @staticmethod
+    def exact_div(modulus: int, switch_id: int) -> int:
+        quotient, rem = gf2_divmod(modulus, switch_id)
+        if rem:
+            raise CrtError(
+                f"modulus is not GF(2)-divisible by switch ID {switch_id}"
+            )
+        return quotient
 
     def min_switch_id(self, port_count: int) -> int:
         # Dual constraint: PortGraph keeps the integer invariant
@@ -340,37 +117,71 @@ class XsrBackend(EncodingBackend):
                 f"(use the 'xsr' idassign strategy)"
             )
 
+    def switch_decode(self):
+        return self.port_at
 
-#: Registry, sorted — the CLI mirrors this tuple literally
-#: (``cli._BACKEND_NAMES``) and a test asserts they stay in sync.
-BACKEND_NAMES: Tuple[str, ...] = ("crt", "pooled", "xsr")
 
-_FACTORIES = {
-    "crt": CrtBackend,
-    "pooled": PooledCrtBackend,
-    "xsr": XsrBackend,
+_ENCODERS: Dict[str, Type[RouteEncoder]] = {
+    cls.name: cls for cls in (RouteEncoder, XsrEncoder)
 }
 
+#: Registry names, sorted — every CLI choice list, bench matrix and
+#: oracle loop derives from this tuple.
+BACKEND_NAMES: Tuple[str, ...] = tuple(sorted(_ENCODERS))
 
-def backend_by_name(name: str, pool: Sequence[int] | None = None) -> EncodingBackend:
-    """Instantiate a backend from its registry name.
+
+def _encoder_class(name: str) -> Type[RouteEncoder]:
+    try:
+        return _ENCODERS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown encoding backend {name!r}; "
+            f"choose from {sorted(_ENCODERS)}"
+        ) from None
+
+
+def resolve_backend_name(backend: Optional[str] = "env") -> Optional[str]:
+    """Validate a backend name, resolving the ``"env"`` sentinel.
+
+    ``"env"`` reads the ``REPRO_BACKEND`` environment variable (unset or
+    empty means None, the default integer datapath), so a whole figure
+    pipeline can be swept under e.g. XSR without touching its modules.
+    This is the one place the variable is read; an unknown name fails
+    here — at spec-build time — instead of running under a default.
+
+    >>> resolve_backend_name("xsr")
+    'xsr'
+    >>> resolve_backend_name("pooled")
+    Traceback (most recent call last):
+        ...
+    ValueError: unknown encoding backend 'pooled'; choose from ['crt', 'xsr']
+    """
+    if backend == "env":
+        backend = os.environ.get("REPRO_BACKEND") or None
+    if backend is not None:
+        _encoder_class(backend)
+    return backend
+
+
+def backend_by_name(
+    name: str, pool: Optional[Sequence[int]] = None
+) -> RouteEncoder:
+    """A fresh encoder for the ring registered under *name*.
 
     Args:
         name: one of :data:`BACKEND_NAMES`.
-        pool: optional switch-ID pool, used by the ``pooled`` backend to
-            precompute its context up front (others ignore it).
+        pool: optional switch-ID pool; the integer ring precomputes its
+            :class:`~repro.rns.pool.PoolContext` over it (rings without
+            a pooled solve ignore it).
 
     >>> backend_by_name("xsr").name
     'xsr'
     >>> backend_by_name("nope")
     Traceback (most recent call last):
         ...
-    ValueError: unknown encoding backend 'nope'; choose from ['crt', 'pooled', 'xsr']
+    ValueError: unknown encoding backend 'nope'; choose from ['crt', 'xsr']
     """
-    if name not in _FACTORIES:
-        raise ValueError(
-            f"unknown encoding backend {name!r}; choose from {sorted(_FACTORIES)}"
-        )
-    if name == "pooled":
-        return PooledCrtBackend(pool)
-    return _FACTORIES[name]()
+    cls = _encoder_class(name)
+    if pool and cls is RouteEncoder:
+        return RouteEncoder(PoolContext(pool))
+    return cls()

@@ -8,20 +8,31 @@ paper).  The switch-side decode is a single modulo operation
 
 Because CRT addends are independent and the summation is commutative
 (the paper's key observation in Section 2.2), hop order is irrelevant
-and hops may be added or removed *incrementally* without re-encoding the
-whole route (:meth:`RouteEncoder.with_hop`,
-:meth:`RouteEncoder.without_switch`).  Incremental updates are what make
-partial protection cheap: the controller can fold one extra protection
-switch into an existing route ID in O(1) CRT steps.
+and hops may be added, removed or re-pointed *incrementally* without
+re-encoding the whole route (:meth:`RouteEncoder.with_hop`,
+:meth:`RouteEncoder.without_switch`, :meth:`RouteEncoder.with_port`).
+Incremental updates are what make partial protection and failure-time
+re-routes cheap: one extra protection switch, or one changed exit port,
+is O(1) CRT steps on the live route ID.
+
+:class:`RouteEncoder` is *the* encoder for the integer ring and the
+template for every other ring: ``encode`` / ``decode`` / ``with_hop`` /
+``without_switch`` / ``with_port`` are written once over five ring
+primitives (``solve``, ``extend``, ``port_at``, ``exact_div``,
+``header_bits``), and a different ring — GF(2)[X] in
+:class:`repro.rns.backends.XsrEncoder` — overrides only those plus its
+ID-feasibility rules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.rns.bitlength import route_id_bit_length
+from repro.rns.coprime import min_id_for_ports, validate_pool
 from repro.rns.crt import CrtError, crt, crt_extend
+from repro.rns.pool import PoolContext
 
 __all__ = ["Hop", "EncodedRoute", "RouteEncoder", "DuplicateSwitchError"]
 
@@ -101,7 +112,7 @@ class EncodedRoute:
 
     def encodes(self, switch_id: int) -> bool:
         """True if *switch_id* has an intentional residue in this route."""
-        return any(h.switch_id == switch_id for h in self.hops)
+        return switch_id in self.residue_map()
 
     def residue_map(self) -> Dict[int, int]:
         """Mapping ``switch_id -> encoded output port``.
@@ -124,12 +135,99 @@ class EncodedRoute:
 
 
 class RouteEncoder:
-    """Controller-side encoder for KAR route IDs.
+    """Controller-side encoder for KAR route IDs over the integers.
 
-    Stateless; all methods are pure functions of their inputs.  Kept as a
-    class so controllers can subclass it (e.g. to add header-budget
-    enforcement or alternative encodings).
+    Args:
+        pool: optional precomputed :class:`~repro.rns.pool.PoolContext`.
+            Hop sets it covers are solved by its dot product over cached
+            basis weights and re-pointed by a single addend; everything
+            else — chained domains, fuzzed IDs, no pool at all — goes
+            through the validating reference :func:`~repro.rns.crt.crt`.
+            Both paths land on the same unique ``R`` in ``[0, M)``, so
+            the pool changes cost, never a route ID.
+
+    The counters make the amortization observable: the service and the
+    bench harnesses assert that under link churn the pooled and
+    single-addend paths, not the full solver, are doing the work.
+
+    Attributes:
+        name: registry key (also the CLI / artifact spelling).
+        id_strategy: the ``controller.idassign`` strategy producing IDs
+            this ring can always consume.
     """
+
+    name = "crt"
+    id_strategy = "greedy"
+    route_type = EncodedRoute
+
+    def __init__(self, pool: Optional[PoolContext] = None):
+        self.pool = pool
+        self.pooled_encodes = 0
+        self.fallback_encodes = 0
+        self.deltas_applied = 0
+        self.identity_skips = 0
+        self.full_solves = 0
+
+    # -- the five ring primitives ---------------------------------------
+
+    def solve(
+        self, residues: Sequence[int], moduli: Sequence[int]
+    ) -> Tuple[int, int]:
+        """``(R, M)`` of the residue system (Eq. 4)."""
+        pool = self.pool
+        if pool is not None and pool.covers(moduli):
+            self.pooled_encodes += 1
+            return pool.encode(residues, moduli)
+        self.fallback_encodes += 1
+        return crt(residues, moduli)
+
+    extend = staticmethod(crt_extend)
+
+    def port_at(self, route_id: int, switch_id: int) -> int:
+        """The ring remainder — the per-packet switch decode (Eq. 3)."""
+        return route_id % switch_id
+
+    def exact_div(self, modulus: int, switch_id: int) -> int:
+        """``M / s`` for a switch ID that divides the modulus."""
+        quotient, rem = divmod(modulus, switch_id)
+        if rem:
+            raise CrtError(
+                f"modulus is not divisible by switch ID {switch_id}"
+            )
+        return quotient
+
+    def header_bits(self, modulus: int) -> int:
+        """Wire cost in bits of a route with product-of-IDs *modulus*."""
+        return route_id_bit_length(modulus)
+
+    # -- ID feasibility --------------------------------------------------
+
+    def min_switch_id(self, port_count: int) -> int:
+        """Smallest ID this ring accepts for a *port_count*-port switch."""
+        return min_id_for_ports(port_count)
+
+    def validate_switch_ids(self, ids: Sequence[int]) -> None:
+        """Raise ``ValueError`` if *ids* cannot co-exist in one route."""
+        validate_pool(ids)
+
+    def residue_space(self, switch_id: int) -> int:
+        """Number of residues decodable at *switch_id* (ports must be
+        below this).  ``R mod s`` spans ``[0, s)``; GF(2) remainders span
+        only ``[0, 2^deg(s))`` — the fuzzers and property suite draw
+        ports from here so every ring sees its full valid range."""
+        return switch_id
+
+    def switch_decode(self) -> Optional[Callable[[int, int], int]]:
+        """The decode callable to install in a :class:`KarSwitch`.
+
+        ``None`` means "the switch's built-in integer ``R mod s``" — the
+        integer ring returns None so the default datapath (and its
+        digest contracts) stay byte-identical; other rings return their
+        :meth:`port_at`.
+        """
+        return None
+
+    # -- the template, written once over the primitives ------------------
 
     def encode(self, hops: Iterable[Hop]) -> EncodedRoute:
         """Encode hops into a route ID (Eq. 4).
@@ -139,17 +237,17 @@ class RouteEncoder:
             NotCoprimeError: if the switch IDs are not pairwise coprime.
             CrtError: if a port is out of range for its switch ID.
         """
-        hop_list = list(hops)
+        hop_list = tuple(hops)
         residues: Dict[int, int] = {}
         for h in hop_list:
             if h.switch_id in residues:
                 raise DuplicateSwitchError(h.switch_id)
             residues[h.switch_id] = h.port
-        route_id, modulus = crt(
-            [h.port for h in hop_list], [h.switch_id for h in hop_list]
+        route_id, modulus = self.solve(
+            list(residues.values()), list(residues)
         )
-        return EncodedRoute(
-            route_id=route_id, modulus=modulus, hops=tuple(hop_list),
+        return self.route_type(
+            route_id=route_id, modulus=modulus, hops=hop_list,
             _residues=residues,
         )
 
@@ -177,7 +275,8 @@ class RouteEncoder:
         """
         if route_id < 0:
             raise CrtError(f"route ID must be non-negative, got {route_id}")
-        return [route_id % s for s in switch_ids]
+        port_at = self.port_at
+        return [port_at(route_id, s) for s in switch_ids]
 
     def with_hop(self, route: EncodedRoute, hop: Hop) -> EncodedRoute:
         """Fold one extra hop into an existing route ID, incrementally.
@@ -192,15 +291,15 @@ class RouteEncoder:
             DuplicateSwitchError: if the switch is already encoded.
             NotCoprimeError: if the new ID shares a factor with M.
         """
-        if route.encodes(hop.switch_id):
+        residues = route.residue_map()
+        if hop.switch_id in residues:
             raise DuplicateSwitchError(hop.switch_id)
-        # crt_extend raises NotCoprimeError when gcd(M, s) != 1.
-        new_id, new_modulus = crt_extend(
+        new_id, new_modulus = self.extend(
             route.route_id, route.modulus, hop.switch_id, hop.port
         )
-        return EncodedRoute(
+        return self.route_type(
             route_id=new_id, modulus=new_modulus, hops=route.hops + (hop,),
-            _residues={**route.residue_map(), hop.switch_id: hop.port},
+            _residues={**residues, hop.switch_id: hop.port},
         )
 
     def without_switch(self, route: EncodedRoute, switch_id: int) -> EncodedRoute:
@@ -213,13 +312,63 @@ class RouteEncoder:
         """
         if not route.encodes(switch_id):
             raise CrtError(f"switch ID {switch_id} is not encoded in this route")
-        new_modulus = route.modulus // switch_id
+        new_modulus = self.exact_div(route.modulus, switch_id)
         new_hops = tuple(h for h in route.hops if h.switch_id != switch_id)
         if not new_hops:
             raise CrtError("cannot remove the last hop of a route")
-        return EncodedRoute(
-            route_id=route.route_id % new_modulus,
+        return self.route_type(
+            route_id=self.port_at(route.route_id, new_modulus),
             modulus=new_modulus,
             hops=new_hops,
             _residues={h.switch_id: h.port for h in new_hops},
+        )
+
+    def with_port(
+        self, route: EncodedRoute, switch_id: int, new_port: int
+    ) -> EncodedRoute:
+        """Route with *switch_id*'s output port changed to *new_port*.
+
+        The link-failure re-route primitive: when only one residue
+        changes, a pool-covered route is a single addend away —
+        ``R' = <R + (p' − p) · M_i L_i>_M`` — so the update is O(1)
+        big-int work; a route the pool does not cover (or an encoder
+        without one) re-solves the mutated hop list.  Either way the
+        result is bit-identical to a fresh :meth:`encode` of that list,
+        and an identity change returns *route* itself.
+
+        Raises:
+            CrtError: when *route* does not encode *switch_id* or the
+                new port is out of range for it.
+        """
+        residues = route.residue_map()
+        old_port = residues.get(switch_id)
+        if old_port == new_port:
+            self.identity_skips += 1
+            return route
+        if old_port is None:
+            raise CrtError(
+                f"switch ID {switch_id} is not encoded in this route"
+            )
+        new_hops = tuple(
+            Hop(switch_id, new_port) if h.switch_id == switch_id else h
+            for h in route.hops
+        )
+        weight = None
+        if self.pool is not None:
+            try:
+                weight = self.pool.addend_weight(route, switch_id)
+            except CrtError:
+                pass  # off-pool or inconsistent route: re-solve the hops
+        if weight is None:
+            updated = self.encode(new_hops)
+            self.full_solves += 1
+            return updated
+        self.deltas_applied += 1
+        return self.route_type(
+            route_id=(
+                route.route_id + (new_port - old_port) * weight
+            ) % route.modulus,
+            modulus=route.modulus,
+            hops=new_hops,
+            _residues={**residues, switch_id: new_port},
         )

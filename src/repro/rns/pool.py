@@ -21,31 +21,34 @@ This module splits the work along those timescales:
   memoized: the subset product ``M_S`` and the reduced weights
   ``w_i mod M_S``.  Every further flow over the same switches reuses
   them — encode cost no longer depends on pool size at all.
-* :class:`ReencodeDelta` — applied **once per changed hop**.  When one
-  switch's output port changes from ``p_i`` to ``p'_i`` (a link failure
-  re-route that keeps the same switches), the fresh route ID is a single
-  addend away::
+* :meth:`PoolContext.addend_weight` — looked up **once per changed
+  hop**.  When one switch's output port changes from ``p_i`` to
+  ``p'_i`` (a link failure re-route that keeps the same switches), the
+  fresh route ID is a single addend away::
 
       R' = <R + (p'_i − p_i) · M_i · L_i>_M
 
   so a failure-time re-encode is O(1) big-int operations instead of a
   full re-solve.
-* :class:`PooledEncoder` — a drop-in :class:`~repro.rns.encoder
-  .RouteEncoder` that routes every encode over pool switches through the
-  context and transparently falls back to the reference path for
-  off-pool switch IDs.
+
+The context is pure arithmetic over integers; the route-level object
+that uses it is :class:`repro.rns.encoder.RouteEncoder`, which solves
+pool-covered hop sets through :meth:`PoolContext.encode`, re-encodes a
+changed port through :meth:`PoolContext.addend_weight`, and falls back
+to the validating reference solver for anything off the pool.
 
 Everything here is **bit-identical to the reference** by construction
 (the subset solution is unique in ``[0, M_S)``) and by test: the
 ``encoder`` verify oracle (:mod:`repro.verify.oracles`) and the
-Hypothesis properties in ``tests/rns/test_pool.py`` compare every pooled
-and incremental result against a fresh :func:`~repro.rns.crt.crt` solve.
+Hypothesis properties in ``tests/rns/test_backends.py`` compare every
+pooled and incremental result against a fresh :func:`~repro.rns.crt.crt`
+solve.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.rns.crt import (
     CrtError,
@@ -53,24 +56,17 @@ from repro.rns.crt import (
     first_noncoprime_pair,
     modular_inverse,
 )
-from repro.rns.encoder import (
-    DuplicateSwitchError,
-    EncodedRoute,
-    Hop,
-    RouteEncoder,
-)
 
 __all__ = [
     "product_tree",
     "PoolContext",
-    "PooledEncoder",
-    "ReencodeDelta",
 ]
 
-#: Default bound on memoized subset contexts per pool.  A destination
-#: tree contributes one subset per branch, so real deployments sit far
-#: below this; the bound only guards pathological workloads (e.g. fuzzed
-#: random subsets) from unbounded memory.
+#: Bound on memoized subset contexts per pool (the cache is cleared
+#: wholesale when full, mirroring the datapath residue cache).  A
+#: destination tree contributes one subset per branch, so real
+#: deployments sit far below this; the bound only guards pathological
+#: workloads (e.g. fuzzed random subsets) from unbounded memory.
 DEFAULT_SUBSET_CACHE = 4096
 
 
@@ -132,28 +128,15 @@ class PoolContext:
             coprime (e.g. it came from
             :func:`repro.rns.coprime.validate_pool` or a validated
             topology) to skip the one-time O(n²) check.
-        max_subsets: bound on memoized subset contexts (cache is cleared
-            wholesale when full, mirroring the datapath residue cache).
     """
 
     __slots__ = ("pool", "modulus", "validated", "_weights", "_subsets",
-                 "_subsets_by_modulus", "_max_subsets", "subsets_built",
-                 "subset_hits")
+                 "_subsets_by_modulus", "subsets_built", "subset_hits")
 
-    def __init__(
-        self,
-        pool: Sequence[int],
-        *,
-        validated: bool = False,
-        max_subsets: int = DEFAULT_SUBSET_CACHE,
-    ):
+    def __init__(self, pool: Sequence[int], *, validated: bool = False):
         ids = tuple(int(s) for s in pool)
         if not ids:
             raise CrtError("cannot build a PoolContext over an empty pool")
-        if max_subsets < 1:
-            raise CrtError(
-                f"max_subsets must be >= 1, got {max_subsets}"
-            )
         for s in ids:
             if s <= 1:
                 raise CrtError(f"switch ID must be > 1, got {s}")
@@ -180,7 +163,6 @@ class PoolContext:
         # subset (s divides M_S iff s is a member), so the modulus a
         # route carries is a valid cache key.
         self._subsets_by_modulus: Dict[int, _SubsetContext] = {}
-        self._max_subsets = max_subsets
         self.subsets_built = 0
         self.subset_hits = 0
 
@@ -248,7 +230,7 @@ class PoolContext:
         modulus = product_tree(key)
         weights = {s: self._weights[s] % modulus for s in key}
         ctx = _SubsetContext(key, modulus, weights)
-        if len(self._subsets) >= self._max_subsets:
+        if len(self._subsets) >= DEFAULT_SUBSET_CACHE:
             self._subsets.clear()
             self._subsets_by_modulus.clear()
         self._subsets[key] = ctx
@@ -292,59 +274,27 @@ class PoolContext:
             total += p * weights[s]
         return total % ctx.modulus, ctx.modulus
 
-    def encode_hops(self, hops: Sequence[Hop]) -> EncodedRoute:
-        """Encode hops over the pool into an :class:`EncodedRoute`.
-
-        Field-for-field identical to what
-        :meth:`repro.rns.encoder.RouteEncoder.encode` produces for the
-        same hops (``Hop`` already validates port ranges, so only the
-        subset lookup can fail here).
-        """
-        route_id, modulus = self.encode(
-            [h.port for h in hops], [h.switch_id for h in hops]
-        )
-        return EncodedRoute(
-            route_id=route_id, modulus=modulus, hops=tuple(hops),
-            _residues={h.switch_id: h.port for h in hops},
-        )
-
     # ------------------------------------------------------------------
     # incremental re-encode
     # ------------------------------------------------------------------
-    def reencode_id(
-        self, route: EncodedRoute, switch_id: int, new_port: int
-    ) -> int:
-        """The route ID after one hop's port change — the hot primitive.
+    def addend_weight(self, route, switch_id: int) -> int:
+        """``w_i mod M_S`` for *switch_id* within *route*'s switch set.
 
-        Computes ``R' = <R + (p' − p) · w_i>_{M_S}`` — the single
-        changed addend of Eq. 4 — instead of re-solving the system.
-        This is the failure-time fast path: a handful of dict lookups
-        and one big-int multiply, independent of route length and pool
-        size.  The subset context is found by the route's modulus
-        (within one coprime pool, a subset's product determines the
-        subset); a context miss falls back to the keyed lookup and, for
-        any valid route over pool members, primes the modulus index for
-        the next call.
+        The one number a single-hop port change needs: the fresh route
+        ID is ``R' = <R + (p' − p) · w_i>_{M_S}`` — the single changed
+        addend of Eq. 4 — instead of a re-solve.  This is the
+        failure-time fast path: a couple of dict lookups, independent of
+        route length and pool size.  The subset context is found by the
+        route's modulus (within one coprime pool, a subset's product
+        determines the subset); a miss falls back to the keyed lookup
+        and, for any valid route over pool members, primes the modulus
+        index for the next call.
 
         Raises:
-            CrtError: when *route* does not encode *switch_id*, the new
-                port is out of range, the route's switches are not all
-                pool members, or the route's modulus is inconsistent
-                with its hop set.
+            CrtError: when the route's switches are not all pool
+                members, or the route's modulus is inconsistent with
+                its hop set.
         """
-        old_port = route.residue_map().get(switch_id)
-        if old_port is None:
-            raise CrtError(
-                f"switch ID {switch_id} is not encoded in this route"
-            )
-        if not 0 <= new_port < switch_id:
-            raise CrtError(
-                f"residue {new_port} out of range for modulus {switch_id}: "
-                f"a switch with ID {switch_id} only has ports "
-                f"0..{switch_id - 1} addressable"
-            )
-        if new_port == old_port:
-            return route.route_id
         ctx = self._subsets_by_modulus.get(route.modulus)
         if ctx is None or switch_id not in ctx.weights:
             ctx = self.subset(route.switch_ids)
@@ -354,157 +304,4 @@ class PoolContext:
                     f"product of its hop switch IDs ({ctx.modulus}); "
                     f"refusing an incremental update on inconsistent state"
                 )
-        return (
-            route.route_id + (new_port - old_port) * ctx.weights[switch_id]
-        ) % ctx.modulus
-
-    def reencode(
-        self, route: EncodedRoute, switch_id: int, new_port: int
-    ) -> EncodedRoute:
-        """Re-encode *route* with one hop's port changed, incrementally.
-
-        The route-object wrapper over :meth:`reencode_id`: same single-
-        addend update, plus the rebuilt hop tuple and residue hint.
-        Identity changes (``new_port`` equal to the encoded port) return
-        *route* itself.
-
-        Raises:
-            CrtError: see :meth:`reencode_id`.
-        """
-        new_id = self.reencode_id(route, switch_id, new_port)
-        if new_id == route.route_id and route.residue_map()[switch_id] == new_port:
-            return route
-        new_hops = tuple(
-            Hop(h.switch_id, new_port) if h.switch_id == switch_id else h
-            for h in route.hops
-        )
-        return EncodedRoute(
-            route_id=new_id, modulus=route.modulus, hops=new_hops,
-            _residues={**route.residue_map(), switch_id: new_port},
-        )
-
-
-class PooledEncoder(RouteEncoder):
-    """A :class:`RouteEncoder` that amortizes per-pool CRT work.
-
-    Encodes whose switch IDs are all pool members go through the
-    :class:`PoolContext` (dot product over cached subset weights);
-    anything else — chained domains, fuzzed IDs, pools under
-    reconstruction — falls back to the reference path, so the public
-    contract is exactly :class:`RouteEncoder`'s, bit for bit.
-
-    The incremental primitives (:meth:`with_hop`,
-    :meth:`without_switch`) are inherited unchanged: they are already
-    O(1) in the route length.
-    """
-
-    def __init__(self, pool: PoolContext):
-        self.pool = pool
-        self.pooled_encodes = 0
-        self.fallback_encodes = 0
-
-    def encode(self, hops: Iterable[Hop]) -> EncodedRoute:
-        hop_list = list(hops)
-        if not self.pool.covers(h.switch_id for h in hop_list):
-            self.fallback_encodes += 1
-            return super().encode(hop_list)
-        # Same duplicate check, same exception as the reference encoder
-        # — raised before any CRT work, exactly like the base class.
-        residues: Dict[int, int] = {}
-        for h in hop_list:
-            if h.switch_id in residues:
-                raise DuplicateSwitchError(h.switch_id)
-            residues[h.switch_id] = h.port
-        route_id, modulus = self.pool.encode(
-            [h.port for h in hop_list], [h.switch_id for h in hop_list]
-        )
-        self.pooled_encodes += 1
-        return EncodedRoute(
-            route_id=route_id, modulus=modulus, hops=tuple(hop_list),
-            _residues=residues,
-        )
-
-
-class ReencodeDelta:
-    """Failure-time incremental re-encoder with full-solve fallback.
-
-    The controller-facing wrapper around :meth:`PoolContext.reencode`:
-    apply one (or a chain of) single-hop port changes to a live route,
-    falling back to a fresh reference solve when the route is not
-    pool-covered.  Counters make the amortization observable — the
-    chaos/bench harnesses assert that under link churn the delta path,
-    not the full solver, is doing the work.
-    """
-
-    def __init__(self, pool: PoolContext):
-        self.pool = pool
-        self._fallback = RouteEncoder()
-        self.deltas_applied = 0
-        self.identity_skips = 0
-        self.full_solves = 0
-
-    def apply(
-        self, route: EncodedRoute, switch_id: int, new_port: int
-    ) -> EncodedRoute:
-        """Route with *switch_id*'s port changed to *new_port*.
-
-        Bit-identical to re-encoding the mutated hop list from scratch
-        (the Hypothesis property in ``tests/rns/test_pool.py`` pins this
-        down, including chains and identity mutations).
-        """
-        if route.residue_map().get(switch_id) == new_port:
-            self.identity_skips += 1
-            return route
-        try:
-            updated = self.pool.reencode(route, switch_id, new_port)
-        except CrtError:
-            updated = self._full_solve(route, switch_id, new_port)
-            self.full_solves += 1
-            return updated
-        self.deltas_applied += 1
-        return updated
-
-    def apply_id(
-        self, route: EncodedRoute, switch_id: int, new_port: int
-    ) -> int:
-        """The updated route ID alone — the failure-time hot path.
-
-        What an in-place header rewrite or ingress-entry patch actually
-        needs; the route-object bookkeeping of :meth:`apply` is skipped.
-        Bit-identical to a fresh :func:`~repro.rns.crt.crt` solve of the
-        mutated residue system.
-        """
-        if route.residue_map().get(switch_id) == new_port:
-            self.identity_skips += 1
-            return route.route_id
-        try:
-            new_id = self.pool.reencode_id(route, switch_id, new_port)
-        except CrtError:
-            updated = self._full_solve(route, switch_id, new_port)
-            self.full_solves += 1
-            return updated.route_id
-        self.deltas_applied += 1
-        return new_id
-
-    def apply_many(
-        self,
-        route: EncodedRoute,
-        changes: Iterable[Tuple[int, int]],
-    ) -> EncodedRoute:
-        """Fold a chain of ``(switch_id, new_port)`` changes, in order."""
-        for switch_id, new_port in changes:
-            route = self.apply(route, switch_id, new_port)
-        return route
-
-    def _full_solve(
-        self, route: EncodedRoute, switch_id: int, new_port: int
-    ) -> EncodedRoute:
-        if not route.encodes(switch_id):
-            raise CrtError(
-                f"switch ID {switch_id} is not encoded in this route"
-            )
-        hops = [
-            Hop(h.switch_id, new_port) if h.switch_id == switch_id else h
-            for h in route.hops
-        ]
-        return self._fallback.encode(hops)
+        return ctx.weights[switch_id]

@@ -26,8 +26,8 @@ import copy
 from repro.controller.controller import KarController
 from repro.controller.idassign import reassign_switch_ids
 from repro.controller.retry import RetryPolicy
-from repro.rns.backends import EncodingBackend, backend_by_name
-from repro.rns.encoder import EncodedRoute
+from repro.rns.backends import backend_by_name
+from repro.rns.encoder import EncodedRoute, RouteEncoder
 from repro.sim.chaos import CHAOS_MODES, ChaosInjector, ControllerOutageChaos
 from repro.sim.engine import Simulator
 from repro.sim.failures import FailureSchedule
@@ -81,12 +81,11 @@ class KarSimulation:
             strategies returned here are not shared, so they may carry
             switch-local state.
         backend: encoding backend name (:data:`repro.rns.BACKEND_NAMES`)
-            or instance, or None for the historical default (identical
-            to ``"crt"`` but with the switch decode hook left unset, so
-            the integer datapath stays byte-for-byte).  The backend's
-            encoder drives the controller (flows, protection hops,
-            misdelivery re-encodes) and its ``port_at`` drives every
-            core switch.  When the scenario's switch IDs violate the
+            or encoder instance; None means ``"crt"``.  The encoder
+            drives the controller (flows, protection hops, misdelivery
+            re-encodes) and its ``switch_decode()`` drives every core
+            switch (None for the integer ring: the switch's built-in
+            ``R mod s``).  When the scenario's switch IDs violate the
             backend's coprimality ring (e.g. a paper scenario's integer
             pool under ``"xsr"``), the scenario is deep-copied and its
             cores re-IDed with the backend's ``idassign`` strategy —
@@ -111,21 +110,18 @@ class KarSimulation:
         strategy_factory: Optional[
             Callable[[str], DeflectionStrategy]
         ] = None,
-        backend: str | EncodingBackend | None = None,
+        backend: str | RouteEncoder | None = None,
     ):
-        if isinstance(backend, str):
-            backend = backend_by_name(backend)
+        if not isinstance(backend, RouteEncoder):
+            backend = backend_by_name(backend or "crt")
         self.backend = backend
-        if backend is not None:
-            core_ids = sorted(scenario.graph.switch_ids().values())
-            try:
-                backend.validate_switch_ids(core_ids)
-            except ValueError:
-                scenario = copy.deepcopy(scenario)
-                reassign_switch_ids(
-                    scenario.graph, strategy=backend.id_strategy
-                )
-            backend.prepare(scenario.graph.switch_ids().values())
+        try:
+            backend.validate_switch_ids(
+                sorted(scenario.graph.switch_ids().values())
+            )
+        except ValueError:
+            scenario = copy.deepcopy(scenario)
+            reassign_switch_ids(scenario.graph, strategy=backend.id_strategy)
         self.edge_node_cls = edge_node_cls
         self.misdelivery_policy = misdelivery_policy
         self.retry_policy = retry_policy
@@ -163,9 +159,7 @@ class KarSimulation:
         )
         self.controller = KarController(
             graph, control_rtt_s=control_rtt_s, default_ttl=ttl,
-            encoder=(
-                self.backend.encoder() if self.backend is not None else None
-            ),
+            encoder=self.backend,
         )
         self._wire_edges()
 
@@ -195,11 +189,7 @@ class KarSimulation:
             rng=self.rng.stream(f"deflect:{info.name}"),
             tracer=self.tracer,
             invariants=self.invariants,
-            decode=(
-                self.backend.switch_decode()
-                if self.backend is not None
-                else None
-            ),
+            decode=self.backend.switch_decode(),
         )
 
     def _make_edge(self, info: NodeInfo, sim: Simulator) -> Node:

@@ -381,10 +381,10 @@ class ControllerState:
 
         When the new path visits the same switches (only an exit port
         changed — the common single-link-failure case on well-connected
-        cores), the repair is folded through
-        :class:`~repro.rns.pool.ReencodeDelta` as per-hop addend
-        updates rather than a fresh encode; otherwise the pooled
-        encoder takes it.  Raises ProvisionError(``no-core-path``) when
+        cores), the repair is folded through the encoder's
+        :meth:`~repro.rns.encoder.RouteEncoder.with_port` as per-hop
+        addend updates rather than a fresh encode; otherwise a pooled
+        encode takes it.  Raises ProvisionError(``no-core-path``) when
         the residual graph disconnects the pair.
         """
         node_path = self.engine.select_path(
@@ -394,14 +394,12 @@ class ControllerState:
         old_map = record.route.residue_map()
         new_ids = [h.switch_id for h in new_hops]
         if not record.detoured and sorted(new_ids) == sorted(old_map):
-            changes = [
-                (h.switch_id, h.port)
-                for h in new_hops
-                if old_map[h.switch_id] != h.port
-            ]
-            record.route = self.engine.delta.apply_many(
-                record.route, changes
-            )
+            with_port = self.engine.encoder.with_port
+            for h in new_hops:
+                if old_map[h.switch_id] != h.port:
+                    record.route = with_port(
+                        record.route, h.switch_id, h.port
+                    )
             self.engine.provisions += 1
         else:
             record.route = self.engine.encode_path(node_path).route

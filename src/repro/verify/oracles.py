@@ -26,19 +26,18 @@ diffs the outcomes:
   :mod:`repro.baselines`, walked by
   :func:`~repro.analysis.walk.deterministic_strategy_walk` with the
   very strategy tables the simulator runs).
-* ``encoder`` — the amortized control-plane encoders
-  (:class:`~repro.rns.pool.PoolContext` /
-  :class:`~repro.rns.pool.PooledEncoder` /
-  :class:`~repro.rns.pool.ReencodeDelta`) vs the reference
+* ``encoder`` — the amortized control-plane paths
+  (:class:`~repro.rns.pool.PoolContext` and a pool-holding
+  :class:`~repro.rns.encoder.RouteEncoder`) vs the reference
   :func:`~repro.rns.crt.crt` solver on the case's switch-ID pool:
-  fuzzed subsets, mutation chains, identity mutations, off-pool
-  fallback, and error parity on malformed systems.
+  fuzzed subsets, ``with_port`` mutation chains, identity mutations,
+  off-pool fallback, and error parity on malformed systems.
 * ``vector`` — the vectorized and sharded epoch engines vs the scalar
   reference engine: records, digests, hop traces and terminal fates.
-* ``backend`` — every pluggable encoding backend
+* ``backend`` — every registered encoder
   (:data:`repro.rns.backends.BACKEND_NAMES`) vs the reference
-  semantics: encoder contract fuzzing, bit-identical integer datapath
-  digests, and XSR's full-sim walk-model equivalence.
+  semantics: encoder contract fuzzing (the integer ring bit-identical
+  to ``crt()``) and XSR's full-sim walk-model equivalence.
 
 Every oracle returns an :class:`OracleResult`; a non-empty
 ``divergences`` list means the two sides disagreed, and the attached
@@ -58,9 +57,9 @@ from repro.analysis.walk import (
     deterministic_strategy_walk,
 )
 from repro.baselines import BASELINE_SCHEMES, plan_baseline_strategies
-from repro.rns.crt import CrtError, NotCoprimeError, crt
+from repro.rns.crt import CrtError, crt
 from repro.rns.encoder import Hop, RouteEncoder
-from repro.rns.pool import PoolContext, PooledEncoder, ReencodeDelta
+from repro.rns.pool import PoolContext
 from repro.rns.wire import (
     WireError,
     decode_header,
@@ -166,12 +165,11 @@ def _run_case_sim(
     scenario,
     deflection,
     ttl: int,
-    backend: Optional[str] = None,
     strategy_factory: Optional[Callable[[str], DeflectionStrategy]] = None,
 ) -> Tuple[KarSimulation, Any, Any]:
     ks = KarSimulation(
         scenario, deflection=deflection, protection="none",
-        seed=case.seed, ttl=ttl, trace_paths=True, backend=backend,
+        seed=case.seed, ttl=ttl, trace_paths=True,
         strategy_factory=strategy_factory,
     )
     src, sink = ks.add_udp_probe(
@@ -592,7 +590,7 @@ def check_walk(case: FuzzCase) -> OracleResult:
 
 
 # ---------------------------------------------------------------------------
-# (e) pooled/incremental encoders vs the reference crt() solver
+# (e) pooled/incremental encoding vs the reference crt() solver
 # ---------------------------------------------------------------------------
 
 def _off_pool_id(subset_ids: Sequence[int], pool: PoolContext) -> int:
@@ -607,17 +605,18 @@ def _off_pool_id(subset_ids: Sequence[int], pool: PoolContext) -> int:
 
 
 def check_encoder(case: FuzzCase) -> OracleResult:
-    """Pooled/incremental encoders vs the reference solver (oracle e).
+    """Pooled/incremental encoding vs the reference solver (oracle e).
 
     Builds a :class:`~repro.rns.pool.PoolContext` over the case's real
     switch-ID pool and fuzzes random subsets through every amortized
-    path — :meth:`PoolContext.encode`, :class:`PooledEncoder`,
-    :class:`ReencodeDelta` single mutations, multi-hop mutation chains,
-    identity mutations, and the off-pool fallback — requiring each
-    result to be bit-identical to a fresh :func:`~repro.rns.crt.crt`
-    solve / :class:`~repro.rns.encoder.RouteEncoder` encode of the same
-    residue system.  Malformed systems (duplicate moduli, out-of-range
-    residues) must fail with the same exception the reference raises.
+    path — :meth:`PoolContext.encode`, a pool-holding
+    :class:`~repro.rns.encoder.RouteEncoder`, its ``with_port`` single
+    mutations, multi-hop mutation chains, identity mutations, and the
+    off-pool fallback — requiring each result to be bit-identical to a
+    fresh :func:`~repro.rns.crt.crt` solve / pool-less encode of the
+    same residue system.  Malformed systems (duplicate moduli,
+    out-of-range residues) must fail with the same exception the
+    reference raises.
     """
     result = OracleResult("encoder")
     graph = build_graph(case)
@@ -625,8 +624,7 @@ def check_encoder(case: FuzzCase) -> OracleResult:
     # one-time validation is part of what this oracle exercises.
     pool = PoolContext.from_graph(graph)
     reference = RouteEncoder()
-    pooled = PooledEncoder(pool)
-    delta = ReencodeDelta(pool)
+    pooled = RouteEncoder(pool)
     rng = random.Random(f"verify-encoder-{case.seed}")
     off_pool_encodes = 0
 
@@ -647,7 +645,7 @@ def check_encoder(case: FuzzCase) -> OracleResult:
             ),
         )
 
-        # Full route objects: PooledEncoder vs RouteEncoder.
+        # Full route objects: with and without the pool.
         hops = [Hop(s, p) for s, p in zip(ids, ports)]
         route = pooled.encode(hops)
         ref_route = reference.encode(hops)
@@ -655,7 +653,7 @@ def check_encoder(case: FuzzCase) -> OracleResult:
             route == ref_route
             and route.residue_map() == ref_route.residue_map(),
             lambda l=label, g=route, w=ref_route: (
-                f"PooledEncoder differs from RouteEncoder at {l}: "
+                f"pooled encode differs from the pool-less encode at {l}: "
                 f"pooled={g!r} reference={w!r}"
             ),
         )
@@ -671,28 +669,24 @@ def check_encoder(case: FuzzCase) -> OracleResult:
             chain_label = (
                 f"{label} chain step {step}: switch {sid} -> port {new_port}"
             )
+            previous = current
+            current = pooled.with_port(current, sid, new_port)
             if residues[sid] == new_port:
                 result.check(
-                    delta.apply(current, sid, new_port) is current,
+                    current is previous,
                     lambda l=chain_label: (
                         f"identity mutation was not a same-object no-op "
                         f"at {l}"
                     ),
                 )
             residues[sid] = new_port
-            want_id, want_mod = crt(
-                [residues[s] for s in ids], ids, assume_coprime=True
-            )
-            got_id = delta.apply_id(current, sid, new_port)
-            current = delta.apply(current, sid, new_port)
+            want = crt([residues[s] for s in ids], ids, assume_coprime=True)
             result.check(
-                got_id == want_id
-                and (current.route_id, current.modulus)
-                == (want_id, want_mod)
+                (current.route_id, current.modulus) == want
                 and current.residue_map() == residues,
-                lambda l=chain_label, g=current, i=got_id, w=want_id: (
+                lambda l=chain_label, g=current, w=want: (
                     f"incremental re-encode differs from fresh solve at "
-                    f"{l}: apply_id={i} apply={g!r} reference_id={w}"
+                    f"{l}: with_port={g!r} reference={w}"
                 ),
             )
 
@@ -705,42 +699,31 @@ def check_encoder(case: FuzzCase) -> OracleResult:
             pooled.encode(fallback_hops) == reference.encode(fallback_hops),
             lambda l=label, e=extra: (
                 f"off-pool fallback (extra switch {e}) differs from "
-                f"RouteEncoder at {l}"
+                f"the pool-less encode at {l}"
             ),
         )
 
     # Error parity on malformed systems: same exception type, same
     # message as the reference solver.
     dup = rng.choice(pool.pool)
-    dup_system = ([0, 0], [dup, dup])
-    errors = []
-    for solver in (crt, pool.encode):
-        try:
-            solver(*dup_system)
-            errors.append(None)
-        except NotCoprimeError as exc:
-            errors.append((type(exc).__name__, str(exc)))
-    result.check(
-        errors[0] is not None and errors[0] == errors[1],
-        lambda e=tuple(errors): (
-            f"duplicate-modulus error parity broken: crt={e[0]} pool={e[1]}"
-        ),
-    )
     bad = rng.choice(pool.pool)
-    bad_system = ([bad], [bad])  # residue == modulus: out of range
-    errors = []
-    for solver in (crt, pool.encode):
-        try:
-            solver(*bad_system)
-            errors.append(None)
-        except CrtError as exc:
-            errors.append((type(exc).__name__, str(exc)))
-    result.check(
-        errors[0] is not None and errors[0] == errors[1],
-        lambda e=tuple(errors): (
-            f"out-of-range error parity broken: crt={e[0]} pool={e[1]}"
-        ),
-    )
+    for what, system in (
+        ("duplicate-modulus", ([0, 0], [dup, dup])),
+        ("out-of-range", ([bad], [bad])),  # residue == modulus
+    ):
+        errors = []
+        for solver in (crt, pool.encode):
+            try:
+                solver(*system)
+                errors.append(None)
+            except CrtError as exc:
+                errors.append((type(exc).__name__, str(exc)))
+        result.check(
+            errors[0] is not None and errors[0] == errors[1],
+            lambda w=what, e=tuple(errors): (
+                f"{w} error parity broken: crt={e[0]} pool={e[1]}"
+            ),
+        )
 
     # The amortized paths must actually have been the paths under test.
     result.check(
@@ -751,9 +734,9 @@ def check_encoder(case: FuzzCase) -> OracleResult:
         ),
     )
     result.check(
-        delta.full_solves == 0,
-        lambda d=delta: (
-            f"{d.full_solves} incremental updates fell back to a full "
+        pooled.full_solves == 0,
+        lambda p=pooled: (
+            f"{p.full_solves} incremental updates fell back to a full "
             f"solve on pool-covered routes"
         ),
     )
@@ -761,30 +744,27 @@ def check_encoder(case: FuzzCase) -> OracleResult:
 
 
 # ---------------------------------------------------------------------------
-# (g) pluggable encoding backends vs the reference datapath / walk model
+# (g) registered encoders vs the reference solver / walk model
 # ---------------------------------------------------------------------------
 
 def check_backend(case: FuzzCase) -> OracleResult:
-    """Encoding backends vs the reference semantics (oracle g).
+    """Registered encoders vs the reference semantics (oracle g).
 
-    Three layers, every backend in :data:`~repro.rns.backends.BACKEND_NAMES`:
+    Two layers:
 
-    * **encoder contract** — fuzzed hop systems over a pool the backend
-      accepts: ``decode(encode(hops))`` recovers every port,
-      ``with_hop`` chains land exactly where a fresh encode lands,
-      ``without_switch`` inverts them, and the advertised
-      ``header_bits`` matches the route's own ``bit_length``.  Integer
-      backends must be *bit-identical* to the reference
-      :class:`~repro.rns.encoder.RouteEncoder`.
-    * **integer datapath digests** — full case runs under ``crt`` and
-      ``pooled`` must reproduce the default datapath's outcome record
-      and hop-by-hop traces byte for byte (these backends change how
-      the controller computes, never what the network does).
+    * **encoder contract** — for every name in
+      :data:`~repro.rns.backends.BACKEND_NAMES`, fuzzed hop systems over
+      a pool the ring accepts: ``decode(encode(hops))`` recovers every
+      port, ``with_hop`` chains land exactly where a fresh encode
+      lands, ``without_switch`` inverts them, ``with_port`` equals a
+      fresh encode of the mutated hops, and the advertised
+      ``header_bits`` matches the route's own ``bit_length``.  The
+      integer ring must be *bit-identical* to :func:`~repro.rns.crt.crt`.
     * **XSR walk equivalence** — a full case run under ``xsr`` (the
       runner transparently re-IDs the graph onto the dual-coprime
       pool), diffed packet-by-packet against
       :func:`~repro.analysis.walk.deterministic_route_walk` driven by
-      the backend's own ``port_at`` — the same differential contract
+      the encoder's own ``port_at`` — the same differential contract
       the ``walk`` oracle pins on the integer datapath.
     """
     from repro.rns.backends import BACKEND_NAMES, backend_by_name
@@ -792,30 +772,28 @@ def check_backend(case: FuzzCase) -> OracleResult:
 
     result = OracleResult("backend")
     scenario = build_scenario(case)
-    reference = RouteEncoder()
     rng = random.Random(f"verify-backend-{case.seed}")
     graph_ids = sorted(scenario.graph.switch_ids().values())
 
     for name in BACKEND_NAMES:
-        backend = backend_by_name(name)
         try:
-            backend.validate_switch_ids(graph_ids)
+            backend_by_name(name).validate_switch_ids(graph_ids)
             ids_pool = list(graph_ids)
         except (ValueError, CrtError):
-            # the graph's integer pool is infeasible for this backend
+            # the graph's integer pool is infeasible for this ring
             # (XSR on non-GF(2)-coprime IDs) — fuzz on its native pool.
             ids_pool = dual_coprime_pool(max(len(graph_ids), 6))
-        backend.prepare(ids_pool)
+        enc = backend_by_name(name, pool=ids_pool)
         for trial in range(_ENCODER_TRIALS):
             k = rng.randrange(2, min(len(ids_pool), 8) + 1)
             ids = rng.sample(ids_pool, k)
-            ports = [rng.randrange(backend.residue_space(s)) for s in ids]
+            ports = [rng.randrange(enc.residue_space(s)) for s in ids]
             hops = [Hop(s, p) for s, p in zip(ids, ports)]
             label = f"[{name}] trial {trial}: system {list(zip(ports, ids))}"
 
-            route = backend.encode(hops)
+            route = enc.encode(hops)
             result.check(
-                backend.decode(route.route_id, ids) == ports
+                enc.decode(route.route_id, ids) == ports
                 and [route.port_at(s) for s in ids] == ports,
                 lambda l=label, r=route: (
                     f"decode(encode(hops)) does not recover the ports at "
@@ -823,28 +801,27 @@ def check_backend(case: FuzzCase) -> OracleResult:
                 ),
             )
             result.check(
-                backend.header_bits(route.modulus) == route.bit_length,
+                enc.header_bits(route.modulus) == route.bit_length,
                 lambda l=label, r=route: (
                     f"header_bits({r.modulus}) disagrees with the route's "
                     f"bit_length {r.bit_length} at {l}"
                 ),
             )
-            if name != "xsr":
-                ref_route = reference.encode(hops)
+            if name == "crt":
+                want = crt(ports, ids)
                 result.check(
-                    route == ref_route
-                    and route.residue_map() == ref_route.residue_map(),
-                    lambda l=label, g=route, w=ref_route: (
-                        f"integer backend differs from RouteEncoder at "
-                        f"{l}: backend={g!r} reference={w!r}"
+                    (route.route_id, route.modulus) == want
+                    and route.residue_map() == dict(zip(ids, ports)),
+                    lambda l=label, g=route, w=want: (
+                        f"integer encoder differs from crt() at "
+                        f"{l}: encoder={g!r} reference={w!r}"
                     ),
                 )
 
             # Incremental with_hop must land where a fresh encode lands;
             # without_switch must invert it.
-            enc = backend.encoder()
-            grown = enc.encode(hops[:-1])
-            grown = enc.with_hop(grown, hops[-1])
+            want_shrunk = enc.encode(hops[:-1])
+            grown = enc.with_hop(want_shrunk, hops[-1])
             result.check(
                 (grown.route_id, grown.modulus)
                 == (route.route_id, route.modulus),
@@ -854,7 +831,6 @@ def check_backend(case: FuzzCase) -> OracleResult:
                 ),
             )
             shrunk = enc.without_switch(grown, ids[-1])
-            want_shrunk = enc.encode(hops[:-1])
             result.check(
                 (shrunk.route_id, shrunk.modulus)
                 == (want_shrunk.route_id, want_shrunk.modulus),
@@ -864,38 +840,22 @@ def check_backend(case: FuzzCase) -> OracleResult:
                 ),
             )
 
-    # Integer backends: the full case run must be bit-identical to the
-    # default datapath (decode hook None, same controller numbers).
-    ks_ref, src, sink = _run_case_sim(case, scenario, case.strategy, case.ttl)
-    ref = _outcome_record(ks_ref, src, sink)
-    ref_paths = ks_ref.tracer._paths
-    for name in ("crt", "pooled"):
-        ks_b, src, sink = _run_case_sim(
-            case, scenario, case.strategy, case.ttl, backend=name
-        )
-        got = _outcome_record(ks_b, src, sink)
-        for key in ref:
+            # with_port must land where a fresh encode of the mutated
+            # hop list lands.
+            new_port = rng.randrange(enc.residue_space(ids[0]))
+            moved = enc.with_port(route, ids[0], new_port)
+            want_moved = enc.encode([Hop(ids[0], new_port)] + hops[1:])
             result.check(
-                got[key] == ref[key],
-                lambda key=key, name=name, got=got: (
-                    f"[{name}] outcome[{key}] differs from the default "
-                    f"datapath: default={ref[key]!r} {name}={got[key]!r}"
+                moved == want_moved,
+                lambda l=label, p=new_port, g=moved, w=want_moved: (
+                    f"with_port(switch {ids[0]} -> {p}) differs from a "
+                    f"fresh encode at {l}: got={g!r} want={w!r}"
                 ),
             )
-        # Packet uids come from a process-global counter — traces pair
-        # up in uid order, the same pairing check_datapaths uses.
-        got_paths = ks_b.tracer._paths
-        result.check(
-            [got_paths[u] for u in sorted(got_paths)]
-            == [ref_paths[u] for u in sorted(ref_paths)],
-            lambda name=name: (
-                f"[{name}] hop traces differ from the default datapath"
-            ),
-        )
 
     # XSR: run the case statically (the walk model has no clock) and
     # diff the simulator against the pure-graph walk driven by the
-    # backend's own port_at.
+    # encoder's own port_at.
     xsr = backend_by_name("xsr")
     down = tuple({tuple(sorted((a, b))) for a, b, _, _ in case.failures})
     ks = KarSimulation(

@@ -50,10 +50,9 @@ class TestRunEncodingBench:
             assert row["encode_per_sec"] > 0
             assert row["decode_per_sec"] > 0
             assert row["median_bits"] is not None
-        # pooled shares crt's modulus, so it shares crt's bit rows.
         assert (
-            cell["backends"]["pooled"]["median_bits"]
-            == cell["backends"]["crt"]["median_bits"]
+            cell["backends"]["crt"]["median_bits"]
+            == cell["assigners"]["crt/greedy"]["median_bits"]
         )
 
     def test_weighted_assigner_saves_bits(self, result):

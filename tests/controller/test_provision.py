@@ -134,18 +134,35 @@ class TestInvalidation:
     def test_topology_change_rebuilds_everything(self, six):
         eng = ProvisioningEngine(six)
         eng.provision("E-S", "E-D")
-        old = (eng.pool, eng.encoder, eng.delta, eng.planner)
+        old = (eng.encoder.pool, eng.planner)
         assert eng.trees_built == 1
         eng.note_topology_change()
         assert eng.epoch == 1
         assert all(new is not was for new, was in zip(
-            (eng.pool, eng.encoder, eng.delta, eng.planner), old
+            (eng.encoder.pool, eng.planner), old
         ))
         # The tree rebuilds in the new epoch rather than being served
         # from the old one.
         p = eng.provision("E-S", "E-D")
         assert eng.trees_built == 2
         assert (p.route.route_id, p.route.modulus) == (44, 308)
+
+    def test_stats_stay_cumulative_across_rebuilds(self, six):
+        eng = ProvisioningEngine(six)
+        p = eng.provision("E-S", "E-D")
+        eng.reroute_hop(p.route, "SW7", "SW5")
+        eng.provision("E-S", "E-D")  # subset hit
+        before = eng.stats()
+        assert before["encoder"] == {"pooled": 2, "fallback": 0}
+        assert before["delta"]["applied"] == 1
+        assert before["subsets"] == {"built": 1, "hits": 1}
+        eng.note_topology_change()
+        assert eng.stats()["subsets"] == before["subsets"]
+        eng.provision("E-S", "E-D")
+        after = eng.stats()
+        assert after["encoder"] == {"pooled": 3, "fallback": 0}
+        assert after["delta"] == before["delta"]
+        assert after["subsets"] == {"built": 2, "hits": 1}
 
     def test_tree_records_its_epoch(self, six):
         eng = ProvisioningEngine(six)
@@ -165,8 +182,8 @@ class TestRerouteHop:
             for h in p.route.hops
         ]
         assert updated == RouteEncoder().encode(hops)
-        assert eng.delta.deltas_applied == 1
-        assert eng.delta.full_solves == 0
+        assert eng.encoder.deltas_applied == 1
+        assert eng.encoder.full_solves == 0
 
     def test_reroute_rejects_non_link(self, six):
         eng = ProvisioningEngine(six)

@@ -216,11 +216,11 @@ class _FixedService:
 class TestDeltaReencodeService:
     def _service(self, entries):
         from repro.controller.retry import DeltaReencodeService
-        from repro.rns import PoolContext, ReencodeDelta
+        from repro.rns import PoolContext, RouteEncoder
 
         inner = _FixedService(entries)
-        delta = ReencodeDelta(PoolContext([4, 5, 7, 11]))
-        return DeltaReencodeService(inner, delta), inner
+        encoder = RouteEncoder(PoolContext([4, 5, 7, 11]))
+        return DeltaReencodeService(inner, encoder), inner
 
     @staticmethod
     def _entry(hops, out_port=0):

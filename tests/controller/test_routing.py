@@ -97,9 +97,9 @@ class TestCorePathBetweenEdges:
 
 class TestDeltaReencodeRoute:
     def _delta(self, scn):
-        from repro.rns import PoolContext, ReencodeDelta
+        from repro.rns import PoolContext
 
-        return ReencodeDelta(PoolContext.from_graph(scn.graph))
+        return RouteEncoder(PoolContext.from_graph(scn.graph))
 
     def test_matches_fresh_encode(self, scn):
         from repro.controller import delta_reencode_route

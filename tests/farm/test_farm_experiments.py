@@ -103,6 +103,31 @@ class TestFailureEquivalence:
             timeline=wider
         ).content_key()
 
+    def test_env_backend_lands_in_the_key(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        default = tiny_spec()
+        monkeypatch.setenv("REPRO_BACKEND", "xsr")
+        swept = tiny_spec()
+        assert swept.content_key() == tiny_spec(backend="xsr").content_key()
+        assert swept.content_key() != default.content_key()
+
+    @pytest.mark.parametrize("name", ["pooled", "base64"])
+    def test_unknown_env_backend_fails_at_spec_build(self, monkeypatch, name):
+        # A retired or mistyped name must never run silently under a
+        # default: both resolution sites refuse before any simulation.
+        monkeypatch.setenv("REPRO_BACKEND", name)
+        with pytest.raises(ValueError, match=r"\['crt', 'xsr'\]"):
+            tiny_spec()
+        with pytest.raises(ValueError, match=r"\['crt', 'xsr'\]"):
+            run_failure_experiment(
+                scenario_factory(FAILURE_ARGS["scenario"])(),
+                FAILURE_ARGS["deflection"],
+                FAILURE_ARGS["protection"],
+                FAILURE_ARGS["failure"],
+                FAILURE_ARGS["seed"],
+                timeline=TINY,
+            )
+
 
 class TestChaosEquivalence:
     def test_direct_and_farm_chaos_runs_are_equal(self, tmp_path):

@@ -28,8 +28,8 @@ from repro.topology import attach_host_pair, random_connected, shortest_path
 backend_names = st.sampled_from(BACKEND_NAMES)
 
 
-def _pool_for(backend, rng, size):
-    if backend.name == "xsr":
+def _pool_for(name, rng, size):
+    if name == "xsr":
         return dual_coprime_pool(size)
     from repro.rns.coprime import greedy_coprime_pool
 
@@ -40,9 +40,8 @@ def _pool_for(backend, rng, size):
 @given(name=backend_names, seed=st.integers(0, 10_000))
 def test_encode_decode_identity(name, seed):
     rng = random.Random(seed)
-    backend = backend_by_name(name)
-    pool = _pool_for(backend, rng, 12)
-    backend.prepare(pool)
+    pool = _pool_for(name, rng, 12)
+    backend = backend_by_name(name, pool=pool)
     k = rng.randrange(1, 9)
     ids = rng.sample(pool, k)
     ports = [rng.randrange(backend.residue_space(s)) for s in ids]
@@ -56,7 +55,6 @@ def test_encode_decode_identity(name, seed):
 @given(name=backend_names, seed=st.integers(0, 500),
        extra=st.integers(1, 6))
 def test_walk_delivers_along_encoded_route(name, seed, extra):
-    backend = backend_by_name(name)
     graph = random_connected(
         9, extra_links=extra, seed=seed, min_switch_id=23
     )
@@ -67,7 +65,7 @@ def test_walk_delivers_along_encoded_route(name, seed, extra):
     src_host, dst_host = attach_host_pair(graph, src_sw, dst_sw)
     if name == "xsr":
         reassign_switch_ids(graph, strategy="xsr")
-    backend.prepare(graph.switch_ids().values())
+    backend = backend_by_name(name, pool=sorted(graph.switch_ids().values()))
     route_nodes = shortest_path(graph, src_sw, dst_sw)
     # Hop ports: toward the next core, then out the host-facing port.
     hops = []

@@ -1,80 +1,228 @@
-"""Tests for the pluggable encoding backends."""
+"""The ring contract: one property suite every registered encoder passes.
+
+``RouteEncoder`` writes encode / decode / with_hop / without_switch /
+with_port once over five ring primitives; a ring (the integers, or
+GF(2)[X] in ``XsrEncoder``) supplies the primitives.  Everything here is
+parametrized over ``BACKEND_NAMES``, so a third ring inherits the whole
+suite by registering its name.  The integer ring is exercised twice —
+holding a ``PoolContext`` (dot-product solve, single-addend
+``with_port``) and pool-less (the validating ``crt()``) — and both must
+be bit-identical to a fresh ``crt()`` solve.  What only a pool can do
+(off-pool fallback, inconsistent-modulus refusal, the path counters)
+is pinned in ``test_pool.py``.
+"""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.rns import (
     BACKEND_NAMES,
     CrtError,
+    DuplicateSwitchError,
     Hop,
+    PoolContext,
     RouteEncoder,
     XsrEncodedRoute,
+    XsrEncoder,
     backend_by_name,
+    crt,
+    greedy_coprime_pool,
 )
 from repro.rns.gf2 import dual_coprime_pool, gf2_degree
 
-DUAL_POOL = dual_coprime_pool(8)
+# One pool per ring for the whole module: pool contexts are long-lived
+# by design, and sharing one across examples also exercises the subset
+# cache under Hypothesis's adversarial subset draws.
+_POOLS = {
+    "crt": greedy_coprime_pool(24, min_value=4),
+    "xsr": dual_coprime_pool(24, min_value=4),
+}
+_CTX = PoolContext(_POOLS["crt"])
 
 
-def _pool_for(name):
-    return DUAL_POOL if name == "xsr" else [23, 29, 31, 37, 41, 43]
+def _encoders(name):
+    """Fresh encoders of one ring: pool-holding (where the ring has a
+    pooled solve) and pool-less."""
+    pooled = backend_by_name(name, pool=_POOLS[name])
+    return [pooled] if pooled.pool is None else [pooled, backend_by_name(name)]
+
+
+@st.composite
+def systems(draw, name, min_size=1, max_size=8):
+    """Random hops over the ring's pool, ports drawn from residue_space."""
+    ring = backend_by_name(name)
+    ids = draw(st.lists(st.sampled_from(_POOLS[name]), min_size=min_size,
+                        max_size=max_size, unique=True))
+    return [
+        Hop(s, draw(st.integers(0, ring.residue_space(s) - 1))) for s in ids
+    ]
+
+
+@st.composite
+def mutation_chains(draw, name, max_len=6):
+    """Hops plus a chain of (switch_id, new_port) mutations.
+
+    Chains deliberately include identity mutations (new port equal to
+    the current port) and repeated mutations of the same switch.
+    """
+    ring = backend_by_name(name)
+    hops = draw(systems(name, min_size=2))
+    chain = []
+    for _ in range(draw(st.integers(1, max_len))):
+        sid = draw(st.sampled_from([h.switch_id for h in hops]))
+        chain.append((sid, draw(st.integers(0, ring.residue_space(sid) - 1))))
+    return hops, chain
 
 
 class TestRegistry:
     def test_names_are_sorted_and_complete(self):
-        assert BACKEND_NAMES == ("crt", "pooled", "xsr")
+        assert BACKEND_NAMES == ("crt", "xsr")
+        assert type(backend_by_name("crt")) is RouteEncoder
+        assert type(backend_by_name("xsr")) is XsrEncoder
         for name in BACKEND_NAMES:
             assert backend_by_name(name).name == name
 
     def test_unknown_rejected(self):
-        with pytest.raises(ValueError, match="unknown encoding backend"):
-            backend_by_name("base64")
+        for name in ("base64", "pooled"):
+            with pytest.raises(ValueError, match=r"unknown encoding backend"
+                                                 r".*\['crt', 'xsr'\]"):
+                backend_by_name(name)
+
+    def test_pool_builds_the_integer_context_only(self):
+        assert backend_by_name("crt").pool is None
+        assert backend_by_name("crt", pool=[5, 7, 9]).pool.covers([5, 9])
+        assert backend_by_name("xsr", pool=[3, 7, 11]).pool is None
 
 
 class TestEncodeDecode:
     @pytest.mark.parametrize("name", BACKEND_NAMES)
-    def test_round_trip(self, name):
-        backend = backend_by_name(name)
-        pool = _pool_for(name)
-        backend.prepare(pool)
-        ports = [i % backend.residue_space(s) for i, s in enumerate(pool)]
-        hops = [Hop(s, p) for s, p in zip(pool, ports)]
-        route = backend.encode(hops)
-        assert backend.decode(route.route_id, pool) == ports
-        assert [route.port_at(s) for s in pool] == ports
-        assert backend.header_bits(route.modulus) == route.bit_length
+    @given(data=st.data())
+    def test_round_trip(self, name, data):
+        hops = data.draw(systems(name))
+        ids = [h.switch_id for h in hops]
+        ports = [h.port for h in hops]
+        for enc in _encoders(name):
+            route = enc.encode(hops)
+            assert enc.decode(route.route_id, ids) == ports
+            assert [route.port_at(s) for s in ids] == ports
+            assert [enc.port_at(route.route_id, s) for s in ids] == ports
+            assert enc.header_bits(route.modulus) == route.bit_length
+            assert route.residue_map() == dict(zip(ids, ports))
 
-    @pytest.mark.parametrize("name", ("crt", "pooled"))
-    def test_integer_backends_bit_identical_to_reference(self, name):
-        backend = backend_by_name(name)
-        pool = _pool_for(name)
-        hops = [Hop(s, s % 5) for s in pool]
-        ref = RouteEncoder().encode(hops)
-        route = backend.encode(hops)
-        assert route == ref
-        assert route.residue_map() == ref.residue_map()
+    @pytest.mark.parametrize("pool", [None, _CTX], ids=["crt", "pooled"])
+    @given(hops=systems("crt"))
+    def test_integer_backends_bit_identical_to_reference(self, pool, hops):
+        """Both solve paths of the one integer encoder — the validating
+        crt() and the pooled dot product — land on crt()'s answer."""
+        enc = RouteEncoder(pool)
+        route = enc.encode(hops)
+        assert (route.route_id, route.modulus) == crt(
+            [h.port for h in hops], [h.switch_id for h in hops]
+        )
+        assert route.hops == tuple(hops)
+        assert (enc.pooled_encodes, enc.fallback_encodes) == (
+            (0, 1) if pool is None else (1, 0)
+        )
 
     def test_xsr_bits_are_exact_degree_sum(self):
-        backend = backend_by_name("xsr")
-        hops = [Hop(s, 0) for s in DUAL_POOL[:4]]
-        route = backend.encode(hops)
+        ids = _POOLS["xsr"][:4]
+        route = backend_by_name("xsr").encode([Hop(s, 0) for s in ids])
         assert isinstance(route, XsrEncodedRoute)
-        assert route.bit_length == sum(
-            gf2_degree(s) for s in DUAL_POOL[:4]
-        )
+        assert route.bit_length == sum(gf2_degree(s) for s in ids)
 
     def test_xsr_incremental_ops_match_fresh_encode(self):
-        enc = backend_by_name("xsr").encoder()
-        hops = [Hop(s, i % 2) for i, s in enumerate(DUAL_POOL[:5])]
+        # One worked example beside the property below: 5 dual-coprime
+        # IDs, grow by the last hop, shrink it away again.
+        enc = backend_by_name("xsr")
+        hops = [Hop(s, i % 2) for i, s in enumerate(_POOLS["xsr"][:5])]
         route = enc.encode(hops[:-1])
         grown = enc.with_hop(route, hops[-1])
-        fresh = enc.encode(hops)
-        assert (grown.route_id, grown.modulus) == (
-            fresh.route_id, fresh.modulus
-        )
-        shrunk = enc.without_switch(grown, hops[-1].switch_id)
-        assert (shrunk.route_id, shrunk.modulus) == (
-            route.route_id, route.modulus
-        )
+        assert grown == enc.encode(hops)
+        assert enc.without_switch(grown, hops[-1].switch_id) == route
+
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_duplicate_switch_rejected(self, name):
+        s = _POOLS[name][0]
+        for enc in _encoders(name):
+            with pytest.raises(DuplicateSwitchError):
+                enc.encode([Hop(s, 0), Hop(s, 1)])
+            with pytest.raises(DuplicateSwitchError):
+                enc.with_hop(enc.encode([Hop(s, 0)]), Hop(s, 1))
+
+
+class TestIncremental:
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    @given(data=st.data())
+    def test_with_hop_and_without_switch_match_fresh_encode(self, name, data):
+        hops = data.draw(systems(name, min_size=2))
+        for enc in _encoders(name):
+            shorter = enc.encode(hops[:-1])
+            grown = enc.with_hop(shorter, hops[-1])
+            assert grown == enc.encode(hops)
+            assert grown.residue_map() == {h.switch_id: h.port for h in hops}
+            shrunk = enc.without_switch(grown, hops[-1].switch_id)
+            assert shrunk == shorter
+            assert type(grown) is type(shrunk) is enc.route_type
+
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_without_switch_rejects_unknown_and_last(self, name):
+        a, b = _POOLS[name][:2]
+        for enc in _encoders(name):
+            route = enc.encode([Hop(a, 0)])
+            with pytest.raises(CrtError, match="not encoded"):
+                enc.without_switch(route, b)
+            with pytest.raises(CrtError, match="last hop"):
+                enc.without_switch(route, a)
+
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    @given(data=st.data())
+    @settings(max_examples=100)
+    def test_with_port_chain_equals_fresh_encode(self, name, data):
+        """A chain of with_port steps — identity steps and repeat
+        mutations included — equals a fresh encode of the mutated hop
+        list at every step, whichever path (single addend or full
+        solve) took it."""
+        hops, chain = data.draw(mutation_chains(name))
+        for enc in _encoders(name):
+            route = enc.encode(hops)
+            current = list(hops)
+            changed = 0
+            for sid, new_port in chain:
+                before = route
+                route = enc.with_port(route, sid, new_port)
+                if before.residue_map()[sid] == new_port:
+                    assert route is before
+                else:
+                    changed += 1
+                current = [
+                    Hop(sid, new_port) if h.switch_id == sid else h
+                    for h in current
+                ]
+                fresh = backend_by_name(name).encode(current)
+                assert route == fresh
+                assert route.residue_map() == fresh.residue_map()
+            assert enc.identity_skips == len(chain) - changed
+            if enc.pool is not None:
+                assert (enc.deltas_applied, enc.full_solves) == (changed, 0)
+            else:
+                assert (enc.deltas_applied, enc.full_solves) == (0, changed)
+
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_with_port_unknown_switch_raises(self, name):
+        a, b = _POOLS[name][:2]
+        for enc in _encoders(name):
+            with pytest.raises(CrtError, match="not encoded in this route"):
+                enc.with_port(enc.encode([Hop(a, 1)]), b, 0)
+
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_with_port_out_of_range_raises(self, name):
+        a, b = _POOLS[name][:2]
+        for enc in _encoders(name):
+            route = enc.encode([Hop(a, 1), Hop(b, 0)])
+            with pytest.raises(CrtError, match="out of range|not addressable"):
+                enc.with_port(route, a, enc.residue_space(a))
+            assert (enc.deltas_applied, enc.full_solves) == (0, 0)
 
 
 class TestFeasibility:
@@ -99,9 +247,7 @@ class TestFeasibility:
     def test_integer_backend_accepts_that_pool(self):
         backend_by_name("crt").validate_switch_ids([3, 5, 7])
 
-    def test_pooled_encoder_requires_prepare(self):
-        backend = backend_by_name("pooled")
-        with pytest.raises(CrtError, match="empty pool"):
-            backend.encoder()
-        backend.prepare([5, 7, 9])
-        assert backend.encoder() is backend.encoder()
+    def test_switch_decode_is_none_only_for_the_integer_ring(self):
+        assert backend_by_name("crt").switch_decode() is None
+        xsr = backend_by_name("xsr")
+        assert xsr.switch_decode()(0b1011, 0b111) == xsr.port_at(0b1011, 0b111)

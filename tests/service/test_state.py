@@ -169,8 +169,8 @@ class TestTopologyEvents:
         a, b = records[0].node_path[1], records[0].node_path[2]
         state.topology_event("link_down", a, b)
         after = state.engine.stats()
-        # Same-switch-set repairs fold through ReencodeDelta; no repair
-        # may ever hit the full CRT solver or the fallback encoder.
+        # Same-switch-set repairs fold through with_port addends; no repair
+        # may ever hit the full CRT solver or the off-pool fallback.
         assert after["delta"]["full_solves"] == before["delta"]["full_solves"]
         assert after["encoder"]["fallback"] == before["encoder"]["fallback"]
         assert state.audit() == []

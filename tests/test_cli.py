@@ -203,12 +203,6 @@ class TestBenchEncodingParser:
 
         assert sorted(_BENCH_ENCODING_CELLS) == sorted(CELLS)
 
-    def test_backend_literal_matches_rns_registry(self):
-        from repro.cli import _BACKEND_NAMES
-        from repro.rns import BACKEND_NAMES
-
-        assert _BACKEND_NAMES == BACKEND_NAMES
-
 
 class TestProfileFlag:
     def test_off_by_default(self):
