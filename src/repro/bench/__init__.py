@@ -1,8 +1,8 @@
 """Performance benchmarks for the simulator and control plane.
 
-* :mod:`repro.bench.simbench` — ``repro bench sim``: the vectorized and
-  2-shard epoch engines vs the scalar reference engine, digest-checked
-  before any speedup is reported (writes ``BENCH_sim.json``).
+* :mod:`repro.bench.simbench` — ``repro bench sim``: the vectorized
+  epoch engine vs the scalar reference engine, digest-checked before
+  any speedup is reported (writes ``BENCH_sim.json``).
 * :mod:`repro.bench.encodingbench` — ``repro bench encoding``: the
   backend x assigner matrix over the zoo corpus — bits per route and
   encode/decode throughput per backend, every backend run through the

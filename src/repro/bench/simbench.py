@@ -4,9 +4,9 @@ For each (topology size, deflection strategy) cell the benchmark builds
 one seeded epoch-model workload (:mod:`repro.sim.vector`) — a random
 connected core, a flow mesh and mid-run link failures on flow 0's
 route, so every strategy exercises its deflection fallback as well as
-the steady state — and runs it through three engines: the scalar
-reference (:func:`~repro.sim.vector.run_epoch_reference`), the
-vectorized engine and the 2-shard engine (:mod:`repro.sim.shard`).
+the steady state — and runs it through both engines: the scalar
+reference (:func:`~repro.sim.vector.run_epoch_reference`) and the
+vectorized engine (:func:`~repro.sim.vector.run_epoch_vector`).
 **Every cell is digest-verified against the reference engine before a
 single timing repeat runs**: a speedup over a run that computed
 something different is meaningless.
@@ -14,9 +14,10 @@ something different is meaningless.
 DES throughput is not measured here; that is the ``paper15-tcp-des``
 workload of ``benchmarks/e2e``.
 
-Results land in ``BENCH_sim.json``; CI runs ``--quick`` and asserts
-only ``digests_match_reference`` and run-to-run digest identity (never
-wall-clock — shared runners make absolute thresholds flaky).
+Results land in ``BENCH_sim.json``; tier-1 runs the quick/small matrix
+and asserts only ``digests_match_reference`` and per-cell digest
+identity (never wall-clock — shared runners make absolute thresholds
+flaky).
 """
 
 from __future__ import annotations
@@ -84,11 +85,9 @@ def _run_epoch_cells(
     strategies: Sequence[str],
     seed: int,
     repeats: int,
-    shard_processes: bool,
 ) -> List[Dict[str, Any]]:
-    """The epoch-datapath matrix: verify every engine's digest against
-    the scalar reference **before** any timing repeat runs."""
-    from repro.sim.shard import run_epoch_sharded
+    """The epoch-datapath matrix: verify the vector engine's digest
+    against the scalar reference **before** any timing repeat runs."""
     from repro.sim.vector import (
         build_workload,
         run_epoch_reference,
@@ -106,20 +105,14 @@ def _run_epoch_cells(
             ref = run_epoch_reference(workload)
             ref_wall = time.perf_counter() - ref_start
             vec = run_epoch_vector(workload)
-            sh = run_epoch_sharded(
-                workload, shards=2, processes=shard_processes
-            )
-            for engine, outcome in (("vector", vec), ("shard2", sh)):
-                if outcome.digest != ref.digest:
-                    raise RuntimeError(
-                        f"epoch {engine} engine diverged from reference: "
-                        f"{size}/{strategy} ({outcome.digest} vs "
-                        f"{ref.digest})"
-                    )
+            if vec.digest != ref.digest:
+                raise RuntimeError(
+                    f"epoch vector engine diverged from reference: "
+                    f"{size}/{strategy} ({vec.digest} vs {ref.digest})"
+                )
 
-            # --- timing pass (interleaved, min wall per engine).
+            # --- timing pass (min wall over the repeats).
             vec_times: List[float] = []
-            shard_times: List[float] = []
             for _ in range(repeats):
                 start = time.perf_counter()
                 timed = run_epoch_vector(workload)
@@ -128,16 +121,7 @@ def _run_epoch_cells(
                     raise RuntimeError(
                         f"non-deterministic vector run: {size}/{strategy}"
                     )
-                start = time.perf_counter()
-                timed = run_epoch_sharded(
-                    workload, shards=2, processes=shard_processes
-                )
-                shard_times.append(time.perf_counter() - start)
-                if timed.digest != ref.digest:
-                    raise RuntimeError(
-                        f"non-deterministic shard run: {size}/{strategy}"
-                    )
-            vec_s, shard_s = min(vec_times), min(shard_times)
+            vec_s = min(vec_times)
             forwarded = ref.record["hops"]
             cells.append({
                 "size": size,
@@ -156,12 +140,6 @@ def _run_epoch_cells(
                         round(forwarded / vec_s) if vec_s > 0 else None
                     ),
                     "forwarded_per_min": _per_min(forwarded, vec_s),
-                },
-                "shard2": {
-                    "wall_s": round(shard_s, 4),
-                    "processes": shard_processes,
-                    "handoff_checks": sh.meta["handoff_checks"],
-                    "forwarded_per_min": _per_min(forwarded, shard_s),
                 },
                 "speedup_vs_reference": (
                     round(ref_wall / vec_s, 3) if vec_s > 0 else None
@@ -182,17 +160,16 @@ def run_sim_bench(
 ) -> Dict[str, Any]:
     """Run the epoch datapath benchmark matrix; optionally write *out*.
 
-    ``quick`` trims the matrix for CI smoke runs (small+medium, shards
-    in-process; the digest checks still cover every cell).
+    ``quick`` trims the matrix for smoke runs (small+medium; the digest
+    checks still cover every cell).
 
-    Each timed cell runs ``repeats`` times per engine (interleaved, so
-    OS scheduling drift hits all engines alike) and reports the
-    **minimum** wall time — the standard estimator for wall-clock
+    Each timed cell runs the vector engine ``repeats`` times and reports
+    the **minimum** wall time — the standard estimator for wall-clock
     microbenchmarks, since noise on a quiet deterministic workload is
     strictly additive.  Every repeat must produce the same digest (the
     simulation is seeded), which doubles as a determinism check, and
-    vector and sharded digests are verified against the reference
-    engine *before* the first timing repeat.
+    the vector digest is verified against the reference engine *before*
+    the first timing repeat.
     """
     if sizes is None:
         sizes = ("small", "medium") if quick else ("small", "medium", "large")
@@ -206,9 +183,7 @@ def run_sim_bench(
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
 
-    epoch_runs = _run_epoch_cells(
-        sizes, strategies, seed, repeats, shard_processes=not quick
-    )
+    epoch_runs = _run_epoch_cells(sizes, strategies, seed, repeats)
     best_vector_per_min = max(
         (c["vector"]["forwarded_per_min"] or 0 for c in epoch_runs),
         default=0,
@@ -236,17 +211,16 @@ def run_sim_bench(
 def render_sim_bench(result: Dict[str, Any]) -> str:
     epoch = result["epoch"]
     lines = [
-        f"sim bench — epoch datapath, vectorized / 2-shard vs scalar "
+        f"sim bench — epoch datapath, vectorized vs scalar "
         f"reference (seed {result['seed']}, {result['cpu_count']} CPU(s))",
         f"  {'size':<8} {'strategy':<9} {'forwarded':>10} "
-        f"{'fwd/min vec':>12} {'fwd/min sh2':>12} {'vs ref':>8}  digests",
+        f"{'fwd/min vec':>12} {'vs ref':>8}  digests",
     ]
     for r in epoch["runs"]:
         lines.append(
             f"  {r['size']:<8} {r['strategy']:<9} "
             f"{r['forwarded']:>10} "
             f"{r['vector']['forwarded_per_min']:>12} "
-            f"{r['shard2']['forwarded_per_min']:>12} "
             f"{r['speedup_vs_reference']:>7}x  "
             f"{'match' if r['digests_match'] else 'MISMATCH'}"
         )

@@ -312,11 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
     perf_sub = perf.add_subparsers(dest="bench_command", required=True)
     sim = perf_sub.add_parser(
         "sim",
-        help="epoch datapath forwarded/min: vectorized + 2-shard engines "
-             "vs the scalar reference, with bit-identical digest checks",
+        help="epoch datapath forwarded/min: the vectorized engine vs the "
+             "scalar reference, with bit-identical digest checks",
     )
     sim.add_argument("--quick", action="store_true",
-                     help="CI smoke matrix (small+medium, fewer repeats)")
+                     help="smoke matrix (small+medium, fewer repeats)")
     sim.add_argument("--sizes", nargs="+", choices=_BENCH_SIZES,
                      default=None, metavar="SIZE",
                      help="topology sizes to run "

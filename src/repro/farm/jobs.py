@@ -67,7 +67,6 @@ __all__ = [
     "frontier_cell_from_record",
     "service_spec",
     "bulkmesh_spec",
-    "simvector_spec",
     "echo_spec",
 ]
 
@@ -521,69 +520,6 @@ def _run_bulkmesh(spec: RunSpec) -> Dict[str, Any]:
             "mesh_digest": digest,
         }
     }
-
-
-# ---------------------------------------------------------------------------
-# "simvector" — one epoch-model engine run (reference/vector/sharded)
-# ---------------------------------------------------------------------------
-
-def simvector_spec(
-    workload: Mapping[str, Any],
-    mode: str = "vector",
-    shards: int = 2,
-    processes: bool = False,
-) -> RunSpec:
-    """Spec for one epoch-datapath run.
-
-    ``workload`` is a plain workload spec for
-    :func:`repro.sim.vector.build_workload` (the import-time
-    ``WORKLOAD_BUILDERS`` registry rebuilds it in any worker).  ``mode``
-    selects the engine: ``reference`` (the scalar oracle loop),
-    ``vector`` (numpy batches) or ``sharded`` (epoch-barrier handoffs;
-    ``shards``/``processes`` apply).  All engines must produce the same
-    record digest — which makes this job a farm-schedulable
-    equivalence check as well as a workhorse.
-    """
-    if mode not in ("reference", "vector", "sharded"):
-        raise ValueError(f"unknown simvector mode {mode!r}")
-    return RunSpec.make(
-        "simvector",
-        str(workload.get("kind", "synthetic")),
-        int(workload.get("seed", 0)),
-        {
-            "workload": dict(workload),
-            "mode": mode,
-            "shards": shards,
-            "processes": bool(processes),
-        },
-    )
-
-
-@job_kind("simvector")
-def _run_simvector(spec: RunSpec) -> Dict[str, Any]:
-    from repro.sim.vector import (
-        build_workload,
-        run_epoch_reference,
-        run_epoch_vector,
-    )
-
-    workload = build_workload(spec.params["workload"])
-    mode = spec.params["mode"]
-    if mode == "reference":
-        outcome = run_epoch_reference(workload)
-    elif mode == "vector":
-        outcome = run_epoch_vector(workload)
-    else:
-        from repro.sim.shard import run_epoch_sharded
-
-        outcome = run_epoch_sharded(
-            workload,
-            shards=int(spec.params.get("shards", 2)),
-            processes=bool(spec.params.get("processes", False)),
-        )
-    # Nested under "sim" so the engine's own digest survives intact
-    # next to the job-level digest execute_spec adds.
-    return {"sim": outcome.record, "mode": mode}
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,7 @@ bit-identical outcome records (digested with
   ``decide`` — the same method on the same per-switch RNG stream in
   the same queue order, so every draw is the reference's draw.
 
-Canonical model (shared by both engines, and by the sharded engine in
-:mod:`repro.sim.shard`):
+Canonical model (shared by both engines):
 
 1. At each epoch start, scheduled link flips apply in sorted link-key
    order; then this epoch's injections append to their ingress
@@ -89,12 +88,9 @@ __all__ = [
     "run_epoch_reference",
     "run_epoch_vector",
     "EpochCore",
-    "process_epoch_batch",
-    "injection_batch",
     "iter_injections",
     "rng_state_digest",
     "merge_rng_fragments",
-    "finalize_traces",
 ]
 
 #: (epoch, a, b) — toggle the a-b link's state at the start of *epoch*.
@@ -109,11 +105,7 @@ def rng_state_digest(rng: random.Random) -> str:
 
 
 def merge_rng_fragments(fragments: Sequence[Tuple[str, str]]) -> str:
-    """Combine per-switch RNG fingerprints (name order) into one.
-
-    Shards ship fragments instead of raw states, so the sharded
-    engine's merged fingerprint is byte-equal to the unsharded ones.
-    """
+    """Combine per-switch RNG fingerprints (name order) into one."""
     h = hashlib.sha256()
     for name, frag in sorted(fragments):
         h.update(f"{name}:{frag};".encode("utf-8"))
@@ -203,6 +195,24 @@ class EpochWorkload:
     flips: Tuple[FlipEvent, ...]
     spec: Dict[str, Any]
 
+    def __post_init__(self) -> None:
+        # A bad flip would otherwise surface mid-run as a bare KeyError
+        # (unknown link) or never apply at all (negative epoch).
+        for flip in self.flips:
+            try:
+                epoch, a, b = flip
+                ok = (
+                    isinstance(epoch, int) and epoch >= 0
+                    and (min(a, b), max(a, b)) in self.topo.links
+                )
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise ValueError(
+                    f"bad flip {flip!r}: want (epoch >= 0, a, b) with a-b "
+                    f"a link of the topology"
+                )
+
     @property
     def injected_total(self) -> int:
         return len(self.flows) * self.inject_per_epoch * self.inject_epochs
@@ -223,7 +233,6 @@ class EpochOutcome:
     record: Dict[str, Any]
     fates: Optional[Dict[int, Tuple[Any, ...]]] = None
     traces: Optional[Dict[int, Tuple[Tuple[Any, ...], ...]]] = None
-    meta: Optional[Dict[str, Any]] = None
 
     @property
     def digest(self) -> str:
@@ -235,8 +244,8 @@ class EpochOutcome:
 # ---------------------------------------------------------------------------
 
 #: spec["kind"] -> builder.  Populated at import time so spawn-started
-#: shard workers (which re-import this module) can rebuild any workload
-#: from its plain spec record — the same discipline as
+#: workers (which re-import this module) can rebuild any workload from
+#: its plain spec record — the same discipline as
 #: :data:`repro.farm.jobs.JOB_KINDS`.
 WORKLOAD_BUILDERS: Dict[str, Callable[[Mapping[str, Any]], "EpochWorkload"]] = {}
 
@@ -390,7 +399,7 @@ def iter_injections(
     """Canonical injection list for *epoch*: ``(uid, flow_index)``.
 
     Uids are epoch-major, then flow order, then per-flow count — the
-    shared numbering every engine (and every shard) reproduces.
+    shared numbering every engine reproduces.
     """
     if epoch >= workload.inject_epochs:
         return []
@@ -542,7 +551,6 @@ def run_epoch_reference(
         record=record,
         fates=fates,
         traces={k: tuple(v) for k, v in hops.items()} if trace else None,
-        meta={"engine": "reference"},
     )
 
 
@@ -551,51 +559,38 @@ def run_epoch_reference(
 # ---------------------------------------------------------------------------
 
 class EpochCore:
-    """Vectorized switch state for a (subset of a) topology.
+    """Vectorized switch state for a topology.
 
-    Owns per-switch counters, RNG streams and residue arrays for the
-    switches in ``owned`` (all core switches by default — the sharded
-    engine passes each shard's block).  Carrier state covers the whole
-    topology: flips are global knowledge, exactly as loss-of-carrier is
-    local-but-instant in the DES model.
+    Owns per-switch counters, RNG streams and residue arrays for every
+    core switch.  Carrier state covers the whole topology: flips are
+    global knowledge, exactly as loss-of-carrier is local-but-instant
+    in the DES model.
     """
 
-    def __init__(
-        self,
-        workload: EpochWorkload,
-        owned: Optional[Sequence[int]] = None,
-        trace: bool = False,
-    ):
+    def __init__(self, workload: EpochWorkload, trace: bool = False):
         topo = workload.topo
         self.workload = workload
         self.topo = topo
         self.strategy = strategy_by_name(workload.strategy)
-        self.owned: Tuple[int, ...] = tuple(
-            int(u) for u in (owned if owned is not None else topo.core_indices)
-        )
+        core = topo.core_indices
         registry = RngRegistry(workload.seed)
         self.rngs: Dict[int, random.Random] = {
-            u: registry.stream(f"deflect:{topo.names[u]}") for u in self.owned
+            u: registry.stream(f"deflect:{topo.names[u]}") for u in core
         }
         self.up: List[np.ndarray] = topo.fresh_up_state()
-        # What decide() sees: each owned switch's up ports as plain ints.
+        # What decide() sees: each core switch's up ports as plain ints.
         self.healthy: Dict[int, Tuple[int, ...]] = {
-            u: tuple(range(topo.degree[u])) for u in self.owned
+            u: tuple(range(topo.degree[u])) for u in core
         }
         # counters[u] = [forwarded, deflections, drops]
-        self.counters: Dict[int, List[int]] = {
-            u: [0, 0, 0] for u in self.owned
-        }
+        self.counters: Dict[int, List[int]] = {u: [0, 0, 0] for u in core}
         self.drop_reasons: Dict[str, int] = {}
         self.delivered = 0
         self.misdelivered: Dict[str, int] = {}
         self.trace = trace
         self.fates: Dict[int, Tuple[Any, ...]] = {}
-        # uid -> [(epoch, switch, in_port, out_port, deflected), ...].
-        # The epoch stamp exists so shard-local fragments can be merged
-        # into global hop order; finalize_traces() strips it.
+        # uid -> [(switch, in_port, out_port, deflected), ...] in hop order.
         self.traces: Dict[int, List[Tuple[Any, ...]]] = {}
-        self.epoch = -1  # bumped by process_epoch_batch
         # Lazily-built per-switch residue arrays over flows.
         self._residues: Dict[int, np.ndarray] = {}
         self._flow_egress = np.array(
@@ -739,7 +734,7 @@ class EpochCore:
         if self.trace:
             for w in range(len(uid)):
                 self.traces.setdefault(int(uid[w]), []).append(
-                    (self.epoch, name, int(in_port[w]), int(out_port[w]),
+                    (name, int(in_port[w]), int(out_port[w]),
                      bool(hop_defl[w]))
                 )
         is_core = self.topo.core_mask[peers]
@@ -831,11 +826,8 @@ def process_epoch_batch(
     """One epoch over *batch*: group per switch, drain each in one pass.
 
     The stable sort groups per-switch queues without perturbing arrival
-    order (sender index, emission order) inside one.  Shared by the
-    unsharded engine and each shard (whose batches only contain its own
-    switches).
+    order (sender index, emission order) inside one.
     """
-    core.epoch += 1
     sw = batch["sw"]
     if not len(sw):
         return _empty_batch()
@@ -856,20 +848,6 @@ def process_epoch_batch(
             batch["uid"][sel],
         ))
     return _concat_batches(outputs)
-
-
-def finalize_traces(
-    raw: Mapping[int, Sequence[Tuple[Any, ...]]],
-) -> Dict[int, Tuple[Tuple[Any, ...], ...]]:
-    """Order each uid's epoch-stamped hops globally and strip the stamp.
-
-    A packet visits at most one switch per epoch, so sorting the merged
-    shard fragments by epoch reconstructs the exact reference hop order.
-    """
-    return {
-        uid: tuple(entry[1:] for entry in sorted(entries))
-        for uid, entries in raw.items()
-    }
 
 
 def run_epoch_vector(
@@ -895,6 +873,7 @@ def run_epoch_vector(
     return EpochOutcome(
         record=record,
         fates=core.fates if trace else None,
-        traces=finalize_traces(core.traces) if trace else None,
-        meta={"engine": "vector"},
+        traces=(
+            {k: tuple(v) for k, v in core.traces.items()} if trace else None
+        ),
     )

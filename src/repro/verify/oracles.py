@@ -32,8 +32,8 @@ diffs the outcomes:
   :func:`~repro.rns.crt.crt` solver on the case's switch-ID pool:
   fuzzed subsets, ``with_port`` mutation chains, identity mutations,
   off-pool fallback, and error parity on malformed systems.
-* ``vector`` — the vectorized and sharded epoch engines vs the scalar
-  reference engine: records, digests, hop traces and terminal fates.
+* ``vector`` — the vectorized epoch engine vs the scalar reference
+  engine: records, digests, hop traces and terminal fates.
 * ``backend`` — every registered encoder
   (:data:`repro.rns.backends.BACKEND_NAMES`) vs the reference
   semantics: encoder contract fuzzing (the integer ring bit-identical
@@ -937,7 +937,7 @@ def check_backend(case: FuzzCase) -> OracleResult:
 
 
 # ---------------------------------------------------------------------------
-# (f) epoch datapath: scalar reference engine vs vector vs sharded
+# (f) epoch datapath: scalar reference engine vs vector
 # ---------------------------------------------------------------------------
 
 def vector_workload_spec(case: FuzzCase) -> Dict[str, Any]:
@@ -974,14 +974,13 @@ def vector_workload_spec(case: FuzzCase) -> Dict[str, Any]:
 
 
 def check_vector(case: FuzzCase) -> OracleResult:
-    """Vector and sharded epoch engines vs the reference engine.
+    """Vector epoch engine vs the reference engine.
 
     Decision-by-decision: full outcome records (counters, drop reasons,
     RNG fingerprints), record digests, per-packet hop traces (port and
     deflected flag at every hop) and terminal fates must all match the
     scalar reference run.
     """
-    from repro.sim.shard import run_epoch_sharded
     from repro.sim.vector import (
         build_workload,
         run_epoch_reference,
@@ -991,53 +990,48 @@ def check_vector(case: FuzzCase) -> OracleResult:
     result = OracleResult("vector")
     workload = build_workload(vector_workload_spec(case))
     ref = run_epoch_reference(workload, trace=True)
-    shards = min(2, len(workload.topo.core_indices))
-    contenders = [
-        ("vector", run_epoch_vector(workload, trace=True)),
-        ("sharded", run_epoch_sharded(workload, shards=shards, trace=True)),
-    ]
-    for engine, out in contenders:
-        for key in ref.record:
+    out = run_epoch_vector(workload, trace=True)
+    for key in ref.record:
+        result.check(
+            out.record[key] == ref.record[key],
+            lambda key=key: (
+                f"vector: record[{key}] differs: "
+                f"reference={ref.record[key]!r} vector={out.record[key]!r}"
+            ),
+        )
+    result.check(
+        out.digest == ref.digest,
+        lambda: (
+            f"vector: digest differs: reference={ref.digest} "
+            f"vector={out.digest}"
+        ),
+    )
+    ref_traces = ref.traces or {}
+    out_traces = out.traces or {}
+    if result.check(
+        sorted(out_traces) == sorted(ref_traces),
+        lambda: (
+            f"vector: traced uid sets differ: "
+            f"reference={len(ref_traces)} vector={len(out_traces)}"
+        ),
+    ):
+        for uid in sorted(ref_traces):
             result.check(
-                out.record[key] == ref.record[key],
-                lambda key=key, engine=engine, out=out: (
-                    f"{engine}: record[{key}] differs: "
-                    f"reference={ref.record[key]!r} {engine}={out.record[key]!r}"
+                out_traces[uid] == ref_traces[uid],
+                lambda uid=uid: (
+                    f"vector: hop trace differs for uid {uid}: "
+                    f"reference={ref_traces[uid]!r} "
+                    f"vector={out_traces[uid]!r}"
                 ),
             )
-        result.check(
-            out.digest == ref.digest,
-            lambda engine=engine, out=out: (
-                f"{engine}: digest differs: reference={ref.digest} "
-                f"{engine}={out.digest}"
-            ),
-        )
-        ref_traces = ref.traces or {}
-        out_traces = out.traces or {}
-        if result.check(
-            sorted(out_traces) == sorted(ref_traces),
-            lambda engine=engine, out_traces=out_traces: (
-                f"{engine}: traced uid sets differ: "
-                f"reference={len(ref_traces)} {engine}={len(out_traces)}"
-            ),
-        ):
-            for uid in sorted(ref_traces):
-                result.check(
-                    out_traces[uid] == ref_traces[uid],
-                    lambda uid=uid, engine=engine, out_traces=out_traces: (
-                        f"{engine}: hop trace differs for uid {uid}: "
-                        f"reference={ref_traces[uid]!r} "
-                        f"{engine}={out_traces[uid]!r}"
-                    ),
-                )
-        result.check(
-            (out.fates or {}) == (ref.fates or {}),
-            lambda engine=engine, out=out: (
-                f"{engine}: terminal fates differ "
-                f"(reference={len(ref.fates or {})} fates, "
-                f"{engine}={len(out.fates or {})})"
-            ),
-        )
+    result.check(
+        (out.fates or {}) == (ref.fates or {}),
+        lambda: (
+            f"vector: terminal fates differ "
+            f"(reference={len(ref.fates or {})} fates, "
+            f"vector={len(out.fates or {})})"
+        ),
+    )
     return result
 
 

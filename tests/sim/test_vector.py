@@ -6,9 +6,10 @@ ports, deflected flags, drop reasons) and its *RNG stream positions*,
 not just aggregate counts.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.farm.jobs import execute_spec, simvector_spec
 from repro.sim.vector import (
     EpochTopology,
     build_workload,
@@ -65,6 +66,25 @@ class TestWorkloadBuild:
         wl = build_workload(small_spec())
         assert wl.topo.names == tuple(sorted(wl.topo.names))
         assert isinstance(wl.topo, EpochTopology)
+
+    def test_bad_flip_rejected_at_build(self):
+        # Unknown link: used to be a bare KeyError mid-run.  Negative
+        # epoch: used to be silently never applied.
+        a, b = next(iter(build_workload(small_spec()).topo.links))
+        for flip in ((1, a, "NOPE"), (-1, a, b)):
+            with pytest.raises(ValueError, match="bad flip") as err:
+                build_workload(small_spec(extra_flips=[flip]))
+            assert repr(flip) in str(err.value)
+
+    def test_bad_flip_rejected_on_direct_construction(self):
+        # dataclasses.replace builds a new EpochWorkload through __init__.
+        wl = build_workload(small_spec())
+        a, b = next(iter(wl.topo.links))
+        good = dataclasses.replace(wl, flips=((0, b, a),))  # either order
+        assert good.flips_at(0) == ((a, b),)
+        for flip in ((0, a, "NOPE"), (-1, a, b), (1.5, a, b), (0, a)):
+            with pytest.raises(ValueError, match="bad flip"):
+                dataclasses.replace(wl, flips=(flip,))
 
 
 class TestEngineEquality:
@@ -131,17 +151,57 @@ class TestEngineEquality:
         assert healthy.digest != failed.digest
 
 
-class TestSimvectorJob:
-    def test_all_modes_same_digest_via_farm(self):
-        wl_spec = small_spec(strategy="hp")
-        digests = set()
-        for mode in ("reference", "vector", "sharded"):
-            spec = simvector_spec(wl_spec, mode=mode)
-            record = execute_spec(spec)
-            assert record["mode"] == mode
-            digests.add(record["sim"]["digest"])
-        assert len(digests) == 1
+class TestHintMutation:
+    def test_wrong_residue_hint_is_a_digest_mismatch(self):
+        # Reference-vs-vector is the only cross-check the epoch path
+        # has, so prove it has teeth: the vector engine trusts the
+        # encode-time residue hint, the reference takes R mod s itself.
+        wl = build_workload(small_spec(link_failures=0))
+        ref = run_epoch_reference(wl)
+        assert run_epoch_vector(wl).digest == ref.digest
+        flow = wl.flows[0]
+        ingress_id = int(wl.topo.switch_ids[flow.ingress])
+        right = flow.residues[ingress_id]
+        wrong = next(
+            p for p in range(wl.topo.degree[flow.ingress])
+            if p not in (right, flow.in_port)
+        )
+        bad_flow = dataclasses.replace(
+            flow, residues={**flow.residues, ingress_id: wrong}
+        )
+        bad = dataclasses.replace(wl, flows=(bad_flow,) + wl.flows[1:])
+        assert run_epoch_reference(bad).digest == ref.digest  # hint ignored
+        assert run_epoch_vector(bad).digest != ref.digest
 
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            simvector_spec(small_spec(), mode="warp")
+
+class TestConservation:
+    def test_reference_engine_conserves_packets(self):
+        wl = build_workload(
+            small_spec(strategy="nip", seed=5, num_switches=7)
+        )
+        ref = run_epoch_reference(wl, trace=True)
+        r = ref.record
+        assert r["injected"] == wl.injected_total
+        assert r["injected"] == (
+            r["delivered"]
+            + sum(r["misdelivered"].values())
+            + sum(r["drop_reasons"].values())
+            + r["live_at_end"]
+        )
+        # Replay the flip schedule beside the hop traces: a packet's
+        # k-th hop happens k epochs after its injection epoch.
+        down_at = {}
+        down = set()
+        for epoch in range(r["epochs"]):
+            down ^= set(wl.flips_at(epoch))
+            down_at[epoch] = frozenset(down)
+        assert any(down_at.values())  # the schedule did bite
+        topo = wl.topo
+        per_epoch = len(wl.flows) * wl.inject_per_epoch
+        for uid, hops in ref.traces.items():
+            for k, (name, in_port, out_port, _) in enumerate(hops):
+                peer = topo.names[int(topo.peer[topo.index[name]][out_port])]
+                link = (min(name, peer), max(name, peer))
+                # no dead-port forward, and NIP never returns to sender
+                assert link not in down_at[uid // per_epoch + k], (uid, k)
+                assert out_port != in_port, (uid, k)

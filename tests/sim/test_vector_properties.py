@@ -1,7 +1,7 @@
 """Property suite: decision-by-decision engine equivalence.
 
 Hypothesis draws random topologies, strategies and failure schedules;
-for every draw the three epoch engines must agree on each packet's
+for every draw the two epoch engines must agree on each packet's
 output ports, per-hop deflected flags and final fate, and on every
 switch's RNG stream position — not merely on aggregate counters.
 """
@@ -9,7 +9,6 @@ switch's RNG stream position — not merely on aggregate counters.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.shard import partition, run_epoch_sharded
 from repro.sim.vector import (
     build_workload,
     run_epoch_reference,
@@ -51,25 +50,12 @@ def test_vector_reproduces_reference_decisions(spec):
 
 
 @settings(max_examples=10, deadline=None)
-@given(spec=specs, shards=st.integers(min_value=1, max_value=3))
-def test_sharded_reproduces_reference_decisions(spec, shards):
-    wl = build_workload(spec)
-    shards = min(shards, len(wl.topo.core_indices))
-    ref = run_epoch_reference(wl, trace=True)
-    shd = run_epoch_sharded(wl, shards=shards, trace=True)
-    assert shd.record == ref.record
-    assert shd.traces == ref.traces
-    assert shd.fates == ref.fates
-
-
-@settings(max_examples=10, deadline=None)
-@given(spec=specs, shards=st.integers(min_value=1, max_value=4))
-def test_shard_boundaries_conserve_packets(spec, shards):
+@given(spec=specs)
+def test_vector_conserves_packets(spec):
     # Reuses the same conservation identity sim/invariants.py enforces
-    # for the DES engine: nothing lost or duplicated at any boundary.
+    # for the DES engine: nothing lost or duplicated at any hop.
     wl = build_workload(spec)
-    shards = min(shards, len(wl.topo.core_indices))
-    r = run_epoch_sharded(wl, shards=shards).record
+    r = run_epoch_vector(wl).record
     assert r["injected"] == wl.injected_total
     assert r["injected"] == (
         r["delivered"]
@@ -78,18 +64,3 @@ def test_shard_boundaries_conserve_packets(spec, shards):
         + r["live_at_end"]
     )
     assert sum(c[0] for c in r["switches"].values()) == r["hops"]
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=40),
-    shards=st.integers(min_value=1, max_value=8),
-)
-def test_partition_covers_exactly(n, shards):
-    indices = list(range(100, 100 + n))
-    if shards > n:
-        shards = n
-    blocks = partition(indices, shards)
-    assert [u for b in blocks for u in b] == indices
-    sizes = [len(b) for b in blocks]
-    assert max(sizes) - min(sizes) <= 1

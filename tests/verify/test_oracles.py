@@ -96,7 +96,7 @@ class TestOraclesCleanOnHealthyCode:
         assert result.checks > 10
 
     def test_vector(self):
-        # The epoch-model oracle: vectorized and sharded engines are
+        # The epoch-model oracle: the vectorized engine is
         # decision-identical to the scalar reference on a fuzz case.
         result = run_oracle("vector", SMALL_CASE)
         assert result.ok, result.divergences[:3]
