@@ -4,9 +4,9 @@ Every benchmark writer used to copy the same three steps — environment
 fields (``cpu_count``/``platform``/``python``), the dual timestamp from
 :mod:`repro.bench.stamp`, and the canonical JSON dump (sorted keys,
 2-space indent, trailing newline).  This module is that copy-paste,
-once: every writer (``BENCH_sim.json``, ``BENCH_farm.json``,
-``BENCH_service.json``, ...) stamps and serializes
-identically, so artifacts stay diffable against each other across PRs.
+once: both writers (``BENCH_encoding.json``, ``BENCH_farm.json``)
+stamp and serialize identically, so artifacts stay diffable against
+each other across PRs.
 """
 
 from __future__ import annotations

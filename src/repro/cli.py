@@ -18,15 +18,6 @@ runner:
   model; ``--shrink`` minimizes divergent cases, ``--replay`` reruns
   a saved divergence artifact.
 * ``farm bench`` — measure the farm's parallel/cache speedups.
-* ``bench sim`` — fast-datapath vs reference benchmark (packets/sec,
-  events/sec, CRT encodes/sec), with bit-identical digest checking.
-* ``bench provision`` — all-pairs provisioning benchmark over real ISP
-  topologies: per-flow naive vs vectorized CSR bulk path, every route
-  ID verified bit-identical to the per-flow reference before timing,
-  with a farm shard gate on destination-block digests.
-* ``bench service`` — controller-service benchmark: provision req/sec,
-  reroute req/sec, p50/p99 latency and admission accept/reject counts,
-  with route-ID bit-identity to the offline engine asserted first.
 * ``bench encoding`` — encoding-backend benchmark over the Topology
   Zoo corpus: bits/route, encode+decode ops/sec per backend (integer
   CRT, XSR), and the weighted assigner's % header-bit
@@ -76,22 +67,11 @@ _FRONTIER_SCHEMES = ("hp", "avp", "nip", "ff", "arb")
 #: Default on-disk result cache for the experiment commands.
 _DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: Kept in sync with repro.bench.simbench.SIZES (asserted by tests);
-#: listed literally so the parser builds without importing the bench.
-_BENCH_SIZES = ("small", "medium", "large")
-
 #: Kept in sync with repro.verify.oracles.ORACLE_NAMES (asserted by
 #: tests); listed literally so the parser builds without importing the
 #: verifier (which pulls in the whole sim stack).
 _ORACLE_NAMES = ("backend", "datapath", "encoder", "strategy", "vector",
                  "walk", "wire")
-
-#: Kept in sync with repro.bench.provisionbench.CELLS (asserted by
-#: tests); listed literally so the parser builds without importing the
-#: bench (which imports numpy).
-_BENCH_PROVISION_CELLS = (
-    "abilene", "fat_tree4", "fat_tree8", "synthwan754",
-)
 
 #: Kept in sync with repro.bench.encodingbench.CELLS (asserted by
 #: tests); listed literally so the parser builds without importing the
@@ -307,77 +287,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "bench",
-        help="performance benchmarks, each verified before it is timed",
+        help="the encoding-backend study (the end-to-end benchmark is "
+             "benchmarks/e2e/run.py)",
     )
     perf_sub = perf.add_subparsers(dest="bench_command", required=True)
-    sim = perf_sub.add_parser(
-        "sim",
-        help="epoch datapath forwarded/min: the vectorized engine vs the "
-             "scalar reference, with bit-identical digest checks",
-    )
-    sim.add_argument("--quick", action="store_true",
-                     help="smoke matrix (small+medium, fewer repeats)")
-    sim.add_argument("--sizes", nargs="+", choices=_BENCH_SIZES,
-                     default=None, metavar="SIZE",
-                     help="topology sizes to run "
-                          f"(choices: {', '.join(_BENCH_SIZES)})")
-    sim.add_argument("--strategies", nargs="+", choices=STRATEGY_NAMES,
-                     default=None, metavar="STRAT",
-                     help="deflection strategies "
-                          f"(choices: {', '.join(STRATEGY_NAMES)})")
-    sim.add_argument("--seed", type=int, default=1)
-    sim.add_argument("--repeats", type=int, default=None, metavar="K",
-                     help="timing repeats per engine, min is reported "
-                          "(default: 2 quick, 3 full)")
-    sim.add_argument("--out", default="BENCH_sim.json",
-                     help="result file (default: %(default)s)")
-    provision = perf_sub.add_parser(
-        "provision",
-        help="all-pairs provisioning benchmark: per-flow naive vs "
-             "vectorized CSR bulk path, every route ID verified "
-             "bit-identical before timing",
-    )
-    provision.add_argument("--quick", action="store_true",
-                           help="CI smoke matrix (small cells only; "
-                                "identity checks still cover every "
-                                "pair that runs)")
-    provision.add_argument("--cells", nargs="+",
-                           choices=_BENCH_PROVISION_CELLS,
-                           default=None, metavar="CELL",
-                           help="topology cells to run (choices: "
-                                f"{', '.join(_BENCH_PROVISION_CELLS)})")
-    provision.add_argument("--seed", type=int, default=1)
-    provision.add_argument("--repeats", type=int, default=None,
-                           metavar="K",
-                           help="timing repeats per mode, min is "
-                                "reported (default: 2 quick, 3 full)")
-    provision.add_argument("--shards",
-                           action=argparse.BooleanOptionalAction,
-                           default=True,
-                           help="run the farm shard gate (worker "
-                                "processes + block digest equality)")
-    provision.add_argument("--out", default="BENCH_provision.json",
-                           help="result file (default: %(default)s)")
-    service = perf_sub.add_parser(
-        "service",
-        help="controller-service benchmark: provision req/sec, p50/p99 "
-             "latency, admission accept/reject — bit-identity to the "
-             "offline engine asserted before any timing",
-    )
-    service.add_argument("--quick", action="store_true",
-                         help="CI smoke run (fewer iterations; identity "
-                              "checks run at full strength)")
-    service.add_argument("--seed", type=int, default=1)
-    service.add_argument("--repeats", type=int, default=None, metavar="K",
-                         help="timing repeats per cell, min is reported "
-                              "(default: 2 quick, 3 full)")
-    service.add_argument("--out", default="BENCH_service.json",
-                         help="result file (default: %(default)s)")
     encoding = perf_sub.add_parser(
         "encoding",
         help="encoding-backend benchmark over the zoo corpus: bits/route "
              "and encode+decode ops/sec per backend, weighted-assigner "
-             "% reduction vs greedy — backends driven through the "
+             "%% reduction vs greedy — backends driven through the "
              "verify oracles before any timing",
     )
     encoding.add_argument("--quick", action="store_true",
@@ -688,65 +606,6 @@ def _cmd_farm(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.bench_command == "sim":
-        from repro.bench.simbench import render_sim_bench, run_sim_bench
-
-        result = run_sim_bench(
-            sizes=args.sizes,
-            strategies=args.strategies,
-            seed=args.seed,
-            quick=args.quick,
-            repeats=args.repeats,
-            out=args.out,
-        )
-        print(render_sim_bench(result))
-        if args.out:
-            print(f"wrote {args.out}")
-        return 0 if result["digests_match_reference"] else 1
-    if args.bench_command == "provision":
-        from repro.bench.provisionbench import (
-            render_provision_bench,
-            run_provision_bench,
-        )
-
-        result = run_provision_bench(
-            cells=args.cells,
-            seed=args.seed,
-            quick=args.quick,
-            repeats=args.repeats,
-            out=args.out,
-            shards=args.shards,
-        )
-        print(render_provision_bench(result))
-        if args.out:
-            print(f"wrote {args.out}")
-        gate = result.get("shard_gate")
-        ok = (
-            result["bit_identical_reference"]
-            and result["targets_met"]
-            and (gate is None or gate["digests_match"])
-        )
-        return 0 if ok else 1
-    if args.bench_command == "service":
-        from repro.bench.servicebench import (
-            render_service_bench,
-            run_service_bench,
-        )
-
-        result = run_service_bench(
-            seed=args.seed,
-            quick=args.quick,
-            repeats=args.repeats,
-            out=args.out,
-        )
-        print(render_service_bench(result))
-        if args.out:
-            print(f"wrote {args.out}")
-        ok = (
-            result["bit_identical_reference"]
-            and result["zero_admission_violations"]
-        )
-        return 0 if ok else 1
     if args.bench_command == "encoding":
         from repro.bench.encodingbench import (
             render_encoding_bench,

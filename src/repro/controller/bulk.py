@@ -25,14 +25,12 @@ Everything is bit-identical to the per-flow path by construction (the
 extended CRT solution is unique) and by test: the Hypothesis suite in
 ``tests/controller/test_bulk.py`` compares hop-for-hop and
 route-ID-for-route-ID against :meth:`ProvisioningEngine.provision` on
-random topologies, and ``repro bench provision`` refuses to time
-anything before an identity pre-pass over every mesh pair passes.
-
-Sharding: destinations are independent, so a mesh splits into
-destination blocks that farm workers compute in isolation
-(:func:`mesh_digest` per block); the digest-equality gate at each
-shard boundary is the same canonical fingerprint computed from the
-per-flow oracle (:func:`mesh_digest_reference`).
+random topologies, and holds :func:`mesh_digest` — the canonical
+fingerprint of a mesh — equal to :func:`mesh_digest_reference`, the
+same byte stream computed from the per-flow oracle.  The engine does
+not dispatch here: a caller that wants a mesh builds a
+:class:`BulkProvisioner` itself, as the ``wan754-coldstart`` workload
+of ``benchmarks/e2e`` does (it is also where this path is timed).
 """
 
 from __future__ import annotations
@@ -51,7 +49,12 @@ from typing import (
 
 import numpy as np
 
-from repro.controller.provision import ProvisionError, ProvisionedRoute
+from repro.controller.provision import (
+    ProvisionError,
+    ProvisionedRoute,
+    require_edge,
+    require_flow_endpoints,
+)
 from repro.rns.crt import crt_extend
 from repro.rns.encoder import EncodedRoute, Hop
 from repro.topology.csr import CsrTopology, TreeArrays, destination_tree_arrays
@@ -237,10 +240,10 @@ class BulkProvisioner:
         down: canonical link keys to exclude — the engine's link-state
             overlay at snapshot time.
 
-    The provisioner is immutable with respect to the topology: the
-    engine rebuilds it on every epoch bump, exactly like destination
-    trees.  ``trees_built`` counts array-tree constructions (one per
-    distinct destination, memoized).
+    The provisioner is immutable with respect to the topology: build a
+    new one after any topology or link-state change, exactly like
+    destination trees.  ``trees_built`` counts array-tree constructions
+    (one per distinct destination, memoized).
     """
 
     def __init__(
@@ -296,13 +299,9 @@ class BulkProvisioner:
         if blk is not None:
             self.block_hits += 1
             return blk
+        require_edge(self.graph, dst_edge)
         csr = self.csr
-        idx = csr.node_index(dst_edge)
-        if not self.graph.node(dst_edge).kind == NodeKind.EDGE:
-            raise ProvisionError(
-                "not-an-edge", f"{dst_edge!r} is not an edge node"
-            )
-        tree = destination_tree_arrays(csr, idx)
+        tree = destination_tree_arrays(csr, csr.index[dst_edge])
         blk = DestinationBlock(csr, dst_edge, tree)
         self._blocks[dst_edge] = blk
         self.trees_built += 1
@@ -350,28 +349,6 @@ class BulkProvisioner:
         out_ports[seg_hit] = self._port_flat[pos]
         return entries, out_ports
 
-    def entry_for(self, src_edge: str, blk: DestinationBlock) -> Tuple[int, int]:
-        """(entry node index, source out-port) for one source edge.
-
-        Raises:
-            ProvisionError: ``no-core-path`` when no core neighbor of
-                *src_edge* reaches the block's destination (message
-                identical to the per-flow engine's).
-        """
-        rank = self._edge_rank.get(src_edge)
-        if rank is None:
-            raise ProvisionError(
-                "not-an-edge", f"{src_edge!r} is not an edge node"
-            )
-        entries, out_ports = self._entries_for_all_edges(blk)
-        if entries[rank] < 0:
-            raise ProvisionError(
-                "no-core-path",
-                f"{src_edge!r} has no core neighbor that reaches "
-                f"{blk.dst_edge!r}",
-            )
-        return int(entries[rank]), int(out_ports[rank])
-
     # ------------------------------------------------------------------
     # mesh iteration
     # ------------------------------------------------------------------
@@ -384,12 +361,17 @@ class BulkProvisioner:
             ProvisionError: ``no-core-path`` when any requested source
                 cannot reach the destination — full-mesh provisioning
                 is strict, exactly like the per-flow loop it replaces.
+                Caller-named sources are checked first, with the
+                per-flow engine's slugs and messages: ``same-edge``,
+                ``unknown-node``, ``not-an-edge``.
         """
-        blk = self.block(dst_edge)
         if src_edges is None:
             srcs = [e for e in self.edge_names if e != dst_edge]
         else:
             srcs = sorted(src_edges)
+            for src in srcs:
+                require_flow_endpoints(self.graph, src, dst_edge)
+        blk = self.block(dst_edge)
         entries_all, ports_all = self._entries_for_all_edges(blk)
         ranks = np.array([self._edge_rank[s] for s in srcs], dtype=np.int64)
         entries = entries_all[ranks]

@@ -77,19 +77,21 @@ from repro.rns.encoder import EncodedRoute, RouteEncoder
 from repro.rns.pool import PoolContext
 from repro.sim.packet import DEFAULT_TTL
 from repro.switches.edge import IngressEntry
-from repro.topology.graph import NodeKind, PortGraph, TopologyError
+from repro.topology.graph import (
+    NodeKind,
+    PortGraph,
+    TopologyError,
+    link_key,
+)
 
 __all__ = [
     "DestinationTree",
     "ProvisionError",
     "ProvisionedRoute",
     "ProvisioningEngine",
+    "require_edge",
+    "require_flow_endpoints",
 ]
-
-
-def _link_key(a: str, b: str) -> Tuple[str, str]:
-    """Canonical unordered link key (mirrors ``LinkInfo.key``)."""
-    return (a, b) if a <= b else (b, a)
 
 
 class ProvisionError(RoutingError):
@@ -107,6 +109,38 @@ class ProvisionError(RoutingError):
     def __init__(self, reason: str, message: str):
         super().__init__(message)
         self.reason = reason
+
+
+def require_edge(graph: PortGraph, name: str) -> None:
+    """Refuse an unknown node or one that is not an edge node."""
+    try:
+        info = graph.node(name)
+    except TopologyError as exc:
+        raise ProvisionError("unknown-node", str(exc)) from None
+    if info.kind != NodeKind.EDGE:
+        raise ProvisionError("not-an-edge", f"{name!r} is not an edge node")
+
+
+def require_flow_endpoints(
+    graph: PortGraph, src_edge: str, dst_edge: str
+) -> None:
+    """Refuse a flow whose endpoints cannot be provisioned at all.
+
+    The one statement of the endpoint rule, shared by the per-flow
+    engine and :class:`~repro.controller.bulk.BulkProvisioner`.
+
+    Raises:
+        ProvisionError: ``same-edge``, then per endpoint (source first)
+            ``unknown-node`` / ``not-an-edge``.
+    """
+    if src_edge == dst_edge:
+        raise ProvisionError(
+            "same-edge",
+            f"flow endpoints share the edge {src_edge!r}; "
+            f"no core route to provision",
+        )
+    require_edge(graph, src_edge)
+    require_edge(graph, dst_edge)
 
 
 @dataclass(frozen=True)
@@ -188,7 +222,7 @@ class DestinationTree:
                 for nb in sorted(neighbors):
                     if nb in depth:
                         continue
-                    if down and _link_key(cur, nb) in down:
+                    if down and link_key(cur, nb) in down:
                         continue
                     depth[nb] = depth[cur] + 1
                     parent[nb] = cur
@@ -233,37 +267,23 @@ class ProvisioningEngine:
     instead of resetting the evidence.
     """
 
-    #: Per-destination batch-group size at which ``provision_batch``
-    #: switches from the per-flow loop to the vectorized bulk path.
-    #: Below it, CSR conversion + array trees cost more than they save.
-    BULK_MIN_SOURCES = 8
-
     def __init__(
         self,
         graph: PortGraph,
         default_ttl: int = DEFAULT_TTL,
         validated_pool: bool = False,
-        bulk_threshold: Optional[int] = None,
     ):
         self.graph = graph
         self.default_ttl = default_ttl
         self._validated_pool = validated_pool
-        self.bulk_threshold = (
-            self.BULK_MIN_SOURCES if bulk_threshold is None else bulk_threshold
-        )
         self.epoch = 0
         self._trees: Dict[str, DestinationTree] = {}
-        self._bulk: Any = None
         self._down: set = set()
         self.trees_built = 0
         self.tree_hits = 0
         self.provisions = 0
         self.batches = 0
         self.batch_flows = 0
-        self.bulk_batches = 0
-        self.bulk_routes = 0
-        self.bulk_trees_built = 0
-        self.bulk_block_hits = 0
         self.reroutes = 0
         self.epoch_bumps = 0
         self.full_rebuilds = 0
@@ -300,7 +320,6 @@ class ProvisioningEngine:
         self.epoch_bumps += 1
         self.full_rebuilds += 1
         self._trees.clear()
-        self._retire_bulk()
         self._rebuild_epoch_state()
 
     def note_link_change(self) -> None:
@@ -317,7 +336,6 @@ class ProvisioningEngine:
         self.epoch_bumps += 1
         self.link_invalidations += 1
         self._trees.clear()
-        self._retire_bulk()
         self.planner = CachedProtectionPlanner(self.graph)
 
     # ------------------------------------------------------------------
@@ -336,7 +354,7 @@ class ProvisioningEngine:
                 raise ProvisionError("unknown-node", str(exc)) from None
         if not self.graph.has_link(a, b):
             raise ProvisionError("not-a-link", f"no link {a}-{b}")
-        return _link_key(a, b)
+        return link_key(a, b)
 
     def link_is_up(self, a: str, b: str) -> bool:
         """True iff the (existing) link is not overlaid as down."""
@@ -365,39 +383,6 @@ class ProvisioningEngine:
         return True
 
     # ------------------------------------------------------------------
-    # bulk provisioner (lazy, per epoch)
-    # ------------------------------------------------------------------
-    def _retire_bulk(self) -> None:
-        """Bank the outgoing bulk provisioner's counters and drop it."""
-        bp = self._bulk
-        if bp is not None and bp is not False:
-            self.bulk_trees_built += bp.trees_built
-            self.bulk_block_hits += bp.block_hits
-        self._bulk = None
-
-    def _bulk_provisioner(self):
-        """This epoch's :class:`~repro.controller.bulk.BulkProvisioner`.
-
-        Built lazily on the first qualifying batch and invalidated with
-        the destination trees (it snapshots the same residual
-        topology).  Returns None when numpy is unavailable — callers
-        fall back to the per-flow loop, so the engine's behavior never
-        depends on the accelerator being importable.
-        """
-        if self._bulk is False:
-            return None
-        if self._bulk is None:
-            try:
-                from repro.controller.bulk import BulkProvisioner
-            except ImportError:
-                self._bulk = False
-                return None
-            self._bulk = BulkProvisioner(
-                self.graph, down=frozenset(self._down)
-            )
-        return self._bulk
-
-    # ------------------------------------------------------------------
     # destination trees
     # ------------------------------------------------------------------
     def destination_tree(self, dst_edge: str) -> DestinationTree:
@@ -416,16 +401,6 @@ class ProvisioningEngine:
     # ------------------------------------------------------------------
     # provisioning
     # ------------------------------------------------------------------
-    def _require_edge(self, name: str) -> None:
-        try:
-            info = self.graph.node(name)
-        except TopologyError as exc:
-            raise ProvisionError("unknown-node", str(exc)) from None
-        if info.kind != NodeKind.EDGE:
-            raise ProvisionError(
-                "not-an-edge", f"{name!r} is not an edge node"
-            )
-
     def select_path(self, src_edge: str, dst_edge: str) -> List[str]:
         """The engine's deterministic path choice, without encoding.
 
@@ -440,21 +415,14 @@ class ProvisioningEngine:
                 (``same-edge``), or no residual core path
                 (``no-core-path``).
         """
-        if src_edge == dst_edge:
-            raise ProvisionError(
-                "same-edge",
-                f"flow endpoints share the edge {src_edge!r}; "
-                f"no core route to provision",
-            )
-        self._require_edge(src_edge)
-        self._require_edge(dst_edge)
+        require_flow_endpoints(self.graph, src_edge, dst_edge)
         tree = self.destination_tree(dst_edge)
         entries = [
             nb
             for nb in self.graph.neighbors(src_edge)
             if self.graph.node(nb).kind == NodeKind.CORE
             and nb in tree.depth
-            and _link_key(src_edge, nb) not in self._down
+            and link_key(src_edge, nb) not in self._down
         ]
         if not entries:
             raise ProvisionError(
@@ -482,8 +450,8 @@ class ProvisioningEngine:
             raise ProvisionError(
                 "bad-path", f"path too short to provision: {path}"
             )
-        self._require_edge(path[0])
-        self._require_edge(path[-1])
+        require_edge(self.graph, path[0])
+        require_edge(self.graph, path[-1])
         try:
             hops = hops_for_path(self.graph, path)
             route = self.encoder.encode(hops)
@@ -511,84 +479,21 @@ class ProvisioningEngine:
         return self.encode_path(self.select_path(src_edge, dst_edge))
 
     def provision_batch(
-        self,
-        pairs: Iterable[Tuple[str, str]],
-        bulk: Optional[bool] = None,
+        self, pairs: Iterable[Tuple[str, str]]
     ) -> List[ProvisionedRoute]:
         """Provision many ``(src_edge, dst_edge)`` flows in one pass.
 
-        Order-preserving.  Pairs are grouped by destination; groups
-        with at least :attr:`bulk_threshold` distinct sources go
-        through the vectorized bulk path
-        (:class:`~repro.controller.bulk.BulkProvisioner`: one CSR
-        conversion per epoch, one array BFS per destination, one
-        incremental CRT extension per tree node), the rest through the
-        per-flow loop.  Both paths produce object-for-object equal
-        :class:`ProvisionedRoute`\\ s — the bulk path is a strict
-        speedup, never a different answer, and the property suite in
-        ``tests/controller/test_bulk.py`` holds them bit-identical.
-
-        Args:
-            bulk: force the dispatch — True sends every destination
-                group through the bulk path regardless of size, False
-                disables it entirely, None (default) applies the
-                threshold.  numpy being unavailable silently degrades
-                to per-flow.
+        Order-preserving, duplicates allowed: the per-flow loop, sharing
+        one memoized tree per destination and the pooled encoder.  A
+        caller that wants a whole mesh uses
+        :class:`~repro.controller.bulk.BulkProvisioner` directly; this
+        loop is the oracle its routes are held bit-identical to
+        (``tests/controller/test_bulk.py``).
         """
-        pair_list = list(pairs)
-        bulk_map: Dict[Tuple[str, str], ProvisionedRoute] = {}
-        if bulk is not False and pair_list:
-            by_dst: Dict[str, set] = {}
-            for src, dst in pair_list:
-                by_dst.setdefault(dst, set()).add(src)
-            floor = 1 if bulk else self.bulk_threshold
-            eligible = sorted(
-                d for d, s in by_dst.items() if len(s) >= floor
-            )
-            bp = self._bulk_provisioner() if eligible else None
-            if bp is not None:
-                for dst in eligible:
-                    srcs = by_dst[dst]
-                    if dst in srcs:
-                        raise ProvisionError(
-                            "same-edge",
-                            f"flow endpoints share the edge {dst!r}; "
-                            f"no core route to provision",
-                        )
-                    self._require_edge(dst)
-                    for src in srcs:
-                        self._require_edge(src)
-                    got = bp.routes_for(dst, sorted(srcs))
-                    for src, route in got.items():
-                        bulk_map[(src, dst)] = route
-                    self.bulk_batches += 1
-                    self.bulk_routes += len(got)
-        routes: List[ProvisionedRoute] = []
-        for src, dst in pair_list:
-            route = bulk_map.get((src, dst))
-            if route is None:
-                route = self.provision(src, dst)
-            else:
-                self.provisions += 1
-            routes.append(route)
+        routes = [self.provision(src, dst) for src, dst in pairs]
         self.batches += 1
         self.batch_flows += len(routes)
         return routes
-
-    def provision_full_mesh(
-        self, bulk: Optional[bool] = None
-    ) -> List[ProvisionedRoute]:
-        """Provision every ordered edge pair, destination-major.
-
-        The canonical mesh order (destinations ascending by name,
-        sources ascending within each) — the order
-        :func:`repro.controller.bulk.full_mesh_pairs` enumerates and
-        the mesh digests hash.
-        """
-        edges = sorted(n.name for n in self.graph.nodes(NodeKind.EDGE))
-        return self.provision_batch(
-            [(s, d) for d in edges for s in edges if s != d], bulk=bulk
-        )
 
     # ------------------------------------------------------------------
     # failure-time updates
@@ -630,7 +535,7 @@ class ProvisioningEngine:
                 "not-a-link",
                 f"re-route step {switch_name}->{new_next} is not a link",
             ) from None
-        if self._down and _link_key(switch_name, new_next) in self._down:
+        if self._down and link_key(switch_name, new_next) in self._down:
             raise ProvisionError(
                 "link-down",
                 f"re-route step {switch_name}->{new_next} is a failed link",
@@ -703,18 +608,6 @@ class ProvisioningEngine:
             "reroutes": self.reroutes,
             "links_down": len(self._down),
             "trees": {"built": self.trees_built, "hits": self.tree_hits},
-            "bulk": {
-                "batches": self.bulk_batches,
-                "routes": self.bulk_routes,
-                "trees_built": self.bulk_trees_built + (
-                    self._bulk.trees_built
-                    if self._bulk not in (None, False) else 0
-                ),
-                "block_hits": self.bulk_block_hits + (
-                    self._bulk.block_hits
-                    if self._bulk not in (None, False) else 0
-                ),
-            },
             "epochs": {
                 "bumps": self.epoch_bumps,
                 "full_rebuilds": self.full_rebuilds,

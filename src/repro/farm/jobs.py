@@ -26,11 +26,6 @@ Built-in kinds:
   (:func:`repro.service.loadgen.run_churn`): seeded flow
   arrive/depart/reroute/port-flap traffic against a live service, with
   admission-invariant audits and offline route-ID re-derivation;
-* ``bulkmesh`` — one destination block of an all-pairs provisioning
-  mesh (:class:`repro.controller.bulk.BulkProvisioner`): destinations
-  are independent, so a full mesh shards cleanly by destination and
-  the per-block canonical route-ID digests gate shard boundaries
-  against the sequential (and per-flow reference) computation;
 * ``echo`` — the farm's self-test job (sleep / crash-once knobs for
   exercising timeouts and worker-crash retry without real workloads).
 
@@ -66,7 +61,6 @@ __all__ = [
     "frontier_spec",
     "frontier_cell_from_record",
     "service_spec",
-    "bulkmesh_spec",
     "echo_spec",
 ]
 
@@ -469,57 +463,6 @@ def _run_service(spec: RunSpec) -> Dict[str, Any]:
     # (the transport-independent op-log fingerprint) which must not
     # collide with the farm's record digest.
     return {"service": asdict(report)}
-
-
-# ---------------------------------------------------------------------------
-# "bulkmesh" — one destination block of an all-pairs provisioning mesh
-# ---------------------------------------------------------------------------
-
-def bulkmesh_spec(
-    topology: str,
-    destinations: Optional[Sequence[str]] = None,
-    seed: int = 0,
-) -> RunSpec:
-    """Spec for one destination block of a full provisioning mesh.
-
-    ``topology`` names a cell in
-    :data:`repro.bench.provisionbench.PROVISION_TOPOLOGIES` (the
-    spawn-safe builder registry — workers re-import it).
-    ``destinations`` is the block's destination-edge list (None =
-    every edge, i.e. the whole mesh in one shard); it is part of the
-    content key, so different shardings never collide in the cache.
-    """
-    return RunSpec.make(
-        "bulkmesh",
-        topology,
-        seed,
-        {
-            "destinations": (
-                sorted(destinations) if destinations is not None else None
-            ),
-        },
-    )
-
-
-@job_kind("bulkmesh")
-def _run_bulkmesh(spec: RunSpec) -> Dict[str, Any]:
-    from repro.bench.provisionbench import build_mesh_topology
-    from repro.controller.bulk import BulkProvisioner, mesh_digest
-
-    graph = build_mesh_topology(spec.scenario)
-    bp = BulkProvisioner(graph)
-    dests = spec.params.get("destinations")
-    if dests is None:
-        dests = bp.edge_names
-    digest, routes = mesh_digest(bp.mesh_row(d) for d in dests)
-    return {
-        "mesh": {
-            "topology": spec.scenario,
-            "destinations": len(dests),
-            "routes": routes,
-            "mesh_digest": digest,
-        }
-    }
 
 
 # ---------------------------------------------------------------------------

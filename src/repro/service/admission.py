@@ -39,7 +39,7 @@ from typing import (
     Tuple,
 )
 
-from repro.topology.graph import NodeKind, PortGraph
+from repro.topology.graph import NodeKind, PortGraph, link_key
 
 __all__ = [
     "AdmissionError",
@@ -70,14 +70,10 @@ class AdmissionError(Exception):
         self.reason = reason
 
 
-def _link_key(a: str, b: str) -> LinkKey:
-    return (a, b) if a <= b else (b, a)
-
-
 def path_link_keys(node_path: Sequence[str]) -> Tuple[LinkKey, ...]:
     """Canonical link keys along a node path, in path order."""
     return tuple(
-        _link_key(a, b) for a, b in zip(node_path, node_path[1:])
+        link_key(a, b) for a, b in zip(node_path, node_path[1:])
     )
 
 
@@ -278,7 +274,7 @@ def cspf_path(
         )
 
     def usable(a: str, b: str, prune_bandwidth: bool) -> bool:
-        key = _link_key(a, b)
+        key = link_key(a, b)
         if key in down:
             return False
         if prune_bandwidth and bandwidth_mbps > 0:

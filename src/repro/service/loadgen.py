@@ -31,9 +31,10 @@ the same digest.  The farm job kind ``service`` (see
 content-addressed cache hits, and CI replays a sweep twice to pin the
 digests down.
 
-No wall-clock anything appears in the report — timing lives in
-:mod:`repro.bench.servicebench`, which is where honest measurement
-(interleaved repeats, min-of) happens.
+No wall-clock anything appears in the report — timing lives in the
+``abilene-svc-churn`` workload of ``benchmarks/e2e``, which drives the
+same API under a like op mix over loopback HTTP for seconds and reports
+per-op latencies.
 """
 
 from __future__ import annotations

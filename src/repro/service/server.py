@@ -68,6 +68,15 @@ def _error(status: int, reason: str, message: str) -> Response:
     return status, {"error": reason, "message": message}
 
 
+def _is_number(value: Any) -> bool:
+    """A JSON number that is a value: not a bool, not the NaN literal."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and value == value
+    )
+
+
 def _provision_body(state: ControllerState, body: Dict[str, Any]) -> Response:
     for field in ("tenant", "src", "dst"):
         if not isinstance(body.get(field), str) or not body[field]:
@@ -77,13 +86,13 @@ def _provision_body(state: ControllerState, body: Dict[str, Any]) -> Response:
     bandwidth = body.get("bandwidth_mbps", 0.0)
     latency = body.get("max_latency_s")
     ttl = body.get("ttl")
-    if not isinstance(bandwidth, (int, float)) or isinstance(bandwidth, bool):
+    if not _is_number(bandwidth):
         return _error(400, "bad-request", "bandwidth_mbps must be a number")
-    if latency is not None and (
-        not isinstance(latency, (int, float)) or isinstance(latency, bool)
-    ):
+    if latency is not None and not _is_number(latency):
         return _error(400, "bad-request", "max_latency_s must be a number")
-    if ttl is not None and (not isinstance(ttl, int) or ttl <= 0):
+    if ttl is not None and (
+        not isinstance(ttl, int) or isinstance(ttl, bool) or ttl <= 0
+    ):
         return _error(400, "bad-request", "ttl must be a positive integer")
     record = state.provision(
         tenant=body["tenant"],
@@ -101,13 +110,16 @@ def dispatch(
     method: str,
     path: str,
     query: Dict[str, str],
-    body: Optional[Dict[str, Any]],
+    body: Any,
 ) -> Response:
     """Route one API operation; returns ``(status, JSON payload)``.
 
     Pure function of the call (modulo the state it mutates): no I/O,
     no clock, no randomness.  Both the HTTP layer and the direct
-    transport call exactly this.
+    transport call exactly this.  *body* is the decoded JSON body, or
+    None when there was none or it did not decode; a POST whose body
+    is not a JSON object is answered ``400 bad-json`` here, so both
+    transports agree.
     """
     try:
         parts = [p for p in path.split("/") if p]
@@ -127,8 +139,10 @@ def dispatch(
             if len(parts) == 2 and parts[0] == "flows":
                 return 200, {"flow": state.flow(parts[1]).describe()}
         elif method == "POST":
-            if body is None:
-                return _error(400, "bad-json", "request body is not JSON")
+            if not isinstance(body, dict):
+                return _error(
+                    400, "bad-json", "request body is not a JSON object"
+                )
             if parts == ["flows"]:
                 return _provision_body(state, body)
             if (
@@ -266,11 +280,10 @@ class ControllerService:
             )
             return False
         raw = await reader.readexactly(length) if length else b""
-        body: Optional[Dict[str, Any]] = None
+        body: Any = None
         if raw:
             try:
-                parsed = json.loads(raw.decode("utf-8"))
-                body = parsed if isinstance(parsed, dict) else None
+                body = json.loads(raw.decode("utf-8"))
             except (UnicodeDecodeError, ValueError):
                 body = None
         elif method == "POST":

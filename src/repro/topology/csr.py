@@ -42,10 +42,6 @@ from repro.topology.graph import NodeKind, PortGraph, TopologyError
 __all__ = ["CsrTopology", "TreeArrays", "destination_tree_arrays"]
 
 
-def _link_key(a: str, b: str) -> Tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
-
-
 class CsrTopology:
     """Frozen CSR snapshot of a :class:`PortGraph` (minus down links).
 

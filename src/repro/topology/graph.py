@@ -17,11 +17,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-__all__ = ["NodeKind", "NodeInfo", "LinkInfo", "PortGraph", "TopologyError"]
+__all__ = [
+    "NodeKind", "NodeInfo", "LinkInfo", "PortGraph", "TopologyError",
+    "link_key",
+]
 
 
 class TopologyError(ValueError):
     """Raised on malformed topology construction or queries."""
+
+
+def link_key(a: str, b: str) -> Tuple[str, str]:
+    """Canonical unordered endpoint pair (sorted names)."""
+    return (a, b) if a <= b else (b, a)
 
 
 class NodeKind:
@@ -76,8 +84,8 @@ class LinkInfo:
 
     @property
     def key(self) -> Tuple[str, str]:
-        """Canonical unordered endpoint pair (sorted names)."""
-        return (self.a, self.b) if self.a <= self.b else (self.b, self.a)
+        """Canonical unordered endpoint pair (:func:`link_key`)."""
+        return link_key(self.a, self.b)
 
     def other(self, name: str) -> str:
         if name == self.a:

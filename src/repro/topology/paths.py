@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.topology.graph import PortGraph, TopologyError
+from repro.topology.graph import PortGraph, TopologyError, link_key
 
 __all__ = [
     "NoPathError",
@@ -35,10 +35,6 @@ class NoPathError(TopologyError):
         if note:
             msg += f" ({note})"
         super().__init__(msg)
-
-
-def _link_key(a: str, b: str) -> LinkKey:
-    return (a, b) if a <= b else (b, a)
 
 
 def _default_weight(graph: PortGraph) -> Callable[[str, str], float]:
@@ -101,7 +97,7 @@ def shortest_path(
         if cur == dst:
             break
         for nb in graph.neighbors(cur):
-            if nb in banned_nodes or _link_key(cur, nb) in banned_links:
+            if nb in banned_nodes or link_key(cur, nb) in banned_links:
                 continue
             w = weight(cur, nb)
             if w < 0:
@@ -199,7 +195,7 @@ def k_shortest_paths(
             banned_links: Set[LinkKey] = set()
             for p in found:
                 if p[: i + 1] == root and len(p) > i + 1:
-                    banned_links.add(_link_key(p[i], p[i + 1]))
+                    banned_links.add(link_key(p[i], p[i + 1]))
             banned_nodes = set(root[:-1])
             try:
                 spur = shortest_path(
@@ -226,7 +222,7 @@ def k_shortest_paths(
 
 def path_links(path: Sequence[str]) -> List[LinkKey]:
     """The (sorted-pair) link keys a node path traverses."""
-    return [_link_key(a, b) for a, b in zip(path, path[1:])]
+    return [link_key(a, b) for a, b in zip(path, path[1:])]
 
 
 def is_reachable_without(

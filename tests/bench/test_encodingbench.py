@@ -8,8 +8,11 @@ import json
 
 import pytest
 
-from repro.bench import render_encoding_bench, run_encoding_bench
-from repro.bench.encodingbench import CELLS
+from repro.bench.encodingbench import (
+    CELLS,
+    render_encoding_bench,
+    run_encoding_bench,
+)
 from repro.rns import BACKEND_NAMES
 
 

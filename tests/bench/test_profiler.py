@@ -1,6 +1,8 @@
 """Tests for the cProfile wrapper behind ``repro --profile``."""
 
 import io
+import subprocess
+import sys
 
 import pytest
 
@@ -32,3 +34,18 @@ class TestProfileCall:
     def test_bad_top_rejected(self):
         with pytest.raises(ValueError):
             profile_call(lambda: None, top=0)
+
+
+def test_importing_the_profiler_does_not_import_the_writers():
+    # repro.bench's __init__ used to import encodingbench, and with it
+    # the verify stack and scipy.stats, on the way to profile_call.
+    code = (
+        "import sys, repro.bench.profiler, repro.bench.artifact; "
+        "print([m for m in ('scipy.stats', 'repro.bench.encodingbench') "
+        "if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

@@ -4,7 +4,7 @@ from datetime import datetime, timezone
 
 import pytest
 
-from repro.bench import timestamp_fields, utc_stamp
+from repro.bench.stamp import timestamp_fields, utc_stamp
 
 
 class TestStamp:

@@ -122,77 +122,37 @@ class TestErrors:
             bp.routes_for("SW4", ["E-S"])
         assert e.value.reason == "not-an-edge"
 
+    # The per-flow engine is the oracle for refusals too: same slug,
+    # same message, and no tree built for a request that is refused.
+    @pytest.mark.parametrize("dst, srcs, reason", [
+        ("E-D", ["E-S", "E-D"], "same-edge"),
+        ("E-D", ["SW4"], "not-an-edge"),
+        ("E-D", ["NOPE"], "unknown-node"),
+        ("NOPE", ["E-S"], "unknown-node"),
+    ], ids=["same-edge", "non-edge-source", "unknown-source",
+            "unknown-destination"])
+    def test_endpoint_refused_like_per_flow(self, six, dst, srcs, reason):
+        bp = BulkProvisioner(six)
+        with pytest.raises(ProvisionError) as bulk:
+            bp.routes_for(dst, srcs)
+        with pytest.raises(ProvisionError) as flow:
+            ProvisioningEngine(six).provision(srcs[-1], dst)
+        assert bulk.value.reason == flow.value.reason == reason
+        assert str(bulk.value) == str(flow.value)
+        assert (bp.trees_built, bp.block_hits) == (0, 0)
 
-class TestProvisionBatchWiring:
-    def test_forced_bulk_equals_per_flow(self, abilene_mesh):
-        pairs = full_mesh_pairs(abilene_mesh)
-        eng_bulk = ProvisioningEngine(abilene_mesh, validated_pool=True)
-        eng_flow = ProvisioningEngine(abilene_mesh, validated_pool=True)
-        got = eng_bulk.provision_batch(pairs, bulk=True)
-        ref = eng_flow.provision_batch(pairs, bulk=False)
-        assert got == ref
-        assert eng_bulk.bulk_routes == len(pairs)
-        assert eng_flow.bulk_routes == 0
 
-    def test_order_preserved_and_duplicates_allowed(self, abilene_mesh):
-        edges = _edge_names(abilene_mesh)
-        dst = edges[0]
-        pairs = [(s, dst) for s in edges[1:]]
-        pairs = pairs + pairs[:3]  # duplicates
-        eng = ProvisioningEngine(abilene_mesh, validated_pool=True)
-        got = eng.provision_batch(pairs, bulk=True)
-        assert [(p.src_edge, p.dst_edge) for p in got] == pairs
-        assert eng.provisions == len(pairs)
-
-    def test_auto_threshold_keeps_small_batches_per_flow(self, six):
-        eng = ProvisioningEngine(six, validated_pool=True)
-        eng.provision_batch([("E-S", "E-D")])
-        assert eng.bulk_batches == 0
-        assert eng.trees_built == 1  # the per-flow Python tree
-
-    def test_auto_threshold_engages_on_large_groups(self, abilene_mesh):
-        eng = ProvisioningEngine(
-            abilene_mesh, validated_pool=True, bulk_threshold=4
-        )
-        pairs = full_mesh_pairs(abilene_mesh)
-        eng.provision_batch(pairs)
-        assert eng.bulk_batches == len(_edge_names(abilene_mesh))
-        assert eng.trees_built == 0  # no Python trees were needed
-
-    def test_bulk_tree_builds_bounded_by_distinct_destinations(
+class TestBlockMemo:
+    def test_tree_builds_bounded_by_distinct_destinations(
         self, abilene_mesh
     ):
-        eng = ProvisioningEngine(abilene_mesh, validated_pool=True)
-        pairs = full_mesh_pairs(abilene_mesh) * 2
-        eng.provision_batch(pairs, bulk=True)
-        distinct = len({d for _, d in pairs})
-        assert eng.stats()["bulk"]["trees_built"] <= distinct
-
-    def test_link_change_invalidates_bulk_state(self, abilene_mesh):
-        eng = ProvisioningEngine(abilene_mesh, validated_pool=True)
-        pairs = full_mesh_pairs(abilene_mesh)
-        before = eng.provision_batch(pairs, bulk=True)
-        eng.set_link_down("Denver", "KansasCity")
-        after = eng.provision_batch(pairs, bulk=True)
-        flow = ProvisioningEngine(abilene_mesh, validated_pool=True)
-        flow.set_link_down("Denver", "KansasCity")
-        assert after == flow.provision_batch(pairs, bulk=False)
-        assert before != after  # the failure moved at least one route
-
-    def test_same_edge_rejected_on_bulk_path(self, abilene_mesh):
+        bp = BulkProvisioner(abilene_mesh)
         edges = _edge_names(abilene_mesh)
-        dst = edges[0]
-        pairs = [(s, dst) for s in edges]  # includes (dst, dst)
-        eng = ProvisioningEngine(abilene_mesh, validated_pool=True)
-        with pytest.raises(ProvisionError, match="share the edge") as e:
-            eng.provision_batch(pairs, bulk=True)
-        assert e.value.reason == "same-edge"
-
-    def test_full_mesh_convenience(self, abilene_mesh):
-        eng = ProvisioningEngine(abilene_mesh, validated_pool=True)
-        routes = eng.provision_full_mesh(bulk=True)
-        pairs = full_mesh_pairs(abilene_mesh)
-        assert [(p.src_edge, p.dst_edge) for p in routes] == pairs
+        for _ in range(2):
+            for dst in edges:
+                bp.routes_for(dst, [s for s in edges if s != dst])
+        assert bp.trees_built == len(edges)
+        assert bp.block_hits == len(edges)
 
 
 class TestPropertyRandomTopologies:

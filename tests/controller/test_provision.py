@@ -112,6 +112,17 @@ class TestAmortization:
         assert eng.trees_built == 1
         assert eng.tree_hits == len(pairs) - 1
 
+    def test_batch_keeps_order_and_duplicates(self, fifteen):
+        edges = _edge_names(fifteen)
+        dst = edges[0]
+        pairs = [(s, dst) for s in edges[1:]]
+        pairs = pairs + pairs[:3]  # duplicates
+        eng = ProvisioningEngine(fifteen)
+        got = eng.provision_batch(pairs)
+        assert [(p.src_edge, p.dst_edge) for p in got] == pairs
+        assert eng.provisions == len(pairs)
+        assert (eng.batches, eng.batch_flows) == (1, len(pairs))
+
     def test_batch_uses_pooled_encoder(self, fifteen):
         eng = ProvisioningEngine(fifteen)
         edges = _edge_names(fifteen)

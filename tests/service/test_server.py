@@ -56,6 +56,25 @@ class TestDispatchRouting:
         status, payload = dispatch(state, "POST", "/flows", {}, None)
         assert status == 400 and payload["error"] == "bad-json"
 
+    @pytest.mark.parametrize("body, error", [
+        ([1, 2], "bad-json"),
+        ("x", "bad-json"),
+        ({"ttl": True}, "bad-request"),
+        ({"bandwidth_mbps": float("nan")}, "bad-request"),
+        ({"max_latency_s": float("nan")}, "bad-request"),
+    ], ids=["list-body", "string-body", "bool-ttl", "nan-bandwidth",
+            "nan-latency"])
+    def test_provision_non_values_are_400(self, state, body, error):
+        # json.loads hands the service all of these: a body that is not
+        # an object, a bool where an int is meant, the NaN literal.
+        if isinstance(body, dict):
+            body = {"tenant": "t0", "src": "E-S", "dst": "E-D", **body}
+        status, payload = dispatch(state, "POST", "/flows", {}, body)
+        assert status == 400 and payload["error"] == error
+        assert state.list_flows() == []
+        assert dispatch(state, "GET", "/audit", {}, None) == \
+            (200, {"ok": True, "violations": []})
+
     def test_unknown_flow_is_404(self, state):
         for method, path in (
             ("GET", "/flows/f404"), ("DELETE", "/flows/f404"),

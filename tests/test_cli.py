@@ -87,83 +87,15 @@ class TestFarmParser:
 
 
 class TestBenchParser:
-    def test_bench_sim_defaults(self):
-        args = build_parser().parse_args(["bench", "sim"])
-        assert args.bench_command == "sim"
-        assert args.out == "BENCH_sim.json"
-        assert args.sizes is None and args.strategies is None
-        assert args.seed == 1 and args.repeats is None
-        assert not args.quick
-
-    def test_bad_mode_rejected(self):
-        # The DES reference-vs-fast cells are gone and --modes with them:
-        # even a formerly valid value is now an unknown argument.
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "sim", "--modes", "epoch"])
-
-    def test_bench_sim_flags_parse(self):
-        args = build_parser().parse_args([
-            "bench", "sim", "--quick", "--sizes", "small", "medium",
-            "--strategies", "hp", "nip", "--repeats", "5",
-        ])
-        assert args.quick
-        assert args.sizes == ["small", "medium"]
-        assert args.strategies == ["hp", "nip"]
-        assert args.repeats == 5
-
     def test_bench_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench"])
 
-    def test_bad_size_rejected(self):
+    @pytest.mark.parametrize("verb", ["sim", "provision", "service"])
+    def test_retired_verbs_rejected(self, verb):
+        # Retired in PR 19: benchmarks/e2e times those code paths now.
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "sim", "--sizes", "huge"])
-
-    def test_sizes_literal_matches_bench_registry(self):
-        # Same pattern as _CHAOS_MODES: the CLI keeps a literal copy so
-        # the parser builds without importing the bench.
-        from repro.bench.simbench import SIZES
-        from repro.cli import _BENCH_SIZES
-
-        assert sorted(_BENCH_SIZES) == sorted(SIZES)
-
-
-class TestBenchProvisionParser:
-    def test_defaults(self):
-        args = build_parser().parse_args(["bench", "provision"])
-        assert not args.quick
-        assert args.cells is None
-        assert args.seed == 1
-        assert args.repeats is None
-        assert args.shards is True
-        assert args.out == "BENCH_provision.json"
-
-    def test_flags(self):
-        args = build_parser().parse_args([
-            "bench", "provision", "--quick", "--cells", "abilene",
-            "fat_tree4", "--seed", "7", "--repeats", "2", "--no-shards",
-            "--out", "x.json",
-        ])
-        assert args.quick
-        assert args.cells == ["abilene", "fat_tree4"]
-        assert args.seed == 7
-        assert args.repeats == 2
-        assert args.shards is False
-        assert args.out == "x.json"
-
-    def test_bad_cell_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["bench", "provision", "--cells", "huge"]
-            )
-
-    def test_cells_literal_matches_bench_registry(self):
-        # Same pattern as _BENCH_SIZES: the CLI keeps a literal copy so
-        # the parser builds without importing numpy-backed bench code.
-        from repro.bench.provisionbench import CELLS
-        from repro.cli import _BENCH_PROVISION_CELLS
-
-        assert sorted(_BENCH_PROVISION_CELLS) == sorted(CELLS)
+            build_parser().parse_args(["bench", verb])
 
 
 class TestBenchEncodingParser:
@@ -196,7 +128,7 @@ class TestBenchEncodingParser:
             )
 
     def test_cells_literal_matches_bench_registry(self):
-        # Same pattern as _BENCH_SIZES: the CLI keeps a literal copy so
+        # Same pattern as _CHAOS_MODES: the CLI keeps a literal copy so
         # the parser builds without importing the bench.
         from repro.bench.encodingbench import CELLS
         from repro.cli import _BENCH_ENCODING_CELLS
@@ -431,15 +363,8 @@ class TestServiceParsers:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["loadgen", "--transport", "smtp"])
 
-    def test_bench_service_defaults(self):
-        args = build_parser().parse_args(["bench", "service"])
-        assert args.bench_command == "service"
-        assert args.out == "BENCH_service.json"
-        assert args.seed == 1 and args.repeats is None
-        assert not args.quick
-
     def test_topologies_literal_matches_service_registry(self):
-        # Same pattern as _BENCH_SIZES: the CLI keeps a literal copy so
+        # Same pattern as _CHAOS_MODES: the CLI keeps a literal copy so
         # the parser builds without importing the service package.
         from repro.cli import _SERVICE_TOPOLOGIES
         from repro.service.topology import SERVICE_TOPOLOGIES
