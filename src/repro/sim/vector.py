@@ -4,9 +4,10 @@ The DES engine (:mod:`repro.sim.engine`) prices every hop as a heap
 event — exact, but bounded by Python per-event overhead.  This module
 adds the ROADMAP's "million-packet datapath": an **epoch-quantized
 forwarding model** in which every live packet advances exactly one
-switch hop per epoch, and a whole switch's epoch queue is drained in
-one vectorized numpy pass (the CPU analogue of the array-batched bulk
-provisioner in :mod:`repro.controller.bulk`).
+switch hop per epoch, and every in-flight packet of an epoch — across
+all switches — takes that hop in one numpy pass over flat arrays (the
+CPU analogue of the array-batched bulk provisioner in
+:mod:`repro.controller.bulk`).
 
 Two engines implement the *same* canonical model and must produce
 bit-identical outcome records (digested with
@@ -17,14 +18,18 @@ bit-identical outcome records (digested with
   stream per switch, and per packet per hop the big-int
   ``R mod switch_id`` followed by one
   :meth:`~repro.switches.deflection.DeflectionStrategy.decide` call.
-* :func:`run_epoch_vector` — the batch engine.  Per switch per epoch
-  it resolves ``R mod switch_id`` for the whole queue at once (from
-  per-flow residue arrays seeded by
-  :meth:`~repro.rns.encoder.EncodedRoute.residue_map`), applies the
-  strategy's :meth:`~repro.switches.deflection.DeflectionStrategy.happy_mask`
-  as a numpy mask, and only the fallback minority goes through
-  ``decide`` — the same method on the same per-switch RNG stream in
-  the same queue order, so every draw is the reference's draw.
+* :func:`run_epoch_vector` — the batch engine.  Per epoch, one stable
+  sort on the switch index puts every in-flight packet in (switch,
+  queue) order; ``R mod switch_id`` is one gather from a dense
+  ``residue[switch, flow]`` table (seeded by
+  :meth:`~repro.rns.encoder.EncodedRoute.residue_map`, big-int modulo
+  only per missed pair), port state and next hop are gathers from
+  ``[n, max_degree]`` tables, the strategy's
+  :meth:`~repro.switches.deflection.DeflectionStrategy.happy_mask`
+  is one mask, and only the fallback minority goes through ``decide``
+  — the same method on the same per-switch RNG stream in the same
+  queue order, so every draw is the reference's draw.  Index widths
+  come from the workload's sizes (int16 below 2**15 nodes / switch IDs).
 
 Canonical model (shared by both engines):
 
@@ -87,7 +92,6 @@ __all__ = [
     "build_workload",
     "run_epoch_reference",
     "run_epoch_vector",
-    "EpochCore",
     "iter_injections",
     "rng_state_digest",
     "merge_rng_fragments",
@@ -112,14 +116,22 @@ def merge_rng_fragments(fragments: Sequence[Tuple[str, str]]) -> str:
     return h.hexdigest()[:16]
 
 
+def _narrow_int(limit: int) -> type:
+    """Narrowest signed dtype (16 bits up) holding -1 and all of range(limit)."""
+    if limit <= 2**15:
+        return np.int16
+    return np.int32 if limit <= 2**31 else np.int64
+
+
 class EpochTopology:
-    """Dense per-node port maps for the epoch model.
+    """Dense ``[n, max_degree]`` port maps for the epoch model.
 
     Built once from a :class:`PortGraph` via the CSR snapshot: for node
     ``u`` and port ``p``, ``peer[u][p]`` is the neighbor's node index
     and ``peer_port[u][p]`` the port **on the neighbor** facing ``u``
-    (the arriving packet's input port).  Node indices are name-sorted
-    ranks, matching :class:`~repro.topology.csr.CsrTopology`.
+    (the arriving packet's input port); columns past ``degree[u]`` hold
+    -1.  Node indices are name-sorted ranks, matching
+    :class:`~repro.topology.csr.CsrTopology`.
     """
 
     def __init__(self, graph: PortGraph):
@@ -130,35 +142,24 @@ class EpochTopology:
         self.core_mask = csr.core_mask
         self.switch_ids = csr.switch_ids
         self.core_indices: Tuple[int, ...] = tuple(
-            int(i) for i in np.nonzero(csr.core_mask)[0]
+            np.nonzero(csr.core_mask)[0].tolist()
         )
         degree = np.diff(csr.indptr)
-        self.degree: Tuple[int, ...] = tuple(int(d) for d in degree)
-        self.peer: List[np.ndarray] = []
-        self.peer_port: List[np.ndarray] = []
-        for u in range(self.n):
-            d = self.degree[u]
-            peers = np.full(d, -1, dtype=np.int64)
-            pports = np.full(d, -1, dtype=np.int64)
-            sl = csr.edge_slice(u)
-            for nb, p_out, p_back in zip(
-                csr.indices[sl], csr.ports_out[sl], csr.ports_back[sl]
-            ):
-                peers[p_out] = nb
-                pports[p_out] = p_back
-            peers.setflags(write=False)
-            pports.setflags(write=False)
-            self.peer.append(peers)
-            self.peer_port.append(pports)
+        self.degree: Tuple[int, ...] = tuple(degree.tolist())
+        width = int(degree.max(initial=0))
+        shape, dtype = (self.n, width), _narrow_int(max(self.n, width))
+        rows = np.repeat(np.arange(self.n), degree)
+        self.peer = np.full(shape, -1, dtype=dtype)
+        self.peer[rows, csr.ports_out] = csr.indices
+        self.peer_port = np.full(shape, -1, dtype=dtype)
+        self.peer_port[rows, csr.ports_out] = csr.ports_back
+        self.peer.setflags(write=False)
+        self.peer_port.setflags(write=False)
         #: link key (sorted names) -> (u, port_on_u, v, port_on_v)
         self.links: Dict[Tuple[str, str], Tuple[int, int, int, int]] = {}
         for link in graph.links():
             u, v = self.index[link.a], self.index[link.b]
             self.links[link.key] = (u, link.a_port, v, link.b_port)
-
-    def fresh_up_state(self) -> List[np.ndarray]:
-        """All-ports-up carrier state, one bool array per node."""
-        return [np.ones(d, dtype=bool) for d in self.degree]
 
 
 @dataclass(frozen=True)
@@ -167,10 +168,11 @@ class EpochFlow:
 
     ``residues`` is the encode-time hint
     (:meth:`~repro.rns.encoder.EncodedRoute.residue_map`) the vector
-    engine seeds its per-switch residue arrays from, taking the big-int
-    ``route_id % switch_id`` once per (flow, switch) for switches not in
-    it.  The reference engine ignores the hint and takes the modulo per
-    packet per hop, so a wrong hint is a digest mismatch.
+    engine seeds its residue table from, taking the big-int
+    ``route_id % switch_id`` once per (flow, switch) pair a packet
+    reaches outside it.  The reference engine ignores the hint and
+    takes the modulo per packet per hop, so a wrong hint is a digest
+    mismatch (and one outside ``range(switch_id)`` a ``ValueError``).
     """
 
     route_id: int
@@ -196,15 +198,38 @@ class EpochWorkload:
     spec: Dict[str, Any]
 
     def __post_init__(self) -> None:
-        # A bad flip would otherwise surface mid-run as a bare KeyError
-        # (unknown link) or never apply at all (negative epoch).
+        # Bad input would otherwise surface mid-run as a bare KeyError or
+        # IndexError (unknown link, ingress that is no core switch), never
+        # apply at all (negative epoch or count) — or, in the flat kernel,
+        # forward from an edge node without complaint.
+        topo = self.topo
+        if self.inject_per_epoch < 0 or self.inject_epochs < 0:
+            raise ValueError(
+                f"inject_per_epoch={self.inject_per_epoch!r} and "
+                f"inject_epochs={self.inject_epochs!r} must be >= 0"
+            )
+        is_core = topo.core_mask.tolist()
+        for i, flow in enumerate(self.flows):
+            try:
+                ok = (
+                    0 <= flow.ingress < topo.n and is_core[flow.ingress]
+                    and 0 <= flow.egress < topo.n and not is_core[flow.egress]
+                    and 0 <= flow.in_port < topo.degree[flow.ingress]
+                )
+            except TypeError:
+                ok = False
+            if not ok:
+                raise ValueError(
+                    f"bad flow #{i} (ingress={flow.ingress!r}, in_port="
+                    f"{flow.in_port!r}, egress={flow.egress!r}): want a "
+                    f"core-switch index, one of its ports, an edge index"
+                )
+        by_epoch: Dict[int, List[Tuple[str, str]]] = {}
         for flip in self.flips:
             try:
                 epoch, a, b = flip
-                ok = (
-                    isinstance(epoch, int) and epoch >= 0
-                    and (min(a, b), max(a, b)) in self.topo.links
-                )
+                key = (min(a, b), max(a, b))
+                ok = isinstance(epoch, int) and epoch >= 0 and key in topo.links
             except (TypeError, ValueError):
                 ok = False
             if not ok:
@@ -212,6 +237,11 @@ class EpochWorkload:
                     f"bad flip {flip!r}: want (epoch >= 0, a, b) with a-b "
                     f"a link of the topology"
                 )
+            by_epoch.setdefault(epoch, []).append(key)
+        # Bucketed once here, not rescanned and re-sorted every epoch.
+        object.__setattr__(self, "_flips_by_epoch", {
+            epoch: tuple(sorted(keys)) for epoch, keys in by_epoch.items()
+        })
 
     @property
     def injected_total(self) -> int:
@@ -219,11 +249,7 @@ class EpochWorkload:
 
     def flips_at(self, epoch: int) -> Tuple[Tuple[str, str], ...]:
         """Link keys toggling at *epoch*, in sorted key order."""
-        keys = sorted(
-            (min(a, b), max(a, b))
-            for e, a, b in self.flips if e == epoch
-        )
-        return tuple(keys)
+        return self._flips_by_epoch.get(epoch, ())
 
 
 @dataclass
@@ -555,325 +581,226 @@ def run_epoch_reference(
 
 
 # ---------------------------------------------------------------------------
-# vector engine: per-switch-per-epoch numpy batches
+# vector engine: one numpy pass over every in-flight packet per epoch
 # ---------------------------------------------------------------------------
 
-class EpochCore:
-    """Vectorized switch state for a topology.
+def _residue_table(workload: EpochWorkload) -> np.ndarray:
+    """Flat ``table[core_rank * flows + flow]`` of ``R mod switch_id``.
 
-    Owns per-switch counters, RNG streams and residue arrays for every
-    core switch.  Carrier state covers the whole topology: flips are
-    global knowledge, exactly as loss-of-carrier is local-but-instant
-    in the DES model.
+    Seeded from the flows' encode-time hints; -1 marks a pair no hint
+    covers, which the engine fills by big-int modulo on first touch.
     """
-
-    def __init__(self, workload: EpochWorkload, trace: bool = False):
-        topo = workload.topo
-        self.workload = workload
-        self.topo = topo
-        self.strategy = strategy_by_name(workload.strategy)
-        core = topo.core_indices
-        registry = RngRegistry(workload.seed)
-        self.rngs: Dict[int, random.Random] = {
-            u: registry.stream(f"deflect:{topo.names[u]}") for u in core
-        }
-        self.up: List[np.ndarray] = topo.fresh_up_state()
-        # What decide() sees: each core switch's up ports as plain ints.
-        self.healthy: Dict[int, Tuple[int, ...]] = {
-            u: tuple(range(topo.degree[u])) for u in core
-        }
-        # counters[u] = [forwarded, deflections, drops]
-        self.counters: Dict[int, List[int]] = {u: [0, 0, 0] for u in core}
-        self.drop_reasons: Dict[str, int] = {}
-        self.delivered = 0
-        self.misdelivered: Dict[str, int] = {}
-        self.trace = trace
-        self.fates: Dict[int, Tuple[Any, ...]] = {}
-        # uid -> [(switch, in_port, out_port, deflected), ...] in hop order.
-        self.traces: Dict[int, List[Tuple[Any, ...]]] = {}
-        # Lazily-built per-switch residue arrays over flows.
-        self._residues: Dict[int, np.ndarray] = {}
-        self._flow_egress = np.array(
-            [f.egress for f in workload.flows], dtype=np.int64
-        )
-        self._flow_ttl = np.array(
-            [f.ttl for f in workload.flows], dtype=np.int64
-        )
-        self._flow_ingress = np.array(
-            [f.ingress for f in workload.flows], dtype=np.int64
-        )
-        self._flow_in_port = np.array(
-            [f.in_port for f in workload.flows], dtype=np.int64
-        )
-
-    def apply_flips(self, keys: Sequence[Tuple[str, str]]) -> None:
-        for key in keys:
-            u, pu, v, pv = self.topo.links[key]
-            self.up[u][pu] = not self.up[u][pu]
-            self.up[v][pv] = not self.up[v][pv]
-            for node_idx in (u, v):
-                if node_idx in self.healthy:
-                    self.healthy[node_idx] = tuple(
-                        int(p) for p in np.nonzero(self.up[node_idx])[0]
-                    )
-
-    def residues_for(self, u: int) -> np.ndarray:
-        res = self._residues.get(u)
-        if res is None:
-            sid = int(self.topo.switch_ids[u])
-            vals = []
-            for flow in self.workload.flows:
-                r = None
-                if flow.residues is not None:
-                    r = flow.residues.get(sid)
-                if r is None:
-                    r = flow.route_id % sid
-                vals.append(r)
-            res = np.array(vals, dtype=np.int64)
-            self._residues[u] = res
-        return res
-
-    def process_switch(
-        self,
-        u: int,
-        flow: np.ndarray,
-        ttl: np.ndarray,
-        deflected: np.ndarray,
-        in_port: np.ndarray,
-        uid: np.ndarray,
-    ) -> Dict[str, np.ndarray]:
-        """Drain one switch's epoch queue in one vectorized pass.
-
-        Returns the surviving (core-bound) packets as arrays in
-        emission order: ``sw``/``in_port``/``ttl``/``deflected``/
-        ``flow``/``uid``.  Terminals (delivered, misdelivered, drops)
-        are tallied on the core's counters.
-        """
-        topo = self.topo
-        name = topo.names[u]
-        deg = topo.degree[u]
-        counters = self.counters[u]
-        n = len(flow)
-
-        expired = ttl <= 0
-        n_expired = int(expired.sum())
-        if n_expired:
-            counters[2] += n_expired
-            self._drop_n("ttl-expired", n_expired)
-            if self.trace:
-                for w in np.nonzero(expired)[0]:
-                    self.fates[int(uid[w])] = ("dropped", name, "ttl-expired")
-        alive = ~expired
-        if not alive.all():
-            flow = flow[alive]
-            ttl = ttl[alive]
-            deflected = deflected[alive]
-            in_port = in_port[alive]
-            uid = uid[alive]
-        if len(flow) == 0:
-            return _empty_batch()
-        ttl = ttl - 1
-
-        comp = self.residues_for(u)[flow]
-        up_u = self.up[u]
-        valid = comp < deg
-        usable = np.zeros(len(comp), dtype=bool)
-        if valid.any():
-            usable[valid] = up_u[comp[valid]]
-        strategy = self.strategy
-        happy = strategy.happy_mask(usable, in_port, comp, deflected)
-
-        out_port = np.where(happy, comp, -1)
-        out_defl = deflected.copy()
-        # The per-hop decision flag (what the tracer records) is not
-        # the sticky kar.deflected bit: a happy-path hop traces False
-        # even for a packet deflected upstream.
-        hop_defl = np.zeros(len(comp), dtype=bool)
-        dropped = np.zeros(len(comp), dtype=bool)
-        # The fallback minority takes the scalar rule on the switch's
-        # own RNG stream, in queue order — the reference engine's draws.
-        healthy = self.healthy[u]
-        rng = self.rngs[u]
-        for w in np.nonzero(~happy)[0]:
-            port, hop_deflected = strategy.decide(
-                healthy, int(in_port[w]), int(comp[w]),
-                bool(deflected[w]), rng,
-            )
-            if port is None:
-                dropped[w] = True
-            else:
-                out_port[w] = port
-                if hop_deflected:
-                    out_defl[w] = True
-                    hop_defl[w] = True
-                    counters[1] += 1
-        n_drop = int(dropped.sum())
-        if n_drop:
-            reason = f"no-usable-port({strategy.name})"
-            counters[2] += n_drop
-            self._drop_n(reason, n_drop)
-            if self.trace:
-                for w in np.nonzero(dropped)[0]:
-                    self.fates[int(uid[w])] = ("dropped", name, reason)
-
-        fwd = ~dropped
-        n_fwd = int(fwd.sum())
-        counters[0] += n_fwd
-        if n_fwd == 0:
-            return _empty_batch()
-        flow = flow[fwd]
-        ttl = ttl[fwd]
-        out_defl = out_defl[fwd]
-        hop_defl = hop_defl[fwd]
-        out_port = out_port[fwd]
-        uid = uid[fwd]
-        in_port = in_port[fwd]
-
-        peers = topo.peer[u][out_port]
-        next_in = topo.peer_port[u][out_port]
-        if self.trace:
-            for w in range(len(uid)):
-                self.traces.setdefault(int(uid[w]), []).append(
-                    (name, int(in_port[w]), int(out_port[w]),
-                     bool(hop_defl[w]))
+    topo = workload.topo
+    n_flows = len(workload.flows)
+    ids = topo.switch_ids[topo.core_mask].tolist()
+    rank_of = {sid: rank for rank, sid in enumerate(ids)}
+    slots: List[int] = []
+    hints: List[int] = []
+    for f, flow in enumerate(workload.flows):
+        for sid, r in (flow.residues or {}).items():
+            rank = rank_of.get(sid)
+            if rank is None:
+                continue
+            if not 0 <= r < sid:
+                raise ValueError(
+                    f"bad residue hint {r!r} on flow #{f} for switch "
+                    f"{topo.names[topo.core_indices[rank]]}: want "
+                    f"0 <= r < switch_id {sid}"
                 )
-        is_core = self.topo.core_mask[peers]
-        term = np.nonzero(~is_core)[0]
-        if len(term):
-            egress = self._flow_egress[flow[term]]
-            ok = peers[term] == egress
-            self.delivered += int(ok.sum())
-            if (~ok).any():
-                bad_edges = peers[term][~ok]
-                for v, cnt in zip(*np.unique(bad_edges, return_counts=True)):
-                    edge_name = topo.names[int(v)]
-                    self.misdelivered[edge_name] = (
-                        self.misdelivered.get(edge_name, 0) + int(cnt)
-                    )
-            if self.trace:
-                for w, good in zip(term, ok):
-                    edge_name = topo.names[int(peers[w])]
-                    self.fates[int(uid[w])] = (
-                        ("delivered", edge_name) if good
-                        else ("misdelivered", edge_name)
-                    )
-        keep = is_core
-        return {
-            "sw": peers[keep],
-            "in_port": next_in[keep],
-            "ttl": ttl[keep],
-            "deflected": out_defl[keep],
-            "flow": flow[keep],
-            "uid": uid[keep],
-        }
-
-    def _drop_n(self, reason: str, n: int) -> None:
-        self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + n
-
-    def rng_fragments(self) -> List[Tuple[str, str]]:
-        return [
-            (self.topo.names[u], rng_state_digest(rng))
-            for u, rng in self.rngs.items()
-        ]
-
-    def switch_counters(self) -> Dict[str, List[int]]:
-        return {
-            self.topo.names[u]: list(c) for u, c in self.counters.items()
-        }
-
-
-def _empty_batch() -> Dict[str, np.ndarray]:
-    return {
-        "sw": np.empty(0, dtype=np.int64),
-        "in_port": np.empty(0, dtype=np.int64),
-        "ttl": np.empty(0, dtype=np.int64),
-        "deflected": np.empty(0, dtype=bool),
-        "flow": np.empty(0, dtype=np.int64),
-        "uid": np.empty(0, dtype=np.int64),
-    }
-
-
-def _concat_batches(batches: List[Dict[str, np.ndarray]]) -> Dict[str, np.ndarray]:
-    if not batches:
-        return _empty_batch()
-    return {
-        k: np.concatenate([b[k] for b in batches]) for k in batches[0]
-    }
-
-
-def injection_batch(
-    workload: EpochWorkload, injections: Sequence[Tuple[int, int]]
-) -> Dict[str, np.ndarray]:
-    """Array form of an ``iter_injections`` list (canonical order)."""
-    if not injections:
-        return _empty_batch()
-    uid = np.array([u for u, _ in injections], dtype=np.int64)
-    flow = np.array([f for _, f in injections], dtype=np.int64)
-    flows = workload.flows
-    return {
-        "sw": np.array([flows[f].ingress for _, f in injections], np.int64),
-        "in_port": np.array([flows[f].in_port for _, f in injections], np.int64),
-        "ttl": np.array([flows[f].ttl for _, f in injections], np.int64),
-        "deflected": np.zeros(len(injections), dtype=bool),
-        "flow": flow,
-        "uid": uid,
-    }
-
-
-def process_epoch_batch(
-    core: EpochCore, batch: Dict[str, np.ndarray]
-) -> Dict[str, np.ndarray]:
-    """One epoch over *batch*: group per switch, drain each in one pass.
-
-    The stable sort groups per-switch queues without perturbing arrival
-    order (sender index, emission order) inside one.
-    """
-    sw = batch["sw"]
-    if not len(sw):
-        return _empty_batch()
-    outputs: List[Dict[str, np.ndarray]] = []
-    order = np.argsort(sw, kind="stable")
-    sw_sorted = sw[order]
-    bounds = np.nonzero(np.diff(sw_sorted))[0] + 1
-    starts = np.concatenate(([0], bounds))
-    ends = np.concatenate((bounds, [len(sw_sorted)]))
-    for lo, hi in zip(starts, ends):
-        sel = order[lo:hi]
-        outputs.append(core.process_switch(
-            int(sw_sorted[lo]),
-            batch["flow"][sel],
-            batch["ttl"][sel],
-            batch["deflected"][sel],
-            batch["in_port"][sel],
-            batch["uid"][sel],
-        ))
-    return _concat_batches(outputs)
+            slots.append(rank * n_flows + f)
+            hints.append(r)
+    table = np.full(
+        len(ids) * n_flows, -1, dtype=_narrow_int(max(ids, default=0))
+    )
+    table[slots] = hints
+    return table
 
 
 def run_epoch_vector(
     workload: EpochWorkload, trace: bool = False
 ) -> EpochOutcome:
-    """The batch engine: one vectorized pass per switch per epoch."""
-    core = EpochCore(workload, trace=trace)
-    batch = _empty_batch()
+    """The batch engine: one pass over all in-flight packets per epoch."""
+    topo = workload.topo
+    names, n = topo.names, topo.n
+    flows = workload.flows
+    n_flows = len(flows)
+    strategy = strategy_by_name(workload.strategy)
+    no_port = f"no-usable-port({strategy.name})"
+    registry = RngRegistry(workload.seed)
+    core = topo.core_indices
+    rngs = {u: registry.stream(f"deflect:{names[u]}") for u in core}
+    # What decide() sees: each core switch's up ports as plain ints.
+    healthy = {u: tuple(range(topo.degree[u])) for u in core}
+    width = topo.peer.shape[1]
+    node_t = topo.peer.dtype
+    up = np.arange(width) < np.array(topo.degree)[:, None]
+    up_flat = up.ravel()  # a view: flips show through
+    peer, peer_port = topo.peer.ravel(), topo.peer_port.ravel()
+    is_core = topo.core_mask
+    core_rank = np.cumsum(is_core) - 1
+    residue = _residue_table(workload)
+    route_ids = np.array([f.route_id for f in flows], dtype=object)
+    switch_ids = topo.switch_ids[is_core].astype(object)
+    egress = np.array([f.egress for f in flows], dtype=node_t)
+    # counters[u] = [forwarded, deflections, drops]
+    counters = np.zeros((n, 3), dtype=np.int64)
+    misdelivered = np.zeros(n, dtype=np.int64)
+    delivered = n_expired = n_no_port = 0
+    fates: Optional[Dict[int, Tuple[Any, ...]]] = {} if trace else None
+    hops: Optional[Dict[int, List[Tuple[Any, ...]]]] = {} if trace else None
+
+    # The batch is parallel columns (switch, flow, ttl, sticky deflected
+    # bit, in-port and, only when tracing, uid), one row per in-flight
+    # packet.  One epoch's injections, flow order then per-flow count:
+    inj_flow = np.repeat(
+        np.arange(n_flows, dtype=_narrow_int(n_flows)),
+        workload.inject_per_epoch,
+    )
+    ttls = [f.ttl for f in flows]
+    ttl_t = _narrow_int(max(map(abs, ttls), default=0) + 1)
+    inject = [
+        np.array([f.ingress for f in flows], dtype=node_t)[inj_flow],
+        inj_flow,
+        np.array(ttls, dtype=ttl_t)[inj_flow],
+        np.zeros(len(inj_flow), dtype=bool),
+        np.array([f.in_port for f in flows], dtype=node_t)[inj_flow],
+    ]
+    if trace:
+        inject.append(np.arange(len(inj_flow)))
+    batch = [col[:0] for col in inject]
+
     epoch = 0
     while epoch < workload.max_epochs and (
-        len(batch["uid"]) > 0 or epoch < workload.inject_epochs
+        len(batch[0]) > 0 or epoch < workload.inject_epochs
     ):
-        core.apply_flips(workload.flips_at(epoch))
-        inj = injection_batch(workload, iter_injections(workload, epoch))
-        batch = process_epoch_batch(core, _concat_batches([batch, inj]))
+        for key in workload.flips_at(epoch):
+            u, pu, v, pv = topo.links[key]
+            for node, port in ((u, pu), (v, pv)):
+                up[node, port] ^= True
+                if node in healthy:
+                    healthy[node] = tuple(np.nonzero(up[node])[0].tolist())
+        if epoch < workload.inject_epochs:
+            # Injections queue after carried-over arrivals.
+            batch = [np.concatenate(pair) for pair in zip(batch, inject)]
+            if trace:
+                inject[-1] = inject[-1] + len(inj_flow)
+        # Carried arrivals are in (sender index, emission order), so one
+        # stable sort on the switch index yields every queue in order.
+        order = np.argsort(batch[0], kind="stable")
+        batch = [col[order] for col in batch]
+        sw, flow, ttl, deflected, in_port = batch[:5]
+        uid = batch[5] if trace else None
+        row = sw.astype(np.intp)
+        counters[:, 0] += np.bincount(row, minlength=n)
+
+        computed = residue[core_rank[row] * n_flows + flow]
+        missed = np.nonzero(computed < 0)[0]
+        if len(missed):
+            slot = core_rank[row[missed]] * n_flows + flow[missed]
+            fill = np.unique(slot)
+            residue[fill] = (
+                route_ids[fill % n_flows] % switch_ids[fill // n_flows]
+            )
+            computed[missed] = residue[slot]
+        row *= width
+        in_range = computed < width
+        out_port = np.where(in_range, computed, 0).astype(node_t, copy=False)
+        usable = in_range & up_flat[row + out_port]
+        alive = ttl > 0
+        forward = alive & strategy.happy_mask(
+            usable, in_port, computed, deflected
+        )
+        # The per-hop decision flag (what the tracer records) is not
+        # the sticky deflected bit: a happy-path hop traces False even
+        # for a packet deflected upstream.
+        hop_deflected = np.zeros(len(sw), dtype=bool)
+        # The fallback minority takes the scalar rule on its switch's
+        # own RNG stream, in queue order — the reference engine's draws.
+        fallback = np.nonzero(alive & ~forward)[0]
+        if len(fallback):
+            decided = [
+                strategy.decide(healthy[u], p, c, d, rngs[u])
+                for u, p, c, d in zip(
+                    sw[fallback].tolist(), in_port[fallback].tolist(),
+                    computed[fallback].tolist(),
+                    deflected[fallback].tolist(),
+                )
+            ]
+            ports = np.array(
+                [-1 if port is None else port for port, _ in decided],
+                dtype=node_t,
+            )
+            sent = ports >= 0
+            out_port[fallback[sent]] = ports[sent]
+            forward[fallback[sent]] = True
+            moved = fallback[sent & [flag for _, flag in decided]]
+            hop_deflected[moved] = True
+            deflected[moved] = True
+            counters[:, 1] += np.bincount(sw[moved], minlength=n)
+        # Whatever is not forwarded is a drop: out of TTL, or out of ports.
+        lost = np.nonzero(~forward)[0]
+        if len(lost):
+            drops = np.bincount(sw[lost], minlength=n)
+            counters[:, 0] -= drops
+            counters[:, 2] += drops
+            stuck = int(np.count_nonzero(alive[lost]))
+            n_no_port += stuck
+            n_expired += len(lost) - stuck
+            if trace:
+                for i, u, live in zip(
+                    uid[lost].tolist(), sw[lost].tolist(),
+                    alive[lost].tolist(),
+                ):
+                    fates[i] = (
+                        "dropped", names[u],
+                        no_port if live else "ttl-expired",
+                    )
+
+        row += out_port
+        nxt = peer[row]
+        onward = forward & is_core[nxt]
+        done = np.nonzero(forward & ~onward)[0]
+        if len(done):
+            edge = nxt[done]
+            ok = edge == egress[flow[done]]
+            delivered += int(np.count_nonzero(ok))
+            misdelivered += np.bincount(edge[~ok], minlength=n)
+            if trace:
+                for i, v, good in zip(
+                    uid[done].tolist(), edge.tolist(), ok.tolist()
+                ):
+                    fates[i] = (
+                        "delivered" if good else "misdelivered", names[v]
+                    )
+        if trace:
+            for i, u, p, q, flag in zip(
+                uid[forward].tolist(), sw[forward].tolist(),
+                in_port[forward].tolist(), out_port[forward].tolist(),
+                hop_deflected[forward].tolist(),
+            ):
+                hops.setdefault(i, []).append((names[u], p, q, flag))
+            uid = uid[onward]
+        batch = [
+            col[onward] for col in
+            (nxt, flow, ttl - 1, deflected, peer_port[row])
+        ]
+        if trace:
+            batch.append(uid)
         epoch += 1
 
+    tallies = counters.tolist()
     record = _finish_record(
-        workload, epoch, core.switch_counters(),
-        core.delivered, core.misdelivered, core.drop_reasons,
-        int(len(batch["uid"])), core.rng_fragments(),
+        workload, epoch, {names[u]: tallies[u] for u in core}, delivered,
+        {names[v]: int(misdelivered[v]) for v in np.nonzero(misdelivered)[0]},
+        {
+            reason: count for reason, count in
+            (("ttl-expired", n_expired), (no_port, n_no_port)) if count
+        },
+        len(batch[0]),
+        [(names[u], rng_state_digest(rng)) for u, rng in rngs.items()],
     )
     return EpochOutcome(
         record=record,
-        fates=core.fates if trace else None,
-        traces=(
-            {k: tuple(v) for k, v in core.traces.items()} if trace else None
-        ),
+        fates=fates,
+        traces={k: tuple(v) for k, v in hops.items()} if trace else None,
     )

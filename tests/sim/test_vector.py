@@ -7,11 +7,16 @@ not just aggregate counts.
 """
 
 import dataclasses
+import random
 
+import numpy as np
 import pytest
 
+from repro.controller.bulk import BulkProvisioner
 from repro.sim.vector import (
+    EpochFlow,
     EpochTopology,
+    EpochWorkload,
     build_workload,
     iter_injections,
     run_epoch_reference,
@@ -85,6 +90,47 @@ class TestWorkloadBuild:
         for flip in ((0, a, "NOPE"), (-1, a, b), (1.5, a, b), (0, a)):
             with pytest.raises(ValueError, match="bad flip"):
                 dataclasses.replace(wl, flips=(flip,))
+
+    def test_bad_flow_rejected_on_direct_construction(self):
+        # An edge-node ingress used to be a bare KeyError mid-run, an
+        # out-of-range one KeyError in the reference but IndexError in
+        # the vector engine; a flat kernel would forward from the edge.
+        wl = build_workload(small_spec())
+        topo, flow = wl.topo, wl.flows[1]
+        other_core = next(u for u in topo.core_indices if u != flow.ingress)
+        for bad in (
+            dict(ingress=flow.egress),  # an edge node
+            dict(ingress=999),
+            dict(ingress=-1),
+            dict(ingress="SW1"),
+            dict(egress=other_core),  # a core switch
+            dict(egress=topo.n),
+            dict(in_port=topo.degree[flow.ingress]),
+            dict(in_port=-1),
+        ):
+            flows = (wl.flows[0], dataclasses.replace(flow, **bad))
+            with pytest.raises(ValueError, match="bad flow #1") as err:
+                dataclasses.replace(wl, flows=flows)
+            assert repr(next(iter(bad.values()))) in str(err.value)
+
+    def test_negative_injection_counts_rejected(self):
+        # inject_per_epoch=-1 used to run silently as zero.
+        wl = build_workload(small_spec())
+        for bad in (dict(inject_per_epoch=-1), dict(inject_epochs=-2)):
+            with pytest.raises(ValueError, match="must be >= 0"):
+                dataclasses.replace(wl, **bad)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            build_workload(small_spec(inject_per_epoch=-1))
+        idle = dataclasses.replace(wl, inject_per_epoch=0)  # zero is fine
+        assert run_epoch_vector(idle).record == run_epoch_reference(idle).record
+
+    def test_port_tables_are_padded_and_narrow(self):
+        topo = build_workload(small_spec()).topo
+        width = max(topo.degree)
+        assert topo.peer.shape == topo.peer_port.shape == (topo.n, width)
+        assert topo.peer.dtype == np.int16  # from n, not from an option
+        for u in range(topo.n):
+            assert (topo.peer[u][topo.degree[u]:] == -1).all()
 
 
 class TestEngineEquality:
@@ -172,6 +218,154 @@ class TestHintMutation:
         bad = dataclasses.replace(wl, flows=(bad_flow,) + wl.flows[1:])
         assert run_epoch_reference(bad).digest == ref.digest  # hint ignored
         assert run_epoch_vector(bad).digest != ref.digest
+
+    def test_out_of_range_residue_hint_is_rejected(self):
+        # -1 used to be read as "the last port" (a silent digest
+        # mismatch); as the table's "unknown" mark it would silently be
+        # recomputed instead.  Neither: 0 <= r < switch_id or ValueError.
+        wl = build_workload(small_spec(link_failures=0))
+        flow = wl.flows[1]
+        ingress_id = int(wl.topo.switch_ids[flow.ingress])
+        for wrong in (-1, ingress_id, ingress_id + 3):
+            bad_flow = dataclasses.replace(
+                flow, residues={**flow.residues, ingress_id: wrong}
+            )
+            bad = dataclasses.replace(
+                wl, flows=(wl.flows[0], bad_flow) + wl.flows[2:]
+            )
+            with pytest.raises(ValueError, match="bad residue hint") as err:
+                run_epoch_vector(bad)
+            message = str(err.value)
+            assert repr(wrong) in message and "flow #1" in message
+            assert wl.topo.names[flow.ingress] in message
+
+    def test_hints_are_optional_and_foreign_ids_ignored(self):
+        wl = build_workload(small_spec())
+        ref = run_epoch_reference(wl)
+        bare = tuple(
+            dataclasses.replace(f, residues=r)
+            for f, r in zip(wl.flows, (None, {}, {10**6 + 3: -5}))
+        )
+        assert run_epoch_vector(
+            dataclasses.replace(wl, flows=bare)
+        ).record == ref.record
+
+
+def abilene_workload(strategy, ttl=24, flows=44, inject_per_epoch=4,
+                     inject_epochs=10, down_links=4, down_epochs=5):
+    """Bulk-provisioned flows on the committed abilene fixture with a
+    rolling fail/repair schedule over the busiest on-path core links."""
+    from repro.topology.generators import attach_edges
+    from repro.topology.zoo import load_zoo_graph
+
+    graph = load_zoo_graph("abilene")
+    edges = attach_edges(graph)
+    rng = random.Random("wide-batch")
+    pairs = sorted(rng.sample(
+        [(s, d) for s in edges for d in edges if s != d], flows
+    ))
+    bulk = BulkProvisioner(graph)
+    routes = [bulk.routes_for(dst, [src])[src] for src, dst in pairs]
+    topo = EpochTopology(graph)
+    usage = {}
+    for route in routes:
+        core = route.node_path[1:-1]
+        for a, b in zip(core, core[1:]):
+            key = (min(a, b), max(a, b))
+            usage[key] = usage.get(key, 0) + 1
+    flips = []
+    for i, (a, b) in enumerate(
+        sorted(usage, key=lambda k: (-usage[k], k))[:down_links]
+    ):
+        flips += [(1 + i, a, b), (1 + i + down_epochs, a, b)]
+    return EpochWorkload(
+        topo=topo,
+        flows=tuple(
+            EpochFlow(
+                route_id=r.route.route_id,
+                residues=dict(r.route.residue_map()),
+                ingress=topo.index[r.node_path[1]],
+                in_port=graph.port_of(r.node_path[1], r.src_edge),
+                egress=topo.index[r.dst_edge],
+                ttl=ttl,
+            )
+            for r in routes
+        ),
+        inject_per_epoch=inject_per_epoch, inject_epochs=inject_epochs,
+        max_epochs=inject_epochs + down_epochs + ttl + 4, seed=11,
+        strategy=strategy, flips=tuple(flips), spec={},
+    )
+
+
+def assert_engines_equal(wl):
+    ref = run_epoch_reference(wl, trace=True)
+    vec = run_epoch_vector(wl, trace=True)
+    assert vec.record == ref.record
+    assert vec.traces == ref.traces
+    assert vec.fates == ref.fates
+    assert vec.record["rng_fingerprint"] == ref.record["rng_fingerprint"]
+    untraced = run_epoch_vector(wl)
+    assert untraced.record == ref.record
+    assert untraced.fates is None and untraced.traces is None
+    return ref
+
+
+class TestWideBatch:
+    """Equality at width: the other differentials stop at 9 switches and
+    a handful of packets per epoch; these run hundreds of packets per
+    epoch across every switch of a real topology."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_rolling_failures_every_strategy(self, strategy):
+        wl = abilene_workload(strategy)
+        assert len(wl.flows) >= 40 and wl.inject_per_epoch == 4
+        ref = assert_engines_equal(wl)
+        r = ref.record
+        assert r["hops"] > 2000
+        if strategy == "none":
+            assert r["drop_reasons"]["no-usable-port(none)"] > 0
+        else:
+            assert sum(c[1] for c in r["switches"].values()) > 100
+
+    def test_deflected_packets_leave_their_residue_hints(self):
+        # Off-hint (flow, switch) pairs take the big-int modulo on
+        # first touch instead of the table seeded from residue_map.
+        wl = abilene_workload("nip")
+        ref = assert_engines_equal(wl)
+        per_epoch = len(wl.flows) * wl.inject_per_epoch
+        ids = dict(zip(wl.topo.names, wl.topo.switch_ids.tolist()))
+        off_hint = {
+            (uid % per_epoch // wl.inject_per_epoch, name)
+            for uid, hops in ref.traces.items()
+            for name, _, _, _ in hops
+            if ids[name] not in
+            wl.flows[uid % per_epoch // wl.inject_per_epoch].residues
+        }
+        assert len(off_hint) > 20
+
+    def test_ttl_expires_at_several_switches_in_one_epoch(self):
+        # HP random-walks after the first deflection, so a short TTL
+        # runs out all over the map at once.
+        wl = abilene_workload("hp", ttl=7)
+        ref = assert_engines_equal(wl)
+        per_epoch = len(wl.flows) * wl.inject_per_epoch
+        expired_at = {}
+        for uid, fate in ref.fates.items():
+            if fate[0] == "dropped" and fate[2] == "ttl-expired":
+                epoch = uid // per_epoch + len(ref.traces[uid])
+                expired_at.setdefault(epoch, set()).add(fate[1])
+        assert max(len(names) for names in expired_at.values()) >= 3
+
+    def test_wide_switch_ids_and_ttls_take_wider_columns(self):
+        # Switch IDs and TTLs past 2**15 move the residue table and the
+        # ttl column to int32; the outcome may not notice.
+        wl = build_workload(small_spec(
+            min_switch_id=2**15 + 100, ttl=2**15 + 5, strategy="hp",
+            num_switches=9, flows=6, link_failures=2, repair_epoch=None,
+        ))
+        assert int(wl.topo.switch_ids.max()) > 2**15
+        ref = assert_engines_equal(wl)
+        assert sum(c[1] for c in ref.record["switches"].values()) > 0
 
 
 class TestConservation:

@@ -18,14 +18,14 @@ from repro.sim.vector import (
 
 specs = st.builds(
     synthetic_spec,
-    num_switches=st.integers(min_value=4, max_value=9),
+    num_switches=st.integers(min_value=4, max_value=24),
     extra_links=st.integers(min_value=0, max_value=4),
     min_switch_id=st.sampled_from([17, 23, 29]),
     seed=st.integers(min_value=0, max_value=2**16),
     strategy=st.sampled_from(["none", "hp", "avp", "nip"]),
-    flows=st.integers(min_value=1, max_value=4),
+    flows=st.integers(min_value=1, max_value=24),
     ttl=st.integers(min_value=4, max_value=32),
-    inject_per_epoch=st.integers(min_value=1, max_value=3),
+    inject_per_epoch=st.integers(min_value=1, max_value=8),
     inject_epochs=st.integers(min_value=1, max_value=4),
     link_failures=st.integers(min_value=0, max_value=2),
     fail_epoch=st.integers(min_value=0, max_value=4),

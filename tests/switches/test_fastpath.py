@@ -1,5 +1,5 @@
 """Unit tests for what keeps the per-hop cost flat: the residue cache,
-encode-time hints, and the vector engine's split of a queue into a
+encode-time hints, and the vector engine's split of a batch into a
 happy-path mask and the scalar ``decide`` fallback."""
 
 import itertools
@@ -133,7 +133,8 @@ class _ExplodingRng:
 
 
 def _mask(strategy, healthy, in_port, computed, deflected):
-    """``happy_mask`` on a one-packet queue, the way EpochCore calls it."""
+    """``happy_mask`` on a one-packet batch, the way ``run_epoch_vector``
+    calls it."""
     return bool(strategy.happy_mask(
         np.array([computed in healthy]), np.array([in_port]),
         np.array([computed]), np.array([deflected]),
