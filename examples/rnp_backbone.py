@@ -11,7 +11,14 @@ Run:  python examples/rnp_backbone.py
 
 from repro import PARTIAL, KarSimulation, rnp28
 from repro.analysis.coverage import analyze_failure
-from repro.topology import RNP_CITY_LABELS
+
+#: Indicative PoP labels for the primary route (the paper's figure labels
+#: PoPs with Brazilian cities; only Boa Vista = SW7 and São Paulo = SW73
+#: are pinned by the text — the rest are cosmetic).
+RNP_CITY_LABELS = {
+    "SW7": "Boa Vista (RR)", "SW13": "Manaus (AM)",
+    "SW41": "Brasília (DF)", "SW73": "São Paulo (SP)",
+}
 
 
 def main() -> None:

@@ -1,6 +1,20 @@
 #!/usr/bin/env python
 """Service chaining over KAR — the paper's §5 future work, running.
 
+Section 5: *"we plan ... to investigate the application of KAR in the
+service chaining of virtualized network functions."*
+
+The one-residue-per-switch constraint means a single route ID cannot
+express a path that crosses the same switch twice with different exits
+— which service chains routinely need.  The natural KAR answer is
+**segment re-encoding**: the chain is a sequence of ordinary KAR
+segments (ingress → VNF₁ → VNF₂ → ... → destination), each with its own
+route ID; the host running each VNF re-injects the packet toward the
+next waypoint.  The core stays stateless; all chain state lives at the
+edges (one ingress entry per segment) and in the VNF hosts.  Everything
+below is built from the public ``KarSimulation.install_flow`` /
+``Host.register`` API — there is no chaining package.
+
 Parks two virtual network functions (a "firewall" and a "DPI" box) on
 edges of the 15-node network and steers traffic AS1 -> FW -> DPI -> AS3
 as three KAR segments, each with its own compact route ID.  Then fails
@@ -10,9 +24,136 @@ alive.
 Run:  python examples/service_chaining.py
 """
 
-from repro import KarSimulation, fifteen_node
-from repro.chaining import ServiceChain, add_chain_probe, deploy_chain
-from repro.topology import NodeKind
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
+
+from repro import EncodedRoute, KarSimulation, fifteen_node
+from repro.sim import Packet
+from repro.topology import NodeKind, TopologyError
+from repro.transport import UdpSink, UdpSource
+
+
+@dataclass(frozen=True)
+class ServiceChain:
+    """An ordered service chain between two hosts.
+
+    ``vnf_hosts`` run the virtualized functions, in traversal order;
+    each must hang off an edge node.  ``name`` is also the flow ID.
+    """
+
+    name: str
+    src_host: str
+    vnf_hosts: Tuple[str, ...]
+    dst_host: str
+
+    def waypoints(self) -> List[str]:
+        """The full host sequence the chain visits."""
+        return [self.src_host, *self.vnf_hosts, self.dst_host]
+
+    def segments(self) -> List[Tuple[str, str]]:
+        """Consecutive (from_host, to_host) segment endpoints."""
+        points = self.waypoints()
+        return list(zip(points, points[1:]))
+
+
+class VnfFunction:
+    """A virtualized function running on a host.
+
+    Receives every packet of its chain, applies a processing delay (and
+    an optional payload transformation), and forwards the packet toward
+    the next waypoint.  Registered on the host under the chain's flow
+    ID, like any transport endpoint.
+    """
+
+    def __init__(self, ks, host_name, next_host, processing_delay_s,
+                 transform=None):
+        self.ks = ks
+        self.host = ks.host(host_name)
+        self.next_host = next_host
+        self.processing_delay_s = processing_delay_s
+        self.transform = transform
+        self.processed = 0
+
+    def on_packet(self, packet: Packet) -> None:
+        self.processed += 1
+        if self.transform is not None:
+            packet.payload = self.transform(packet.payload)
+        forwarded = Packet(
+            src_host=self.host.name,
+            dst_host=self.next_host,
+            size_bytes=packet.size_bytes,
+            payload=packet.payload,
+            created_at=packet.created_at,
+        )
+        self.ks.sim.schedule(
+            self.processing_delay_s, self.host.inject, forwarded
+        )
+
+
+@dataclass
+class ChainDeployment:
+    """A deployed chain: its per-segment routes and VNF endpoints."""
+
+    chain: ServiceChain
+    segment_routes: List[Tuple[EncodedRoute, EncodedRoute]]
+    functions: List[VnfFunction]
+
+    @property
+    def total_header_bits(self) -> int:
+        """Sum of forward route-ID sizes across segments: N short
+        segment keys instead of one impossibly constrained end-to-end
+        key."""
+        return sum(fwd.bit_length for fwd, _ in self.segment_routes)
+
+
+def deploy_chain(
+    ks: KarSimulation,
+    chain: ServiceChain,
+    processing_delay_s: float = 0.0005,
+    transforms: Optional[Sequence] = None,
+) -> ChainDeployment:
+    """Install forward/reverse routes for every segment and register a
+    :class:`VnfFunction` on each VNF host relaying to the next waypoint.
+    *transforms* are optional per-VNF payload transforms, aligned with
+    ``chain.vnf_hosts``.
+    """
+    graph = ks.scenario.graph
+    waypoints = chain.waypoints()
+    for host in waypoints:
+        if host not in graph:
+            raise TopologyError(f"chain waypoint {host!r} not in topology")
+    if transforms is not None and len(transforms) != len(chain.vnf_hosts):
+        raise ValueError(
+            f"need one transform per VNF ({len(chain.vnf_hosts)}), "
+            f"got {len(transforms)}"
+        )
+    segment_routes = [ks.install_flow(a, b) for a, b in chain.segments()]
+    functions: List[VnfFunction] = []
+    for i, vnf_host in enumerate(chain.vnf_hosts):
+        fn = VnfFunction(
+            ks,
+            vnf_host,
+            next_host=waypoints[i + 2],  # vnf i sits at waypoint i + 1
+            processing_delay_s=processing_delay_s,
+            transform=transforms[i] if transforms else None,
+        )
+        ks.host(vnf_host).register(chain.name, fn)
+        functions.append(fn)
+    return ChainDeployment(chain, segment_routes, functions)
+
+
+def add_chain_probe(ks, deployment, rate_pps, duration_s, payload_bytes=1200):
+    """A constant-rate probe traversing the whole chain: the source
+    addresses the first VNF and the sink listens at the chain's
+    destination — delivery proves the full relay worked."""
+    chain = deployment.chain
+    source = UdpSource(
+        ks.sim, ks.host(chain.src_host), chain.waypoints()[1], chain.name,
+        rate_pps=rate_pps, payload_bytes=payload_bytes,
+        duration_s=duration_s,
+    )
+    sink = UdpSink(ks.sim, ks.host(chain.dst_host), chain.name)
+    return source, sink
 
 
 def build_scenario():

@@ -5,18 +5,11 @@ from repro.analysis.bitgrowth import (
     bit_growth_by_strategy,
     protection_budget_table,
 )
-from repro.analysis.delay import DelayReport, analyze_delays, rfc3550_jitter
 from repro.analysis.coverage import (
     CandidateOutcome,
     CoverageReport,
     Fate,
     analyze_failure,
-)
-from repro.analysis.residues import (
-    ResidueProfile,
-    expected_random_hops_fraction,
-    network_residue_profiles,
-    residue_profile,
 )
 from repro.analysis.stats import MeanCI, mean_ci
 from repro.analysis.walk import (
@@ -36,13 +29,6 @@ __all__ = [
     "geometric_retry",
     "GeometricRetryModel",
     "mean_ci",
-    "DelayReport",
-    "analyze_delays",
-    "rfc3550_jitter",
-    "ResidueProfile",
-    "residue_profile",
-    "network_residue_profiles",
-    "expected_random_hops_fraction",
     "MeanCI",
     "bit_growth_by_strategy",
     "GrowthPoint",

@@ -44,10 +44,6 @@ class GrowthPoint:
     hops: int
     bits: int
 
-    @property
-    def bits_per_hop(self) -> float:
-        return self.bits / self.hops if self.hops else 0.0
-
 
 def growth_pool(strategy: str, size: int, min_value: int = 4) -> List[int]:
     """The ID pool a growth sweep draws from, by assigner strategy.

@@ -19,14 +19,12 @@ from typing import Dict
 
 from repro.baselines.arborescence import (
     ArborescenceFailoverStrategy,
-    ArborescenceFailoverSwitch,
     ArborescencePlan,
     arborescence_decomposition,
     plan_arborescences,
 )
 from repro.baselines.fastfailover import (
     FastFailoverStrategy,
-    FastFailoverSwitch,
     plan_backup_ports,
     plan_destination_tree,
 )
@@ -41,12 +39,10 @@ __all__ = [
     "render_table2",
     "ControllerRepair",
     "FastFailoverStrategy",
-    "FastFailoverSwitch",
     "plan_backup_ports",
     "plan_destination_tree",
     "ArborescencePlan",
     "ArborescenceFailoverStrategy",
-    "ArborescenceFailoverSwitch",
     "arborescence_decomposition",
     "plan_arborescences",
     "BASELINE_SCHEMES",

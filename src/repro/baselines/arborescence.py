@@ -12,9 +12,8 @@ k-edge-connected graphs.
 This module provides the decomposition
 (:func:`arborescence_decomposition`, round-robin greedy BFS over the
 core subgraph), the per-destination planning
-(:func:`plan_arborescences`) and the dataplane pieces
-(:class:`ArborescenceFailoverStrategy` /
-:class:`ArborescenceFailoverSwitch`) that plug into the existing
+(:func:`plan_arborescences`) and the dataplane piece
+(:class:`ArborescenceFailoverStrategy`) that plugs into the existing
 switch stack exactly like :mod:`repro.baselines.fastfailover` — the
 per-switch statefulness is the point of the comparison: KAR gets its
 resilience from stateless deflection, this baseline from precomputed
@@ -23,20 +22,15 @@ trees.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.sim.engine import Simulator
-from repro.sim.trace import PacketTracer
-from repro.switches.core import KarSwitch
 from repro.switches.deflection import DeflectionStrategy
 from repro.topology.graph import NodeKind, PortGraph, TopologyError
 
 __all__ = [
     "ArborescencePlan",
     "ArborescenceFailoverStrategy",
-    "ArborescenceFailoverSwitch",
     "arborescence_decomposition",
     "plan_arborescences",
 ]
@@ -189,27 +183,3 @@ class ArborescenceFailoverStrategy(DeflectionStrategy):
             if port is not None and port in healthy:
                 return port, offset > 0
         return None, False
-
-
-class ArborescenceFailoverSwitch(KarSwitch):
-    """A KAR switch forwarding on arborescence tables instead of residues."""
-
-    def __init__(
-        self,
-        name: str,
-        sim: Simulator,
-        num_ports: int,
-        switch_id: int,
-        rng: random.Random,
-        plan: Optional[ArborescencePlan] = None,
-        tracer: Optional[PacketTracer] = None,
-    ):
-        super().__init__(
-            name, sim, num_ports, switch_id,
-            ArborescenceFailoverStrategy(plan), rng, tracer=tracer,
-        )
-
-    def install_plan(self, plan: ArborescencePlan) -> None:
-        assert isinstance(self.strategy, ArborescenceFailoverStrategy)
-        self.strategy.tree_ports = tuple(plan.tree_ports)
-        self.strategy.in_port_tree = dict(plan.in_port_tree)

@@ -5,7 +5,7 @@ on port failure the switch locally flips to the backup without any
 randomness — but it needs per-switch state (the fast-failover group
 table), which is exactly the property KAR's stateless core removes.
 
-:class:`FastFailoverSwitch` extends the KAR switch with such a backup
+:class:`FastFailoverStrategy` gives the KAR switch such a backup
 table; :func:`plan_backup_ports` computes backups for a primary route
 (the alternative shortest path around each primary link).  Ablation
 benchmarks compare KAR deflection against this stateful baseline.
@@ -13,19 +13,14 @@ benchmarks compare KAR deflection against this stateful baseline.
 
 from __future__ import annotations
 
-import random
 from typing import Dict, Optional, Sequence
 
-from repro.sim.engine import Simulator
-from repro.sim.trace import PacketTracer
-from repro.switches.core import KarSwitch
 from repro.switches.deflection import DeflectionStrategy
 from repro.topology.graph import PortGraph, TopologyError
 from repro.topology.paths import NoPathError, shortest_path
 
 __all__ = [
     "FastFailoverStrategy",
-    "FastFailoverSwitch",
     "plan_backup_ports",
     "plan_destination_tree",
 ]
@@ -68,29 +63,6 @@ class FastFailoverStrategy(DeflectionStrategy):
         if self.default_port is not None and self.default_port in healthy:
             return self.default_port, True
         return None, False
-
-
-class FastFailoverSwitch(KarSwitch):
-    """A KAR switch with an OF-FF group table bolted on."""
-
-    def __init__(
-        self,
-        name: str,
-        sim: Simulator,
-        num_ports: int,
-        switch_id: int,
-        rng: random.Random,
-        backups: Optional[Dict[int, int]] = None,
-        tracer: Optional[PacketTracer] = None,
-    ):
-        super().__init__(
-            name, sim, num_ports, switch_id,
-            FastFailoverStrategy(backups), rng, tracer=tracer,
-        )
-
-    def install_backup(self, primary_port: int, backup_port: int) -> None:
-        assert isinstance(self.strategy, FastFailoverStrategy)
-        self.strategy.backups[primary_port] = backup_port
 
 
 def plan_backup_ports(

@@ -180,6 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=1)
     run.add_argument("--duration", type=float, default=12.0,
                      help="total simulated seconds")
+    run.set_defaults(usage_error=run.error)
 
     chaos = sub.add_parser(
         "chaos",
@@ -459,9 +460,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
 
     scenario = scenario_factory(args.scenario)()
+    if args.protection not in scenario.protection:
+        args.usage_error(
+            f"--protection {args.protection!r} is not defined by "
+            f"{args.scenario}; choose from {', '.join(scenario.protection)}"
+        )
     if args.failure:
-        a, _, b = args.failure.partition("-")
-        failure: Optional[tuple] = (a, b)
+        named = {
+            f"{ln.a}-{ln.b}": (ln.a, ln.b) for ln in scenario.graph.links()
+        }
+        flipped = {f"{b}-{a}": (b, a) for a, b in named.values()}
+        failure: Optional[tuple] = (
+            named.get(args.failure) or flipped.get(args.failure)
+        )
+        if failure is None:
+            args.usage_error(
+                f"--failure {args.failure!r} is not a link of "
+                f"{args.scenario}; choose from {', '.join(named)}"
+            )
     else:
         failure = scenario.failure_links[0] if scenario.failure_links else None
     end = args.duration
@@ -474,6 +490,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         failure_window=(end / 3 + 0.5, 2 * end / 3),
         sample_interval_s=max(end / 24, 0.25),
     )
+    windows = (timeline.baseline_window, timeline.failure_window)
+    if any(lo >= hi for lo, hi in windows):
+        args.usage_error(
+            f"--duration {end:g} leaves an empty measurement window "
+            f"(failure window is d/3 + 0.5 .. 2d/3); choose more than 1.5"
+        )
     outcome = run_failure_experiment(
         scenario, args.deflection, args.protection, failure,
         args.seed, timeline,

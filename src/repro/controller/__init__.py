@@ -1,10 +1,8 @@
 """Controller plane: ID assignment, routing, protection, orchestration."""
 
 from repro.controller.controller import KarController
-from repro.controller.notifications import LinkNotification, NotificationService
 from repro.controller.idassign import AssignmentError, assign_switch_ids
 from repro.controller.protection import (
-    CachedProtectionPlanner,
     ProtectionPlan,
     ProtectionPlanner,
     segments_to_hops,
@@ -14,15 +12,10 @@ from repro.controller.provision import (
     ProvisionedRoute,
     ProvisioningEngine,
 )
-from repro.controller.retry import (
-    DEFAULT_RETRY_POLICY,
-    DeltaReencodeService,
-    RetryPolicy,
-)
+from repro.controller.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.controller.routing import (
     RoutingError,
     core_path_between_edges,
-    delta_reencode_route,
     encode_node_path,
     hops_for_path,
 )
@@ -31,21 +24,16 @@ __all__ = [
     "KarController",
     "RetryPolicy",
     "DEFAULT_RETRY_POLICY",
-    "DeltaReencodeService",
     "ProvisioningEngine",
     "ProvisionedRoute",
     "DestinationTree",
-    "NotificationService",
-    "LinkNotification",
     "assign_switch_ids",
     "AssignmentError",
     "ProtectionPlanner",
-    "CachedProtectionPlanner",
     "ProtectionPlan",
     "segments_to_hops",
     "RoutingError",
     "core_path_between_edges",
     "hops_for_path",
     "encode_node_path",
-    "delta_reencode_route",
 ]

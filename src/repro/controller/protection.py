@@ -25,12 +25,7 @@ from repro.rns.encoder import Hop
 from repro.topology.graph import NodeKind, PortGraph
 from repro.topology.topologies import ProtectionSegment
 
-__all__ = [
-    "segments_to_hops",
-    "ProtectionPlanner",
-    "CachedProtectionPlanner",
-    "ProtectionPlan",
-]
+__all__ = ["segments_to_hops", "ProtectionPlanner", "ProtectionPlan"]
 
 
 def segments_to_hops(
@@ -192,64 +187,3 @@ class ProtectionPlanner:
             uncovered=tuple(uncovered),
             bit_length=route_id_bit_length(product),
         )
-
-
-class CachedProtectionPlanner(ProtectionPlanner):
-    """A :class:`ProtectionPlanner` with per-topology-epoch memoization.
-
-    Planning is a pure function of (topology, route, budget), and in a
-    batch-provisioning pass the same inputs recur constantly: every flow
-    to a destination that enters the core at the same switch shares the
-    destination-tree branch, hence the same core route, hence the same
-    protection tree and plan.  This subclass memoizes both levels:
-
-    * the destination-rooted BFS parent map (:meth:`_tree_parent`),
-      keyed by the route's (destination, on-route switch set) — the only
-      inputs the tree construction reads;
-    * the finished :class:`ProtectionPlan`, keyed by (route, budget) —
-      plans are frozen dataclasses, safe to share between flows.
-
-    The caches are valid for exactly one topology epoch.  Call
-    :meth:`invalidate` after any topology change — a stale parent map
-    would chain deflections along links that no longer exist.
-    """
-
-    def __init__(self, graph: PortGraph):
-        super().__init__(graph)
-        self.epoch = 0
-        self._tree_cache: Dict[Tuple[str, frozenset], Dict[str, str]] = {}
-        self._plan_cache: Dict[
-            Tuple[Tuple[str, ...], Optional[int]], ProtectionPlan
-        ] = {}
-        self.tree_builds = 0
-        self.tree_hits = 0
-        self.plan_hits = 0
-
-    def invalidate(self) -> None:
-        """Drop all memoized trees/plans; call on topology change."""
-        self.epoch += 1
-        self._tree_cache.clear()
-        self._plan_cache.clear()
-
-    def _tree_parent(self, route: Sequence[str]) -> Dict[str, str]:
-        key = (route[-1], frozenset(route))
-        cached = self._tree_cache.get(key)
-        if cached is not None:
-            self.tree_hits += 1
-            return cached
-        parent = super()._tree_parent(route)
-        self._tree_cache[key] = parent
-        self.tree_builds += 1
-        return parent
-
-    def _plan(
-        self, route: Sequence[str], budget_bits: Optional[int]
-    ) -> ProtectionPlan:
-        key = (tuple(route), budget_bits)
-        cached = self._plan_cache.get(key)
-        if cached is not None:
-            self.plan_hits += 1
-            return cached
-        plan = super()._plan(route, budget_bits)
-        self._plan_cache[key] = plan
-        return plan

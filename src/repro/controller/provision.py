@@ -59,18 +59,8 @@ encoding against the reference solver on the engine's own hop lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, FrozenSet, List, Sequence, Tuple
 
-from repro.controller.protection import CachedProtectionPlanner, ProtectionPlan
 from repro.controller.routing import RoutingError, hops_for_path
 from repro.rns.crt import CrtError
 from repro.rns.encoder import EncodedRoute, RouteEncoder
@@ -257,11 +247,11 @@ class ProvisioningEngine:
             pairwise coprime (the topology builders validate them) to
             skip the pool's one-time O(n²) re-check.
 
-    Every externally interesting event is counted — provisions, batch
-    sizes, tree memo hits/misses, epoch bumps by granularity,
-    incremental vs. full re-encodes — and exposed as one JSON-able
-    mapping by :meth:`stats`, which is what the controller service's
-    ``/stats`` endpoint serves.  Counters are cumulative across epoch
+    Every externally interesting event is counted — provisions, tree
+    memo hits/misses, epoch bumps by granularity, incremental vs. full
+    re-encodes — and exposed as one JSON-able mapping by :meth:`stats`,
+    which is what the controller service's ``/stats`` endpoint
+    serves.  Counters are cumulative across epoch
     rebuilds (the encoder object outlives its pool, and a replacement
     pool inherits the subset counts), so invalidation thrash is visible
     instead of resetting the evidence.
@@ -282,17 +272,15 @@ class ProvisioningEngine:
         self.trees_built = 0
         self.tree_hits = 0
         self.provisions = 0
-        self.batches = 0
-        self.batch_flows = 0
         self.reroutes = 0
         self.epoch_bumps = 0
         self.full_rebuilds = 0
         self.link_invalidations = 0
         self.encoder = RouteEncoder()
-        self._rebuild_epoch_state()
+        self._rebuild_pool()
 
-    def _rebuild_epoch_state(self) -> None:
-        """A fresh pool and planner; the encoder and its counters stay."""
+    def _rebuild_pool(self) -> None:
+        """A fresh pool; the encoder and its counters stay."""
         retired = self.encoder.pool
         pool = PoolContext.from_graph(
             self.graph, validated=self._validated_pool
@@ -301,13 +289,12 @@ class ProvisioningEngine:
             pool.subsets_built = retired.subsets_built
             pool.subset_hits = retired.subset_hits
         self.encoder.pool = pool
-        self.planner = CachedProtectionPlanner(self.graph)
 
     # ------------------------------------------------------------------
     # epoch / invalidation
     # ------------------------------------------------------------------
     def note_topology_change(self) -> None:
-        """Invalidate every per-epoch artifact (trees, pool, planner).
+        """Invalidate every per-epoch artifact (trees, pool).
 
         Call after any change to the graph's nodes, links, port
         numbering, or switch IDs.  Routes encoded before the change stay
@@ -320,23 +307,22 @@ class ProvisioningEngine:
         self.epoch_bumps += 1
         self.full_rebuilds += 1
         self._trees.clear()
-        self._rebuild_epoch_state()
+        self._rebuild_pool()
 
     def note_link_change(self) -> None:
         """Invalidate link-state-dependent artifacts only.
 
-        Trees and protection plans are rebuilt (they follow links); the
-        pool and its subset contexts are kept — the switch-ID set is
-        unchanged, so every precomputed CRT weight is still exact.  This
-        is the epoch bump a long-running service issues on every
-        ``link_down``/``link_up``/``port_flap`` event, and why
-        steady-state churn never re-solves from scratch.
+        Trees are rebuilt (they follow links); the pool and its subset
+        contexts are kept — the switch-ID set is unchanged, so every
+        precomputed CRT weight is still exact.  This is the epoch bump a
+        long-running service issues on every ``link_down``/``link_up``/
+        ``port_flap`` event, and why steady-state churn never re-solves
+        from scratch.
         """
         self.epoch += 1
         self.epoch_bumps += 1
         self.link_invalidations += 1
         self._trees.clear()
-        self.planner = CachedProtectionPlanner(self.graph)
 
     # ------------------------------------------------------------------
     # link-state overlay
@@ -355,10 +341,6 @@ class ProvisioningEngine:
         if not self.graph.has_link(a, b):
             raise ProvisionError("not-a-link", f"no link {a}-{b}")
         return link_key(a, b)
-
-    def link_is_up(self, a: str, b: str) -> bool:
-        """True iff the (existing) link is not overlaid as down."""
-        return self._require_link(a, b) not in self._down
 
     def set_link_down(self, a: str, b: str) -> bool:
         """Mark a link failed; returns True if the state changed.
@@ -478,23 +460,6 @@ class ProvisioningEngine:
         """
         return self.encode_path(self.select_path(src_edge, dst_edge))
 
-    def provision_batch(
-        self, pairs: Iterable[Tuple[str, str]]
-    ) -> List[ProvisionedRoute]:
-        """Provision many ``(src_edge, dst_edge)`` flows in one pass.
-
-        Order-preserving, duplicates allowed: the per-flow loop, sharing
-        one memoized tree per destination and the pooled encoder.  A
-        caller that wants a whole mesh uses
-        :class:`~repro.controller.bulk.BulkProvisioner` directly; this
-        loop is the oracle its routes are held bit-identical to
-        (``tests/controller/test_bulk.py``).
-        """
-        routes = [self.provision(src, dst) for src, dst in pairs]
-        self.batches += 1
-        self.batch_flows += len(routes)
-        return routes
-
     # ------------------------------------------------------------------
     # failure-time updates
     # ------------------------------------------------------------------
@@ -565,28 +530,6 @@ class ProvisioningEngine:
         return updated
 
     # ------------------------------------------------------------------
-    # protection
-    # ------------------------------------------------------------------
-    def protect(
-        self,
-        provisioned: ProvisionedRoute,
-        budget_bits: Optional[int] = None,
-    ) -> ProtectionPlan:
-        """Protection plan for a provisioned route (memoized per epoch).
-
-        Flows sharing a destination share tree branches, so their
-        protection plans hit the planner's per-epoch cache.
-        """
-        core_route = [
-            n
-            for n in provisioned.node_path
-            if self.graph.node(n).kind == NodeKind.CORE
-        ]
-        if budget_bits is None:
-            return self.planner.full(core_route)
-        return self.planner.partial(core_route, budget_bits)
-
-    # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
@@ -603,8 +546,6 @@ class ProvisioningEngine:
         return {
             "epoch": self.epoch,
             "provisions": self.provisions,
-            "batches": self.batches,
-            "batch_flows": self.batch_flows,
             "reroutes": self.reroutes,
             "links_down": len(self._down),
             "trees": {"built": self.trees_built, "hits": self.tree_hits},

@@ -1,4 +1,4 @@
-"""Retry policy and delta-patched serving for edge→controller requests.
+"""Retry policy for edge→controller requests.
 
 The seed code assumed the controller always answers; under chaos
 (:class:`~repro.sim.chaos.ControllerOutageChaos`) it does not.  An edge
@@ -9,31 +9,15 @@ and give up after *max_attempts* with an explicit drop reason.
 Jitter draws come from the caller's named RNG stream, so retry timing
 is bit-reproducible under a fixed seed (a property the unit tests pin
 down) and does not perturb any other component's stream.
-
-:class:`DeltaReencodeService` closes the loop on the *cost* of those
-retried requests: it fronts any re-encode service with a served-entry
-cache that is patched **incrementally** when a switch's output port
-changes — one CRT addend per affected route
-(:meth:`~repro.rns.encoder.RouteEncoder.with_port`) instead of a fresh
-solve per (edge, destination) pair.  Under link churn, the retry storm
-hits the patched cache, not the solver.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
-from repro.rns.encoder import EncodedRoute, Hop, RouteEncoder
-from repro.switches.edge import IngressEntry, ReencodeService
-
-__all__ = [
-    "RetryPolicy",
-    "DEFAULT_RETRY_POLICY",
-    "DeltaReencodeService",
-]
+__all__ = ["RetryPolicy", "DEFAULT_RETRY_POLICY"]
 
 
 @dataclass(frozen=True)
@@ -122,93 +106,3 @@ class RetryPolicy:
 
 
 DEFAULT_RETRY_POLICY = RetryPolicy()
-
-
-class DeltaReencodeService:
-    """A :class:`~repro.switches.edge.ReencodeService` with delta patching.
-
-    Wraps an inner service (typically
-    :class:`~repro.controller.controller.KarController`) and keeps every
-    entry it has served.  When the control plane learns that one
-    switch's output port changed (:meth:`note_port_change`), every
-    served entry encoding that switch is patched in place with a
-    single-addend CRT update — ``R' = <R + (p' − p) · M_i L_i>_M`` via
-    the pooled encoder's :meth:`~repro.rns.encoder.RouteEncoder
-    .with_port` — instead of recomputing one route per (edge,
-    destination) pair.  Edges keep calling
-    :meth:`reencode` as before and observe the patched entries.
-
-    Entries served without a residue hint cannot be patched (there is no
-    hop set to delta against); they are dropped from the cache on the
-    next port change and re-fetched from the inner service.
-
-    Counters:
-        delta_updates: entries patched incrementally.
-        served_local: requests answered from the patched cache.
-        served_inner: requests forwarded to the inner service.
-    """
-
-    def __init__(self, inner: ReencodeService, encoder: RouteEncoder):
-        self.inner = inner
-        self.encoder = encoder
-        self._served: Dict[Tuple[str, str], Optional[IngressEntry]] = {}
-        self.delta_updates = 0
-        self.served_local = 0
-        self.served_inner = 0
-
-    # -- ReencodeService protocol --------------------------------------
-    @property
-    def control_rtt_s(self) -> float:
-        return self.inner.control_rtt_s
-
-    @property
-    def reachable(self) -> bool:
-        return self.inner.reachable
-
-    def reencode(self, edge_name: str, dst_host: str) -> Optional[IngressEntry]:
-        key = (edge_name, dst_host)
-        if key in self._served:
-            self.served_local += 1
-            return self._served[key]
-        entry = self.inner.reencode(edge_name, dst_host)
-        self._served[key] = entry
-        self.served_inner += 1
-        return entry
-
-    # -- delta patching ------------------------------------------------
-    def note_port_change(self, switch_id: int, new_port: int) -> int:
-        """Patch every served entry that encodes *switch_id*.
-
-        Returns the number of entries updated.  Identity changes (the
-        entry already uses *new_port*) are left untouched.
-        """
-        patched = 0
-        for key, entry in list(self._served.items()):
-            if entry is None or not entry.residues:
-                if entry is not None:
-                    # No residue hint: cannot delta; refetch next time.
-                    del self._served[key]
-                continue
-            old_port = entry.residues.get(switch_id)
-            if old_port is None or old_port == new_port:
-                continue
-            route = EncodedRoute(
-                route_id=entry.route_id,
-                modulus=entry.modulus,
-                hops=tuple(
-                    Hop(s, p) for s, p in sorted(entry.residues.items())
-                ),
-            )
-            updated = self.encoder.with_port(route, switch_id, new_port)
-            self._served[key] = dataclasses.replace(
-                entry,
-                route_id=updated.route_id,
-                residues=updated.residue_map(),
-            )
-            self.delta_updates += 1
-            patched += 1
-        return patched
-
-    def invalidate(self) -> None:
-        """Forget every served entry (e.g. on a topology epoch change)."""
-        self._served.clear()

@@ -19,7 +19,6 @@ __all__ = [
     "core_path_between_edges",
     "hops_for_path",
     "encode_node_path",
-    "delta_reencode_route",
     "RoutingError",
 ]
 
@@ -100,36 +99,3 @@ def encode_node_path(
     """
     encoder = encoder or RouteEncoder()
     return encoder.encode(hops_for_path(graph, node_path) + list(extra_hops))
-
-
-def delta_reencode_route(
-    graph: PortGraph,
-    route: EncodedRoute,
-    switch_name: str,
-    new_next: str,
-    encoder: RouteEncoder,
-) -> EncodedRoute:
-    """Re-encode *route* so *switch_name* exits toward *new_next*.
-
-    The link-failure re-route primitive: when a switch's primary output
-    port dies and the controller picks a different neighbor, only that
-    one residue changes — ``R' = <R + (p' − p) · M_i L_i>_M`` — so the
-    update goes through :meth:`RouteEncoder.with_port` (a single CRT
-    addend, with transparent full-solve fallback for routes off the
-    encoder's pool) instead of re-solving the whole system.  Bit-identical
-    to a fresh encode of the mutated hop list.
-
-    Raises:
-        RoutingError: when *switch_name*/*new_next* are not linked, or
-            the new port is not addressable by the switch ID.
-        CrtError: when *route* does not encode *switch_name*'s ID.
-    """
-    if not graph.has_link(switch_name, new_next):
-        raise RoutingError(f"re-route step {switch_name}->{new_next} is not a link")
-    sid = graph.switch_id(switch_name)
-    port = graph.port_of(switch_name, new_next)
-    if port >= sid:
-        raise RoutingError(
-            f"{switch_name}: port {port} not addressable by switch ID {sid}"
-        )
-    return encoder.with_port(route, sid, port)

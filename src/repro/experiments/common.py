@@ -25,7 +25,6 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.stats import MeanCI, mean_ci
 from repro.rns.backends import resolve_backend_name
 from repro.runner import KarSimulation
 from repro.topology.topologies import Scenario, fifteen_node, redundant_path, rnp28
@@ -36,7 +35,6 @@ __all__ = [
     "DEFAULT_TIMELINE",
     "RunOutcome",
     "run_failure_experiment",
-    "ratio_ci",
     "seeds_from_env",
     "resolve_seeds",
     "scenario_factory",
@@ -189,8 +187,3 @@ def run_failure_experiment(
         failure_mbps=result.mean_mbps_between(*timeline.failure_window),
         iperf=result,
     )
-
-
-def ratio_ci(outcomes: Sequence[RunOutcome]) -> MeanCI:
-    """95 % CI over the failure/baseline ratios of repeated runs."""
-    return mean_ci([o.ratio for o in outcomes])

@@ -42,10 +42,6 @@ class Figure8Result:
     throughput_mbps: MeanCI
     model: GeometricRetryModel
 
-    @property
-    def model_expected_hops(self) -> float:
-        return self.model.expected_total_hops
-
 
 def analytical_model() -> GeometricRetryModel:
     """The closed-form retry model for the Fig. 8 topology.

@@ -34,7 +34,6 @@ from repro.farm.jobs import (
     chaos_spec,
     execute_spec,
     failure_spec,
-    outcome_digest,
 )
 from repro.farm.progress import ProgressReporter
 from repro.farm.spec import FORMAT_VERSION, RunSpec
@@ -60,5 +59,4 @@ __all__ = [
     "failure_spec",
     "chaos_spec",
     "execute_spec",
-    "outcome_digest",
 ]

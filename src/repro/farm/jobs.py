@@ -53,7 +53,6 @@ __all__ = [
     "execute_record",
     "failure_spec",
     "failure_outcome_record",
-    "outcome_digest",
     "FailureResult",
     "chaos_spec",
     "chaos_run_from_record",
@@ -172,11 +171,6 @@ def failure_outcome_record(outcome: Any) -> Dict[str, Any]:
         "fast_retransmits": iperf.fast_retransmits,
         "timeouts": iperf.timeouts,
     }
-
-
-def outcome_digest(outcome: Any) -> str:
-    """Digest of a directly-run outcome — the pre-farm comparison hook."""
-    return record_digest(failure_outcome_record(outcome))
 
 
 @dataclass(frozen=True)
@@ -446,9 +440,7 @@ def service_spec(
 
 @job_kind("service")
 def _run_service(spec: RunSpec) -> Dict[str, Any]:
-    from dataclasses import asdict
-
-    from repro.service.loadgen import run_churn
+    from repro.service.loadgen import churn_record, run_churn
 
     p = spec.params
     report = run_churn(
@@ -462,7 +454,7 @@ def _run_service(spec: RunSpec) -> Dict[str, Any]:
     # Nested under "service": ChurnReport carries its own `digest`
     # (the transport-independent op-log fingerprint) which must not
     # collide with the farm's record digest.
-    return {"service": asdict(report)}
+    return churn_record(report)
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,7 @@ from repro.rns.backends import (
     backend_by_name,
 )
 from repro.rns.bitlength import (
-    BitLengthReport,
     bit_length_for_switches,
-    bit_length_growth,
-    max_hops_within_budget,
     route_id_bit_length,
 )
 from repro.rns.coprime import (
@@ -77,9 +74,6 @@ __all__ = [
     "product_tree",
     "route_id_bit_length",
     "bit_length_for_switches",
-    "bit_length_growth",
-    "max_hops_within_budget",
-    "BitLengthReport",
     "prime_pool",
     "greedy_coprime_pool",
     "validate_pool",

@@ -2,9 +2,7 @@
 
 The route ID lives in ``[0, M)`` with ``M`` the product of the encoded
 switch IDs, so its header cost is ``ceil(log2(M - 1))`` bits (Eq. 9).
-This module computes that bound, its growth as protection hops are
-added, and the converse capacity question: given a header budget, how
-many hops fit?
+This module computes that bound.
 
 These functions regenerate Table 1 of the paper (see
 ``repro.experiments.table1``).
@@ -12,16 +10,9 @@ These functions regenerate Table 1 of the paper (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable
 
-__all__ = [
-    "route_id_bit_length",
-    "bit_length_for_switches",
-    "bit_length_growth",
-    "max_hops_within_budget",
-    "BitLengthReport",
-]
+__all__ = ["route_id_bit_length", "bit_length_for_switches"]
 
 
 def route_id_bit_length(modulus: int) -> int:
@@ -62,58 +53,3 @@ def bit_length_for_switches(switch_ids: Iterable[int]) -> int:
     if count == 0:
         raise ValueError("need at least one switch ID")
     return route_id_bit_length(modulus)
-
-
-@dataclass(frozen=True)
-class BitLengthReport:
-    """One row of a Table-1-style report."""
-
-    label: str
-    switch_ids: Tuple[int, ...]
-    bit_length: int
-
-    @property
-    def switch_count(self) -> int:
-        return len(self.switch_ids)
-
-
-def bit_length_growth(switch_ids: Sequence[int]) -> List[int]:
-    """Bit length after each successive switch is folded into the route.
-
-    Useful for plotting header-cost growth as protection hops are added.
-
-    >>> bit_length_growth([10, 7, 13, 29])
-    [4, 7, 10, 15]
-    """
-    out: List[int] = []
-    modulus = 1
-    for s in switch_ids:
-        if s <= 1:
-            raise ValueError(f"switch ID must be > 1, got {s}")
-        modulus *= s
-        out.append(route_id_bit_length(modulus))
-    return out
-
-
-def max_hops_within_budget(switch_ids: Sequence[int], budget_bits: int) -> int:
-    """How many of *switch_ids* (in order) fit in a *budget_bits* header.
-
-    Models the paper's "loose protection" fallback: when the full
-    protection set does not fit the route-ID field, the controller keeps
-    only a prefix of the protection hops.
-
-    >>> max_hops_within_budget([10, 7, 13, 29, 11, 23, 31], budget_bits=15)
-    4
-    """
-    if budget_bits < 1:
-        raise ValueError(f"budget must be >= 1 bit, got {budget_bits}")
-    modulus = 1
-    fitted = 0
-    for s in switch_ids:
-        if s <= 1:
-            raise ValueError(f"switch ID must be > 1, got {s}")
-        modulus *= s
-        if route_id_bit_length(modulus) > budget_bits:
-            break
-        fitted += 1
-    return fitted

@@ -25,7 +25,6 @@ import copy
 
 from repro.controller.controller import KarController
 from repro.controller.idassign import reassign_switch_ids
-from repro.controller.retry import RetryPolicy
 from repro.rns.backends import backend_by_name
 from repro.rns.encoder import EncodedRoute, RouteEncoder
 from repro.sim.chaos import CHAOS_MODES, ChaosInjector, ControllerOutageChaos
@@ -62,17 +61,11 @@ class KarSimulation:
         trace_paths: keep full per-packet hop lists (slower; for tests).
         install_primary_flow: install forward/reverse routes for the
             scenario's (src_host, dst_host) pair at construction.
-        edge_node_cls: the edge implementation (default
-            :class:`~repro.switches.edge.EdgeNode`; pass
-            :class:`~repro.multipath.MultipathEdgeNode` for per-packet
-            multipath policies).
         invariants: True wires a collecting
             :class:`~repro.sim.invariants.InvariantChecker` through the
             whole packet path (NIP runs also enable the return-to-
             sender check); pass a checker instance for custom/strict
             configuration.
-        retry_policy: edge→controller re-encode timeout/backoff policy
-            (default :data:`~repro.controller.retry.DEFAULT_RETRY_POLICY`).
         strategy_factory: optional ``switch_name -> DeflectionStrategy``
             hook for *per-switch* strategies — the stateful baselines
             (:mod:`repro.baselines`) install precomputed per-switch
@@ -103,10 +96,8 @@ class KarSimulation:
         ttl: int = 64,
         trace_paths: bool = False,
         install_primary_flow: bool = True,
-        edge_node_cls: type = EdgeNode,
         misdelivery_policy: str = "reencode",
         invariants: bool | InvariantChecker = False,
-        retry_policy: Optional[RetryPolicy] = None,
         strategy_factory: Optional[
             Callable[[str], DeflectionStrategy]
         ] = None,
@@ -122,9 +113,7 @@ class KarSimulation:
         except ValueError:
             scenario = copy.deepcopy(scenario)
             reassign_switch_ids(scenario.graph, strategy=backend.id_strategy)
-        self.edge_node_cls = edge_node_cls
         self.misdelivery_policy = misdelivery_policy
-        self.retry_policy = retry_policy
         self.scenario = scenario
         self.sim = Simulator()
         self.rng = RngRegistry(seed)
@@ -193,10 +182,9 @@ class KarSimulation:
         )
 
     def _make_edge(self, info: NodeInfo, sim: Simulator) -> Node:
-        return self.edge_node_cls(
+        return EdgeNode(
             info.name, sim, info.degree, tracer=self.tracer,
             misdelivery_policy=self.misdelivery_policy,
-            retry_policy=self.retry_policy,
             rng=self.rng.stream(f"edge:{info.name}"),
             invariants=self.invariants,
         )
@@ -251,32 +239,6 @@ class KarSimulation:
                 self.scenario.reverse_route if scenario_pair else None
             ),
         )
-
-    def enable_notifications(
-        self, reactive: bool = False, delay_s: float = 0.01
-    ):
-        """Wire dataplane failure notifications to the controller side.
-
-        The paper's switches notify the controller but the experiments
-        have it ignore them (``reactive=False``: log only).  With
-        ``reactive=True`` the service implements the traditional
-        notify-and-reroute baseline for the scenario's primary flow.
-
-        Returns the :class:`~repro.controller.notifications.NotificationService`.
-        """
-        from repro.controller.notifications import NotificationService
-
-        service = NotificationService(
-            self.network,
-            self.scenario.graph,
-            notification_delay_s=delay_s,
-            reactive=reactive,
-            default_ttl=self.controller.default_ttl,
-            encoder=self.controller.encoder,
-        )
-        service.wire()
-        service.track_flow(self.scenario.src_host, self.scenario.dst_host)
-        return service
 
     def schedule_failure(
         self, a: str, b: str, at: float, repair_at: Optional[float] = None

@@ -111,9 +111,6 @@ class ReservationLedger:
         """The ``(bandwidth, links)`` a flow holds, if any."""
         return self._flows.get(flow_id)
 
-    def reserved_flow_ids(self) -> List[str]:
-        return sorted(self._flows)
-
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------

@@ -412,6 +412,3 @@ class ServiceThread:
             self._thread.join(timeout=10)
         self._loop = None
         self._thread = None
-
-    def base_url(self) -> str:
-        return f"http://{self.host}:{self.port}"

@@ -213,8 +213,8 @@ class Link:
         self._ba.set_up(up)
         # Invalidate cached port state *before* the hooks run: a hook
         # (or anything it schedules) may query healthy_ports(), and
-        # instance-level on_link_state overrides (the notification
-        # service installs one) must not bypass invalidation.
+        # instance-level on_link_state overrides must not bypass
+        # invalidation.
         self.node_a.ports_changed()
         self.node_b.ports_changed()
         self.node_a.on_link_state(self.port_a, up)

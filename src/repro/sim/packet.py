@@ -86,20 +86,6 @@ class Packet:
         if self.size_bytes <= 0:
             raise ValueError(f"packet size must be positive, got {self.size_bytes}")
 
-    def clone_for_retransmit(self) -> "Packet":
-        """A fresh packet carrying the same payload (new uid, no header).
-
-        Used by transports on retransmission: the network treats it as a
-        brand-new packet (it is one on the wire).
-        """
-        return Packet(
-            src_host=self.src_host,
-            dst_host=self.dst_host,
-            size_bytes=self.size_bytes,
-            payload=self.payload,
-            created_at=self.created_at,
-        )
-
     def __repr__(self) -> str:  # compact, for traces
         kar = ""
         if self.kar is not None:

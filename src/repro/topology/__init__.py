@@ -7,22 +7,16 @@ from repro.topology.generators import (
     ring_lattice,
     torus,
 )
-from repro.topology.serialize import load_scenario, save_scenario
 from repro.topology.zoo import ABILENE_LINKS, abilene, fat_tree
 from repro.topology.graph import LinkInfo, NodeInfo, NodeKind, PortGraph, TopologyError
 from repro.topology.paths import (
     NoPathError,
-    all_shortest_paths,
-    articulation_links,
     is_reachable_without,
-    k_shortest_paths,
-    path_links,
     shortest_path,
 )
 from repro.topology.topologies import (
     FULL,
     PARTIAL,
-    RNP_CITY_LABELS,
     UNPROTECTED,
     ProtectionSegment,
     Scenario,
@@ -39,11 +33,7 @@ __all__ = [
     "NodeKind",
     "TopologyError",
     "shortest_path",
-    "all_shortest_paths",
-    "k_shortest_paths",
-    "path_links",
     "is_reachable_without",
-    "articulation_links",
     "NoPathError",
     "Scenario",
     "ProtectionSegment",
@@ -54,7 +44,6 @@ __all__ = [
     "UNPROTECTED",
     "PARTIAL",
     "FULL",
-    "RNP_CITY_LABELS",
     "random_connected",
     "ring_lattice",
     "clique",
@@ -63,6 +52,4 @@ __all__ = [
     "fat_tree",
     "abilene",
     "ABILENE_LINKS",
-    "save_scenario",
-    "load_scenario",
 ]

@@ -186,9 +186,6 @@ class PortGraph:
         except KeyError:
             raise TopologyError(f"unknown node {name!r}") from None
 
-    def has_node(self, name: str) -> bool:
-        return name in self._nodes
-
     def nodes(self, kind: Optional[str] = None) -> List[NodeInfo]:
         """All nodes, optionally filtered by kind, in insertion order."""
         if kind is None:

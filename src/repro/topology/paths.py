@@ -1,27 +1,18 @@
 """Path algorithms over :class:`repro.topology.graph.PortGraph`.
 
-The KAR controller needs shortest paths (route selection), k-shortest
-paths (alternate-route exploration), and reachability under link
-removal (failure analysis).  All algorithms treat the graph as
-undirected, consistent with full-duplex links.
+The KAR controller needs shortest paths (route selection) and
+reachability under link removal (failure analysis).  Both treat the
+graph as undirected, consistent with full-duplex links.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.topology.graph import PortGraph, TopologyError, link_key
 
-__all__ = [
-    "NoPathError",
-    "shortest_path",
-    "all_shortest_paths",
-    "k_shortest_paths",
-    "path_links",
-    "is_reachable_without",
-    "articulation_links",
-]
+__all__ = ["NoPathError", "shortest_path", "is_reachable_without"]
 
 LinkKey = Tuple[str, str]
 
@@ -125,106 +116,6 @@ def shortest_path(
     return path
 
 
-def all_shortest_paths(graph: PortGraph, src: str, dst: str) -> List[List[str]]:
-    """All hop-count-shortest paths between *src* and *dst* (BFS DAG walk)."""
-    graph.node(src)
-    graph.node(dst)
-    if src == dst:
-        return [[src]]
-    # BFS computing hop distance from src.
-    dist = {src: 0}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for nb in graph.neighbors(cur):
-                if nb not in dist:
-                    dist[nb] = dist[cur] + 1
-                    nxt.append(nb)
-        frontier = nxt
-    if dst not in dist:
-        raise NoPathError(src, dst)
-    # Walk backwards along the shortest-path DAG.
-    paths: List[List[str]] = []
-
-    def backtrack(node: str, acc: List[str]) -> None:
-        if node == src:
-            paths.append([src] + acc[::-1])
-            return
-        for nb in graph.neighbors(node):
-            if dist.get(nb, -1) == dist[node] - 1:
-                acc.append(node)
-                backtrack(nb, acc)
-                acc.pop()
-
-    backtrack(dst, [])
-    # De-duplicate is unnecessary (each DAG walk is distinct), but sort
-    # for deterministic output.
-    paths.sort()
-    return paths
-
-
-def k_shortest_paths(
-    graph: PortGraph,
-    src: str,
-    dst: str,
-    k: int,
-    weight: Optional[Callable[[str, str], float]] = None,
-) -> List[List[str]]:
-    """Yen's algorithm: up to *k* loop-free shortest paths, best first."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    weight = weight or _default_weight(graph)
-
-    def path_cost(path: Sequence[str]) -> float:
-        return sum(weight(a, b) for a, b in zip(path, path[1:]))
-
-    try:
-        best = shortest_path(graph, src, dst, weight=weight)
-    except NoPathError:
-        return []
-    found: List[List[str]] = [best]
-    candidates: List[Tuple[float, List[str]]] = []
-    seen_candidates: Set[Tuple[str, ...]] = {tuple(best)}
-
-    while len(found) < k:
-        prev_path = found[-1]
-        for i in range(len(prev_path) - 1):
-            spur_node = prev_path[i]
-            root = prev_path[: i + 1]
-            banned_links: Set[LinkKey] = set()
-            for p in found:
-                if p[: i + 1] == root and len(p) > i + 1:
-                    banned_links.add(link_key(p[i], p[i + 1]))
-            banned_nodes = set(root[:-1])
-            try:
-                spur = shortest_path(
-                    graph,
-                    spur_node,
-                    dst,
-                    weight=weight,
-                    forbidden_links=banned_links,
-                    forbidden_nodes=banned_nodes,
-                )
-            except NoPathError:
-                continue
-            total = root[:-1] + spur
-            key = tuple(total)
-            if key not in seen_candidates:
-                seen_candidates.add(key)
-                heapq.heappush(candidates, (path_cost(total), total))
-        if not candidates:
-            break
-        _, nxt = heapq.heappop(candidates)
-        found.append(nxt)
-    return found
-
-
-def path_links(path: Sequence[str]) -> List[LinkKey]:
-    """The (sorted-pair) link keys a node path traverses."""
-    return [link_key(a, b) for a, b in zip(path, path[1:])]
-
-
 def is_reachable_without(
     graph: PortGraph, src: str, dst: str, removed_links: Iterable[LinkKey]
 ) -> bool:
@@ -234,18 +125,3 @@ def is_reachable_without(
         return True
     except NoPathError:
         return False
-
-
-def articulation_links(graph: PortGraph) -> List[LinkKey]:
-    """Links whose single failure disconnects the graph (bridges).
-
-    KAR's liveness guarantee cannot hold across a bridge failure — there
-    is simply no alternative path — so experiments avoid failing bridges
-    (and tests assert the paper's failure links are not bridges).
-    """
-    bridges: List[LinkKey] = []
-    for link in graph.links():
-        key = link.key
-        if not is_reachable_without(graph, link.a, link.b, [key]):
-            bridges.append(key)
-    return sorted(bridges)

@@ -29,7 +29,6 @@ __all__ = [
     "UNPROTECTED",
     "PARTIAL",
     "FULL",
-    "RNP_CITY_LABELS",
 ]
 
 # Protection-level names used across scenarios, experiments and benches.
@@ -322,24 +321,6 @@ def fifteen_node(rate_mbps: float = 100.0, delay_s: float = 0.001,
 #: style suggests, plus 9 (= 3²).  Includes every ID the paper names.
 _RNP_IDS = (7, 9, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
             67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113)
-
-#: Indicative PoP labels (the paper's figure labels PoPs with Brazilian
-#: cities; only Boa Vista = SW7 and São Paulo = SW73 are pinned by the
-#: text — the rest are cosmetic).
-RNP_CITY_LABELS: Dict[str, str] = {
-    "SW7": "Boa Vista (RR)", "SW13": "Manaus (AM)", "SW11": "Macapá (AP)",
-    "SW9": "Belém (PA)", "SW19": "São Luís (MA)", "SW23": "Teresina (PI)",
-    "SW29": "Fortaleza (CE)", "SW31": "Natal (RN)",
-    "SW37": "João Pessoa (PB)", "SW43": "Recife (PE)",
-    "SW47": "Maceió (AL)", "SW53": "Aracaju (SE)", "SW59": "Salvador (BA)",
-    "SW61": "Vitória (ES)", "SW67": "Rio de Janeiro (RJ)",
-    "SW71": "Belo Horizonte (MG)", "SW73": "São Paulo (SP)",
-    "SW41": "Brasília (DF)", "SW17": "Palmas (TO)", "SW79": "Curitiba (PR)",
-    "SW83": "Florianópolis (SC)", "SW89": "Porto Alegre (RS)",
-    "SW97": "Campo Grande (MS)", "SW101": "Cuiabá (MT)",
-    "SW103": "Goiânia (GO)", "SW107": "Campinas (SP)",
-    "SW109": "Porto Velho (RO)", "SW113": "Rio Branco (AC)",
-}
 
 #: The 20 links pinned by Section 3.2 text (routes, protection segments,
 #: deflection-candidate sets, the Fig. 8 redundant triangle).

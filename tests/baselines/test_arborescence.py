@@ -1,19 +1,15 @@
 """Tests for the arborescence failover baseline."""
 
-import random
-
 import pytest
 
 from repro.baselines import BASELINE_SCHEMES, plan_baseline_strategies
 from repro.baselines.arborescence import (
     ArborescenceFailoverStrategy,
-    ArborescenceFailoverSwitch,
     ArborescencePlan,
     arborescence_decomposition,
     plan_arborescences,
 )
 from repro.baselines.fastfailover import FastFailoverStrategy
-from repro.sim import Simulator
 from repro.topology import NodeKind, attach_host_pair, clique, torus
 from repro.topology.graph import PortGraph, TopologyError
 
@@ -170,13 +166,6 @@ class TestStrategy:
     def test_empty_plan_drops(self):
         strat = ArborescenceFailoverStrategy()
         assert strat.decide(up(4), 0, 1, False, None) == (None, False)
-
-    def test_switch_wrapper_install_plan(self):
-        sim = Simulator()
-        sw = ArborescenceFailoverSwitch("S", sim, 4, 7, random.Random(0))
-        sw.install_plan(ArborescencePlan((0, 2), {1: 1}))
-        assert sw.strategy.tree_ports == (0, 2)
-        assert sw.strategy.in_port_tree == {1: 1}
 
 
 class TestPlanBaselineStrategies:

@@ -127,48 +127,3 @@ class TestPartialPlan:
     def test_empty_route_rejected(self, fifteen):
         with pytest.raises(ValueError):
             ProtectionPlanner(fifteen.graph).full([])
-
-
-class TestCachedPlanner:
-    def _route(self, fifteen):
-        from repro.controller import core_path_between_edges
-        from repro.topology.graph import NodeKind
-
-        graph = fifteen.graph
-        edges = sorted(n.name for n in graph.nodes(NodeKind.EDGE))
-        path = core_path_between_edges(graph, edges[0], edges[1])
-        return graph, [n for n in path
-                       if graph.node(n).kind == NodeKind.CORE]
-
-    def test_plans_match_uncached_planner(self, fifteen):
-        from repro.controller import CachedProtectionPlanner
-
-        graph, route = self._route(fifteen)
-        cached = CachedProtectionPlanner(graph)
-        plain = ProtectionPlanner(graph)
-        assert cached.full(route) == plain.full(route)
-        assert cached.partial(route, 16) == plain.partial(route, 16)
-
-    def test_repeat_plans_are_cache_hits(self, fifteen):
-        from repro.controller import CachedProtectionPlanner
-
-        graph, route = self._route(fifteen)
-        planner = CachedProtectionPlanner(graph)
-        first = planner.full(route)
-        assert planner.full(route) is first
-        assert planner.plan_hits == 1
-        # Different budget -> different plan entry, shared tree.
-        planner.partial(route, 16)
-        assert planner.tree_hits >= 1
-
-    def test_invalidate_clears_and_bumps_epoch(self, fifteen):
-        from repro.controller import CachedProtectionPlanner
-
-        graph, route = self._route(fifteen)
-        planner = CachedProtectionPlanner(graph)
-        first = planner.full(route)
-        planner.invalidate()
-        assert planner.epoch == 1
-        rebuilt = planner.full(route)
-        assert rebuilt is not first
-        assert rebuilt == first  # same topology -> same plan content

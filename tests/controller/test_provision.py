@@ -27,6 +27,10 @@ def _edge_names(graph):
     return sorted(n.name for n in graph.nodes(NodeKind.EDGE))
 
 
+def _provision_all(eng, pairs):
+    return [eng.provision(src, dst) for src, dst in pairs]
+
+
 class TestDestinationTree:
     def test_root_must_be_edge(self, six):
         with pytest.raises(RoutingError, match="not an edge node"):
@@ -108,7 +112,7 @@ class TestAmortization:
         edges = _edge_names(fifteen)
         dst = edges[0]
         pairs = [(src, dst) for src in edges if src != dst] * 3
-        eng.provision_batch(pairs)
+        _provision_all(eng, pairs)
         assert eng.trees_built == 1
         assert eng.tree_hits == len(pairs) - 1
 
@@ -118,40 +122,28 @@ class TestAmortization:
         pairs = [(s, dst) for s in edges[1:]]
         pairs = pairs + pairs[:3]  # duplicates
         eng = ProvisioningEngine(fifteen)
-        got = eng.provision_batch(pairs)
+        got = _provision_all(eng, pairs)
         assert [(p.src_edge, p.dst_edge) for p in got] == pairs
         assert eng.provisions == len(pairs)
-        assert (eng.batches, eng.batch_flows) == (1, len(pairs))
 
     def test_batch_uses_pooled_encoder(self, fifteen):
         eng = ProvisioningEngine(fifteen)
         edges = _edge_names(fifteen)
         pairs = [(s, d) for s in edges for d in edges if s != d]
-        eng.provision_batch(pairs)
+        _provision_all(eng, pairs)
         assert eng.encoder.pooled_encodes == len(pairs)
         assert eng.encoder.fallback_encodes == 0
-
-    def test_protect_hits_plan_cache(self, fifteen):
-        eng = ProvisioningEngine(fifteen)
-        edges = _edge_names(fifteen)
-        p = eng.provision(edges[0], edges[1])
-        first = eng.protect(p)
-        again = eng.protect(p)
-        assert again is first
-        assert eng.planner.plan_hits == 1
 
 
 class TestInvalidation:
     def test_topology_change_rebuilds_everything(self, six):
         eng = ProvisioningEngine(six)
         eng.provision("E-S", "E-D")
-        old = (eng.encoder.pool, eng.planner)
+        old_pool = eng.encoder.pool
         assert eng.trees_built == 1
         eng.note_topology_change()
         assert eng.epoch == 1
-        assert all(new is not was for new, was in zip(
-            (eng.encoder.pool, eng.planner), old
-        ))
+        assert eng.encoder.pool is not old_pool
         # The tree rebuilds in the new epoch rather than being served
         # from the old one.
         p = eng.provision("E-S", "E-D")
@@ -220,8 +212,8 @@ class TestTreeMemoization:
         pairs = [
             (s, d) for d in edges for s in edges if s != d
         ] * 4  # heavy repetition across two passes
-        eng.provision_batch(pairs)
-        eng.provision_batch(pairs)
+        _provision_all(eng, pairs)
+        _provision_all(eng, pairs)
         assert eng.trees_built <= len({d for _, d in pairs})
         assert eng.tree_hits == len(pairs) * 2 - eng.trees_built
 
@@ -229,10 +221,10 @@ class TestTreeMemoization:
         eng = ProvisioningEngine(fifteen)
         edges = _edge_names(fifteen)
         pairs = [(s, d) for d in edges for s in edges if s != d]
-        eng.provision_batch(pairs)
+        _provision_all(eng, pairs)
         built_first = eng.trees_built
         eng.note_link_change()
-        eng.provision_batch(pairs)
+        _provision_all(eng, pairs)
         distinct = len({d for _, d in pairs})
         assert built_first <= distinct
         assert eng.trees_built <= 2 * distinct  # cumulative across epochs

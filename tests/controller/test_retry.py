@@ -196,96 +196,3 @@ class TestEdgeDegradation:
         assert ctrl.calls == 1
         assert edge.reencode_timeouts == 0
         assert edge.reencode_requests == 1
-
-
-class _FixedService:
-    """Minimal ReencodeService: serves a fixed entry table, counts calls."""
-
-    control_rtt_s = 0.005
-    reachable = True
-
-    def __init__(self, entries):
-        self.entries = entries
-        self.calls = 0
-
-    def reencode(self, edge_name, dst_host):
-        self.calls += 1
-        return self.entries.get((edge_name, dst_host))
-
-
-class TestDeltaReencodeService:
-    def _service(self, entries):
-        from repro.controller.retry import DeltaReencodeService
-        from repro.rns import PoolContext, RouteEncoder
-
-        inner = _FixedService(entries)
-        encoder = RouteEncoder(PoolContext([4, 5, 7, 11]))
-        return DeltaReencodeService(inner, encoder), inner
-
-    @staticmethod
-    def _entry(hops, out_port=0):
-        from repro.rns import Hop, RouteEncoder
-        from repro.switches.edge import IngressEntry
-
-        route = RouteEncoder().encode([Hop(s, p) for s, p in hops])
-        return IngressEntry(
-            route_id=route.route_id, modulus=route.modulus,
-            out_port=out_port, ttl=16, residues=route.residue_map(),
-        )
-
-    def test_serves_inner_then_cache(self):
-        entry = self._entry([(4, 0), (7, 2), (11, 0)])
-        svc, inner = self._service({("E-S", "D"): entry})
-        assert svc.reencode("E-S", "D") is entry
-        assert svc.reencode("E-S", "D") is entry
-        assert inner.calls == 1
-        assert (svc.served_inner, svc.served_local) == (1, 1)
-
-    def test_delegates_protocol_properties(self):
-        svc, inner = self._service({})
-        assert svc.control_rtt_s == inner.control_rtt_s
-        assert svc.reachable is inner.reachable
-
-    def test_port_change_patches_bit_identically(self):
-        from repro.rns import Hop, RouteEncoder
-
-        entry = self._entry([(4, 0), (7, 2), (11, 0)])
-        svc, inner = self._service({("E-S", "D"): entry})
-        svc.reencode("E-S", "D")
-        assert svc.note_port_change(7, 1) == 1
-        patched = svc.reencode("E-S", "D")
-        want = RouteEncoder().encode([Hop(4, 0), Hop(7, 1), Hop(11, 0)])
-        assert patched.route_id == want.route_id
-        assert patched.modulus == want.modulus
-        assert patched.residues == want.residue_map()
-        assert patched.out_port == entry.out_port
-        assert inner.calls == 1  # never went back to the controller
-        assert svc.delta_updates == 1
-
-    def test_identity_and_unencoded_switches_untouched(self):
-        entry = self._entry([(4, 0), (7, 2), (11, 0)])
-        svc, _ = self._service({("E-S", "D"): entry})
-        svc.reencode("E-S", "D")
-        assert svc.note_port_change(7, 2) == 0   # identity
-        assert svc.note_port_change(5, 1) == 0   # switch not on the route
-        assert svc.reencode("E-S", "D") is entry
-
-    def test_entry_without_residues_is_refetched(self):
-        from repro.switches.edge import IngressEntry
-
-        bare = IngressEntry(route_id=44, modulus=308, out_port=0, ttl=16)
-        svc, inner = self._service({("E-S", "D"): bare})
-        svc.reencode("E-S", "D")
-        assert svc.note_port_change(7, 1) == 0
-        svc.reencode("E-S", "D")  # dropped from cache -> inner again
-        assert inner.calls == 2
-
-    def test_negative_answers_stay_cached_until_invalidate(self):
-        svc, inner = self._service({})
-        assert svc.reencode("E-S", "D") is None
-        assert svc.note_port_change(7, 1) == 0
-        assert svc.reencode("E-S", "D") is None
-        assert inner.calls == 1
-        svc.invalidate()
-        svc.reencode("E-S", "D")
-        assert inner.calls == 2

@@ -93,46 +93,3 @@ class TestCorePathBetweenEdges:
                 forbidden_links=[("SW11", "SW7"), ("SW11", "SW5"),
                                  ("E-D", "SW11")],
             )
-
-
-class TestDeltaReencodeRoute:
-    def _delta(self, scn):
-        from repro.rns import PoolContext
-
-        return RouteEncoder(PoolContext.from_graph(scn.graph))
-
-    def test_matches_fresh_encode(self, scn):
-        from repro.controller import delta_reencode_route
-        from repro.rns import Hop
-
-        route = encode_node_path(
-            scn.graph, ["E-S", "SW4", "SW7", "SW11", "E-D"]
-        )
-        updated = delta_reencode_route(
-            scn.graph, route, "SW7", "SW5", self._delta(scn)
-        )
-        want = RouteEncoder().encode(
-            [Hop(4, 0), Hop(7, scn.graph.port_of("SW7", "SW5")), Hop(11, 0)]
-        )
-        assert updated == want
-
-    def test_identity_returns_same_route(self, scn):
-        from repro.controller import delta_reencode_route
-
-        route = encode_node_path(
-            scn.graph, ["E-S", "SW4", "SW7", "SW11", "E-D"]
-        )
-        assert delta_reencode_route(
-            scn.graph, route, "SW7", "SW11", self._delta(scn)
-        ) is route
-
-    def test_non_link_rejected(self, scn):
-        from repro.controller import delta_reencode_route
-
-        route = encode_node_path(
-            scn.graph, ["E-S", "SW4", "SW7", "SW11", "E-D"]
-        )
-        with pytest.raises(RoutingError, match="not a link"):
-            delta_reencode_route(
-                scn.graph, route, "SW7", "E-S", self._delta(scn)
-            )

@@ -85,17 +85,6 @@ class TestCommon:
         assert outcome.baseline_mbps > 0
         assert 0.0 <= outcome.ratio <= 1.5
 
-    def test_ratio_ci(self):
-        class FakeIperf:
-            pass
-
-        outcomes = [
-            common.RunOutcome(10.0, v, FakeIperf()) for v in (5.0, 6.0, 7.0)
-        ]
-        ci = common.ratio_ci(outcomes)
-        assert ci.mean == pytest.approx(0.6)
-        assert ci.n == 3
-
 
 class TestFigure8Model:
     def test_analytical_model(self):

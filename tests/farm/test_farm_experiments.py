@@ -19,12 +19,15 @@ from repro.farm import (
     FarmOptions,
     chaos_spec,
     failure_spec,
-    outcome_digest,
     run_chaos_specs,
     run_failure_specs,
 )
 from repro.farm.executor import Farm
-from repro.farm.jobs import FailureResult
+from repro.farm.jobs import (
+    FailureResult,
+    failure_outcome_record,
+    record_digest,
+)
 
 TINY = Timeline(
     flow_start=0.1,
@@ -64,7 +67,7 @@ class TestFailureEquivalence:
         opts = FarmOptions(cache_dir=str(tmp_path / "c"), progress=False)
         [fresh] = run_failure_specs([tiny_spec()], opts)
         [hit] = run_failure_specs([tiny_spec()], opts)
-        assert fresh.digest == outcome_digest(direct)
+        assert fresh.digest == record_digest(failure_outcome_record(direct))
         assert hit.digest == fresh.digest
         assert hit == fresh  # full record, not just the digest
         assert fresh.baseline_mbps == direct.baseline_mbps

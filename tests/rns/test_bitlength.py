@@ -4,12 +4,7 @@ import math
 
 import pytest
 
-from repro.rns import (
-    bit_length_for_switches,
-    bit_length_growth,
-    max_hops_within_budget,
-    route_id_bit_length,
-)
+from repro.rns import bit_length_for_switches, route_id_bit_length
 
 
 class TestRouteIdBitLength:
@@ -51,35 +46,3 @@ class TestTableOne:
     def test_six_node_examples(self):
         assert bit_length_for_switches([4, 7, 11]) == 9
         assert bit_length_for_switches([4, 7, 11, 5]) == 11
-
-
-class TestGrowth:
-    def test_monotone_nondecreasing(self):
-        growth = bit_length_growth([10, 7, 13, 29, 11, 23, 31, 17, 37, 41])
-        assert growth == sorted(growth)
-        assert growth[3] == 15 and growth[6] == 28 and growth[9] == 43
-
-    def test_empty(self):
-        assert bit_length_growth([]) == []
-
-    def test_rejects_bad_id(self):
-        with pytest.raises(ValueError):
-            bit_length_growth([7, 1])
-
-
-class TestBudget:
-    def test_exact_fit(self):
-        route = [10, 7, 13, 29]
-        assert max_hops_within_budget(route, budget_bits=15) == 4
-
-    def test_partial_fit(self):
-        route = [10, 7, 13, 29, 11, 23, 31]
-        assert max_hops_within_budget(route, budget_bits=15) == 4
-        assert max_hops_within_budget(route, budget_bits=28) == 7
-
-    def test_nothing_fits(self):
-        assert max_hops_within_budget([1000], budget_bits=5) == 0
-
-    def test_bad_budget(self):
-        with pytest.raises(ValueError):
-            max_hops_within_budget([7], budget_bits=0)

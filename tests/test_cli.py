@@ -337,6 +337,24 @@ class TestRunCommand:
         assert rc == 0
         assert "failure=SW10-SW7" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags, listed", [
+        (["--failure", "SW7-SW99"], "choose from SW10-SW7, "),
+        (["--failure", "bogus"], "choose from SW10-SW7, "),
+        (["--protection", "nonsense"],
+         "choose from unprotected, partial, full"),
+        (["--duration", "0.1"], "choose more than 1.5"),
+    ], ids=["unknown-link", "malformed-failure", "undefined-protection",
+            "duration-under-1.5s"])
+    def test_bad_input_is_a_usage_error(self, flags, listed, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--scenario", "fifteen_node", *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = captured.err.splitlines()[-1]
+        assert message.startswith(f"repro run: error: {flags[0]} ")
+        assert listed in message
+
 
 class TestServiceParsers:
     def test_serve_defaults(self):

@@ -6,11 +6,7 @@ import pytest
 from repro.topology import (
     NoPathError,
     PortGraph,
-    all_shortest_paths,
-    articulation_links,
     is_reachable_without,
-    k_shortest_paths,
-    path_links,
     random_connected,
     shortest_path,
 )
@@ -81,50 +77,15 @@ class TestShortestPath:
             assert len(ours) - 1 == nx.shortest_path_length(nxg, src, dst)
 
 
-class TestAllShortestPaths:
-    def test_diamond_has_two(self, diamond):
-        paths = all_shortest_paths(diamond, "A", "D")
-        assert paths == [["A", "B", "D"], ["A", "C", "D"]]
-
-    def test_matches_networkx(self):
-        g = random_connected(10, extra_links=8, seed=3, min_switch_id=29)
-        nxg = _to_nx(g)
-        names = g.node_names()
-        ours = all_shortest_paths(g, names[0], names[-1])
-        theirs = sorted(nx.all_shortest_paths(nxg, names[0], names[-1]))
-        assert ours == theirs
-
-
-class TestKShortest:
-    def test_returns_k_distinct_loopfree(self, diamond):
-        paths = k_shortest_paths(diamond, "A", "D", k=3)
-        assert len(paths) == 2  # only two loop-free paths exist
-        for p in paths:
-            assert len(set(p)) == len(p)
-
-    def test_sorted_by_length(self):
-        g = random_connected(14, extra_links=10, seed=1, min_switch_id=31)
-        names = g.node_names()
-        paths = k_shortest_paths(g, names[0], names[-1], k=5)
-        lengths = [len(p) for p in paths]
-        assert lengths == sorted(lengths)
-        assert len({tuple(p) for p in paths}) == len(paths)
-
-    def test_bad_k(self, diamond):
-        with pytest.raises(ValueError):
-            k_shortest_paths(diamond, "A", "D", k=0)
-
-    def test_no_path_returns_empty(self):
-        g = PortGraph()
-        g.add_node("A", switch_id=5)
-        g.add_node("B", switch_id=7)
-        assert k_shortest_paths(g, "A", "B", k=2) == []
+def _bridges(g: PortGraph):
+    """Links whose single failure disconnects their endpoints."""
+    return sorted(
+        link.key for link in g.links()
+        if not is_reachable_without(g, link.a, link.b, [link.key])
+    )
 
 
 class TestReachabilityAndBridges:
-    def test_path_links(self):
-        assert path_links(["A", "B", "C"]) == [("A", "B"), ("B", "C")]
-
     def test_reachable_without(self, diamond):
         assert is_reachable_without(diamond, "A", "D", [("A", "B")])
         assert not is_reachable_without(
@@ -132,13 +93,13 @@ class TestReachabilityAndBridges:
         )
 
     def test_bridges(self, diamond):
-        assert articulation_links(diamond) == [("D", "E")]
+        assert _bridges(diamond) == [("D", "E")]
 
     def test_bridges_match_networkx(self):
         g = random_connected(15, extra_links=5, seed=7, min_switch_id=31)
         nxg = _to_nx(g)
         theirs = sorted(tuple(sorted(e)) for e in nx.bridges(nxg))
-        assert articulation_links(g) == theirs
+        assert _bridges(g) == theirs
 
 
 class TestTieBreaking:
