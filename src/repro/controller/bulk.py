@@ -112,14 +112,15 @@ class DestinationBlock:
         self._encode_all()
 
     def _encode_all(self) -> None:
-        sids = self.csr.switch_ids
-        parent = self.tree.parent
-        pports = self.tree.parent_port
+        order = self.tree.order
         ids, mods = self._ids, self._mods
         root = self.dst_idx
-        for x in self.tree.order.tolist():
-            s = int(sids[x])
-            p = int(pports[x])
+        for x, s, p, par in zip(
+            order.tolist(),
+            self.csr.switch_ids[order].tolist(),
+            self.tree.parent_port[order].tolist(),
+            self.tree.parent[order].tolist(),
+        ):
             if s <= 1:
                 raise ProvisionError(
                     "bad-path",
@@ -131,7 +132,6 @@ class DestinationBlock:
                     f"{self.csr.names[x]}: port {p} not addressable by "
                     f"switch ID {s}",
                 )
-            par = int(parent[x])
             if par == root:
                 ids[x], mods[x] = p % s, s
             else:
@@ -265,6 +265,7 @@ class BulkProvisioner:
             [csr.index[e] for e in self.edge_names], dtype=np.int64
         )
         self._edge_rank = {e: i for i, e in enumerate(self.edge_names)}
+        self._ranks = np.arange(len(self.edge_names), dtype=np.int64)
         # Flat per-edge core-neighbor arrays for vectorized entry
         # selection: nb_flat/port_flat hold each edge's core neighbors
         # (ascending) and the edge-side port toward them; edge i's
@@ -366,14 +367,19 @@ class BulkProvisioner:
                 ``unknown-node``, ``not-an-edge``.
         """
         if src_edges is None:
-            srcs = [e for e in self.edge_names if e != dst_edge]
+            blk = self.block(dst_edge)
+            skip = self._edge_rank[dst_edge]
+            srcs = self.edge_names[:skip] + self.edge_names[skip + 1:]
+            ranks = self._ranks[self._ranks != skip]
         else:
             srcs = sorted(src_edges)
             for src in srcs:
                 require_flow_endpoints(self.graph, src, dst_edge)
-        blk = self.block(dst_edge)
+            blk = self.block(dst_edge)
+            ranks = np.array(
+                [self._edge_rank[s] for s in srcs], dtype=np.int64
+            )
         entries_all, ports_all = self._entries_for_all_edges(blk)
-        ranks = np.array([self._edge_rank[s] for s in srcs], dtype=np.int64)
         entries = entries_all[ranks]
         out_ports = ports_all[ranks]
         bad = np.flatnonzero(entries < 0)
@@ -384,12 +390,11 @@ class BulkProvisioner:
                 f"{src!r} has no core neighbor that reaches "
                 f"{dst_edge!r}",
             )
-        ids = blk._ids
-        mods = blk._mods
-        route_ids = [ids[e] for e in entries.tolist()]
-        moduli = [mods[e] for e in entries.tolist()]
+        ids, mods = blk._ids, blk._mods
+        picks = entries.tolist()
         return MeshRow(dst_edge, srcs, entries, out_ports,
-                       route_ids, moduli, blk)
+                       [ids[e] for e in picks], [mods[e] for e in picks],
+                       blk)
 
     def iter_full_mesh(self) -> Iterator[MeshRow]:
         """Every destination's mesh slice, destination-major order."""
@@ -437,9 +442,11 @@ def mesh_digest(
     count = 0
     for row in rows:
         dst = row.dst_edge
-        for src, rid, mod in zip(row.src_edges, row.route_ids, row.moduli):
-            h.update(f"{src}>{dst}={rid}/{mod};".encode())
-            count += 1
+        h.update("".join([
+            f"{src}>{dst}={rid}/{mod};"
+            for src, rid, mod in zip(row.src_edges, row.route_ids, row.moduli)
+        ]).encode())
+        count += len(row.src_edges)
     return h.hexdigest(), count
 
 

@@ -30,10 +30,12 @@ switch's port count.  Four strategies are provided and compared in the
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, Mapping, Optional
 
 from repro.rns.coprime import greedy_coprime_pool, min_id_for_ports, prime_pool
 from repro.rns.gf2 import dual_coprime_pool, min_gf2_id_for_ports
+from repro.topology.graph import NodeKind
 
 __all__ = [
     "assign_switch_ids",
@@ -46,6 +48,10 @@ __all__ = [
 #: All accepted ``strategy`` spellings, sorted — the CLI mirrors this
 #: tuple literally and a test asserts they stay in sync.
 ASSIGN_STRATEGIES = ("greedy", "prime", "weighted", "xsr")
+
+#: Cells (roots x nodes) per forest pass: roots enough to amortise a level's
+#: numpy calls, few enough to stay in cache (n = 1,508: 43-347 within 15 %).
+_FOREST_CELLS = 1 << 18
 
 
 class AssignmentError(ValueError):
@@ -132,16 +138,12 @@ def assign_switch_ids(
     for _attempt in range(64):
         assignment: Dict[str, int] = {}
         available = sorted(values)
-        feasible = True
         for name in order:
-            need = _min_id(strategy, degrees[name])
-            pick = next((v for v in available if v >= need), None)
-            if pick is None:
-                feasible = False
-                break
-            available.remove(pick)
-            assignment[name] = pick
-        if feasible:
+            at = bisect_left(available, _min_id(strategy, degrees[name]))
+            if at == len(available):
+                break  # pool too small for this switch: grow it
+            assignment[name] = available.pop(at)
+        else:
             return assignment
         pool_size += max(4, count // 2)
         values = _pool(strategy, pool_size)
@@ -154,40 +156,44 @@ def assign_switch_ids(
 def route_frequency_weights(graph) -> Dict[str, float]:
     """Per-switch provisioned-route frequency over shortest-path trees.
 
-    For every destination switch, a deterministic BFS predecessor tree
-    gives the route each source would be provisioned with; a switch's
-    weight is the number of (source, destination) routes whose path
-    contains it.  Computed by subtree counting — one BFS per
-    destination, O(N·(N+E)) total — so it is exact for single-shortest-
-    path provisioning and a faithful proxy for the repo's bulk
-    provisioner (which builds the same per-destination down-trees).
+    Every non-host node roots one BFS tree over the non-host subgraph
+    (hosts terminate routes: they neither root nor forward); a node's
+    weight is the number of (source, root) routes whose path contains
+    it, ends included — its subtree sizes summed over all trees, each
+    tree counting only what it reaches.
 
-    Hosts are skipped (they terminate routes, they don't forward).
-    Returns a weight for every non-host node; callers that only assign
-    core IDs simply ignore the edge entries.
+    Parents are smallest-named (rule S, as in :func:`~repro.topology
+    .csr.destination_tree_arrays`).  A queue-order BFS over name-sorted
+    neighbours (rule Q) builds other trees — the 6-cycle R-A-Z-V-C-B-R
+    differs at four of six roots — yet the same weights: S's path u→r
+    is the lexicographically smallest shortest path read from u, Q's
+    path in the tree rooted at u is that same path read from r, and
+    every node is both root and source, so both count one multiset.
+
+    Computed as a forest (:func:`~repro.topology.csr.bfs_forest`),
+    ``_FOREST_CELLS // n`` roots per numpy pass, subtree counts folded
+    by one ``np.add.at`` per level from the deepest up.  Returns a
+    weight per non-host node, name-sorted (edge entries included).
     """
-    names = sorted(
-        n.name for n in graph.nodes() if n.kind != "host"
+    # Local: the CLI and the service import this module and need no numpy.
+    import numpy as np
+    from repro.topology.csr import CsrTopology, bfs_forest
+
+    csr = CsrTopology.from_graph(graph)
+    n = csr.n
+    allowed = np.array(
+        [graph.node(name).kind != NodeKind.HOST for name in csr.names]
     )
-    name_set = set(names)
-    weights: Dict[str, float] = {n: 0.0 for n in names}
-    for dst in names:
-        parent: Dict[str, Optional[str]] = {dst: None}
-        order: List[str] = [dst]
-        head = 0
-        while head < len(order):
-            cur = order[head]
-            head += 1
-            for nb in sorted(graph.neighbors(cur)):
-                if nb in name_set and nb not in parent:
-                    parent[nb] = cur
-                    order.append(nb)
-        counts = {n: 1 for n in order}
-        for node in reversed(order[1:]):
-            counts[parent[node]] += counts[node]  # type: ignore[index]
-        for node, c in counts.items():
-            weights[node] += float(c)
-    return weights
+    roots = np.flatnonzero(allowed)
+    total = np.zeros(n, dtype=np.int64)
+    batch = max(1, _FOREST_CELLS // max(n, 1))
+    for lo in range(0, roots.size, batch):
+        parent, levels = bfs_forest(csr, roots[lo:lo + batch], allowed)
+        counts = (parent < parent.size).astype(np.int64)
+        for keys, _ in reversed(levels):
+            np.add.at(counts, parent[keys], counts[keys])
+        total += counts.reshape(-1, n).sum(axis=0)
+    return {csr.names[i]: float(total[i]) for i in roots.tolist()}
 
 
 def reassign_switch_ids(

@@ -39,7 +39,6 @@ from repro.rns.crt import (
     CrtError,
     NotCoprimeError,
     crt,
-    egcd,
     first_noncoprime_pair,
     modular_inverse,
     pairwise_coprime,
@@ -60,7 +59,6 @@ from repro.rns.pool import PoolContext, product_tree
 
 __all__ = [
     "crt",
-    "egcd",
     "modular_inverse",
     "pairwise_coprime",
     "first_noncoprime_pair",

@@ -10,8 +10,8 @@ This is exactly a system of simultaneous congruences, solvable by the
 Chinese Remainder Theorem (CRT) whenever the moduli (the switch IDs) are
 pairwise coprime.  This module provides the arithmetic core:
 
-* :func:`egcd` — extended Euclidean algorithm,
-* :func:`modular_inverse` — modular multiplicative inverse,
+* :func:`modular_inverse` — modular multiplicative inverse (the
+  built-in ``pow(a, -1, m)``: the extended Euclid runs in C),
 * :func:`crt` — CRT solver (Eq. 4 of the paper),
 * :func:`pairwise_coprime` — the KAR switch-ID precondition.
 
@@ -32,7 +32,6 @@ import math
 from typing import Iterable, Sequence, Tuple
 
 __all__ = [
-    "egcd",
     "modular_inverse",
     "crt",
     "crt_extend",
@@ -64,30 +63,6 @@ class NotCoprimeError(CrtError):
         )
 
 
-def egcd(a: int, b: int) -> Tuple[int, int, int]:
-    """Extended Euclidean algorithm.
-
-    Returns ``(g, x, y)`` such that ``a*x + b*y == g == gcd(a, b)``.
-
-    The implementation is iterative, so it is safe for very large route IDs
-    (no recursion-depth limits).
-
-    >>> egcd(44, 7)
-    (1, -3, 19)
-    >>> 44 * -3 + 7 * 19
-    1
-    """
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    return old_r, old_x, old_y
-
-
 def modular_inverse(a: int, modulus: int) -> int:
     """Return ``L`` such that ``(L * a) % modulus == 1`` (Eq. 7/8).
 
@@ -104,10 +79,10 @@ def modular_inverse(a: int, modulus: int) -> int:
     """
     if modulus <= 0:
         raise CrtError(f"modulus must be positive, got {modulus}")
-    g, x, _ = egcd(a % modulus, modulus)
-    if g != 1:
-        raise NotCoprimeError((a, modulus), g)
-    return x % modulus
+    try:
+        return pow(a, -1, modulus)
+    except ValueError:
+        raise NotCoprimeError((a, modulus), math.gcd(a, modulus)) from None
 
 
 def pairwise_coprime(values: Iterable[int]) -> bool:

@@ -4,8 +4,10 @@ The per-flow control plane walks Python dicts (``PortGraph.neighbors``,
 ``port_of``) — fine for one flow, hopeless for cold-start full-mesh
 provisioning of a real WAN.  This module converts a topology **once**
 into flat numpy arrays (compressed sparse row form) so that
-all-destination shortest-path trees can be computed with whole-frontier
-numpy operations instead of per-node Python:
+shortest-path trees come from whole-frontier numpy operations instead
+of per-node Python — many roots per pass (:func:`bfs_forest`, which
+the route-frequency weights of :mod:`repro.controller.idassign` run
+from every node) or one (:func:`destination_tree_arrays`):
 
 * ``indptr``/``indices`` — classic CSR: node ``u``'s neighbors are
   ``indices[indptr[u]:indptr[u+1]]``, sorted by node index;
@@ -22,8 +24,8 @@ numpy operations instead of per-node Python:
 Node indexing is **name-sorted rank**: index order equals
 lexicographic name order.  That single choice is what makes the
 vectorized tie-break canonical — "smallest node index" and "smallest
-node name" are the same thing, so numpy ``argmin``/first-occurrence
-reductions land on exactly the parent the reference Python BFS picks
+node name" are the same thing, so a numpy minimum over a node's
+claimants lands on exactly the parent the reference Python BFS picks
 (see :class:`repro.controller.provision.DestinationTree`).
 
 Down links are excluded at conversion time (the CSR form is rebuilt per
@@ -39,7 +41,9 @@ import numpy as np
 
 from repro.topology.graph import NodeKind, PortGraph, TopologyError
 
-__all__ = ["CsrTopology", "TreeArrays", "destination_tree_arrays"]
+__all__ = [
+    "CsrTopology", "TreeArrays", "bfs_forest", "destination_tree_arrays",
+]
 
 
 class CsrTopology:
@@ -89,9 +93,9 @@ class CsrTopology:
     ) -> "CsrTopology":
         """Convert *graph* into CSR arrays, excluding *down* links.
 
-        Node indices are name-sorted ranks; each node's adjacency slice
-        is sorted by neighbor index, so "first occurrence" in any
-        frontier gather is "smallest name" — the canonical tie-break.
+        Node indices are name-sorted ranks, so "smallest index" among a
+        node's claimants is "smallest name" — the canonical tie-break;
+        each node's adjacency slice is sorted by neighbor index.
         """
         names = tuple(sorted(n.name for n in graph.nodes()))
         index = {name: i for i, name in enumerate(names)}
@@ -176,69 +180,79 @@ class TreeArrays:
         self.order = order
 
 
-def destination_tree_arrays(csr: CsrTopology, root: int) -> TreeArrays:
-    """Frontier-batched BFS toward *root* over the core subgraph.
+def bfs_forest(
+    csr: CsrTopology, roots: np.ndarray, allowed: np.ndarray
+) -> Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
+    """Frontier-batched BFS from every root in *roots* at once.
 
-    Expansion never leaves the core: only nodes with ``core_mask`` set
-    are claimed (the root itself may be an edge node — the usual case —
-    since a destination tree is rooted at the egress edge).
+    The forest is one flat array of ``len(roots) * n`` cells keyed
+    ``slot * n + node`` (*slot* = position in *roots*), so a level of
+    all the trees costs the numpy calls of a level of one: gather every
+    frontier half-edge, drop targets already claimed or not *allowed*
+    (a root is claimed either way), and let ``np.minimum.at`` hand each
+    remaining key to its smallest claimant.  Claimants are parent keys,
+    smallest key = smallest node index within a slot — the canonical
+    smallest-named parent in whatever order the frontier comes, so
+    nothing is sorted.
 
-    Canonical tie-break (locked by tests against the reference Python
-    BFS): a node at depth ``d+1`` takes as parent the **smallest-named**
-    (= smallest-index) node at depth ``d`` adjacent to it.  The whole
-    level is processed with numpy: gather every frontier half-edge,
-    drop seen/non-core targets, and keep the first occurrence per
-    target — first is smallest because the frontier is kept sorted and
-    adjacency slices are index-sorted.
+    Returns ``(parent, levels)``: ``parent[key]`` is the parent's key
+    (``-1`` at a root, ``parent.size`` where unreached); ``levels[d-1]``
+    is ``(keys, half_edges)`` of the nodes at depth ``d``, unordered,
+    each half-edge the CSR entry parent → child that claimed the key.
     """
     n = csr.n
+    indices = csr.indices
+    starts_of = csr.indptr[:-1].astype(np.int64)
+    degree = np.diff(csr.indptr)
+    nodes = np.asarray(roots, dtype=np.int64)
+    keys = np.arange(nodes.size, dtype=np.int64) * n + nodes
+    unclaimed = nodes.size * n
+    parent = np.full(unclaimed, unclaimed, dtype=np.int64)
+    parent[keys] = -1
+    levels: List[Tuple[np.ndarray, np.ndarray]] = []
+    while keys.size:
+        counts = degree[nodes]
+        cum = np.cumsum(counts)
+        # e_idx walks each frontier node's adjacency slice in order.
+        e_idx = np.repeat(starts_of[nodes] - (cum - counts), counts)
+        e_idx += np.arange(e_idx.size)
+        cand = indices[e_idx]
+        ckey = np.repeat(keys - nodes, counts) + cand
+        open_ = np.flatnonzero(allowed[cand] & (parent[ckey] == unclaimed))
+        ckey = ckey[open_]
+        claimant = np.repeat(keys, counts)[open_]
+        np.minimum.at(parent, ckey, claimant)
+        won = parent[ckey] == claimant
+        keys = ckey[won]
+        half_edges = e_idx[open_[won]]
+        nodes = indices[half_edges].astype(np.int64)
+        if keys.size:
+            levels.append((keys, half_edges))
+    return parent, levels
+
+
+def destination_tree_arrays(csr: CsrTopology, root: int) -> TreeArrays:
+    """Shortest-path tree toward *root*: :func:`bfs_forest` of one root.
+
+    Expansion never leaves the core: only nodes with ``core_mask`` set
+    are claimed (the root itself is usually an edge node, since a
+    destination tree is rooted at the egress edge).  Canonical tie-break
+    (locked by tests against the reference Python BFS): a node at depth
+    ``d+1`` takes as parent the **smallest-named** (= smallest-index)
+    node at depth ``d`` adjacent to it.
+    """
+    n = csr.n
+    parent, levels = bfs_forest(csr, np.array([root]), csr.core_mask)
+    parent[parent == n] = -1
     depth = np.full(n, -1, dtype=np.int32)
-    parent = np.full(n, -1, dtype=np.int32)
     parent_port = np.full(n, -1, dtype=np.int32)
     depth[root] = 0
-
-    sl = csr.edge_slice(root)
-    cand = csr.indices[sl]
-    keep = csr.core_mask[cand]
-    frontier = cand[keep].astype(np.int64)
-    parent[frontier] = root
-    parent_port[frontier] = csr.ports_back[sl][keep]
-    depth[frontier] = 1
-
-    levels = [frontier]
-    d = 1
-    while frontier.size:
-        starts = csr.indptr[frontier].astype(np.int64)
-        counts = (csr.indptr[frontier + 1] - csr.indptr[frontier]).astype(
-            np.int64
-        )
-        total = int(counts.sum())
-        if total == 0:
-            break
-        # Gather all outgoing half-edges of the frontier in one shot:
-        # e_idx[k] walks each frontier node's adjacency slice in order.
-        cum = np.cumsum(counts)
-        e_idx = np.repeat(starts - (cum - counts), counts) + np.arange(total)
-        cand = csr.indices[e_idx]
-        keep = csr.core_mask[cand] & (depth[cand] < 0)
-        if not keep.any():
-            break
-        cand = cand[keep]
-        e_kept = e_idx[keep]
-        src = np.repeat(frontier, counts)[keep]
-        # First occurrence per target = smallest parent index (the
-        # frontier is sorted ascending and np.unique returns the index
-        # of each value's first occurrence in the original array).
-        uniq, first = np.unique(cand, return_index=True)
-        parent[uniq] = src[first]
-        parent_port[uniq] = csr.ports_back[e_kept[first]]
-        d += 1
-        depth[uniq] = d
-        frontier = uniq.astype(np.int64)
-        levels.append(frontier)
-
-    order = (
-        np.concatenate(levels) if levels and levels[0].size
-        else np.empty(0, dtype=np.int64)
+    order = []
+    for d, (nodes, half_edges) in enumerate(levels, start=1):
+        depth[nodes] = d
+        parent_port[nodes] = csr.ports_back[half_edges]
+        order.append(np.sort(nodes))
+    return TreeArrays(
+        root, depth, parent.astype(np.int32), parent_port,
+        np.concatenate(order) if order else np.empty(0, dtype=np.int64),
     )
-    return TreeArrays(root, depth, parent, parent_port, order)

@@ -36,16 +36,42 @@ class TestProfileCall:
             profile_call(lambda: None, top=0)
 
 
-def test_importing_the_profiler_does_not_import_the_writers():
-    # repro.bench's __init__ used to import encodingbench, and with it
-    # the verify stack and scipy.stats, on the way to profile_call.
+def _loaded_after(imports, names):
+    """Which of *names* a fresh interpreter has in ``sys.modules`` after
+    ``import <imports>`` (dotted names match on their top package too)."""
     code = (
-        "import sys, repro.bench.profiler, repro.bench.artifact; "
-        "print([m for m in ('scipy.stats', 'repro.bench.encodingbench') "
-        "if m in sys.modules])"
+        f"import sys, {imports}; "
+        "have = set(sys.modules) | {m.partition('.')[0] for m in sys.modules}; "
+        f"print(sorted(have & set({list(names)!r})))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         check=True, timeout=60,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_importing_the_profiler_does_not_import_the_writers():
+    # repro.bench's __init__ used to import encodingbench, and with it
+    # the verify stack and scipy.stats, on the way to profile_call.
+    assert _loaded_after(
+        "repro.bench.profiler, repro.bench.artifact",
+        ["scipy.stats", "repro.bench.encodingbench"],
+    ) == "[]"
+
+
+def test_the_cold_start_layers_import_neither_scipy_nor_networkx():
+    # scipy.sparse.csgraph would do the forest BFS, but its import alone
+    # costs ~1 s and would land in every e2e workload's set-up.
+    assert _loaded_after(
+        "repro.controller.idassign, repro.controller.bulk, repro.sim.vector",
+        ["scipy", "networkx"],
+    ) == "[]"
+
+
+def test_the_cli_and_the_service_start_without_numpy():
+    # route_frequency_weights imports numpy when called, not when
+    # repro.controller is imported (~0.1 s and 13 MiB per process).
+    assert _loaded_after(
+        "repro.cli, repro.controller, repro.service", ["numpy"]
+    ) == "[]"

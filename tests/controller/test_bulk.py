@@ -18,6 +18,7 @@ from repro.controller.bulk import (
     mesh_digest_reference,
 )
 from repro.controller.provision import ProvisionError, ProvisioningEngine
+from repro.rns import NotCoprimeError
 from repro.topology import (
     NodeKind,
     fifteen_node,
@@ -140,6 +141,33 @@ class TestErrors:
         assert bulk.value.reason == flow.value.reason == reason
         assert str(bulk.value) == str(flow.value)
         assert (bp.trees_built, bp.block_hits) == (0, 0)
+
+
+    # Toward E-D the six-node tree is SW11, then SW5 and SW7, then SW4:
+    # a block reports the first bad switch in that order.
+    @pytest.mark.parametrize("ids, message", [
+        ({"SW7": None, "SW4": None},
+         "core switch 'SW7' has no switch ID"),
+        ({"SW4": 1, "SW5": None},
+         "core switch 'SW5' has no switch ID"),
+        ({"SW7": 2, "SW4": None},
+         "SW7: port 2 not addressable by switch ID 2"),
+    ], ids=["no-id", "no-id-before-id-one", "port-out-of-reach"])
+    def test_unencodable_switch_is_a_bad_path(self, ids, message):
+        graph = six_node().graph
+        for name, switch_id in ids.items():
+            graph.node(name).switch_id = switch_id
+        with pytest.raises(ProvisionError) as e:
+            BulkProvisioner(graph).mesh_row("E-D")
+        assert e.value.reason == "bad-path"
+        assert message in str(e.value)
+
+    def test_ids_sharing_a_factor_are_refused_by_the_extension(self):
+        graph = six_node().graph
+        graph.node("SW5").switch_id = 22  # SW11's 11 divides it
+        with pytest.raises(NotCoprimeError) as e:
+            BulkProvisioner(graph).mesh_row("E-D")
+        assert (e.value.pair, e.value.gcd) == ((11, 22), 11)
 
 
 class TestBlockMemo:

@@ -1,11 +1,24 @@
 """Tests for switch-ID assignment."""
 
+import itertools
 import math
+import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.controller import AssignmentError, assign_switch_ids
+from repro.controller.idassign import (
+    ASSIGN_STRATEGIES,
+    _min_id,
+    _pool,
+    route_frequency_weights,
+)
 from repro.rns import pairwise_coprime
+from repro.topology.generators import attach_edges
+from repro.topology.graph import NodeKind, PortGraph
+from repro.topology.zoo import graph_from_gml, zoo_fixture_path
 
 
 class TestAssignment:
@@ -119,11 +132,186 @@ class TestXsrAssignment:
             assert (1 << gf2_degree(ids[name])) >= ports
 
 
-class TestRouteFrequencyWeights:
-    def test_path_graph_middle_is_heaviest(self):
-        from repro.controller.idassign import route_frequency_weights
-        from repro.topology.graph import PortGraph
+def scan_assign(degrees, strategy, weights=None):
+    """``assign_switch_ids`` as it picked before ``bisect_left``: a
+    linear scan for the first pool value that fits, then ``remove``."""
+    if weights is None and strategy in ("weighted", "xsr"):
+        weights = {name: float(deg) for name, deg in degrees.items()}
+    if weights is not None:
+        order = sorted(
+            degrees,
+            key=lambda n: (-float(weights.get(n, 0.0)), degrees[n], n),
+        )
+    else:
+        order = sorted(degrees, key=lambda n: (degrees[n], n))
+    pool_size = len(degrees)
+    while True:
+        assignment = {}
+        available = sorted(_pool(strategy, pool_size))
+        for name in order:
+            need = _min_id(strategy, degrees[name])
+            pick = next((v for v in available if v >= need), None)
+            if pick is None:
+                break
+            available.remove(pick)
+            assignment[name] = pick
+        else:
+            return assignment
+        pool_size += max(4, len(degrees) // 2)
 
+
+class TestPickBySearch:
+    @pytest.mark.parametrize("strategy", ASSIGN_STRATEGIES)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bisect_picks_what_the_scan_picked(self, strategy, seed):
+        rng = random.Random(f"{strategy}:{seed}")
+        names = [f"n{i}" for i in range(rng.randint(1, 40))]
+        degrees = {n: rng.randint(0, 12) for n in names}
+        weights = rng.choice([
+            None,
+            {n: float(rng.randint(0, 5)) for n in names if rng.random() < 0.8},
+        ])
+        assert assign_switch_ids(degrees, strategy, weights) == scan_assign(
+            degrees, strategy, weights
+        )
+
+
+def queue_order_tree(graph, allowed, dst):
+    """Rule Q: plain queue BFS over name-sorted neighbours — a node's
+    parent is the earliest-*discovered* neighbour one level up."""
+    parent = {dst: None}
+    order = [dst]
+    head = 0
+    while head < len(order):
+        cur = order[head]
+        head += 1
+        for nb in sorted(graph.neighbors(cur)):
+            if nb in allowed and nb not in parent:
+                parent[nb] = cur
+                order.append(nb)
+    return parent, order
+
+
+def smallest_parent_tree(graph, allowed, dst):
+    """Rule S: the frontier is re-sorted at every level, so a node's
+    parent is the smallest-*named* neighbour one level up (the rule of
+    ``DestinationTree`` and ``destination_tree_arrays``)."""
+    parent = {dst: None}
+    order = [dst]
+    frontier = [dst]
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            for nb in graph.neighbors(cur):
+                if nb in allowed and nb not in parent:
+                    parent[nb] = cur
+                    nxt.append(nb)
+        frontier = sorted(nxt)
+        order.extend(frontier)
+    return parent, order
+
+
+def dict_loop_weights(graph, tree=queue_order_tree):
+    """``route_frequency_weights`` as it was before the batched forest:
+    one dict BFS per non-host node, subtree counts folded leaf to root.
+    The oracle the array version is held bit-equal to."""
+    names = sorted(n.name for n in graph.nodes() if n.kind != "host")
+    allowed = set(names)
+    weights = {n: 0.0 for n in names}
+    for dst in names:
+        parent, order = tree(graph, allowed, dst)
+        counts = {n: 1 for n in order}
+        for node in reversed(order[1:]):
+            counts[parent[node]] += counts[node]
+        for node, c in counts.items():
+            weights[node] += float(c)
+    return weights
+
+
+@st.composite
+def mixed_graphs(draw):
+    """Up to nine nodes of any kind under shuffled names, any subset of
+    the possible links: disconnected graphs, hosts lying on what would
+    be the shortest path, edge nodes with several uplinks, one node."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    names = draw(st.permutations("ABCDEFGHJ"))[:n]
+    kinds = draw(st.lists(
+        st.sampled_from(
+            [NodeKind.CORE] * 3 + [NodeKind.EDGE] * 2 + [NodeKind.HOST]
+        ),
+        min_size=n, max_size=n,
+    ))
+    pairs = list(itertools.combinations(names, 2))
+    links = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    graph = PortGraph()
+    for name, kind in zip(names, kinds):
+        graph.add_node(name, kind=kind)
+    for a, b in links:
+        graph.add_link(a, b)
+    return graph
+
+
+def _same_weights(got, want):
+    assert list(got) == list(want)  # same keys, same (sorted) order
+    assert got == want
+    assert all(type(v) is float for v in got.values())
+
+
+class TestRouteFrequencyWeights:
+    @given(mixed_graphs())
+    def test_equals_the_dict_loop_on_drawn_graphs(self, graph):
+        _same_weights(route_frequency_weights(graph), dict_loop_weights(graph))
+
+    @pytest.mark.parametrize("fixture", ["abilene", "synthwan754"])
+    def test_equals_the_dict_loop_on_the_fixtures(self, fixture):
+        with open(zoo_fixture_path(fixture), encoding="utf-8") as fh:
+            graph = graph_from_gml(fh.read())
+        attach_edges(graph)
+        _same_weights(route_frequency_weights(graph), dict_loop_weights(graph))
+
+    def test_hosts_neither_root_nor_forward(self):
+        # A-H-B: the host is the only way from A to B.
+        g = PortGraph()
+        g.add_node("A", kind=NodeKind.EDGE)
+        g.add_node("B", kind=NodeKind.EDGE)
+        g.add_node("H", kind=NodeKind.HOST)
+        g.add_link("A", "H")
+        g.add_link("H", "B")
+        assert route_frequency_weights(g) == {"A": 1.0, "B": 1.0}
+
+    def test_disconnected_graph_counts_only_reached_nodes(self):
+        g = PortGraph()
+        for name in "ABCD":
+            g.add_node(name)
+        g.add_link("A", "B")
+        g.add_link("B", "C")
+        # D is alone: it is its own route and on nobody else's.
+        assert route_frequency_weights(g) == {
+            "A": 5.0, "B": 7.0, "C": 5.0, "D": 1.0,
+        }
+
+    def test_tie_break_rule_moves_the_trees_not_the_weights(self):
+        # Every node is both a root and a source, so the two rules walk
+        # the same shortest paths from opposite ends (see the docstring
+        # of route_frequency_weights).
+        cycle = "RAZVCB"
+        g = PortGraph()
+        for name in cycle:
+            g.add_node(name)
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            g.add_link(a, b)
+        allowed = set(cycle)
+        differing = [
+            dst for dst in cycle
+            if queue_order_tree(g, allowed, dst)[0]
+            != smallest_parent_tree(g, allowed, dst)[0]
+        ]
+        assert len(differing) == 4
+        by_queue = dict_loop_weights(g, queue_order_tree)
+        by_name = dict_loop_weights(g, smallest_parent_tree)
+        assert by_queue == by_name == route_frequency_weights(g)
+
+    def test_path_graph_middle_is_heaviest(self):
         g = PortGraph()
         for n, sid in zip(("A", "B", "C"), (5, 7, 9)):
             g.add_node(n, switch_id=sid)

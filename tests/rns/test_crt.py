@@ -3,16 +3,42 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.rns import (
     CrtError,
     NotCoprimeError,
     crt,
-    egcd,
     first_noncoprime_pair,
     modular_inverse,
     pairwise_coprime,
 )
+
+
+def egcd(a, b):
+    """``(g, x, y)`` with ``a*x + b*y == g == gcd(a, b)``: the Bézout
+    loop ``modular_inverse`` ran before it moved onto the built-in
+    ``pow(a, -1, m)``, kept as the reference it is held to."""
+    old_r, r = a, b
+    old_x, x = 1, 0
+    old_y, y = 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    return old_r, old_x, old_y
+
+
+def reference_inverse(a, modulus):
+    """The pre-``pow`` ``modular_inverse``, word for word."""
+    if modulus <= 0:
+        raise CrtError(f"modulus must be positive, got {modulus}")
+    g, x, _ = egcd(a % modulus, modulus)
+    if g != 1:
+        raise NotCoprimeError((a, modulus), g)
+    return x % modulus
 
 
 class TestEgcd:
@@ -80,6 +106,26 @@ class TestModularInverse:
             modular_inverse(3, 0)
         with pytest.raises(CrtError):
             modular_inverse(3, -5)
+
+    @given(
+        a=st.integers(min_value=-(2**229), max_value=2**229),
+        modulus=st.integers(min_value=-3, max_value=2**31),
+    )
+    def test_equals_the_bezout_reference(self, a, modulus):
+        # Same value, or the same exception with the same fields and
+        # text; ``pow`` alone would accept a negative modulus.
+        try:
+            want = reference_inverse(a, modulus)
+        except CrtError as exc:
+            with pytest.raises(type(exc)) as got:
+                modular_inverse(a, modulus)
+            assert type(got.value) is type(exc)
+            assert str(got.value) == str(exc)
+            if isinstance(exc, NotCoprimeError):
+                assert got.value.pair == exc.pair
+                assert got.value.gcd == exc.gcd
+        else:
+            assert modular_inverse(a, modulus) == want
 
 
 class TestPairwiseCoprime:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.controller.provision import DestinationTree
 from repro.topology import NodeKind, fifteen_node, six_node
-from repro.topology.csr import CsrTopology, destination_tree_arrays
+from repro.topology.csr import CsrTopology, bfs_forest, destination_tree_arrays
 from repro.topology.generators import attach_edges
 from repro.topology.zoo import abilene, fat_tree
 
@@ -123,3 +123,32 @@ class TestDestinationTreeArrays:
         tree = destination_tree_arrays(csr, csr.node_index("E-D"))
         assert tree.order.size == 0
         assert (tree.depth[csr.core_mask] < 0).all()
+
+
+class TestBfsForest:
+    def test_each_slot_is_the_single_root_tree(self):
+        # Every edge a root in one pass, listed backwards and with a
+        # repeat, so slot order is not node order.
+        for graph in (six_node().graph, fifteen_node().graph, fat_tree(4)):
+            if not graph.nodes(NodeKind.EDGE):
+                attach_edges(graph)
+            csr = CsrTopology.from_graph(graph)
+            n = csr.n
+            roots = [csr.node_index(e) for e in _edge_names(graph)][::-1]
+            roots.append(roots[0])
+            parent, levels = bfs_forest(csr, np.array(roots), csr.core_mask)
+            assert parent.shape == (len(roots) * n,)
+            for slot, root in enumerate(roots):
+                tree = destination_tree_arrays(csr, root)
+                got = parent[slot * n:(slot + 1) * n]
+                reached = tree.depth > 0
+                assert (got[reached] - slot * n == tree.parent[reached]).all()
+                assert got[root] == -1
+                unreached = tree.depth < 0
+                assert (got[unreached] == parent.size).all()
+            for d, (keys, half_edges) in enumerate(levels, start=1):
+                assert len(set(keys.tolist())) == keys.size
+                assert (csr.indices[half_edges] == keys % n).all()
+                for key in keys.tolist():
+                    tree = destination_tree_arrays(csr, roots[key // n])
+                    assert tree.depth[key % n] == d
