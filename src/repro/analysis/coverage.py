@@ -17,6 +17,10 @@ Each first-hop deflection candidate is classified:
 
 The paper's "2/3 of packets will be sent to switches SW17 or SW37" is
 exactly the WANDERING fraction at SW10; tests assert these numbers.
+
+The per-hop rule is not restated here: every hop is one
+``NotInputPort.decide`` call under an RNG stand-in that returns the
+candidate set instead of drawing from it.
 """
 
 from __future__ import annotations
@@ -24,11 +28,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.analysis.walk import _CandidateSet
 from repro.controller.protection import segments_to_hops
+from repro.switches.deflection import NotInputPort
 from repro.topology.graph import NodeKind, PortGraph, TopologyError
 from repro.topology.topologies import ProtectionSegment
 
 __all__ = ["Fate", "CandidateOutcome", "CoverageReport", "analyze_failure"]
+
+#: the per-hop rule, and the RNG stand-in that makes it return sets.
+_NIP, _CANDIDATES = NotInputPort(), _CandidateSet()
 
 
 class Fate:
@@ -200,30 +209,26 @@ def _next_hop(
     came_from: str,
     failed: frozenset,
 ) -> Tuple[Optional[str], bool]:
-    """Deterministic NIP next hop.
+    """Deterministic NIP next hop, read out of ``NotInputPort.decide``.
 
     Returns ``(target, was_driven)``; target is None when the hop would
     be genuinely random, and "" for a dead end (no legal port at all).
     """
-
-    def link_ok(a: str, b: str) -> bool:
-        return not ({a, b} <= failed)
-
     in_port = graph.port_of(node, came_from)
-    if node in encoded:
-        port = encoded[node]
-        target = graph.neighbor_on_port(node, port)
-        if port != in_port and link_ok(node, target):
-            return target, True
-    # Unencoded (or unusable residue): NIP picks randomly among healthy
-    # non-input ports — deterministic only when exactly one exists.
-    options = [
-        graph.neighbor_on_port(node, p)
-        for p in range(graph.degree(node))
-        if p != in_port and link_ok(node, graph.neighbor_on_port(node, p))
-    ]
-    if not options:
+    healthy = tuple(
+        p for p in range(graph.degree(node))
+        if not ({node, graph.neighbor_on_port(node, p)} <= failed)
+    )
+    # An unencoded switch's modulo result is an arbitrary residue,
+    # treated as unusable: the input port is the one value NIP always
+    # rejects, so passing it sends decide straight to its fallback set.
+    chosen, deflected = _NIP.decide(
+        healthy, in_port, encoded.get(node, in_port), False, _CANDIDATES
+    )
+    if chosen is None:
         return "", False
-    if len(options) == 1:
-        return options[0], False
-    return None, False
+    if not deflected:
+        return graph.neighbor_on_port(node, chosen), True
+    if len(chosen) > 1:
+        return None, False
+    return graph.neighbor_on_port(node, chosen[0]), False

@@ -12,11 +12,14 @@ Three exact (non-simulated) models:
   fixed loop detour.  Expected extra hops follow the geometric series
   the paper describes qualitatively ("this protection loop will
   continue until SW109 is probabilistically chosen").
-* :func:`deterministic_route_walk` — the no-deflection dataplane as a
-  pure graph walk: hop by hop ``R mod s``, TTL bookkeeping, drops, and
-  edge misdelivery re-encodes, with no event engine, queues, or clocks
-  involved.  The differential verifier (:mod:`repro.verify`) diffs its
-  verdicts against the real simulator's packet traces.
+* :func:`deterministic_strategy_walk` — the dataplane as a pure graph
+  walk: hop by hop ``R mod s`` handed to ``strategies[switch].decide``,
+  TTL bookkeeping, drops, and edge misdelivery re-encodes, with no
+  event engine, queues, or clocks involved.  It is the only off-engine
+  replay of a hop: no-deflection forwarding is this walk under a table
+  of no-deflection strategies, not a second loop.  The differential
+  verifier (:mod:`repro.verify`) diffs its verdicts against the real
+  simulator's packet traces.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ __all__ = [
     "GeometricRetryModel",
     "WalkHop",
     "WalkVerdict",
-    "deterministic_route_walk",
     "deterministic_strategy_walk",
 ]
 
@@ -213,8 +215,7 @@ class WalkHop:
     """One core-switch forwarding step of the modeled packet.
 
     ``deflected`` mirrors the dataplane's flag: the strategy departed
-    from its happy path on this hop.  The no-deflection walk never sets
-    it; the strategy walk does.
+    from its happy path on this hop (never, under no-deflection).
     """
 
     node: str
@@ -225,7 +226,7 @@ class WalkHop:
 
 @dataclass(frozen=True)
 class WalkVerdict:
-    """The predicted fate of a packet under no-deflection forwarding.
+    """The predicted fate of a packet.
 
     Attributes:
         outcome: ``"delivered"`` or ``"dropped"``.
@@ -255,89 +256,6 @@ ReencodeFn = Callable[[str, str], Optional[Tuple[int, int]]]
 PortAtFn = Callable[[int, int], int]
 
 
-def deterministic_route_walk(
-    graph: PortGraph,
-    route_id: int,
-    ttl: int,
-    ingress_edge: str,
-    out_port: int,
-    dst_host: str,
-    down_links: Collection[Tuple[str, str]] = (),
-    reencode: Optional[ReencodeFn] = None,
-    port_at: Optional[PortAtFn] = None,
-) -> WalkVerdict:
-    """Predict one packet's path and fate without running the simulator.
-
-    Replays the dataplane's per-hop rules as pure graph arithmetic: a
-    core switch drops a packet arriving with TTL <= 0, else decrements
-    the TTL and forwards on ``route_id mod switch_id`` when that port
-    exists and its link is not in *down_links* (no-deflection
-    semantics: otherwise the packet is dropped).  An edge serving the
-    destination delivers; any other edge re-encodes via *reencode*
-    (keeping the packet's remaining TTL) or drops.  TTL strictly
-    decreases across core hops, so the walk always terminates — a
-    wandering (fuzzed) route ID ends in a ``ttl-expired`` verdict,
-    which is exactly the loop verdict the verifier diffs.
-
-    *port_at* swaps the per-hop decode for an encoding backend's (the
-    XSR polynomial remainder); by default the integer ``R mod s`` runs,
-    unchanged.  The drop-reason strings deliberately match the
-    dataplane's so verdicts are directly comparable.
-    """
-    hops: List[WalkHop] = []
-
-    def dropped(node: str, reason: str) -> WalkVerdict:
-        return WalkVerdict("dropped", node, reason, tuple(hops))
-
-    down = {tuple(sorted(key)) for key in down_links}
-    rid = route_id
-    current = graph.neighbor_on_port(ingress_edge, out_port)
-    in_port = graph.port_of(current, ingress_edge)
-    while True:
-        kind = graph.node(current).kind
-        if kind == NodeKind.CORE:
-            if ttl <= 0:
-                return dropped(current, "ttl-expired")
-            ttl -= 1
-            if port_at is None:
-                computed = rid % graph.switch_id(current)
-            else:
-                computed = port_at(rid, graph.switch_id(current))
-            if computed >= graph.degree(current):
-                return dropped(current, "no-usable-port(none)")
-            neighbor = graph.neighbor_on_port(current, computed)
-            if tuple(sorted((current, neighbor))) in down:
-                return dropped(current, "no-usable-port(none)")
-            hops.append(WalkHop(current, in_port, computed))
-            in_port = graph.port_of(neighbor, current)
-            current = neighbor
-            continue
-        if kind == NodeKind.EDGE:
-            if dst_host in graph.hosts_of_edge(current):
-                return WalkVerdict(
-                    "delivered", dst_host, "", tuple(hops)
-                )
-            # Misdelivered: the edge asks for a fresh route ID.  The
-            # dataplane checks reachability/route first and TTL only at
-            # re-injection time, so the order here matters.
-            if reencode is None:
-                return dropped(current, "misdelivered-no-controller")
-            entry = reencode(current, dst_host)
-            if entry is None:
-                return dropped(current, "misdelivered-no-route")
-            if ttl <= 0:
-                return dropped(current, "ttl-expired")
-            rid, port = entry
-            neighbor = graph.neighbor_on_port(current, port)
-            in_port = graph.port_of(neighbor, current)
-            current = neighbor
-            continue
-        raise TopologyError(
-            f"walk reached {current!r} of kind {kind!r}; core routes "
-            f"never point at hosts"
-        )
-
-
 class _NoRandomness:
     """RNG stand-in that fails loudly if a strategy draws from it.
 
@@ -353,6 +271,16 @@ class _NoRandomness:
         )
 
 
+class _CandidateSet:
+    """RNG stand-in whose ``choice`` does not draw: it hands back the
+    whole candidate list, so ``decide`` returns the exact set of ports
+    a deflection could take (one entry = a forced hop) instead of one
+    sample from it."""
+
+    def choice(self, candidates: Sequence[int]) -> List[int]:
+        return list(candidates)
+
+
 def deterministic_strategy_walk(
     graph: PortGraph,
     strategies: "Mapping[str, DeflectionStrategy]",
@@ -365,21 +293,30 @@ def deterministic_strategy_walk(
     reencode: Optional[ReencodeFn] = None,
     port_at: Optional[PortAtFn] = None,
 ) -> WalkVerdict:
-    """Predict a packet's fate under per-switch *deterministic* strategies.
+    """Predict one packet's path and fate without running the simulator.
 
-    The strategy-aware sibling of :func:`deterministic_route_walk`: each
-    core hop still computes ``route_id mod switch_id`` and keeps the
-    TTL bookkeeping, but the out-port comes from
-    ``strategies[switch].decide`` over the ports *down_links* leaves up
-    — exactly the call the real switch makes, minus the event engine.
-    This is the oracle for the stateful failover baselines
-    (:mod:`repro.baselines`): pass the same per-switch strategy
-    instances the simulation runs with and diff the verdicts.
+    Replays the dataplane's per-hop rules as pure graph arithmetic: a
+    core switch drops a packet arriving with TTL <= 0, else decrements
+    the TTL, computes ``route_id mod switch_id`` and takes the out-port
+    from ``strategies[switch].decide`` over the ports *down_links*
+    leaves up — exactly the call the real switch makes, minus the event
+    engine.  An edge serving the destination delivers; any other edge
+    re-encodes via *reencode* (keeping the packet's remaining TTL) or
+    drops.  TTL strictly decreases across core hops, so the walk always
+    terminates — a wandering (fuzzed) route ID ends in a ``ttl-expired``
+    verdict, which is exactly the loop verdict the verifier diffs.
 
-    Strategies must be RNG-free (the baselines are); a strategy that
-    draws randomness raises.  Each hop records the strategy's deflected
-    flag, so expected traces can be compared bit-for-bit against
-    :class:`~repro.sim.trace.PacketTracer` paths.
+    *strategies* is the per-switch table the simulation runs with (the
+    stateful failover baselines of :mod:`repro.baselines`), or a table
+    of no-deflection strategies for the plain KeyFlow dataplane.
+    Strategies must be RNG-free; one that draws randomness raises.
+    Each hop records the strategy's deflected flag, so expected traces
+    compare bit-for-bit against :class:`~repro.sim.trace.PacketTracer`
+    paths, and the drop-reason strings deliberately match the
+    dataplane's.
+
+    *port_at* swaps the per-hop decode for an encoding backend's (the
+    XSR polynomial remainder); by default the integer ``R mod s`` runs.
     """
     hops: List[WalkHop] = []
 
@@ -422,8 +359,9 @@ def deterministic_strategy_walk(
         if kind == NodeKind.EDGE:
             if dst_host in graph.hosts_of_edge(current):
                 return WalkVerdict("delivered", dst_host, "", tuple(hops))
-            # Same misdelivery contract as deterministic_route_walk:
-            # route/reachability first, TTL at re-injection time.
+            # Misdelivered: the edge asks for a fresh route ID.  The
+            # dataplane checks reachability/route first and TTL only at
+            # re-injection time, so the order here matters.
             if reencode is None:
                 return dropped(current, "misdelivered-no-controller")
             entry = reencode(current, dst_host)

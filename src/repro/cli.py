@@ -37,9 +37,9 @@ The experiment commands (``fig4``/``fig5``/``fig7``/``fig8``/
 ``report``/``chaos``) all run on the job farm (:mod:`repro.farm`) and
 share its flags: ``--jobs N`` for worker processes, ``--cache-dir``
 (on by default at ``.repro-cache``; results are content-addressed, so
-a rerun is free), ``--no-cache``/``--refresh`` escape hatches,
-``--resume`` to pick up a killed sweep, and ``--progress`` /
-``--no-progress`` to force the live reporter on or off.
+a rerun is free and a killed sweep resumes by rerunning the same
+command), ``--no-cache``/``--refresh`` escape hatches, and
+``--progress`` / ``--no-progress`` to force the live reporter on or off.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def _add_farm_args(
     parser: argparse.ArgumentParser,
     cache_default: Optional[str] = _DEFAULT_CACHE_DIR,
 ) -> None:
-    """The shared farm flags (--jobs/--cache-dir/--resume/...).
+    """The shared farm flags (--jobs/--cache-dir/--refresh/...).
 
     ``cache_default=None`` disables the result cache unless the user
     opts in — the verify command uses this, since a cache key covers
@@ -108,9 +108,6 @@ def _add_farm_args(
                        help="neither read nor write the result cache")
     group.add_argument("--refresh", action="store_true",
                        help="re-run every job and overwrite cached results")
-    group.add_argument("--resume", action="store_true",
-                       help="resume a partially completed sweep from the "
-                            "cache checkpoint")
     group.add_argument("--progress", action=argparse.BooleanOptionalAction,
                        default=None,
                        help="live progress on stderr (default: auto when "
@@ -125,7 +122,6 @@ def _farm_options(args: argparse.Namespace, label: str):
         cache_dir=args.cache_dir,
         no_cache=args.no_cache,
         refresh=args.refresh,
-        resume=args.resume,
         progress=args.progress,
         label=label,
     )

@@ -10,24 +10,20 @@ encode draws from the same coprime pool.  This module amortizes both:
 * one :class:`DestinationTree` per (topology epoch, destination edge) —
   a BFS tree over the core subgraph rooted at the destination, built
   once and reused by every flow to that destination;
-* one :class:`~repro.rns.pool.PoolContext` per topology epoch, held by
+* one :class:`~repro.rns.pool.PoolContext` per engine, held by
   the engine's one :class:`~repro.rns.encoder.RouteEncoder` — all CRT
   basis weights precomputed, so each encode is a cached-subset dot
   product and a changed output port (:meth:`~repro.rns.encoder
   .RouteEncoder.with_port`) is a single CRT addend, not a re-solve.
 
-Two invalidation granularities, split by what actually changed:
-
-* :meth:`ProvisioningEngine.note_topology_change` — nodes, switch IDs
-  or port numbering changed.  Everything is rebuilt: a tree or pool
-  from a previous epoch must never encode a route for the current one.
-* :meth:`ProvisioningEngine.note_link_change` — only link *state*
-  changed (a link went down or came back up).  Trees are rebuilt over
-  the residual graph, but the CRT pool and its memoized subset
-  contexts survive: they depend only on the switch-ID set, which link
-  churn cannot touch.  This is what lets a long-running controller
-  service absorb port flaps without ever falling back to full CRT
-  solves.
+One invalidation, :meth:`ProvisioningEngine.note_link_change`: link
+*state* changed (a link went down or came back up).  Trees are rebuilt
+over the residual graph, but the CRT pool — built once, with the engine
+— and its memoized subset contexts survive: they depend only on the
+switch-ID set, which link churn cannot touch.  This is what lets a
+long-running controller service absorb port flaps without ever falling
+back to full CRT solves.  (Nodes, switch IDs or port numbering never
+change under an engine; a new topology is a new engine.)
 
 Link state itself lives here as an overlay (:meth:`ProvisioningEngine
 .set_link_down` / :meth:`~ProvisioningEngine.set_link_up`): the
@@ -238,7 +234,7 @@ class DestinationTree:
 
 
 class ProvisioningEngine:
-    """Amortized batch provisioning over one topology epoch.
+    """Amortized batch provisioning over one topology.
 
     Args:
         graph: the topology (switch IDs already assigned).
@@ -248,12 +244,10 @@ class ProvisioningEngine:
             skip the pool's one-time O(n²) re-check.
 
     Every externally interesting event is counted — provisions, tree
-    memo hits/misses, epoch bumps by granularity, incremental vs. full
-    re-encodes — and exposed as one JSON-able mapping by :meth:`stats`,
-    which is what the controller service's ``/stats`` endpoint
-    serves.  Counters are cumulative across epoch
-    rebuilds (the encoder object outlives its pool, and a replacement
-    pool inherits the subset counts), so invalidation thrash is visible
+    memo hits/misses, epoch bumps, incremental vs. full re-encodes —
+    and exposed as one JSON-able mapping by :meth:`stats`, which is
+    what the controller service's ``/stats`` endpoint serves.  Counters
+    are cumulative across epochs, so invalidation thrash is visible
     instead of resetting the evidence.
     """
 
@@ -265,7 +259,6 @@ class ProvisioningEngine:
     ):
         self.graph = graph
         self.default_ttl = default_ttl
-        self._validated_pool = validated_pool
         self.epoch = 0
         self._trees: Dict[str, DestinationTree] = {}
         self._down: set = set()
@@ -274,41 +267,14 @@ class ProvisioningEngine:
         self.provisions = 0
         self.reroutes = 0
         self.epoch_bumps = 0
-        self.full_rebuilds = 0
         self.link_invalidations = 0
-        self.encoder = RouteEncoder()
-        self._rebuild_pool()
-
-    def _rebuild_pool(self) -> None:
-        """A fresh pool; the encoder and its counters stay."""
-        retired = self.encoder.pool
-        pool = PoolContext.from_graph(
-            self.graph, validated=self._validated_pool
+        self.encoder = RouteEncoder(
+            PoolContext.from_graph(graph, validated=validated_pool)
         )
-        if retired is not None:
-            pool.subsets_built = retired.subsets_built
-            pool.subset_hits = retired.subset_hits
-        self.encoder.pool = pool
 
     # ------------------------------------------------------------------
     # epoch / invalidation
     # ------------------------------------------------------------------
-    def note_topology_change(self) -> None:
-        """Invalidate every per-epoch artifact (trees, pool).
-
-        Call after any change to the graph's nodes, links, port
-        numbering, or switch IDs.  Routes encoded before the change stay
-        valid *as integers* (a route ID is self-contained) but may no
-        longer describe live paths — the caller decides whether to
-        re-provision them.  For pure link up/down events prefer
-        :meth:`note_link_change`, which keeps the CRT pool.
-        """
-        self.epoch += 1
-        self.epoch_bumps += 1
-        self.full_rebuilds += 1
-        self._trees.clear()
-        self._rebuild_pool()
-
     def note_link_change(self) -> None:
         """Invalidate link-state-dependent artifacts only.
 
@@ -535,12 +501,9 @@ class ProvisioningEngine:
     def stats(self) -> Dict[str, Any]:
         """Cumulative engine counters as one JSON-able mapping.
 
-        Cumulative across full rebuilds, so a reader can tell whether
-        :meth:`note_topology_change` invalidation is thrashing
-        (``full_rebuilds`` climbing, ``subset_hits`` flat) versus the
-        healthy steady state (``link_invalidations`` climbing while
-        ``deltas_applied``/``subset_hits`` keep growing and
-        ``full_solves`` stays zero).
+        Cumulative across epochs; the healthy steady state under churn
+        is ``link_invalidations`` climbing while ``deltas_applied`` /
+        ``subset_hits`` keep growing and ``full_solves`` stays zero.
         """
         encoder = self.encoder
         return {
@@ -551,7 +514,6 @@ class ProvisioningEngine:
             "trees": {"built": self.trees_built, "hits": self.tree_hits},
             "epochs": {
                 "bumps": self.epoch_bumps,
-                "full_rebuilds": self.full_rebuilds,
                 "link_invalidations": self.link_invalidations,
             },
             "encoder": {

@@ -425,11 +425,11 @@ def run_frontier_cells(
     label: str = "frontier",
 ) -> List[FrontierCell]:
     """Run frontier specs on the farm; cells in spec order."""
+    from repro.farm.executor import FarmOptions, run_specs
     from repro.farm.jobs import frontier_cell_from_record
-    from repro.farm.sweep import SweepDriver
 
-    driver = SweepDriver(label, specs, options)
-    return [frontier_cell_from_record(r) for r in driver.run()]
+    records = run_specs(specs, options or FarmOptions(progress=False), label)
+    return [frontier_cell_from_record(r) for r in records]
 
 
 def run_frontier(

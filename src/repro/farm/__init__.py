@@ -5,8 +5,8 @@ The experiment layer's job farm: every figure/table/chaos run is a
 content key), executed by a cache-aware
 :class:`~repro.farm.executor.Farm` (inline at ``jobs=1``, a spawn-
 context process pool above that), with results stored in a
-content-addressed :class:`~repro.farm.cache.ResultCache` and sweeps
-checkpointed/resumed by :class:`~repro.farm.sweep.SweepDriver`.
+content-addressed :class:`~repro.farm.cache.ResultCache` — which is
+also how a killed sweep resumes: rerun it, finished jobs are hits.
 
 Module map:
 
@@ -15,7 +15,7 @@ Module map:
 * :mod:`~repro.farm.cache` — the on-disk result cache;
 * :mod:`~repro.farm.executor` — inline + multiprocess execution;
 * :mod:`~repro.farm.progress` — done/total + ETA + cache-hit reporting;
-* :mod:`~repro.farm.sweep` — checkpointed resumable sweeps;
+* :mod:`~repro.farm.sweep` — typed sweep runners over the farm;
 * :mod:`~repro.farm.bench` — ``repro farm bench`` (BENCH_farm.json).
 """
 
@@ -37,7 +37,7 @@ from repro.farm.jobs import (
 )
 from repro.farm.progress import ProgressReporter
 from repro.farm.spec import FORMAT_VERSION, RunSpec
-from repro.farm.sweep import SweepDriver, run_chaos_specs, run_failure_specs
+from repro.farm.sweep import run_chaos_specs, run_failure_specs
 
 __all__ = [
     "FORMAT_VERSION",
@@ -52,7 +52,6 @@ __all__ = [
     "FarmStats",
     "FailureResult",
     "ProgressReporter",
-    "SweepDriver",
     "run_specs",
     "run_failure_specs",
     "run_chaos_specs",

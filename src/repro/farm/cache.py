@@ -17,8 +17,8 @@ and is treated as a miss, never as an error: the farm just re-runs the
 job and overwrites the bad record.
 
 Writes go through a temp file + ``os.replace`` so a killed process
-never leaves a half-written record behind (the resume path depends on
-this).  All writes happen in the farm's parent process, so there is no
+never leaves a half-written record behind (rerunning a killed sweep
+depends on this).  All writes happen in the farm's parent process, so there is no
 cross-process write race to guard against.
 """
 

@@ -27,7 +27,7 @@ Failure handling:
   long) — the pool is torn down, its processes killed, and unfinished
   jobs retried under the same attempt budget;
 * Ctrl-C drains gracefully: every result completed so far is already
-  in the cache, so a rerun with ``--resume`` picks up where the
+  in the cache, so rerunning the same command picks up where the
   interrupted sweep stopped.
 """
 
@@ -38,7 +38,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.farm.cache import CacheStats, ResultCache
 from repro.farm.jobs import execute_record, execute_spec
@@ -57,9 +57,6 @@ __all__ = [
 
 #: Worker start method, pinned for cross-platform determinism.
 WORKER_START_METHOD = "spawn"
-
-#: Called after every finished job: (spec, result record, from_cache).
-ResultCallback = Callable[[RunSpec, Dict[str, Any], bool], None]
 
 
 class FarmError(RuntimeError):
@@ -87,7 +84,6 @@ class FarmOptions:
     cache_dir: Optional[str] = None
     no_cache: bool = False
     refresh: bool = False
-    resume: bool = False
     progress: Optional[bool] = None
     timeout_s: float = 600.0
     max_retries: int = 2
@@ -132,7 +128,6 @@ class Farm:
         self,
         specs: Sequence[RunSpec],
         label: Optional[str] = None,
-        on_result: Optional[ResultCallback] = None,
     ) -> List[Dict[str, Any]]:
         """Execute all specs; result records in spec order."""
         specs = list(specs)
@@ -159,19 +154,13 @@ class Farm:
                     results[i] = record
                     self.stats.cached += 1
                     reporter.tick(cached=True)
-                    if on_result is not None:
-                        on_result(spec, record, True)
                 else:
                     pending.append(i)
             if pending:
                 if opts.jobs <= 1 or len(pending) == 1:
-                    self._run_inline(
-                        specs, pending, results, reporter, on_result
-                    )
+                    self._run_inline(specs, pending, results, reporter)
                 else:
-                    self._run_pool(
-                        specs, pending, results, reporter, on_result
-                    )
+                    self._run_pool(specs, pending, results, reporter)
         finally:
             self.stats.elapsed_s = time.monotonic() - started
             reporter.finish(self.stats.summary(label or opts.label))
@@ -186,19 +175,16 @@ class Farm:
         results: Dict[int, Dict[str, Any]],
         index: int,
         reporter: ProgressReporter,
-        on_result: Optional[ResultCallback],
     ) -> None:
         results[index] = record
         if self.cache is not None:
             self.cache.put(spec, record)
         self.stats.executed += 1
         reporter.tick(cached=False)
-        if on_result is not None:
-            on_result(spec, record, False)
 
     # -- jobs=1: the sequential path ---------------------------------
 
-    def _run_inline(self, specs, pending, results, reporter, on_result):
+    def _run_inline(self, specs, pending, results, reporter):
         for i in pending:
             try:
                 record = execute_spec(specs[i])
@@ -206,11 +192,11 @@ class Farm:
                 raise
             except Exception as exc:
                 raise FarmJobError(specs[i], exc) from exc
-            self._complete(specs[i], record, results, i, reporter, on_result)
+            self._complete(specs[i], record, results, i, reporter)
 
     # -- jobs>1: the worker pool -------------------------------------
 
-    def _run_pool(self, specs, pending, results, reporter, on_result):
+    def _run_pool(self, specs, pending, results, reporter):
         opts = self.options
         ctx = multiprocessing.get_context(WORKER_START_METHOD)
         attempts = {i: 0 for i in pending}
@@ -224,9 +210,7 @@ class Farm:
             }
             todo = []
             try:
-                todo = self._collect(
-                    pool, futures, specs, results, reporter, on_result
-                )
+                todo = self._collect(pool, futures, specs, results, reporter)
             except KeyboardInterrupt:
                 self._kill_pool(pool)
                 raise
@@ -242,9 +226,7 @@ class Farm:
                         f"timeout > {opts.timeout_s:g}s)"
                     )
 
-    def _collect(
-        self, pool, futures, specs, results, reporter, on_result
-    ) -> List[int]:
+    def _collect(self, pool, futures, specs, results, reporter) -> List[int]:
         """Drain one pool generation; returns job indexes to retry."""
         opts = self.options
         not_done = set(futures)
@@ -265,9 +247,7 @@ class Farm:
                 except Exception as exc:
                     raise FarmJobError(specs[i], exc) from exc
                 else:
-                    self._complete(
-                        specs[i], record, results, i, reporter, on_result
-                    )
+                    self._complete(specs[i], record, results, i, reporter)
             if retry:
                 # A worker died and took the pool with it; everything
                 # unfinished must move to the next generation.

@@ -1,34 +1,16 @@
-"""Checkpointed, resumable sweeps.
+"""Typed sweep runners: spec lists in, experiment result objects out.
 
-The cache already makes any rerun incremental — finished jobs are
-content-addressed hits.  The sweep driver adds the bookkeeping a
-long-running sweep wants on top of that:
-
-* a **sweep key** (hash over every member spec's content key) that
-  identifies *this exact job set*, so a checkpoint from a different
-  seed count or grid silently resets instead of lying;
-* a checkpoint file under ``<cache>/sweeps/<name>.json`` updated after
-  every completed job, recording which content keys are done;
-* on ``resume=True``, a one-line note of how much of the sweep is
-  already banked before work starts.
-
-Resume therefore needs nothing beyond pointing the next invocation at
-the same cache directory: kill a sweep at job 30/54, rerun with
-``--resume``, and the 30 finished jobs come back as cache hits while
-the checkpoint shows the sweep picking up from where it died.
+There is no sweep state beyond the content-addressed cache: every
+finished job is a cache record keyed by its spec, so a killed sweep is
+resumed by rerunning the same command against the same ``--cache-dir``
+— the finished jobs come back as cache hits and only the rest execute.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import sys
-import time
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
-from repro.farm.executor import Farm, FarmOptions
+from repro.farm.executor import FarmOptions, run_specs
 from repro.farm.jobs import (
     FailureResult,
     chaos_run_from_record,
@@ -36,7 +18,6 @@ from repro.farm.jobs import (
 from repro.farm.spec import RunSpec
 
 __all__ = [
-    "SweepDriver",
     "run_failure_specs",
     "run_chaos_specs",
     "run_service_specs",
@@ -47,112 +28,14 @@ __all__ = [
 _INLINE = FarmOptions(progress=False)
 
 
-def sweep_key(specs: Sequence[RunSpec]) -> str:
-    """Identity of a job set: order-sensitive hash of all content keys."""
-    digest = hashlib.sha256()
-    for spec in specs:
-        digest.update(spec.content_key().encode("ascii"))
-        digest.update(b"\n")
-    return digest.hexdigest()[:16]
-
-
-class SweepDriver:
-    """Drives one named job set through a Farm with checkpointing."""
-
-    def __init__(
-        self,
-        name: str,
-        specs: Sequence[RunSpec],
-        options: Optional[FarmOptions] = None,
-    ):
-        self.name = name
-        self.specs = list(specs)
-        self.options = options or _INLINE
-        self.farm = Farm(self.options)
-        self.key = sweep_key(self.specs)
-        self._done: Dict[str, bool] = {}
-
-    @property
-    def checkpoint_path(self) -> Optional[Path]:
-        if self.farm.cache is None:
-            return None
-        safe = "".join(
-            c if c.isalnum() or c in "-_." else "-" for c in self.name
-        )
-        return self.farm.cache.root / "sweeps" / f"{safe}.json"
-
-    # -- checkpoint I/O ----------------------------------------------
-
-    def _load_checkpoint(self) -> Dict[str, Any]:
-        path = self.checkpoint_path
-        if path is None:
-            return {}
-        try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return {}
-        if not isinstance(record, dict) or record.get("sweep_key") != self.key:
-            return {}  # different job set (or corrupt): start fresh
-        done = record.get("done")
-        return done if isinstance(done, dict) else {}
-
-    def _write_checkpoint(self, complete: bool) -> None:
-        path = self.checkpoint_path
-        if path is None:
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        record = {
-            "name": self.name,
-            "sweep_key": self.key,
-            "total": len(self.specs),
-            "done": self._done,
-            "complete": complete,
-            "updated": time.time(),
-        }
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(record, indent=1), encoding="utf-8")
-        os.replace(tmp, path)
-
-    # -- the run -----------------------------------------------------
-
-    def run(self) -> List[Dict[str, Any]]:
-        """Run (or resume) the sweep; result records in spec order."""
-        opts = self.options
-        if opts.resume:
-            self._done = self._load_checkpoint()
-            if opts.progress is not False:
-                banked = sum(
-                    1 for s in self.specs
-                    if self._done.get(s.content_key())
-                )
-                sys.stderr.write(
-                    f"{self.name}: resuming — {banked}/{len(self.specs)} "
-                    "jobs checkpointed from a previous run\n"
-                )
-        else:
-            self._done = {}
-
-        def checkpoint(spec: RunSpec, record: Dict[str, Any],
-                       cached: bool) -> None:
-            self._done[spec.content_key()] = True
-            self._write_checkpoint(complete=False)
-
-        on_result = checkpoint if self.checkpoint_path is not None else None
-        records = self.farm.run(self.specs, label=self.name,
-                                on_result=on_result)
-        if self.checkpoint_path is not None:
-            self._write_checkpoint(complete=True)
-        return records
-
-
 def run_failure_specs(
     specs: Sequence[RunSpec],
     options: Optional[FarmOptions] = None,
     label: str = "failure-sweep",
 ) -> List[FailureResult]:
     """Run failure-experiment specs; typed results in spec order."""
-    driver = SweepDriver(label, specs, options)
-    return [FailureResult.from_record(r) for r in driver.run()]
+    records = run_specs(specs, options or _INLINE, label)
+    return [FailureResult.from_record(r) for r in records]
 
 
 def run_chaos_specs(
@@ -161,8 +44,8 @@ def run_chaos_specs(
     label: str = "chaos-sweep",
 ) -> List[Any]:
     """Run chaos specs; :class:`ChaosRun` objects in spec order."""
-    driver = SweepDriver(label, specs, options)
-    return [chaos_run_from_record(r) for r in driver.run()]
+    records = run_specs(specs, options or _INLINE, label)
+    return [chaos_run_from_record(r) for r in records]
 
 
 def run_service_specs(
@@ -173,5 +56,5 @@ def run_service_specs(
     """Run service-churn specs; :class:`ChurnReport` objects in order."""
     from repro.service.loadgen import churn_report_from_record
 
-    driver = SweepDriver(label, specs, options)
-    return [churn_report_from_record(r) for r in driver.run()]
+    records = run_specs(specs, options or _INLINE, label)
+    return [churn_report_from_record(r) for r in records]

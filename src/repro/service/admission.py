@@ -39,6 +39,7 @@ from typing import (
     Tuple,
 )
 
+from repro.controller.provision import require_flow_endpoints
 from repro.topology.graph import NodeKind, PortGraph, link_key
 
 __all__ = [
@@ -258,17 +259,11 @@ def cspf_path(
             unconstrained residual topology has no path,
             ``latency-exceeded`` when the best feasible path is too
             slow.
+        ProvisionError: ``same-edge`` / ``unknown-node`` /
+            ``not-an-edge`` — a malformed request, the same answer the
+            best-effort path gives, and not an admission decision.
     """
-    for name in (src_edge, dst_edge):
-        if graph.node(name).kind != NodeKind.EDGE:
-            raise AdmissionError(
-                "no-route", f"{name!r} is not an edge node"
-            )
-    if src_edge == dst_edge:
-        raise AdmissionError(
-            "no-route",
-            f"flow endpoints share the edge {src_edge!r}",
-        )
+    require_flow_endpoints(graph, src_edge, dst_edge)
 
     def usable(a: str, b: str, prune_bandwidth: bool) -> bool:
         key = link_key(a, b)

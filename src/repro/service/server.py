@@ -94,12 +94,20 @@ def _provision_body(state: ControllerState, body: Dict[str, Any]) -> Response:
         not isinstance(ttl, int) or isinstance(ttl, bool) or ttl <= 0
     ):
         return _error(400, "bad-request", "ttl must be a positive integer")
+    try:
+        bandwidth = float(bandwidth)
+        latency = float(latency) if latency is not None else None
+    except OverflowError:  # a JSON integer beyond the float range
+        return _error(
+            400, "bad-request",
+            "bandwidth_mbps / max_latency_s is out of range",
+        )
     record = state.provision(
         tenant=body["tenant"],
         src_edge=body["src"],
         dst_edge=body["dst"],
-        bandwidth_mbps=float(bandwidth),
-        max_latency_s=float(latency) if latency is not None else None,
+        bandwidth_mbps=bandwidth,
+        max_latency_s=latency,
         ttl=ttl,
     )
     return 201, {"flow": record.describe()}

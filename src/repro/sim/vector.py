@@ -63,7 +63,6 @@ import random
 from dataclasses import dataclass
 from typing import (
     Any,
-    Callable,
     Dict,
     List,
     Mapping,
@@ -87,7 +86,6 @@ __all__ = [
     "EpochFlow",
     "EpochWorkload",
     "EpochOutcome",
-    "WORKLOAD_BUILDERS",
     "synthetic_spec",
     "build_workload",
     "run_epoch_reference",
@@ -269,13 +267,6 @@ class EpochOutcome:
 # workload construction
 # ---------------------------------------------------------------------------
 
-#: spec["kind"] -> builder.  Populated at import time so spawn-started
-#: workers (which re-import this module) can rebuild any workload from
-#: its plain spec record — the same discipline as
-#: :data:`repro.farm.jobs.JOB_KINDS`.
-WORKLOAD_BUILDERS: Dict[str, Callable[[Mapping[str, Any]], "EpochWorkload"]] = {}
-
-
 def synthetic_spec(
     num_switches: int = 8,
     extra_links: int = 3,
@@ -312,14 +303,20 @@ def synthetic_spec(
     }
 
 
-def _build_synthetic(spec: Mapping[str, Any]) -> EpochWorkload:
-    """Random connected core + one edge node per flow endpoint.
+def build_workload(spec: Mapping[str, Any]) -> EpochWorkload:
+    """Build the workload a :func:`synthetic_spec` record describes:
+    random connected core + one edge node per flow endpoint.
 
     Everything is a pure function of the spec: topology (seeded
     generator), flow endpoint choice (its own derived stream), routes
     (deterministic shortest paths + CRT encode) and the failure
     schedule (links on flow 0's route, innermost first).
     """
+    if spec.get("kind") != "synthetic":
+        raise ValueError(
+            f"unknown workload kind {spec.get('kind')!r}; "
+            f"the one kind is 'synthetic'"
+        )
     graph = random_connected(
         spec["num_switches"],
         extra_links=spec["extra_links"],
@@ -402,21 +399,6 @@ def _build_synthetic(spec: Mapping[str, Any]) -> EpochWorkload:
         flips=tuple(flips),
         spec=dict(spec),
     )
-
-
-WORKLOAD_BUILDERS["synthetic"] = _build_synthetic
-
-
-def build_workload(spec: Mapping[str, Any]) -> EpochWorkload:
-    """Rebuild a workload from its plain spec record (spawn-safe)."""
-    try:
-        builder = WORKLOAD_BUILDERS[spec["kind"]]
-    except KeyError:
-        raise ValueError(
-            f"unknown workload kind {spec.get('kind')!r}; registered: "
-            f"{sorted(WORKLOAD_BUILDERS)}"
-        ) from None
-    return builder(spec)
 
 
 def iter_injections(

@@ -20,12 +20,12 @@ diffs the outcomes:
   rule.
 * ``walk`` — the event simulator's per-packet delivery/loop verdicts
   vs the pure-graph walk model
-  (:func:`repro.analysis.walk.deterministic_route_walk`), for the
-  controller's real route, a fuzzed route ID that wanders, and the
-  stateful failover baselines (``ff``/``arb`` from
-  :mod:`repro.baselines`, walked by
-  :func:`~repro.analysis.walk.deterministic_strategy_walk` with the
-  very strategy tables the simulator runs).
+  (:func:`repro.analysis.walk.deterministic_strategy_walk`), for the
+  controller's real route and a fuzzed route ID that wanders (walked
+  under a table of no-deflection *transcriptions*, so the model shares
+  no decision code with the simulator), and the stateful failover
+  baselines (``ff``/``arb`` from :mod:`repro.baselines`, walked with
+  the very strategy tables the simulator runs).
 * ``encoder`` — the amortized control-plane paths
   (:class:`~repro.rns.pool.PoolContext` and a pool-holding
   :class:`~repro.rns.encoder.RouteEncoder`) vs the reference
@@ -52,10 +52,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.walk import (
-    deterministic_route_walk,
-    deterministic_strategy_walk,
-)
+from repro.analysis.walk import deterministic_strategy_walk
 from repro.baselines import BASELINE_SCHEMES, plan_baseline_strategies
 from repro.rns.crt import CrtError, crt
 from repro.rns.encoder import Hop, RouteEncoder
@@ -463,42 +460,141 @@ def _fuzz_route_id(case: FuzzCase, graph) -> int:
     return route_id
 
 
+def _no_deflection_table(graph) -> Dict[str, DeflectionStrategy]:
+    """Per-switch no-deflection strategies for the walk model.
+
+    Built from the paper transcription, not ``NoDeflection``: the
+    simulator side decides through the production kernel, so the two
+    sides of the diff share no decision code.
+    """
+    return {
+        info.name: PseudocodeStrategy("none", graph.degree(info.name))
+        for info in graph.nodes(NodeKind.CORE)
+    }
+
+
+def _diff_static_run(
+    result: OracleResult,
+    label: str,
+    case: FuzzCase,
+    ks: KarSimulation,
+    entry: IngressEntry,
+    strategies: Dict[str, DeflectionStrategy],
+    port_at: Optional[Callable[[int, int], int]] = None,
+) -> None:
+    """Run *ks* with the case's failures applied before traffic and
+    diff every traced packet against the walk model's one verdict.
+
+    The walk model has no clock, so the run is static and every packet
+    must take the model's hops — deflection flags included — and meet
+    its fate.  *entry* is the ingress entry the packets are stamped
+    from, *strategies* the model's per-switch table.
+    """
+    scenario = ks.scenario
+    graph = scenario.graph
+    down = tuple({tuple(sorted((a, b))) for a, b, _, _ in case.failures})
+    for a, b in down:
+        ks.network.link_between(a, b).set_up(False)
+    src, _ = ks.add_udp_probe(
+        rate_pps=case.rate_pps, duration_s=case.traffic_s
+    )
+    src.start(at=0.01)
+    ks.run(until=case.traffic_s + 2.0)
+    sent, tracer = src.sent, ks.tracer
+
+    def reencode(edge_name: str, dst: str):
+        fresh = ks.controller.reencode(edge_name, dst)
+        return None if fresh is None else (fresh.route_id, fresh.out_port)
+
+    verdict = deterministic_strategy_walk(
+        graph, strategies, entry.route_id, entry.ttl,
+        graph.edge_of_host(scenario.src_host), entry.out_port,
+        scenario.dst_host, down_links=down, reencode=reencode,
+        port_at=port_at,
+    )
+    expected_hops = [
+        (h.node, h.in_port, h.out_port, h.deflected) for h in verdict.hops
+    ]
+    predicted = f"{verdict.outcome}({verdict.node}, {verdict.reason})"
+    drops_by_uid = {d.packet_uid: d for d in tracer.drops}
+    uids = sorted(
+        set(tracer._paths) | set(drops_by_uid) | set(tracer.deliveries)
+    )
+    result.check(
+        len(uids) == sent,
+        lambda: (
+            f"[{label}] {sent} packets sent but {len(uids)} accounted for "
+            f"in traces"
+        ),
+    )
+    for uid in uids:
+        got_hops = [
+            (h.node, h.in_port, h.out_port, h.deflected)
+            for h in tracer._paths.get(uid, [])
+        ]
+        result.check(
+            got_hops == expected_hops,
+            lambda u=uid, g=got_hops: (
+                f"[{label}] packet #{u} hop trace differs from the walk "
+                f"model: sim={g!r} model={expected_hops!r}"
+            ),
+        )
+        if uid in tracer.deliveries:
+            _, host = tracer.deliveries[uid]
+            result.check(
+                verdict.delivered and host == verdict.node,
+                lambda u=uid, h=host: (
+                    f"[{label}] packet #{u} delivered to {h} but the walk "
+                    f"model predicted {predicted}"
+                ),
+            )
+        else:
+            drop = drops_by_uid.get(uid)
+            result.check(
+                drop is not None
+                and not verdict.delivered
+                and (drop.node, drop.reason) == (verdict.node, verdict.reason),
+                lambda u=uid, d=drop: (
+                    f"[{label}] packet #{u} sim fate "
+                    f"{(d.node, d.reason) if d else 'lost'} differs from "
+                    f"walk model {predicted}"
+                ),
+            )
+
+
 def check_walk(case: FuzzCase) -> OracleResult:
     """Simulator verdicts vs the graph walk model (oracle d).
 
     Runs the case with the failures applied *statically* before
-    traffic (the walk model has no clock), in four flavours: the
-    controller's real route and a fuzzed route ID that makes the
+    traffic (the walk model has no clock), in four flavours, each
+    diffed against :func:`~repro.analysis.walk.deterministic_strategy_walk`:
+    the controller's real route and a fuzzed route ID that makes the
     packet wander through misdelivery re-encodes (both under
-    no-deflection forwarding, diffed against
-    :func:`~repro.analysis.walk.deterministic_route_walk`), plus the
-    two stateful failover baselines ``ff`` and ``arb`` (per-switch
-    strategy tables installed through ``strategy_factory``, diffed
-    against :func:`~repro.analysis.walk.deterministic_strategy_walk`
-    over the *same* tables).  Every packet's hop-by-hop trace —
-    deflection flags included — and final verdict must match the
-    model's prediction.
+    no-deflection forwarding — production ``NoDeflection`` in the
+    simulator, the transcription in the model), plus the two stateful
+    failover baselines ``ff`` and ``arb`` (per-switch strategy tables
+    installed through ``strategy_factory`` and walked over the *same*
+    tables).  Every packet's hop-by-hop trace — deflection flags
+    included — and final verdict must match the model's prediction.
     """
     result = OracleResult("walk")
     scenario = build_scenario(case)
     graph = scenario.graph
     ingress_edge = graph.edge_of_host(scenario.src_host)
     dst_edge = graph.edge_of_host(scenario.dst_host)
-    down = tuple({tuple(sorted((a, b))) for a, b, _, _ in case.failures})
     for flavour in ("routed", "fuzzed") + BASELINE_SCHEMES:
+        baseline = flavour in BASELINE_SCHEMES
         strategies = (
             plan_baseline_strategies(
                 flavour, graph, scenario.primary_route, dst_edge
             )
-            if flavour in BASELINE_SCHEMES
-            else None
+            if baseline
+            else _no_deflection_table(graph)
         )
         ks = KarSimulation(
             scenario, deflection="none", protection="none",
             seed=case.seed, ttl=case.ttl, trace_paths=True,
-            strategy_factory=(
-                strategies.__getitem__ if strategies is not None else None
-            ),
+            strategy_factory=strategies.__getitem__ if baseline else None,
         )
         edge = ks.network.node(ingress_edge)
         entry = edge.ingress_entry(scenario.dst_host)
@@ -509,83 +605,7 @@ def check_walk(case: FuzzCase) -> OracleResult:
                 out_port=entry.out_port, ttl=case.ttl, residues=None,
             )
             edge.install_ingress(scenario.dst_host, entry)
-        for a, b in down:
-            ks.network.link_between(a, b).set_up(False)
-        src, sink = ks.add_udp_probe(
-            rate_pps=case.rate_pps, duration_s=case.traffic_s
-        )
-        src.start(at=0.01)
-        ks.run(until=case.traffic_s + 2.0)
-
-        def reencode(edge_name: str, dst: str):
-            fresh = ks.controller.reencode(edge_name, dst)
-            return None if fresh is None else (fresh.route_id, fresh.out_port)
-
-        if strategies is not None:
-            verdict = deterministic_strategy_walk(
-                graph, strategies, entry.route_id, entry.ttl,
-                ingress_edge, entry.out_port, scenario.dst_host,
-                down_links=down, reencode=reencode,
-            )
-        else:
-            verdict = deterministic_route_walk(
-                graph, entry.route_id, entry.ttl, ingress_edge,
-                entry.out_port, scenario.dst_host,
-                down_links=down, reencode=reencode,
-            )
-        expected_hops = [
-            (h.node, h.in_port, h.out_port, h.deflected)
-            for h in verdict.hops
-        ]
-
-        tracer = ks.tracer
-        drops_by_uid = {d.packet_uid: d for d in tracer.drops}
-        uids = sorted(
-            set(tracer._paths) | set(drops_by_uid) | set(tracer.deliveries)
-        )
-        result.check(
-            len(uids) == src.sent,
-            lambda f=flavour, n=len(uids), s=src.sent: (
-                f"[{f}] {s} packets sent but {n} accounted for in traces"
-            ),
-        )
-        for uid in uids:
-            got_hops = [
-                (h.node, h.in_port, h.out_port, h.deflected)
-                for h in tracer._paths.get(uid, [])
-            ]
-            result.check(
-                got_hops == expected_hops,
-                lambda f=flavour, u=uid, g=got_hops: (
-                    f"[{f}] packet #{u} hop trace differs from the walk "
-                    f"model: sim={g!r} model={expected_hops!r}"
-                ),
-            )
-            if uid in tracer.deliveries:
-                _, host = tracer.deliveries[uid]
-                result.check(
-                    verdict.delivered and host == verdict.node,
-                    lambda f=flavour, u=uid, h=host: (
-                        f"[{f}] packet #{u} delivered to {h} but the walk "
-                        f"model predicted "
-                        f"{verdict.outcome}({verdict.node}, {verdict.reason})"
-                    ),
-                )
-            else:
-                drop = drops_by_uid.get(uid)
-                result.check(
-                    drop is not None
-                    and not verdict.delivered
-                    and (drop.node, drop.reason)
-                    == (verdict.node, verdict.reason),
-                    lambda f=flavour, u=uid, d=drop: (
-                        f"[{f}] packet #{u} sim fate "
-                        f"{(d.node, d.reason) if d else 'lost'} differs "
-                        f"from walk model "
-                        f"{verdict.outcome}({verdict.node}, "
-                        f"{verdict.reason})"
-                    ),
-                )
+        _diff_static_run(result, flavour, case, ks, entry, strategies)
     return result
 
 
@@ -763,9 +783,10 @@ def check_backend(case: FuzzCase) -> OracleResult:
     * **XSR walk equivalence** — a full case run under ``xsr`` (the
       runner transparently re-IDs the graph onto the dual-coprime
       pool), diffed packet-by-packet against
-      :func:`~repro.analysis.walk.deterministic_route_walk` driven by
-      the encoder's own ``port_at`` — the same differential contract
-      the ``walk`` oracle pins on the integer datapath.
+      :func:`~repro.analysis.walk.deterministic_strategy_walk` under
+      the no-deflection transcription table, driven by the encoder's
+      own ``port_at`` — the same differential contract the ``walk``
+      oracle pins on the integer datapath.
     """
     from repro.rns.backends import BACKEND_NAMES, backend_by_name
     from repro.rns.gf2 import dual_coprime_pool
@@ -857,82 +878,18 @@ def check_backend(case: FuzzCase) -> OracleResult:
     # diff the simulator against the pure-graph walk driven by the
     # encoder's own port_at.
     xsr = backend_by_name("xsr")
-    down = tuple({tuple(sorted((a, b))) for a, b, _, _ in case.failures})
     ks = KarSimulation(
         scenario, deflection="none", protection="none",
         seed=case.seed, ttl=case.ttl, trace_paths=True, backend=xsr,
     )
     graph = ks.scenario.graph  # possibly the re-IDed deep copy
-    ingress_edge = graph.edge_of_host(ks.scenario.src_host)
-    edge = ks.network.node(ingress_edge)
+    edge = ks.network.node(graph.edge_of_host(ks.scenario.src_host))
     entry = edge.ingress_entry(ks.scenario.dst_host)
     assert entry is not None
-    for a, b in down:
-        ks.network.link_between(a, b).set_up(False)
-    src, sink = ks.add_udp_probe(
-        rate_pps=case.rate_pps, duration_s=case.traffic_s
+    _diff_static_run(
+        result, "xsr", case, ks, entry, _no_deflection_table(graph),
+        port_at=xsr.port_at,
     )
-    src.start(at=0.01)
-    ks.run(until=case.traffic_s + 2.0)
-
-    def reencode(edge_name: str, dst: str):
-        fresh = ks.controller.reencode(edge_name, dst)
-        return None if fresh is None else (fresh.route_id, fresh.out_port)
-
-    verdict = deterministic_route_walk(
-        graph, entry.route_id, entry.ttl, ingress_edge,
-        entry.out_port, ks.scenario.dst_host,
-        down_links=down, reencode=reencode, port_at=xsr.port_at,
-    )
-    expected_hops = [
-        (h.node, h.in_port, h.out_port, h.deflected) for h in verdict.hops
-    ]
-    tracer = ks.tracer
-    drops_by_uid = {d.packet_uid: d for d in tracer.drops}
-    uids = sorted(
-        set(tracer._paths) | set(drops_by_uid) | set(tracer.deliveries)
-    )
-    result.check(
-        len(uids) == src.sent,
-        lambda n=len(uids), s=src.sent: (
-            f"[xsr] {s} packets sent but {n} accounted for in traces"
-        ),
-    )
-    for uid in uids:
-        got_hops = [
-            (h.node, h.in_port, h.out_port, h.deflected)
-            for h in tracer._paths.get(uid, [])
-        ]
-        result.check(
-            got_hops == expected_hops,
-            lambda u=uid, g=got_hops: (
-                f"[xsr] packet #{u} hop trace differs from the walk "
-                f"model: sim={g!r} model={expected_hops!r}"
-            ),
-        )
-        if uid in tracer.deliveries:
-            _, host = tracer.deliveries[uid]
-            result.check(
-                verdict.delivered and host == verdict.node,
-                lambda u=uid, h=host: (
-                    f"[xsr] packet #{u} delivered to {h} but the walk "
-                    f"model predicted "
-                    f"{verdict.outcome}({verdict.node}, {verdict.reason})"
-                ),
-            )
-        else:
-            drop = drops_by_uid.get(uid)
-            result.check(
-                drop is not None
-                and not verdict.delivered
-                and (drop.node, drop.reason) == (verdict.node, verdict.reason),
-                lambda u=uid, d=drop: (
-                    f"[xsr] packet #{u} sim fate "
-                    f"{(d.node, d.reason) if d else 'lost'} differs from "
-                    f"walk model {verdict.outcome}({verdict.node}, "
-                    f"{verdict.reason})"
-                ),
-            )
     return result
 
 

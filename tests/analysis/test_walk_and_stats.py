@@ -7,9 +7,11 @@ import pytest
 from repro.analysis.stats import mean_ci
 from repro.analysis.walk import (
     absorption_probability,
+    deterministic_strategy_walk,
     geometric_retry,
     hot_potato_hitting_time,
 )
+from repro.switches.deflection import NoDeflection, NotInputPort
 from repro.topology.generators import ring_lattice
 from repro.topology.graph import PortGraph, TopologyError
 
@@ -104,6 +106,46 @@ class TestGeometricRetry:
             geometric_retry(1.5, 1, 1)
         with pytest.raises(ValueError):
             geometric_retry(0.5, -1, 1)
+
+
+class TestStrategyWalk:
+    """The one graph walk, on the paper's 15-node network."""
+
+    @staticmethod
+    def _walk(strategy, down_links=()):
+        from repro.runner import KarSimulation
+        from repro.topology.topologies import fifteen_node
+
+        scn = fifteen_node()
+        ks = KarSimulation(scn, deflection="none", protection="unprotected")
+        graph = scn.graph
+        ingress = graph.edge_of_host(scn.src_host)
+        entry = ks.network.node(ingress).ingress_entry(scn.dst_host)
+        table = dict.fromkeys(graph.switch_ids(), strategy)
+        verdict = deterministic_strategy_walk(
+            graph, table, entry.route_id, entry.ttl, ingress,
+            entry.out_port, scn.dst_host, down_links=down_links,
+        )
+        return scn, verdict
+
+    def test_no_deflection_follows_the_route_then_drops_at_the_failure(self):
+        scn, verdict = self._walk(NoDeflection())
+        assert verdict.delivered and verdict.node == scn.dst_host
+        assert [h.node for h in verdict.hops] == list(scn.primary_route)
+        assert not any(h.deflected for h in verdict.hops)
+
+        _, verdict = self._walk(NoDeflection(), [("SW7", "SW13")])
+        assert (verdict.outcome, verdict.node, verdict.reason) == (
+            "dropped", "SW7", "no-usable-port(none)"
+        )
+
+    def test_randomized_strategy_is_an_error_not_a_guess(self):
+        # NIP on the healthy route never draws, so the walk is fine ...
+        scn, verdict = self._walk(NotInputPort())
+        assert verdict.delivered
+        # ... and the first deflection asks the stand-in for a draw.
+        with pytest.raises(RuntimeError, match="RNG-free.*rng.choice"):
+            self._walk(NotInputPort(), [("SW7", "SW13")])
 
 
 class TestMeanCI:

@@ -136,21 +136,9 @@ class TestAmortization:
 
 
 class TestInvalidation:
-    def test_topology_change_rebuilds_everything(self, six):
-        eng = ProvisioningEngine(six)
-        eng.provision("E-S", "E-D")
-        old_pool = eng.encoder.pool
-        assert eng.trees_built == 1
-        eng.note_topology_change()
-        assert eng.epoch == 1
-        assert eng.encoder.pool is not old_pool
-        # The tree rebuilds in the new epoch rather than being served
-        # from the old one.
-        p = eng.provision("E-S", "E-D")
-        assert eng.trees_built == 2
-        assert (p.route.route_id, p.route.modulus) == (44, 308)
-
     def test_stats_stay_cumulative_across_rebuilds(self, six):
+        # A link invalidation rebuilds trees and nothing else: the pool
+        # (built once, with the engine) and every counter survive it.
         eng = ProvisioningEngine(six)
         p = eng.provision("E-S", "E-D")
         eng.reroute_hop(p.route, "SW7", "SW5")
@@ -159,18 +147,23 @@ class TestInvalidation:
         assert before["encoder"] == {"pooled": 2, "fallback": 0}
         assert before["delta"]["applied"] == 1
         assert before["subsets"] == {"built": 1, "hits": 1}
-        eng.note_topology_change()
+        pool = eng.encoder.pool
+        eng.note_link_change()
+        assert eng.encoder.pool is pool
         assert eng.stats()["subsets"] == before["subsets"]
-        eng.provision("E-S", "E-D")
+        p = eng.provision("E-S", "E-D")
+        assert (p.route.route_id, p.route.modulus) == (44, 308)
         after = eng.stats()
+        assert after["trees"] == {"built": 2, "hits": 1}
+        assert after["epochs"] == {"bumps": 1, "link_invalidations": 1}
         assert after["encoder"] == {"pooled": 3, "fallback": 0}
         assert after["delta"] == before["delta"]
-        assert after["subsets"] == {"built": 2, "hits": 1}
+        assert after["subsets"] == {"built": 1, "hits": 2}
 
     def test_tree_records_its_epoch(self, six):
         eng = ProvisioningEngine(six)
         assert eng.destination_tree("E-D").epoch == 0
-        eng.note_topology_change()
+        eng.note_link_change()
         assert eng.destination_tree("E-D").epoch == 1
 
 

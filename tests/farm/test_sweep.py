@@ -1,10 +1,10 @@
-"""Sweep driver: checkpoints, resume, stale-checkpoint reset."""
+"""Resuming a sweep: there is no checkpoint, the cache is the resume."""
 
-import json
+import pytest
 
-from repro.farm.executor import FarmOptions
-from repro.farm.jobs import echo_spec
-from repro.farm.sweep import SweepDriver, sweep_key
+from repro.farm.executor import Farm, FarmOptions
+from repro.farm.jobs import JOB_KINDS, echo_spec, job_kind
+from repro.farm.spec import RunSpec
 
 
 def opts(tmp_path, **kw):
@@ -13,93 +13,40 @@ def opts(tmp_path, **kw):
     return FarmOptions(**kw)
 
 
-class TestSweepKey:
-    def test_same_specs_same_key(self):
-        specs = [echo_spec(i, seed=i) for i in range(3)]
-        assert sweep_key(specs) == sweep_key(list(specs))
-
-    def test_membership_and_order_change_key(self):
-        a = [echo_spec(1, seed=1), echo_spec(2, seed=2)]
-        assert sweep_key(a) != sweep_key(a[:1])
-        assert sweep_key(a) != sweep_key(list(reversed(a)))
-
-
-class TestCheckpoint:
-    def test_checkpoint_written_and_complete(self, tmp_path):
-        specs = [echo_spec(i, seed=i) for i in range(3)]
-        driver = SweepDriver("smoke", specs, opts(tmp_path))
-        driver.run()
-        record = json.loads(driver.checkpoint_path.read_text())
-        assert record["sweep_key"] == driver.key
-        assert record["total"] == 3
-        assert record["complete"] is True
-        assert len(record["done"]) == 3
-
-    def test_no_cache_means_no_checkpoint(self, tmp_path):
-        driver = SweepDriver(
-            "nocache", [echo_spec(1, seed=1)],
-            FarmOptions(no_cache=True, progress=False),
-        )
-        assert driver.checkpoint_path is None
-        driver.run()  # must not crash
-
-    def test_name_is_sanitized_for_filesystem(self, tmp_path):
-        driver = SweepDriver("a/b c!", [echo_spec(1, seed=1)],
-                             opts(tmp_path))
-        driver.run()
-        assert driver.checkpoint_path.name == "a-b-c-.json"
-        assert driver.checkpoint_path.exists()
-
-
 class TestResume:
     def test_killed_then_resumed_runs_only_missing_jobs(self, tmp_path):
-        specs = [echo_spec(i, seed=i) for i in range(4)]
-        # "Kill" a sweep after half the jobs by only submitting half.
-        partial = SweepDriver("resume-me", specs[:2], opts(tmp_path))
-        partial.run()
-        # Resume with the full job set against the same cache.
-        resumed = SweepDriver("resume-me", specs,
-                              opts(tmp_path, resume=True))
-        records = resumed.run()
+        """Ctrl-C at job 3 of 4, then the same sweep again: the two
+        finished jobs are reported as cached, the other two execute."""
+        armed = [True]
+
+        @job_kind("_test_ctrl_c")
+        def _interruptible(spec):
+            if armed[0] and spec.seed == 2:
+                raise KeyboardInterrupt
+            return {"value": spec.seed}
+
+        specs = [RunSpec.make("_test_ctrl_c", "none", i) for i in range(4)]
+        try:
+            killed = Farm(opts(tmp_path))
+            with pytest.raises(KeyboardInterrupt):
+                killed.run(specs, label="resume-me")
+            assert killed.stats.executed == 2
+            armed[0] = False
+            rerun = Farm(opts(tmp_path))
+            records = rerun.run(specs, label="resume-me")
+        finally:
+            del JOB_KINDS["_test_ctrl_c"]
         assert [r["value"] for r in records] == [0, 1, 2, 3]
-        assert resumed.farm.stats.cached == 2
-        assert resumed.farm.stats.executed == 2
+        assert (rerun.stats.cached, rerun.stats.executed) == (2, 2)
+        assert "2 executed, 2 cached" in rerun.stats.summary("resume-me")
+        # nothing but content-addressed records on disk
+        assert not (tmp_path / "cache" / "sweeps").exists()
 
     def test_full_resume_is_all_hits(self, tmp_path):
         specs = [echo_spec(i, seed=i) for i in range(3)]
-        SweepDriver("twice", specs, opts(tmp_path)).run()
-        again = SweepDriver("twice", specs, opts(tmp_path, resume=True))
-        records = again.run()
-        assert again.farm.stats.executed == 0
-        assert again.farm.stats.cached == 3
+        Farm(opts(tmp_path)).run(specs, label="twice")
+        again = Farm(opts(tmp_path))
+        records = again.run(specs, label="twice")
+        assert again.stats.executed == 0
+        assert again.stats.cached == 3
         assert [r["value"] for r in records] == [0, 1, 2]
-
-    def test_resume_note_reports_banked_jobs(self, tmp_path, capsys):
-        specs = [echo_spec(i, seed=i) for i in range(2)]
-        SweepDriver("noisy", specs, opts(tmp_path)).run()
-        SweepDriver("noisy", specs,
-                    opts(tmp_path, resume=True, progress=None)).run()
-        err = capsys.readouterr().err
-        assert "resuming — 2/2" in err
-
-    def test_stale_checkpoint_resets(self, tmp_path):
-        old = SweepDriver("grid", [echo_spec(1, seed=1)], opts(tmp_path))
-        old.run()
-        # Same sweep name, different job set: the old checkpoint must
-        # not claim any of the new jobs as done.
-        new_specs = [echo_spec(9, seed=9)]
-        new = SweepDriver("grid", new_specs, opts(tmp_path, resume=True))
-        new.run()
-        assert new.farm.stats.executed == 1
-        record = json.loads(new.checkpoint_path.read_text())
-        assert record["sweep_key"] == new.key != old.key
-
-    def test_corrupt_checkpoint_is_ignored(self, tmp_path):
-        specs = [echo_spec(5, seed=5)]
-        driver = SweepDriver("dented", specs, opts(tmp_path))
-        driver.run()
-        driver.checkpoint_path.write_text("{ not json")
-        again = SweepDriver("dented", specs, opts(tmp_path, resume=True))
-        records = again.run()  # cache still serves the result
-        assert again.farm.stats.cached == 1
-        assert records[0]["value"] == 5

@@ -6,9 +6,9 @@ systems, asserting the contracts the backend protocol promises:
 * ``decode(encode(hops))`` recovers every port, for every backend, on
   arbitrary valid hop systems over the backend's own ID pool;
 * walk-oracle forwarding equivalence: a route encoded by a backend and
-  walked by :func:`~repro.analysis.walk.deterministic_route_walk` with
-  that backend's ``port_at`` is delivered along exactly the encoded
-  path on random connected topologies;
+  walked by :func:`~repro.analysis.walk.deterministic_strategy_walk`
+  under no-deflection with that backend's ``port_at`` is delivered
+  along exactly the encoded path on random connected topologies;
 * the ID assigner feeding each backend emits pairwise-coprime IDs (in
   every ring the backend computes in) that exceed the switch's port
   count — the Section 2 feasibility conditions.
@@ -19,10 +19,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.walk import deterministic_route_walk
+from repro.analysis.walk import deterministic_strategy_walk
 from repro.controller.idassign import assign_switch_ids, reassign_switch_ids
 from repro.rns import BACKEND_NAMES, Hop, backend_by_name, pairwise_coprime
 from repro.rns.gf2 import dual_coprime_pool, gf2_pairwise_coprime
+from repro.switches.deflection import NoDeflection
 from repro.topology import attach_host_pair, random_connected, shortest_path
 
 backend_names = st.sampled_from(BACKEND_NAMES)
@@ -78,8 +79,8 @@ def test_walk_delivers_along_encoded_route(name, seed, extra):
     route = backend.encode(hops)
 
     ingress = graph.edge_of_host(src_host)
-    verdict = deterministic_route_walk(
-        graph, route.route_id, 64, ingress,
+    verdict = deterministic_strategy_walk(
+        graph, dict.fromkeys(names, NoDeflection()), route.route_id, 64, ingress,
         graph.port_of(ingress, src_sw), dst_host,
         port_at=backend.switch_decode(),
     )

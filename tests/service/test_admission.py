@@ -10,6 +10,7 @@ failed link is used, and the path is simple edge→core*→edge.
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.controller.provision import ProvisionError
 from repro.service.admission import (
     AdmissionError,
     ReservationLedger,
@@ -118,15 +119,22 @@ class TestCspfPath:
             six_node, "E-S", "E-D"
         )
 
+    # Endpoint errors are the engine's rule (require_flow_endpoints):
+    # malformed requests, not admission decisions.
     def test_same_edge_rejected(self, six_node):
-        with pytest.raises(AdmissionError) as exc:
+        with pytest.raises(ProvisionError) as exc:
             cspf_path(six_node, "E-S", "E-S")
-        assert exc.value.reason == "no-route"
+        assert exc.value.reason == "same-edge"
 
     def test_non_edge_endpoint_rejected(self, six_node):
-        with pytest.raises(AdmissionError) as exc:
+        with pytest.raises(ProvisionError) as exc:
             cspf_path(six_node, "SW4", "E-D")
-        assert exc.value.reason == "no-route"
+        assert exc.value.reason == "not-an-edge"
+
+    def test_unknown_endpoint_rejected(self, six_node):
+        with pytest.raises(ProvisionError) as exc:
+            cspf_path(six_node, "E-S", "E-NOPE", bandwidth_mbps=1.0)
+        assert exc.value.reason == "unknown-node"
 
     def test_latency_budget_enforced(self, six_node):
         with pytest.raises(AdmissionError) as exc:

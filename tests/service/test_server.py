@@ -16,6 +16,16 @@ from repro.service.state import ControllerState
 from repro.service.topology import service_topology
 
 
+#: requests whose endpoints cannot be provisioned at all -> the slug
+#: both the best-effort and the QoS path must answer (400).
+QOS_ENDPOINT_ERRORS = [
+    ({"src": "E-NOPE"}, "unknown-node"),
+    ({"dst": "E-NOPE"}, "unknown-node"),
+    ({"dst": "E-S"}, "same-edge"),
+    ({"src": "SW4"}, "not-an-edge"),
+]
+
+
 @pytest.fixture()
 def state():
     return ControllerState(service_topology("six_node"),
@@ -62,8 +72,10 @@ class TestDispatchRouting:
         ({"ttl": True}, "bad-request"),
         ({"bandwidth_mbps": float("nan")}, "bad-request"),
         ({"max_latency_s": float("nan")}, "bad-request"),
+        ({"bandwidth_mbps": 10**400}, "bad-request"),
+        ({"max_latency_s": 10**400}, "bad-request"),
     ], ids=["list-body", "string-body", "bool-ttl", "nan-bandwidth",
-            "nan-latency"])
+            "nan-latency", "huge-bandwidth", "huge-latency"])
     def test_provision_non_values_are_400(self, state, body, error):
         # json.loads hands the service all of these: a body that is not
         # an object, a bool where an int is meant, the NaN literal.
@@ -98,6 +110,26 @@ class TestDispatchRouting:
             {"tenant": "t0", "src": "E-S", "dst": "GHOST"},
         )
         assert status == 400 and payload["error"] == "unknown-node"
+
+    @pytest.mark.parametrize("body, error", QOS_ENDPOINT_ERRORS)
+    def test_qos_endpoint_errors_match_best_effort(self, state, body, error):
+        # One endpoint rule: a constraint does not change the slug, and
+        # a malformed request is not an admission reject.
+        base = {"tenant": "t0", "src": "E-S", "dst": "E-D", **body}
+        for qos in ({}, {"bandwidth_mbps": 1}, {"max_latency_s": 1.0}):
+            status, payload = dispatch(
+                state, "POST", "/flows", {}, {**base, **qos}
+            )
+            assert (status, payload["error"]) == (400, error), qos
+        assert state.ledger.rejected == {}
+        assert dispatch(state, "GET", "/audit", {}, None) == \
+            (200, {"ok": True, "violations": []})
+        status, _ = dispatch(
+            state, "POST", "/flows", {},
+            {"tenant": "t0", "src": "E-S", "dst": "E-D",
+             "bandwidth_mbps": 1},
+        )
+        assert status == 201
 
     def test_tenant_filter_via_query(self, state):
         for tenant in ("alice", "bob"):
@@ -145,6 +177,35 @@ class TestHttpTransport:
                 assert status == 200
                 status, payload = client.get("/stats")
                 assert payload["service"]["released"] == 1
+            finally:
+                client.close()
+
+    def test_malformed_qos_requests_keep_the_connection(self):
+        # Each of these used to escape dispatch() as a bare exception
+        # and kill the handler: the client saw a closed connection.
+        graph = service_topology("six_node")
+        bad = [
+            ({**body, "bandwidth_mbps": 1}, error)
+            for body, error in QOS_ENDPOINT_ERRORS
+        ] + [({"bandwidth_mbps": 10**400}, "bad-request")]
+        with ServiceThread(graph, validated_pool=True) as service:
+            client = ServiceClient("127.0.0.1", service.port)
+            try:
+                for body, error in bad:
+                    status, payload = client.post("/flows", {
+                        "tenant": "t", "src": "E-S", "dst": "E-D", **body,
+                    })
+                    assert (status, payload["error"]) == (400, error), body
+                    # same connection, next request
+                    assert client.get("/audit") == \
+                        (200, {"ok": True, "violations": []})
+                status, payload = client.post("/flows", {
+                    "tenant": "t", "src": "E-S", "dst": "E-D",
+                    "bandwidth_mbps": 1,
+                })
+                assert status == 201
+                status, stats = client.get("/stats")
+                assert stats["admission"]["rejected"] == {}
             finally:
                 client.close()
 

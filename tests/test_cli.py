@@ -60,17 +60,17 @@ class TestFarmParser:
             assert args.jobs == 1, command  # sequential by default
             assert args.cache_dir == ".repro-cache", command
             assert not args.no_cache and not args.refresh, command
-            assert not args.resume, command
+            assert not hasattr(args, "resume"), command  # the cache resumes
             assert args.progress is None, command  # auto on a tty
 
     def test_farm_flags_parse(self):
         args = build_parser().parse_args([
             "fig5", "--jobs", "4", "--cache-dir", "/tmp/c",
-            "--refresh", "--resume", "--no-progress",
+            "--refresh", "--no-progress",
         ])
         assert args.jobs == 4
         assert args.cache_dir == "/tmp/c"
-        assert args.refresh and args.resume
+        assert args.refresh
         assert args.progress is False
 
     def test_farm_bench_defaults(self):

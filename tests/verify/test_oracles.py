@@ -3,8 +3,9 @@ and the mutation-detection hook the harness self-test relies on."""
 
 import pytest
 
-from repro.switches.deflection import NotInputPort
-from repro.verify.cases import FuzzCase, generate_case
+from repro.switches.deflection import DeflectionStrategy, NotInputPort
+from repro.verify import oracles
+from repro.verify.cases import FuzzCase, build_scenario, generate_case
 from repro.verify.oracles import (
     ORACLE_NAMES,
     Divergence,
@@ -134,6 +135,40 @@ class TestMutationDetection:
     def test_strategy_override_ignored_by_other_oracles(self):
         # Injecting into a non-strategy oracle must not crash it.
         assert run_oracle("wire", SMALL_CASE, strategy=BrokenNip()).ok
+
+    def test_mutated_walk_model_is_caught(self, monkeypatch):
+        """Swap one entry of the strategy table handed to the *model*
+        side: the shared trace-vs-verdict diff must name every packet
+        whose simulated trace no longer matches."""
+
+        class Detour(DeflectionStrategy):
+            name = "none"
+
+            def decide(self, healthy, in_port, computed, deflected, rng):
+                others = [p for p in healthy if p not in (computed, in_port)]
+                return (others[0], True) if others else (None, False)
+
+        victim = build_scenario(SMALL_CASE).primary_route[0]
+        real_table = oracles._no_deflection_table
+
+        def mutated_table(graph):
+            return {**real_table(graph), victim: Detour()}
+
+        monkeypatch.setattr(oracles, "_no_deflection_table", mutated_table)
+        result = check_walk(SMALL_CASE)
+        details = [d.detail for d in result.divergences]
+        assert any(
+            d.startswith("[routed] packet #")
+            and "hop trace differs from the walk model" in d
+            for d in details
+        ), details[:3]
+        # the baseline flavours walk the simulator's own tables: untouched
+        assert not any(d.startswith(("[ff]", "[arb]")) for d in details)
+        # and the backend oracle's XSR run goes through the same helper
+        result = run_oracle("backend", SMALL_CASE)
+        assert any(
+            d.detail.startswith("[xsr] packet #") for d in result.divergences
+        )
 
     def test_rng_stream_drift_is_caught(self):
         class ExtraDraw(NotInputPort):

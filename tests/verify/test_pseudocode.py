@@ -12,7 +12,12 @@ import random
 
 import pytest
 
-from repro.switches.deflection import STRATEGY_NAMES, strategy_by_name
+from repro.analysis.walk import _CandidateSet
+from repro.switches.deflection import (
+    STRATEGY_NAMES,
+    NotInputPort,
+    strategy_by_name,
+)
 from repro.verify.pseudocode import PSEUDOCODE
 
 
@@ -49,6 +54,35 @@ class TestExhaustiveAgreement:
             state = (num_ports, up, in_port, computed, deflected)
             assert got == want, state
             assert rng_impl.getstate() == rng_spec.getstate(), state
+
+
+class TestCandidateSets:
+    """``analysis.coverage`` reads exact candidate sets out of
+    ``NotInputPort.decide`` through an RNG stand-in that returns the
+    list instead of drawing; hold those sets equal to Algorithm 1's."""
+
+    def test_nip_candidate_sets_match_algorithm_one(self):
+        nip, spec, rng = NotInputPort(), PSEUDOCODE["nip"], _CandidateSet()
+        states = 0
+        for num_ports in range(2, 6):
+            ports = range(num_ports)
+            for r in range(num_ports + 1):
+                for up in itertools.combinations(ports, r):
+                    for in_port in ports:
+                        for computed in range(num_ports + 2):
+                            got = nip.decide(up, in_port, computed, False, rng)
+                            want = spec(
+                                num_ports, frozenset(up), in_port, computed,
+                                False, rng,
+                            )
+                            state = (num_ports, up, in_port, computed)
+                            assert got == want, state
+                            if computed == in_port:
+                                # coverage's "unencoded switch" input:
+                                # never forwarded on, always the fallback.
+                                assert got[0] is None or got[1], state
+                            states += 1
+        assert states > 1500
 
 
 class TestAlgorithmOneSpecifics:
