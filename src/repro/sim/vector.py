@@ -26,10 +26,15 @@ bit-identical outcome records (digested with
   only per missed pair), port state and next hop are gathers from
   ``[n, max_degree]`` tables, the strategy's
   :meth:`~repro.switches.deflection.DeflectionStrategy.happy_mask`
-  is one mask, and only the fallback minority goes through ``decide``
-  — the same method on the same per-switch RNG stream in the same
-  queue order, so every draw is the reference's draw.  Index widths
-  come from the workload's sizes (int16 below 2**15 nodes / switch IDs).
+  is one mask, and the fallback minority never reaches ``decide``
+  either: :meth:`~repro.switches.deflection.DeflectionStrategy.fallback_ports`
+  gives each packet's candidate count, and :class:`_ChoiceWords`
+  restates ``random.choice`` over arrays of raw MT19937 words read
+  ahead from a *twin* of each switch's stream — the same words in the
+  same queue order, so every draw is the reference's draw; the official
+  streams are advanced by the words consumed only before they are
+  fingerprinted.  Index widths come from the workload's sizes (int16
+  below 2**15 nodes / switch IDs).
 
 Canonical model (shared by both engines):
 
@@ -76,7 +81,7 @@ import numpy as np
 from repro.farm.jobs import record_digest
 from repro.rns.encoder import Hop, RouteEncoder
 from repro.sim.rng import RngRegistry
-from repro.switches.deflection import strategy_by_name
+from repro.switches.deflection import STRATEGY_NAMES, strategy_by_name
 from repro.topology import random_connected, shortest_path
 from repro.topology.csr import CsrTopology
 from repro.topology.graph import NodeKind, PortGraph
@@ -199,8 +204,14 @@ class EpochWorkload:
         # Bad input would otherwise surface mid-run as a bare KeyError or
         # IndexError (unknown link, ingress that is no core switch), never
         # apply at all (negative epoch or count) — or, in the flat kernel,
-        # forward from an edge node without complaint.
+        # forward from an edge node or truncate a float TTL without
+        # complaint; "NIP" would run as "nip" under a second digest.
         topo = self.topo
+        if self.strategy not in STRATEGY_NAMES:
+            raise ValueError(
+                f"unknown deflection strategy {self.strategy!r}; "
+                f"choose from {list(STRATEGY_NAMES)}"
+            )
         if self.inject_per_epoch < 0 or self.inject_epochs < 0:
             raise ValueError(
                 f"inject_per_epoch={self.inject_per_epoch!r} and "
@@ -213,14 +224,16 @@ class EpochWorkload:
                     0 <= flow.ingress < topo.n and is_core[flow.ingress]
                     and 0 <= flow.egress < topo.n and not is_core[flow.egress]
                     and 0 <= flow.in_port < topo.degree[flow.ingress]
+                    and isinstance(flow.ttl, int)
                 )
             except TypeError:
                 ok = False
             if not ok:
                 raise ValueError(
                     f"bad flow #{i} (ingress={flow.ingress!r}, in_port="
-                    f"{flow.in_port!r}, egress={flow.egress!r}): want a "
-                    f"core-switch index, one of its ports, an edge index"
+                    f"{flow.in_port!r}, egress={flow.egress!r}, ttl="
+                    f"{flow.ttl!r}): want a core-switch index, one of its "
+                    f"ports, an edge index, an int ttl"
                 )
         by_epoch: Dict[int, List[Tuple[str, str]]] = {}
         for flip in self.flips:
@@ -598,6 +611,109 @@ def _residue_table(workload: EpochWorkload) -> np.ndarray:
     return table
 
 
+def _rank_ports(up: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Per row of port-up bits: how many ports are up, the ``k``-th up
+    port (ascending, down ports after), and the up ports below each."""
+    below = np.cumsum(up, axis=-1) - up
+    return up.sum(axis=-1), np.argsort(~up, axis=-1, kind="stable"), below
+
+
+#: Words read ahead per stream: one ``[streams, CAP]`` uint32 table, 3 MiB
+#: on synthwan754.  A size, not a knob: any value >= 8 draws the same.
+CAP = 1024
+
+
+class _ChoiceWords:
+    """``random.choice``'s index draws, restated once over arrays.
+
+    CPython's ``rng.choice(seq)`` is ``seq[rng._randbelow(n)]``:
+    ``r = getrandbits(n.bit_length())`` until ``r < n``, and
+    ``getrandbits(k <= 32)`` is the top ``k`` bits of one MT19937 word
+    (3.10 through 3.12; tier-1 holds this on each).  So the ``j``-th of
+    ``m`` equal-``n`` draws on a stream is its ``j``-th word to pass
+    ``word >> (32 - k) < n``.
+
+    The words are CPython's own: each stream gets, on its first draw, a
+    *twin* (same :class:`RngRegistry` derivation) that is read ahead in
+    bulk, all in C.  The official stream is never drawn from mid-run:
+    :meth:`advance` moves it by the words consumed, so reading too far
+    ahead is harmless and no generator state is ever copied.
+    """
+
+    def __init__(self, seed: int, stream_names: Sequence[str]):
+        self._twins = RngRegistry(seed)  # creates a stream on first use
+        self._names = stream_names
+        self._words = np.empty((len(stream_names), CAP), dtype=np.uint32)
+        #: next unread word of each row; CAP = nothing read ahead (yet).
+        self._pos = np.full(len(stream_names), CAP)
+        self._used = np.zeros(len(stream_names), dtype=np.int64)
+
+    def _refill(self, row: int) -> None:
+        """Slide *row*'s unread words to the front, read ahead to CAP."""
+        pos = int(self._pos[row])
+        words = self._words[row]
+        words[:CAP - pos] = words[pos:]
+        twin = self._twins.stream(self._names[row])
+        words[CAP - pos:] = np.frombuffer(
+            twin.getrandbits(32 * pos).to_bytes(4 * pos, "little"), "<u4"
+        )
+        self._pos[row] = 0
+
+    def advance(self, rngs: Sequence[random.Random]) -> None:
+        """Put each official stream where its scalar draws would have."""
+        for rng, words in zip(rngs, self._used.tolist()):
+            rng.getrandbits(32 * words)
+
+    def draw(self, stream: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """``_randbelow(n[i])`` on ``stream[i]``, for draws listed in
+        (stream, draw order) and every ``n >= 1``."""
+        out = np.empty(len(stream), dtype=np.intp)
+        # Runs of equal (stream, n) share one acceptance test; a stream's
+        # runs go one per round, each starting where the last stopped.
+        first = np.ones(len(stream), dtype=bool)
+        first[1:] = (stream[1:] != stream[:-1]) | (n[1:] != n[:-1])
+        start = np.flatnonzero(first)
+        left = np.diff(np.append(start, len(stream)))
+        stream, n = stream[start], n[start]
+        shift = (32 - np.frexp(n)[1]).astype(np.uint32)  # 32 - n.bit_length()
+        below = n.astype(np.uint32) << shift  # word >> shift < n, unshifted
+        table = self._words.ravel()
+        live = np.flatnonzero(left)
+        while len(live):
+            rows = stream[live]
+            head = live[np.append(True, rows[1:] != rows[:-1])]
+            rows, want = stream[head], left[head]
+            # Acceptance is >= 1/2: 2m words serve m draws on average.  A
+            # window that falls short is consumed whole; the run goes on.
+            width = np.minimum(2 * want + 6, CAP)
+            for row in rows[self._pos[rows] + width > CAP].tolist():
+                self._refill(row)
+            at = np.cumsum(width) - width
+            run = np.repeat(np.arange(len(head)), width)
+            word = table[
+                (rows * CAP + self._pos[rows] - at)[run] + np.arange(len(run))
+            ]
+            ok = word < below[head][run]
+            seen = np.cumsum(ok)
+            base = seen[at] - ok[at]  # acceptances before each window
+            # Read: every word up to the want-th acceptance, inclusive.
+            read = seen - ok < (base + want)[run]
+            ok &= read
+            hit = np.flatnonzero(ok)
+            of = run[hit]
+            out[seen[hit] + (start[head] - base - 1)[of]] = (
+                word[hit] >> shift[head][of]
+            )
+            served = np.add.reduceat(ok, at, dtype=np.intp)
+            words = np.add.reduceat(read, at, dtype=np.intp)
+            self._pos[rows] += words
+            self._used[rows] += words
+            start[head] += served
+            left[head] -= served
+            live = live[left[live] > 0]
+        return out
+
+
 def run_epoch_vector(
     workload: EpochWorkload, trace: bool = False
 ) -> EpochOutcome:
@@ -610,13 +726,16 @@ def run_epoch_vector(
     no_port = f"no-usable-port({strategy.name})"
     registry = RngRegistry(workload.seed)
     core = topo.core_indices
-    rngs = {u: registry.stream(f"deflect:{names[u]}") for u in core}
-    # What decide() sees: each core switch's up ports as plain ints.
-    healthy = {u: tuple(range(topo.degree[u])) for u in core}
+    streams = [f"deflect:{names[u]}" for u in core]
+    rngs = [registry.stream(name) for name in streams]
+    choice = _ChoiceWords(workload.seed, streams)
     width = topo.peer.shape[1]
     node_t = topo.peer.dtype
     up = np.arange(width) < np.array(topo.degree)[:, None]
     up_flat = up.ravel()  # a view: flips show through
+    # A fallback candidate index -> port: the k-th up port, stepping
+    # over the in-port where the technique skips it.
+    up_ports, kth_up, up_below = _rank_ports(up)
     peer, peer_port = topo.peer.ravel(), topo.peer_port.ravel()
     is_core = topo.core_mask
     core_rank = np.cumsum(is_core) - 1
@@ -655,12 +774,16 @@ def run_epoch_vector(
     while epoch < workload.max_epochs and (
         len(batch[0]) > 0 or epoch < workload.inject_epochs
     ):
+        flipped: List[int] = []
         for key in workload.flips_at(epoch):
             u, pu, v, pv = topo.links[key]
-            for node, port in ((u, pu), (v, pv)):
-                up[node, port] ^= True
-                if node in healthy:
-                    healthy[node] = tuple(np.nonzero(up[node])[0].tolist())
+            up[u, pu] ^= True
+            up[v, pv] ^= True
+            flipped += (u, v)
+        if flipped:
+            up_ports[flipped], kth_up[flipped], up_below[flipped] = (
+                _rank_ports(up[flipped])
+            )
         if epoch < workload.inject_epochs:
             # Injections queue after carried-over arrivals.
             batch = [np.concatenate(pair) for pair in zip(batch, inject)]
@@ -696,26 +819,18 @@ def run_epoch_vector(
         # the sticky deflected bit: a happy-path hop traces False even
         # for a packet deflected upstream.
         hop_deflected = np.zeros(len(sw), dtype=bool)
-        # The fallback minority takes the scalar rule on its switch's
-        # own RNG stream, in queue order — the reference engine's draws.
+        # The fallback minority, already in (switch, queue) order, draws
+        # a candidate index each — the reference engine's rng.choice.
         fallback = np.nonzero(alive & ~forward)[0]
         if len(fallback):
-            decided = [
-                strategy.decide(healthy[u], p, c, d, rngs[u])
-                for u, p, c, d in zip(
-                    sw[fallback].tolist(), in_port[fallback].tolist(),
-                    computed[fallback].tolist(),
-                    deflected[fallback].tolist(),
-                )
-            ]
-            ports = np.array(
-                [-1 if port is None else port for port, _ in decided],
-                dtype=node_t,
-            )
-            sent = ports >= 0
-            out_port[fallback[sent]] = ports[sent]
-            forward[fallback[sent]] = True
-            moved = fallback[sent & [flag for _, flag in decided]]
+            at, own = sw[fallback], in_port[fallback]
+            count, skip = strategy.fallback_ports(up_ports[at], up[at, own])
+            drawn = np.nonzero(count)[0]  # no candidate: a drop, no draw
+            moved, at, own = fallback[drawn], at[drawn], own[drawn]
+            index = choice.draw(core_rank[at], count[drawn])
+            index += skip[drawn] & (index >= up_below[at, own])
+            out_port[moved] = kth_up[at, index]
+            forward[moved] = True
             hop_deflected[moved] = True
             deflected[moved] = True
             counters[:, 1] += np.bincount(sw[moved], minlength=n)
@@ -770,6 +885,7 @@ def run_epoch_vector(
             batch.append(uid)
         epoch += 1
 
+    choice.advance(rngs)
     tallies = counters.tolist()
     record = _finish_record(
         workload, epoch, {names[u]: tallies[u] for u in core}, delivered,
@@ -779,7 +895,7 @@ def run_epoch_vector(
             (("ttl-expired", n_expired), (no_port, n_no_port)) if count
         },
         len(batch[0]),
-        [(names[u], rng_state_digest(rng)) for u, rng in rngs.items()],
+        [(names[u], rng_state_digest(rng)) for u, rng in zip(core, rngs)],
     )
     return EpochOutcome(
         record=record,

@@ -19,6 +19,12 @@ modulo-computed output port, which port does the switch actually use?*
 Strategies are stateless; randomness comes from the switch's named RNG
 stream so runs are reproducible and techniques are comparable on
 matched seeds.
+
+Each technique is stated three times: ``decide`` (the rule, one
+packet), ``happy_mask`` (where it forwards on the computed port) and
+``fallback_ports`` (what it draws from elsewhere) — the last two array
+arithmetic without numpy, held to ``decide`` case by case in
+``tests/switches/test_fastpath.py::TestStrategySplitEquivalence``.
 """
 
 from __future__ import annotations
@@ -48,16 +54,15 @@ def _random_port(
 
 
 class DeflectionStrategy:
-    """Base class: one technique, stated twice over the same plain values.
+    """Base class: one technique, stated over the same plain values.
 
-    :meth:`decide` is the per-hop rule every engine calls — the DES
-    switch, the epoch engines' scalar loops and the graph walk.
-    :meth:`happy_mask` is the same rule's "forward on the computed
-    port, undeflected" predicate over whole arrays, which the vector
-    engine uses to keep the majority of a queue out of the scalar loop;
-    it must be true exactly where :meth:`decide` returns
-    ``(computed, False)``.  Only the built-in techniques that the epoch
-    engines run need it.
+    :meth:`decide` is the per-hop rule every scalar engine calls — the
+    DES switch, the epoch reference loop and the graph walk.  The flat
+    epoch kernel never calls it; it runs the rule's two array halves:
+    :meth:`happy_mask`, true exactly where :meth:`decide` returns
+    ``(computed, False)``, and :meth:`fallback_ports`, the candidate
+    set :meth:`decide` hands to ``rng.choice`` everywhere else.  Only
+    the built-in techniques that the epoch engines run need those two.
     """
 
     #: short name used in configs, reports and benchmark tables.
@@ -97,6 +102,18 @@ class DeflectionStrategy:
         """
         raise NotImplementedError
 
+    def fallback_ports(
+        self, up_ports: Any, in_port_up: Any
+    ) -> Tuple[Any, Any]:
+        """Array form of the list ``decide`` draws from off the happy path.
+
+        From a switch's up-port count and the packet's "my in-port is
+        up" bit: ``(count, skip)`` — how many candidates (0 = drop, no
+        draw), and whether they are the up ports ascending *minus the
+        in-port*.  ``-``/``*``/``&`` only, on arrays or plain ints alike.
+        """
+        raise NotImplementedError
+
     def __repr__(self) -> str:
         return f"<{type(self).__name__} ({self.name})>"
 
@@ -114,6 +131,9 @@ class NoDeflection(DeflectionStrategy):
     def happy_mask(self, usable, in_port, computed, deflected):
         return usable
 
+    def fallback_ports(self, up_ports, in_port_up):
+        return up_ports * 0, in_port_up & False
+
 
 class HotPotato(DeflectionStrategy):
     """HP: after the first deflection the packet random-walks forever."""
@@ -129,6 +149,9 @@ class HotPotato(DeflectionStrategy):
     def happy_mask(self, usable, in_port, computed, deflected):
         return usable & ~deflected
 
+    def fallback_ports(self, up_ports, in_port_up):
+        return up_ports, in_port_up & False
+
 
 class AnyValidPort(DeflectionStrategy):
     """AVP: modulo result when usable, else a random healthy port."""
@@ -142,6 +165,9 @@ class AnyValidPort(DeflectionStrategy):
 
     def happy_mask(self, usable, in_port, computed, deflected):
         return usable
+
+    def fallback_ports(self, up_ports, in_port_up):
+        return up_ports, in_port_up & False
 
 
 class NotInputPort(DeflectionStrategy):
@@ -160,6 +186,9 @@ class NotInputPort(DeflectionStrategy):
 
     def happy_mask(self, usable, in_port, computed, deflected):
         return usable & (computed != in_port)
+
+    def fallback_ports(self, up_ports, in_port_up):
+        return up_ports - in_port_up, in_port_up
 
 
 _REGISTRY = {

@@ -6,14 +6,18 @@ ports, deflected flags, drop reasons) and its *RNG stream positions*,
 not just aggregate counts.
 """
 
+import collections
 import dataclasses
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 from repro.controller.bulk import BulkProvisioner
+from repro.sim.rng import RngRegistry
 from repro.sim.vector import (
+    CAP,
     EpochFlow,
     EpochTopology,
     EpochWorkload,
@@ -22,7 +26,9 @@ from repro.sim.vector import (
     run_epoch_reference,
     run_epoch_vector,
     synthetic_spec,
+    _ChoiceWords,
 )
+from repro.switches.deflection import strategy_by_name
 
 STRATEGIES = ("none", "hp", "avp", "nip")
 
@@ -107,11 +113,31 @@ class TestWorkloadBuild:
             dict(egress=topo.n),
             dict(in_port=topo.degree[flow.ingress]),
             dict(in_port=-1),
+            # a float TTL ran in both engines, which silently disagreed:
+            # the reference compares it as is, the batch column truncates
+            dict(ttl=1.5),
+            dict(ttl="8"),
+            dict(ttl=None),
         ):
             flows = (wl.flows[0], dataclasses.replace(flow, **bad))
             with pytest.raises(ValueError, match="bad flow #1") as err:
                 dataclasses.replace(wl, flows=flows)
             assert repr(next(iter(bad.values()))) in str(err.value)
+
+    def test_unknown_strategy_rejected_on_direct_construction(self):
+        # "bogus" used to build and fail only inside run_*, None and 3
+        # escaped as AttributeError (no .lower), and "NIP" ran but stamped
+        # "NIP" into the record: one simulation, two digests.
+        wl = build_workload(small_spec())
+        for bad in ("bogus", "NIP", None, 3, ""):
+            with pytest.raises(ValueError, match="unknown deflection") as err:
+                dataclasses.replace(wl, strategy=bad)
+            assert repr(bad) in str(err.value)
+            assert all(name in str(err.value) for name in STRATEGIES)
+        with pytest.raises(ValueError, match="unknown deflection"):
+            build_workload(small_spec(strategy="NIP"))
+        for good in STRATEGIES:
+            assert dataclasses.replace(wl, strategy=good).strategy == good
 
     def test_negative_injection_counts_rejected(self):
         # inject_per_epoch=-1 used to run silently as zero.
@@ -252,9 +278,12 @@ class TestHintMutation:
 
 
 def abilene_workload(strategy, ttl=24, flows=44, inject_per_epoch=4,
-                     inject_epochs=10, down_links=4, down_epochs=5):
+                     inject_epochs=10, down_links=4, down_epochs=5,
+                     extra_flips=()):
     """Bulk-provisioned flows on the committed abilene fixture with a
-    rolling fail/repair schedule over the busiest on-path core links."""
+    rolling fail/repair schedule over the busiest on-path core links
+    (Atlanta-Houston, Denver-KansasCity, Atlanta-Washington,
+    Chicago-Indianapolis), then *extra_flips*."""
     from repro.topology.generators import attach_edges
     from repro.topology.zoo import load_zoo_graph
 
@@ -293,7 +322,7 @@ def abilene_workload(strategy, ttl=24, flows=44, inject_per_epoch=4,
         ),
         inject_per_epoch=inject_per_epoch, inject_epochs=inject_epochs,
         max_epochs=inject_epochs + down_epochs + ttl + 4, seed=11,
-        strategy=strategy, flips=tuple(flips), spec={},
+        strategy=strategy, flips=tuple(flips) + tuple(extra_flips), spec={},
     )
 
 
@@ -308,6 +337,109 @@ def assert_engines_equal(wl):
     assert untraced.record == ref.record
     assert untraced.fates is None and untraced.traces is None
     return ref
+
+
+def deflected_hops(wl, ref):
+    """``(epoch, switch, in-port, up ports)`` of every hop the traced
+    reference run deflected: a packet's k-th hop happens k epochs after
+    its injection epoch, and the flip schedule replays beside it."""
+    topo = wl.topo
+    up = {u: set(range(topo.degree[u])) for u in range(topo.n)}
+    up_at = []
+    for epoch in range(ref.record["epochs"]):
+        for key in wl.flips_at(epoch):
+            u, pu, v, pv = topo.links[key]
+            up[u] ^= {pu}
+            up[v] ^= {pv}
+        up_at.append({topo.names[u]: frozenset(p) for u, p in up.items()})
+    per_epoch = len(wl.flows) * wl.inject_per_epoch
+    for uid, hops in ref.traces.items():
+        for k, (name, in_port, _, deflected) in enumerate(hops):
+            if deflected:
+                epoch = uid // per_epoch + k
+                yield epoch, name, in_port, up_at[epoch][name]
+
+
+class TestChoiceWords:
+    """The array draw is ``random.choice``: same indices from the same
+    words, and the official stream ends where the scalar one does.  Runs
+    on every CI Python, so a CPython that changes ``_randbelow`` or
+    ``getrandbits`` goes red here, not in a golden digest."""
+
+    SEED = 5
+
+    def check(self, names, calls):
+        """Each call is ``[(stream, n, how many), ...]`` runs, listed in
+        (stream, draw order) as the kernel lists them."""
+        words = _ChoiceWords(self.SEED, names)
+        scalar = RngRegistry(self.SEED)
+        for runs in calls:
+            stream = [s for s, _, m in runs for _ in range(m)]
+            n = [k for _, k, m in runs for _ in range(m)]
+            assert stream == sorted(stream)
+            got = words.draw(
+                np.array(stream, dtype=np.intp), np.array(n, dtype=np.intp)
+            )
+            want = [
+                scalar.stream(names[s]).choice(range(k))
+                for s, k in zip(stream, n)
+            ]
+            assert got.tolist() == want
+        official = [RngRegistry(self.SEED).stream(name) for name in names]
+        words.advance(official)
+        for name, rng in zip(names, official):
+            assert rng.getstate() == scalar.stream(name).getstate(), name
+
+    def test_every_count_across_block_boundary_and_refill(self):
+        # 1, 2, 4 and 8 reject half their words.  Per call and stream
+        # ~5 draws of each n; 80 calls make >= 3,000 draws and >= 5,000
+        # words a stream: past the MT block boundary (624 words) and
+        # several mid-run refills of the CAP-word look-ahead.
+        rng = random.Random(1)
+        calls = []
+        for _ in range(80):
+            runs = []
+            for s in range(3):
+                counts = list(range(1, 10))
+                rng.shuffle(counts)
+                runs += [(s, k, rng.randint(1, 9)) for k in counts]
+            calls.append(runs)
+        draws = sum(m for runs in calls for s, _, m in runs if s == 0)
+        assert draws >= 3000 and 2 * draws > 4 * CAP
+        self.check(["deflect:a", "deflect:b", "deflect:c"], calls)
+
+    def test_two_counts_in_one_stream_in_one_call(self):
+        # What an in-port that has since gone down does to a NIP queue.
+        self.check(["x", "y"], [
+            [(0, 2, 3), (0, 3, 1), (0, 2, 4), (1, 3, 2), (1, 2, 2)],
+            [(1, 1, 1)],
+            [],
+        ])
+
+    def test_window_without_an_acceptance(self):
+        # One draw of n=1 gets a window of 8 words and accepts a word
+        # whose top bit is clear: find a stream whose first 8 all have it
+        # set, so the window is consumed whole and the run goes on.
+        def first_words(name):
+            rng = RngRegistry(self.SEED).stream(name)
+            return [rng.getrandbits(32) for _ in range(8)]
+
+        name = next(
+            name for name in map("s{}".format, itertools.count())
+            if all(word >> 31 for word in first_words(name))
+        )
+        self.check(["other", name], [[(0, 1, 1), (1, 1, 1)], [(1, 5, 2)]])
+
+    def test_run_longer_than_the_look_ahead(self):
+        self.check(["hot", "cold"], [
+            [(0, 3, 2 * CAP + 100), (0, 2, 5), (1, 4, 1)],
+            [(0, 8, CAP)],
+        ])
+
+    def test_streams_that_never_draw_are_never_created(self):
+        words = _ChoiceWords(self.SEED, ["a", "b", "c"])
+        words.draw(np.array([1, 1]), np.array([3, 3]))
+        assert set(words._twins._streams) == {"b"}
 
 
 class TestWideBatch:
@@ -326,6 +458,59 @@ class TestWideBatch:
             assert r["drop_reasons"]["no-usable-port(none)"] > 0
         else:
             assert sum(c[1] for c in r["switches"].values()) > 100
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_storm_edges_every_strategy(self, strategy):
+        # Beside the rolling schedule, Chicago (ports: Indianapolis,
+        # NewYork, its edge) loses both core links at epoch 2, its edge
+        # link at epoch 4, and has all three back at epoch 6.
+        wl = abilene_workload(strategy, down_links=3, extra_flips=(
+            (2, "Chicago", "Indianapolis"), (2, "Chicago", "NewYork"),
+            (4, "Chicago", "E-Chicago"),
+            (6, "Chicago", "Indianapolis"), (6, "Chicago", "NewYork"),
+            (6, "Chicago", "E-Chicago"),
+        ))
+        ref = assert_engines_equal(wl)
+        # A switch left with no candidate: a drop, and the fingerprint
+        # equal to the reference's says nothing was drawn for it.
+        stuck = collections.Counter(
+            fate[1] for fate in ref.fates.values()
+            if fate[0] == "dropped" and fate[2].startswith("no-usable-port")
+        )
+        assert stuck["Chicago"] > 0
+        if strategy == "none":
+            return
+        rule = strategy_by_name(strategy)
+        queues = collections.defaultdict(set)
+        for epoch, name, in_port, up in deflected_hops(wl, ref):
+            count, _ = rule.fallback_ports(len(up), in_port in up)
+            queues[epoch, name].add((in_port in up, count))
+        seen = set().union(*queues.values())
+        # A packet whose in-port link failed while it was in flight ...
+        assert any(not in_port_up for in_port_up, _ in seen)
+        # ... which under NIP puts two candidate counts in one queue.
+        if strategy == "nip":
+            assert any(
+                len({count for _, count in queue}) > 1
+                for queue in queues.values()
+            )
+        # A switch left with one candidate still draws (and rejects).
+        assert any(count == 1 for _, count in seen)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_one_hot_switch_outruns_the_look_ahead(self, strategy):
+        # Ten flows, 400 packets each per epoch, the busiest link down:
+        # one switch deflects more packets in an epoch than CAP words.
+        wl = abilene_workload(
+            strategy, ttl=10, flows=10, inject_per_epoch=400,
+            inject_epochs=3, down_links=1, down_epochs=2,
+        )
+        ref = assert_engines_equal(wl)
+        if strategy != "none":
+            queue_len = collections.Counter(
+                (epoch, name) for epoch, name, _, _ in deflected_hops(wl, ref)
+            )
+            assert max(queue_len.values()) > CAP
 
     def test_deflected_packets_leave_their_residue_hints(self):
         # Off-hint (flow, switch) pairs take the big-int modulo on

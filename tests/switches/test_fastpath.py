@@ -1,6 +1,6 @@
 """Unit tests for what keeps the per-hop cost flat: the residue cache,
 encode-time hints, and the vector engine's split of a batch into a
-happy-path mask and the scalar ``decide`` fallback."""
+happy-path mask and an array statement of ``decide``'s fallback set."""
 
 import itertools
 import random
@@ -8,9 +8,11 @@ import random
 import numpy as np
 import pytest
 
+from repro.analysis.walk import _CandidateSet
 from repro.rns.encoder import Hop, RouteEncoder
 from repro.sim import KarHeader, Link, Packet, Simulator
 from repro.sim.node import Node
+from repro.sim.vector import _rank_ports
 from repro.switches import KarSwitch, NoDeflection, NotInputPort
 from repro.switches.core import RESIDUE_CACHE_SIZE
 from repro.switches.deflection import (
@@ -142,9 +144,10 @@ def _mask(strategy, healthy, in_port, computed, deflected):
 
 
 class TestStrategySplitEquivalence:
-    """The array predicate and the scalar rule state one technique: the
+    """The array statements and the scalar rule state one technique: the
     mask is true exactly where ``decide`` forwards on the computed port,
-    undeflected and without a draw."""
+    undeflected and without a draw, and everywhere else
+    ``fallback_ports`` describes exactly the list ``decide`` draws from."""
 
     @pytest.mark.parametrize("name", STRATEGY_NAMES)
     @pytest.mark.parametrize("deflected", [False, True])
@@ -167,6 +170,39 @@ class TestStrategySplitEquivalence:
                             _ExplodingRng() if happy else random.Random(901),
                         )
                         assert happy == (got == (computed, False)), case
+
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    def test_fallback_ports_is_the_list_decide_draws_from(self, name):
+        # ``_CandidateSet.choice`` hands back the candidate list instead
+        # of drawing, so ``decide`` shows what it would have drawn from;
+        # the array side reads it off the kernel's own port tables.
+        strategy = strategy_by_name(name)
+        cases = 0
+        for num_ports in range(1, 6):
+            for bits in itertools.product((False, True), repeat=num_ports):
+                up = np.array(bits)
+                healthy = tuple(np.flatnonzero(up).tolist())
+                up_ports, kth_up, up_below = _rank_ports(up)
+                for in_port, computed, deflected in itertools.product(
+                    range(num_ports), range(num_ports + 2), (False, True)
+                ):
+                    if _mask(strategy, healthy, in_port, computed, deflected):
+                        continue
+                    count, skip = strategy.fallback_ports(
+                        up_ports, up[in_port]
+                    )
+                    described = [
+                        int(kth_up[r + (skip and r >= up_below[in_port])])
+                        for r in range(count)
+                    ]
+                    got = strategy.decide(
+                        healthy, in_port, computed, deflected, _CandidateSet()
+                    )
+                    assert got == (
+                        (described, True) if count else (None, False)
+                    ), (name, healthy, in_port, computed, deflected)
+                    cases += 1
+        assert cases > 1000
 
     def test_all_ports_down_drops(self):
         strategy = AnyValidPort()

@@ -170,6 +170,28 @@ class TestMutationDetection:
             d.detail.startswith("[xsr] packet #") for d in result.divergences
         )
 
+    def test_vector_stream_overrun_is_caught(self, monkeypatch):
+        """The flat kernel draws from look-ahead twins and advances the
+        official streams by the words consumed; one word too many on one
+        stream must show in the fingerprint the oracle compares."""
+        from repro.sim import vector
+
+        case = generate_case(2)  # avp, two failures: deflections happen
+        assert run_oracle("vector", case).ok
+        advance = vector._ChoiceWords.advance
+
+        def overrun(self, rngs):
+            advance(self, rngs)
+            drew = [rng for rng, used in zip(rngs, self._used) if used]
+            drew[0].getrandbits(32)
+
+        monkeypatch.setattr(vector._ChoiceWords, "advance", overrun)
+        result = run_oracle("vector", case)
+        assert any(
+            "record[rng_fingerprint] differs" in d.detail
+            for d in result.divergences
+        ), result.divergences[:3]
+
     def test_rng_stream_drift_is_caught(self):
         class ExtraDraw(NotInputPort):
             """Right answer, wrong number of RNG draws."""
