@@ -7,8 +7,7 @@ considered for implementation purposes").
 
 The budget sweeps share one primitive, :func:`prefix_route_bits`: the
 bit length of every prefix product is accumulated **once** per ID
-sequence (one big-int multiply per step, the base product built with
-the balanced :func:`~repro.rns.pool.product_tree`), and each budget
+sequence (one big-int multiply per step), and each budget
 query is then a binary search over the cached non-decreasing bit
 lengths.  The pre-PR-10 code re-multiplied the whole prefix and re-took
 ``route_id_bit_length`` for every (budget, hop) pair — identical
@@ -18,6 +17,7 @@ which is real money on zoo-scale pools.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
@@ -25,7 +25,6 @@ from typing import Dict, List, Sequence, Tuple
 from repro.rns.bitlength import route_id_bit_length
 from repro.rns.coprime import greedy_coprime_pool, prime_pool
 from repro.rns.gf2 import dual_coprime_pool, gf2_degree
-from repro.rns.pool import product_tree
 
 __all__ = [
     "GrowthPoint",
@@ -67,14 +66,13 @@ def prefix_route_bits(
     """``bits[i]`` = header bits of the route using ``base_ids + ids[:i+1]``.
 
     The cached-prefix primitive behind every budget sweep: the base
-    product is built once with the balanced
-    :func:`~repro.rns.pool.product_tree`, each prefix extends it by one
+    product is built once, each prefix extends it by one
     multiply, and the resulting bit lengths are **non-decreasing** (every
     ID is >= 2), so budget queries reduce to
     :func:`max_prefix_within_budget`'s binary search.
     """
     bits: List[int] = []
-    product = product_tree(base_ids) if base_ids else 1
+    product = math.prod(base_ids)
     for sid in ids:
         product *= sid
         bits.append(route_id_bit_length(product))

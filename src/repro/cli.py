@@ -70,8 +70,8 @@ _DEFAULT_CACHE_DIR = ".repro-cache"
 #: Kept in sync with repro.verify.oracles.ORACLE_NAMES (asserted by
 #: tests); listed literally so the parser builds without importing the
 #: verifier (which pulls in the whole sim stack).
-_ORACLE_NAMES = ("backend", "datapath", "encoder", "strategy", "vector",
-                 "walk", "wire")
+_ORACLE_NAMES = ("backend", "datapath", "strategy", "vector", "walk",
+                 "wire")
 
 #: Kept in sync with repro.bench.encodingbench.CELLS (asserted by
 #: tests); listed literally so the parser builds without importing the
@@ -653,7 +653,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.topology import edge_names, service_topology
 
     graph = service_topology(args.topology)
-    state = ControllerState(graph, validated_pool=True)
+    state = ControllerState(graph)
     service = ControllerService(state)
 
     async def serve() -> None:

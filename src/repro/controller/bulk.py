@@ -16,10 +16,7 @@ solve per route.  This module batches all three:
   switch)** — a route down a destination tree shares every residue of
   its parent's route plus one hop, so route IDs are computed by
   extending the parent's solved system (O(1) modular ops) in BFS
-  order, never by re-solving Eq. 4 per flow.  At all-pairs scale this
-  also beats per-route pooled dot products: a mesh touches ~n·m
-  distinct switch subsets, which thrashes any per-subset weight cache,
-  while the tree extension needs no per-subset state at all.
+  order, never by re-solving Eq. 4 per flow.
 
 Everything is bit-identical to the per-flow path by construction (the
 extended CRT solution is unique) and by test: the Hypothesis suite in

@@ -1,29 +1,25 @@
-"""Batch route provisioning: destination trees + pooled CRT encoding.
+"""Batch route provisioning: destination trees + incremental CRT encoding.
 
 The per-flow controller path (:class:`~repro.controller.controller
 .KarController`) answers one request at a time: Dijkstra from the source
 edge, then a fresh CRT solve.  Correct, and the right oracle — but the
 work is almost entirely shared between flows.  Every flow to the same
 destination traverses the same shortest-path *tree* toward it, and every
-encode draws from the same coprime pool.  This module amortizes both:
+failure-time change re-points one residue.  This module amortizes both:
 
 * one :class:`DestinationTree` per (topology epoch, destination edge) —
   a BFS tree over the core subgraph rooted at the destination, built
   once and reused by every flow to that destination;
-* one :class:`~repro.rns.pool.PoolContext` per engine, held by
-  the engine's one :class:`~repro.rns.encoder.RouteEncoder` — all CRT
-  basis weights precomputed, so each encode is a cached-subset dot
-  product and a changed output port (:meth:`~repro.rns.encoder
-  .RouteEncoder.with_port`) is a single CRT addend, not a re-solve.
+* one :class:`~repro.rns.encoder.RouteEncoder` per engine, whose
+  changed output port (:meth:`~repro.rns.encoder.RouteEncoder
+  .with_port`) is one CRT step on the live route ID, not a re-solve.
 
 One invalidation, :meth:`ProvisioningEngine.note_link_change`: link
 *state* changed (a link went down or came back up).  Trees are rebuilt
-over the residual graph, but the CRT pool — built once, with the engine
-— and its memoized subset contexts survive: they depend only on the
-switch-ID set, which link churn cannot touch.  This is what lets a
-long-running controller service absorb port flaps without ever falling
-back to full CRT solves.  (Nodes, switch IDs or port numbering never
-change under an engine; a new topology is a new engine.)
+over the residual graph; encoded routes survive, since they depend only
+on switch IDs and port numbering, which link churn cannot touch.
+(Nodes, switch IDs or port numbering never change under an engine; a
+new topology is a new engine.)
 
 Link state itself lives here as an overlay (:meth:`ProvisioningEngine
 .set_link_down` / :meth:`~ProvisioningEngine.set_link_up`): the
@@ -33,7 +29,7 @@ residue), and down links are simply excluded from tree construction and
 entry selection.
 
 Error contract: every user-input failure — unknown names, non-edge
-endpoints, disconnected pairs, off-pool switches, down links — raises
+endpoints, disconnected pairs, down links — raises
 :class:`ProvisionError` carrying a machine-readable ``reason`` slug.
 The controller service maps these directly onto 4xx responses; nothing
 in this module leaks a bare ``KeyError`` for bad input.
@@ -60,7 +56,6 @@ from typing import Any, Dict, FrozenSet, List, Sequence, Tuple
 from repro.controller.routing import RoutingError, hops_for_path
 from repro.rns.crt import CrtError
 from repro.rns.encoder import EncodedRoute, RouteEncoder
-from repro.rns.pool import PoolContext
 from repro.sim.packet import DEFAULT_TTL
 from repro.switches.edge import IngressEntry
 from repro.topology.graph import (
@@ -88,7 +83,7 @@ class ProvisionError(RoutingError):
             it verbatim as the ``error`` field of a 4xx response.
             Values: ``unknown-node``, ``not-an-edge``, ``not-a-switch``,
             ``same-edge``, ``no-core-path``, ``not-a-link``,
-            ``link-down``, ``off-pool-switch``, ``switch-not-on-route``,
+            ``link-down``, ``switch-not-on-route``,
             ``port-unaddressable``, ``bad-path``.
     """
 
@@ -239,24 +234,16 @@ class ProvisioningEngine:
     Args:
         graph: the topology (switch IDs already assigned).
         default_ttl: hop budget stamped on ingress entries.
-        validated_pool: pass True when the graph's switch IDs are known
-            pairwise coprime (the topology builders validate them) to
-            skip the pool's one-time O(n²) re-check.
 
     Every externally interesting event is counted — provisions, tree
-    memo hits/misses, epoch bumps, incremental vs. full re-encodes —
+    memo hits/misses, epoch bumps, incremental re-encodes —
     and exposed as one JSON-able mapping by :meth:`stats`, which is
     what the controller service's ``/stats`` endpoint serves.  Counters
     are cumulative across epochs, so invalidation thrash is visible
     instead of resetting the evidence.
     """
 
-    def __init__(
-        self,
-        graph: PortGraph,
-        default_ttl: int = DEFAULT_TTL,
-        validated_pool: bool = False,
-    ):
+    def __init__(self, graph: PortGraph, default_ttl: int = DEFAULT_TTL):
         self.graph = graph
         self.default_ttl = default_ttl
         self.epoch = 0
@@ -268,9 +255,7 @@ class ProvisioningEngine:
         self.reroutes = 0
         self.epoch_bumps = 0
         self.link_invalidations = 0
-        self.encoder = RouteEncoder(
-            PoolContext.from_graph(graph, validated=validated_pool)
-        )
+        self.encoder = RouteEncoder()
 
     # ------------------------------------------------------------------
     # epoch / invalidation
@@ -278,12 +263,10 @@ class ProvisioningEngine:
     def note_link_change(self) -> None:
         """Invalidate link-state-dependent artifacts only.
 
-        Trees are rebuilt (they follow links); the pool and its subset
-        contexts are kept — the switch-ID set is unchanged, so every
-        precomputed CRT weight is still exact.  This is the epoch bump a
-        long-running service issues on every ``link_down``/``link_up``/
-        ``port_flap`` event, and why steady-state churn never re-solves
-        from scratch.
+        Trees are rebuilt (they follow links); nothing else is — the
+        switch IDs are unchanged, so every encoded route is still exact.
+        This is the epoch bump a long-running service issues on every
+        ``link_down``/``link_up``/``port_flap`` event.
         """
         self.epoch += 1
         self.epoch_bumps += 1
@@ -386,8 +369,8 @@ class ProvisioningEngine:
 
         Used by :meth:`provision` for tree paths and by the admission-
         control service for CSPF paths — both go through the same
-        pooled encoder, so every served route ID is bit-identical to a
-        fresh reference solve of the same hop list.
+        encoder, so every served route ID is the unique CRT solution of
+        the path's hop list.
 
         Raises:
             ProvisionError: malformed or unroutable paths
@@ -434,17 +417,15 @@ class ProvisioningEngine:
     ) -> EncodedRoute:
         """Re-encode *route* with *switch_name* exiting toward *new_next*.
 
-        The incremental single-addend update (see
-        :meth:`~repro.rns.encoder.RouteEncoder.with_port`) — O(1)
-        big-int work, never a full CRT solve.  Inputs are validated up
-        front so its silent full-solve fallback can never mask a bad
-        request:
+        The incremental one-step update (see
+        :meth:`~repro.rns.encoder.RouteEncoder.with_port`), never a full
+        CRT solve.  Inputs are validated up front so a bad request is
+        answered with a reason, not an arithmetic error:
 
         Raises:
             ProvisionError: unknown names (``unknown-node``), a non-
                 switch pivot (``not-a-switch``), a missing or failed
-                link (``not-a-link`` / ``link-down``), a route or pivot
-                off the engine's pool (``off-pool-switch``), a pivot the
+                link (``not-a-link`` / ``link-down``), a pivot the
                 route does not encode (``switch-not-on-route``), or a
                 port outside the switch's residue range
                 (``port-unaddressable``).
@@ -472,15 +453,7 @@ class ProvisioningEngine:
                 f"re-route step {switch_name}->{new_next} is a failed link",
             )
         sid = info.switch_id
-        residues = route.residue_map()
-        pool = self.encoder.pool
-        if sid not in pool or not pool.covers(residues):
-            raise ProvisionError(
-                "off-pool-switch",
-                f"route or switch {switch_name!r} (ID {sid}) is not covered "
-                f"by this epoch's coprime pool",
-            )
-        if sid not in residues:
+        if sid not in route.residue_map():
             raise ProvisionError(
                 "switch-not-on-route",
                 f"switch ID {sid} is not encoded in this route",
@@ -502,11 +475,10 @@ class ProvisioningEngine:
         """Cumulative engine counters as one JSON-able mapping.
 
         Cumulative across epochs; the healthy steady state under churn
-        is ``link_invalidations`` climbing while ``deltas_applied`` /
-        ``subset_hits`` keep growing and ``full_solves`` stays zero.
+        is ``link_invalidations`` climbing while ``delta.applied`` keeps
+        growing.
         """
-        encoder = self.encoder
-        return {
+        stats: Dict[str, Any] = {
             "epoch": self.epoch,
             "provisions": self.provisions,
             "reroutes": self.reroutes,
@@ -516,17 +488,14 @@ class ProvisioningEngine:
                 "bumps": self.epoch_bumps,
                 "link_invalidations": self.link_invalidations,
             },
-            "encoder": {
-                "pooled": encoder.pooled_encodes,
-                "fallback": encoder.fallback_encodes,
-            },
             "delta": {
-                "applied": encoder.deltas_applied,
-                "identity_skips": encoder.identity_skips,
-                "full_solves": encoder.full_solves,
-            },
-            "subsets": {
-                "built": encoder.pool.subsets_built,
-                "hits": encoder.pool.subset_hits,
+                "applied": self.encoder.deltas_applied,
+                "identity_skips": self.encoder.identity_skips,
             },
         }
+        # The retired pooled encoder's counters, constant zeros: the
+        # frozen benchmarks/e2e/wl_service.py still reads these four keys.
+        stats["delta"]["full_solves"] = 0
+        stats["encoder"] = {"fallback": 0}
+        stats["subsets"] = {"built": 0, "hits": 0}
+        return stats

@@ -23,7 +23,7 @@ from typing import Any, Dict, Mapping, Optional
 __all__ = ["FORMAT_VERSION", "RunSpec", "canonical_json"]
 
 #: Version of the spec/record format baked into every content key.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def canonical_json(value: Any) -> str:

@@ -2,14 +2,10 @@
 
 Public surface:
 
-* :func:`repro.rns.crt.crt` and friends — CRT arithmetic (the reference
-  solver every faster encoder is checked against).
+* :func:`repro.rns.crt.crt` and friends — CRT arithmetic: the one step
+  :func:`~repro.rns.crt.crt_extend` and the solver that folds it.
 * :class:`repro.rns.encoder.RouteEncoder` / :class:`~repro.rns.encoder.EncodedRoute`
   — (switch, port) hops ⇄ integer route IDs, with incremental updates.
-* :mod:`repro.rns.pool` — amortized control-plane arithmetic:
-  :class:`~repro.rns.pool.PoolContext` (per-pool precomputed CRT basis
-  weights, memoized subset products, single-addend re-encode weights),
-  which a :class:`~repro.rns.encoder.RouteEncoder` takes as an option.
 * :mod:`repro.rns.coprime` — switch-ID pool generation/validation.
 * :mod:`repro.rns.bitlength` — header-size analysis (Eq. 9, Table 1).
 * :mod:`repro.rns.backends` — the backend registry (one encoder class
@@ -55,7 +51,6 @@ from repro.rns.gf2 import (
     gf2_pairwise_coprime,
     min_gf2_id_for_ports,
 )
-from repro.rns.pool import PoolContext, product_tree
 
 __all__ = [
     "crt",
@@ -68,8 +63,6 @@ __all__ = [
     "EncodedRoute",
     "RouteEncoder",
     "DuplicateSwitchError",
-    "PoolContext",
-    "product_tree",
     "route_id_bit_length",
     "bit_length_for_switches",
     "prime_pool",

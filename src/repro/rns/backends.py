@@ -5,8 +5,8 @@ controller, verify oracles, analysis walks, benches — holds one encoder
 object, and there is one encoder class per ring:
 
 * ``crt`` — :class:`~repro.rns.encoder.RouteEncoder`, the integer CRT
-  (pooled dot product over a :class:`~repro.rns.pool.PoolContext` where
-  one is given, the validating reference solver otherwise);
+  (:func:`~repro.rns.crt.crt`, a fold of the one step
+  :func:`~repro.rns.crt.crt_extend`);
 * ``xsr`` — :class:`XsrEncoder`, XOR-based Source Routing: the same CRT
   template over GF(2)[X] (:mod:`repro.rns.gf2`).  A genuinely different
   datapath — switch decode is a carry-less shift/XOR remainder, not an
@@ -39,7 +39,6 @@ from repro.rns.gf2 import (
     gf2_mod,
     min_gf2_id_for_ports,
 )
-from repro.rns.pool import PoolContext
 
 __all__ = [
     "XsrEncodedRoute",
@@ -73,16 +72,13 @@ class XsrEncoder(RouteEncoder):
 
     Every integer primitive is swapped for its carry-less twin from
     :mod:`repro.rns.gf2`; the encode / decode / incremental-update
-    template is the base class's, untouched.  There is no pooled solve
-    for this ring, so :meth:`with_port` always re-solves.
+    template is the base class's, untouched — so :meth:`with_port` is
+    one ``gf2_crt_extend``, never a re-solve.
     """
 
     name = "xsr"
     id_strategy = "xsr"
     route_type = XsrEncodedRoute
-
-    def __init__(self) -> None:
-        super().__init__(pool=None)
 
     solve = staticmethod(gf2_crt)
     extend = staticmethod(gf2_crt_extend)
@@ -163,16 +159,9 @@ def resolve_backend_name(backend: Optional[str] = "env") -> Optional[str]:
     return backend
 
 
-def backend_by_name(
-    name: str, pool: Optional[Sequence[int]] = None
-) -> RouteEncoder:
-    """A fresh encoder for the ring registered under *name*.
-
-    Args:
-        name: one of :data:`BACKEND_NAMES`.
-        pool: optional switch-ID pool; the integer ring precomputes its
-            :class:`~repro.rns.pool.PoolContext` over it (rings without
-            a pooled solve ignore it).
+def backend_by_name(name: str) -> RouteEncoder:
+    """A fresh encoder for the ring registered under *name*, one of
+    :data:`BACKEND_NAMES`.
 
     >>> backend_by_name("xsr").name
     'xsr'
@@ -181,7 +170,4 @@ def backend_by_name(
         ...
     ValueError: unknown encoding backend 'nope'; choose from ['crt', 'xsr']
     """
-    cls = _encoder_class(name)
-    if pool and cls is RouteEncoder:
-        return RouteEncoder(PoolContext(pool))
-    return cls()
+    return _encoder_class(name)()

@@ -12,18 +12,13 @@ pairwise coprime.  This module provides the arithmetic core:
 
 * :func:`modular_inverse` — modular multiplicative inverse (the
   built-in ``pow(a, -1, m)``: the extended Euclid runs in C),
-* :func:`crt` — CRT solver (Eq. 4 of the paper),
+* :func:`crt_extend` — the one CRT step: fold one congruence into a
+  solved system,
+* :func:`crt` — CRT solver (Eq. 4 of the paper), a fold of that step,
 * :func:`pairwise_coprime` — the KAR switch-ID precondition.
 
 All functions operate on plain Python integers, so route IDs of arbitrary
 bit length (Section 2.3 of the paper) are supported without overflow.
-
-:func:`crt` is the **reference** solver: it re-derives everything from
-its arguments on every call and stays deliberately simple, because it is
-the oracle every faster encoder is verified against.  The amortized
-control-plane encoders — precomputed per-pool contexts, cached subset
-products, and single-addend incremental re-encodes — live in
-:mod:`repro.rns.pool`.
 """
 
 from __future__ import annotations
@@ -103,11 +98,8 @@ def first_noncoprime_pair(values: Iterable[int]) -> Tuple[int, int] | None:
     """Return the first pair with gcd > 1, or None if pairwise coprime.
 
     Useful for error messages: the caller learns *which* switch IDs clash.
-    Runs in O(n²) gcd computations — acceptable as a one-time validation,
-    but far too slow to repeat on every encode.  Hot callers therefore
-    run it once at pool construction (:class:`repro.rns.pool.PoolContext`
-    caches the validated-coprime verdict) and pass
-    ``assume_coprime=True`` to :func:`crt` afterwards.
+    Runs in O(n²) gcd computations, so :func:`crt` calls it only once a
+    shared factor has already surfaced, to name the pair.
     """
     vals = list(values)
     for i, a in enumerate(vals):
@@ -117,31 +109,23 @@ def first_noncoprime_pair(values: Iterable[int]) -> Tuple[int, int] | None:
     return None
 
 
-def crt(
-    residues: Sequence[int],
-    moduli: Sequence[int],
-    *,
-    assume_coprime: bool = False,
-) -> Tuple[int, int]:
+def crt(residues: Sequence[int], moduli: Sequence[int]) -> Tuple[int, int]:
     """Solve the CRT system ``x ≡ residues[i] (mod moduli[i])``.
 
-    Implements Eq. 4 of the paper::
+    The unique solution of Eq. 4 of the paper::
 
         R = < sum_i  p_i * M_i * L_i >_M
 
     with ``M = prod(moduli)``, ``M_i = M / s_i`` and ``L_i`` the modular
-    inverse of ``M_i`` modulo ``s_i``.
+    inverse of ``M_i`` modulo ``s_i`` — reached by folding
+    :func:`crt_extend` over the congruences from ``(0, 1)``.  The addends
+    are independent (Section 2.2), so one congruence at a time lands on
+    the same ``R`` in k small inverses; a shared factor surfaces as the
+    failing step's inverse.
 
     Args:
         residues: the desired remainders (output-port indexes in KAR).
         moduli: pairwise-coprime moduli (switch IDs in KAR).
-        assume_coprime: skip the O(n²) pairwise-coprimality re-check.
-            Only pass True for moduli drawn from a pool that was already
-            validated (e.g. at :class:`repro.rns.pool.PoolContext`
-            construction, or via :func:`repro.rns.coprime.validate_pool`).
-            The result on genuinely non-coprime moduli is then undefined
-            (an inverse may still fail with :class:`NotCoprimeError`,
-            but silent wrong answers are possible for e.g. duplicates).
 
     Returns:
         ``(R, M)`` where ``R`` is the unique solution in ``[0, M)`` and
@@ -150,14 +134,13 @@ def crt(
     Raises:
         CrtError: on length mismatch, empty system, or residues out of
             range ``[0, modulus)``.
-        NotCoprimeError: when the moduli are not pairwise coprime.
+        NotCoprimeError: when the moduli are not pairwise coprime; its
+            ``pair`` is :func:`first_noncoprime_pair` of *moduli*.
 
     >>> crt([0, 2, 0], [4, 7, 11])
     (44, 308)
     >>> crt([0, 2, 0, 0], [4, 7, 11, 5])
     (660, 1540)
-    >>> crt([0, 2, 0], [4, 7, 11], assume_coprime=True)
-    (44, 308)
     """
     if len(residues) != len(moduli):
         raise CrtError(
@@ -173,18 +156,14 @@ def crt(
                 f"residue {p} out of range for modulus {s}: "
                 f"a switch with ID {s} only has ports 0..{s - 1} addressable"
             )
-    if not assume_coprime:
+    route_id, modulus = 0, 1
+    try:
+        for p, s in zip(residues, moduli):
+            route_id, modulus = crt_extend(route_id, modulus, s, p)
+    except NotCoprimeError:
         bad = first_noncoprime_pair(moduli)
-        if bad is not None:
-            raise NotCoprimeError(bad, math.gcd(*bad))
-
-    M = math.prod(moduli)
-    total = 0
-    for p, s in zip(residues, moduli):
-        M_i = M // s
-        L_i = modular_inverse(M_i, s)
-        total += p * M_i * L_i
-    return total % M, M
+        raise NotCoprimeError(bad, math.gcd(*bad)) from None
+    return route_id, modulus
 
 
 def crt_extend(
@@ -194,15 +173,15 @@ def crt_extend(
 
     Given the unique ``route_id`` in ``[0, modulus)`` of an existing
     system, fold in ``x ≡ port (mod switch_id)`` and return the unique
-    solution of the extended system in ``[0, modulus * switch_id)`` —
-    bit-identical to re-solving the whole system with :func:`crt`, in
+    solution of the extended system in ``[0, modulus * switch_id)``, in
     O(1) modular operations::
 
         x = R + M * t   with   t = <(port - R) * M^{-1}>_{switch_id}
 
-    This is the primitive behind both incremental protection
-    (:meth:`repro.rns.encoder.RouteEncoder.with_hop`) and the bulk
-    provisioner's down-tree encoding (:mod:`repro.controller.bulk`):
+    This is the one step :func:`crt` folds, and the primitive behind
+    incremental protection and re-pointing
+    (:meth:`repro.rns.encoder.RouteEncoder.with_hop` / ``with_port``) and
+    the bulk provisioner's down-tree encoding (:mod:`repro.controller.bulk`):
     a child's route shares every residue of its parent's route plus one
     new hop, so the whole all-pairs mesh costs one ``crt_extend`` per
     (destination, switch) instead of one full solve per flow.

@@ -13,7 +13,7 @@ re-encoding the whole route (:meth:`RouteEncoder.with_hop`,
 :meth:`RouteEncoder.without_switch`, :meth:`RouteEncoder.with_port`).
 Incremental updates are what make partial protection and failure-time
 re-routes cheap: one extra protection switch, or one changed exit port,
-is O(1) CRT steps on the live route ID.
+is one CRT step (:func:`~repro.rns.crt.crt_extend`) on the live route ID.
 
 :class:`RouteEncoder` is *the* encoder for the integer ring and the
 template for every other ring: ``encode`` / ``decode`` / ``with_hop`` /
@@ -32,7 +32,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.rns.bitlength import route_id_bit_length
 from repro.rns.coprime import min_id_for_ports, validate_pool
 from repro.rns.crt import CrtError, crt, crt_extend
-from repro.rns.pool import PoolContext
 
 __all__ = ["Hop", "EncodedRoute", "RouteEncoder", "DuplicateSwitchError"]
 
@@ -137,18 +136,10 @@ class EncodedRoute:
 class RouteEncoder:
     """Controller-side encoder for KAR route IDs over the integers.
 
-    Args:
-        pool: optional precomputed :class:`~repro.rns.pool.PoolContext`.
-            Hop sets it covers are solved by its dot product over cached
-            basis weights and re-pointed by a single addend; everything
-            else — chained domains, fuzzed IDs, no pool at all — goes
-            through the validating reference :func:`~repro.rns.crt.crt`.
-            Both paths land on the same unique ``R`` in ``[0, M)``, so
-            the pool changes cost, never a route ID.
-
-    The counters make the amortization observable: the service and the
-    bench harnesses assert that under link churn the pooled and
-    single-addend paths, not the full solver, are doing the work.
+    Two counters make :meth:`with_port` observable: ``deltas_applied``
+    (re-pointed residues) and ``identity_skips`` (no-op changes that
+    returned the route itself); the controller service's ``/stats``
+    serves both.
 
     Attributes:
         name: registry key (also the CLI / artifact spelling).
@@ -160,27 +151,13 @@ class RouteEncoder:
     id_strategy = "greedy"
     route_type = EncodedRoute
 
-    def __init__(self, pool: Optional[PoolContext] = None):
-        self.pool = pool
-        self.pooled_encodes = 0
-        self.fallback_encodes = 0
+    def __init__(self) -> None:
         self.deltas_applied = 0
         self.identity_skips = 0
-        self.full_solves = 0
 
     # -- the five ring primitives ---------------------------------------
 
-    def solve(
-        self, residues: Sequence[int], moduli: Sequence[int]
-    ) -> Tuple[int, int]:
-        """``(R, M)`` of the residue system (Eq. 4)."""
-        pool = self.pool
-        if pool is not None and pool.covers(moduli):
-            self.pooled_encodes += 1
-            return pool.encode(residues, moduli)
-        self.fallback_encodes += 1
-        return crt(residues, moduli)
-
+    solve = staticmethod(crt)
     extend = staticmethod(crt_extend)
 
     def port_at(self, route_id: int, switch_id: int) -> int:
@@ -328,13 +305,14 @@ class RouteEncoder:
     ) -> EncodedRoute:
         """Route with *switch_id*'s output port changed to *new_port*.
 
-        The link-failure re-route primitive: when only one residue
-        changes, a pool-covered route is a single addend away —
-        ``R' = <R + (p' − p) · M_i L_i>_M`` — so the update is O(1)
-        big-int work; a route the pool does not cover (or an encoder
-        without one) re-solves the mutated hop list.  Either way the
-        result is bit-identical to a fresh :meth:`encode` of that list,
-        and an identity change returns *route* itself.
+        The link-failure re-route primitive: project the route onto the
+        other switches (``R mod (M / s)``, as :meth:`without_switch`
+        does) and fold the new congruence back in with one ``extend`` —
+        one CRT step, whatever the route's length.  By CRT uniqueness
+        the result is bit-identical to a fresh :meth:`encode` of the
+        mutated hop list; an identity change returns *route* itself.
+        Like :meth:`with_hop` and :meth:`without_switch`, it trusts that
+        ``route.modulus`` is the product of the route's switch IDs.
 
         Raises:
             CrtError: when *route* does not encode *switch_id* or the
@@ -349,26 +327,17 @@ class RouteEncoder:
             raise CrtError(
                 f"switch ID {switch_id} is not encoded in this route"
             )
-        new_hops = tuple(
-            Hop(switch_id, new_port) if h.switch_id == switch_id else h
-            for h in route.hops
+        rest = self.exact_div(route.modulus, switch_id)
+        route_id, modulus = self.extend(
+            self.port_at(route.route_id, rest), rest, switch_id, new_port
         )
-        weight = None
-        if self.pool is not None:
-            try:
-                weight = self.pool.addend_weight(route, switch_id)
-            except CrtError:
-                pass  # off-pool or inconsistent route: re-solve the hops
-        if weight is None:
-            updated = self.encode(new_hops)
-            self.full_solves += 1
-            return updated
         self.deltas_applied += 1
         return self.route_type(
-            route_id=(
-                route.route_id + (new_port - old_port) * weight
-            ) % route.modulus,
-            modulus=route.modulus,
-            hops=new_hops,
+            route_id=route_id,
+            modulus=modulus,
+            hops=tuple(
+                Hop(switch_id, new_port) if h.switch_id == switch_id else h
+                for h in route.hops
+            ),
             _residues={**residues, switch_id: new_port},
         )

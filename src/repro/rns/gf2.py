@@ -231,10 +231,7 @@ def gf2_product(values: Sequence[int]) -> int:
 
 
 def gf2_crt(
-    residues: Sequence[int],
-    moduli: Sequence[int],
-    *,
-    assume_coprime: bool = False,
+    residues: Sequence[int], moduli: Sequence[int]
 ) -> Tuple[int, int]:
     """Solve ``x ≡ residues[i] (mod moduli[i])`` in GF(2)[X].
 
@@ -270,10 +267,9 @@ def gf2_crt(
                 f"degree-{gf2_degree(s)} remainders cover only "
                 f"0..{(1 << gf2_degree(s)) - 1}"
             )
-    if not assume_coprime:
-        bad = gf2_first_noncoprime_pair(moduli)
-        if bad is not None:
-            raise Gf2NotCoprimeError(bad, gf2_gcd(*bad))
+    bad = gf2_first_noncoprime_pair(moduli)
+    if bad is not None:
+        raise Gf2NotCoprimeError(bad, gf2_gcd(*bad))
 
     M = gf2_product(moduli)
     total = 0

@@ -94,9 +94,6 @@ class ChurnReport:
     bit_identity_mismatches: int = 0
     qos_checked: int = 0
     qos_violations: int = 0
-    encoder_fallbacks: int = -1
-    delta_full_solves: int = -1
-    incremental_only: bool = False
     drained: bool = False
     digest: str = ""
 
@@ -107,7 +104,6 @@ class ChurnReport:
             not self.violations
             and self.bit_identity_mismatches == 0
             and self.qos_violations == 0
-            and self.incremental_only
             and self.drained
         )
 
@@ -122,16 +118,12 @@ class _Transport:
         self._client = None
         self._state: Optional[ControllerState] = None
         if kind == "direct":
-            self._state = ControllerState(
-                service_topology(topology), validated_pool=True
-            )
+            self._state = ControllerState(service_topology(topology))
         elif kind == "http":
             from repro.service.client import ServiceClient
 
             if host is None or port is None:
-                self._thread = ServiceThread(
-                    service_topology(topology), validated_pool=True
-                )
+                self._thread = ServiceThread(service_topology(topology))
                 self._thread.start()
                 host, port = self._thread.host, self._thread.port
             self._client = ServiceClient(host, port)
@@ -385,14 +377,6 @@ def run_churn(
             and stats["service"]["flows_live"] == 0
             and stats["admission"]["reserved_flows"] == 0
         )
-        report.encoder_fallbacks = stats["engine"]["encoder"]["fallback"]
-        report.delta_full_solves = stats["engine"]["delta"]["full_solves"]
-        report.incremental_only = (
-            report.encoder_fallbacks == 0 and report.delta_full_solves == 0
-        )
-        note(operations, "stats", status, [
-            report.encoder_fallbacks, report.delta_full_solves,
-        ])
     finally:
         transport_.close()
 
@@ -423,7 +407,7 @@ def render_churn(reports: List[ChurnReport]) -> str:
             f"{r.bit_identity_mismatches} mismatches; "
             f"qos {r.qos_checked} checked, {r.qos_violations} violations; "
             f"audits={r.audits} violations={len(r.violations)}; "
-            f"incremental-only={r.incremental_only} drained={r.drained}"
+            f"drained={r.drained}"
         )
         for violation in r.violations[:5]:
             lines.append(f"    ! {violation}")
@@ -458,7 +442,6 @@ def churn_rows(reports: List[ChurnReport]) -> List[Dict[str, Any]]:
             "bit_identity_mismatches": r.bit_identity_mismatches,
             "qos_checked": r.qos_checked,
             "qos_violations": r.qos_violations,
-            "incremental_only": r.incremental_only,
             "drained": r.drained,
             "ok": r.ok,
             "digest": r.digest,

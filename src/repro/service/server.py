@@ -91,9 +91,13 @@ def _provision_body(state: ControllerState, body: Dict[str, Any]) -> Response:
     if latency is not None and not _is_number(latency):
         return _error(400, "bad-request", "max_latency_s must be a number")
     if ttl is not None and (
-        not isinstance(ttl, int) or isinstance(ttl, bool) or ttl <= 0
+        not isinstance(ttl, int) or isinstance(ttl, bool)
+        or not 1 <= ttl <= 255
     ):
-        return _error(400, "bad-request", "ttl must be a positive integer")
+        # The KAR header carries the TTL in one byte (rns.wire).
+        return _error(
+            400, "bad-request", "ttl must be an integer in 1..255"
+        )
     try:
         bandwidth = float(bandwidth)
         latency = float(latency) if latency is not None else None
@@ -351,9 +355,8 @@ class ServiceThread:
             ...
     """
 
-    def __init__(self, graph: PortGraph, host: str = "127.0.0.1",
-                 validated_pool: bool = False):
-        self.state = ControllerState(graph, validated_pool=validated_pool)
+    def __init__(self, graph: PortGraph, host: str = "127.0.0.1"):
+        self.state = ControllerState(graph)
         self.service = ControllerService(self.state)
         self.host = host
         self.port: int = 0

@@ -15,7 +15,7 @@ Two flow classes:
   destination-tree path, no reservation.  On a link failure the flow is
   repaired against the residual tree — through the incremental
   re-encode path whenever the repair keeps the same switch set (one
-  port residue changes → one CRT addend), the pooled encoder otherwise.
+  port residue changes → one CRT step), a fresh encode otherwise.
 * **QoS** (bandwidth and/or latency budget): a CSPF path over the
   residual-capacity graph, admitted only if every link can carry the
   bandwidth and the end-to-end delay fits the budget; admitted flows
@@ -120,12 +120,9 @@ class ControllerState:
     on names, and repairs process flows in flow-ID order.
     """
 
-    def __init__(self, graph: PortGraph, default_ttl: int = DEFAULT_TTL,
-                 validated_pool: bool = False):
+    def __init__(self, graph: PortGraph, default_ttl: int = DEFAULT_TTL):
         self.graph = graph
-        self.engine = ProvisioningEngine(
-            graph, default_ttl=default_ttl, validated_pool=validated_pool
-        )
+        self.engine = ProvisioningEngine(graph, default_ttl=default_ttl)
         self.ledger = ReservationLedger(graph)
         self.flows: Dict[str, FlowRecord] = {}
         self._seq = 0
@@ -156,7 +153,7 @@ class ControllerState:
         A request with a bandwidth or latency constraint takes the QoS
         path (CSPF + reservation); an unconstrained request takes the
         engine's destination-tree path.  Both encode through the same
-        pooled encoder, so either way the route ID is bit-identical to
+        encoder, so either way the route ID is bit-identical to
         the offline engine's encoding of the same node path.
 
         Raises:
@@ -248,7 +245,7 @@ class ControllerState:
     ) -> FlowRecord:
         """Point one on-route switch at a different neighbor.
 
-        The incremental re-encode path (one CRT addend).  Refused for
+        The incremental re-encode path (one CRT step).  Refused for
         flows holding bandwidth reservations: a detour would move
         traffic onto links the ledger never admitted it to, so the
         admission invariants would be fiction — QoS flows only move via
@@ -285,8 +282,7 @@ class ControllerState:
         immediately back up — transient failure).  Each state change
         bumps the engine's epoch through the link-granular invalidation
         (:meth:`~repro.controller.provision.ProvisioningEngine
-        .note_link_change`), so the CRT pool survives and repairs stay
-        on the incremental/pooled path.
+        .note_link_change`), which rebuilds trees and nothing else.
 
         Returns a summary: ``{"kind", "link", "changed", "repaired":
         [...], "evicted": {flow_id: reason}}``.
@@ -382,9 +378,9 @@ class ControllerState:
         When the new path visits the same switches (only an exit port
         changed — the common single-link-failure case on well-connected
         cores), the repair is folded through the encoder's
-        :meth:`~repro.rns.encoder.RouteEncoder.with_port` as per-hop
-        addend updates rather than a fresh encode; otherwise a pooled
-        encode takes it.  Raises ProvisionError(``no-core-path``) when
+        :meth:`~repro.rns.encoder.RouteEncoder.with_port` as one CRT
+        step per changed hop rather than a fresh encode; otherwise a
+        fresh encode takes it.  Raises ProvisionError(``no-core-path``) when
         the residual graph disconnects the pair.
         """
         node_path = self.engine.select_path(

@@ -26,18 +26,13 @@ diffs the outcomes:
   no decision code with the simulator), and the stateful failover
   baselines (``ff``/``arb`` from :mod:`repro.baselines`, walked with
   the very strategy tables the simulator runs).
-* ``encoder`` — the amortized control-plane paths
-  (:class:`~repro.rns.pool.PoolContext` and a pool-holding
-  :class:`~repro.rns.encoder.RouteEncoder`) vs the reference
-  :func:`~repro.rns.crt.crt` solver on the case's switch-ID pool:
-  fuzzed subsets, ``with_port`` mutation chains, identity mutations,
-  off-pool fallback, and error parity on malformed systems.
 * ``vector`` — the vectorized epoch engine vs the scalar reference
   engine: records, digests, hop traces and terminal fates.
 * ``backend`` — every registered encoder
   (:data:`repro.rns.backends.BACKEND_NAMES`) vs the reference
-  semantics: encoder contract fuzzing (the integer ring bit-identical
-  to ``crt()``) and XSR's full-sim walk-model equivalence.
+  semantics: encoder contract fuzzing, ``with_port`` mutation chains
+  with identity steps, the integer ring held to the CRT definition
+  itself, and XSR's full-sim walk-model equivalence.
 
 Every oracle returns an :class:`OracleResult`; a non-empty
 ``divergences`` list means the two sides disagreed, and the attached
@@ -54,9 +49,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.walk import deterministic_strategy_walk
 from repro.baselines import BASELINE_SCHEMES, plan_baseline_strategies
-from repro.rns.crt import CrtError, crt
-from repro.rns.encoder import Hop, RouteEncoder
-from repro.rns.pool import PoolContext
+from repro.rns.crt import CrtError
+from repro.rns.encoder import EncodedRoute, Hop
 from repro.rns.wire import (
     WireError,
     decode_header,
@@ -69,7 +63,7 @@ from repro.switches.core import KarSwitch
 from repro.switches.deflection import DeflectionStrategy, strategy_by_name
 from repro.switches.edge import IngressEntry
 from repro.topology.graph import NodeKind
-from repro.verify.cases import FuzzCase, build_graph, build_scenario
+from repro.verify.cases import FuzzCase, build_scenario
 from repro.verify.pseudocode import PSEUDOCODE
 
 __all__ = [
@@ -81,7 +75,6 @@ __all__ = [
     "check_strategy",
     "check_wire",
     "check_walk",
-    "check_encoder",
     "check_backend",
     "run_oracle",
     "run_case",
@@ -93,8 +86,9 @@ _STRATEGY_TRIALS = 150
 #: random headers per case in the wire oracle.
 _WIRE_TRIALS = 80
 
-#: fuzzed subset/mutation trials per case in the encoder oracle.
-_ENCODER_TRIALS = 40
+#: fuzzed hop systems (each with a mutation chain) per ring per case in
+#: the backend oracle.
+_BACKEND_TRIALS = 40
 
 
 @dataclass(frozen=True)
@@ -610,176 +604,37 @@ def check_walk(case: FuzzCase) -> OracleResult:
 
 
 # ---------------------------------------------------------------------------
-# (e) pooled/incremental encoding vs the reference crt() solver
+# (e) registered encoders vs the CRT definition / walk model
 # ---------------------------------------------------------------------------
 
-def _off_pool_id(subset_ids: Sequence[int], pool: PoolContext) -> int:
-    """A modulus outside the pool yet coprime with *subset_ids*."""
-    product = 1
-    for s in subset_ids:
-        product *= s
-    candidate = 2
-    while candidate in pool or math.gcd(candidate, product) != 1:
-        candidate += 1
-    return candidate
-
-
-def check_encoder(case: FuzzCase) -> OracleResult:
-    """Pooled/incremental encoding vs the reference solver (oracle e).
-
-    Builds a :class:`~repro.rns.pool.PoolContext` over the case's real
-    switch-ID pool and fuzzes random subsets through every amortized
-    path — :meth:`PoolContext.encode`, a pool-holding
-    :class:`~repro.rns.encoder.RouteEncoder`, its ``with_port`` single
-    mutations, multi-hop mutation chains, identity mutations, and the
-    off-pool fallback — requiring each result to be bit-identical to a
-    fresh :func:`~repro.rns.crt.crt` solve / pool-less encode of the
-    same residue system.  Malformed systems (duplicate moduli,
-    out-of-range residues) must fail with the same exception the
-    reference raises.
-    """
-    result = OracleResult("encoder")
-    graph = build_graph(case)
-    # from_graph re-runs the pairwise-coprime check by default — that
-    # one-time validation is part of what this oracle exercises.
-    pool = PoolContext.from_graph(graph)
-    reference = RouteEncoder()
-    pooled = RouteEncoder(pool)
-    rng = random.Random(f"verify-encoder-{case.seed}")
-    off_pool_encodes = 0
-
-    for trial in range(_ENCODER_TRIALS):
-        k = rng.randrange(1, min(len(pool), 8) + 1)
-        ids = rng.sample(pool.pool, k)
-        ports = [rng.randrange(s) for s in ids]
-        label = f"trial {trial}: system {list(zip(ports, ids))}"
-
-        # Raw Eq. 4 pair: pooled dot product vs full reference solve.
-        want_pair = crt(ports, ids)
-        got_pair = pool.encode(ports, ids)
-        result.check(
-            got_pair == want_pair,
-            lambda l=label, g=got_pair, w=want_pair: (
-                f"PoolContext.encode differs from crt() at {l}: "
-                f"pooled={g} reference={w}"
-            ),
-        )
-
-        # Full route objects: with and without the pool.
-        hops = [Hop(s, p) for s, p in zip(ids, ports)]
-        route = pooled.encode(hops)
-        ref_route = reference.encode(hops)
-        result.check(
-            route == ref_route
-            and route.residue_map() == ref_route.residue_map(),
-            lambda l=label, g=route, w=ref_route: (
-                f"pooled encode differs from the pool-less encode at {l}: "
-                f"pooled={g!r} reference={w!r}"
-            ),
-        )
-
-        # A mutation chain (possibly including identity steps) applied
-        # incrementally must land exactly where a fresh solve of the
-        # final residue system lands, at every step of the chain.
-        residues = dict(route.residue_map())
-        current = route
-        for step in range(rng.randrange(1, 5)):
-            sid = rng.choice(ids)
-            new_port = rng.randrange(sid)
-            chain_label = (
-                f"{label} chain step {step}: switch {sid} -> port {new_port}"
-            )
-            previous = current
-            current = pooled.with_port(current, sid, new_port)
-            if residues[sid] == new_port:
-                result.check(
-                    current is previous,
-                    lambda l=chain_label: (
-                        f"identity mutation was not a same-object no-op "
-                        f"at {l}"
-                    ),
-                )
-            residues[sid] = new_port
-            want = crt([residues[s] for s in ids], ids, assume_coprime=True)
-            result.check(
-                (current.route_id, current.modulus) == want
-                and current.residue_map() == residues,
-                lambda l=chain_label, g=current, w=want: (
-                    f"incremental re-encode differs from fresh solve at "
-                    f"{l}: with_port={g!r} reference={w}"
-                ),
-            )
-
-        # Off-pool switch IDs must take the reference fallback and still
-        # produce the reference answer.
-        extra = _off_pool_id(ids, pool)
-        fallback_hops = hops + [Hop(extra, rng.randrange(extra))]
-        off_pool_encodes += 1
-        result.check(
-            pooled.encode(fallback_hops) == reference.encode(fallback_hops),
-            lambda l=label, e=extra: (
-                f"off-pool fallback (extra switch {e}) differs from "
-                f"the pool-less encode at {l}"
-            ),
-        )
-
-    # Error parity on malformed systems: same exception type, same
-    # message as the reference solver.
-    dup = rng.choice(pool.pool)
-    bad = rng.choice(pool.pool)
-    for what, system in (
-        ("duplicate-modulus", ([0, 0], [dup, dup])),
-        ("out-of-range", ([bad], [bad])),  # residue == modulus
-    ):
-        errors = []
-        for solver in (crt, pool.encode):
-            try:
-                solver(*system)
-                errors.append(None)
-            except CrtError as exc:
-                errors.append((type(exc).__name__, str(exc)))
-        result.check(
-            errors[0] is not None and errors[0] == errors[1],
-            lambda w=what, e=tuple(errors): (
-                f"{w} error parity broken: crt={e[0]} pool={e[1]}"
-            ),
-        )
-
-    # The amortized paths must actually have been the paths under test.
-    result.check(
-        pooled.fallback_encodes == off_pool_encodes,
-        lambda p=pooled, n=off_pool_encodes: (
-            f"fallback count {p.fallback_encodes} != expected {n}: "
-            f"pool-covered encodes leaked onto the reference path"
-        ),
+def _is_crt_solution(route: EncodedRoute, residues: Dict[int, int]) -> bool:
+    """The integer CRT uniqueness definition, checked without a solver:
+    ``0 <= R < M``, ``M`` the product of the route's switch IDs, and
+    ``R mod s == p`` for every encoded hop."""
+    route_id = route.route_id
+    return (
+        0 <= route_id < route.modulus == math.prod(residues)
+        and all(route_id % s == p for s, p in residues.items())
+        and route.residue_map() == residues
     )
-    result.check(
-        pooled.full_solves == 0,
-        lambda p=pooled: (
-            f"{p.full_solves} incremental updates fell back to a full "
-            f"solve on pool-covered routes"
-        ),
-    )
-    return result
 
-
-# ---------------------------------------------------------------------------
-# (g) registered encoders vs the reference solver / walk model
-# ---------------------------------------------------------------------------
 
 def check_backend(case: FuzzCase) -> OracleResult:
-    """Registered encoders vs the reference semantics (oracle g).
+    """Registered encoders vs the reference semantics (oracle e).
 
     Two layers:
 
     * **encoder contract** — for every name in
       :data:`~repro.rns.backends.BACKEND_NAMES`, fuzzed hop systems over
       a pool the ring accepts: ``decode(encode(hops))`` recovers every
-      port, ``with_hop`` chains land exactly where a fresh encode
-      lands, ``without_switch`` inverts them, ``with_port`` equals a
-      fresh encode of the mutated hops, and the advertised
-      ``header_bits`` matches the route's own ``bit_length``.  The
-      integer ring must be *bit-identical* to :func:`~repro.rns.crt.crt`.
+      port, the advertised ``header_bits`` matches the route's own
+      ``bit_length``, ``with_hop`` lands exactly where a fresh encode
+      lands, ``without_switch`` inverts it, and a ``with_port`` mutation
+      chain — identity steps and repeated switches included — equals a
+      fresh encode of the mutated hops at every step, identity steps
+      returning the route object itself.  Integer-ring routes must also
+      satisfy the CRT definition itself (:func:`_is_crt_solution`), so
+      the oracle does not lean on the solver it checks.
     * **XSR walk equivalence** — a full case run under ``xsr`` (the
       runner transparently re-IDs the graph onto the dual-coprime
       pool), diffed packet-by-packet against
@@ -797,15 +652,15 @@ def check_backend(case: FuzzCase) -> OracleResult:
     graph_ids = sorted(scenario.graph.switch_ids().values())
 
     for name in BACKEND_NAMES:
+        enc = backend_by_name(name)
         try:
-            backend_by_name(name).validate_switch_ids(graph_ids)
+            enc.validate_switch_ids(graph_ids)
             ids_pool = list(graph_ids)
         except (ValueError, CrtError):
             # the graph's integer pool is infeasible for this ring
             # (XSR on non-GF(2)-coprime IDs) — fuzz on its native pool.
             ids_pool = dual_coprime_pool(max(len(graph_ids), 6))
-        enc = backend_by_name(name, pool=ids_pool)
-        for trial in range(_ENCODER_TRIALS):
+        for trial in range(_BACKEND_TRIALS):
             k = rng.randrange(2, min(len(ids_pool), 8) + 1)
             ids = rng.sample(ids_pool, k)
             ports = [rng.randrange(enc.residue_space(s)) for s in ids]
@@ -829,13 +684,11 @@ def check_backend(case: FuzzCase) -> OracleResult:
                 ),
             )
             if name == "crt":
-                want = crt(ports, ids)
                 result.check(
-                    (route.route_id, route.modulus) == want
-                    and route.residue_map() == dict(zip(ids, ports)),
-                    lambda l=label, g=route, w=want: (
-                        f"integer encoder differs from crt() at "
-                        f"{l}: encoder={g!r} reference={w!r}"
+                    _is_crt_solution(route, dict(zip(ids, ports))),
+                    lambda l=label, g=route: (
+                        f"integer encoder's route is not the CRT solution "
+                        f"at {l}: encoder={g!r}"
                     ),
                 )
 
@@ -861,18 +714,39 @@ def check_backend(case: FuzzCase) -> OracleResult:
                 ),
             )
 
-            # with_port must land where a fresh encode of the mutated
-            # hop list lands.
-            new_port = rng.randrange(enc.residue_space(ids[0]))
-            moved = enc.with_port(route, ids[0], new_port)
-            want_moved = enc.encode([Hop(ids[0], new_port)] + hops[1:])
-            result.check(
-                moved == want_moved,
-                lambda l=label, p=new_port, g=moved, w=want_moved: (
-                    f"with_port(switch {ids[0]} -> {p}) differs from a "
-                    f"fresh encode at {l}: got={g!r} want={w!r}"
-                ),
-            )
+            # A with_port chain (possibly including identity steps) must
+            # land exactly where a fresh encode of the mutated hops
+            # lands, at every step.
+            residues = dict(zip(ids, ports))
+            current = route
+            for step in range(rng.randrange(1, 5)):
+                sid = rng.choice(ids)
+                new_port = rng.randrange(enc.residue_space(sid))
+                chain_label = (
+                    f"{label} chain step {step}: switch {sid} -> port "
+                    f"{new_port}"
+                )
+                previous = current
+                current = enc.with_port(current, sid, new_port)
+                if residues[sid] == new_port:
+                    result.check(
+                        current is previous,
+                        lambda l=chain_label: (
+                            f"identity mutation was not a same-object "
+                            f"no-op at {l}"
+                        ),
+                    )
+                residues[sid] = new_port
+                want = enc.encode(Hop(s, p) for s, p in residues.items())
+                result.check(
+                    current == want
+                    and current.residue_map() == residues
+                    and (name != "crt" or _is_crt_solution(current, residues)),
+                    lambda l=chain_label, g=current, w=want: (
+                        f"with_port differs from a fresh encode at {l}: "
+                        f"with_port={g!r} fresh={w!r}"
+                    ),
+                )
 
     # XSR: run the case statically (the walk model has no clock) and
     # diff the simulator against the pure-graph walk driven by the
@@ -1001,7 +875,6 @@ _ORACLES: Dict[str, Callable[..., OracleResult]] = {
     "strategy": check_strategy,
     "wire": check_wire,
     "walk": check_walk,
-    "encoder": check_encoder,
     "vector": check_vector,
     "backend": check_backend,
 }

@@ -47,7 +47,7 @@ def _edge_names(graph):
 
 def _assert_mesh_identical(graph):
     """Every pair: bulk ProvisionedRoute == per-flow ProvisionedRoute."""
-    engine = ProvisioningEngine(graph, validated_pool=True)
+    engine = ProvisioningEngine(graph)
     bp = BulkProvisioner(graph)
     edges = _edge_names(graph)
     for dst in edges:
@@ -81,7 +81,7 @@ class TestBitIdentity:
         _assert_mesh_identical(g)
 
     def test_mesh_digest_equals_reference(self, abilene_mesh):
-        engine = ProvisioningEngine(abilene_mesh, validated_pool=True)
+        engine = ProvisioningEngine(abilene_mesh)
         bp = BulkProvisioner(abilene_mesh)
         pairs = full_mesh_pairs(abilene_mesh)
         d_bulk, n_bulk = mesh_digest(bp.iter_full_mesh())
@@ -101,7 +101,7 @@ class TestBitIdentity:
 
     def test_identity_under_link_failure(self, six):
         down = frozenset({tuple(sorted(("SW7", "SW11")))})
-        engine = ProvisioningEngine(six, validated_pool=True)
+        engine = ProvisioningEngine(six)
         engine.set_link_down("SW7", "SW11")
         bp = BulkProvisioner(six, down=down)
         p = bp.routes_for("E-D", ["E-S"])["E-S"]
@@ -195,7 +195,7 @@ class TestPropertyRandomTopologies:
             n, extra_links=extra, seed=seed, min_switch_id=53
         )
         attach_edges(graph)
-        engine = ProvisioningEngine(graph, validated_pool=True)
+        engine = ProvisioningEngine(graph)
         bp = BulkProvisioner(graph)
         edges = _edge_names(graph)
         for dst in edges:
@@ -212,7 +212,7 @@ class TestPropertyRandomTopologies:
             n, extra_links=3, seed=seed, min_switch_id=53
         )
         attach_edges(graph)
-        engine = ProvisioningEngine(graph, validated_pool=True)
+        engine = ProvisioningEngine(graph)
         bp = BulkProvisioner(graph)
         pairs = full_mesh_pairs(graph)
         assert mesh_digest(bp.iter_full_mesh()) == mesh_digest_reference(

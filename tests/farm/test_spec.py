@@ -57,7 +57,7 @@ class TestContentKey:
     def test_key_is_version_pinned(self):
         # Changing FORMAT_VERSION must invalidate every existing key;
         # this pins the current value so bumps are deliberate.
-        assert FORMAT_VERSION == 1
+        assert FORMAT_VERSION == 2
 
 
 class TestRecordRoundTrip:

@@ -42,7 +42,7 @@ def _pool_for(name, rng, size):
 def test_encode_decode_identity(name, seed):
     rng = random.Random(seed)
     pool = _pool_for(name, rng, 12)
-    backend = backend_by_name(name, pool=pool)
+    backend = backend_by_name(name)
     k = rng.randrange(1, 9)
     ids = rng.sample(pool, k)
     ports = [rng.randrange(backend.residue_space(s)) for s in ids]
@@ -66,7 +66,7 @@ def test_walk_delivers_along_encoded_route(name, seed, extra):
     src_host, dst_host = attach_host_pair(graph, src_sw, dst_sw)
     if name == "xsr":
         reassign_switch_ids(graph, strategy="xsr")
-    backend = backend_by_name(name, pool=sorted(graph.switch_ids().values()))
+    backend = backend_by_name(name)
     route_nodes = shortest_path(graph, src_sw, dst_sw)
     # Hop ports: toward the next core, then out the host-facing port.
     hops = []

@@ -4,12 +4,7 @@
 with_port once over five ring primitives; a ring (the integers, or
 GF(2)[X] in ``XsrEncoder``) supplies the primitives.  Everything here is
 parametrized over ``BACKEND_NAMES``, so a third ring inherits the whole
-suite by registering its name.  The integer ring is exercised twice —
-holding a ``PoolContext`` (dot-product solve, single-addend
-``with_port``) and pool-less (the validating ``crt()``) — and both must
-be bit-identical to a fresh ``crt()`` solve.  What only a pool can do
-(off-pool fallback, inconsistent-modulus refusal, the path counters)
-is pinned in ``test_pool.py``.
+suite by registering its name.
 """
 
 import pytest
@@ -21,31 +16,19 @@ from repro.rns import (
     CrtError,
     DuplicateSwitchError,
     Hop,
-    PoolContext,
     RouteEncoder,
     XsrEncodedRoute,
     XsrEncoder,
     backend_by_name,
-    crt,
     greedy_coprime_pool,
 )
 from repro.rns.gf2 import dual_coprime_pool, gf2_degree
 
-# One pool per ring for the whole module: pool contexts are long-lived
-# by design, and sharing one across examples also exercises the subset
-# cache under Hypothesis's adversarial subset draws.
+# One switch-ID pool per ring that the ring accepts.
 _POOLS = {
     "crt": greedy_coprime_pool(24, min_value=4),
     "xsr": dual_coprime_pool(24, min_value=4),
 }
-_CTX = PoolContext(_POOLS["crt"])
-
-
-def _encoders(name):
-    """Fresh encoders of one ring: pool-holding (where the ring has a
-    pooled solve) and pool-less."""
-    pooled = backend_by_name(name, pool=_POOLS[name])
-    return [pooled] if pooled.pool is None else [pooled, backend_by_name(name)]
 
 
 @st.composite
@@ -89,11 +72,6 @@ class TestRegistry:
                                                  r".*\['crt', 'xsr'\]"):
                 backend_by_name(name)
 
-    def test_pool_builds_the_integer_context_only(self):
-        assert backend_by_name("crt").pool is None
-        assert backend_by_name("crt", pool=[5, 7, 9]).pool.covers([5, 9])
-        assert backend_by_name("xsr", pool=[3, 7, 11]).pool is None
-
 
 class TestEncodeDecode:
     @pytest.mark.parametrize("name", BACKEND_NAMES)
@@ -102,28 +80,13 @@ class TestEncodeDecode:
         hops = data.draw(systems(name))
         ids = [h.switch_id for h in hops]
         ports = [h.port for h in hops]
-        for enc in _encoders(name):
-            route = enc.encode(hops)
-            assert enc.decode(route.route_id, ids) == ports
-            assert [route.port_at(s) for s in ids] == ports
-            assert [enc.port_at(route.route_id, s) for s in ids] == ports
-            assert enc.header_bits(route.modulus) == route.bit_length
-            assert route.residue_map() == dict(zip(ids, ports))
-
-    @pytest.mark.parametrize("pool", [None, _CTX], ids=["crt", "pooled"])
-    @given(hops=systems("crt"))
-    def test_integer_backends_bit_identical_to_reference(self, pool, hops):
-        """Both solve paths of the one integer encoder — the validating
-        crt() and the pooled dot product — land on crt()'s answer."""
-        enc = RouteEncoder(pool)
+        enc = backend_by_name(name)
         route = enc.encode(hops)
-        assert (route.route_id, route.modulus) == crt(
-            [h.port for h in hops], [h.switch_id for h in hops]
-        )
-        assert route.hops == tuple(hops)
-        assert (enc.pooled_encodes, enc.fallback_encodes) == (
-            (0, 1) if pool is None else (1, 0)
-        )
+        assert enc.decode(route.route_id, ids) == ports
+        assert [route.port_at(s) for s in ids] == ports
+        assert [enc.port_at(route.route_id, s) for s in ids] == ports
+        assert enc.header_bits(route.modulus) == route.bit_length
+        assert route.residue_map() == dict(zip(ids, ports))
 
     def test_xsr_bits_are_exact_degree_sum(self):
         ids = _POOLS["xsr"][:4]
@@ -144,11 +107,11 @@ class TestEncodeDecode:
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_duplicate_switch_rejected(self, name):
         s = _POOLS[name][0]
-        for enc in _encoders(name):
-            with pytest.raises(DuplicateSwitchError):
-                enc.encode([Hop(s, 0), Hop(s, 1)])
-            with pytest.raises(DuplicateSwitchError):
-                enc.with_hop(enc.encode([Hop(s, 0)]), Hop(s, 1))
+        enc = backend_by_name(name)
+        with pytest.raises(DuplicateSwitchError):
+            enc.encode([Hop(s, 0), Hop(s, 1)])
+        with pytest.raises(DuplicateSwitchError):
+            enc.with_hop(enc.encode([Hop(s, 0)]), Hop(s, 1))
 
 
 class TestIncremental:
@@ -156,24 +119,24 @@ class TestIncremental:
     @given(data=st.data())
     def test_with_hop_and_without_switch_match_fresh_encode(self, name, data):
         hops = data.draw(systems(name, min_size=2))
-        for enc in _encoders(name):
-            shorter = enc.encode(hops[:-1])
-            grown = enc.with_hop(shorter, hops[-1])
-            assert grown == enc.encode(hops)
-            assert grown.residue_map() == {h.switch_id: h.port for h in hops}
-            shrunk = enc.without_switch(grown, hops[-1].switch_id)
-            assert shrunk == shorter
-            assert type(grown) is type(shrunk) is enc.route_type
+        enc = backend_by_name(name)
+        shorter = enc.encode(hops[:-1])
+        grown = enc.with_hop(shorter, hops[-1])
+        assert grown == enc.encode(hops)
+        assert grown.residue_map() == {h.switch_id: h.port for h in hops}
+        shrunk = enc.without_switch(grown, hops[-1].switch_id)
+        assert shrunk == shorter
+        assert type(grown) is type(shrunk) is enc.route_type
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_without_switch_rejects_unknown_and_last(self, name):
         a, b = _POOLS[name][:2]
-        for enc in _encoders(name):
-            route = enc.encode([Hop(a, 0)])
-            with pytest.raises(CrtError, match="not encoded"):
-                enc.without_switch(route, b)
-            with pytest.raises(CrtError, match="last hop"):
-                enc.without_switch(route, a)
+        enc = backend_by_name(name)
+        route = enc.encode([Hop(a, 0)])
+        with pytest.raises(CrtError, match="not encoded"):
+            enc.without_switch(route, b)
+        with pytest.raises(CrtError, match="last hop"):
+            enc.without_switch(route, a)
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     @given(data=st.data())
@@ -181,48 +144,69 @@ class TestIncremental:
     def test_with_port_chain_equals_fresh_encode(self, name, data):
         """A chain of with_port steps — identity steps and repeat
         mutations included — equals a fresh encode of the mutated hop
-        list at every step, whichever path (single addend or full
-        solve) took it."""
+        list at every step."""
         hops, chain = data.draw(mutation_chains(name))
-        for enc in _encoders(name):
-            route = enc.encode(hops)
-            current = list(hops)
-            changed = 0
-            for sid, new_port in chain:
-                before = route
-                route = enc.with_port(route, sid, new_port)
-                if before.residue_map()[sid] == new_port:
-                    assert route is before
-                else:
-                    changed += 1
-                current = [
-                    Hop(sid, new_port) if h.switch_id == sid else h
-                    for h in current
-                ]
-                fresh = backend_by_name(name).encode(current)
-                assert route == fresh
-                assert route.residue_map() == fresh.residue_map()
-            assert enc.identity_skips == len(chain) - changed
-            if enc.pool is not None:
-                assert (enc.deltas_applied, enc.full_solves) == (changed, 0)
+        fresh = backend_by_name(name)
+        enc = backend_by_name(name)
+        route = enc.encode(hops)
+        current = list(hops)
+        changed = 0
+        for sid, new_port in chain:
+            before = route
+            route = enc.with_port(route, sid, new_port)
+            if before.residue_map()[sid] == new_port:
+                assert route is before
             else:
-                assert (enc.deltas_applied, enc.full_solves) == (0, changed)
+                changed += 1
+            current = [
+                Hop(sid, new_port) if h.switch_id == sid else h
+                for h in current
+            ]
+            want = fresh.encode(current)
+            assert route == want
+            assert route.residue_map() == want.residue_map()
+        assert enc.identity_skips == len(chain) - changed
+        assert enc.deltas_applied == changed
+
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_with_port_never_re_solves(self, name, monkeypatch):
+        """with_port is one CRT step on the live route ID: with the
+        ring's solve disabled, a chain over every hop still lands on a
+        fresh encode of the mutated hop list."""
+        ring = backend_by_name(name)
+        hops = [Hop(s, 0) for s in _POOLS[name][:6]]
+        enc = backend_by_name(name)
+        route = enc.encode(hops)
+
+        def no_solve(residues, moduli):
+            raise AssertionError("with_port re-solved the route")
+
+        monkeypatch.setattr(enc, "solve", no_solve)
+        for step, hop in enumerate(hops * 2):
+            new_port = (step + 1) % ring.residue_space(hop.switch_id)
+            route = enc.with_port(route, hop.switch_id, new_port)
+            hops = [
+                Hop(h.switch_id, new_port) if h.switch_id == hop.switch_id
+                else h for h in hops
+            ]
+            assert route == ring.encode(hops)
+        assert enc.deltas_applied == 12
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_with_port_unknown_switch_raises(self, name):
         a, b = _POOLS[name][:2]
-        for enc in _encoders(name):
-            with pytest.raises(CrtError, match="not encoded in this route"):
-                enc.with_port(enc.encode([Hop(a, 1)]), b, 0)
+        enc = backend_by_name(name)
+        with pytest.raises(CrtError, match="not encoded in this route"):
+            enc.with_port(enc.encode([Hop(a, 1)]), b, 0)
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_with_port_out_of_range_raises(self, name):
         a, b = _POOLS[name][:2]
-        for enc in _encoders(name):
-            route = enc.encode([Hop(a, 1), Hop(b, 0)])
-            with pytest.raises(CrtError, match="out of range|not addressable"):
-                enc.with_port(route, a, enc.residue_space(a))
-            assert (enc.deltas_applied, enc.full_solves) == (0, 0)
+        enc = backend_by_name(name)
+        route = enc.encode([Hop(a, 1), Hop(b, 0)])
+        with pytest.raises(CrtError, match="out of range|not addressable"):
+            enc.with_port(route, a, enc.residue_space(a))
+        assert enc.deltas_applied == 0
 
 
 class TestFeasibility:

@@ -31,6 +31,34 @@ def egcd(a, b):
     return old_r, old_x, old_y
 
 
+def reference_crt(residues, moduli):
+    """The Eq. 4 sum ``crt`` computed before it became a fold of
+    ``crt_extend``, word for word: ``R = <sum p_i * M_i * L_i>_M``."""
+    if len(residues) != len(moduli):
+        raise CrtError(
+            f"residue/modulus length mismatch: {len(residues)} vs {len(moduli)}"
+        )
+    if not moduli:
+        raise CrtError("cannot solve an empty CRT system")
+    for p, s in zip(residues, moduli):
+        if s <= 1:
+            raise CrtError(f"modulus must be > 1, got {s}")
+        if not 0 <= p < s:
+            raise CrtError(
+                f"residue {p} out of range for modulus {s}: "
+                f"a switch with ID {s} only has ports 0..{s - 1} addressable"
+            )
+    bad = first_noncoprime_pair(moduli)
+    if bad is not None:
+        raise NotCoprimeError(bad, math.gcd(*bad))
+    M = math.prod(moduli)
+    total = 0
+    for p, s in zip(residues, moduli):
+        M_i = M // s
+        total += p * M_i * reference_inverse(M_i, s)
+    return total % M, M
+
+
 def reference_inverse(a, modulus):
     """The pre-``pow`` ``modular_inverse``, word for word."""
     if modulus <= 0:
@@ -191,7 +219,45 @@ class TestCrt:
     def test_non_coprime_moduli(self):
         with pytest.raises(NotCoprimeError):
             crt([1, 1], [6, 4])
+        # The fold trips on 6 (shares 2 with 7*4); the error still names
+        # the first clashing pair in argument order.
+        with pytest.raises(NotCoprimeError) as exc:
+            crt([0, 0, 0, 0], [7, 4, 6, 9])
+        assert (exc.value.pair, exc.value.gcd) == ((4, 6), 2)
 
     def test_modulus_one_rejected(self):
         with pytest.raises(CrtError):
             crt([0, 0], [1, 5])
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-1, 40), st.integers(-1, 40)), max_size=6
+        ),
+        st.booleans(),
+    )
+    def test_equals_the_eq4_sum_on_any_system(self, system, ragged):
+        # Same (R, M), or the same exception with the same fields and
+        # text: mostly ragged, duplicate, non-coprime and out-of-range
+        # systems — the error paths.
+        residues = [p for p, _ in system]
+        moduli = [s for _, s in system]
+        if ragged:
+            residues = residues[1:]
+        try:
+            want = reference_crt(residues, moduli)
+        except CrtError as exc:
+            with pytest.raises(type(exc)) as got:
+                crt(residues, moduli)
+            assert type(got.value) is type(exc)
+            assert str(got.value) == str(exc)
+            if isinstance(exc, NotCoprimeError):
+                assert (got.value.pair, got.value.gcd) == (exc.pair, exc.gcd)
+        else:
+            assert crt(residues, moduli) == want
+
+    @given(st.lists(st.sampled_from(
+        [4, 5, 7, 9, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+    ), min_size=1, max_size=12, unique=True), st.data())
+    def test_equals_the_eq4_sum_on_coprime_systems(self, moduli, data):
+        residues = [data.draw(st.integers(0, s - 1)) for s in moduli]
+        assert crt(residues, moduli) == reference_crt(residues, moduli)

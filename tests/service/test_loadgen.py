@@ -36,13 +36,6 @@ class TestChurnInvariants:
         assert r.bit_identity_checked > 0
         assert r.drained is True
 
-    def test_steady_state_is_incremental_only(self, direct_report):
-        # The PR-5 promise, held under churn: the pooled/delta path
-        # serves everything; the reference solver never runs.
-        assert direct_report.encoder_fallbacks == 0
-        assert direct_report.delta_full_solves == 0
-        assert direct_report.incremental_only is True
-
     def test_deterministic_digest(self, direct_report):
         again = run_churn(transport="direct", **QUICK)
         assert again.digest == direct_report.digest

@@ -25,11 +25,13 @@ QOS_ENDPOINT_ERRORS = [
     ({"src": "SW4"}, "not-an-edge"),
 ]
 
+#: TTLs a JSON body can carry but the one-byte KAR header cannot.
+UNCARRIABLE_TTLS = [0, 256, 10**30]
+
 
 @pytest.fixture()
 def state():
-    return ControllerState(service_topology("six_node"),
-                           validated_pool=True)
+    return ControllerState(service_topology("six_node"))
 
 
 class TestDispatchRouting:
@@ -86,6 +88,21 @@ class TestDispatchRouting:
         assert state.list_flows() == []
         assert dispatch(state, "GET", "/audit", {}, None) == \
             (200, {"ok": True, "violations": []})
+
+    def test_ttl_must_fit_the_header_byte(self, state):
+        base = {"tenant": "t0", "src": "E-S", "dst": "E-D"}
+        for ttl in UNCARRIABLE_TTLS:
+            status, payload = dispatch(
+                state, "POST", "/flows", {}, {**base, "ttl": ttl}
+            )
+            assert (status, payload["error"]) == (400, "bad-request"), ttl
+            assert dispatch(state, "GET", "/audit", {}, None) == \
+                (200, {"ok": True, "violations": []})
+        assert state.list_flows() == []
+        status, payload = dispatch(
+            state, "POST", "/flows", {}, {**base, "ttl": 255}
+        )
+        assert status == 201 and payload["flow"]["ttl"] == 255
 
     def test_unknown_flow_is_404(self, state):
         for method, path in (
@@ -159,7 +176,7 @@ class TestDispatchRouting:
 class TestHttpTransport:
     def test_end_to_end_over_a_real_socket(self):
         graph = service_topology("six_node")
-        with ServiceThread(graph, validated_pool=True) as service:
+        with ServiceThread(graph) as service:
             client = ServiceClient("127.0.0.1", service.port)
             try:
                 status, payload = client.get("/healthz")
@@ -188,7 +205,7 @@ class TestHttpTransport:
             ({**body, "bandwidth_mbps": 1}, error)
             for body, error in QOS_ENDPOINT_ERRORS
         ] + [({"bandwidth_mbps": 10**400}, "bad-request")]
-        with ServiceThread(graph, validated_pool=True) as service:
+        with ServiceThread(graph) as service:
             client = ServiceClient("127.0.0.1", service.port)
             try:
                 for body, error in bad:
@@ -206,6 +223,25 @@ class TestHttpTransport:
                 assert status == 201
                 status, stats = client.get("/stats")
                 assert stats["admission"]["rejected"] == {}
+            finally:
+                client.close()
+
+    def test_uncarriable_ttl_is_400_and_keeps_the_connection(self):
+        graph = service_topology("six_node")
+        with ServiceThread(graph) as service:
+            client = ServiceClient("127.0.0.1", service.port)
+            try:
+                for ttl in UNCARRIABLE_TTLS:
+                    status, payload = client.post("/flows", {
+                        "tenant": "t", "src": "E-S", "dst": "E-D",
+                        "ttl": ttl,
+                    })
+                    assert (status, payload["error"]) == \
+                        (400, "bad-request"), ttl
+                    assert client.get("/audit") == \
+                        (200, {"ok": True, "violations": []})
+                status, payload = client.get("/flows")
+                assert (status, payload["flows"]) == (200, [])
             finally:
                 client.close()
 
@@ -242,7 +278,7 @@ class TestHttpTransport:
             finally:
                 client.close()
 
-        with ServiceThread(graph, validated_pool=True) as service:
+        with ServiceThread(graph) as service:
             port = service.port
             threads = [
                 threading.Thread(target=churn, args=(w,))
@@ -273,7 +309,7 @@ class TestHttpTransport:
 
     def test_run_sync_drives_the_same_state(self):
         graph = service_topology("six_node")
-        with ServiceThread(graph, validated_pool=True) as service:
+        with ServiceThread(graph) as service:
             # run_sync hops onto the event loop thread, so this direct
             # mutation cannot race the HTTP handlers.
             record = service.run_sync(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.controller.provision import ProvisionError
+from repro.controller.routing import hops_for_path
 from repro.rns.crt import crt
 from repro.service.state import ControllerState, UnknownFlowError
 from repro.service.topology import service_topology
@@ -10,7 +11,7 @@ from repro.topology import NodeKind
 
 
 def fresh(topology="six_node"):
-    return ControllerState(service_topology(topology), validated_pool=True)
+    return ControllerState(service_topology(topology))
 
 
 class TestProvision:
@@ -160,19 +161,20 @@ class TestTopologyEvents:
         assert state.evicted == {"no-route": 1}
         assert state.audit() == []
 
-    def test_best_effort_repair_stays_incremental(self):
+    def test_best_effort_repair_encodes_the_residual_path(self):
         state = fresh("torus33")
         records = [
             state.provision("t0", "E-SW0-0", "E-SW2-2") for _ in range(3)
         ]
-        before = state.engine.stats()
         a, b = records[0].node_path[1], records[0].node_path[2]
-        state.topology_event("link_down", a, b)
-        after = state.engine.stats()
-        # Same-switch-set repairs fold through with_port addends; no repair
-        # may ever hit the full CRT solver or the off-pool fallback.
-        assert after["delta"]["full_solves"] == before["delta"]["full_solves"]
-        assert after["encoder"]["fallback"] == before["encoder"]["fallback"]
+        summary = state.topology_event("link_down", a, b)
+        assert summary["repaired"] == [r.flow_id for r in records]
+        for record in records:
+            assert (a, b) not in zip(record.node_path, record.node_path[1:])
+            hops = hops_for_path(state.graph, record.node_path)
+            assert (record.route.route_id, record.route.modulus) == crt(
+                [h.port for h in hops], [h.switch_id for h in hops]
+            )
         assert state.audit() == []
 
 

@@ -1,4 +1,4 @@
-"""The four differential oracles: clean on healthy code, bookkeeping,
+"""The differential oracles: clean on healthy code, bookkeeping,
 and the mutation-detection hook the harness self-test relies on."""
 
 import pytest
@@ -65,8 +65,7 @@ class TestBookkeeping:
 class TestDispatch:
     def test_oracle_names(self):
         assert ORACLE_NAMES == (
-            "backend", "datapath", "encoder", "strategy", "vector",
-            "walk", "wire",
+            "backend", "datapath", "strategy", "vector", "walk", "wire",
         )
 
     def test_unknown_oracle_rejected(self):
@@ -191,6 +190,26 @@ class TestMutationDetection:
             "record[rng_fingerprint] differs" in d.detail
             for d in result.divergences
         ), result.divergences[:3]
+
+    def test_unreduced_integer_solve_is_caught(self, monkeypatch):
+        """``R + M`` decodes to the same ports at every hop; only the
+        CRT definition (``0 <= R < M``), checked without a solver,
+        tells it from the route ID."""
+        from repro.rns.crt import crt
+        from repro.rns.encoder import RouteEncoder
+
+        def unreduced(residues, moduli):
+            route_id, modulus = crt(residues, moduli)
+            return route_id + modulus, modulus
+
+        monkeypatch.setattr(RouteEncoder, "solve", staticmethod(unreduced))
+        result = run_oracle("backend", SMALL_CASE)
+        details = [d.detail for d in result.divergences]
+        assert any(
+            d.startswith("integer encoder's route is not the CRT solution")
+            for d in details
+        ), details[:3]
+        assert not any("[xsr]" in d for d in details)
 
     def test_rng_stream_drift_is_caught(self):
         class ExtraDraw(NotInputPort):
