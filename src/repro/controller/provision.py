@@ -9,15 +9,18 @@ failure-time change re-points one residue.  This module amortizes both:
 
 * one :class:`DestinationTree` per (topology epoch, destination edge) —
   a BFS tree over the core subgraph rooted at the destination, built
-  once and reused by every flow to that destination;
+  once and reused by every flow to that destination, and holding the
+  provisioned route per source edge, so every flow of one edge pair
+  shares one encode per epoch;
 * one :class:`~repro.rns.encoder.RouteEncoder` per engine, whose
   changed output port (:meth:`~repro.rns.encoder.RouteEncoder
   .with_port`) is one CRT step on the live route ID, not a re-solve.
 
 One invalidation, :meth:`ProvisioningEngine.note_link_change`: link
-*state* changed (a link went down or came back up).  Trees are rebuilt
-over the residual graph; encoded routes survive, since they depend only
-on switch IDs and port numbering, which link churn cannot touch.
+*state* changed (a link went down or came back up).  Trees, and the
+routes memoised on them, are rebuilt over the residual graph; a route
+already served stays exact, since it depends only on switch IDs and
+port numbering, which link churn cannot touch.
 (Nodes, switch IDs or port numbering never change under an engine; a
 new topology is a new engine.)
 
@@ -169,9 +172,11 @@ class DestinationTree:
 
     ``down`` is the set of canonical link keys currently failed: those
     links are skipped, so the tree describes the *residual* topology.
+    ``routes`` memoises :meth:`ProvisioningEngine.provision`'s answer
+    per source edge, so it lives and dies with the tree.
     """
 
-    __slots__ = ("dst_edge", "epoch", "parent", "depth", "down")
+    __slots__ = ("dst_edge", "epoch", "parent", "depth", "down", "routes")
 
     def __init__(
         self,
@@ -215,6 +220,7 @@ class DestinationTree:
             frontier = sorted(nxt)
         self.parent = parent
         self.depth = depth
+        self.routes: Dict[str, ProvisionedRoute] = {}
 
     def branch(self, switch: str) -> List[str]:
         """Node path from *switch* down the tree to the destination."""
@@ -332,22 +338,34 @@ class ProvisioningEngine:
     # ------------------------------------------------------------------
     # provisioning
     # ------------------------------------------------------------------
-    def select_path(self, src_edge: str, dst_edge: str) -> List[str]:
-        """The engine's deterministic path choice, without encoding.
+    def provision(self, src_edge: str, dst_edge: str) -> ProvisionedRoute:
+        """Provision one flow edge-to-edge along the destination tree.
 
         The path enters the core at the source-edge neighbor with the
         smallest ``(tree depth, name)`` and follows tree parents to the
         destination — hop-count shortest end to end over the *residual*
         topology (down links excluded).
 
+        A route ID is a function of its path alone, so the answer is
+        memoised on the tree per source edge
+        (:attr:`DestinationTree.routes`): every later call for the pair
+        in this epoch returns the same object, bit-identical to a fresh
+        encode by CRT uniqueness, and :meth:`note_link_change` drops it
+        with the tree.  Either way a call counts one tree lookup and one
+        provision.
+
         Raises:
             ProvisionError: unknown or non-edge endpoints
                 (``unknown-node`` / ``not-an-edge``), same-edge flows
-                (``same-edge``), or no residual core path
-                (``no-core-path``).
+                (``same-edge``), no residual core path
+                (``no-core-path``), or see :meth:`encode_path`.
         """
         require_flow_endpoints(self.graph, src_edge, dst_edge)
         tree = self.destination_tree(dst_edge)
+        provisioned = tree.routes.get(src_edge)
+        if provisioned is not None:
+            self.provisions += 1
+            return provisioned
         entries = [
             nb
             for nb in self.graph.neighbors(src_edge)
@@ -362,7 +380,9 @@ class ProvisioningEngine:
                 f"{dst_edge!r}",
             )
         entry = min(entries, key=lambda nb: (tree.depth[nb], nb))
-        return [src_edge] + tree.branch(entry)
+        provisioned = self.encode_path([src_edge] + tree.branch(entry))
+        tree.routes[src_edge] = provisioned
+        return provisioned
 
     def encode_path(self, node_path: Sequence[str]) -> ProvisionedRoute:
         """Encode an explicit edge-to-edge node path into a route.
@@ -399,15 +419,6 @@ class ProvisioningEngine:
             route=route,
             out_port=out_port,
         )
-
-    def provision(self, src_edge: str, dst_edge: str) -> ProvisionedRoute:
-        """Provision one flow edge-to-edge along the destination tree.
-
-        Raises:
-            ProvisionError: see :meth:`select_path` /
-                :meth:`encode_path`.
-        """
-        return self.encode_path(self.select_path(src_edge, dst_edge))
 
     # ------------------------------------------------------------------
     # failure-time updates
@@ -474,9 +485,9 @@ class ProvisioningEngine:
     def stats(self) -> Dict[str, Any]:
         """Cumulative engine counters as one JSON-able mapping.
 
-        Cumulative across epochs; the healthy steady state under churn
-        is ``link_invalidations`` climbing while ``delta.applied`` keeps
-        growing.
+        Cumulative across epochs.  ``delta.applied`` counts
+        :meth:`reroute_hop` steps that moved a residue: link repairs
+        re-provision instead.
         """
         stats: Dict[str, Any] = {
             "epoch": self.epoch,

@@ -1,7 +1,8 @@
 """Minimal keep-alive HTTP/JSON client for the controller service.
 
-Stdlib sockets only, one persistent connection, blocking semantics —
-exactly what the load generator's ``http`` transport and the CLI need.
+Stdlib sockets only, one persistent connection read through one
+buffered reader, blocking semantics — exactly what the load
+generator's ``http`` transport and the CLI need.
 Not a general HTTP client: it speaks the subset the service emits
 (HTTP/1.1, ``Content-Length``-framed JSON bodies, keep-alive).
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import json
 import socket
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, BinaryIO, Dict, Optional, Tuple
 
 __all__ = ["ServiceClient", "ServiceUnavailable"]
 
@@ -27,6 +28,7 @@ class ServiceClient:
         self.port = port
         self.timeout = timeout
         self._sock: Optional[socket.socket] = None
+        self._reader: Optional[BinaryIO] = None  # one per connection
 
     # ------------------------------------------------------------------
     # connection management
@@ -34,24 +36,24 @@ class ServiceClient:
     def _connect(self) -> socket.socket:
         if self._sock is None:
             try:
-                self._sock = socket.create_connection(
+                sock = socket.create_connection(
                     (self.host, self.port), timeout=self.timeout
                 )
-                self._sock.setsockopt(
-                    socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-                )
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             except OSError as exc:
                 raise ServiceUnavailable(
                     f"cannot connect to {self.host}:{self.port}: {exc}"
                 ) from exc
+            self._sock, self._reader = sock, sock.makefile("rb")
         return self._sock
 
     def close(self) -> None:
         if self._sock is not None:
             try:
+                self._reader.close()
                 self._sock.close()
             finally:
-                self._sock = None
+                self._sock = self._reader = None
 
     def __enter__(self) -> "ServiceClient":
         return self
@@ -101,49 +103,44 @@ class ServiceClient:
         ).encode("ascii")
         try:
             sock.sendall(head + payload)
-            return self._read_response(sock)
+            return self._read_response()
         except OSError as exc:
             self.close()
             raise ServiceUnavailable(str(exc)) from exc
 
-    def _read_response(
-        self, sock: socket.socket
-    ) -> Tuple[int, Dict[str, Any]]:
-        reader = sock.makefile("rb")
+    def _read_response(self) -> Tuple[int, Dict[str, Any]]:
+        reader = self._reader
+        status_line = reader.readline()
+        if not status_line:
+            raise ServiceUnavailable("connection closed by service")
+        parts = status_line.decode("ascii", "replace").split(" ", 2)
+        if len(parts) < 2 or not parts[1].isdigit():
+            raise ServiceUnavailable(
+                f"malformed status line: {status_line!r}"
+            )
+        status = int(parts[1])
+        length = 0
+        close_after = False
+        while True:
+            line = reader.readline()
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            name = name.strip().lower()
+            if name == "content-length":
+                length = int(value.strip())
+            elif name == "connection" and value.strip().lower() == "close":
+                close_after = True
+        raw = reader.read(length) if length else b""
+        if close_after:
+            self.close()
         try:
-            status_line = reader.readline()
-            if not status_line:
-                raise ServiceUnavailable("connection closed by service")
-            parts = status_line.decode("ascii", "replace").split(" ", 2)
-            if len(parts) < 2 or not parts[1].isdigit():
-                raise ServiceUnavailable(
-                    f"malformed status line: {status_line!r}"
-                )
-            status = int(parts[1])
-            length = 0
-            close_after = False
-            while True:
-                line = reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                name = name.strip().lower()
-                if name == "content-length":
-                    length = int(value.strip())
-                elif name == "connection" and value.strip().lower() == "close":
-                    close_after = True
-            raw = reader.read(length) if length else b""
-            if close_after:
-                self.close()
-            try:
-                decoded = json.loads(raw.decode("utf-8")) if raw else {}
-            except ValueError as exc:
-                raise ServiceUnavailable(
-                    f"non-JSON response body: {raw[:200]!r}"
-                ) from exc
-            return status, decoded if isinstance(decoded, dict) else {}
-        finally:
-            reader.close()
+            decoded = json.loads(raw.decode("utf-8")) if raw else {}
+        except ValueError as exc:
+            raise ServiceUnavailable(
+                f"non-JSON response body: {raw[:200]!r}"
+            ) from exc
+        return status, decoded if isinstance(decoded, dict) else {}
 
     # ------------------------------------------------------------------
     # convenience verbs

@@ -10,9 +10,13 @@ Two layers, deliberately separated:
   independent (an HTTP churn run and a direct churn run of the same
   seed produce byte-identical operation logs).
 * :class:`ControllerService` — a stdlib-``asyncio`` HTTP/1.1 server
-  (manual request framing: request line, headers, ``Content-Length``
-  bodies, keep-alive) around one :class:`~repro.service.state
-  .ControllerState`.  State methods are plain synchronous calls on the
+  around one :class:`~repro.service.state.ControllerState`: one
+  :class:`asyncio.Protocol` per connection, whose ``data_received``
+  answers every complete request in its buffer, in order (a head up to
+  the blank line, then a ``Content-Length`` body; keep-alive and
+  pipelining).  A head over :data:`MAX_HEAD_BYTES` or a body over
+  :data:`MAX_BODY_BYTES` is answered ``400 bad-request`` and the
+  connection closed.  State methods are plain synchronous calls on the
   event-loop thread, so requests serialize naturally — the asyncio
   layer buys concurrent connection handling, not data races.
 
@@ -47,7 +51,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.controller.provision import ProvisionError
@@ -60,8 +64,16 @@ __all__ = ["dispatch", "ControllerService", "ServiceThread"]
 #: Largest accepted request body; the API's bodies are tiny, so
 #: anything bigger is a client bug, not a use case.
 MAX_BODY_BYTES = 1 << 20
+#: Largest accepted request head: request line, headers and the blank
+#: line that ends them.
+MAX_HEAD_BYTES = 1 << 16
 
 Response = Tuple[int, Dict[str, Any]]
+
+_REASONS = {
+    200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found",
+    405: "Method Not Allowed", 409: "Conflict",
+}
 
 
 def _error(status: int, reason: str, message: str) -> Response:
@@ -196,18 +208,124 @@ def dispatch(
         return _error(400, exc.reason, str(exc))
 
 
+def _decoded(state: ControllerState, method: str, target: str,
+             raw: bytes) -> Response:
+    """:func:`dispatch` one framed request: target split into path and
+    query, body bytes decoded as JSON (None when they do not decode)."""
+    body: Any = None
+    if raw:
+        try:
+            body = json.loads(raw.decode("utf-8"))
+        except ValueError:  # not UTF-8, or not JSON
+            body = None
+    elif method == "POST":
+        body = {}
+    split = urlsplit(target)
+    query = {
+        key: values[0]
+        for key, values in parse_qs(split.query).items()
+    }
+    return dispatch(state, method.upper(), split.path, query, body)
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: each arrival of bytes answers every
+    complete request in the buffer, in order."""
+
+    def __init__(self, service: "ControllerService"):
+        self.service = service
+        self.buffer = bytearray()
+        self.paused = False
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+        self.service._transports.add(transport)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.service._transports.discard(self.transport)
+
+    # drain()'s backpressure: while the peer is not reading its answers,
+    # read (and so answer) nothing more.
+    def pause_writing(self) -> None:
+        self.paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self.transport.resume_reading()
+        self.data_received(b"")
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self.buffer
+        buffer += data
+        while not self.paused and not self.transport.is_closing():
+            end = buffer.find(b"\r\n\r\n", 0, MAX_HEAD_BYTES)
+            if end < 0:
+                if len(buffer) >= MAX_HEAD_BYTES:
+                    self._refuse("request head too large")
+                return
+            lines = buffer[:end].decode("latin-1").split("\r\n")
+            request = lines[0].split(" ", 2)
+            if len(request) != 3 or not lines[0].isascii():
+                self._refuse("malformed request line")
+                return
+            headers: Dict[str, str] = {}
+            for line in lines[1:]:
+                name, colon, value = line.partition(":")
+                if colon:
+                    headers[name.strip().lower()] = value.strip()
+            try:
+                length = int(headers.get("content-length", "0"))
+            except ValueError:
+                length = -1
+            if not 0 <= length <= MAX_BODY_BYTES:
+                self._refuse("bad content length")
+                return
+            start = end + 4
+            if len(buffer) < start + length:
+                return
+            raw = bytes(buffer[start:start + length])
+            del buffer[:start + length]
+            method, target, version = request
+            status, payload = _decoded(
+                self.service.state, method, target, raw
+            )
+            self._respond(
+                status, payload,
+                close=version == "HTTP/1.0"
+                or headers.get("connection", "").lower() == "close",
+            )
+
+    def _respond(
+        self, status: int, payload: Dict[str, Any], close: bool
+    ) -> None:
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        self.transport.write(
+            f"HTTP/1.1 {status} {_REASONS.get(status, 'Response')}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            f"Connection: {'close' if close else 'keep-alive'}\r\n"
+            f"\r\n".encode("ascii") + body
+        )
+        if close:
+            self.transport.close()  # after the answer is flushed
+
+    def _refuse(self, message: str) -> None:
+        self._respond(*_error(400, "bad-request", message), close=True)
+
+
 class ControllerService:
     """Asyncio HTTP/1.1 server around one :class:`ControllerState`."""
 
     def __init__(self, state: ControllerState):
         self.state = state
         self._server: Optional[asyncio.AbstractServer] = None
-        self.requests_served = 0
+        self._transports: Set[asyncio.BaseTransport] = set()
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
         """Bind and start accepting; ``port=0`` picks an ephemeral port."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=host, port=port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), host=host, port=port
         )
 
     @property
@@ -217,126 +335,17 @@ class ControllerService:
         return self._server.sockets[0].getsockname()[1]
 
     async def close(self) -> None:
+        """Stop accepting and close every live connection."""
         if self._server is not None:
             self._server.close()
+            for transport in list(self._transports):
+                transport.close()
             await self._server.wait_closed()
             self._server = None
 
     async def serve_forever(self) -> None:
         assert self._server is not None, "call start() first"
         await self._server.serve_forever()
-
-    # ------------------------------------------------------------------
-    # HTTP framing
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                keep_alive = await self._handle_request(reader, writer)
-                if not keep_alive:
-                    break
-        except (
-            asyncio.IncompleteReadError,
-            asyncio.CancelledError,  # shutdown cancels idle keep-alives
-            ConnectionResetError,
-            BrokenPipeError,
-        ):
-            pass  # peer went away (or we are); nothing to answer
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (
-                asyncio.CancelledError,
-                ConnectionResetError,
-                BrokenPipeError,
-            ):
-                pass
-
-    async def _handle_request(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> bool:
-        request_line = await reader.readline()
-        if not request_line or request_line.strip() == b"":
-            return False
-        try:
-            method, target, version = (
-                request_line.decode("ascii").strip().split(" ", 2)
-            )
-        except (UnicodeDecodeError, ValueError):
-            await self._respond(
-                writer, 400,
-                {"error": "bad-request", "message": "malformed request line"},
-                close=True,
-            )
-            return False
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            if b":" in line:
-                name, _, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
-        try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
-            length = -1
-        if length < 0 or length > MAX_BODY_BYTES:
-            await self._respond(
-                writer, 400,
-                {"error": "bad-request", "message": "bad content length"},
-                close=True,
-            )
-            return False
-        raw = await reader.readexactly(length) if length else b""
-        body: Any = None
-        if raw:
-            try:
-                body = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError):
-                body = None
-        elif method == "POST":
-            body = {}
-        split = urlsplit(target)
-        query = {
-            key: values[0]
-            for key, values in parse_qs(split.query).items()
-        }
-        status, payload = dispatch(
-            self.state, method.upper(), split.path, query, body
-        )
-        self.requests_served += 1
-        wants_close = (
-            headers.get("connection", "").lower() == "close"
-            or version == "HTTP/1.0"
-        )
-        await self._respond(writer, status, payload, close=wants_close)
-        return not wants_close
-
-    async def _respond(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: Dict[str, Any],
-        close: bool,
-    ) -> None:
-        reasons = {
-            200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found",
-            405: "Method Not Allowed", 409: "Conflict",
-        }
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        head = (
-            f"HTTP/1.1 {status} {reasons.get(status, 'Response')}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {'close' if close else 'keep-alive'}\r\n"
-            f"\r\n"
-        ).encode("ascii")
-        writer.write(head + body)
-        await writer.drain()
 
 
 class ServiceThread:
@@ -390,15 +399,6 @@ class ServiceThread:
             loop.run_forever()
         finally:
             loop.run_until_complete(self.service.close())
-            # Cancel connection handlers still parked on idle
-            # keep-alive sockets so the loop closes quietly.
-            pending = asyncio.all_tasks(loop)
-            for task in pending:
-                task.cancel()
-            if pending:
-                loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
             loop.close()
 
     def run_sync(self, fn, *args: Any, **kwargs: Any) -> Any:

@@ -13,9 +13,9 @@ Two flow classes:
 
 * **Best-effort** (no bandwidth, no latency budget): the engine's
   destination-tree path, no reservation.  On a link failure the flow is
-  repaired against the residual tree — through the incremental
-  re-encode path whenever the repair keeps the same switch set (one
-  port residue changes → one CRT step), a fresh encode otherwise.
+  re-provisioned on the residual tree: it gets exactly what a new flow
+  of its edge pair would, so every flow of one pair shares one encode
+  per epoch (the route a function of the path alone).
 * **QoS** (bandwidth and/or latency budget): a CSPF path over the
   residual-capacity graph, admitted only if every link can carry the
   bandwidth and the end-to-end delay fits the budget; admitted flows
@@ -38,7 +38,6 @@ from repro.controller.provision import (
     ProvisionError,
     ProvisioningEngine,
 )
-from repro.controller.routing import hops_for_path
 from repro.rns.encoder import EncodedRoute
 from repro.service.admission import (
     AdmissionError,
@@ -310,11 +309,13 @@ class ControllerState:
         changed = self.engine.set_link_down(a, b)
         summary["changed"] = changed
         if changed:
-            repaired, evicted = self._repair_after_failure()
-            summary["repaired"] = repaired
-            summary["evicted"] = evicted
-        if kind == "port_flap":
-            self.engine.set_link_up(a, b)
+            summary["repaired"], summary["evicted"] = (
+                self._repair_after_failure()
+            )
+            if kind == "port_flap":
+                # Only the flap's own down step is undone: a link that
+                # was already down stays down.
+                self.engine.set_link_up(a, b)
         return summary
 
     def _repair_after_failure(self) -> Tuple[List[str], Dict[str, str]]:
@@ -323,7 +324,7 @@ class ControllerState:
         affected = sorted(
             record.flow_id
             for record in self.flows.values()
-            if any(key in down for key in record.links)
+            if not down.isdisjoint(record.links)
         )
         repaired: List[str] = []
         evicted: Dict[str, str] = {}
@@ -373,35 +374,19 @@ class ControllerState:
         record.out_port = provisioned.out_port
 
     def _repair_best_effort(self, record: FlowRecord) -> None:
-        """Re-path a best-effort flow along the residual tree.
+        """Re-provision a best-effort flow on the residual tree.
 
-        When the new path visits the same switches (only an exit port
-        changed — the common single-link-failure case on well-connected
-        cores), the repair is folded through the encoder's
-        :meth:`~repro.rns.encoder.RouteEncoder.with_port` as one CRT
-        step per changed hop rather than a fresh encode; otherwise a
-        fresh encode takes it.  Raises ProvisionError(``no-core-path``) when
+        The flow gets exactly what a new flow of its edge pair gets:
+        :meth:`~repro.controller.provision.ProvisioningEngine.provision`
+        memoises the route per pair and epoch, so the flows of one pair
+        share one encode.  Raises ProvisionError(``no-core-path``) when
         the residual graph disconnects the pair.
         """
-        node_path = self.engine.select_path(
-            record.src_edge, record.dst_edge
-        )
-        new_hops = hops_for_path(self.graph, node_path)
-        old_map = record.route.residue_map()
-        new_ids = [h.switch_id for h in new_hops]
-        if not record.detoured and sorted(new_ids) == sorted(old_map):
-            with_port = self.engine.encoder.with_port
-            for h in new_hops:
-                if old_map[h.switch_id] != h.port:
-                    record.route = with_port(
-                        record.route, h.switch_id, h.port
-                    )
-            self.engine.provisions += 1
-        else:
-            record.route = self.engine.encode_path(node_path).route
-        record.node_path = tuple(node_path)
-        record.links = path_link_keys(node_path)
-        record.out_port = self.graph.port_of(node_path[0], node_path[1])
+        provisioned = self.engine.provision(record.src_edge, record.dst_edge)
+        record.node_path = provisioned.node_path
+        record.links = path_link_keys(provisioned.node_path)
+        record.route = provisioned.route
+        record.out_port = provisioned.out_port
         record.detoured = False
 
     def _evict(self, record: FlowRecord, reason: str) -> None:

@@ -153,6 +153,21 @@ class TestInvalidation:
         assert after["encoder"] == {"fallback": 0}
         assert after["subsets"] == {"built": 0, "hits": 0}
 
+    def test_pair_memo_dies_with_the_tree(self, six):
+        eng = ProvisioningEngine(six)
+        first = eng.provision("E-S", "E-D")
+        assert eng.provision("E-S", "E-D") is first
+        assert (eng.provisions, eng.tree_hits) == (2, 1)
+        eng.set_link_down("SW7", "SW11")
+        residual = eng.provision("E-S", "E-D")
+        assert ("SW7", "SW11") not in zip(
+            residual.node_path, residual.node_path[1:]
+        )
+        assert residual.route != first.route
+        reference = ProvisioningEngine(six)
+        reference.set_link_down("SW7", "SW11")
+        assert residual == reference.provision("E-S", "E-D")
+
     def test_tree_records_its_epoch(self, six):
         eng = ProvisioningEngine(six)
         assert eng.destination_tree("E-D").epoch == 0

@@ -6,12 +6,15 @@ audit must show reservations conserved, nothing oversubscribed, and no
 orphaned ledger entries.
 """
 
+import json
+import logging
+import socket
 import threading
 
 import pytest
 
 from repro.service.client import ServiceClient
-from repro.service.server import ServiceThread, dispatch
+from repro.service.server import MAX_HEAD_BYTES, ServiceThread, dispatch
 from repro.service.state import ControllerState
 from repro.service.topology import service_topology
 
@@ -32,6 +35,64 @@ UNCARRIABLE_TTLS = [0, 256, 10**30]
 @pytest.fixture()
 def state():
     return ControllerState(service_topology("six_node"))
+
+
+@pytest.fixture()
+def service():
+    with ServiceThread(service_topology("six_node")) as svc:
+        yield svc
+
+
+def _request(method, path, body=b"", extra=""):
+    return (
+        f"{method} {path} HTTP/1.1\r\nHost: t\r\n{extra}"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    ).encode("ascii") + body
+
+
+def _exchange(port, chunks, half_close=True):
+    """Send *chunks* one ``send`` each on a fresh connection and return
+    every byte the server answers until it closes.  Sending may fail
+    once the server has refused the request; its answer is read all the
+    same."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        try:
+            for chunk in chunks:
+                sock.sendall(chunk)
+            if half_close:
+                sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass
+        got = []
+        while True:
+            try:
+                data = sock.recv(65536)
+            except ConnectionResetError:
+                break
+            if not data:
+                break
+            got.append(data)
+    return b"".join(got)
+
+
+def _responses(raw):
+    """``[(status, JSON body, Connection header)]`` from a byte stream."""
+    out = []
+    while raw:
+        head, _, raw = raw.partition(b"\r\n\r\n")
+        lines = head.decode("ascii").split("\r\n")
+        fields = dict(line.split(": ", 1) for line in lines[1:])
+        length = int(fields["Content-Length"])
+        out.append((int(lines[0].split(" ")[1]),
+                    json.loads(raw[:length]), fields["Connection"]))
+        raw = raw[length:]
+    return out
+
+
+def _audit_is_clean(port):
+    with ServiceClient("127.0.0.1", port) as client:
+        return client.get("/audit") == (200, {"ok": True, "violations": []})
 
 
 class TestDispatchRouting:
@@ -324,3 +385,66 @@ class TestHttpTransport:
                 client.close()
             assert status == 200
             assert payload["flow"]["route_id"] == record.route.route_id
+
+
+PROVISION = json.dumps({"tenant": "t0", "src": "E-S", "dst": "E-D"}).encode()
+
+
+class TestFraming:
+    def test_pipelined_requests_are_answered_in_order(self, service):
+        raw = _exchange(service.port, [
+            _request("POST", "/flows", PROVISION) + _request("GET", "/healthz")
+        ])
+        (s1, flow, _), (s2, health, _) = _responses(raw)
+        assert (s1, flow["flow"]["route_id"]) == (201, 44)
+        assert (s2, health) == (200, {"ok": True})
+
+    def test_a_post_sent_one_byte_per_send_is_answered(self, service):
+        wire = _request("POST", "/flows", PROVISION)
+        (status, body, _), = _responses(
+            _exchange(service.port, [wire[i:i + 1] for i in range(len(wire))])
+        )
+        assert (status, body["flow"]["route_id"]) == (201, 44)
+
+    @pytest.mark.parametrize("wire", [
+        b"GET /healthz HTTP/1.0\r\n\r\n",
+        _request("GET", "/healthz", extra="Connection: close\r\n"),
+    ], ids=["http-1.0", "connection-close"])
+    def test_close_requests_get_the_answer_then_eof(self, service, wire):
+        # No half-close from this side: the EOF is the server's.
+        raw = _exchange(service.port, [wire + wire], half_close=False)
+        assert _responses(raw) == [(200, {"ok": True}, "close")]
+
+    @pytest.mark.parametrize("wire", [
+        _request("GET", "/healthz", extra=f"X-Pad: {'a' * 70 * 1024}\r\n"),
+        _request("GET", "/" + "a" * 70 * 1024),
+        b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 200 * 1024,
+    ], ids=["70k-header-line", "70k-request-line", "200k-no-terminator"])
+    def test_oversized_head_is_400_and_close(self, service, wire, caplog):
+        assert len(wire) > MAX_HEAD_BYTES
+        caplog.set_level(logging.WARNING, logger="asyncio")
+        assert _responses(_exchange(service.port, [wire])) == [
+            (400, {"error": "bad-request",
+                   "message": "request head too large"}, "close"),
+        ]
+        assert _audit_is_clean(service.port)
+        assert [
+            r.getMessage() for r in caplog.records
+            if r.name == "asyncio" and r.levelno >= logging.WARNING
+        ] == []
+
+    def test_client_keeps_one_reader_and_reconnects(self, service):
+        client = ServiceClient("127.0.0.1", service.port)
+        try:
+            assert client.get("/healthz") == (200, {"ok": True})
+            reader = client._reader
+            for _ in range(1000):
+                assert client.get("/healthz") == (200, {"ok": True})
+            assert client._reader is reader
+            service.run_sync(lambda _state: [
+                t.close() for t in list(service.service._transports)
+            ])
+            assert client.get("/healthz") == (200, {"ok": True})
+            assert client._reader is not reader
+        finally:
+            client.close()

@@ -1,12 +1,15 @@
 """The controller state machine: flow lifecycle, repair, determinism."""
 
+import random
+
 import pytest
 
-from repro.controller.provision import ProvisionError
+from repro.controller.provision import ProvisionError, ProvisioningEngine
 from repro.controller.routing import hops_for_path
 from repro.rns.crt import crt
+from repro.service.admission import AdmissionError
 from repro.service.state import ControllerState, UnknownFlowError
-from repro.service.topology import service_topology
+from repro.service.topology import edge_names, service_topology
 from repro.topology import NodeKind
 
 
@@ -130,6 +133,15 @@ class TestTopologyEvents:
         assert summary["repaired"] == [record.flow_id]
         assert state.engine.down_links == frozenset()
 
+    def test_port_flap_on_a_down_link_leaves_it_down(self):
+        state = fresh()
+        state.topology_event("link_down", "SW4", "SW7")
+        epoch = state.engine.epoch
+        summary = state.topology_event("port_flap", "SW4", "SW7")
+        assert summary["changed"] is False
+        assert state.engine.down_links == {("SW4", "SW7")}
+        assert state.engine.epoch == epoch
+
     def test_qos_repair_moves_the_reservation(self):
         state = fresh("torus33")
         record = state.provision(
@@ -175,6 +187,72 @@ class TestTopologyEvents:
             assert (record.route.route_id, record.route.modulus) == crt(
                 [h.port for h in hops], [h.switch_id for h in hops]
             )
+        assert state.audit() == []
+
+
+class TestRepairByEdgePair:
+    def test_flows_of_one_pair_share_one_encode(self, monkeypatch):
+        state = fresh("torus33")
+        records = [
+            state.provision("t0", "E-SW0-0", "E-SW2-2") for _ in range(5)
+        ]
+        encoder = state.engine.encoder
+        encode, calls = encoder.encode, []
+        monkeypatch.setattr(
+            encoder, "encode", lambda hops: calls.append(1) or encode(hops)
+        )
+        a, b = records[0].node_path[1], records[0].node_path[2]
+        summary = state.topology_event("link_down", a, b)
+        assert summary["repaired"] == [r.flow_id for r in records]
+        assert len(calls) == 1
+        assert len({id(r.route) for r in records}) == 1
+
+    def test_repair_equals_a_fresh_provision_under_churn(self):
+        # Each flap's repaired best-effort flows against a fresh engine
+        # (no memo) with the flap's link down.
+        rng = random.Random("repair-by-pair")
+        state = fresh("abilene")
+        graph = state.graph
+        edges = edge_names(graph)
+        core_links = sorted(
+            link.key for link in graph.links()
+            if all(graph.node(n).kind == NodeKind.CORE for n in link.key)
+        )
+        checked = 0
+        for _ in range(2000):
+            roll = rng.random()
+            if roll < 0.5 or not state.flows:
+                src, dst = rng.sample(edges, 2)
+                try:
+                    state.provision("t0", src, dst, bandwidth_mbps=(
+                        rng.choice((1.0, 5.0)) if rng.random() < 0.3
+                        else 0.0
+                    ))
+                except AdmissionError:
+                    pass
+            elif roll < 0.8:
+                state.release(rng.choice(list(state.flows)))
+            else:
+                a, b = rng.choice(core_links)
+                reference = ProvisioningEngine(graph)
+                reference.set_link_down(a, b)
+                summary = state.topology_event("port_flap", a, b)
+                for flow_id in summary["repaired"]:
+                    record = state.flow(flow_id)
+                    if record.qos:
+                        continue
+                    want = reference.provision(
+                        record.src_edge, record.dst_edge
+                    )
+                    assert (
+                        record.route.route_id, record.route.modulus,
+                        record.node_path, record.out_port,
+                    ) == (
+                        want.route.route_id, want.route.modulus,
+                        want.node_path, want.out_port,
+                    )
+                    checked += 1
+        assert checked > 1000
         assert state.audit() == []
 
 
