@@ -81,7 +81,7 @@ import numpy as np
 from repro.farm.jobs import record_digest
 from repro.rns.encoder import Hop, RouteEncoder
 from repro.sim.rng import RngRegistry
-from repro.switches.deflection import STRATEGY_NAMES, strategy_by_name
+from repro.switches.deflection import strategy_by_name
 from repro.topology import random_connected, shortest_path
 from repro.topology.csr import CsrTopology
 from repro.topology.graph import NodeKind, PortGraph
@@ -207,11 +207,7 @@ class EpochWorkload:
         # forward from an edge node or truncate a float TTL without
         # complaint; "NIP" would run as "nip" under a second digest.
         topo = self.topo
-        if self.strategy not in STRATEGY_NAMES:
-            raise ValueError(
-                f"unknown deflection strategy {self.strategy!r}; "
-                f"choose from {list(STRATEGY_NAMES)}"
-            )
+        strategy_by_name(self.strategy)
         if self.inject_per_epoch < 0 or self.inject_epochs < 0:
             raise ValueError(
                 f"inject_per_epoch={self.inject_per_epoch!r} and "

@@ -26,13 +26,7 @@ from repro.sim.packet import Packet
 from repro.sim.trace import PacketTracer
 from repro.switches.deflection import DeflectionStrategy
 
-__all__ = ["KarSwitch", "RESIDUE_CACHE_SIZE"]
-
-#: Bound on the per-switch residue cache (distinct route IDs seen).  A
-#: switch on a steady path sees a handful of route IDs; the bound only
-#: matters under heavy re-encode churn, where a full cache is simply
-#: cleared (the next packet repopulates it).
-RESIDUE_CACHE_SIZE = 256
+__all__ = ["KarSwitch"]
 
 
 class KarSwitch(Node):
@@ -48,9 +42,8 @@ class KarSwitch(Node):
         tracer: optional packet tracer.
         decode: optional encoding-backend decode ``(route_id, switch_id)
             -> port`` (e.g. the XSR carry-less remainder).  ``None``
-            keeps the default integer ``route_id % switch_id`` datapath
-            byte-identical to PR 3's — the hook costs one ``is None``
-            test on the residue-cache miss path only.
+            keeps the default integer ``route_id % switch_id``; either is
+            called only on a hop the packet's residue hint does not cover.
     """
 
     def __init__(
@@ -81,16 +74,6 @@ class KarSwitch(Node):
         self.forwarded = 0
         self.deflections = 0
         self.drops = 0
-        # Residues of recently seen route IDs, keyed by id() of the
-        # route-ID int.  Packets of a flow share the one int object
-        # installed in the edge's ingress entry, so the key is stable —
-        # and the cached entry holds a strong reference to that object,
-        # so a key can never be silently reused while it is in the
-        # cache.  Values are (route_id, residue) pairs; a hit requires
-        # the stored object to be identical (`is`) to the packet's.
-        self._residue_cache: dict = {}
-        self.residue_hits = 0
-        self.residue_misses = 0
 
     def receive(self, packet: Packet, in_port: int) -> None:
         kar = packet.kar
@@ -103,30 +86,18 @@ class KarSwitch(Node):
         kar.ttl -= 1
         packet.hops += 1
 
-        # Residue lookup: encode-time hint, then per-switch cache, then
-        # the big-int modulo — each step exact, so `computed` is always
-        # `R mod s` (or the backend's decode of it).
+        # Residue: the encode-time hint for an on-path switch, else the
+        # ring's decode of the route ID — `R mod s` either way.
         sid = self.switch_id
         computed = None
         residues = kar.residues
         if residues is not None:
             computed = residues.get(sid)
         if computed is None:
-            rid = kar.route_id
-            cached = self._residue_cache.get(id(rid))
-            if cached is not None and cached[0] is rid:
-                computed = cached[1]
-                self.residue_hits += 1
+            if self._decode is None:
+                computed = kar.route_id % sid
             else:
-                if self._decode is None:
-                    computed = rid % sid
-                else:
-                    computed = self._decode(rid, sid)
-                cache = self._residue_cache
-                if len(cache) >= RESIDUE_CACHE_SIZE:
-                    cache.clear()
-                cache[id(rid)] = (rid, computed)
-                self.residue_misses += 1
+                computed = self._decode(kar.route_id, sid)
         out_port, deflected = self.strategy.decide(
             self.healthy_ports(), in_port, computed, kar.deflected, self._rng
         )

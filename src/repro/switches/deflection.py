@@ -20,17 +20,19 @@ Strategies are stateless; randomness comes from the switch's named RNG
 stream so runs are reproducible and techniques are comparable on
 matched seeds.
 
-Each technique is stated three times: ``decide`` (the rule, one
-packet), ``happy_mask`` (where it forwards on the computed port) and
-``fallback_ports`` (what it draws from elsewhere) — the last two array
-arithmetic without numpy, held to ``decide`` case by case in
-``tests/switches/test_fastpath.py::TestStrategySplitEquivalence``.
+Each technique is stated twice: ``happy_mask`` (where it forwards on
+the computed port) and ``fallback_ports`` (what it draws from
+elsewhere), array arithmetic without numpy that reads the same on plain
+values.  :meth:`DeflectionStrategy.decide`, the per-packet rule, is
+written once over those two, and both are held to the paper's
+transcription in :mod:`repro.verify.pseudocode` — decision by decision
+by the ``strategy`` oracle, over whole runs by the ``datapath`` one.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Optional, Tuple
 
 __all__ = [
     "DeflectionStrategy",
@@ -43,26 +45,17 @@ __all__ = [
 ]
 
 
-def _random_port(
-    candidates: Sequence[int], rng: random.Random
-) -> Tuple[Optional[int], bool]:
-    """Deflect to a uniformly random candidate: one ``rng.choice`` draw,
-    or a drop (and no draw) when there is none."""
-    if not candidates:
-        return None, False
-    return rng.choice(candidates), True
-
-
 class DeflectionStrategy:
     """Base class: one technique, stated over the same plain values.
 
-    :meth:`decide` is the per-hop rule every scalar engine calls — the
-    DES switch, the epoch reference loop and the graph walk.  The flat
-    epoch kernel never calls it; it runs the rule's two array halves:
-    :meth:`happy_mask`, true exactly where :meth:`decide` returns
-    ``(computed, False)``, and :meth:`fallback_ports`, the candidate
-    set :meth:`decide` hands to ``rng.choice`` everywhere else.  Only
-    the built-in techniques that the epoch engines run need those two.
+    A technique is :meth:`happy_mask`, true where the packet forwards
+    on the computed port, and :meth:`fallback_ports`, the candidate set
+    it draws from everywhere else.  :meth:`decide` evaluates both on one
+    packet's plain values; it is the per-hop rule every scalar engine
+    calls — the DES switch, the epoch reference loop and the graph walk
+    — while the flat epoch kernel runs the two over arrays.  A strategy
+    that is not one of those two halves (the baselines' fixed failover
+    tables, the pseudocode stand-in) overrides :meth:`decide` instead.
     """
 
     #: short name used in configs, reports and benchmark tables.
@@ -89,23 +82,30 @@ class DeflectionStrategy:
             ``(port, deflected)``: the output port, or None to drop,
             and whether this hop departed from the computed port.
         """
-        raise NotImplementedError
+        if self.happy_mask(computed in healthy, in_port, computed, deflected):
+            return computed, False
+        count, skip = self.fallback_ports(len(healthy), in_port in healthy)
+        if not count:
+            return None, False
+        if skip:
+            healthy = [p for p in healthy if p != in_port]
+        return rng.choice(healthy), True
 
     def happy_mask(
         self, usable: Any, in_port: Any, computed: Any, deflected: Any
     ) -> Any:
-        """Array form of "``decide`` returns ``(computed, False)``".
+        """Where the packet forwards on ``computed``, undeflected.
 
-        ``usable`` is ``computed in healthy`` per packet; all four
-        arguments are equal-length arrays.  Written with ``&``/``~``/
-        ``!=`` only, so this module needs no numpy import.
+        ``usable`` is ``computed in healthy`` per packet; the arguments
+        are equal-length arrays or one packet's plain values.  Written
+        with ``&``/``>``/``!=`` only, so this module needs no numpy.
         """
         raise NotImplementedError
 
     def fallback_ports(
         self, up_ports: Any, in_port_up: Any
     ) -> Tuple[Any, Any]:
-        """Array form of the list ``decide`` draws from off the happy path.
+        """The candidate list a packet draws from off the happy path.
 
         From a switch's up-port count and the packet's "my in-port is
         up" bit: ``(count, skip)`` — how many candidates (0 = drop, no
@@ -123,11 +123,6 @@ class NoDeflection(DeflectionStrategy):
 
     name = "none"
 
-    def decide(self, healthy, in_port, computed, deflected, rng):
-        if computed in healthy:
-            return computed, False
-        return None, False
-
     def happy_mask(self, usable, in_port, computed, deflected):
         return usable
 
@@ -140,14 +135,11 @@ class HotPotato(DeflectionStrategy):
 
     name = "hp"
 
-    def decide(self, healthy, in_port, computed, deflected, rng):
-        # Once deflected, "it follows a complete random path in network".
-        if not deflected and computed in healthy:
-            return computed, False
-        return _random_port(healthy, rng)
-
     def happy_mask(self, usable, in_port, computed, deflected):
-        return usable & ~deflected
+        # Once deflected, "it follows a complete random path in network".
+        # ``usable and not deflected``, as one comparison: ``~`` on a
+        # plain bool is integer negation.
+        return usable > deflected
 
     def fallback_ports(self, up_ports, in_port_up):
         return up_ports, in_port_up & False
@@ -157,11 +149,6 @@ class AnyValidPort(DeflectionStrategy):
     """AVP: modulo result when usable, else a random healthy port."""
 
     name = "avp"
-
-    def decide(self, healthy, in_port, computed, deflected, rng):
-        if computed in healthy:
-            return computed, False
-        return _random_port(healthy, rng)
 
     def happy_mask(self, usable, in_port, computed, deflected):
         return usable
@@ -179,11 +166,6 @@ class NotInputPort(DeflectionStrategy):
 
     name = "nip"
 
-    def decide(self, healthy, in_port, computed, deflected, rng):
-        if computed != in_port and computed in healthy:
-            return computed, False
-        return _random_port([p for p in healthy if p != in_port], rng)
-
     def happy_mask(self, usable, in_port, computed, deflected):
         return usable & (computed != in_port)
 
@@ -197,15 +179,15 @@ _REGISTRY = {
 }
 
 #: Names accepted by :func:`strategy_by_name`, in paper order.
-STRATEGY_NAMES: Tuple[str, ...] = ("none", "hp", "avp", "nip")
+STRATEGY_NAMES: Tuple[str, ...] = tuple(_REGISTRY)
 
 
 def strategy_by_name(name: str) -> DeflectionStrategy:
-    """Instantiate a strategy from its short name ('none'/'hp'/'avp'/'nip')."""
-    try:
-        return _REGISTRY[name.lower()]()
-    except KeyError:
-        raise ValueError(
-            f"unknown deflection strategy {name!r}; "
-            f"choose from {sorted(_REGISTRY)}"
-        ) from None
+    """Instantiate a strategy from its exact short name, one of
+    :data:`STRATEGY_NAMES`; anything else is a :class:`ValueError`."""
+    if isinstance(name, str) and name in _REGISTRY:
+        return _REGISTRY[name]()
+    raise ValueError(
+        f"unknown deflection strategy {name!r}; "
+        f"choose from {list(STRATEGY_NAMES)}"
+    )

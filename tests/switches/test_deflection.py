@@ -183,6 +183,13 @@ class TestKernelTakesPlainValues:
                 imported.add(node.module)
         assert imported == {"__future__", "random", "typing"}
 
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    def test_techniques_are_two_statements(self, name):
+        # ``decide`` is written once, in the base class, from these two.
+        own = vars(type(strategy_by_name(name)))
+        assert "decide" not in own
+        assert {"happy_mask", "fallback_ports"} <= set(own)
+
     @pytest.mark.parametrize("cls", [
         NoDeflection, HotPotato, AnyValidPort, NotInputPort,
         FastFailoverStrategy, ArborescenceFailoverStrategy,
@@ -202,7 +209,6 @@ class TestRegistry:
     @pytest.mark.parametrize("name,cls", [
         ("none", NoDeflection), ("hp", HotPotato),
         ("avp", AnyValidPort), ("nip", NotInputPort),
-        ("NIP", NotInputPort),
     ])
     def test_lookup(self, name, cls):
         assert isinstance(strategy_by_name(name), cls)
@@ -210,3 +216,12 @@ class TestRegistry:
     def test_unknown(self):
         with pytest.raises(ValueError, match="unknown"):
             strategy_by_name("magic")
+
+    @pytest.mark.parametrize("name", [None, 3, "NIP", ""])
+    def test_rejected(self, name):
+        # The lookup is exact, one rule with EpochWorkload's: a non-str
+        # is the same ValueError, not an AttributeError, and "NIP" is
+        # not "nip".
+        with pytest.raises(ValueError, match="unknown") as err:
+            strategy_by_name(name)
+        assert str(list(STRATEGY_NAMES)) in str(err.value)

@@ -15,6 +15,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             KarSimulation(six_node(), deflection="teleport", seed=0)
 
+    def test_missing_strategy_name(self):
+        # None used to escape as an AttributeError from the lookup.
+        with pytest.raises(ValueError, match="unknown deflection"):
+            KarSimulation(six_node(), deflection=None, seed=0)
+
     def test_unknown_protection_level(self):
         with pytest.raises(Exception, match="protection level"):
             KarSimulation(six_node(), protection="mega", seed=0)

@@ -6,6 +6,7 @@ import pytest
 from repro.switches.deflection import DeflectionStrategy, NotInputPort
 from repro.verify import oracles
 from repro.verify.cases import FuzzCase, build_scenario, generate_case
+from repro.verify.harness import trial_seed
 from repro.verify.oracles import (
     ORACLE_NAMES,
     Divergence,
@@ -130,6 +131,24 @@ class TestMutationDetection:
     def test_broken_nip_caught_through_run_oracle(self):
         result = run_oracle("strategy", SMALL_CASE, strategy=BrokenNip())
         assert not result.ok
+
+    def test_happy_mask_slip_is_caught(self, monkeypatch):
+        """``decide`` is built from ``happy_mask`` and ``fallback_ports``,
+        so the pseudocode oracles are the only independent check of a
+        technique's two statements: NIP's mask without ``computed !=
+        in_port`` must show within the first 20 stock trials."""
+        monkeypatch.setattr(
+            NotInputPort, "happy_mask",
+            lambda self, usable, in_port, computed, deflected: usable,
+        )
+        for index in range(20):
+            case = generate_case(trial_seed(0, index))
+            if not run_oracle("strategy", case).ok:
+                assert case.strategy == "nip"
+                break
+        else:
+            pytest.fail("a NIP mask that forwards back out the in-port "
+                        "passed 20 strategy-oracle trials")
 
     def test_strategy_override_ignored_by_other_oracles(self):
         # Injecting into a non-strategy oracle must not crash it.

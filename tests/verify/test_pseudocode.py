@@ -4,15 +4,19 @@ The strategy oracle samples this space randomly; these tests sweep it
 *exhaustively* for small switches — every up-set, input port, computed
 port (including out-of-range) and deflected flag for 2..4 ports — so
 any semantic gap between :mod:`repro.verify.pseudocode` and
-:mod:`repro.switches.deflection` fails deterministically here.
+:mod:`repro.switches.deflection` fails deterministically here: in the
+scalar ``decide`` and in the two array statements it is built from,
+read the way the flat epoch kernel reads them.
 """
 
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from repro.analysis.walk import _CandidateSet
+from repro.sim.vector import _rank_ports
 from repro.switches.deflection import (
     STRATEGY_NAMES,
     NotInputPort,
@@ -54,6 +58,43 @@ class TestExhaustiveAgreement:
             state = (num_ports, up, in_port, computed, deflected)
             assert got == want, state
             assert rng_impl.getstate() == rng_spec.getstate(), state
+
+    def test_array_forms_match_pseudocode(self, name):
+        # One batch of every state, through the kernel's own port
+        # tables.  ``_CandidateSet`` makes the pseudocode hand back the
+        # list it would draw from instead of drawing.
+        impl = strategy_by_name(name)
+        spec = PSEUDOCODE[name]
+        states = list(_small_states())
+        up = np.zeros((len(states), 4), dtype=bool)
+        for row, (_, healthy, *_) in enumerate(states):
+            up[row, list(healthy)] = True
+        in_port, computed, deflected = (
+            np.array(column) for column in list(zip(*states))[2:]
+        )
+        rows = np.arange(len(states))
+        usable = np.array([state[3] in state[1] for state in states])
+        happy = impl.happy_mask(usable, in_port, computed, deflected)
+        up_ports, kth_up, up_below = _rank_ports(up)
+        count, skip = impl.fallback_ports(up_ports, up[rows, in_port])
+        for row, state in enumerate(states):
+            num_ports, healthy, own, port, flag = state
+            want = spec(
+                num_ports, frozenset(healthy), own, port, flag,
+                _CandidateSet(),
+            )
+            # the mask is exactly "forward on computed, no draw"
+            assert bool(happy[row]) == (want == (port, False)), state
+            if happy[row]:
+                continue
+            # off it, the candidates rng.choice would get
+            listed = [
+                int(kth_up[row, r + (skip[row] and r >= up_below[row, own])])
+                for r in range(count[row])
+            ]
+            assert want == ((listed, True) if listed else (None, False)), (
+                state
+            )
 
 
 class TestCandidateSets:
