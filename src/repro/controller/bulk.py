@@ -8,10 +8,12 @@ solve per route.  This module batches all three:
 
 * **one CSR conversion per epoch** — the :class:`~repro.topology.csr
   .CsrTopology` arrays, built once and shared by every destination;
-* **one frontier-batched BFS per destination** —
-  :func:`~repro.topology.csr.destination_tree_arrays`, whole-frontier
-  numpy operations, canonical smallest-name tie-break locked against
-  the reference :class:`~repro.controller.provision.DestinationTree`;
+* **one frontier-batched BFS per** ``_FOREST_CELLS // n``
+  **destinations** — :func:`~repro.topology.csr.destination_forest`,
+  canonical smallest-name tie-break locked against the reference
+  :class:`~repro.controller.provision.DestinationTree`.  A miss also
+  builds the trees of the next destinations without one; they wait,
+  unencoded, until requested, so every refusal belongs to its request;
 * **one** :func:`~repro.rns.crt.crt_extend` **per (destination,
   switch)** — a route down a destination tree shares every residue of
   its parent's route plus one hop, so route IDs are computed by
@@ -51,10 +53,13 @@ from repro.controller.provision import (
     ProvisionedRoute,
     require_edge,
     require_flow_endpoints,
+    require_link,
 )
 from repro.rns.crt import crt_extend
 from repro.rns.encoder import EncodedRoute, Hop
-from repro.topology.csr import CsrTopology, TreeArrays, destination_tree_arrays
+from repro.topology.csr import (
+    _FOREST_CELLS, CsrTopology, TreeArrays, destination_forest,
+)
 from repro.topology.graph import NodeKind, PortGraph
 
 __all__ = [
@@ -92,7 +97,7 @@ class DestinationBlock:
 
     __slots__ = (
         "csr", "dst_edge", "dst_idx", "tree", "_ids", "_mods",
-        "_hops", "_branches", "_routes",
+        "_hops", "_branches", "_routes", "_entries",
     )
 
     def __init__(self, csr: CsrTopology, dst_edge: str, tree: TreeArrays):
@@ -106,6 +111,8 @@ class DestinationBlock:
         self._hops: Dict[int, Tuple[Hop, ...]] = {}
         self._branches: Dict[int, Tuple[str, ...]] = {}
         self._routes: Dict[int, EncodedRoute] = {}
+        # BulkProvisioner's per-edge (entry, out-port) arrays, memoised.
+        self._entries: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._encode_all()
 
     def _encode_all(self) -> None:
@@ -234,13 +241,14 @@ class BulkProvisioner:
 
     Args:
         graph: the topology (switch IDs assigned, edges attached).
-        down: canonical link keys to exclude — the engine's link-state
-            overlay at snapshot time.
+        down: links to exclude, endpoints in either order — the
+            engine's link-state overlay at snapshot time.  A pair naming
+            no link is refused as ``set_link_down`` refuses it.
 
     The provisioner is immutable with respect to the topology: build a
     new one after any topology or link-state change, exactly like
-    destination trees.  ``trees_built`` counts array-tree constructions
-    (one per distinct destination, memoized).
+    destination trees.  ``trees_built`` counts blocks built (one per
+    distinct destination requested), ``block_hits`` memoised answers.
     """
 
     def __init__(
@@ -249,10 +257,12 @@ class BulkProvisioner:
         down: FrozenSet[Tuple[str, str]] = frozenset(),
     ):
         self.graph = graph
+        down = frozenset(require_link(graph, a, b) for a, b in down)
         self.csr = CsrTopology.from_graph(graph, down=down)
         self.trees_built = 0
         self.block_hits = 0
         self._blocks: Dict[str, DestinationBlock] = {}
+        self._trees: Dict[str, TreeArrays] = {}  # read ahead, unrequested
 
         csr = self.csr
         self.edge_names: List[str] = sorted(
@@ -298,9 +308,17 @@ class BulkProvisioner:
             self.block_hits += 1
             return blk
         require_edge(self.graph, dst_edge)
-        csr = self.csr
-        tree = destination_tree_arrays(csr, csr.index[dst_edge])
-        blk = DestinationBlock(csr, dst_edge, tree)
+        csr, trees = self.csr, self._trees
+        if dst_edge not in trees:
+            # One forest pass: dst_edge and the next destinations, in
+            # edge_names order from it, with neither a block nor a tree.
+            rank = self._edge_rank[dst_edge]
+            ring = self.edge_names[rank:] + self.edge_names[:rank]
+            batch = [e for e in ring if e not in self._blocks
+                     and e not in trees][:max(1, _FOREST_CELLS // csr.n)]
+            trees.update(zip(batch, destination_forest(
+                csr, [csr.index[e] for e in batch])))
+        blk = DestinationBlock(csr, dst_edge, trees.pop(dst_edge))
         self._blocks[dst_edge] = blk
         self.trees_built += 1
         return blk
@@ -315,17 +333,19 @@ class BulkProvisioner:
 
         The canonical per-flow rule, vectorized: entry = min core
         neighbor by ``(tree depth, name)``; ``-1`` when the edge has no
-        core neighbor that reaches the destination.
+        core neighbor that reaches the destination.  Narrow dtypes:
+        :meth:`mesh_row` memoises both arrays on the block.
         """
         n = self.csr.n
+        dtype = np.int16 if n < 2**15 else np.int32
         depth = blk.tree.depth
         cand_depth = depth[self._nb_flat].astype(np.int64)
         key = np.where(
             cand_depth < 0, _NO_ENTRY, cand_depth * n + self._nb_flat
         )
         n_edges = len(self.edge_idx)
-        entries = np.full(n_edges, -1, dtype=np.int64)
-        out_ports = np.full(n_edges, -1, dtype=np.int64)
+        entries = np.full(n_edges, -1, dtype=dtype)
+        out_ports = np.full(n_edges, -1, dtype=dtype)
         nonempty = self._ecounts > 0
         if not nonempty.any():
             return entries, out_ports
@@ -376,7 +396,9 @@ class BulkProvisioner:
             ranks = np.array(
                 [self._edge_rank[s] for s in srcs], dtype=np.int64
             )
-        entries_all, ports_all = self._entries_for_all_edges(blk)
+        if blk._entries is None:
+            blk._entries = self._entries_for_all_edges(blk)
+        entries_all, ports_all = blk._entries
         entries = entries_all[ranks]
         out_ports = ports_all[ranks]
         bad = np.flatnonzero(entries < 0)

@@ -49,10 +49,6 @@ __all__ = [
 #: tuple literally and a test asserts they stay in sync.
 ASSIGN_STRATEGIES = ("greedy", "prime", "weighted", "xsr")
 
-#: Cells (roots x nodes) per forest pass: roots enough to amortise a level's
-#: numpy calls, few enough to stay in cache (n = 1,508: 43-347 within 15 %).
-_FOREST_CELLS = 1 << 18
-
 
 class AssignmentError(ValueError):
     """Raised when no valid assignment exists for the inputs."""
@@ -177,7 +173,7 @@ def route_frequency_weights(graph) -> Dict[str, float]:
     """
     # Local: the CLI and the service import this module and need no numpy.
     import numpy as np
-    from repro.topology.csr import CsrTopology, bfs_forest
+    from repro.topology.csr import _FOREST_CELLS, CsrTopology, bfs_forest
 
     csr = CsrTopology.from_graph(graph)
     n = csr.n

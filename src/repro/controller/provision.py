@@ -75,6 +75,7 @@ __all__ = [
     "ProvisioningEngine",
     "require_edge",
     "require_flow_endpoints",
+    "require_link",
 ]
 
 
@@ -103,6 +104,19 @@ def require_edge(graph: PortGraph, name: str) -> None:
         raise ProvisionError("unknown-node", str(exc)) from None
     if info.kind != NodeKind.EDGE:
         raise ProvisionError("not-an-edge", f"{name!r} is not an edge node")
+
+
+def require_link(graph: PortGraph, a: str, b: str) -> Tuple[str, str]:
+    """Refuse an unknown endpoint or a pair no link joins; return the
+    link's canonical key."""
+    for name in (a, b):
+        try:
+            graph.node(name)
+        except TopologyError as exc:
+            raise ProvisionError("unknown-node", str(exc)) from None
+    if not graph.has_link(a, b):
+        raise ProvisionError("not-a-link", f"no link {a}-{b}")
+    return link_key(a, b)
 
 
 def require_flow_endpoints(
@@ -287,23 +301,13 @@ class ProvisioningEngine:
         """Canonical keys of links currently marked down."""
         return frozenset(self._down)
 
-    def _require_link(self, a: str, b: str) -> Tuple[str, str]:
-        for name in (a, b):
-            try:
-                self.graph.node(name)
-            except TopologyError as exc:
-                raise ProvisionError("unknown-node", str(exc)) from None
-        if not self.graph.has_link(a, b):
-            raise ProvisionError("not-a-link", f"no link {a}-{b}")
-        return link_key(a, b)
-
     def set_link_down(self, a: str, b: str) -> bool:
         """Mark a link failed; returns True if the state changed.
 
         A change bumps the epoch via :meth:`note_link_change`, so the
         next provision sees residual trees.
         """
-        key = self._require_link(a, b)
+        key = require_link(self.graph, a, b)
         if key in self._down:
             return False
         self._down.add(key)
@@ -312,7 +316,7 @@ class ProvisioningEngine:
 
     def set_link_up(self, a: str, b: str) -> bool:
         """Clear a link's failed mark; returns True if the state changed."""
-        key = self._require_link(a, b)
+        key = require_link(self.graph, a, b)
         if key not in self._down:
             return False
         self._down.discard(key)

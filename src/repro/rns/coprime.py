@@ -110,10 +110,12 @@ def greedy_coprime_pool(count: int, min_value: int = 2) -> List[int]:
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     out: List[int] = []
+    product = 1  # coprime with n iff every pick is
     n = max(2, min_value)
     while len(out) < count:
-        if all(math.gcd(n, chosen) == 1 for chosen in out):
+        if math.gcd(n, product) == 1:
             out.append(n)
+            product *= n
         n += 1
     return out
 

@@ -98,10 +98,17 @@ def first_noncoprime_pair(values: Iterable[int]) -> Tuple[int, int] | None:
     """Return the first pair with gcd > 1, or None if pairwise coprime.
 
     Useful for error messages: the caller learns *which* switch IDs clash.
-    Runs in O(n²) gcd computations, so :func:`crt` calls it only once a
-    shared factor has already surfaced, to name the pair.
+    A coprime list costs n gcds, each value against the product of those
+    before it; only a clash pays the O(n²) search that names the pair.
     """
     vals = list(values)
+    product = 1
+    for v in vals:
+        if math.gcd(v, product) != 1:
+            break
+        product *= v
+    else:
+        return None
     for i, a in enumerate(vals):
         for b in vals[i + 1:]:
             if math.gcd(a, b) != 1:

@@ -5,9 +5,9 @@ The per-flow control plane walks Python dicts (``PortGraph.neighbors``,
 provisioning of a real WAN.  This module converts a topology **once**
 into flat numpy arrays (compressed sparse row form) so that
 shortest-path trees come from whole-frontier numpy operations instead
-of per-node Python — many roots per pass (:func:`bfs_forest`, which
-the route-frequency weights of :mod:`repro.controller.idassign` run
-from every node) or one (:func:`destination_tree_arrays`):
+of per-node Python, many roots per pass (:func:`bfs_forest`: the
+route-frequency weights of :mod:`repro.controller.idassign`, and the
+bulk provisioner's trees via :func:`destination_forest`):
 
 * ``indptr``/``indices`` — classic CSR: node ``u``'s neighbors are
   ``indices[indptr[u]:indptr[u+1]]``, sorted by node index;
@@ -35,15 +35,21 @@ tree computed over the arrays describes the *residual* topology.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.topology.graph import NodeKind, PortGraph, TopologyError
 
 __all__ = [
-    "CsrTopology", "TreeArrays", "bfs_forest", "destination_tree_arrays",
+    "CsrTopology", "TreeArrays", "bfs_forest", "destination_forest",
+    "destination_tree_arrays",
 ]
+
+#: Cells (roots x nodes) per forest pass, weights and bulk trees alike: roots
+#: enough to amortise a level's numpy calls, few enough to stay in cache
+#: (n = 1,508: 43-347 within 15 %).
+_FOREST_CELLS = 1 << 18
 
 
 class CsrTopology:
@@ -231,28 +237,47 @@ def bfs_forest(
     return parent, levels
 
 
-def destination_tree_arrays(csr: CsrTopology, root: int) -> TreeArrays:
-    """Shortest-path tree toward *root*: :func:`bfs_forest` of one root.
+def destination_forest(
+    csr: CsrTopology, roots: Sequence[int]
+) -> List[TreeArrays]:
+    """Shortest-path tree toward each of *roots*: one :func:`bfs_forest`
+    pass, split per slot into views of its arrays.
 
     Expansion never leaves the core: only nodes with ``core_mask`` set
-    are claimed (the root itself is usually an edge node, since a
-    destination tree is rooted at the egress edge).  Canonical tie-break
-    (locked by tests against the reference Python BFS): a node at depth
-    ``d+1`` takes as parent the **smallest-named** (= smallest-index)
-    node at depth ``d`` adjacent to it.
+    are claimed (a root is usually an edge node, since a destination
+    tree is rooted at the egress edge).  Canonical tie-break (locked by
+    tests against the reference Python BFS): a node at depth ``d+1``
+    takes as parent the **smallest-named** (= smallest-index) node at
+    depth ``d`` adjacent to it.
     """
-    n = csr.n
-    parent, levels = bfs_forest(csr, np.array([root]), csr.core_mask)
-    parent[parent == n] = -1
-    depth = np.full(n, -1, dtype=np.int32)
-    parent_port = np.full(n, -1, dtype=np.int32)
-    depth[root] = 0
-    order = []
-    for d, (nodes, half_edges) in enumerate(levels, start=1):
-        depth[nodes] = d
-        parent_port[nodes] = csr.ports_back[half_edges]
-        order.append(np.sort(nodes))
-    return TreeArrays(
-        root, depth, parent.astype(np.int32), parent_port,
-        np.concatenate(order) if order else np.empty(0, dtype=np.int64),
+    n, roots = csr.n, [int(r) for r in roots]
+    parent, levels = bfs_forest(csr, np.array(roots), csr.core_mask)
+    depth = np.full(parent.size, -1, dtype=np.int32)
+    parent_port = np.full(parent.size, -1, dtype=np.int32)
+    depth[parent < 0] = 0
+    for d, (keys, half_edges) in enumerate(levels, start=1):
+        depth[keys] = d
+        parent_port[keys] = csr.ports_back[half_edges]
+    reached = depth > 0
+    parent = np.where(reached, parent % n, -1).astype(np.int32)
+    # Reached keys ascend by (slot, node); a stable sort on (slot, depth)
+    # gives each tree its canonical (depth, index) BFS order.
+    keys = np.flatnonzero(reached)
+    slots = keys // n
+    keys = keys[np.argsort(slots * (len(levels) + 1) + depth[keys],
+                           kind="stable")]
+    ends = [0] + np.cumsum(np.bincount(slots, minlength=len(roots))).tolist()
+    depth, parent, parent_port = (
+        a.reshape(len(roots), n) for a in (depth, parent, parent_port)
     )
+    return [
+        TreeArrays(root, depth[s], parent[s], parent_port[s],
+                   keys[ends[s]:ends[s + 1]] - s * n)
+        for s, root in enumerate(roots)
+    ]
+
+
+def destination_tree_arrays(csr: CsrTopology, root: int) -> TreeArrays:
+    """Shortest-path tree toward *root*: :func:`destination_forest` of
+    one root."""
+    return destination_forest(csr, [root])[0]

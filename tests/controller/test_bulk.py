@@ -7,10 +7,15 @@ same pair, on paper topologies, reference WANs, random graphs
 (Hypothesis), and under link failures.
 """
 
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.controller.bulk as bulk_module
+import repro.topology.csr as csr_module
 from repro.controller.bulk import (
     BulkProvisioner,
     full_mesh_pairs,
@@ -43,6 +48,11 @@ def abilene_mesh():
 
 def _edge_names(graph):
     return sorted(n.name for n in graph.nodes(NodeKind.EDGE))
+
+
+def _with_edges(graph):
+    attach_edges(graph)
+    return graph
 
 
 def _assert_mesh_identical(graph):
@@ -162,6 +172,29 @@ class TestErrors:
         assert e.value.reason == "bad-path"
         assert message in str(e.value)
 
+    # A down key names a link in either order, as set_link_down takes it.
+    @pytest.mark.parametrize("key", [("SW11", "SW7"), ("SW7", "SW11")])
+    def test_down_key_in_either_order_fails_the_link(self, six, key):
+        engine = ProvisioningEngine(six)
+        engine.set_link_down(*key)
+        p = BulkProvisioner(six, down={key}).routes_for("E-D", ["E-S"])["E-S"]
+        assert p.node_path == ("E-S", "SW4", "SW7", "SW5", "SW11", "E-D")
+        assert p == engine.provision("E-S", "E-D")
+
+    @pytest.mark.parametrize("key, reason", [
+        (("NOPE", "SW7"), "unknown-node"),
+        (("SW4", "SW11"), "not-a-link"),
+    ])
+    def test_down_key_naming_no_link_refused_like_set_link_down(
+        self, six, key, reason
+    ):
+        with pytest.raises(ProvisionError) as bulk:
+            BulkProvisioner(six, down={key})
+        with pytest.raises(ProvisionError) as flow:
+            ProvisioningEngine(six).set_link_down(*key)
+        assert bulk.value.reason == flow.value.reason == reason
+        assert str(bulk.value) == str(flow.value)
+
     def test_ids_sharing_a_factor_are_refused_by_the_extension(self):
         graph = six_node().graph
         graph.node("SW5").switch_id = 22  # SW11's 11 divides it
@@ -181,6 +214,58 @@ class TestBlockMemo:
                 bp.routes_for(dst, [s for s in edges if s != dst])
         assert bp.trees_built == len(edges)
         assert bp.block_hits == len(edges)
+
+
+class TestForestReadAhead:
+    """A miss builds up to ``_FOREST_CELLS // n`` trees in one pass; the
+    rest wait for their request.  Whatever the request order, every
+    route and both counters are what one tree per request gives."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("make", [
+        lambda: fifteen_node().graph,
+        lambda: _with_edges(abilene()),
+        lambda: _with_edges(fat_tree(4)),
+    ], ids=["fifteen", "abilene", "fat_tree4"])
+    def test_shuffled_requests_match_per_flow(self, monkeypatch, make, seed):
+        graph = make()
+        edges = _edge_names(graph)
+        engine = ProvisioningEngine(graph)
+        bp = BulkProvisioner(graph)
+        monkeypatch.setattr(bulk_module, "_FOREST_CELLS", 3 * bp.csr.n)
+        passes = []
+        forest = csr_module.bfs_forest
+
+        def recording(csr, roots, allowed):
+            passes.append(list(roots))
+            return forest(csr, roots, allowed)
+
+        monkeypatch.setattr(csr_module, "bfs_forest", recording)
+        rng = random.Random(seed)
+        requests = edges + rng.sample(edges, len(edges) // 2)
+        rng.shuffle(requests)
+        for i, dst in enumerate(requests):
+            srcs = [s for s in edges if s != dst]
+            if i % 2:
+                for src, route in bp.routes_for(dst, srcs).items():
+                    assert route == engine.provision(src, dst)
+            else:
+                row = bp.mesh_row(dst)
+                assert row.src_edges == srcs
+                for src, rid, mod, port in zip(
+                    srcs, row.route_ids, row.moduli, row.out_ports.tolist()
+                ):
+                    ref = engine.provision(src, dst)
+                    assert (rid, mod, port) == (
+                        ref.route.route_id, ref.route.modulus, ref.out_port
+                    )
+        roots = Counter(r for batch in passes for r in batch)
+        assert sorted(roots) == sorted(bp.csr.index[e] for e in edges)
+        assert set(roots.values()) == {1}
+        assert all(len(batch) <= 3 for batch in passes)
+        assert len(passes) == -(-len(edges) // 3)
+        assert bp.trees_built == len(edges)
+        assert bp.block_hits == len(requests) - len(edges)
 
 
 class TestPropertyRandomTopologies:

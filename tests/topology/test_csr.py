@@ -2,10 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.controller.provision import DestinationTree
-from repro.topology import NodeKind, fifteen_node, six_node
-from repro.topology.csr import CsrTopology, bfs_forest, destination_tree_arrays
+from repro.topology import NodeKind, fifteen_node, random_connected, six_node
+from repro.topology.csr import (
+    CsrTopology,
+    bfs_forest,
+    destination_forest,
+    destination_tree_arrays,
+)
 from repro.topology.generators import attach_edges
 from repro.topology.zoo import abilene, fat_tree
 
@@ -72,40 +79,41 @@ class TestCsrTopology:
             csr.switch_ids[0] = 99
 
 
-class TestDestinationTreeArrays:
-    def _assert_matches_reference(self, graph, dst, down=frozenset()):
-        csr = CsrTopology.from_graph(graph, down=down)
-        tree = destination_tree_arrays(csr, csr.node_index(dst))
-        ref = DestinationTree(graph, dst, epoch=0, down=down)
-        got_depth = {
-            csr.names[i]: int(tree.depth[i])
-            for i in range(csr.n)
-            if tree.depth[i] >= 0 and bool(csr.core_mask[i])
-        }
-        ref_depth = {k: v for k, v in ref.depth.items() if k != dst}
-        assert got_depth == ref_depth
-        for name, parent in ref.parent.items():
-            i = csr.node_index(name)
-            assert csr.names[int(tree.parent[i])] == parent
-            assert int(tree.parent_port[i]) == graph.port_of(name, parent)
+def _assert_matches_reference(graph, dst, down=frozenset()):
+    csr = CsrTopology.from_graph(graph, down=down)
+    tree = destination_tree_arrays(csr, csr.node_index(dst))
+    ref = DestinationTree(graph, dst, epoch=0, down=down)
+    got_depth = {
+        csr.names[i]: int(tree.depth[i])
+        for i in range(csr.n)
+        if tree.depth[i] >= 0 and bool(csr.core_mask[i])
+    }
+    ref_depth = {k: v for k, v in ref.depth.items() if k != dst}
+    assert got_depth == ref_depth
+    for name, parent in ref.parent.items():
+        i = csr.node_index(name)
+        assert csr.names[int(tree.parent[i])] == parent
+        assert int(tree.parent_port[i]) == graph.port_of(name, parent)
 
+
+class TestDestinationTreeArrays:
     def test_matches_reference_six(self, six):
         for dst in _edge_names(six):
-            self._assert_matches_reference(six, dst)
+            _assert_matches_reference(six, dst)
 
     def test_matches_reference_fifteen(self, fifteen):
         for dst in _edge_names(fifteen):
-            self._assert_matches_reference(fifteen, dst)
+            _assert_matches_reference(fifteen, dst)
 
     def test_matches_reference_abilene_and_fat_tree(self):
         for graph in (abilene(), fat_tree(4)):
             attach_edges(graph)
             for dst in _edge_names(graph):
-                self._assert_matches_reference(graph, dst)
+                _assert_matches_reference(graph, dst)
 
     def test_matches_reference_under_link_failure(self, six):
         down = frozenset({tuple(sorted(("SW7", "SW11")))})
-        self._assert_matches_reference(six, "E-D", down=down)
+        _assert_matches_reference(six, "E-D", down=down)
 
     def test_order_is_breadth_first(self, six):
         csr = CsrTopology.from_graph(six)
@@ -152,3 +160,75 @@ class TestBfsForest:
                 for key in keys.tolist():
                     tree = destination_tree_arrays(csr, roots[key // n])
                     assert tree.depth[key % n] == d
+
+
+def _assert_forest_is_per_root(csr, roots):
+    """Slot i of one forest pass is the one-root tree of ``roots[i]``,
+    array for array, and its order is canonical: (depth, index)."""
+    forest = destination_forest(csr, roots)
+    assert len(forest) == len(roots)
+    for root, got in zip(roots, forest):
+        want = destination_tree_arrays(csr, root)
+        assert got.root == want.root == root
+        for name in ("depth", "parent", "parent_port", "order"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+        reached = np.flatnonzero(got.depth > 0)
+        canonical = reached[np.lexsort((reached, got.depth[reached]))]
+        assert np.array_equal(got.order, canonical)
+
+
+class TestDestinationForest:
+    @pytest.mark.parametrize("make", [
+        lambda: six_node().graph,
+        lambda: fifteen_node().graph,
+        abilene,
+        lambda: fat_tree(4),
+    ], ids=["six", "fifteen", "abilene", "fat_tree4"])
+    def test_each_slot_is_the_one_root_tree(self, make):
+        graph = make()
+        if not graph.nodes(NodeKind.EDGE):
+            attach_edges(graph)
+        csr = CsrTopology.from_graph(graph)
+        # Backwards, with a repeat and a core root: slot order is not
+        # node order, and a slot need not be an edge.
+        roots = [csr.node_index(e) for e in _edge_names(graph)][::-1]
+        roots += [roots[0], int(np.flatnonzero(csr.core_mask)[0])]
+        _assert_forest_is_per_root(csr, roots)
+
+    def test_unreachable_destination_is_an_empty_slot(self, six):
+        down = frozenset({tuple(sorted(("E-D", "SW11")))})
+        csr = CsrTopology.from_graph(six, down=down)
+        roots = [csr.node_index("E-S"), csr.node_index("E-D")]
+        _assert_forest_is_per_root(csr, roots)
+        cut = destination_forest(csr, roots)[1]
+        assert cut.order.size == 0
+        assert (cut.depth[csr.core_mask] < 0).all()
+
+    def test_no_roots_no_trees(self, six):
+        assert destination_forest(CsrTopology.from_graph(six), []) == []
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 500),
+        n=st.integers(3, 12),
+        extra=st.integers(0, 6),
+        data=st.data(),
+    )
+    def test_random_graphs_with_down_links(self, seed, n, extra, data):
+        graph = random_connected(
+            n, extra_links=extra, seed=seed, min_switch_id=53
+        )
+        edges = attach_edges(graph)
+        keys = sorted(link.key for link in graph.links())
+        down = set(data.draw(st.lists(st.sampled_from(keys), max_size=4)))
+        # One destination loses its only switch: its slot reaches nothing.
+        cut = data.draw(st.sampled_from(edges))
+        down |= {key for key in keys if cut in key}
+        csr = CsrTopology.from_graph(graph, down=frozenset(down))
+        roots = data.draw(st.permutations([csr.index[e] for e in edges]))
+        _assert_forest_is_per_root(csr, roots)
+        assert destination_forest(csr, [csr.index[cut]])[0].order.size == 0
+        for dst in edges:
+            _assert_matches_reference(graph, dst, down=frozenset(down))
