@@ -13,12 +13,20 @@ Two scheduling paths share the heap and the sequence counter:
   may be cancelled (retransmission timeouts, in-flight deliveries).
 * :meth:`Simulator.post` / :meth:`Simulator.post_at` are the
   no-allocation fast path for events that are **never cancelled**
-  (serializer completions, periodic monitor ticks): the callback and
-  its arguments go straight into the heap entry, no handle object.
+  (monitor ticks, source timers): the callback and its arguments go
+  straight into the heap entry, no handle object.
 
 Both paths consume one sequence number per call, so mixing them does
 not perturb event order — a ``post`` fires exactly when the equivalent
-``schedule`` would have.
+``schedule`` would have.  :class:`repro.sim.link.Channel` pushes its
+serializer completions and arrivals onto the same heap itself, drawing
+from the same counter, so its entries carry exactly the key ``post``
+would give them.
+
+``now`` is a plain attribute written by the run loop.  ``pending()`` is
+the heap size minus the cancelled entries still in it: cancelling bumps
+that count and the loop takes it back when it discards the entry, so
+scheduling is a bare push.
 
 This engine replaces Mininet's real-time kernel datapath in the paper's
 evaluation: instead of emulating Linux interfaces, we schedule packet
@@ -65,18 +73,18 @@ class EventHandle:
         self._fn = None
         self._args = ()
         if self._sim is not None:
-            self._sim._live -= 1
+            self._sim._cancelled += 1
 
     @property
     def cancelled(self) -> bool:
         return self._fn is None
 
     def _fire(self) -> None:
-        # Clear the handle *before* invoking: a fired event must look
-        # cancelled to a late cancel() call, or that cancel would
-        # decrement the simulator's live counter a second time and
-        # pending() could go negative.  (Consequence: `cancelled` is
-        # True for fired handles too — it means "cancel is a no-op".)
+        # Clear the handle *before* invoking: a fired event is no longer
+        # in the heap, so a late cancel() must be a no-op rather than
+        # count a cancelled entry that pending() would then subtract.
+        # (Consequence: `cancelled` is True for fired handles too — it
+        # means "cancel is a no-op".)
         fn = self._fn
         if fn is not None:
             args = self._args
@@ -94,8 +102,10 @@ class Simulator:
         sim.schedule(0.5, link.deliver, packet)
         sim.run_until(10.0)
 
-    Time is in seconds (floats).  Events scheduled for the same instant
-    fire in scheduling order.
+    Time is in seconds (floats) and ``now`` is the current virtual
+    time.  Events scheduled for the same instant fire in scheduling
+    order.  Delays and times are checked as ``not x >= bound``, which
+    refuses NaN too.
     """
 
     def __init__(self) -> None:
@@ -104,64 +114,48 @@ class Simulator:
         # callable when args is a tuple (post fast path).
         self._heap: List[Tuple[float, int, Any, Optional[Tuple[Any, ...]]]] = []
         self._seq = itertools.count()
-        self._now = 0.0
+        self.now = 0.0
         self._running = False
         self._stopped = False
-        self._live = 0  # live (non-cancelled) entries, kept O(1)
+        self._cancelled = 0  # cancelled entries still in the heap
         self.events_processed = 0
-
-    @property
-    def now(self) -> float:
-        """Current virtual time, in seconds."""
-        return self._now
 
     def schedule(
         self, delay: float, fn: Callable[..., None], *args: Any
     ) -> EventHandle:
         """Schedule ``fn(*args)`` to run *delay* seconds from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimError(f"cannot schedule into the past (delay={delay})")
-        handle = EventHandle(self._now + delay, fn, args, self)
+        handle = EventHandle(self.now + delay, fn, args, self)
         heapq.heappush(self._heap, (handle.time, next(self._seq), handle, None))
-        self._live += 1
         return handle
 
     def schedule_at(
         self, time: float, fn: Callable[..., None], *args: Any
     ) -> EventHandle:
         """Schedule ``fn(*args)`` at absolute virtual *time*."""
-        if time < self._now:
-            raise SimError(
-                f"cannot schedule at {time} (now is {self._now})"
-            )
+        if not time >= self.now:
+            raise SimError(f"cannot schedule at {time} (now is {self.now})")
         handle = EventHandle(time, fn, args, self)
         heapq.heappush(self._heap, (time, next(self._seq), handle, None))
-        self._live += 1
         return handle
 
     def post(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Schedule ``fn(*args)`` with no cancellation handle.
 
         The no-allocation fast path for events that are never cancelled
-        (the bulk of a packet simulation: serializer completions,
-        monitor ticks).  Fires in exactly the slot the equivalent
-        :meth:`schedule` call would have used.
+        (monitor ticks, source timers).  Fires in exactly the slot the
+        equivalent :meth:`schedule` call would have used.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimError(f"cannot schedule into the past (delay={delay})")
-        heapq.heappush(
-            self._heap, (self._now + delay, next(self._seq), fn, args)
-        )
-        self._live += 1
+        heapq.heappush(self._heap, (self.now + delay, next(self._seq), fn, args))
 
     def post_at(self, time: float, fn: Callable[..., None], *args: Any) -> None:
         """Absolute-time variant of :meth:`post`."""
-        if time < self._now:
-            raise SimError(
-                f"cannot schedule at {time} (now is {self._now})"
-            )
+        if not time >= self.now:
+            raise SimError(f"cannot schedule at {time} (now is {self.now})")
         heapq.heappush(self._heap, (time, next(self._seq), fn, args))
-        self._live += 1
 
     def stop(self) -> None:
         """Stop the run loop after the current event completes."""
@@ -175,38 +169,40 @@ class Simulator:
         """
         if self._running:
             raise SimError("simulator is already running (re-entrant run)")
-        if end_time < self._now:
-            raise SimError(f"end_time {end_time} is before now {self._now}")
+        if not end_time >= self.now:
+            raise SimError(f"end_time {end_time} is before now {self.now}")
         self._running = True
         self._stopped = False
         heap = self._heap
         heappop = heapq.heappop
-        # Counters are batched into locals and folded back in the
-        # finally block: two attribute writes per event were visible in
-        # profiles.  (pending()/events_processed are therefore stale
-        # *inside* a run; both are read between runs.)
+        # Counted in a local and folded back in the finally block: an
+        # attribute write per event was visible in profiles.
+        # (events_processed is therefore stale *inside* a run.)
         processed = 0
         try:
             while heap and not self._stopped:
-                if heap[0][0] > end_time:
+                entry = heappop(heap)
+                time, _, payload, args = entry
+                if time > end_time:
+                    # Same (time, seq) key: it surfaces first next run.
+                    heapq.heappush(heap, entry)
                     break
-                time, _, payload, args = heappop(heap)
                 if args is None:
                     # Cancellable path: payload is an EventHandle.
                     if payload._fn is None:
-                        continue  # cancelled; _live already decremented
+                        self._cancelled -= 1
+                        continue
                     processed += 1
-                    self._now = time
+                    self.now = time
                     payload._fire()
                 else:
                     processed += 1
-                    self._now = time
+                    self.now = time
                     payload(*args)
             if not self._stopped:
-                self._now = end_time
+                self.now = end_time
         finally:
             self._running = False
-            self._live -= processed
             self.events_processed += processed
 
     def run(self) -> None:
@@ -223,24 +219,23 @@ class Simulator:
                 time, _, payload, args = heappop(heap)
                 if args is None:
                     if payload._fn is None:
+                        self._cancelled -= 1
                         continue
                     processed += 1
-                    self._now = time
+                    self.now = time
                     payload._fire()
                 else:
                     processed += 1
-                    self._now = time
+                    self.now = time
                     payload(*args)
         finally:
             self._running = False
-            self._live -= processed
             self.events_processed += processed
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events in the queue.
 
-        O(1): a counter maintained on schedule/post, cancel and fire —
-        monitors call this from inside runs, where the old O(n) heap
-        scan showed up in profiles.
+        O(1): the heap size less the cancelled entries still in it.
+        Exact inside a run too.
         """
-        return self._live
+        return len(self._heap) - self._cancelled

@@ -13,12 +13,24 @@ A :class:`Link` joins two node ports and owns two independent
   refuses new ones; both directions share the up/down state (a cut
   fiber kills both), matching how the paper's switches observe "output
   port is under failure".
+
+A channel pushes its serializer-completion and arrival entries straight
+onto the simulator's heap, each keyed ``(now + dt, next(seq))`` from the
+simulator's own counter — the key :meth:`Simulator.post` would assign,
+without the call.  Neither is ever cancelled: a link-down empties the
+queue and the pipe (accounting every casualty) and identity checks make
+the stale entries no-ops.  An arrival calls the peer's ``receive``,
+bound with its port when the link is built.  :class:`Link` validates
+rate, delay and queue size up front, which is what makes skipping
+``post``'s delay guard safe.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappush
 from typing import TYPE_CHECKING, Callable, Deque, Optional
 
 from repro.sim.engine import Simulator
@@ -44,26 +56,34 @@ class ChannelStats:
 class Channel:
     """One direction of a link: serializer + drop-tail queue + pipe."""
 
+    __slots__ = (
+        "_sim", "_heap", "_seq", "_tx_s_per_byte", "_delay_s", "_capacity",
+        "_receive", "_port", "_drop_hook", "_queue", "_up", "_transmitting",
+        "_in_flight", "stats",
+    )
+
     def __init__(
         self,
         sim: Simulator,
         rate_mbps: float,
         delay_s: float,
         queue_packets: int,
-        deliver: Callable[[Packet], None],
+        node: "Node",
+        port: int,
         drop_hook: Optional[Callable[[Packet, str], None]] = None,
     ):
         self._sim = sim
-        self._post = sim.post  # bound once: called twice per packet
-        self._rate_bps = rate_mbps * 1e6
-        self._tx_s_per_byte = 8 / self._rate_bps
+        self._heap = sim._heap
+        self._seq = sim._seq
+        self._tx_s_per_byte = 8 / (rate_mbps * 1e6)
         self._delay_s = delay_s
         self._capacity = queue_packets
-        self._deliver = deliver
+        self._receive = node.receive  # arrivals land on (node, port)
+        self._port = port
         self._drop_hook = drop_hook
         self._queue: Deque[Packet] = deque()
-        self._busy = False
         self._up = True
+        # The packet being serialized; None when the transmitter idles.
         self._transmitting: Optional[Packet] = None
         # Packets on the wire, oldest first (propagation delay is
         # constant per channel, so the pipe is strictly FIFO).
@@ -95,7 +115,6 @@ class Channel:
                 self._drop(pkt, "link-down")
                 self.stats.failure_drops += 1
             self._in_flight.clear()
-            self._busy = False
 
     @property
     def queue_depth(self) -> int:
@@ -113,27 +132,23 @@ class Channel:
             self._drop(packet, "link-down")
             self.stats.failure_drops += 1
             return False
-        if self._busy:
+        if self._transmitting is not None:
             if len(self._queue) >= self._capacity:
                 self._drop(packet, "queue-overflow")
                 self.stats.queue_drops += 1
                 return False
             self._queue.append(packet)
             return True
-        self._transmit(packet)
-        return True
-
-    def _transmit(self, packet: Packet) -> None:
-        self._busy = True
         self._transmitting = packet
         size = packet.size_bytes
         stats = self.stats
         stats.tx_packets += 1
         stats.tx_bytes += size
-        # Serializer completions are never cancelled (link-down is
-        # handled by the identity check in _tx_done), so they take the
-        # engine's no-allocation post() path.
-        self._post(size * self._tx_s_per_byte, self._tx_done, packet)
+        heappush(self._heap, (
+            self._sim.now + size * self._tx_s_per_byte, next(self._seq),
+            self._tx_done, (packet,),
+        ))
+        return True
 
     def _tx_done(self, packet: Packet) -> None:
         if packet is not self._transmitting:
@@ -142,16 +157,23 @@ class Channel:
             # been repaired by now — an interrupted serialization never
             # resumes.
             return
-        self._transmitting = None
-        # Arrival events are posted handle-free; a link-down empties the
-        # pipe (dropping and accounting every casualty), and the
-        # identity check in _arrive ignores the stale events.
-        self._post(self._delay_s, self._arrive, packet)
+        now = self._sim.now
+        heappush(self._heap, (
+            now + self._delay_s, next(self._seq), self._arrive, (packet,),
+        ))
         self._in_flight.append(packet)
         if self._queue:
-            self._transmit(self._queue.popleft())
+            packet = self._transmitting = self._queue.popleft()
+            size = packet.size_bytes
+            stats = self.stats
+            stats.tx_packets += 1
+            stats.tx_bytes += size
+            heappush(self._heap, (
+                now + size * self._tx_s_per_byte, next(self._seq),
+                self._tx_done, (packet,),
+            ))
         else:
-            self._busy = False
+            self._transmitting = None
 
     def _arrive(self, packet: Packet) -> None:
         pipe = self._in_flight
@@ -161,7 +183,7 @@ class Channel:
             return
         pipe.popleft()
         self.stats.delivered_packets += 1
-        self._deliver(packet)
+        self._receive(packet, self._port)
 
     def _drop(self, packet: Packet, reason: str) -> None:
         if self._drop_hook is not None:
@@ -183,19 +205,22 @@ class Link:
         queue_packets: int = 50,
         drop_hook: Optional[Callable[[Packet, str], None]] = None,
     ):
+        ends = f"link {node_a.name}:{port_a} <-> {node_b.name}:{port_b}"
+        if not (math.isfinite(rate_mbps) and rate_mbps > 0):
+            raise ValueError(f"{ends}: rate_mbps={rate_mbps} is not finite and > 0")
+        if not (math.isfinite(delay_s) and delay_s >= 0):
+            raise ValueError(f"{ends}: delay_s={delay_s} is not finite and >= 0")
+        if queue_packets < 0:
+            raise ValueError(f"{ends}: queue_packets={queue_packets} is < 0")
         self.node_a, self.port_a = node_a, port_a
         self.node_b, self.port_b = node_b, port_b
         self.rate_mbps = rate_mbps
         self._up = True
         self._ab = Channel(
-            sim, rate_mbps, delay_s, queue_packets,
-            deliver=lambda p: node_b.receive(p, port_b),
-            drop_hook=drop_hook,
+            sim, rate_mbps, delay_s, queue_packets, node_b, port_b, drop_hook
         )
         self._ba = Channel(
-            sim, rate_mbps, delay_s, queue_packets,
-            deliver=lambda p: node_a.receive(p, port_a),
-            drop_hook=drop_hook,
+            sim, rate_mbps, delay_s, queue_packets, node_a, port_a, drop_hook
         )
         node_a.attach(port_a, self)
         node_b.attach(port_b, self)

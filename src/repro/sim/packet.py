@@ -79,7 +79,7 @@ class Packet:
     payload: Any = None
     kar: Optional[KarHeader] = None
     created_at: float = 0.0
-    uid: int = field(default_factory=lambda: next(_uid_counter))
+    uid: int = field(default_factory=_uid_counter.__next__)
     hops: int = 0
 
     def __post_init__(self) -> None:

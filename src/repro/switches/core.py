@@ -98,8 +98,11 @@ class KarSwitch(Node):
                 computed = kar.route_id % sid
             else:
                 computed = self._decode(kar.route_id, sid)
+        healthy = self._healthy_cache
+        if healthy is None:
+            healthy = self.healthy_ports()
         out_port, deflected = self.strategy.decide(
-            self.healthy_ports(), in_port, computed, kar.deflected, self._rng
+            healthy, in_port, computed, kar.deflected, self._rng
         )
         if out_port is None:
             self._drop(packet, f"no-usable-port({self.strategy.name})")
@@ -119,7 +122,8 @@ class KarSwitch(Node):
                 self.sim.now, self.name, packet, in_port,
                 out_port, deflected,
             )
-        self.send(out_port, packet)
+        # decide() returns only healthy ports, which are all cabled.
+        self._channels[out_port].send(packet)
 
     def _drop(self, packet: Packet, reason: str) -> None:
         self.drops += 1

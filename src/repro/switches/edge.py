@@ -163,7 +163,7 @@ class EdgeNode(Node):
         self.encapsulated += 1
         if self.invariants is not None:
             self.invariants.on_encapsulate(self.sim.now, self.name, packet)
-        self.send(entry.out_port, packet)
+        self._channels[entry.out_port].send(packet)
 
     def _core_packet(self, packet: Packet) -> None:
         host_port = self._host_ports.get(packet.dst_host)
@@ -175,7 +175,7 @@ class EdgeNode(Node):
                 self.tracer.on_deliver(self.sim.now, packet.dst_host, packet)
             if self.invariants is not None:
                 self.invariants.on_deliver(self.sim.now, self.name, packet)
-            self.send(host_port, packet)
+            self._channels[host_port].send(packet)
             return
         self._misdelivered(packet)
 

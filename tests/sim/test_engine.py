@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import SimError, Simulator
+from repro.sim import Link, Packet, SimError, Simulator
+from repro.sim.node import Node
 
 
 class TestScheduling:
@@ -239,3 +240,139 @@ class TestStop:
             sim.schedule(1.0, lambda: None)
         sim.run()
         assert sim.events_processed == 4
+
+
+NAN = float("nan")
+
+
+class TestNonFiniteTimes:
+    """NaN compares false with everything, so `delay < 0` let it through."""
+
+    @pytest.mark.parametrize("method", ["schedule", "post"])
+    def test_nan_delay_rejected(self, method):
+        sim = Simulator()
+        with pytest.raises(SimError):
+            getattr(sim, method)(NAN, lambda: None)
+        assert sim.pending() == 0
+
+    @pytest.mark.parametrize("method", ["schedule_at", "post_at"])
+    def test_nan_time_rejected(self, method):
+        sim = Simulator()
+        with pytest.raises(SimError):
+            getattr(sim, method)(NAN, lambda: None)
+        assert sim.pending() == 0
+
+    def test_nan_end_time_rejected(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, 1)
+        with pytest.raises(SimError):
+            sim.run_until(NAN)
+        assert fired == [] and sim.now == 0.0
+        sim.run_until(2.0)  # the engine is still usable
+        assert fired == [1]
+
+
+class TestPendingAccounting:
+    """pending() is the heap size less the cancelled entries in it."""
+
+    def test_mixed_schedule_post_cancel_fire(self):
+        sim = Simulator()
+        h1 = sim.schedule(1.0, lambda: None)
+        sim.post(2.0, lambda: None)
+        h3 = sim.schedule(3.0, lambda: None)
+        sim.post_at(4.0, lambda: None)
+        assert sim.pending() == 4
+        h3.cancel()
+        h3.cancel()
+        assert sim.pending() == 3
+        sim.run_until(1.0)
+        assert sim.pending() == 2
+        h1.cancel()  # already fired: no-op
+        assert sim.pending() == 2
+        sim.run_until(3.5)  # fires the post, discards cancelled h3
+        assert sim.pending() == 1
+        assert sim.events_processed == 2
+        sim.run()
+        assert sim.pending() == 0
+        assert sim.events_processed == 3
+
+    def test_pending_exact_inside_a_run(self):
+        sim = Simulator()
+        seen = []
+        later = sim.schedule(3.0, lambda: None)
+        sim.schedule(1.0, lambda: (later.cancel(), seen.append(sim.pending())))
+        sim.post(2.0, lambda: seen.append(sim.pending()))
+        sim.run()
+        assert seen == [1, 0]
+        assert sim.pending() == 0
+
+    def test_run_until_pushes_back_the_overshooting_entry(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, "a")
+        sim.post(5.0, fired.append, "b")
+        sim.post(5.0, fired.append, "c")
+        sim.run_until(2.0)
+        assert fired == ["a"] and sim.now == 2.0
+        assert sim.pending() == 2
+        sim.post(3.0, fired.append, "d")  # lands at 5.0, after b and c
+        sim.run_until(6.0)
+        assert fired == ["a", "b", "c", "d"]
+        assert sim.pending() == 0
+
+    def test_cancelled_entry_past_end_time_stays_counted(self):
+        sim = Simulator()
+        sim.schedule(5.0, lambda: None).cancel()
+        sim.run_until(2.0)
+        assert sim.pending() == 0
+        sim.run()
+        assert sim.pending() == 0
+        assert sim.events_processed == 0
+
+    def test_entry_at_end_time_fires_and_next_stays_queued(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(2.0, fired.append, "at")
+        sim.schedule(2.0 + 1e-12, fired.append, "after")
+        sim.schedule(1.5, lambda: None).cancel()
+        sim.run_until(2.0)
+        assert fired == ["at"]
+        assert sim.now == 2.0
+        assert sim.pending() == 1
+        assert sim.events_processed == 1  # the cancelled entry is not counted
+
+    def test_stop_mid_run(self):
+        sim = Simulator()
+        for t in (1.0, 3.0, 4.0):
+            sim.schedule(t, lambda: None)
+        sim.post(2.0, sim.stop)
+        sim.run_until(10.0)
+        assert sim.now == 2.0  # a stopped run leaves the clock where it stopped
+        assert sim.pending() == 2
+        assert sim.events_processed == 2
+        sim.run()
+        assert sim.pending() == 0
+        assert sim.events_processed == 4
+
+    def test_link_down_leaves_stale_channel_entries(self):
+        class Sink(Node):
+            def receive(self, packet, in_port):
+                pass
+
+        sim = Simulator()
+        a, b = Sink("A", sim, 1), Sink("B", sim, 1)
+        # 8 Mbit/s: 1000 bytes serialize in 1 ms; 2 ms propagation.
+        link = Link(sim, a, 0, b, 0, rate_mbps=8.0, delay_s=0.002)
+        for _ in range(2):
+            a.send(0, Packet(src_host="a", dst_host="b", size_bytes=1000))
+        sim.run_until(0.0015)  # first on the wire, second serializing
+        assert sim.pending() == 2
+        link.set_up(False)
+        # The arrival and the completion stay in the heap as no-ops.
+        assert sim.pending() == 2
+        assert link.stats_ab.failure_drops == 2
+        sim.run()
+        assert sim.pending() == 0
+        assert sim.events_processed == 3  # first completion + two no-ops
+        assert link.stats_ab.delivered_packets == 0

@@ -152,3 +152,59 @@ class TestNodeWiring:
         sim, a, b, link = pair
         assert a.peer_name(0) == "B"
         assert b.peer_name(0) == "A"
+
+
+class TestParameterValidation:
+    """Bad rates, delays and queue sizes are refused when the link is built."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"rate_mbps": 0.0},
+        {"rate_mbps": -8.0},
+        {"rate_mbps": float("nan")},
+        {"rate_mbps": float("inf")},
+        {"delay_s": -0.001},
+        {"delay_s": float("nan")},
+        {"delay_s": float("inf")},
+        {"queue_packets": -1},
+    ])
+    def test_invalid_parameters_rejected(self, kwargs):
+        sim = Simulator()
+        a, b = Recorder("A", sim), Recorder("B", sim)
+        with pytest.raises(ValueError, match=r"A:0 <-> B:0") as err:
+            Link(sim, a, 0, b, 0, **kwargs)
+        assert next(iter(kwargs)) in str(err.value)
+        assert a.link_on(0) is None and b.link_on(0) is None
+
+    def test_zero_delay_and_zero_queue_accepted(self):
+        sim = Simulator()
+        a, b = Recorder("A", sim), Recorder("B", sim)
+        Link(sim, a, 0, b, 0, delay_s=0.0, queue_packets=0)
+        assert a.send(0, _pkt()) is True
+        assert a.send(0, _pkt()) is False  # no queue: the second drops
+        sim.run()
+        assert len(b.received) == 1
+
+
+class TestSameTimeArrivals:
+    def test_earlier_serialization_arrives_first(self):
+        # A sends P1 and P2 back to back, so P2 queues behind P1.  B
+        # sends Q at exactly the float time P1's serialization ends.  Q
+        # and P2 then finish serializing, and reach C, at the same float
+        # time; Q started serializing first, so it must arrive first.
+        sim = Simulator()
+        a, b = Recorder("A", sim), Recorder("B", sim)
+        c = Recorder("C", sim, num_ports=2)
+        rate_mbps, delay_s, size = 7.0, 0.0013, 1000
+        Link(sim, a, 0, c, 0, rate_mbps=rate_mbps, delay_s=delay_s)
+        Link(sim, b, 0, c, 1, rate_mbps=rate_mbps, delay_s=delay_s)
+        p1_done = 0.0 + size * (8 / (rate_mbps * 1e6))  # as Channel does
+        q = _pkt(size)
+        sim.schedule_at(p1_done, b.send, 0, q)
+        p1, p2 = _pkt(size), _pkt(size)
+        a.send(0, p1)
+        a.send(0, p2)
+        sim.run()
+        assert [(p, port) for _, p, port in c.received] == [
+            (p1, 0), (q, 1), (p2, 0)
+        ]
+        assert c.received[1][0] == c.received[2][0]  # a true tie
