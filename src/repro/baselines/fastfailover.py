@@ -16,8 +16,8 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from repro.switches.deflection import DeflectionStrategy
-from repro.topology.graph import PortGraph, TopologyError
-from repro.topology.paths import NoPathError, shortest_path
+from repro.topology.graph import NodeKind, PortGraph
+from repro.topology.paths import NoPathError, canonical_tree, shortest_path
 
 __all__ = [
     "FastFailoverStrategy",
@@ -91,13 +91,8 @@ def plan_backup_ports(
                 graph,
                 current,
                 dst_edge,
-                forbidden_links=[
-                    (current, nxt) if current <= nxt else (nxt, current)
-                ],
-                forbidden_nodes=[
-                    n.name for n in graph.nodes()
-                    if n.kind == "host"
-                ],
+                forbidden_links=[(current, nxt)],
+                forbidden_nodes=graph.node_names(NodeKind.HOST),
             )
         except NoPathError:
             continue
@@ -112,23 +107,15 @@ def plan_destination_tree(graph: PortGraph, dst_edge: str) -> Dict[str, int]:
     """Destination-rooted next-hop table: switch name -> port.
 
     The conventional per-switch routing state a rerouted packet needs at
-    off-route switches (where the KAR residue is meaningless).  This is
-    exactly the state KAR's route IDs eliminate — quantified by the
-    ablation benchmark as |switches| table entries per destination.
+    off-route switches (where the KAR residue is meaningless): each core
+    switch's parent port in the :func:`~repro.topology.paths
+    .canonical_tree` over the core toward *dst_edge*.  This is exactly
+    the state KAR's route IDs eliminate — quantified by the ablation
+    benchmark as |switches| table entries per destination.
     """
-    table: Dict[str, int] = {}
-    for node in graph.nodes():
-        if node.kind != "core":
-            continue
-        try:
-            path = shortest_path(
-                graph, node.name, dst_edge,
-                forbidden_nodes=[
-                    n.name for n in graph.nodes() if n.kind == "host"
-                ],
-            )
-        except NoPathError:
-            continue
-        if len(path) >= 2:
-            table[node.name] = graph.port_of(node.name, path[1])
-    return table
+    core = graph.node_names(NodeKind.CORE)
+    parent, _ = canonical_tree(graph, dst_edge, set(core))
+    return {
+        name: graph.port_of(name, parent[name])
+        for name in core if name in parent
+    }

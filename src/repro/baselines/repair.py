@@ -75,7 +75,7 @@ class ControllerRepair:
         try:
             node_path = core_path_between_edges(
                 scn.graph, src_edge, dst_edge,
-                forbidden_links=[tuple(sorted(failed))],
+                forbidden_links=[failed],
             )
         except NoPathError:
             return  # nothing the controller can do

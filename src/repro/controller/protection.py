@@ -23,6 +23,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.rns.bitlength import route_id_bit_length
 from repro.rns.encoder import Hop
 from repro.topology.graph import NodeKind, PortGraph
+from repro.topology.paths import canonical_tree
 from repro.topology.topologies import ProtectionSegment
 
 __all__ = ["segments_to_hops", "ProtectionPlanner", "ProtectionPlan"]
@@ -66,11 +67,11 @@ class ProtectionPlanner:
     1. The *deflection candidates* are the core neighbours of the
        primary-route switches that are not themselves on the route —
        exactly the places a NIP/AVP deflection can land in one hop.
-    2. Build a shortest-path tree (hop count) toward the destination
-       switch over the core subgraph, excluding primary-route switches
-       as intermediates (their residues are taken — KAR's one-residue
-       constraint; reaching one means the packet simply resumes the
-       primary route).
+    2. Build the canonical shortest-path tree (hop count) toward the
+       destination switch over the core subgraph, excluding
+       primary-route switches as intermediates (their residues are
+       taken — KAR's one-residue constraint; reaching one means the
+       packet simply resumes the primary route).
     3. For *full* protection, add the tree edges that chain every
        candidate to the destination (or to a primary-route switch).
        For *partial* protection, add candidates in order of usefulness
@@ -105,7 +106,7 @@ class ProtectionPlanner:
 
     # -- construction ------------------------------------------------------
     def _tree_parent(self, route: Sequence[str]) -> Dict[str, str]:
-        """BFS parents toward the destination switch.
+        """Canonical tree parents toward the destination switch.
 
         ``parent[x]`` is x's next hop toward the destination.  The tree
         is rooted at the destination *only* and grows through off-route
@@ -115,22 +116,8 @@ class ProtectionPlanner:
         ("a logical tree with its root at destination ... has been
         built").
         """
-        dst = route[-1]
-        on_route = set(route)
-        parent: Dict[str, str] = {}
-        dist = {dst: 0}
-        frontier = [dst]
-        while frontier:
-            nxt: List[str] = []
-            for cur in frontier:
-                for nb in self.graph.core_subgraph_neighbors(cur):
-                    if nb in dist or nb in on_route:
-                        continue
-                    dist[nb] = dist[cur] + 1
-                    parent[nb] = cur
-                    nxt.append(nb)
-            frontier = nxt
-        return parent
+        off_route = set(self.graph.node_names(NodeKind.CORE)) - set(route)
+        return canonical_tree(self.graph, route[-1], off_route)[0]
 
     def _chain(
         self, start: str, parent: Dict[str, str], on_route: Set[str]

@@ -1,7 +1,7 @@
 """Batch route provisioning: destination trees + incremental CRT encoding.
 
 The per-flow controller path (:class:`~repro.controller.controller
-.KarController`) answers one request at a time: Dijkstra from the source
+.KarController`) answers one request at a time: a tree from the source
 edge, then a fresh CRT solve.  Correct, and the right oracle — but the
 work is almost entirely shared between flows.  Every flow to the same
 destination traverses the same shortest-path *tree* toward it, and every
@@ -38,17 +38,16 @@ The controller service maps these directly onto 4xx responses; nothing
 in this module leaks a bare ``KeyError`` for bad input.
 
 Route selection note — why this is a separate engine and not the
-default inside :class:`~repro.controller.controller.KarController`: the
-per-flow path uses source-rooted Dijkstra whose tie-break among
-equal-length paths depends on heap order at the *source*; a
-destination-rooted tree necessarily tie-breaks from the other end.
-Both pick shortest paths, but not always the *same* shortest path, and
-the repo's digest-reproducibility guarantees pin the per-flow choice.
-The engine therefore defines its own deterministic rule (BFS with
-name-sorted expansion, entry switch chosen by ``(depth, name)``) and is
-wired in explicitly where batch provisioning is wanted.  Tests assert
-path-*length* equality with the per-flow path and bit-identical
-encoding against the reference solver on the engine's own hop lists.
+default inside :class:`~repro.controller.controller.KarController`:
+both read :func:`~repro.topology.paths.canonical_tree`, but the
+per-flow path roots it at the *source* edge and this engine at the
+*destination* edge.  The smallest-name rule applied from opposite ends
+can pick different equal-length paths (4 edge pairs on
+``fifteen_node``), and the repo's digest-reproducibility guarantees
+pin the per-flow choice.  The engine's entry switch is chosen by
+``(depth, name)``; tests hold its paths equal to the per-flow ones
+wherever the two rules agree, and its encoding bit-identical to the
+reference solver on its own hop lists.
 """
 
 from __future__ import annotations
@@ -67,6 +66,7 @@ from repro.topology.graph import (
     TopologyError,
     link_key,
 )
+from repro.topology.paths import canonical_tree
 
 __all__ = [
     "DestinationTree",
@@ -173,16 +173,12 @@ class DestinationTree:
     """Shortest-path (hop count) tree toward one destination edge.
 
     ``parent[x]`` is switch x's next node toward the destination;
-    ``depth[x]`` its hop distance.  Built by BFS over the core subgraph
-    with the frontier kept **name-sorted at every level**, which pins
-    the canonical tie-break: among equal-depth alternatives,
-    ``parent[x]`` is always the *smallest-named* node at
-    ``depth[x] - 1`` adjacent to x — deterministic, independent of port
-    numbering or insertion order, and exactly reproducible by the
-    vectorized CSR pass (:func:`repro.topology.csr
-    .destination_tree_arrays` picks parents by smallest node index over
-    name-sorted indexing, which is the same rule).  Tests lock the two
-    implementations together bit-for-bit.
+    ``depth[x]`` its hop distance.  One :func:`~repro.topology.paths
+    .canonical_tree` over the core switches: among equal-depth
+    alternatives, ``parent[x]`` is the *smallest-named* node at
+    ``depth[x] - 1`` adjacent to x — the rule the vectorized CSR pass
+    (:func:`repro.topology.csr.destination_forest`) reproduces, and
+    tests lock the two together bit-for-bit.
 
     ``down`` is the set of canonical link keys currently failed: those
     links are skipped, so the tree describes the *residual* topology.
@@ -204,36 +200,9 @@ class DestinationTree:
         self.dst_edge = dst_edge
         self.epoch = epoch
         self.down = down
-        parent: Dict[str, str] = {}
-        depth: Dict[str, int] = {dst_edge: 0}
-        frontier = [dst_edge]
-        while frontier:
-            nxt: List[str] = []
-            for cur in frontier:
-                neighbors = (
-                    graph.core_subgraph_neighbors(cur)
-                    if graph.node(cur).kind == NodeKind.CORE
-                    else [
-                        nb
-                        for nb in graph.neighbors(cur)
-                        if graph.node(nb).kind == NodeKind.CORE
-                    ]
-                )
-                for nb in sorted(neighbors):
-                    if nb in depth:
-                        continue
-                    if down and link_key(cur, nb) in down:
-                        continue
-                    depth[nb] = depth[cur] + 1
-                    parent[nb] = cur
-                    nxt.append(nb)
-            # Keeping the next frontier name-sorted is what makes the
-            # first-wins claim above equal "smallest-named parent at the
-            # previous depth" — the canonical tie-break the vectorized
-            # pass reproduces.
-            frontier = sorted(nxt)
-        self.parent = parent
-        self.depth = depth
+        self.parent, self.depth = canonical_tree(
+            graph, dst_edge, set(graph.node_names(NodeKind.CORE)), down
+        )
         self.routes: Dict[str, ProvisionedRoute] = {}
 
     def branch(self, switch: str) -> List[str]:

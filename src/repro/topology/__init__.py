@@ -11,6 +11,7 @@ from repro.topology.zoo import ABILENE_LINKS, abilene, fat_tree
 from repro.topology.graph import LinkInfo, NodeInfo, NodeKind, PortGraph, TopologyError
 from repro.topology.paths import (
     NoPathError,
+    canonical_tree,
     is_reachable_without,
     shortest_path,
 )
@@ -32,6 +33,7 @@ __all__ = [
     "LinkInfo",
     "NodeKind",
     "TopologyError",
+    "canonical_tree",
     "shortest_path",
     "is_reachable_without",
     "NoPathError",

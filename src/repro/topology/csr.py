@@ -17,16 +17,14 @@ bulk provisioner's trees via :func:`destination_forest`):
   neighbor** facing ``u`` (what a hop through the neighbor toward ``u``
   encodes — the array a destination-rooted BFS reads when it claims a
   child);
-* ``weights`` — parallel to ``indices``: per-half-edge link cost
-  (hop count ``1.0`` by default), for weighted variants;
 * ``core_mask``/``switch_ids`` — per-node role and KAR modulus.
 
 Node indexing is **name-sorted rank**: index order equals
 lexicographic name order.  That single choice is what makes the
 vectorized tie-break canonical — "smallest node index" and "smallest
 node name" are the same thing, so a numpy minimum over a node's
-claimants lands on exactly the parent the reference Python BFS picks
-(see :class:`repro.controller.provision.DestinationTree`).
+claimants lands on exactly the parent the Python statement of the rule
+picks (:func:`repro.topology.paths.canonical_tree`).
 
 Down links are excluded at conversion time (the CSR form is rebuilt per
 topology/link epoch, mirroring the engine's tree invalidation), so a
@@ -63,7 +61,7 @@ class CsrTopology:
 
     __slots__ = (
         "names", "index", "n", "indptr", "indices", "ports_out",
-        "ports_back", "weights", "core_mask", "switch_ids", "down",
+        "ports_back", "core_mask", "switch_ids", "down",
     )
 
     def __init__(
@@ -74,7 +72,6 @@ class CsrTopology:
         indices: np.ndarray,
         ports_out: np.ndarray,
         ports_back: np.ndarray,
-        weights: np.ndarray,
         core_mask: np.ndarray,
         switch_ids: np.ndarray,
         down: FrozenSet[Tuple[str, str]],
@@ -86,7 +83,6 @@ class CsrTopology:
         self.indices = indices
         self.ports_out = ports_out
         self.ports_back = ports_back
-        self.weights = weights
         self.core_mask = core_mask
         self.switch_ids = switch_ids
         self.down = down
@@ -107,29 +103,26 @@ class CsrTopology:
         index = {name: i for i, name in enumerate(names)}
         n = len(names)
 
-        adj: List[List[Tuple[int, int, int, float]]] = [[] for _ in range(n)]
+        adj: List[List[Tuple[int, int, int]]] = [[] for _ in range(n)]
         for link in graph.links():
             if down and link.key in down:
                 continue
             ia, ib = index[link.a], index[link.b]
-            w = 1.0
-            adj[ia].append((ib, link.a_port, link.b_port, w))
-            adj[ib].append((ia, link.b_port, link.a_port, w))
+            adj[ia].append((ib, link.a_port, link.b_port))
+            adj[ib].append((ia, link.b_port, link.a_port))
 
         indptr = np.zeros(n + 1, dtype=np.int32)
         total = sum(len(a) for a in adj)
         indices = np.empty(total, dtype=np.int32)
         ports_out = np.empty(total, dtype=np.int32)
         ports_back = np.empty(total, dtype=np.int32)
-        weights = np.empty(total, dtype=np.float64)
         pos = 0
         for i, entries in enumerate(adj):
             entries.sort(key=lambda e: e[0])
-            for nb, p_out, p_back, w in entries:
+            for nb, p_out, p_back in entries:
                 indices[pos] = nb
                 ports_out[pos] = p_out
                 ports_back[pos] = p_back
-                weights[pos] = w
                 pos += 1
             indptr[i + 1] = pos
 
@@ -142,11 +135,11 @@ class CsrTopology:
                 if info.switch_id is not None:
                     switch_ids[i] = info.switch_id
 
-        for arr in (indptr, indices, ports_out, ports_back, weights,
-                    core_mask, switch_ids):
+        for arr in (indptr, indices, ports_out, ports_back, core_mask,
+                    switch_ids):
             arr.setflags(write=False)
         return cls(names, index, indptr, indices, ports_out, ports_back,
-                   weights, core_mask, switch_ids, frozenset(down))
+                   core_mask, switch_ids, frozenset(down))
 
     def node_index(self, name: str) -> int:
         try:
@@ -246,9 +239,9 @@ def destination_forest(
     Expansion never leaves the core: only nodes with ``core_mask`` set
     are claimed (a root is usually an edge node, since a destination
     tree is rooted at the egress edge).  Canonical tie-break (locked by
-    tests against the reference Python BFS): a node at depth ``d+1``
-    takes as parent the **smallest-named** (= smallest-index) node at
-    depth ``d`` adjacent to it.
+    tests against :func:`repro.topology.paths.canonical_tree`): a node
+    at depth ``d+1`` takes as parent the **smallest-named**
+    (= smallest-index) node at depth ``d`` adjacent to it.
     """
     n, roots = csr.n, [int(r) for r in roots]
     parent, levels = bfs_forest(csr, np.array(roots), csr.core_mask)

@@ -2,17 +2,19 @@
 
 The KAR controller needs shortest paths (route selection) and
 reachability under link removal (failure analysis).  Both treat the
-graph as undirected, consistent with full-duplex links.
+graph as undirected, consistent with full-duplex links, and both read
+one tree, :func:`canonical_tree`.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.topology.graph import PortGraph, TopologyError, link_key
 
-__all__ = ["NoPathError", "shortest_path", "is_reachable_without"]
+__all__ = [
+    "NoPathError", "canonical_tree", "shortest_path", "is_reachable_without",
+]
 
 LinkKey = Tuple[str, str]
 
@@ -28,90 +30,93 @@ class NoPathError(TopologyError):
         super().__init__(msg)
 
 
-def _default_weight(graph: PortGraph) -> Callable[[str, str], float]:
-    def weight(a: str, b: str) -> float:
-        return 1.0
+def canonical_tree(
+    graph: PortGraph,
+    root: str,
+    allowed: Optional[Collection[str]] = None,
+    down: Collection[LinkKey] = frozenset(),
+) -> Tuple[Dict[str, str], Dict[str, int]]:
+    """Hop-count BFS tree toward *root*: the repo's one tree rule.
 
-    return weight
+    Each node's parent is its **smallest-named** neighbour one hop
+    closer to *root*: the frontier is kept name-sorted, so that
+    neighbour claims it first.  :func:`repro.topology.csr.bfs_forest`
+    is the array twin; tests hold the two equal.
+
+    Args:
+        allowed: the nodes the tree may claim; ``None`` means all.  The
+            root is in the tree either way.
+        down: canonical link keys (:func:`~repro.topology.graph
+            .link_key`) to skip.
+
+    Returns:
+        ``(parent, depth)`` over the nodes reached: x's next hop toward
+        *root* (none at the root) and its hop count.
+    """
+    graph.node(root)  # raises on unknown node
+    parent: Dict[str, str] = {}
+    depth = {root: 0}
+    frontier = [root]
+    while frontier:
+        nxt: List[str] = []
+        for cur in frontier:
+            d = depth[cur] + 1
+            for nb in graph.node(cur).ports:
+                if nb in depth or (allowed is not None and nb not in allowed):
+                    continue
+                if down and link_key(cur, nb) in down:
+                    continue
+                depth[nb] = d
+                parent[nb] = cur
+                nxt.append(nb)
+        frontier = sorted(nxt)
+    return parent, depth
+
+
+def _link_keys(graph: PortGraph, links: Iterable[LinkKey]) -> FrozenSet[LinkKey]:
+    """Canonical keys of *links*, endpoints in either order; a pair no
+    link joins is a :class:`TopologyError`."""
+    return frozenset(graph.link(a, b).key for a, b in links)
 
 
 def shortest_path(
     graph: PortGraph,
     src: str,
     dst: str,
-    weight: Optional[Callable[[str, str], float]] = None,
     forbidden_links: Iterable[LinkKey] = (),
     forbidden_nodes: Iterable[str] = (),
 ) -> List[str]:
-    """Dijkstra shortest path as a list of node names (src ... dst).
+    """Hop-count shortest path as a list of node names (src ... dst).
 
-    Deterministic tie-breaking (locked by tests, relied on by the
-    vectorized bulk provisioner): among predecessors that all achieve a
-    node's final distance, the chosen one minimizes
-    ``(dist[predecessor], predecessor name)``.  For unit weights that
-    degenerates to *the smallest-named neighbor one hop closer to the
-    source* — the same canonical rule
-    :class:`repro.controller.provision.DestinationTree` and
-    :func:`repro.topology.csr.destination_tree_arrays` use, so every
-    path algorithm in the repo agrees bit-for-bit on equal-cost
-    choices.  The rule is enforced by an explicit comparison below, not
-    by incidental heap order.
+    The branch from *dst* up :func:`canonical_tree` rooted at *src*.
+    A destination-rooted tree (the provisioning engine's) applies the
+    same rule from the other end, so it can pick a different
+    equal-length path.
 
     Args:
-        weight: optional ``f(a, b) -> cost`` per link; defaults to hop
-            count.  Costs must be non-negative.
-        forbidden_links: link keys (sorted endpoint pairs) to exclude —
+        forbidden_links: links to exclude, endpoints in either order —
             used to route around known failures.
         forbidden_nodes: nodes that may not appear as intermediates
             (endpoints are always allowed).
 
     Raises:
+        TopologyError: an unknown node, or a pair no link joins.
         NoPathError: when *dst* is unreachable under the constraints.
     """
-    for name in (src, dst):
-        graph.node(name)  # raises on unknown node
-    if src == dst:
-        return [src]
-    weight = weight or _default_weight(graph)
-    banned_links: Set[LinkKey] = set(forbidden_links)
-    banned_nodes = set(forbidden_nodes) - {src, dst}
-
-    dist: Dict[str, float] = {src: 0.0}
-    prev: Dict[str, str] = {}
-    heap: List[Tuple[float, str]] = [(0.0, src)]
-    done: Set[str] = set()
-    while heap:
-        d, cur = heapq.heappop(heap)
-        if cur in done:
-            continue
-        done.add(cur)
-        if cur == dst:
-            break
-        for nb in graph.neighbors(cur):
-            if nb in banned_nodes or link_key(cur, nb) in banned_links:
-                continue
-            w = weight(cur, nb)
-            if w < 0:
-                raise TopologyError(f"negative link weight on {cur}-{nb}: {w}")
-            nd = d + w
-            old = dist.get(nb, float("inf"))
-            if nd < old:
-                dist[nb] = nd
-                prev[nb] = cur
-                heapq.heappush(heap, (nd, nb))
-            elif nd == old and nb in prev:
-                # Canonical tie-break: keep the predecessor minimal by
-                # (distance, name).  Pops arrive in that order already,
-                # so this comparison is a lock, not a behavior change.
-                p = prev[nb]
-                if (d, cur) < (dist[p], p):
-                    prev[nb] = cur
-    if dst not in prev and dst != src:
-        note = "with constraints" if (banned_links or banned_nodes) else ""
+    graph.node(dst)  # raises on unknown node; canonical_tree checks src
+    down = _link_keys(graph, forbidden_links)
+    banned = set(forbidden_nodes) - {src, dst}
+    allowed = (
+        {name for name in graph.node_names() if name not in banned}
+        if banned else None
+    )
+    parent, depth = canonical_tree(graph, src, allowed, down)
+    if dst not in depth:
+        note = "with constraints" if (down or banned) else ""
         raise NoPathError(src, dst, note)
     path = [dst]
     while path[-1] != src:
-        path.append(prev[path[-1]])
+        path.append(parent[path[-1]])
     path.reverse()
     return path
 
@@ -119,9 +124,8 @@ def shortest_path(
 def is_reachable_without(
     graph: PortGraph, src: str, dst: str, removed_links: Iterable[LinkKey]
 ) -> bool:
-    """True if *dst* is reachable from *src* after removing links."""
-    try:
-        shortest_path(graph, src, dst, forbidden_links=removed_links)
-        return True
-    except NoPathError:
-        return False
+    """True if *dst* is reachable from *src* after removing links
+    (endpoints in either order)."""
+    graph.node(dst)
+    down = _link_keys(graph, removed_links)
+    return dst in canonical_tree(graph, src, None, down)[1]

@@ -7,8 +7,10 @@ from repro.rns import bit_length_for_switches
 from repro.topology import (
     FULL,
     PARTIAL,
+    NodeKind,
     ProtectionSegment,
     fifteen_node,
+    shortest_path,
     six_node,
 )
 
@@ -91,6 +93,58 @@ class TestFullPlan:
         ids = [fifteen.graph.switch_id(sw) for sw in fifteen.primary_route]
         ids += [fifteen.graph.switch_id(s.at) for s in plan.segments]
         assert plan.bit_length == bit_length_for_switches(ids)
+
+
+class TestCanonicalChains:
+    """Every chain step follows the canonical tree rule: the
+    smallest-named off-route core neighbour one hop closer to the
+    destination switch."""
+
+    def _off_route_depth(self, graph, route):
+        # Hop counts to the destination through off-route core switches,
+        # by a plain BFS (any expansion order gives the same depths).
+        on_route = set(route)
+        depth = {route[-1]: 0}
+        frontier = [route[-1]]
+        while frontier:
+            nxt = []
+            for cur in frontier:
+                for nb in graph.core_subgraph_neighbors(cur):
+                    if nb not in depth and nb not in on_route:
+                        depth[nb] = depth[cur] + 1
+                        nxt.append(nb)
+            frontier = nxt
+        return depth
+
+    def _assert_canonical(self, graph, route):
+        depth = self._off_route_depth(graph, route)
+        for seg in ProtectionPlanner(graph).full(route).segments:
+            closer = [
+                nb for nb in graph.core_subgraph_neighbors(seg.at)
+                if depth.get(nb) == depth[seg.at] - 1
+            ]
+            assert seg.to == min(closer), (route, seg)
+
+    def test_unsorted_frontier_case(self, fifteen):
+        # SW7 chains via SW11 (depth 3), not SW13-SW31-SW43.
+        route = ["SW10", "SW17", "SW53"]
+        self._assert_canonical(fifteen.graph, route)
+        plan = ProtectionPlanner(fifteen.graph).full(route)
+        assert ProtectionSegment("SW7", "SW11") in plan.segments
+        assert plan.bit_length == 46
+
+    def test_paper_route_keeps_its_plan(self, fifteen):
+        plan = ProtectionPlanner(fifteen.graph).full(fifteen.primary_route)
+        assert plan.bit_length == 47
+
+    def test_every_core_route(self, fifteen):
+        graph = fifteen.graph
+        core = sorted(graph.node_names(NodeKind.CORE))
+        for src in core:
+            for dst in core:
+                if src != dst:
+                    route = shortest_path(graph, src, dst)
+                    self._assert_canonical(graph, route)
 
 
 class TestPartialPlan:

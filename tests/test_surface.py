@@ -59,17 +59,17 @@ CLAIMED: Dict[str, Dict[str, str]] = {
             "test_ablation_idassign.py",
         "repro.analysis.walk:absorption_probability": "test_ablation_walk.py",
         "repro.analysis.walk:hot_potato_hitting_time":
-            "test_ablation_walk.py; item 4(a) replaces it",
+            "test_ablation_walk.py; item 3(a) replaces it",
         "repro.topology.generators:ring_lattice": "test_ablation_walk.py",
     },
     ROADMAP: {
-        "repro.transport.cubic": "item 5: exercised by the sweep or deleted",
+        "repro.transport.cubic": "item 4: exercised by the sweep or deleted",
         "repro.sim.adversary:search_worst_schedule":
-            "item 4(c): kept only if it beats the adaptive adversary",
+            "item 3(c): kept only if it beats the adaptive adversary",
         "repro.sim.monitors:LinkMonitor":
-            "items 1(c)/7: bottleneck utilisation, telemetry spine",
-        "repro.sim.monitors:LinkSample": "items 1(c)/7: LinkMonitor's sample",
-        "repro.sim.monitors:NetworkMonitor": "items 1(c)/7",
+            "items 1(c)/6: bottleneck utilisation, telemetry spine",
+        "repro.sim.monitors:LinkSample": "items 1(c)/6: LinkMonitor's sample",
+        "repro.sim.monitors:NetworkMonitor": "items 1(c)/6",
     },
     ORACLE: {
         "repro.controller.bulk:mesh_digest_reference":

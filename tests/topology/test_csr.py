@@ -14,6 +14,7 @@ from repro.topology.csr import (
     destination_tree_arrays,
 )
 from repro.topology.generators import attach_edges
+from repro.topology.paths import canonical_tree
 from repro.topology.zoo import abilene, fat_tree
 
 
@@ -232,3 +233,46 @@ class TestDestinationForest:
         assert destination_forest(csr, [csr.index[cut]])[0].order.size == 0
         for dst in edges:
             _assert_matches_reference(graph, dst, down=frozenset(down))
+
+
+class TestCanonicalTreeTwin:
+    """:func:`bfs_forest` is the array twin of :func:`canonical_tree`:
+    one rule, held equal parent for parent and depth for depth."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 30),
+        extra=st.integers(0, 30),
+        data=st.data(),
+    )
+    def test_forest_slot_is_the_canonical_tree(self, seed, n, extra, data):
+        graph = random_connected(
+            n, extra_links=extra, seed=seed, min_switch_id=53
+        )
+        keys = sorted(link.key for link in graph.links())
+        down = frozenset(data.draw(st.sets(st.sampled_from(keys))))
+        allowed = np.array(
+            data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        )
+        roots = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                   max_size=4))
+        csr = CsrTopology.from_graph(graph, down=down)
+        parent, levels = bfs_forest(csr, np.array(roots), allowed)
+        depth = np.where(parent < 0, 0, -1)
+        for d, (level_keys, _) in enumerate(levels, start=1):
+            depth[level_keys] = d
+        allowed_names = {csr.names[i] for i in np.flatnonzero(allowed)}
+        for slot, root in enumerate(roots):
+            base = slot * n
+            want_parent, want_depth = canonical_tree(
+                graph, csr.names[root], allowed_names, down
+            )
+            assert {
+                csr.names[i]: int(depth[base + i])
+                for i in range(n) if depth[base + i] >= 0
+            } == want_depth
+            assert {
+                csr.names[i]: csr.names[int(parent[base + i]) - base]
+                for i in range(n) if depth[base + i] > 0
+            } == want_parent

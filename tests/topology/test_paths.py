@@ -6,6 +6,7 @@ import pytest
 from repro.topology import (
     NoPathError,
     PortGraph,
+    TopologyError,
     is_reachable_without,
     random_connected,
     shortest_path,
@@ -57,15 +58,21 @@ class TestShortestPath:
                 forbidden_links=[("B", "D"), ("C", "D")],
             )
 
-    def test_weighted(self, diamond):
-        def weight(a, b):
-            return 10.0 if {a, b} == {"A", "B"} else 1.0
+    def test_forbidden_link_in_either_order(self, diamond):
+        # A reversed key names the same link: A-B must still be avoided.
+        path = shortest_path(diamond, "A", "D", forbidden_links=[("B", "A")])
+        assert path == ["A", "C", "D"]
 
-        assert shortest_path(diamond, "A", "D", weight=weight) == ["A", "C", "D"]
+    def test_forbidden_pair_that_is_no_link_is_refused(self, diamond):
+        with pytest.raises(TopologyError, match="no link A-Z"):
+            shortest_path(diamond, "A", "D", forbidden_links=[("A", "Z")])
+        with pytest.raises(TopologyError, match="no link A-D"):
+            shortest_path(diamond, "A", "D", forbidden_links=[("A", "D")])
 
-    def test_negative_weight_rejected(self, diamond):
-        with pytest.raises(Exception, match="negative"):
-            shortest_path(diamond, "A", "D", weight=lambda a, b: -1.0)
+    def test_unknown_endpoint_is_refused(self, diamond):
+        for src, dst in (("A", "Z"), ("Z", "A")):
+            with pytest.raises(TopologyError, match="unknown node"):
+                shortest_path(diamond, src, dst)
 
     def test_matches_networkx_on_random_graphs(self):
         for seed in range(5):
@@ -92,6 +99,16 @@ class TestReachabilityAndBridges:
             diamond, "A", "E", [("D", "E")]
         )
 
+    def test_reversed_keys_cut_the_same_links(self, diamond):
+        assert not is_reachable_without(
+            diamond, "A", "D", [("B", "A"), ("C", "A")]
+        )
+        assert not is_reachable_without(diamond, "A", "E", [("E", "D")])
+
+    def test_pair_that_is_no_link_is_refused(self, diamond):
+        with pytest.raises(TopologyError, match="no link A-Z"):
+            is_reachable_without(diamond, "A", "D", [("A", "Z")])
+
     def test_bridges(self, diamond):
         assert _bridges(diamond) == [("D", "E")]
 
@@ -103,10 +120,10 @@ class TestReachabilityAndBridges:
 
 
 class TestTieBreaking:
-    """The canonical equal-cost rule: among predecessors achieving a
-    node's final distance, keep the one minimal by (distance, name).
-    Locked here because the vectorized bulk provisioner reproduces it
-    from the other end of the path (see repro.topology.csr)."""
+    """The canonical equal-cost rule: a node's predecessor is its
+    smallest-named neighbour one hop closer to the source.  Locked here
+    because the vectorized bulk provisioner reproduces it from the other
+    end of the path (see repro.topology.csr)."""
 
     def _square(self, link_order):
         # S - B - T and S - C - T: two equal-cost paths to T.
@@ -126,25 +143,6 @@ class TestTieBreaking:
         # rule must still pick B, not whichever was relaxed first.
         g = self._square([("C", "T"), ("B", "T"), ("S", "C"), ("S", "B")])
         assert shortest_path(g, "S", "T") == ["S", "B", "T"]
-
-    def test_weighted_tie_prefers_smaller_distance_predecessor(self):
-        #  S -2- A -1- T   and   S -1- B -2- T: both cost 3, but the
-        #  canonical rule compares (dist[pred], name): B at dist 1
-        #  beats A at dist 2 regardless of name order.
-        g = PortGraph()
-        for name, sid in (("S", 5), ("A", 7), ("B", 11), ("T", 13)):
-            g.add_node(name, switch_id=sid)
-        g.add_link("S", "A")
-        g.add_link("A", "T")
-        g.add_link("S", "B")
-        g.add_link("B", "T")
-        costs = {("S", "A"): 2.0, ("A", "T"): 1.0,
-                 ("S", "B"): 1.0, ("B", "T"): 2.0}
-
-        def weight(a, b):
-            return costs.get((a, b), costs.get((b, a)))
-
-        assert shortest_path(g, "S", "T", weight=weight) == ["S", "B", "T"]
 
     def test_every_equal_cost_hop_uses_smallest_parent(self):
         # On random unit-weight graphs the rule degenerates to: each
