@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--transport", choices=("direct", "http"),
                          default="http",
                          help="drive dispatch() in-process or a live "
-                              "asyncio HTTP server (default: %(default)s)")
+                              "HTTP server (default: %(default)s)")
     loadgen.add_argument("--export", metavar="PATH.csv|PATH.json",
                          help="also write per-shard rows")
     _add_farm_args(loadgen)
@@ -646,8 +646,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
     from repro.service.server import ControllerService
     from repro.service.state import ControllerState
     from repro.service.topology import edge_names, service_topology
@@ -655,21 +653,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     graph = service_topology(args.topology)
     state = ControllerState(graph)
     service = ControllerService(state)
-
-    async def serve() -> None:
-        await service.start(host=args.host, port=args.port)
-        edges = edge_names(graph)
-        print(f"serving {args.topology} on "
-              f"http://{args.host}:{service.port} "
-              f"({len(edges)} edges: {', '.join(edges[:6])}"
-              f"{', ...' if len(edges) > 6 else ''})")
-        print("endpoints: GET /healthz /stats /topology /audit /flows; "
-              "POST /flows /flows/{id}/reroute /topology/events; "
-              "DELETE /flows/{id}")
-        await service.serve_forever()
-
+    service.start(host=args.host, port=args.port)
+    edges = edge_names(graph)
+    print(f"serving {args.topology} on "
+          f"http://{args.host}:{service.port} "
+          f"({len(edges)} edges: {', '.join(edges[:6])}"
+          f"{', ...' if len(edges) > 6 else ''})")
+    print("endpoints: GET /healthz /stats /topology /audit /flows; "
+          "POST /flows /flows/{id}/reroute /topology/events; "
+          "DELETE /flows/{id}")
     try:
-        asyncio.run(serve())
+        service.serve_forever()
     except KeyboardInterrupt:
         print("shutting down")
     return 0

@@ -15,6 +15,10 @@ from typing import Any, BinaryIO, Dict, Optional, Tuple
 
 __all__ = ["ServiceClient", "ServiceUnavailable"]
 
+#: One codec per process, not one encoder per ``json.dumps`` call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_DECODER = json.JSONDecoder()
+
 
 class ServiceUnavailable(ConnectionError):
     """The service socket could not be reached or died mid-request."""
@@ -72,15 +76,18 @@ class ServiceClient:
     ) -> Tuple[int, Dict[str, Any]]:
         """One round trip; returns ``(status, payload)``.
 
-        Retries exactly once on a dead keep-alive socket (the server
-        may have closed an idle connection between requests); any
-        failure on a fresh connection raises :class:`ServiceUnavailable`.
+        A ``GET`` is retried exactly once on a fresh connection (the
+        server may have closed an idle keep-alive socket between
+        requests).  Any other method is not: the service may already
+        have acted on it, so its failure raises
+        :class:`ServiceUnavailable`, as does any failure of the retry.
         """
+        if method != "GET":
+            return self._roundtrip(method, path, body)
         try:
             return self._roundtrip(method, path, body)
-        except (ServiceUnavailable, OSError):
-            self.close()
-        return self._roundtrip(method, path, body)
+        except OSError:  # ServiceUnavailable too; the socket is closed
+            return self._roundtrip(method, path, body)
 
     def _roundtrip(
         self,
@@ -90,7 +97,7 @@ class ServiceClient:
     ) -> Tuple[int, Dict[str, Any]]:
         sock = self._connect()
         payload = (
-            json.dumps(body, sort_keys=True).encode("utf-8")
+            _ENCODER.encode(body).encode("utf-8")
             if body is not None
             else b""
         )
@@ -128,14 +135,19 @@ class ServiceClient:
             name, _, value = line.decode("latin-1").partition(":")
             name = name.strip().lower()
             if name == "content-length":
-                length = int(value.strip())
+                value = value.strip()
+                if not (value.isascii() and value.isdigit()):
+                    raise ServiceUnavailable(
+                        f"bad response content length {value!r}"
+                    )
+                length = int(value)
             elif name == "connection" and value.strip().lower() == "close":
                 close_after = True
         raw = reader.read(length) if length else b""
         if close_after:
             self.close()
         try:
-            decoded = json.loads(raw.decode("utf-8")) if raw else {}
+            decoded = _DECODER.decode(raw.decode("utf-8")) if raw else {}
         except ValueError as exc:
             raise ServiceUnavailable(
                 f"non-JSON response body: {raw[:200]!r}"

@@ -201,7 +201,7 @@ def run_churn(
     ``users`` bounds the concurrent flow population; ``operations``
     is the number of API operations issued (plus the final drain).
     ``transport`` is ``direct`` (in-process dispatch) or ``http`` (a
-    live in-process asyncio server unless ``host``/``port`` point at
+    live in-process threaded server unless ``host``/``port`` point at
     an external one).
     """
     import random

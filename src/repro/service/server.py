@@ -4,21 +4,21 @@ Two layers, deliberately separated:
 
 * :func:`dispatch` — the entire API surface as one pure-synchronous
   function ``(state, method, path, query, body) -> (status, payload)``.
-  The asyncio server below calls it per request; the load generator's
+  The blocking server below calls it per request; the load generator's
   ``direct`` transport calls it without any socket at all.  One code
   path for both is what guarantees the farm digests are transport-
   independent (an HTTP churn run and a direct churn run of the same
   seed produce byte-identical operation logs).
-* :class:`ControllerService` — a stdlib-``asyncio`` HTTP/1.1 server
-  around one :class:`~repro.service.state.ControllerState`: one
-  :class:`asyncio.Protocol` per connection, whose ``data_received``
-  answers every complete request in its buffer, in order (a head up to
-  the blank line, then a ``Content-Length`` body; keep-alive and
-  pipelining).  A head over :data:`MAX_HEAD_BYTES` or a body over
-  :data:`MAX_BODY_BYTES` is answered ``400 bad-request`` and the
-  connection closed.  State methods are plain synchronous calls on the
-  event-loop thread, so requests serialize naturally — the asyncio
-  layer buys concurrent connection handling, not data races.
+* :class:`ControllerService` — a blocking stdlib-``socket`` HTTP/1.1
+  server around one :class:`~repro.service.state.ControllerState`: one
+  handler thread per connection answers every complete request in its
+  buffer after each ``recv``, in order (a head up to the blank line,
+  then a ``Content-Length`` body; keep-alive and pipelining).  A head
+  over :data:`MAX_HEAD_BYTES`, a body over :data:`MAX_BODY_BYTES`, any
+  ``Transfer-Encoding`` or two differing ``Content-Length`` values is
+  answered ``400 bad-request`` and the connection closed.  One lock
+  around :func:`dispatch` serializes requests, so the threads buy
+  concurrent connection handling, not data races.
 
 API (all bodies JSON):
 
@@ -48,10 +48,11 @@ rejections (:class:`~repro.service.admission.AdmissionError` reasons).
 
 from __future__ import annotations
 
-import asyncio
 import json
+import socket
 import threading
-from typing import Any, Dict, Optional, Set, Tuple
+from contextlib import suppress
+from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.controller.provision import ProvisionError
@@ -69,6 +70,10 @@ MAX_BODY_BYTES = 1 << 20
 MAX_HEAD_BYTES = 1 << 16
 
 Response = Tuple[int, Dict[str, Any]]
+
+#: One codec per process, not one encoder per ``json.dumps`` call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_DECODER = json.JSONDecoder()
 
 _REASONS = {
     200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found",
@@ -215,11 +220,13 @@ def _decoded(state: ControllerState, method: str, target: str,
     body: Any = None
     if raw:
         try:
-            body = json.loads(raw.decode("utf-8"))
+            body = _DECODER.decode(raw.decode("utf-8"))
         except ValueError:  # not UTF-8, or not JSON
             body = None
     elif method == "POST":
         body = {}
+    if "?" not in target:
+        return dispatch(state, method.upper(), target, {}, body)
     split = urlsplit(target)
     query = {
         key: values[0]
@@ -228,134 +235,156 @@ def _decoded(state: ControllerState, method: str, target: str,
     return dispatch(state, method.upper(), split.path, query, body)
 
 
-class _Connection(asyncio.Protocol):
-    """One client connection: each arrival of bytes answers every
-    complete request in the buffer, in order."""
+class ControllerService:
+    """Blocking HTTP/1.1 server around one :class:`ControllerState`."""
 
-    def __init__(self, service: "ControllerService"):
-        self.service = service
-        self.buffer = bytearray()
-        self.paused = False
+    def __init__(self, state: ControllerState):
+        self.state = state
+        #: Held around every dispatch(): one request at a time.
+        self.lock = threading.Lock()
+        self._listener: Optional[socket.socket] = None
+        self._closed = False
+        #: Live connections and the handler thread serving each.
+        self._connections: Dict[socket.socket, threading.Thread] = {}
 
-    def connection_made(self, transport: asyncio.BaseTransport) -> None:
-        self.transport = transport
-        self.service._transports.add(transport)
+    def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
+        """Bind and listen; ``port=0`` picks an ephemeral port."""
+        family = socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)[0][0]
+        self._listener = socket.create_server((host, port), family=family)
 
-    def connection_lost(self, exc: Optional[Exception]) -> None:
-        self.service._transports.discard(self.transport)
+    @property
+    def port(self) -> int:
+        """The bound port (after :meth:`start`)."""
+        assert self._listener is not None
+        return self._listener.getsockname()[1]
 
-    # drain()'s backpressure: while the peer is not reading its answers,
-    # read (and so answer) nothing more.
-    def pause_writing(self) -> None:
-        self.paused = True
-        self.transport.pause_reading()
+    def close(self) -> None:
+        """Stop accepting; :meth:`serve_forever` closes the rest."""
+        if self._listener is not None:
+            self._closed = True
+            with suppress(OSError):  # wakes the blocked accept()
+                self._listener.shutdown(socket.SHUT_RDWR)
+            self._listener.close()
 
-    def resume_writing(self) -> None:
-        self.paused = False
-        self.transport.resume_reading()
-        self.data_received(b"")
+    def serve_forever(self) -> None:
+        """Accept until :meth:`close`, one handler thread per connection;
+        then close every live connection and wait for its handler."""
+        listener = self._listener
+        assert listener is not None, "call start() first"
+        try:
+            while True:
+                try:
+                    conn, _addr = listener.accept()
+                except OSError:
+                    if self._closed:
+                        return
+                    raise
+                handler = threading.Thread(
+                    target=self._handle, args=(conn,),
+                    name="controller-connection", daemon=True,
+                )
+                self._connections[conn] = handler
+                handler.start()
+        finally:
+            listener.close()
+            self._drop_connections()
+            for handler in self._connections.copy().values():
+                handler.join(timeout=10)
 
-    def data_received(self, data: bytes) -> None:
-        buffer = self.buffer
-        buffer += data
-        while not self.paused and not self.transport.is_closing():
+    def _drop_connections(self) -> None:
+        """Shut every live connection down: its handler sees EOF."""
+        for conn in self._connections.copy():
+            with suppress(OSError):  # closed by its handler meanwhile
+                conn.shutdown(socket.SHUT_RDWR)
+
+    def _handle(self, conn: socket.socket) -> None:
+        """One connection: answer what each ``recv`` completes, in order."""
+        buffer = bytearray()
+        try:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            while data := conn.recv(1 << 16):
+                buffer += data
+                if not self._answer(conn, buffer):
+                    break
+        except OSError:  # reset by the peer, or shut down by close()
+            pass
+        finally:
+            conn.close()
+            del self._connections[conn]
+
+    def _answer(self, conn: socket.socket, buffer: bytearray) -> bool:
+        """Answer and consume every complete request; False on close."""
+        while True:
             end = buffer.find(b"\r\n\r\n", 0, MAX_HEAD_BYTES)
             if end < 0:
                 if len(buffer) >= MAX_HEAD_BYTES:
-                    self._refuse("request head too large")
-                return
+                    return self._refuse(conn, "request head too large")
+                return True
             lines = buffer[:end].decode("latin-1").split("\r\n")
             request = lines[0].split(" ", 2)
             if len(request) != 3 or not lines[0].isascii():
-                self._refuse("malformed request line")
-                return
+                return self._refuse(conn, "malformed request line")
             headers: Dict[str, str] = {}
             for line in lines[1:]:
                 name, colon, value = line.partition(":")
                 if colon:
-                    headers[name.strip().lower()] = value.strip()
+                    name, value = name.strip().lower(), value.strip()
+                    if name == "content-length" \
+                            and headers.get(name, value) != value:
+                        return self._refuse(
+                            conn, "conflicting content lengths")
+                    headers[name] = value
+            if "transfer-encoding" in headers:
+                # Content-Length framing only: a chunked body would be
+                # read as the next request.
+                return self._refuse(conn, "transfer-encoding not supported")
             try:
                 length = int(headers.get("content-length", "0"))
             except ValueError:
                 length = -1
             if not 0 <= length <= MAX_BODY_BYTES:
-                self._refuse("bad content length")
-                return
+                return self._refuse(conn, "bad content length")
             start = end + 4
             if len(buffer) < start + length:
-                return
+                return True
             raw = bytes(buffer[start:start + length])
             del buffer[:start + length]
             method, target, version = request
-            status, payload = _decoded(
-                self.service.state, method, target, raw
-            )
-            self._respond(
-                status, payload,
+            with self.lock:
+                status, payload = _decoded(self.state, method, target, raw)
+            if not self._send(
+                conn, status, payload,
                 close=version == "HTTP/1.0"
                 or headers.get("connection", "").lower() == "close",
-            )
+            ):
+                return False
 
-    def _respond(
-        self, status: int, payload: Dict[str, Any], close: bool
-    ) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self.transport.write(
+    def _refuse(self, conn: socket.socket, message: str) -> bool:
+        return self._send(conn, *_error(400, "bad-request", message), True)
+
+    @staticmethod
+    def _send(conn: socket.socket, status: int, payload: Dict[str, Any],
+              close: bool) -> bool:
+        """Write one answer; False when it closes the connection."""
+        body = _ENCODER.encode(payload).encode("utf-8")
+        conn.sendall(
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Response')}\r\n"
             f"Content-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\n"
             f"Connection: {'close' if close else 'keep-alive'}\r\n"
             f"\r\n".encode("ascii") + body
         )
-        if close:
-            self.transport.close()  # after the answer is flushed
-
-    def _refuse(self, message: str) -> None:
-        self._respond(*_error(400, "bad-request", message), close=True)
-
-
-class ControllerService:
-    """Asyncio HTTP/1.1 server around one :class:`ControllerState`."""
-
-    def __init__(self, state: ControllerState):
-        self.state = state
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._transports: Set[asyncio.BaseTransport] = set()
-
-    async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        """Bind and start accepting; ``port=0`` picks an ephemeral port."""
-        self._server = await asyncio.get_running_loop().create_server(
-            lambda: _Connection(self), host=host, port=port
-        )
-
-    @property
-    def port(self) -> int:
-        """The bound port (after :meth:`start`)."""
-        assert self._server is not None and self._server.sockets
-        return self._server.sockets[0].getsockname()[1]
-
-    async def close(self) -> None:
-        """Stop accepting and close every live connection."""
-        if self._server is not None:
-            self._server.close()
-            for transport in list(self._transports):
-                transport.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        await self._server.serve_forever()
+        return not close
 
 
 class ServiceThread:
     """A live service on a background thread, for tests and benches.
 
-    Boots an event loop + :class:`ControllerService` on its own thread
-    and blocks until the socket is bound; ``host``/``port`` are then
-    ready for any client.  The state object stays accessible (all its
-    mutations happen on the service thread; call :meth:`run_sync` to
-    inspect it without racing the event loop).
+    Binds the socket in :meth:`start` and runs the accept loop of a
+    :class:`ControllerService` on its own thread; ``host``/``port`` are
+    then ready for any client.  The state object stays accessible: call
+    :meth:`run_sync` to inspect or mutate it without racing the
+    handler threads.
 
     Usage::
 
@@ -369,9 +398,7 @@ class ServiceThread:
         self.service = ControllerService(self.state)
         self.host = host
         self.port: int = 0
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
 
     def __enter__(self) -> "ServiceThread":
         self.start()
@@ -381,45 +408,25 @@ class ServiceThread:
         self.stop()
 
     def start(self) -> None:
-        self._thread = threading.Thread(
-            target=self._run, name="controller-service", daemon=True
-        )
+        self.service.start(host=self.host)
+        self.port = self.service.port
+        self._thread = threading.Thread(target=self.service.serve_forever,
+                                        name="controller-service", daemon=True)
         self._thread.start()
-        if not self._started.wait(timeout=10):
-            raise RuntimeError("controller service failed to start")
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self.service.start(host=self.host))
-            self.port = self.service.port
-            self._started.set()
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(self.service.close())
-            loop.close()
 
     def run_sync(self, fn, *args: Any, **kwargs: Any) -> Any:
-        """Run ``fn(state, ...)`` on the service thread and return it.
+        """Run ``fn(state, ...)`` under the service's dispatch lock.
 
         The safe way to audit or read stats while HTTP traffic is in
-        flight: the call serializes with request handling on the event
-        loop instead of racing it from the test thread.
+        flight: the call serializes with request handling instead of
+        racing it from the test thread.
         """
-        assert self._loop is not None
-
-        async def call() -> Any:
+        with self.service.lock:
             return fn(self.state, *args, **kwargs)
 
-        future = asyncio.run_coroutine_threadsafe(call(), self._loop)
-        return future.result(timeout=30)
-
     def stop(self) -> None:
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(self._loop.stop)
+        """Close the service and wait until no handler thread is left."""
         if self._thread is not None:
+            self.service.close()
             self._thread.join(timeout=10)
-        self._loop = None
-        self._thread = None
+            self._thread = None

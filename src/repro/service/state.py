@@ -3,8 +3,8 @@
 Everything the service can do — provision, release, reroute, absorb a
 topology event — lives here as plain synchronous methods over one
 :class:`~repro.controller.provision.ProvisioningEngine` and one
-:class:`~repro.service.admission.ReservationLedger`.  The asyncio HTTP
-layer (:mod:`repro.service.server`) is a thin framing shell around this
+:class:`~repro.service.admission.ReservationLedger`.  The HTTP layer
+(:mod:`repro.service.server`) is a thin framing shell around this
 class, and the load generator can drive it directly in-process; both
 produce identical results for identical operation sequences, which is
 what makes the farm digests transport-independent.

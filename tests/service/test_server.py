@@ -7,7 +7,6 @@ orphaned ledger entries.
 """
 
 import json
-import logging
 import socket
 import threading
 
@@ -74,6 +73,20 @@ def _exchange(port, chunks, half_close=True):
                 break
             got.append(data)
     return b"".join(got)
+
+
+def _read_answer(sock):
+    """The bytes of one keep-alive answer: its head, then its body."""
+    raw = b""
+    while True:
+        head, blank, body = raw.partition(b"\r\n\r\n")
+        if blank:
+            length = head.lower().split(b"content-length: ")[1]
+            if len(body) >= int(length.split(b"\r\n")[0]):
+                return raw
+        data = sock.recv(65536)
+        assert data, "connection closed before the answer"
+        raw += data
 
 
 def _responses(raw):
@@ -415,23 +428,33 @@ class TestFraming:
         raw = _exchange(service.port, [wire + wire], half_close=False)
         assert _responses(raw) == [(200, {"ok": True}, "close")]
 
-    @pytest.mark.parametrize("wire", [
-        _request("GET", "/healthz", extra=f"X-Pad: {'a' * 70 * 1024}\r\n"),
-        _request("GET", "/" + "a" * 70 * 1024),
-        b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 200 * 1024,
-    ], ids=["70k-header-line", "70k-request-line", "200k-no-terminator"])
-    def test_oversized_head_is_400_and_close(self, service, wire, caplog):
-        assert len(wire) > MAX_HEAD_BYTES
-        caplog.set_level(logging.WARNING, logger="asyncio")
+    @pytest.mark.parametrize("wire, message", [
+        (_request("GET", "/healthz", extra=f"X-Pad: {'a' * 70 * 1024}\r\n"),
+         "request head too large"),
+        (_request("GET", "/" + "a" * 70 * 1024), "request head too large"),
+        (b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 200 * 1024,
+         "request head too large"),
+        (b"POST /flows HTTP/1.1\r\nHost: t\r\n"
+         b"Transfer-Encoding: chunked\r\n\r\n"
+         + f"{len(PROVISION):x}\r\n".encode() + PROVISION + b"\r\n0\r\n\r\n",
+         "transfer-encoding not supported"),
+        (_request("POST", "/flows", PROVISION, extra="Content-Length: 5\r\n"),
+         "conflicting content lengths"),
+    ], ids=["70k-header-line", "70k-request-line", "200k-no-terminator",
+            "chunked", "two-content-lengths"])
+    def test_refused_request_is_400_and_close(
+        self, service, wire, message, monkeypatch
+    ):
+        if message == "request head too large":
+            assert len(wire) > MAX_HEAD_BYTES
+        died = []  # a handler thread that raised instead of answering
+        monkeypatch.setattr(threading, "excepthook", died.append)
         assert _responses(_exchange(service.port, [wire])) == [
-            (400, {"error": "bad-request",
-                   "message": "request head too large"}, "close"),
+            (400, {"error": "bad-request", "message": message}, "close"),
         ]
         assert _audit_is_clean(service.port)
-        assert [
-            r.getMessage() for r in caplog.records
-            if r.name == "asyncio" and r.levelno >= logging.WARNING
-        ] == []
+        assert service.run_sync(ControllerState.list_flows) == []
+        assert died == []
 
     def test_client_keeps_one_reader_and_reconnects(self, service):
         client = ServiceClient("127.0.0.1", service.port)
@@ -441,10 +464,49 @@ class TestFraming:
             for _ in range(1000):
                 assert client.get("/healthz") == (200, {"ok": True})
             assert client._reader is reader
-            service.run_sync(lambda _state: [
-                t.close() for t in list(service.service._transports)
-            ])
+            service.service._drop_connections()
             assert client.get("/healthz") == (200, {"ok": True})
             assert client._reader is not reader
         finally:
             client.close()
+
+
+class TestHandlerThreads:
+    def test_stop_closes_keep_alive_connections_and_handlers(self):
+        before = set(threading.enumerate())
+        service = ServiceThread(service_topology("six_node"))
+        service.start()
+        socks = []
+        try:
+            for _ in range(3):
+                sock = socket.create_connection(
+                    ("127.0.0.1", service.port), timeout=10
+                )
+                socks.append(sock)
+                sock.sendall(_request("GET", "/healthz"))
+                (status, _, connection), = _responses(_read_answer(sock))
+                assert (status, connection) == (200, "keep-alive")
+            assert len(service.service._connections) == 3
+            service.stop()
+            for sock in socks:
+                assert sock.recv(1) == b""  # the server's EOF
+        finally:
+            service.stop()
+            for sock in socks:
+                sock.close()
+        assert set(threading.enumerate()) - before == set()
+
+    def test_a_half_sent_request_does_not_stall_another_connection(
+        self, service
+    ):
+        wire = _request("POST", "/flows", PROVISION)
+        with socket.create_connection(
+            ("127.0.0.1", service.port), timeout=10
+        ) as slow:
+            slow.sendall(wire[:len(wire) - 5])
+            with ServiceClient("127.0.0.1", service.port, timeout=5) as fast:
+                assert fast.get("/healthz") == (200, {"ok": True})
+                assert fast.get("/flows") == (200, {"flows": []})
+            slow.sendall(wire[len(wire) - 5:])
+            (status, body, _), = _responses(_read_answer(slow))
+        assert (status, body["flow"]["route_id"]) == (201, 44)
