@@ -105,9 +105,6 @@ class DestinationBlock:
         self.dst_edge = dst_edge
         self.dst_idx = tree.root
         self.tree = tree
-        n = csr.n
-        self._ids: List[Optional[int]] = [None] * n
-        self._mods: List[Optional[int]] = [None] * n
         self._hops: Dict[int, Tuple[Hop, ...]] = {}
         self._branches: Dict[int, Tuple[str, ...]] = {}
         self._routes: Dict[int, EncodedRoute] = {}
@@ -117,7 +114,8 @@ class DestinationBlock:
 
     def _encode_all(self) -> None:
         order = self.tree.order
-        ids, mods = self._ids, self._mods
+        ids: List[Optional[int]] = [None] * self.csr.n
+        mods: List[Optional[int]] = [None] * self.csr.n
         root = self.dst_idx
         for x, s, p, par in zip(
             order.tolist(),
@@ -140,6 +138,9 @@ class DestinationBlock:
                 ids[x], mods[x] = p % s, s
             else:
                 ids[x], mods[x] = crt_extend(ids[par], mods[par], s, p)
+        # Tuples of ints and None: the collector stops tracking them at
+        # the first collection they survive; a list is walked every time.
+        self._ids, self._mods = tuple(ids), tuple(mods)
 
     def reaches(self, idx: int) -> bool:
         return self._ids[idx] is not None
@@ -225,7 +226,7 @@ class MeshRow:
 
     def __init__(self, dst_edge: str, src_edges: List[str],
                  entries: np.ndarray, out_ports: np.ndarray,
-                 route_ids: List[int], moduli: List[int],
+                 route_ids: Tuple[int, ...], moduli: Tuple[int, ...],
                  block: DestinationBlock):
         self.dst_edge = dst_edge
         self.src_edges = src_edges
@@ -412,8 +413,8 @@ class BulkProvisioner:
         ids, mods = blk._ids, blk._mods
         picks = entries.tolist()
         return MeshRow(dst_edge, srcs, entries, out_ports,
-                       [ids[e] for e in picks], [mods[e] for e in picks],
-                       blk)
+                       tuple([ids[e] for e in picks]),
+                       tuple([mods[e] for e in picks]), blk)
 
     def iter_full_mesh(self) -> Iterator[MeshRow]:
         """Every destination's mesh slice, destination-major order."""

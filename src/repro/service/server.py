@@ -16,7 +16,10 @@ Two layers, deliberately separated:
   then a ``Content-Length`` body; keep-alive and pipelining).  A head
   over :data:`MAX_HEAD_BYTES`, a body over :data:`MAX_BODY_BYTES`, any
   ``Transfer-Encoding`` or two differing ``Content-Length`` values is
-  answered ``400 bad-request`` and the connection closed.  One lock
+  answered ``400 bad-request`` and the connection closed; so is, with
+  ``408 request-timeout``, a request still incomplete
+  :data:`REQUEST_TIMEOUT_S` after its first byte (an idle keep-alive
+  connection, its buffer empty, stays open).  One lock
   around :func:`dispatch` serializes requests, so the threads buy
   concurrent connection handling, not data races.
 
@@ -51,6 +54,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 from contextlib import suppress
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
@@ -68,6 +72,8 @@ MAX_BODY_BYTES = 1 << 20
 #: Largest accepted request head: request line, headers and the blank
 #: line that ends them.
 MAX_HEAD_BYTES = 1 << 16
+#: Longest a request may take to arrive, from its first byte.
+REQUEST_TIMEOUT_S = 10.0
 
 Response = Tuple[int, Dict[str, Any]]
 
@@ -77,7 +83,7 @@ _DECODER = json.JSONDecoder()
 
 _REASONS = {
     200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 409: "Conflict",
+    405: "Method Not Allowed", 408: "Request Timeout", 409: "Conflict",
 }
 
 
@@ -246,6 +252,8 @@ class ControllerService:
         self._closed = False
         #: Live connections and the handler thread serving each.
         self._connections: Dict[socket.socket, threading.Thread] = {}
+        #: When the request each connection is part-way through began.
+        self._partial: Dict[socket.socket, float] = {}
 
     def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
         """Bind and listen; ``port=0`` picks an ephemeral port."""
@@ -268,13 +276,18 @@ class ControllerService:
 
     def serve_forever(self) -> None:
         """Accept until :meth:`close`, one handler thread per connection;
-        then close every live connection and wait for its handler."""
+        then close every live connection and wait for its handler.  The
+        loop wakes at least once a second to cut stalled requests."""
         listener = self._listener
         assert listener is not None, "call start() first"
+        listener.settimeout(1.0)
         try:
             while True:
+                self._cut_stalled()
                 try:
                     conn, _addr = listener.accept()
+                except TimeoutError:
+                    continue
                 except OSError:
                     if self._closed:
                         return
@@ -297,19 +310,43 @@ class ControllerService:
             with suppress(OSError):  # closed by its handler meanwhile
                 conn.shutdown(socket.SHUT_RDWR)
 
+    def _cut_stalled(self) -> None:
+        """End the reads of connections past :data:`REQUEST_TIMEOUT_S`
+        on one request: each handler's ``recv`` returns, and it answers."""
+        deadline = time.monotonic() - REQUEST_TIMEOUT_S
+        for conn, since in self._partial.copy().items():
+            if since <= deadline:
+                with suppress(OSError):  # closed by its handler meanwhile
+                    conn.shutdown(socket.SHUT_RD)
+
     def _handle(self, conn: socket.socket) -> None:
         """One connection: answer what each ``recv`` completes, in order."""
         buffer = bytearray()
+        partial = self._partial
         try:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             while data := conn.recv(1 << 16):
+                size = len(buffer) + len(data)
                 buffer += data
                 if not self._answer(conn, buffer):
                     break
+                if not buffer:
+                    partial.pop(conn, None)
+                elif len(buffer) < size or conn not in partial:
+                    partial[conn] = time.monotonic()  # a request began
+            else:
+                since = partial.get(conn)
+                if since is not None and (
+                    time.monotonic() - since >= REQUEST_TIMEOUT_S
+                ):
+                    self._send(conn, *_error(
+                        408, "request-timeout", "request incomplete after "
+                        f"{REQUEST_TIMEOUT_S:g} s"), True)
         except OSError:  # reset by the peer, or shut down by close()
             pass
         finally:
             conn.close()
+            partial.pop(conn, None)
             del self._connections[conn]
 
     def _answer(self, conn: socket.socket, buffer: bytearray) -> bool:

@@ -30,11 +30,9 @@ bit-identical outcome records (digested with
   either: :meth:`~repro.switches.deflection.DeflectionStrategy.fallback_ports`
   gives each packet's candidate count, and :class:`_ChoiceWords`
   restates ``random.choice`` over arrays of raw MT19937 words read
-  ahead from a *twin* of each switch's stream — the same words in the
-  same queue order, so every draw is the reference's draw; the official
-  streams are advanced by the words consumed only before they are
-  fingerprinted.  Index widths come from the workload's sizes (int16
-  below 2**15 nodes / switch IDs).
+  ahead in bulk from each switch's stream — the same words in the same
+  queue order, so every draw is the reference's draw.  Index widths come
+  from the workload's sizes (int16 below 2**15 nodes / switch IDs).
 
 Canonical model (shared by both engines):
 
@@ -56,9 +54,11 @@ Canonical model (shared by both engines):
    arrival, else decrement and forward.
 
 The outcome record (per-switch forwarded/deflections/drops, drop
-reasons, delivery/misdelivery tallies, and a fingerprint over every
-switch RNG's final state) is the bit-identical contract: equal digests
-mean both engines made the same decisions AND the same random draws.
+reasons, delivery/misdelivery tallies, and a fingerprint over the
+32-bit words each switch's stream handed out — a stream is a pure
+function of (seed, name), so that count *is* its final position) is the
+bit-identical contract: equal digests mean both engines made the same
+decisions AND the same random draws.
 """
 
 from __future__ import annotations
@@ -96,7 +96,6 @@ __all__ = [
     "run_epoch_reference",
     "run_epoch_vector",
     "iter_injections",
-    "rng_state_digest",
     "merge_rng_fragments",
 ]
 
@@ -104,15 +103,9 @@ __all__ = [
 FlipEvent = Tuple[int, str, str]
 
 
-def rng_state_digest(rng: random.Random) -> str:
-    """Canonical fingerprint of one RNG stream's current position."""
-    return hashlib.sha256(
-        repr(rng.getstate()).encode("utf-8")
-    ).hexdigest()[:16]
-
-
 def merge_rng_fragments(fragments: Sequence[Tuple[str, str]]) -> str:
-    """Combine per-switch RNG fingerprints (name order) into one."""
+    """Combine per-switch ``(name, words drawn)`` fragments (name order)
+    into one fingerprint."""
     h = hashlib.sha256()
     for name, frag in sorted(fragments):
         h.update(f"{name}:{frag};".encode("utf-8"))
@@ -462,6 +455,21 @@ def _finish_record(
 # reference engine: a scalar loop, one decide() per packet per hop
 # ---------------------------------------------------------------------------
 
+class _CountingRandom(random.Random):
+    """Stream *name*, seeded as :meth:`RngRegistry.stream` seeds it, that
+    counts the 32-bit words it hands out.  ``choice`` is unchanged:
+    CPython routes ``_randbelow`` through an overriding ``getrandbits``."""
+
+    def __init__(self, seed: int, name: str):
+        digest = hashlib.sha256(f"{seed}:{name}".encode("utf-8")).digest()
+        super().__init__(int.from_bytes(digest[:8], "big"))
+        self.words = 0
+
+    def getrandbits(self, k: int) -> int:
+        self.words += (k + 31) // 32
+        return super().getrandbits(k)
+
+
 def run_epoch_reference(
     workload: EpochWorkload, trace: bool = False
 ) -> EpochOutcome:
@@ -471,9 +479,10 @@ def run_epoch_reference(
     flows = workload.flows
     strategy = strategy_by_name(workload.strategy)
     no_port = f"no-usable-port({strategy.name})"
-    registry = RngRegistry(workload.seed)
     core = topo.core_indices
-    rngs = {u: registry.stream(f"deflect:{names[u]}") for u in core}
+    rngs = {
+        u: _CountingRandom(workload.seed, f"deflect:{names[u]}") for u in core
+    }
     healthy = {u: tuple(range(topo.degree[u])) for u in core}
     peer = [ports.tolist() for ports in topo.peer]
     peer_port = [ports.tolist() for ports in topo.peer_port]
@@ -562,7 +571,7 @@ def run_epoch_reference(
         {names[u]: tally for u, tally in counters.items()},
         delivered, misdelivered, drop_reasons,
         sum(len(q) for q in queues.values()),
-        [(names[u], rng_state_digest(rng)) for u, rng in rngs.items()],
+        [(names[u], str(rng.words)) for u, rng in rngs.items()],
     )
     return EpochOutcome(
         record=record,
@@ -629,15 +638,14 @@ class _ChoiceWords:
     ``m`` equal-``n`` draws on a stream is its ``j``-th word to pass
     ``word >> (32 - k) < n``.
 
-    The words are CPython's own: each stream gets, on its first draw, a
-    *twin* (same :class:`RngRegistry` derivation) that is read ahead in
-    bulk, all in C.  The official stream is never drawn from mid-run:
-    :meth:`advance` moves it by the words consumed, so reading too far
-    ahead is harmless and no generator state is ever copied.
+    The words are CPython's own: each stream is created on its first draw
+    (by :class:`RngRegistry`) and read ahead in bulk, all in C.  Reading
+    too far ahead is harmless: ``_used`` counts the words the draws took,
+    which is where the scalar stream would stand.
     """
 
     def __init__(self, seed: int, stream_names: Sequence[str]):
-        self._twins = RngRegistry(seed)  # creates a stream on first use
+        self._registry = RngRegistry(seed)  # creates a stream on first use
         self._names = stream_names
         self._words = np.empty((len(stream_names), CAP), dtype=np.uint32)
         #: next unread word of each row; CAP = nothing read ahead (yet).
@@ -649,16 +657,11 @@ class _ChoiceWords:
         pos = int(self._pos[row])
         words = self._words[row]
         words[:CAP - pos] = words[pos:]
-        twin = self._twins.stream(self._names[row])
+        rng = self._registry.stream(self._names[row])
         words[CAP - pos:] = np.frombuffer(
-            twin.getrandbits(32 * pos).to_bytes(4 * pos, "little"), "<u4"
+            rng.getrandbits(32 * pos).to_bytes(4 * pos, "little"), "<u4"
         )
         self._pos[row] = 0
-
-    def advance(self, rngs: Sequence[random.Random]) -> None:
-        """Put each official stream where its scalar draws would have."""
-        for rng, words in zip(rngs, self._used.tolist()):
-            rng.getrandbits(32 * words)
 
     def draw(self, stream: np.ndarray, n: np.ndarray) -> np.ndarray:
         """``_randbelow(n[i])`` on ``stream[i]``, for draws listed in
@@ -720,11 +723,8 @@ def run_epoch_vector(
     n_flows = len(flows)
     strategy = strategy_by_name(workload.strategy)
     no_port = f"no-usable-port({strategy.name})"
-    registry = RngRegistry(workload.seed)
     core = topo.core_indices
-    streams = [f"deflect:{names[u]}" for u in core]
-    rngs = [registry.stream(name) for name in streams]
-    choice = _ChoiceWords(workload.seed, streams)
+    choice = _ChoiceWords(workload.seed, [f"deflect:{names[u]}" for u in core])
     width = topo.peer.shape[1]
     node_t = topo.peer.dtype
     up = np.arange(width) < np.array(topo.degree)[:, None]
@@ -881,7 +881,6 @@ def run_epoch_vector(
             batch.append(uid)
         epoch += 1
 
-    choice.advance(rngs)
     tallies = counters.tolist()
     record = _finish_record(
         workload, epoch, {names[u]: tallies[u] for u in core}, delivered,
@@ -891,7 +890,7 @@ def run_epoch_vector(
             (("ttl-expired", n_expired), (no_port, n_no_port)) if count
         },
         len(batch[0]),
-        [(names[u], rng_state_digest(rng)) for u, rng in zip(core, rngs)],
+        [(names[u], str(w)) for u, w in zip(core, choice._used.tolist())],
     )
     return EpochOutcome(
         record=record,

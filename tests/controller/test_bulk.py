@@ -7,6 +7,7 @@ same pair, on paper topologies, reference WANs, random graphs
 (Hypothesis), and under link failures.
 """
 
+import gc
 import random
 from collections import Counter
 
@@ -214,6 +215,20 @@ class TestBlockMemo:
                 bp.routes_for(dst, [s for s in edges if s != dst])
         assert bp.trees_built == len(edges)
         assert bp.block_hits == len(edges)
+
+
+class TestUntrackedColumns:
+    def test_route_columns_leave_the_collector(self, abilene_mesh):
+        # Tuples of ints and None stop being tracked at the first
+        # collection they survive; a list would be walked at every one.
+        row = BulkProvisioner(abilene_mesh).mesh_row(
+            _edge_names(abilene_mesh)[0]
+        )
+        gc.collect()
+        for column in (
+            row.route_ids, row.moduli, row.block._ids, row.block._mods
+        ):
+            assert type(column) is tuple and not gc.is_tracked(column)
 
 
 class TestForestReadAhead:

@@ -7,11 +7,14 @@ orphaned ledger entries.
 """
 
 import json
+import select
 import socket
 import threading
+import time
 
 import pytest
 
+import repro.service.server as server_module
 from repro.service.client import ServiceClient
 from repro.service.server import MAX_HEAD_BYTES, ServiceThread, dispatch
 from repro.service.state import ControllerState
@@ -510,3 +513,82 @@ class TestHandlerThreads:
             slow.sendall(wire[len(wire) - 5:])
             (status, body, _), = _responses(_read_answer(slow))
         assert (status, body["flow"]["route_id"]) == (201, 44)
+
+
+class TestRequestDeadline:
+    """A request must arrive within ``REQUEST_TIMEOUT_S`` of its first
+    byte; an idle keep-alive connection has no deadline."""
+
+    TIMEOUT = {"error": "request-timeout",
+               "message": "request incomplete after 0.3 s"}
+
+    @pytest.fixture(autouse=True)
+    def short_deadline(self, monkeypatch):
+        monkeypatch.setattr(server_module, "REQUEST_TIMEOUT_S", 0.3)
+
+    @staticmethod
+    def _handlers_gone(service, within=2.0):
+        end = time.monotonic() + within
+        while service.service._connections and time.monotonic() < end:
+            time.sleep(0.02)
+        return not service.service._connections
+
+    def test_a_half_sent_request_is_cut_with_408(self, service):
+        wire = _request("POST", "/flows", PROVISION)
+        start = time.monotonic()
+        raw = _exchange(service.port, [wire[:len(wire) - 5]],
+                        half_close=False)
+        assert _responses(raw) == [(408, self.TIMEOUT, "close")]
+        assert time.monotonic() - start < 2.0
+        assert self._handlers_gone(service)
+        assert service.run_sync(ControllerState.list_flows) == []
+
+    def test_a_trickle_is_cut_too(self, service):
+        wire = _request("POST", "/flows", PROVISION)
+        assert len(wire) > 30
+        got = b""
+        with socket.create_connection(
+            ("127.0.0.1", service.port), timeout=10
+        ) as sock:
+            # One byte every 0.1 s until the answer is there to read,
+            # so no byte is sent into a closed connection.
+            for byte in wire[:30]:
+                sock.sendall(bytes([byte]))
+                if select.select([sock], [], [], 0.1)[0]:
+                    break
+            else:
+                pytest.fail("a request still trickling in was never cut")
+            while data := sock.recv(65536):
+                got += data
+        assert _responses(got) == [(408, self.TIMEOUT, "close")]
+        assert self._handlers_gone(service)
+
+    def test_a_busy_pipelined_connection_is_not_cut(self, service):
+        # Every send ends one request and begins the next, so the buffer
+        # never empties; each request still arrives within the deadline.
+        wire = _request("GET", "/healthz")
+        half = len(wire) // 2
+        with socket.create_connection(
+            ("127.0.0.1", service.port), timeout=10
+        ) as sock:
+            sock.sendall(wire[:half])
+            for _ in range(15):
+                time.sleep(0.1)
+                sock.sendall(wire[half:] + wire[:half])
+                assert _responses(_read_answer(sock)) == [
+                    (200, {"ok": True}, "keep-alive")
+                ]
+
+    def test_an_idle_keep_alive_connection_stays_open(self, service):
+        with socket.create_connection(
+            ("127.0.0.1", service.port), timeout=10
+        ) as sock:
+            for pause in (1.5, 0):  # past the deadline and a wake
+                sock.sendall(_request("GET", "/healthz"))
+                assert _responses(_read_answer(sock)) == [
+                    (200, {"ok": True}, "keep-alive")
+                ]
+                time.sleep(pause)
+            # Blocking reads: no poll before each recv on a busy connection.
+            conn, = service.service._connections
+            assert conn.gettimeout() is None

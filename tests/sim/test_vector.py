@@ -27,6 +27,7 @@ from repro.sim.vector import (
     run_epoch_vector,
     synthetic_spec,
     _ChoiceWords,
+    _CountingRandom,
 )
 from repro.switches.deflection import strategy_by_name
 
@@ -360,11 +361,19 @@ def deflected_hops(wl, ref):
                 yield epoch, name, in_port, up_at[epoch][name]
 
 
+def advanced(seed, name, words):
+    """A fresh registry stream *name* moved on by *words* 32-bit words."""
+    rng = RngRegistry(seed).stream(name)
+    rng.getrandbits(32 * words)
+    return rng
+
+
 class TestChoiceWords:
     """The array draw is ``random.choice``: same indices from the same
-    words, and the official stream ends where the scalar one does.  Runs
-    on every CI Python, so a CPython that changes ``_randbelow`` or
-    ``getrandbits`` goes red here, not in a golden digest."""
+    words, and the words it counts put a fresh stream where the scalar
+    one ends.  Runs on every CI Python, so a CPython that changes
+    ``_randbelow`` or ``getrandbits`` goes red here, not in a golden
+    digest."""
 
     SEED = 5
 
@@ -385,10 +394,11 @@ class TestChoiceWords:
                 for s, k in zip(stream, n)
             ]
             assert got.tolist() == want
-        official = [RngRegistry(self.SEED).stream(name) for name in names]
-        words.advance(official)
-        for name, rng in zip(names, official):
-            assert rng.getstate() == scalar.stream(name).getstate(), name
+        for name, used in zip(names, words._used.tolist()):
+            assert (
+                advanced(self.SEED, name, used).getstate()
+                == scalar.stream(name).getstate()
+            ), name
 
     def test_every_count_across_block_boundary_and_refill(self):
         # 1, 2, 4 and 8 reject half their words.  Per call and stream
@@ -439,7 +449,28 @@ class TestChoiceWords:
     def test_streams_that_never_draw_are_never_created(self):
         words = _ChoiceWords(self.SEED, ["a", "b", "c"])
         words.draw(np.array([1, 1]), np.array([3, 3]))
-        assert set(words._twins._streams) == {"b"}
+        assert set(words._registry._streams) == {"b"}
+
+
+class TestCountingRandom:
+    """The reference engine fingerprints a stream by the words it handed
+    out; that count is the stream's position."""
+
+    def test_count_is_the_position(self):
+        # n in 1..9: every choice takes one word per try, and 1, 2, 4, 8
+        # reject half; >= 3,000 draws run past the 624-word MT block.
+        plain = RngRegistry(11).stream("deflect:s")
+        counted = _CountingRandom(11, "deflect:s")
+        pick = random.Random(2)
+        for _ in range(3000):
+            seq = range(pick.randint(1, 9))
+            assert counted.choice(seq) == plain.choice(seq)
+        assert counted.words > 2 * 624
+        assert counted.getstate() == plain.getstate()
+        assert (
+            advanced(11, "deflect:s", counted.words).getstate()
+            == plain.getstate()
+        )
 
 
 class TestWideBatch:

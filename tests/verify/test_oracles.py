@@ -189,21 +189,24 @@ class TestMutationDetection:
         )
 
     def test_vector_stream_overrun_is_caught(self, monkeypatch):
-        """The flat kernel draws from look-ahead twins and advances the
-        official streams by the words consumed; one word too many on one
-        stream must show in the fingerprint the oracle compares."""
+        """The flat kernel reads its streams ahead and fingerprints each
+        by the words its draws took; one word too many counted on one
+        drawn stream must show in the fingerprint the oracle compares."""
         from repro.sim import vector
 
         case = generate_case(2)  # avp, two failures: deflections happen
         assert run_oracle("vector", case).ok
-        advance = vector._ChoiceWords.advance
+        draw = vector._ChoiceWords.draw
+        bumped = []
 
-        def overrun(self, rngs):
-            advance(self, rngs)
-            drew = [rng for rng, used in zip(rngs, self._used) if used]
-            drew[0].getrandbits(32)
+        def overrun(self, stream, n):
+            out = draw(self, stream, n)
+            if not bumped:
+                self._used[stream[0]] += 1
+                bumped.append(stream[0])
+            return out
 
-        monkeypatch.setattr(vector._ChoiceWords, "advance", overrun)
+        monkeypatch.setattr(vector._ChoiceWords, "draw", overrun)
         result = run_oracle("vector", case)
         assert any(
             "record[rng_fingerprint] differs" in d.detail
