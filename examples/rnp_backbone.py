@@ -1,16 +1,14 @@
 #!/usr/bin/env python
-"""Section 3.2's national-backbone scenario plus static coverage analysis.
+"""Section 3.2's national-backbone scenario, probed per failure.
 
 Walks the RNP reconstruction (28 PoPs / 40 links), prints the route and
-protection encoding for Boa Vista -> São Paulo, statically classifies
-every failure's deflection candidates (driven / forced / wandering), and
-then verifies the classification with a live UDP probe per failure.
+protection encoding for Boa Vista -> São Paulo, then runs a live UDP
+probe through each of the paper's failures.
 
 Run:  python examples/rnp_backbone.py
 """
 
 from repro import PARTIAL, KarSimulation, rnp28
-from repro.analysis.coverage import analyze_failure
 
 #: Indicative PoP labels for the primary route (the paper's figure labels
 #: PoPs with Brazilian cities; only Boa Vista = SW7 and São Paulo = SW73
@@ -40,23 +38,7 @@ def main() -> None:
     for hop in fwd.hops:
         print(f"  residue: R mod {hop.switch_id:3d} = {hop.port}")
 
-    print("\n--- static coverage analysis per failure (NIP) ---")
-    dst_edge = graph.edge_of_host(scenario.dst_host)
-    for failure in scenario.failure_links:
-        report = analyze_failure(
-            graph, route, dst_edge, scenario.segments(PARTIAL), failure
-        )
-        print(f"\n{failure[0]}-{failure[1]} fails: deflection at "
-              f"{report.deflection_switch}")
-        for outcome in report.outcomes:
-            path = " -> ".join(outcome.path)
-            print(f"  p={outcome.probability:.2f} via {outcome.candidate}: "
-                  f"{outcome.fate:9s} ({path})")
-        print(f"  deterministic delivery: "
-              f"{100 * report.delivered_fraction:.0f}%  "
-              f"wandering: {100 * report.wandering_fraction:.0f}%")
-
-    print("\n--- live verification (UDP probe during each failure) ---")
+    print("\n--- UDP probe during each failure ---")
     for failure in scenario.failure_links:
         ks = KarSimulation(scenario := rnp28(rate_mbps=20.0, delay_s=0.0005),
                            deflection="nip", protection=PARTIAL, seed=3)

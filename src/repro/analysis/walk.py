@@ -1,12 +1,7 @@
 """Random-walk analysis of deflected packets.
 
-Three exact (non-simulated) models:
+Two exact (non-simulated) models:
 
-* :func:`hot_potato_hitting_time` — a Hot-Potato packet performs a
-  uniform random walk on the core graph; the expected number of hops
-  until it first reaches a target set (destination or any encoded
-  switch) is the classic absorbing-Markov-chain hitting time, solved
-  with one dense linear system (numpy).
 * :func:`geometric_retry` — the Fig. 8 redundant-path loop: each visit
   to the decision switch succeeds with probability *p*; failures cost a
   fixed loop detour.  Expected extra hops follow the geometric series
@@ -29,16 +24,11 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Collection,
-    Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
-    Sequence,
     Tuple,
 )
-
-import numpy as np
 
 from repro.topology.graph import NodeKind, PortGraph, TopologyError
 
@@ -46,113 +36,12 @@ if TYPE_CHECKING:
     from repro.switches.deflection import DeflectionStrategy
 
 __all__ = [
-    "hot_potato_hitting_time",
-    "absorption_probability",
     "geometric_retry",
     "GeometricRetryModel",
     "WalkHop",
     "WalkVerdict",
     "deterministic_strategy_walk",
 ]
-
-
-def _core_adjacency(graph: PortGraph) -> Dict[str, List[str]]:
-    return {
-        n.name: graph.core_subgraph_neighbors(n.name)
-        for n in graph.nodes(NodeKind.CORE)
-    }
-
-
-def hot_potato_hitting_time(
-    graph: PortGraph,
-    start: str,
-    targets: Iterable[str],
-) -> float:
-    """Expected hops for a uniform random walk from *start* to *targets*.
-
-    Models a Hot-Potato-deflected packet: at every core switch it exits
-    via a uniformly random port (edges and the input port included in
-    the real dataplane; here the walk is over the core subgraph, which
-    upper-bounds the core wandering).
-
-    Returns ``inf`` when some probability mass never reaches a target
-    (disconnected component).
-    """
-    adj = _core_adjacency(graph)
-    target_set = set(targets)
-    for t in target_set:
-        if t not in adj:
-            raise TopologyError(f"target {t!r} is not a core switch")
-    if start in target_set:
-        return 0.0
-    if start not in adj:
-        raise TopologyError(f"start {start!r} is not a core switch")
-
-    transient = [n for n in adj if n not in target_set]
-    index = {n: i for i, n in enumerate(transient)}
-    n = len(transient)
-    # (I - Q) t = 1, where Q is the transient-to-transient transition
-    # matrix; t[i] is the expected steps to absorption from state i.
-    A = np.eye(n)
-    reaches = np.zeros(n, dtype=bool)
-    for name in transient:
-        i = index[name]
-        neighbors = adj[name]
-        if not neighbors:
-            continue
-        p = 1.0 / len(neighbors)
-        for nb in neighbors:
-            if nb in target_set:
-                reaches[i] = True
-            else:
-                A[i, index[nb]] -= p
-    try:
-        t = np.linalg.solve(A, np.ones(n))
-    except np.linalg.LinAlgError:
-        return float("inf")
-    value = float(t[index[start]])
-    if not np.isfinite(value) or value < 0:
-        return float("inf")
-    return value
-
-
-def absorption_probability(
-    graph: PortGraph,
-    start: str,
-    good: Iterable[str],
-    bad: Iterable[str],
-) -> float:
-    """P(walk from *start* hits *good* before *bad*).
-
-    Useful for questions like "what fraction of HP packets reach the
-    destination before straying back to the ingress edge?".
-    """
-    adj = _core_adjacency(graph)
-    good_set, bad_set = set(good), set(bad)
-    if start in good_set:
-        return 1.0
-    if start in bad_set:
-        return 0.0
-    transient = [n for n in adj if n not in good_set | bad_set]
-    index = {n: i for i, n in enumerate(transient)}
-    n = len(transient)
-    A = np.eye(n)
-    b = np.zeros(n)
-    for name in transient:
-        i = index[name]
-        neighbors = adj[name]
-        if not neighbors:
-            continue
-        p = 1.0 / len(neighbors)
-        for nb in neighbors:
-            if nb in good_set:
-                b[i] += p
-            elif nb in bad_set:
-                continue
-            else:
-                A[i, index[nb]] -= p
-    x = np.linalg.solve(A, b)
-    return float(x[index[start]])
 
 
 @dataclass(frozen=True)
@@ -269,16 +158,6 @@ class _NoRandomness:
             "deterministic_strategy_walk only models RNG-free strategies; "
             f"the strategy asked for rng.{name}"
         )
-
-
-class _CandidateSet:
-    """RNG stand-in whose ``choice`` does not draw: it hands back the
-    whole candidate list, so ``decide`` returns the exact set of ports
-    a deflection could take (one entry = a forced hop) instead of one
-    sample from it."""
-
-    def choice(self, candidates: Sequence[int]) -> List[int]:
-        return list(candidates)
 
 
 def deterministic_strategy_walk(

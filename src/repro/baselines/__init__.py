@@ -29,7 +29,6 @@ from repro.baselines.fastfailover import (
     plan_destination_tree,
 )
 from repro.baselines.feature_matrix import TABLE2_ROWS, FeatureRow, render_table2
-from repro.baselines.repair import ControllerRepair
 from repro.switches.deflection import DeflectionStrategy
 from repro.topology.graph import NodeKind, PortGraph
 
@@ -37,7 +36,6 @@ __all__ = [
     "FeatureRow",
     "TABLE2_ROWS",
     "render_table2",
-    "ControllerRepair",
     "FastFailoverStrategy",
     "plan_backup_ports",
     "plan_destination_tree",

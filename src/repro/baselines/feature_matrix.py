@@ -19,13 +19,11 @@ separated from the verbatim columns/rows):
   working; schemes whose guarantees are proven against a *static*
   failure set (precomputed failover tables) do not.
 
-Three of the rows also have executable counterparts in this repository:
+Two of the rows also have executable counterparts in this repository:
 
 * ``OpenFlow Fast Failover`` — :mod:`repro.baselines.fastfailover`
-  (stateful precomputed backup ports),
-* ``Arborescence Failover`` — :mod:`repro.baselines.arborescence`, and
-* the "traditional approach" of controller-driven repair —
-  :mod:`repro.baselines.repair`.
+  (stateful precomputed backup ports), and
+* ``Arborescence Failover`` — :mod:`repro.baselines.arborescence`.
 """
 
 from __future__ import annotations

@@ -15,8 +15,7 @@ The controller plays the three roles named in the paper:
 
 Per the paper's experimental method, the controller *ignores failure
 notifications* — deflection, not control-plane repair, is the failure
-response being measured.  A repair baseline that does react lives in
-:mod:`repro.baselines.repair`.
+response being measured.
 """
 
 from __future__ import annotations

@@ -151,10 +151,12 @@ def build_report(farm: "Optional[FarmOptions]" = None) -> str:
         "* **Fig. 7, SW41–SW73**: with the default (long) timeline TCP "
         "adapts to the two-branch reordering and loses almost nothing vs "
         "the paper's ~30 % — the deviation direction that *favours* KAR. "
-        "Shorter windows (the benchmark timeline) show the transient "
+        "Shorter windows (the tests' timeline) show the transient "
         "cost (~15–60 %).",
         "* **Fig. 8**: 46 % vs the paper's 54.8 % — same geometric-retry "
-        "mechanism, slightly deeper TCP penalty at our scaled-down rate.",
+        "mechanism.  The scaled-down rate does not explain the gap: at the "
+        "paper's 200 Mbit/s the ratio falls further, 0.457 → 0.289 "
+        "(ROADMAP item 13).",
         "",
         "Increase averaging with ``REPRO_SEEDS=30`` to tighten the "
         "confidence intervals (the paper uses n=30).",
@@ -162,8 +164,8 @@ def build_report(farm: "Optional[FarmOptions]" = None) -> str:
         "## Table 2 — related-work feature matrix",
         "",
         "Reproduced as data (`repro.baselines.feature_matrix`); the",
-        "OpenFlow-FF row and the controller-repair baseline also exist as",
-        "runnable systems for the ablation benchmarks.",
+        "OpenFlow-FF and Arborescence Failover rows also exist as runnable",
+        "systems (`repro.baselines`).",
         "",
         "```",
         table2.render_table2(),

@@ -52,6 +52,7 @@ rejections (:class:`~repro.service.admission.AdmissionError` reasons).
 from __future__ import annotations
 
 import json
+import math
 import socket
 import threading
 import time
@@ -92,11 +93,13 @@ def _error(status: int, reason: str, message: str) -> Response:
 
 
 def _is_number(value: Any) -> bool:
-    """A JSON number that is a value: not a bool, not the NaN literal."""
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and value == value
+    """A JSON number that is a value: not a bool, not NaN or infinite.
+    An int past the float range passes here and is refused by the
+    ``float()`` conversion that follows."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (
+        isinstance(value, float) and math.isfinite(value)
     )
 
 
@@ -375,9 +378,13 @@ class ControllerService:
                 # Content-Length framing only: a chunked body would be
                 # read as the next request.
                 return self._refuse(conn, "transfer-encoding not supported")
+            # RFC 9110's 1*DIGIT: int() alone would also frame "+43" or
+            # "4_3" as 43, where a front proxy may read them otherwise.
+            value = headers.get("content-length", "0")
             try:
-                length = int(headers.get("content-length", "0"))
-            except ValueError:
+                length = int(value) if value.isascii() and value.isdigit() \
+                    else -1
+            except ValueError:  # more digits than int() parses
                 length = -1
             if not 0 <= length <= MAX_BODY_BYTES:
                 return self._refuse(conn, "bad content length")

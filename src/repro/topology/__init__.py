@@ -4,7 +4,6 @@ from repro.topology.generators import (
     attach_host_pair,
     clique,
     random_connected,
-    ring_lattice,
     torus,
 )
 from repro.topology.zoo import ABILENE_LINKS, abilene, fat_tree
@@ -47,7 +46,6 @@ __all__ = [
     "PARTIAL",
     "FULL",
     "random_connected",
-    "ring_lattice",
     "clique",
     "torus",
     "attach_host_pair",

@@ -1,8 +1,8 @@
 """Deterministic random-topology generators.
 
-Used by property-based tests and ablation benchmarks to exercise KAR on
-networks beyond the paper's two figures.  All generators are seeded and
-pure — the same seed always yields the same topology.
+Used by property-based tests and the resilience-frontier sweep to
+exercise KAR on networks beyond the paper's two figures.  All generators
+are seeded and pure — the same seed always yields the same topology.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.rns.coprime import greedy_coprime_pool, prime_pool
 from repro.topology.graph import NodeKind, PortGraph, TopologyError
 
-__all__ = ["random_connected", "ring_lattice", "clique", "torus",
+__all__ = ["random_connected", "clique", "torus",
            "attach_host_pair", "attach_edges"]
 
 
@@ -89,38 +89,6 @@ def random_connected(
                 f"node {n} has degree {g.degree(n)} >= switch ID "
                 f"{assignment[n]}; raise min_switch_id"
             )
-    return g
-
-
-def ring_lattice(
-    num_switches: int,
-    chord_step: int = 0,
-    id_strategy: str = "prime",
-    min_switch_id: int = 5,
-    rate_mbps: float = 100.0,
-    delay_s: float = 0.001,
-) -> PortGraph:
-    """A ring of switches, optionally with chords every *chord_step* nodes.
-
-    Rings are the classic worst case for hot-potato walks (long cycles),
-    used by the random-walk analysis benches.
-    """
-    if num_switches < 3:
-        raise ValueError(f"a ring needs at least 3 switches, got {num_switches}")
-    ids = _switch_ids(num_switches, id_strategy, min_switch_id)
-    g = PortGraph()
-    names = [f"SW{i}" for i in range(num_switches)]
-    for n, sid in zip(names, ids):
-        g.add_node(n, kind=NodeKind.CORE, switch_id=sid)
-    for i in range(num_switches):
-        g.add_link(names[i], names[(i + 1) % num_switches],
-                   rate_mbps=rate_mbps, delay_s=delay_s)
-    if chord_step > 1:
-        for i in range(0, num_switches, chord_step):
-            j = (i + num_switches // 2) % num_switches
-            if i != j and not g.has_link(names[i], names[j]):
-                g.add_link(names[i], names[j], rate_mbps=rate_mbps,
-                           delay_s=delay_s)
     return g
 
 

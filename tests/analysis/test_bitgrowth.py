@@ -7,23 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.bitgrowth import (
-    bit_growth_by_strategy,
     growth_pool,
     max_prefix_within_budget,
     prefix_route_bits,
-    protection_budget_table,
 )
 from repro.rns.bitlength import route_id_bit_length
-from repro.rns.gf2 import gf2_degree
 
 
 class TestPrefixRouteBits:
     def test_matches_direct_products(self):
-        ids = [5, 7, 9, 11]
-        base = [4, 13]
-        bits = prefix_route_bits(ids, base_ids=base)
+        ids = [4, 13, 5, 7, 9, 11]
+        bits = prefix_route_bits(ids)
         for i, got in enumerate(bits):
-            direct = math.prod(base) * math.prod(ids[: i + 1])
+            direct = math.prod(ids[: i + 1])
             assert got == route_id_bit_length(direct)
 
     @given(seed=st.integers(0, 2_000))
@@ -63,41 +59,3 @@ class TestGrowthPool:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError, match="unknown strategy"):
             growth_pool("fibonacci", 4)
-
-
-class TestGrowth:
-    def test_greedy_never_worse_than_prime(self):
-        points = bit_growth_by_strategy(12)
-        for g, p in zip(points["greedy"], points["prime"]):
-            assert g.hops == p.hops
-            assert g.bits <= p.bits
-
-    def test_xsr_bits_are_degree_sums(self):
-        points = bit_growth_by_strategy(8, strategies=("xsr",))
-        pool = sorted(growth_pool("xsr", 8), reverse=True)
-        running = 0
-        for point, sid in zip(points["xsr"], pool):
-            running += gf2_degree(sid)
-            assert point.bits == running
-
-    def test_zero_hops_rejected(self):
-        with pytest.raises(ValueError, match="max_hops"):
-            bit_growth_by_strategy(0)
-
-
-class TestProtectionBudget:
-    def test_rows_match_per_budget_remultiplication(self):
-        route = [23, 29, 31]
-        protection = [37, 41, 43, 47]
-        budgets = range(0, 40)
-        table = protection_budget_table(route, protection, budgets)
-        for budget, fit in table:
-            # The loop this replaced: multiply until the budget breaks.
-            product = math.prod(route)
-            count = 0
-            for sid in protection:
-                product *= sid
-                if route_id_bit_length(product) > budget:
-                    break
-                count += 1
-            assert fit == count, budget

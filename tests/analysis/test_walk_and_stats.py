@@ -5,81 +5,8 @@ import math
 import pytest
 
 from repro.analysis.stats import mean_ci
-from repro.analysis.walk import (
-    absorption_probability,
-    deterministic_strategy_walk,
-    geometric_retry,
-    hot_potato_hitting_time,
-)
+from repro.analysis.walk import deterministic_strategy_walk, geometric_retry
 from repro.switches.deflection import NoDeflection, NotInputPort
-from repro.topology.generators import ring_lattice
-from repro.topology.graph import PortGraph, TopologyError
-
-
-@pytest.fixture(scope="module")
-def path3():
-    # A - B - C line graph.
-    g = PortGraph()
-    for name, sid in (("A", 5), ("B", 7), ("C", 11)):
-        g.add_node(name, switch_id=sid)
-    g.add_link("A", "B")
-    g.add_link("B", "C")
-    return g
-
-
-class TestHittingTime:
-    def test_line_graph_known_value(self, path3):
-        # From A on A-B-C: E[T_C] = 4 (classic gambler's-ruin value).
-        assert hot_potato_hitting_time(path3, "A", ["C"]) == pytest.approx(4.0)
-
-    def test_adjacent_target(self, path3):
-        # From B, C is reached w.p. 1/2 per step both ways symmetric:
-        # E = 1*(1/2) + (1/2)(1 + E[T from A]) with E[T from A] = 1 + E[B].
-        value = hot_potato_hitting_time(path3, "B", ["C"])
-        assert value == pytest.approx(3.0)
-
-    def test_start_on_target(self, path3):
-        assert hot_potato_hitting_time(path3, "B", ["B"]) == 0.0
-
-    def test_cycle_antipode(self):
-        ring = ring_lattice(8, min_switch_id=11)
-        names = ring.node_names()
-        # E[hit antipode on n-cycle] = k(n-k) with k = 4: 4*4 = 16.
-        assert hot_potato_hitting_time(
-            ring, names[0], [names[4]]
-        ) == pytest.approx(16.0)
-
-    def test_more_targets_never_slower(self):
-        ring = ring_lattice(12, min_switch_id=13)
-        names = ring.node_names()
-        one = hot_potato_hitting_time(ring, names[0], [names[6]])
-        two = hot_potato_hitting_time(ring, names[0], [names[6], names[3]])
-        assert two < one
-
-    def test_unknown_nodes_rejected(self, path3):
-        with pytest.raises(TopologyError):
-            hot_potato_hitting_time(path3, "Z", ["C"])
-        with pytest.raises(TopologyError):
-            hot_potato_hitting_time(path3, "A", ["Z"])
-
-
-class TestAbsorption:
-    def test_line_graph_even_odds(self, path3):
-        # From B with absorbers at both ends: 1/2 each.
-        assert absorption_probability(
-            path3, "B", ["A"], ["C"]
-        ) == pytest.approx(0.5)
-
-    def test_degenerate_cases(self, path3):
-        assert absorption_probability(path3, "A", ["A"], ["C"]) == 1.0
-        assert absorption_probability(path3, "C", ["A"], ["C"]) == 0.0
-
-    def test_complementarity(self):
-        ring = ring_lattice(9, min_switch_id=11)
-        names = ring.node_names()
-        p = absorption_probability(ring, names[2], [names[0]], [names[5]])
-        q = absorption_probability(ring, names[2], [names[5]], [names[0]])
-        assert p + q == pytest.approx(1.0)
 
 
 class TestGeometricRetry:

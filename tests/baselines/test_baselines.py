@@ -15,16 +15,12 @@ from repro.baselines.fastfailover import (
     plan_destination_tree,
 )
 from repro.baselines.feature_matrix import TABLE2_ROWS, render_table2
-from repro.baselines.repair import ControllerRepair
-from repro.runner import KarSimulation
 from repro.topology import (
-    UNPROTECTED,
     NodeKind,
     attach_host_pair,
     fifteen_node,
     is_reachable_without,
     shortest_path,
-    six_node,
     torus,
 )
 from repro.topology.graph import PortGraph
@@ -196,40 +192,3 @@ class TestFailoverPlanningTopologies:
         for current, nxt in zip(route, route[1:]):
             backup = plans[current][g.port_of(current, nxt)]
             assert g.neighbor_on_port(current, backup) != nxt
-
-
-class TestControllerRepair:
-    def test_repair_installs_detour(self):
-        scn = six_node(rate_mbps=50.0, delay_s=0.0002)
-        ks = KarSimulation(scn, deflection="none", protection=UNPROTECTED,
-                           seed=1)
-        repair = ControllerRepair(ks, reaction_delay_s=0.3)
-        repair.arm("SW7", "SW11", fail_at=1.0, repair_at=3.0)
-        src, sink = ks.add_udp_probe(rate_pps=100, duration_s=3.5)
-        src.start(at=0.5)
-        ks.run(until=5.0)
-
-        assert repair.repairs_installed == 1
-        assert repair.restores_installed == 1
-        # Packets during the reaction window (1.0 - 1.3 s) died; before
-        # and after they flow.
-        ratio = sink.delivery_ratio(src.sent)
-        assert 0.7 < ratio < 1.0
-        drops = ks.tracer.drop_reasons
-        assert drops["no-usable-port(none)"] > 0
-
-    def test_no_deflection_without_repair_loses_everything(self):
-        scn = six_node(rate_mbps=50.0, delay_s=0.0002)
-        ks = KarSimulation(scn, deflection="none", protection=UNPROTECTED,
-                           seed=1)
-        ks.schedule_failure("SW7", "SW11", at=1.0, repair_at=3.0)
-        src, sink = ks.add_udp_probe(rate_pps=100, duration_s=1.5)
-        src.start(at=1.2)  # entirely inside the failure
-        ks.run(until=5.0)
-        assert sink.received == 0
-
-    def test_validation(self):
-        scn = six_node()
-        ks = KarSimulation(scn, seed=0)
-        with pytest.raises(ValueError):
-            ControllerRepair(ks, reaction_delay_s=-1.0)

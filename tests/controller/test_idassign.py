@@ -16,7 +16,7 @@ from repro.controller.idassign import (
     route_frequency_weights,
 )
 from repro.rns import pairwise_coprime
-from repro.topology.generators import attach_edges
+from repro.topology.generators import attach_edges, random_connected
 from repro.topology.graph import NodeKind, PortGraph
 from repro.topology.zoo import graph_from_gml, zoo_fixture_path
 
@@ -38,6 +38,15 @@ class TestAssignment:
         greedy = math.prod(assign_switch_ids(degrees, "greedy").values())
         prime = math.prod(assign_switch_ids(degrees, "prime").values())
         assert greedy <= prime
+
+    def test_greedy_product_not_larger_than_prime_on_random_topologies(self):
+        for seed in range(5):
+            g = random_connected(20, extra_links=10, seed=seed,
+                                 min_switch_id=23)
+            degrees = {n.name: n.degree for n in g.nodes()}
+            greedy = math.prod(assign_switch_ids(degrees, "greedy").values())
+            prime = math.prod(assign_switch_ids(degrees, "prime").values())
+            assert greedy <= prime, seed
 
     def test_prime_strategy_all_prime(self):
         from repro.rns import is_prime

@@ -1,5 +1,5 @@
-"""Tests for the experiment modules (fast paths only — the full runs
-live in benchmarks/)."""
+"""Tests for the experiment modules (fast paths only — the figure runs
+live in test_figures.py)."""
 
 import pytest
 
@@ -12,6 +12,7 @@ class TestTable1:
         assert [(r.bit_length, r.switch_count) for r in rows] == [
             (15, 4), (28, 7), (43, 10),
         ]
+        assert rows == list(table1.PAPER_TABLE1)
 
     def test_render_contains_rows(self):
         text = table1.render_table1()
@@ -23,7 +24,28 @@ class TestTable1:
 class TestTable2:
     def test_render(self):
         text = table2.render_table2()
-        assert "KAR" in text
+        assert "KAR" in text and "Stateless" in text
+
+    def test_kar_is_the_stateless_row_that_takes_multiple_failures(self):
+        # Unlike MPLS-FRR, the other Yes/Yes/Stateless row, KAR needs no
+        # signalling protocol: the paper's claimed advance.
+        full_rows = [
+            r.system for r in table2.TABLE2_ROWS
+            if r.multiple_link_failures and r.source_routing
+            and r.stateless_core
+        ]
+        assert full_rows == ["MPLS Fast Reroute", "KAR"]
+        # KAR is also the only stateless row that survives dynamic
+        # failures — the frontier's headline distinction.
+        assert [
+            r.system for r in table2.TABLE2_ROWS
+            if r.dynamic_failures and r.stateless_core
+        ] == ["KAR"]
+
+    def test_keyflow_row(self):
+        row = next(r for r in table2.TABLE2_ROWS if "KeyFlow" in r.system)
+        assert not row.multiple_link_failures  # what KAR adds over KeyFlow
+        assert row.source_routing and row.stateless_core
 
 
 class TestCommon:
@@ -94,6 +116,13 @@ class TestFigure8Model:
 
     def test_paper_ratio_constant(self):
         assert figure8.PAPER_RATIO == pytest.approx(0.548)
+
+    def test_attempt_distribution_normalizes(self):
+        model = figure8.analytical_model()
+        assert sum(model.attempt_distribution(30)) == pytest.approx(
+            1.0, abs=1e-6)
+        assert model.expected_attempts == pytest.approx(2.0)
+        assert model.expected_extra_hops == pytest.approx(4.0)
 
 
 class TestChaosSweep:

@@ -7,12 +7,31 @@ from repro.experiments.header_overhead import (
     ZOO_CELLS,
     _all_pairs_route_bits,
     capacity_table,
+    render_overhead_report,
+    scenario_overhead,
     zoo_overhead,
 )
 from repro.rns import backend_by_name
 from repro.rns.bitlength import route_id_bit_length
-from repro.topology import shortest_path
+from repro.topology import fifteen_node, shortest_path
 from repro.topology.zoo import load_zoo_graph
+
+
+class TestScenarioOverhead:
+    def test_table1_anchors_and_wire_cost(self):
+        by_level = {r.level: r for r in scenario_overhead(fifteen_node())}
+        assert by_level["unprotected"].bits == 15
+        assert by_level["partial"].bits == 28
+        assert by_level["full"].bits == 43
+        # The paper's design point: protection stays cheap on the wire.
+        assert by_level["full"].wire_bytes <= 10
+        assert by_level["full"].mtu_fraction < 0.01
+
+    def test_report_sections(self):
+        # The zoo rows are TestZooOverhead's; the report test renders them.
+        text = render_overhead_report(zoo_topologies=None)
+        assert "fifteen_node" in text and "% of MTU" in text
+        assert "best-case" in text and "worst-case" in text
 
 
 class TestAllPairsRouteBits:
@@ -96,3 +115,9 @@ class TestCapacityTable:
         for strategy in worst:
             for (b, wfit), (_, bfit) in zip(worst[strategy], best[strategy]):
                 assert bfit >= wfit, (strategy, b)
+
+    def test_greedy_fits_at_least_prime(self):
+        for worst_case in (True, False):
+            table = capacity_table(worst_case=worst_case)
+            for (_, greedy), (_, prime) in zip(table["greedy"], table["prime"]):
+                assert greedy >= prime, worst_case

@@ -153,8 +153,11 @@ class TestDispatchRouting:
         ({"max_latency_s": float("nan")}, "bad-request"),
         ({"bandwidth_mbps": 10**400}, "bad-request"),
         ({"max_latency_s": 10**400}, "bad-request"),
+        ({"bandwidth_mbps": float("inf")}, "bad-request"),
+        ({"max_latency_s": float("inf")}, "bad-request"),
     ], ids=["list-body", "string-body", "bool-ttl", "nan-bandwidth",
-            "nan-latency", "huge-bandwidth", "huge-latency"])
+            "nan-latency", "huge-bandwidth", "huge-latency", "inf-bandwidth",
+            "inf-latency"])
     def test_provision_non_values_are_400(self, state, body, error):
         # json.loads hands the service all of these: a body that is not
         # an object, a bool where an int is meant, the NaN literal.
@@ -443,8 +446,12 @@ class TestFraming:
          "transfer-encoding not supported"),
         (_request("POST", "/flows", PROVISION, extra="Content-Length: 5\r\n"),
          "conflicting content lengths"),
+        (_request("POST", "/flows", PROVISION).replace(
+            b"Length: ", b"Length: +"), "bad content length"),
+        (_request("POST", "/flows", PROVISION).replace(
+            b"Length: 4", b"Length: 4_"), "bad content length"),
     ], ids=["70k-header-line", "70k-request-line", "200k-no-terminator",
-            "chunked", "two-content-lengths"])
+            "chunked", "two-content-lengths", "plus-sign", "underscore"])
     def test_refused_request_is_400_and_close(
         self, service, wire, message, monkeypatch
     ):

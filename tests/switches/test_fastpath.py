@@ -9,7 +9,6 @@ import random
 import numpy as np
 import pytest
 
-from repro.analysis.walk import _CandidateSet
 from repro.rns.encoder import Hop, RouteEncoder
 from repro.sim import KarHeader, Link, Packet, Simulator
 from repro.sim.node import Node
@@ -21,6 +20,7 @@ from repro.switches.deflection import (
     STRATEGY_NAMES,
     strategy_by_name,
 )
+from tests.verify.test_pseudocode import CandidateList
 
 
 class Collector(Node):
@@ -157,7 +157,7 @@ class TestStrategySplitEquivalence:
 
     @pytest.mark.parametrize("name", STRATEGY_NAMES)
     def test_fallback_ports_is_the_list_decide_draws_from(self, name):
-        # ``_CandidateSet.choice`` hands back the candidate list instead
+        # ``CandidateList.choice`` hands back the candidate list instead
         # of drawing, so ``decide`` shows what it would have drawn from;
         # the array side reads it off the kernel's own port tables.
         strategy = strategy_by_name(name)
@@ -180,7 +180,7 @@ class TestStrategySplitEquivalence:
                         for r in range(count)
                     ]
                     got = strategy.decide(
-                        healthy, in_port, computed, deflected, _CandidateSet()
+                        healthy, in_port, computed, deflected, CandidateList()
                     )
                     assert got == (
                         (described, True) if count else (None, False)

@@ -36,8 +36,8 @@ def _fifteen_node_failover(out):
 
 
 def _rnp_backbone(out):
-    # SW7-SW13's only deflection candidate is forced: the live probe
-    # must agree with the static "deterministic delivery: 100%".
+    # SW7-SW13 leaves one deflection candidate, a forced hop: the probe loses
+    # nothing.
     delivered, sent = _ints(r"SW7-SW13: delivered (\d+)/(\d+) ", out)
     assert delivered == sent > 0
 

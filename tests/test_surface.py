@@ -42,26 +42,11 @@ ORACLE = "reference implementation an oracle or test compares against"
 CASEGEN = "case generator of a pinned or property test"
 FIXTURE = "fixture provenance"
 ROADMAP = "named by an open ROADMAP item"
-ABLATION = "measured by a kept benchmarks/test_ablation_*.py"
-REASONS = {ORACLE, CASEGEN, FIXTURE, ROADMAP, ABLATION}
+REASONS = {ORACLE, CASEGEN, FIXTURE, ROADMAP}
 
 #: reason -> {orphan: who holds it}.  A bare module name claims the
-#: whole module; ``module:name`` one top-level name.  The ablation-backed
-#: entries are decided with those files after ROADMAP item 1.
+#: whole module; ``module:name`` one top-level name.
 CLAIMED: Dict[str, Dict[str, str]] = {
-    ABLATION: {
-        "repro.analysis.coverage": "test_ablation_protection_sweep.py",
-        "repro.baselines.repair": "test_ablation_baselines.py",
-        "repro.analysis.bitgrowth:GrowthPoint": "test_ablation_idassign.py",
-        "repro.analysis.bitgrowth:bit_growth_by_strategy":
-            "test_ablation_idassign.py",
-        "repro.analysis.bitgrowth:protection_budget_table":
-            "test_ablation_idassign.py",
-        "repro.analysis.walk:absorption_probability": "test_ablation_walk.py",
-        "repro.analysis.walk:hot_potato_hitting_time":
-            "test_ablation_walk.py; item 3(a) replaces it",
-        "repro.topology.generators:ring_lattice": "test_ablation_walk.py",
-    },
     ROADMAP: {
         "repro.transport.cubic": "item 4: exercised by the sweep or deleted",
         "repro.sim.adversary:search_worst_schedule":
@@ -75,7 +60,7 @@ CLAIMED: Dict[str, Dict[str, str]] = {
         "repro.controller.bulk:mesh_digest_reference":
             "tests/controller/test_bulk.py: per-flow engine vs bulk mesh",
         "repro.experiments.table1:PAPER_TABLE1":
-            "benchmarks/test_table1_bitlength.py: the paper's printed values",
+            "tests/experiments/test_experiments.py: the paper's printed values",
         "repro.rns.crt:pairwise_coprime":
             "tests/rns, tests/topology: the predicate every pool is held to",
         "repro.rns.gf2:gf2_pairwise_coprime":

@@ -10,7 +10,6 @@ from repro.topology import (
     attach_host_pair,
     clique,
     random_connected,
-    ring_lattice,
     torus,
 )
 
@@ -56,21 +55,6 @@ class TestRandomConnected:
         assert pairwise_coprime(g.switch_ids().values())
         for node in g.nodes(NodeKind.CORE):
             assert node.switch_id > node.degree
-
-
-class TestRingLattice:
-    def test_ring_degrees(self):
-        g = ring_lattice(8)
-        assert all(g.degree(n.name) == 2 for n in g.nodes())
-
-    def test_chords(self):
-        g = ring_lattice(10, chord_step=5)
-        degrees = sorted(g.degree(n.name) for n in g.nodes())
-        assert degrees[-1] >= 3
-
-    def test_too_small(self):
-        with pytest.raises(ValueError):
-            ring_lattice(2)
 
 
 class TestClique:

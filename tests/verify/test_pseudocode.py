@@ -15,14 +15,18 @@ import random
 import numpy as np
 import pytest
 
-from repro.analysis.walk import _CandidateSet
 from repro.sim.vector import _rank_ports
-from repro.switches.deflection import (
-    STRATEGY_NAMES,
-    NotInputPort,
-    strategy_by_name,
-)
+from repro.switches.deflection import STRATEGY_NAMES, strategy_by_name
 from repro.verify.pseudocode import PSEUDOCODE
+
+
+class CandidateList:
+    """RNG stand-in whose ``choice`` does not draw: it hands back the
+    whole candidate list, so ``decide`` returns every port a deflection
+    could take instead of one sample from it."""
+
+    def choice(self, candidates):
+        return list(candidates)
 
 
 def _small_states():
@@ -61,7 +65,7 @@ class TestExhaustiveAgreement:
 
     def test_array_forms_match_pseudocode(self, name):
         # One batch of every state, through the kernel's own port
-        # tables.  ``_CandidateSet`` makes the pseudocode hand back the
+        # tables.  ``CandidateList`` makes the pseudocode hand back the
         # list it would draw from instead of drawing.
         impl = strategy_by_name(name)
         spec = PSEUDOCODE[name]
@@ -81,7 +85,7 @@ class TestExhaustiveAgreement:
             num_ports, healthy, own, port, flag = state
             want = spec(
                 num_ports, frozenset(healthy), own, port, flag,
-                _CandidateSet(),
+                CandidateList(),
             )
             # the mask is exactly "forward on computed, no draw"
             assert bool(happy[row]) == (want == (port, False)), state
@@ -95,35 +99,6 @@ class TestExhaustiveAgreement:
             assert want == ((listed, True) if listed else (None, False)), (
                 state
             )
-
-
-class TestCandidateSets:
-    """``analysis.coverage`` reads exact candidate sets out of
-    ``NotInputPort.decide`` through an RNG stand-in that returns the
-    list instead of drawing; hold those sets equal to Algorithm 1's."""
-
-    def test_nip_candidate_sets_match_algorithm_one(self):
-        nip, spec, rng = NotInputPort(), PSEUDOCODE["nip"], _CandidateSet()
-        states = 0
-        for num_ports in range(2, 6):
-            ports = range(num_ports)
-            for r in range(num_ports + 1):
-                for up in itertools.combinations(ports, r):
-                    for in_port in ports:
-                        for computed in range(num_ports + 2):
-                            got = nip.decide(up, in_port, computed, False, rng)
-                            want = spec(
-                                num_ports, frozenset(up), in_port, computed,
-                                False, rng,
-                            )
-                            state = (num_ports, up, in_port, computed)
-                            assert got == want, state
-                            if computed == in_port:
-                                # coverage's "unencoded switch" input:
-                                # never forwarded on, always the fallback.
-                                assert got[0] is None or got[1], state
-                            states += 1
-        assert states > 1500
 
 
 class TestAlgorithmOneSpecifics:
