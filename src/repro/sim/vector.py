@@ -19,7 +19,7 @@ bit-identical outcome records (digested with
   ``R mod switch_id`` followed by one
   :meth:`~repro.switches.deflection.DeflectionStrategy.decide` call.
 * :func:`run_epoch_vector` — the batch engine.  Per epoch, one stable
-  sort on the switch index puts every in-flight packet in (switch,
+  sort on the switch index puts every in-flight run (below) in (switch,
   queue) order; ``R mod switch_id`` is one gather from a dense
   ``residue[switch, flow]`` table (seeded by
   :meth:`~repro.rns.encoder.EncodedRoute.residue_map`, big-int modulo
@@ -28,13 +28,19 @@ bit-identical outcome records (digested with
   :meth:`~repro.switches.deflection.DeflectionStrategy.happy_mask`
   is one mask, and the fallback minority never reaches ``decide``
   either: :meth:`~repro.switches.deflection.DeflectionStrategy.fallback_ports`
-  gives each packet's candidate count, and :class:`_ChoiceWords`
+  gives each run's candidate count, and :class:`_ChoiceWords`
   restates ``random.choice`` over arrays of raw MT19937 words read
   ahead in bulk from each switch's stream — the same words in the same
-  queue order, so every draw is the reference's draw.  Index widths come
+  queue order, so every draw (a run's, one per packet) is the
+  reference's draw.  Index widths come
   from the workload's sizes (int16 below 2**15 nodes / switch IDs).
 
-Canonical model (shared by both engines):
+Canonical model (shared by both engines).  The vector engine's batch
+row is a *run* of identical packets, one flow's injections of one epoch;
+that changes the representation, not the model.  A run's packets decide
+alike and stay adjacent in every queue (by rule 3: they leave a switch
+one after another on one port) until they draw fallback ports, one draw
+per packet, and split into a row each:
 
 1. At each epoch start, scheduled link flips apply in sorted link-key
    order; then this epoch's injections append to their ingress
@@ -64,6 +70,7 @@ decisions AND the same random draws.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from dataclasses import dataclass
 from typing import (
@@ -592,27 +599,33 @@ def _residue_table(workload: EpochWorkload) -> np.ndarray:
     """
     topo = workload.topo
     n_flows = len(workload.flows)
-    ids = topo.switch_ids[topo.core_mask].tolist()
-    rank_of = {sid: rank for rank, sid in enumerate(ids)}
-    slots: List[int] = []
-    hints: List[int] = []
-    for f, flow in enumerate(workload.flows):
-        for sid, r in (flow.residues or {}).items():
-            rank = rank_of.get(sid)
-            if rank is None:
-                continue
-            if not 0 <= r < sid:
-                raise ValueError(
-                    f"bad residue hint {r!r} on flow #{f} for switch "
-                    f"{topo.names[topo.core_indices[rank]]}: want "
-                    f"0 <= r < switch_id {sid}"
-                )
-            slots.append(rank * n_flows + f)
-            hints.append(r)
-    table = np.full(
-        len(ids) * n_flows, -1, dtype=_narrow_int(max(ids, default=0))
+    ids = topo.switch_ids[topo.core_mask]
+    rank_of = np.full(int(ids.max(initial=0)) + 1, -1, dtype=np.intp)
+    rank_of[ids] = np.arange(len(ids))
+    hints = [flow.residues or {} for flow in workload.flows]
+    flow = np.repeat(np.arange(n_flows), [len(h) for h in hints])
+    size = len(flow)
+    sid = np.fromiter(itertools.chain.from_iterable(hints), np.int64, size)
+    r = np.fromiter(
+        itertools.chain.from_iterable(h.values() for h in hints),
+        np.int64, size,
     )
-    table[slots] = hints
+    ours = (sid >= 0) & (sid < len(rank_of))  # foreign IDs are ignored
+    rank = np.full(size, -1, dtype=np.intp)
+    rank[ours] = rank_of[sid[ours]]
+    ours = rank >= 0
+    bad = np.flatnonzero(ours & ((r < 0) | (r >= sid)))
+    if len(bad):
+        i = bad[0]
+        raise ValueError(
+            f"bad residue hint {int(r[i])!r} on flow #{flow[i]} for switch "
+            f"{topo.names[topo.core_indices[rank[i]]]}: want "
+            f"0 <= r < switch_id {sid[i]}"
+        )
+    table = np.full(
+        len(ids) * n_flows, -1, dtype=_narrow_int(int(ids.max(initial=0)))
+    )
+    table[rank[ours] * n_flows + flow[ours]] = r[ours]
     return table
 
 
@@ -623,9 +636,11 @@ def _rank_ports(up: np.ndarray) -> Tuple[np.ndarray, ...]:
     return up.sum(axis=-1), np.argsort(~up, axis=-1, kind="stable"), below
 
 
-#: Words read ahead per stream: one ``[streams, CAP]`` uint32 table, 3 MiB
-#: on synthwan754.  A size, not a knob: any value >= 8 draws the same.
-CAP = 1024
+#: Words read ahead per stream: one ``[streams, CAP]`` uint32 table, 0.75
+#: MiB on synthwan754, whose storm streams use ~400 words each (1,024 read
+#: 3.0x the words used, 256 reads 1.4x).  A size, not a knob: any value
+#: >= 8 draws the same.
+CAP = 256
 
 
 class _ChoiceWords:
@@ -721,6 +736,7 @@ def run_epoch_vector(
     names, n = topo.names, topo.n
     flows = workload.flows
     n_flows = len(flows)
+    per_flow = workload.inject_per_epoch
     strategy = strategy_by_name(workload.strategy)
     no_port = f"no-usable-port({strategy.name})"
     core = topo.core_indices
@@ -739,19 +755,20 @@ def run_epoch_vector(
     route_ids = np.array([f.route_id for f in flows], dtype=object)
     switch_ids = topo.switch_ids[is_core].astype(object)
     egress = np.array([f.egress for f in flows], dtype=node_t)
-    # counters[u] = [forwarded, deflections, drops]
-    counters = np.zeros((n, 3), dtype=np.int64)
-    misdelivered = np.zeros(n, dtype=np.int64)
+    # counters[u] = [forwarded, deflections, drops]; float64, as the
+    # packet-count-weighted bincounts return them (exact below 2**53).
+    counters = np.zeros((n, 3))
+    misdelivered = np.zeros(n)
     delivered = n_expired = n_no_port = 0
     fates: Optional[Dict[int, Tuple[Any, ...]]] = {} if trace else None
     hops: Optional[Dict[int, List[Tuple[Any, ...]]]] = {} if trace else None
 
     # The batch is parallel columns (switch, flow, ttl, sticky deflected
-    # bit, in-port and, only when tracing, uid), one row per in-flight
-    # packet.  One epoch's injections, flow order then per-flow count:
-    inj_flow = np.repeat(
-        np.arange(n_flows, dtype=_narrow_int(n_flows)),
-        workload.inject_per_epoch,
+    # bit, in-port, packet count and, only when tracing, the first uid),
+    # one row per run of identical packets.  One epoch's injections are
+    # one run per flow, in flow order, with consecutive uids:
+    inj_flow = np.arange(
+        n_flows if per_flow else 0, dtype=_narrow_int(n_flows)
     )
     ttls = [f.ttl for f in flows]
     ttl_t = _narrow_int(max(map(abs, ttls), default=0) + 1)
@@ -761,9 +778,10 @@ def run_epoch_vector(
         np.array(ttls, dtype=ttl_t)[inj_flow],
         np.zeros(len(inj_flow), dtype=bool),
         np.array([f.in_port for f in flows], dtype=node_t)[inj_flow],
+        np.full(len(inj_flow), per_flow, dtype=_narrow_int(per_flow + 1)),
     ]
     if trace:
-        inject.append(np.arange(len(inj_flow)))
+        inject.append(np.arange(len(inj_flow)) * per_flow)
     batch = [col[:0] for col in inject]
 
     epoch = 0
@@ -784,15 +802,17 @@ def run_epoch_vector(
             # Injections queue after carried-over arrivals.
             batch = [np.concatenate(pair) for pair in zip(batch, inject)]
             if trace:
-                inject[-1] = inject[-1] + len(inj_flow)
+                inject[-1] = inject[-1] + n_flows * per_flow
         # Carried arrivals are in (sender index, emission order), so one
-        # stable sort on the switch index yields every queue in order.
+        # stable sort on the switch index yields every queue in order;
+        # a run's packets leave a switch together on one port, so they
+        # stay adjacent in every queue.
         order = np.argsort(batch[0], kind="stable")
         batch = [col[order] for col in batch]
-        sw, flow, ttl, deflected, in_port = batch[:5]
-        uid = batch[5] if trace else None
+        sw, flow, ttl, deflected, in_port, count = batch[:6]
+        uid = batch[6] if trace else None
         row = sw.astype(np.intp)
-        counters[:, 0] += np.bincount(row, minlength=n)
+        counters[:, 0] += np.bincount(row, count, minlength=n)
 
         computed = residue[core_rank[row] * n_flows + flow]
         missed = np.nonzero(computed < 0)[0]
@@ -816,39 +836,64 @@ def run_epoch_vector(
         # for a packet deflected upstream.
         hop_deflected = np.zeros(len(sw), dtype=bool)
         # The fallback minority, already in (switch, queue) order, draws
-        # a candidate index each — the reference engine's rng.choice.
+        # a candidate index per packet — the reference engine's
+        # rng.choice; a run's packets draw one after another.
         fallback = np.nonzero(alive & ~forward)[0]
+        ports = None
         if len(fallback):
             at, own = sw[fallback], in_port[fallback]
-            count, skip = strategy.fallback_ports(up_ports[at], up[at, own])
-            drawn = np.nonzero(count)[0]  # no candidate: a drop, no draw
-            moved, at, own = fallback[drawn], at[drawn], own[drawn]
-            index = choice.draw(core_rank[at], count[drawn])
-            index += skip[drawn] & (index >= up_below[at, own])
-            out_port[moved] = kth_up[at, index]
+            ways, skip = strategy.fallback_ports(up_ports[at], up[at, own])
+            drawn = np.nonzero(ways)[0]  # no candidate: a drop, no draw
+            moved = fallback[drawn]
+            each = np.repeat(drawn, count[moved])
+            at, own = at[each], own[each]
+            index = choice.draw(core_rank[at], ways[each])
+            index += skip[each] & (index >= up_below[at, own])
+            ports = kth_up[at, index]
             forward[moved] = True
             hop_deflected[moved] = True
             deflected[moved] = True
-            counters[:, 1] += np.bincount(sw[moved], minlength=n)
+            counters[:, 1] += np.bincount(sw[moved], count[moved], minlength=n)
         # Whatever is not forwarded is a drop: out of TTL, or out of ports.
         lost = np.nonzero(~forward)[0]
         if len(lost):
-            drops = np.bincount(sw[lost], minlength=n)
+            runs = count[lost]
+            drops = np.bincount(sw[lost], runs, minlength=n)
             counters[:, 0] -= drops
             counters[:, 2] += drops
-            stuck = int(np.count_nonzero(alive[lost]))
+            stuck = int(runs[alive[lost]].sum())
             n_no_port += stuck
-            n_expired += len(lost) - stuck
+            n_expired += int(runs.sum()) - stuck
             if trace:
-                for i, u, live in zip(
-                    uid[lost].tolist(), sw[lost].tolist(),
+                for i, c, u, live in zip(
+                    uid[lost].tolist(), runs.tolist(), sw[lost].tolist(),
                     alive[lost].tolist(),
                 ):
-                    fates[i] = (
-                        "dropped", names[u],
-                        no_port if live else "ttl-expired",
-                    )
+                    for k in range(i, i + c):
+                        fates[k] = (
+                            "dropped", names[u],
+                            no_port if live else "ttl-expired",
+                        )
 
+        # Expanded row -> batch row, once each drawn run (the rows
+        # hop_deflected marks) has split in place into one row per
+        # packet.  Only the columns read below expand; ttl and the
+        # deflected bit ride the onward gather.
+        take = None
+        if ports is not None and len(ports) > len(moved):
+            reps = np.where(hop_deflected, count, 1)
+            take = np.repeat(np.arange(len(sw)), reps)
+            hop_deflected, count = hop_deflected[take], count[take]
+            count[hop_deflected] = 1
+            row, out_port, forward, flow = (
+                row[take], out_port[take], forward[take], flow[take]
+            )
+            if trace:
+                first = np.cumsum(reps) - reps
+                sw, in_port = sw[take], in_port[take]
+                uid = uid[take] + np.arange(len(take)) - first[take]
+        if ports is not None:
+            out_port[hop_deflected] = ports
         row += out_port
         nxt = peer[row]
         onward = forward & is_core[nxt]
@@ -856,32 +901,37 @@ def run_epoch_vector(
         if len(done):
             edge = nxt[done]
             ok = edge == egress[flow[done]]
-            delivered += int(np.count_nonzero(ok))
-            misdelivered += np.bincount(edge[~ok], minlength=n)
+            runs = count[done]
+            delivered += int(runs[ok].sum())
+            misdelivered += np.bincount(edge[~ok], runs[~ok], minlength=n)
             if trace:
-                for i, v, good in zip(
-                    uid[done].tolist(), edge.tolist(), ok.tolist()
+                for i, c, v, good in zip(
+                    uid[done].tolist(), runs.tolist(), edge.tolist(),
+                    ok.tolist(),
                 ):
-                    fates[i] = (
-                        "delivered" if good else "misdelivered", names[v]
-                    )
+                    for k in range(i, i + c):
+                        fates[k] = (
+                            "delivered" if good else "misdelivered", names[v]
+                        )
         if trace:
-            for i, u, p, q, flag in zip(
-                uid[forward].tolist(), sw[forward].tolist(),
-                in_port[forward].tolist(), out_port[forward].tolist(),
-                hop_deflected[forward].tolist(),
+            for i, c, u, p, q, flag in zip(
+                uid[forward].tolist(), count[forward].tolist(),
+                sw[forward].tolist(), in_port[forward].tolist(),
+                out_port[forward].tolist(), hop_deflected[forward].tolist(),
             ):
-                hops.setdefault(i, []).append((names[u], p, q, flag))
-            uid = uid[onward]
+                for k in range(i, i + c):
+                    hops.setdefault(k, []).append((names[u], p, q, flag))
+        keep = np.nonzero(onward)[0]
+        src = keep if take is None else take[keep]
         batch = [
-            col[onward] for col in
-            (nxt, flow, ttl - 1, deflected, peer_port[row])
+            nxt[keep], flow[keep], ttl[src] - 1, deflected[src],
+            peer_port[row[keep]], count[keep],
         ]
         if trace:
-            batch.append(uid)
+            batch.append(uid[keep])
         epoch += 1
 
-    tallies = counters.tolist()
+    tallies = counters.astype(np.int64).tolist()
     record = _finish_record(
         workload, epoch, {names[u]: tallies[u] for u in core}, delivered,
         {names[v]: int(misdelivered[v]) for v in np.nonzero(misdelivered)[0]},
@@ -889,7 +939,7 @@ def run_epoch_vector(
             reason: count for reason, count in
             (("ttl-expired", n_expired), (no_port, n_no_port)) if count
         },
-        len(batch[0]),
+        int(batch[5].sum()),
         [(names[u], str(w)) for u, w in zip(core, choice._used.tolist())],
     )
     return EpochOutcome(

@@ -810,7 +810,8 @@ def check_vector(case: FuzzCase) -> OracleResult:
     Decision-by-decision: full outcome records (counters, drop reasons,
     RNG fingerprints), record digests, per-packet hop traces (port and
     deflected flag at every hop) and terminal fates must all match the
-    scalar reference run.
+    scalar reference run.  The untraced run (the path the benchmark
+    times, with no uid column) must reach the same digest.
     """
     from repro.sim.vector import (
         build_workload,
@@ -822,6 +823,7 @@ def check_vector(case: FuzzCase) -> OracleResult:
     workload = build_workload(vector_workload_spec(case))
     ref = run_epoch_reference(workload, trace=True)
     out = run_epoch_vector(workload, trace=True)
+    untraced = run_epoch_vector(workload).digest
     for key in ref.record:
         result.check(
             out.record[key] == ref.record[key],
@@ -831,10 +833,10 @@ def check_vector(case: FuzzCase) -> OracleResult:
             ),
         )
     result.check(
-        out.digest == ref.digest,
+        out.digest == ref.digest == untraced,
         lambda: (
             f"vector: digest differs: reference={ref.digest} "
-            f"vector={out.digest}"
+            f"vector={out.digest} untraced={untraced}"
         ),
     )
     ref_traces = ref.traces or {}

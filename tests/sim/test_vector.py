@@ -584,6 +584,64 @@ class TestWideBatch:
         assert sum(c[1] for c in ref.record["switches"].values()) > 0
 
 
+class TestRuns:
+    """A batch row is a run: one flow's packets of one injection epoch
+    (uid // inject_per_epoch).  It splits when its packets draw, and
+    every tally counts packets, not rows."""
+
+    def test_packets_of_one_run_draw_different_ports(self):
+        wl = abilene_workload("hp")
+        ref = assert_engines_equal(wl)
+        first_draw = collections.defaultdict(set)
+        for uid, hops in ref.traces.items():
+            drawn = [
+                (k, name, port)
+                for k, (name, _, port, flag) in enumerate(hops) if flag
+            ]
+            if drawn:
+                k, name, port = drawn[0]
+                first_draw[uid // wl.inject_per_epoch, k, name].add(port)
+        assert any(len(ports) > 1 for ports in first_draw.values())
+
+    def test_a_run_dropped_whole_counts_every_packet(self):
+        # TTL 3 runs out on the longer routes, and with no deflection a
+        # failed link drops every packet that meets it: whole runs, each
+        # way, and nothing draws.
+        wl = abilene_workload("none", ttl=3)
+        ref = assert_engines_equal(wl)
+        dropped = collections.defaultdict(list)
+        for uid, fate in ref.fates.items():
+            if fate[0] == "dropped":
+                dropped[fate[2]].append(uid)
+        assert set(dropped) == {"ttl-expired", "no-usable-port(none)"}
+        record = run_epoch_vector(wl).record
+        assert record["drop_reasons"] == {
+            reason: len(uids) for reason, uids in dropped.items()
+        }
+        assert sum(c[2] for c in record["switches"].values()) == sum(
+            map(len, dropped.values())
+        )
+        for uids in dropped.values():
+            per_run = collections.Counter(
+                uid // wl.inject_per_epoch for uid in uids
+            )
+            assert wl.inject_per_epoch in per_run.values()
+
+    def test_no_injections(self):
+        wl = build_workload(small_spec(inject_per_epoch=0))
+        ref = assert_engines_equal(wl)
+        assert ref.record["injected"] == ref.record["hops"] == 0
+        assert ref.record["epochs"] == wl.inject_epochs
+        assert ref.fates == {}
+
+    def test_every_uid_of_a_run_is_traced(self):
+        wl = abilene_workload("nip")
+        ref = assert_engines_equal(wl)  # traces and fates, uid by uid
+        assert ref.record["live_at_end"] == 0
+        assert set(ref.fates) == set(range(wl.injected_total))
+        assert set(ref.traces) == set(range(wl.injected_total))
+
+
 class TestConservation:
     def test_reference_engine_conserves_packets(self):
         wl = build_workload(

@@ -16,8 +16,7 @@ from repro.sim.vector import (
     synthetic_spec,
 )
 
-specs = st.builds(
-    synthetic_spec,
+fields = dict(
     num_switches=st.integers(min_value=4, max_value=24),
     extra_links=st.integers(min_value=0, max_value=4),
     min_switch_id=st.sampled_from([17, 23, 29]),
@@ -33,6 +32,14 @@ specs = st.builds(
         st.none(), st.integers(min_value=1, max_value=12)
     ),
 )
+specs = st.builds(synthetic_spec, **fields)
+# Runs of several packets under failures: the untraced kernel splits
+# them when they draw and weights every tally by packet count.
+run_specs = st.builds(synthetic_spec, **{
+    **fields,
+    "inject_per_epoch": st.integers(min_value=2, max_value=8),
+    "link_failures": st.integers(min_value=1, max_value=2),
+})
 
 
 @settings(max_examples=15, deadline=None)
@@ -64,3 +71,12 @@ def test_vector_conserves_packets(spec):
         + r["live_at_end"]
     )
     assert sum(c[0] for c in r["switches"].values()) == r["hops"]
+
+
+@settings(max_examples=15, deadline=None)
+@given(spec=run_specs)
+def test_untraced_vector_record_is_the_reference_record(spec):
+    # The benchmark's path: no uid column, and the record (with the RNG
+    # fingerprint) is all there is to compare.
+    wl = build_workload(spec)
+    assert run_epoch_vector(wl).record == run_epoch_reference(wl).record
