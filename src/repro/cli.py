@@ -17,12 +17,6 @@ runner:
   strategies vs paper pseudocode, wire codec, and the graph walk
   model; ``--shrink`` minimizes divergent cases, ``--replay`` reruns
   a saved divergence artifact.
-* ``farm bench`` — measure the farm's parallel/cache speedups.
-* ``bench encoding`` — encoding-backend benchmark over the Topology
-  Zoo corpus: bits/route, encode+decode ops/sec per backend (integer
-  CRT, XSR), and the weighted assigner's % header-bit
-  reduction vs greedy — every backend driven through the verify
-  oracles before any timing.
 * ``serve`` — run the controller service: the HTTP/JSON multi-tenant
   provisioning API with QoS admission control and topology events.
 * ``loadgen`` — farm-driven churn against a live service
@@ -72,11 +66,6 @@ _DEFAULT_CACHE_DIR = ".repro-cache"
 #: verifier (which pulls in the whole sim stack).
 _ORACLE_NAMES = ("backend", "datapath", "strategy", "vector", "walk",
                  "wire")
-
-#: Kept in sync with repro.bench.encodingbench.CELLS (asserted by
-#: tests); listed literally so the parser builds without importing the
-#: bench (which pulls in the verify stack).
-_BENCH_ENCODING_CELLS = ("abilene", "synthwan754")
 
 #: Kept in sync with repro.service.topology.SERVICE_TOPOLOGIES
 #: (asserted by tests); listed literally so the parser builds without
@@ -258,61 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="re-run one saved divergence artifact "
                              "instead of fuzzing")
     _add_farm_args(verify, cache_default=None)
-
-    farm = sub.add_parser(
-        "farm",
-        help="the experiment job farm (parallel runs + result cache)",
-    )
-    farm_sub = farm.add_subparsers(dest="farm_command", required=True)
-    bench = farm_sub.add_parser(
-        "bench",
-        help="measure sequential vs parallel vs warm-cache wall clock",
-    )
-    bench.add_argument("--jobs", type=int, default=4, metavar="N",
-                       help="worker processes for the parallel phase "
-                            "(default: %(default)s)")
-    bench.add_argument("--seeds", type=int, default=4, metavar="K",
-                       help="seeds per technique (default: %(default)s; "
-                            "2 techniques => 2*K jobs)")
-    bench.add_argument("--out", default="BENCH_farm.json",
-                       help="result file (default: %(default)s)")
-    bench.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="cache for the parallel/warm phases "
-                            "(default: a fresh temp dir)")
-    bench.add_argument("--progress", action=argparse.BooleanOptionalAction,
-                       default=None)
-
-    perf = sub.add_parser(
-        "bench",
-        help="the encoding-backend study (the end-to-end benchmark is "
-             "benchmarks/e2e/run.py)",
-    )
-    perf_sub = perf.add_subparsers(dest="bench_command", required=True)
-    encoding = perf_sub.add_parser(
-        "encoding",
-        help="encoding-backend benchmark over the zoo corpus: bits/route "
-             "and encode+decode ops/sec per backend, weighted-assigner "
-             "%% reduction vs greedy — backends driven through the "
-             "verify oracles before any timing",
-    )
-    encoding.add_argument("--quick", action="store_true",
-                          help="CI smoke run (fewer iterations and oracle "
-                               "cases; per-route decode-back checks still "
-                               "cover every timed route)")
-    encoding.add_argument("--cells", nargs="+",
-                          choices=_BENCH_ENCODING_CELLS,
-                          default=None, metavar="CELL",
-                          help="topology cells to run (choices: "
-                               f"{', '.join(_BENCH_ENCODING_CELLS)})")
-    encoding.add_argument("--seed", type=int, default=1)
-    encoding.add_argument("--repeats", type=int, default=None, metavar="K",
-                          help="timing repeats per cell, min is reported "
-                               "(default: 2 quick, 3 full)")
-    encoding.add_argument("--iters", type=int, default=None, metavar="N",
-                          help="batch passes per timing repeat "
-                               "(default: 2 quick, 10 full)")
-    encoding.add_argument("--out", default="BENCH_encoding.json",
-                          help="result file (default: %(default)s)")
 
     serve = sub.add_parser(
         "serve",
@@ -606,45 +540,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if outcome.ok else 1
 
 
-def _cmd_farm(args: argparse.Namespace) -> int:
-    from repro.farm.bench import render_bench, run_bench
-
-    if args.farm_command == "bench":
-        result = run_bench(
-            jobs=args.jobs,
-            seeds=list(range(1, args.seeds + 1)),
-            out=args.out,
-            cache_dir=args.cache_dir,
-            progress=args.progress,
-        )
-        print(render_bench(result))
-        print(f"wrote {args.out}")
-        return 0
-    raise AssertionError(f"unhandled farm command {args.farm_command!r}")
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.bench_command == "encoding":
-        from repro.bench.encodingbench import (
-            render_encoding_bench,
-            run_encoding_bench,
-        )
-
-        result = run_encoding_bench(
-            cells=args.cells,
-            seed=args.seed,
-            quick=args.quick,
-            repeats=args.repeats,
-            iters=args.iters,
-            out=args.out,
-        )
-        print(render_encoding_bench(result))
-        if args.out:
-            print(f"wrote {args.out}")
-        return 0 if result["verified_before_timing"] else 1
-    raise AssertionError(f"unhandled bench command {args.bench_command!r}")
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.server import ControllerService
     from repro.service.state import ControllerState
@@ -722,10 +617,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_frontier(args)
     if args.command == "verify":
         return _cmd_verify(args)
-    if args.command == "farm":
-        return _cmd_farm(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "loadgen":

@@ -2,8 +2,9 @@
 
 The controller (or local setup) must give every core switch a unique ID
 such that the ID set is pairwise coprime and each ID exceeds its
-switch's port count.  Four strategies are provided and compared in the
-``ablation_idassign`` and ``bench encoding`` benchmarks:
+switch's port count.  Four strategies are provided; the header-overhead
+study (:mod:`repro.experiments.header_overhead`, in ``repro report``)
+compares them:
 
 * ``prime`` — consecutive primes.
 * ``greedy`` — smallest pairwise-coprime integers (admits 4, 9, 25...),

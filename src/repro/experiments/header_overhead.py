@@ -9,7 +9,7 @@ This module maps the whole trade-off:
 * for each **real GML topology** of the committed Topology Zoo corpus
   (abilene, synthwan754), per-encoding-backend and per-ID-assigner
   route-ID bits over all-pairs shortest paths — the cross-backend ×
-  cross-assigner counterpart to ``repro bench encoding``;
+  cross-assigner study;
 * capacity planning: with a fixed header budget (32/64/128-bit route-ID
   fields), the longest route each ID-assignment strategy supports.
 

@@ -15,8 +15,7 @@ Module map:
 * :mod:`~repro.farm.cache` — the on-disk result cache;
 * :mod:`~repro.farm.executor` — inline + multiprocess execution;
 * :mod:`~repro.farm.progress` — done/total + ETA + cache-hit reporting;
-* :mod:`~repro.farm.sweep` — typed sweep runners over the farm;
-* :mod:`~repro.farm.bench` — ``repro farm bench`` (BENCH_farm.json).
+* :mod:`~repro.farm.sweep` — typed sweep runners over the farm.
 """
 
 from repro.farm.cache import CacheStats, ResultCache

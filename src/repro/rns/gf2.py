@@ -22,7 +22,8 @@ not have:
 The trade is modulus density: only ~1/2 of integers of a given bit
 length are odd-weight-coprime-friendly polynomials, so GF(2)-coprime ID
 pools climb in value faster than integer-coprime pools.  The
-``repro bench encoding`` study quantifies both sides.
+header-overhead study (:mod:`repro.experiments.header_overhead`, in
+``repro report``) quantifies both sides.
 
 Everything here mirrors :mod:`repro.rns.crt` name-for-name
 (``gf2_crt`` ↔ ``crt``, ``gf2_crt_extend`` ↔ ``crt_extend``...) so the

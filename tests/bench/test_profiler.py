@@ -51,15 +51,6 @@ def _loaded_after(imports, names):
     return out.stdout.strip()
 
 
-def test_importing_the_profiler_does_not_import_the_writers():
-    # repro.bench's __init__ used to import encodingbench, and with it
-    # the verify stack and scipy.stats, on the way to profile_call.
-    assert _loaded_after(
-        "repro.bench.profiler, repro.bench.artifact",
-        ["scipy.stats", "repro.bench.encodingbench"],
-    ) == "[]"
-
-
 def test_the_cold_start_layers_import_neither_scipy_nor_networkx():
     # scipy.sparse.csgraph would do the forest BFS, but its import alone
     # costs ~1 s and would land in every e2e workload's set-up.

@@ -17,6 +17,7 @@ from repro.experiments.common import (
 from repro.experiments.figure5 import run_figure5
 from repro.experiments.figure7 import run_figure7
 from repro.experiments.figure8 import analytical_model, run_figure8
+from repro.farm.executor import FarmOptions
 from repro.runner import KarSimulation
 from repro.topology.topologies import FULL, PARTIAL, UNPROTECTED
 
@@ -85,9 +86,12 @@ FIG5_FAILURES = (("SW10", "SW7"), ("SW7", "SW13"), ("SW13", "SW29"))
 
 @pytest.fixture(scope="module")
 def fig5():
+    # 54 independent DES runs: two workers halve the module's longest
+    # set-up, and the farm's records do not depend on the pool.
+    farm = FarmOptions(jobs=2, no_cache=True, progress=False)
     return {
         (cell.technique, cell.protection, cell.failure): cell.ratio.mean
-        for cell in run_figure5(seeds=(1, 2, 3), timeline=QUICK)
+        for cell in run_figure5(seeds=(1, 2, 3), timeline=QUICK, farm=farm)
     }
 
 

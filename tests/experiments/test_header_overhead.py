@@ -3,8 +3,11 @@
 import math
 from statistics import median
 
+import pytest
+
 from repro.experiments.header_overhead import (
     ZOO_CELLS,
+    ZOO_TOPOLOGIES,
     _all_pairs_route_bits,
     capacity_table,
     render_overhead_report,
@@ -77,19 +80,21 @@ class TestAllPairsRouteBits:
 
 
 class TestZooOverhead:
-    def test_weighted_assigner_beats_greedy_on_abilene(self):
+    @pytest.mark.parametrize("topology", ZOO_TOPOLOGIES)
+    def test_weighted_assigner_beats_greedy(self, topology):
         rows = {
             (r.backend, r.assigner): r
-            for r in zoo_overhead(topologies=("abilene",), cells=ZOO_CELLS)
+            for r in zoo_overhead(topologies=(topology,), cells=ZOO_CELLS)
         }
         greedy = rows[("crt", "greedy")]
         weighted = rows[("crt", "weighted")]
         assert greedy.nodes == weighted.nodes
         assert greedy.pairs == weighted.pairs > 0
         assert weighted.median_bits < greedy.median_bits
+        assert weighted.max_bits <= greedy.max_bits
         assert greedy.median_bits == median(
             _all_pairs_route_bits(
-                load_zoo_graph("abilene"), backend_by_name("crt")
+                load_zoo_graph(topology), backend_by_name("crt")
             )
         )
 

@@ -2,11 +2,18 @@
 
 The figure sections are monkeypatched with cheap stubs — the claim
 under test is the report *scaffolding* (no wall-clock text, no other
-run-varying content), not the measurements.
+run-varying content), not the measurements.  The header-overhead
+section is deterministic and cheap, so the committed one is held to
+the code that renders it.
 """
 
+from pathlib import Path
+
 import repro.experiments.report as report_mod
+from repro.experiments.header_overhead import render_overhead_report
 from repro.experiments.report import build_report, main
+
+EXPERIMENTS_MD = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
 
 
 def _stub_sections(monkeypatch):
@@ -38,3 +45,13 @@ class TestReportDeterminism:
         assert out.read_bytes() == first
         # Timing still reaches the console, just never the file.
         assert "wall time" in capsys.readouterr().out
+
+
+def test_committed_header_overhead_block_is_current():
+    # `repro report` regenerates this block; a change to the study that
+    # skips the regeneration goes red here rather than going stale.
+    text = EXPERIMENTS_MD.read_text(encoding="utf-8")
+    head = "## Header overhead (Section 2.3, extended)\n\n```\n"
+    assert text.count(head) == 1
+    block = text.split(head, 1)[1].split("\n```\n", 1)[0]
+    assert block == render_overhead_report()

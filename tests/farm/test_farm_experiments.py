@@ -73,6 +73,14 @@ class TestFailureEquivalence:
         assert fresh.baseline_mbps == direct.baseline_mbps
         assert fresh.failure_mbps == direct.failure_mbps
         assert fresh.intervals == tuple(direct.iperf.intervals)
+        # Worker processes: nip and avp through a two-worker pool give
+        # the inline farm's records, every field.
+        specs = [tiny_spec(), tiny_spec(deflection="avp")]
+        inline = Farm(FarmOptions(progress=False)).run(specs)
+        pool = Farm(FarmOptions(jobs=2, progress=False))
+        assert pool.run(specs) == inline
+        assert pool.stats.executed == len(specs)
+        assert inline[0]["digest"] == fresh.digest
 
     def test_result_survives_json_round_trip(self, tmp_path):
         opts = FarmOptions(cache_dir=str(tmp_path / "c"), progress=False)
@@ -159,60 +167,3 @@ class TestChaosEquivalence:
         [cached_run] = run_chaos_specs([spec], opts)
         assert cached_run == direct
 
-
-class TestBench:
-    def test_bench_writes_honest_report(self, tmp_path):
-        from repro.farm.bench import run_bench
-
-        out = tmp_path / "BENCH_farm.json"
-        result = run_bench(
-            jobs=2,
-            seeds=[1],
-            out=str(out),
-            cache_dir=str(tmp_path / "bench-cache"),
-            progress=False,
-        )
-        assert out.exists()
-        assert result["n_jobs"] == 2  # 2 techniques x 1 seed
-        assert result["digests_match_sequential"] is True
-        assert result["cache_hit_ratio"] == pytest.approx(1.0)
-        assert result["sequential_s"] > 0
-        assert result["warm_cache_s"] < result["sequential_s"]
-
-    @staticmethod
-    def _short_timeline(monkeypatch):
-        from repro.experiments.common import Timeline
-        import repro.farm.bench as bench_mod
-
-        monkeypatch.setattr(bench_mod, "BENCH_TIMELINE", Timeline(
-            flow_start=0.1, fail_at=0.4, repair_at=0.8, end=1.2,
-            baseline_window=(0.15, 0.4), failure_window=(0.5, 0.8),
-            sample_interval_s=0.2,
-        ))
-        return bench_mod
-
-    def test_single_core_demotes_parallel_phase(self, tmp_path,
-                                                monkeypatch):
-        bench_mod = self._short_timeline(monkeypatch)
-        monkeypatch.setattr(bench_mod.os, "cpu_count", lambda: 1)
-        result = bench_mod.run_bench(
-            jobs=4, seeds=[1], out=None,
-            cache_dir=str(tmp_path / "c"), progress=False,
-        )
-        assert result["skipped_single_core"] is True
-        assert result["workers"] == 1  # pool overhead isn't parallelism
-        assert result["cpu_count"] == 1
-        # The digest and cache checks still ran.
-        assert result["digests_match_sequential"] is True
-        assert result["cache_hit_ratio"] == pytest.approx(1.0)
-        assert "[single core" in bench_mod.render_bench(result)
-
-    def test_multi_core_is_not_annotated(self, tmp_path, monkeypatch):
-        bench_mod = self._short_timeline(monkeypatch)
-        monkeypatch.setattr(bench_mod.os, "cpu_count", lambda: 4)
-        result = bench_mod.run_bench(
-            jobs=1, seeds=[1], out=None,
-            cache_dir=str(tmp_path / "c"), progress=False,
-        )
-        assert result["skipped_single_core"] is False
-        assert "[single core" not in bench_mod.render_bench(result)

@@ -7,6 +7,9 @@ parametrized over ``BACKEND_NAMES``, so a third ring inherits the whole
 suite by registering its name.
 """
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +26,8 @@ from repro.rns import (
     greedy_coprime_pool,
 )
 from repro.rns.gf2 import dual_coprime_pool, gf2_degree
+from repro.topology import shortest_path
+from repro.topology.zoo import load_zoo_graph
 
 # One switch-ID pool per ring that the ring accepts.
 _POOLS = {
@@ -112,6 +117,40 @@ class TestEncodeDecode:
             enc.encode([Hop(s, 0), Hop(s, 1)])
         with pytest.raises(DuplicateSwitchError):
             enc.with_hop(enc.encode([Hop(s, 0)]), Hop(s, 1))
+
+
+class TestZooRoutes:
+    """The contract on real routes, not drawn ones: shortest paths over
+    the committed zoo fixtures, each loaded with the ring's own ID
+    strategy (on synthwan754 some run past 150 bits; the drawn systems
+    above stop at eight hops)."""
+
+    @pytest.mark.parametrize("topology", ["abilene", "synthwan754"])
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_shortest_paths_decode_back(self, name, topology):
+        enc = backend_by_name(name)
+        graph = load_zoo_graph(topology, id_strategy=enc.id_strategy)
+        ids = graph.switch_ids()
+        names = sorted(ids)
+        rng = random.Random(f"{name}/{topology}")
+        for _ in range(64):
+            path = shortest_path(graph, *rng.sample(names, 2))
+            hops = [
+                Hop(ids[a], graph.port_of(a, b))
+                for a, b in zip(path, path[1:])
+            ]
+            switch_ids = [h.switch_id for h in hops]
+            route = enc.encode(hops)
+            assert enc.decode(route.route_id, switch_ids) == [
+                h.port for h in hops
+            ]
+            assert enc.header_bits(route.modulus) == route.bit_length
+            if name == "crt":
+                # With the decode-back check this pins R exactly: the
+                # unique CRT solution below the product of the IDs.
+                assert 0 <= route.route_id < route.modulus == math.prod(
+                    switch_ids
+                )
 
 
 class TestIncremental:
