@@ -14,7 +14,8 @@ separated from the verbatim columns/rows):
 * a ``Dynamic failures`` column — whether the scheme's failure
   reaction still functions when links fail *and recover* on the
   forwarding timescale (Dai & Foerster's adversary, measurable here
-  via :mod:`repro.sim.adversary` and the frontier sweep).  Schemes
+  via :class:`~repro.sim.chaos.DynamicLinkChaos` and the frontier
+  sweep).  Schemes
   that react by re-selecting per packet (deflection, splicing) keep
   working; schemes whose guarantees are proven against a *static*
   failure set (precomputed failover tables) do not.

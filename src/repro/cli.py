@@ -50,8 +50,7 @@ _SCENARIOS = ("six_node", "fifteen_node", "rnp28", "redundant_path")
 
 #: Kept in sync with repro.sim.chaos.CHAOS_MODES (asserted by tests);
 #: listed literally so the parser builds without importing the sim.
-_CHAOS_MODES = ("adversarial", "dynamic", "flap", "mtbf", "regional",
-                "srlg")
+_CHAOS_MODES = ("adversarial", "dynamic", "mtbf", "srlg")
 
 #: Kept in sync with repro.experiments.frontier (asserted by tests);
 #: listed literally so the parser builds without importing the sim.
@@ -183,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--mtbf", type=float, default=2.0,
                        help="per-link mean time between failures (mtbf mode)")
     chaos.add_argument("--mttr", type=float, default=0.5,
-                       help="mean time to repair (mtbf/srlg/regional modes)")
+                       help="mean time to repair (mtbf/srlg modes)")
     chaos.add_argument("--ctrl-outage", action="store_true",
                        help="also inject controller outages (exercises the "
                             "re-encode retry/backoff path)")
@@ -444,7 +443,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _chaos_kwargs(args: argparse.Namespace) -> dict:
     if args.mode == "mtbf":
         return {"mtbf_s": args.mtbf, "mttr_s": args.mttr}
-    if args.mode in ("srlg", "regional"):
+    if args.mode == "srlg":
         return {"mttr_s": args.mttr}
     return {}
 

@@ -29,8 +29,11 @@ numbers.  Schemes:
 Failure modes: ``static`` downs a seeded set of core links before
 traffic (the classic k-failure model, chosen to keep the host pair
 connected so "tolerated" is well defined); ``dynamic`` arms the
-oblivious fail+recover adversary (:mod:`repro.sim.adversary`) with the
-concurrent-down budget set to the cell's failure count.
+oblivious fail+recover adversary
+(:class:`~repro.sim.chaos.DynamicLinkChaos`) with the concurrent-down
+budget set to the cell's failure count, and
+:func:`search_worst_schedule` sweeps its schedule seed for the worst
+case.
 
 Every cell is seeded and carries a digest (failed links or the chaos
 event log), so a frontier report can be diffed bit-for-bit between two
@@ -86,6 +89,7 @@ __all__ = [
     "run_frontier_once",
     "run_frontier_cells",
     "run_frontier",
+    "search_worst_schedule",
     "max_tolerated",
     "render_frontier",
     "frontier_rows",
@@ -320,7 +324,7 @@ def run_frontier_once(
 
     ``static`` downs :func:`_pick_static_failures` links before
     traffic; ``dynamic`` arms the oblivious adversary
-    (:class:`~repro.sim.adversary.DynamicLinkChaos`) with
+    (:class:`~repro.sim.chaos.DynamicLinkChaos`) with
     ``max_down=failures`` and the given *schedule_seed* (extra
     injector kwargs via *adversary*).  ``failures=0`` is the healthy
     baseline either way.
@@ -467,6 +471,45 @@ def run_frontier(
                             adversary=dict(adversary or {}),
                         ))
     return run_frontier_cells(specs, farm, label="frontier")
+
+
+def search_worst_schedule(
+    topology: str,
+    scheme: str,
+    seed: int = 1,
+    schedules: int = 8,
+    budget: int = 2,
+    farm: "FarmOptions | None" = None,
+    adversary: Optional[Dict] = None,
+) -> List[FrontierCell]:
+    """Sweep adversarial schedules, worst delivery ratio first.
+
+    Runs *schedules* dynamic-adversary frontier cells — identical
+    except for ``schedule_seed`` — through the farm, and returns them
+    sorted ascending by delivery ratio: ``result[0]`` is the worst
+    schedule found.  *budget* is the adversary's concurrent-down-link
+    allowance (the cell's ``failures`` axis).  An oblivious adversary
+    with seed search approximates the adaptive worst case while every
+    cell stays an ordinary :class:`FrontierCell` (strict invariants,
+    digest-reproducible), so the worst case found is a replayable
+    record, not just a number.
+    """
+    from repro.farm.jobs import frontier_spec
+
+    if schedules < 1:
+        raise ValueError(f"need >= 1 schedule, got {schedules}")
+    if budget < 1:
+        raise ValueError(f"adversary budget must be >= 1, got {budget}")
+    specs = [
+        frontier_spec(
+            topology, scheme, "dynamic", budget, seed,
+            schedule_seed=schedule_seed,
+            adversary=dict(adversary or {}),
+        )
+        for schedule_seed in range(schedules)
+    ]
+    cells = run_frontier_cells(specs, farm, label="adversary-search")
+    return sorted(cells, key=lambda c: (c.delivery_ratio, c.schedule_seed))
 
 
 def max_tolerated(

@@ -252,8 +252,9 @@ class KarSimulation:
         schedule.install(self.network)
 
     def add_chaos(self, mode: str, until: float, **kwargs) -> ChaosInjector:
-        """Arm a generative fault injector ('mtbf', 'flap', 'srlg',
-        'regional' or 'adversarial') drawing from this run's seeded
+        """Arm a generative fault injector (a
+        :data:`~repro.sim.chaos.CHAOS_MODES` key: 'mtbf', 'srlg',
+        'adversarial' or 'dynamic') drawing from this run's seeded
         streams; no new fault starts after *until*.
         """
         try:

@@ -17,9 +17,8 @@ from repro.sim.chaos import (
     ChaosEvent,
     ChaosInjector,
     ControllerOutageChaos,
-    FlappingChaos,
+    DynamicLinkChaos,
     MtbfMttrChaos,
-    RegionalChaos,
     SrlgChaos,
     events_digest,
 )
@@ -37,10 +36,9 @@ __all__ = [
     "ChaosEvent",
     "ChaosInjector",
     "MtbfMttrChaos",
-    "FlappingChaos",
     "SrlgChaos",
-    "RegionalChaos",
     "AdversarialChaos",
+    "DynamicLinkChaos",
     "ControllerOutageChaos",
     "CHAOS_MODES",
     "events_digest",

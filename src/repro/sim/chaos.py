@@ -3,33 +3,30 @@
 :mod:`repro.sim.failures` replays the paper's two scripted fail/repair
 pairs; this module *generates* failures, so the resilience envelope can
 be mapped instead of spot-checked.  Related work motivates each
-process: Dai & Foerster show dynamic/flapping failures defeat schemes
-that survive static ones; Chiesa et al. motivate adversarial
-multi-failure stress.
+process: Dai & Foerster show dynamic failures defeat schemes that
+survive static ones; Chiesa et al. motivate adversarial multi-failure
+stress.
 
 Injector families (all layered on the existing
 :class:`~repro.sim.network.Network` / virtual clock, nothing in the
-dataplane knows chaos exists):
+dataplane knows chaos exists), keyed by mode in :data:`CHAOS_MODES`:
 
-* :class:`MtbfMttrChaos` — independent per-link two-state process:
-  up for Exp(MTBF), down for Exp(MTTR), repeat.
-* :class:`FlappingChaos` — gray links: a sampled subset flaps with a
-  tunable period and down fraction (the failure pattern that defeats
-  static failover analyses).
-* :class:`SrlgChaos` — correlated failures: links are partitioned into
-  shared-risk link groups (a conduit cut takes out every member).
-* :class:`RegionalChaos` — a random core node and every eligible link
-  within its k-hop neighborhood go dark together (regional outage).
-* :class:`AdversarialChaos` — targets the live traffic: periodically
-  fails the eligible link that carried the most packets since the last
-  strike (worst case for deflection, which concentrates load).
+* :class:`MtbfMttrChaos` (``"mtbf"``) — independent per-link two-state
+  process: up for Exp(MTBF), down for Exp(MTTR), repeat.
+* :class:`SrlgChaos` (``"srlg"``) — correlated failures: links are
+  partitioned into shared-risk link groups (a conduit cut takes out
+  every member).  Explicit ``groups=`` model other shared risks, e.g.
+  one group per core switch's links for a switch going dark.
+* :class:`AdversarialChaos` (``"adversarial"``) — targets the live
+  traffic: periodically fails the eligible link that carried the most
+  packets since the last strike (worst case for deflection, which
+  concentrates load).
+* :class:`DynamicLinkChaos` (``"dynamic"``) — oblivious fail+recover
+  strikes on the forwarding timescale, with a sweepable schedule seed
+  for worst-case search.
 * :class:`ControllerOutageChaos` — takes the controller's re-encode
   service unreachable for stochastic windows, exercising the hardened
   degradation path in :mod:`repro.switches.edge`.
-* :class:`~repro.sim.adversary.DynamicLinkChaos` (mode ``"dynamic"``,
-  defined in :mod:`repro.sim.adversary`) — oblivious fail+recover
-  strikes on the forwarding timescale, with a sweepable schedule seed
-  for worst-case search.
 
 Every random draw comes from a named :class:`~repro.sim.rng.RngRegistry`
 stream, so a chaos run is a pure function of (scenario, config, seed):
@@ -46,7 +43,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
@@ -55,10 +52,9 @@ __all__ = [
     "ChaosEvent",
     "ChaosInjector",
     "MtbfMttrChaos",
-    "FlappingChaos",
     "SrlgChaos",
-    "RegionalChaos",
     "AdversarialChaos",
+    "DynamicLinkChaos",
     "ControllerOutageChaos",
     "events_digest",
     "CHAOS_MODES",
@@ -74,7 +70,7 @@ class ChaosEvent:
     time: float
     kind: str        # "fail" | "repair" | "ctrl-down" | "ctrl-up"
     link: LinkKey    # ("<controller>", "<controller>") for control plane
-    cause: str       # injector-specific annotation (group id, center, ...)
+    cause: str       # injector-specific annotation (group id, strike, ...)
 
     def describe(self) -> str:
         a, b = self.link
@@ -328,61 +324,6 @@ class MtbfMttrChaos(ChaosInjector):
         self._schedule_failure(key, stream)
 
 
-class FlappingChaos(ChaosInjector):
-    """Gray links that flap on a fixed period with a random phase.
-
-    A sampled subset of *flap_count* links cycles down for
-    ``period_s * down_fraction`` then up for the remainder, starting at
-    a uniformly random phase so flaps interleave rather than align.
-    """
-
-    stream_prefix = "chaos:flap"
-
-    def __init__(
-        self,
-        network: Network,
-        rng: RngRegistry,
-        until: float,
-        flap_count: int = 2,
-        period_s: float = 1.0,
-        down_fraction: float = 0.3,
-        **kwargs,
-    ):
-        super().__init__(network, rng, until, **kwargs)
-        if period_s <= 0:
-            raise ValueError(f"flap period must be positive, got {period_s}")
-        if not 0.0 < down_fraction < 1.0:
-            raise ValueError(
-                f"down fraction must be in (0, 1), got {down_fraction}"
-            )
-        if flap_count < 1:
-            raise ValueError(f"flap count must be >= 1, got {flap_count}")
-        self.period_s = period_s
-        self.down_s = period_s * down_fraction
-        self.flap_count = min(flap_count, len(self.eligible))
-
-    def _arm(self) -> None:
-        picker = self._stream("pick")
-        flappers = picker.sample(self.eligible, self.flap_count)
-        for key in flappers:
-            phase = picker.uniform(0, self.period_s)
-            self.sim.schedule_at(self.sim.now + phase, self._flap_down, key)
-
-    def _flap_down(self, key: LinkKey) -> None:
-        if self.sim.now > self.until:
-            return
-        if self._budget_allows():
-            self._set_link(key, False, "flap")
-            self.sim.schedule(self.down_s, self._flap_up, key)
-        else:
-            # Budget full: skip this down phase, keep the cadence.
-            self.sim.schedule(self.period_s, self._flap_down, key)
-
-    def _flap_up(self, key: LinkKey) -> None:
-        self._set_link(key, True, "flap")
-        self.sim.schedule(self.period_s - self.down_s, self._flap_down, key)
-
-
 class SrlgChaos(ChaosInjector):
     """Correlated failures via shared-risk link groups.
 
@@ -464,87 +405,6 @@ class SrlgChaos(ChaosInjector):
             self._set_link(key, True, cause)
 
 
-class RegionalChaos(ChaosInjector):
-    """k-hop-neighborhood outages around a random core switch.
-
-    Each strike picks a center core switch, walks *radius* hops over
-    the core subgraph, and downs every eligible link touching the ball
-    (radius 0 = the center's own links).  Models a site/power-domain
-    loss rather than a fiber cut.
-    """
-
-    stream_prefix = "chaos:regional"
-
-    def __init__(
-        self,
-        network: Network,
-        rng: RngRegistry,
-        until: float,
-        radius: int = 1,
-        strike_mtbf_s: float = 2.0,
-        mttr_s: float = 0.5,
-        **kwargs,
-    ):
-        super().__init__(network, rng, until, **kwargs)
-        if radius < 0:
-            raise ValueError(f"radius must be >= 0, got {radius}")
-        if strike_mtbf_s <= 0 or mttr_s <= 0:
-            raise ValueError(
-                f"strike mtbf/mttr must be positive, got "
-                f"{strike_mtbf_s}/{mttr_s}"
-            )
-        self.radius = radius
-        self.strike_mtbf_s = strike_mtbf_s
-        self.mttr_s = mttr_s
-        self._centers = sorted(
-            {name for key in self.eligible for name in key}
-        )
-
-    def _arm(self) -> None:
-        self._clock = self._stream("clock")
-        self._schedule_strike()
-
-    def _schedule_strike(self) -> None:
-        at = self.sim.now + self._clock.expovariate(1.0 / self.strike_mtbf_s)
-        if at > self.until:
-            return
-        self.sim.schedule_at(at, self._strike)
-
-    def _ball(self, center: str) -> Set[str]:
-        graph = self.network.graph
-        seen = {center}
-        frontier = [center]
-        for _ in range(self.radius):
-            nxt: List[str] = []
-            for name in frontier:
-                for nb in graph.core_subgraph_neighbors(name):
-                    if nb not in seen:
-                        seen.add(nb)
-                        nxt.append(nb)
-            frontier = nxt
-        return seen
-
-    def _strike(self) -> None:
-        center = self._clock.choice(self._centers)
-        ball = self._ball(center)
-        victims = [
-            key for key in self.eligible
-            if (key[0] in ball or key[1] in ball)
-            and self.network.link_between(*key).up
-        ]
-        if victims and self._budget_allows(extra=len(victims)):
-            cause = f"region-{center}"
-            for key in victims:
-                self._set_link(key, False, cause)
-            downtime = self._clock.expovariate(1.0 / self.mttr_s)
-            self.sim.schedule(downtime, self._repair_region, victims, cause)
-        self._schedule_strike()
-
-    def _repair_region(self, victims: List[LinkKey], cause: str) -> None:
-        for key in victims:
-            self._set_link(key, True, cause)
-
-
 class AdversarialChaos(ChaosInjector):
     """Strikes the link the traffic is actually using.
 
@@ -604,6 +464,68 @@ class AdversarialChaos(ChaosInjector):
             self.sim.schedule(self.hold_s, self._set_link, victim, True,
                               "hold-expired")
         self.sim.schedule(self.interval_s, self._tick)
+
+
+class DynamicLinkChaos(ChaosInjector):
+    """Oblivious dynamic adversary: seeded fail+recover strikes.
+
+    Dai & Foerster show that failover schemes proven resilient against
+    *static* failure sets can still lose packets when links fail **and
+    recover while packets are in flight**.  *strikes* strike times are
+    drawn uniformly over (0, *until*), each with a victim link and a
+    down duration uniform in [*min_down_s*, *max_down_s*] — short
+    enough that links come back while the packets they stranded are
+    still walking.  The whole schedule is drawn up front from the
+    ``schedule:<schedule_seed>`` stream, so the adversary cannot peek
+    at the traffic, two runs with the same (seed, schedule_seed)
+    produce bit-identical event logs, and
+    :func:`~repro.experiments.frontier.search_worst_schedule` can sweep
+    *schedule_seed* without perturbing any other stream.
+    """
+
+    stream_prefix = "chaos:dynamic"
+
+    def __init__(
+        self,
+        network: Network,
+        rng: RngRegistry,
+        until: float,
+        strikes: int = 32,
+        min_down_s: float = 0.002,
+        max_down_s: float = 0.03,
+        schedule_seed: int = 0,
+        **kwargs,
+    ):
+        super().__init__(network, rng, until, **kwargs)
+        if strikes < 1:
+            raise ValueError(f"strikes must be >= 1, got {strikes}")
+        if not 0.0 < min_down_s <= max_down_s:
+            raise ValueError(
+                f"down window must satisfy 0 < min <= max, got "
+                f"{min_down_s}/{max_down_s}"
+            )
+        self.strikes = strikes
+        self.min_down_s = min_down_s
+        self.max_down_s = max_down_s
+        self.schedule_seed = schedule_seed
+
+    def _arm(self) -> None:
+        stream = self._stream(f"schedule:{self.schedule_seed}")
+        schedule: List[Tuple[float, int, LinkKey, float]] = []
+        for i in range(self.strikes):
+            at = stream.uniform(0.0, self.until)
+            victim = stream.choice(self.eligible)
+            down_s = stream.uniform(self.min_down_s, self.max_down_s)
+            schedule.append((at, i, victim, down_s))
+        for at, i, victim, down_s in sorted(schedule):
+            self.sim.schedule_at(at, self._strike, i, victim, down_s)
+
+    def _strike(self, index: int, victim: LinkKey, down_s: float) -> None:
+        if self._budget_allows() and self._set_link(
+            victim, False, f"strike{index}"
+        ):
+            self.sim.schedule(down_s, self._set_link, victim, True,
+                              f"strike{index}")
 
 
 class ControllerOutageChaos(ChaosInjector):
@@ -671,16 +593,9 @@ class ControllerOutageChaos(ChaosInjector):
 
 #: CLI/experiment mode name -> injector class (controller outages are
 #: composed on top via --ctrl-outage, not a standalone mode).
-#: :mod:`repro.sim.adversary` registers "dynamic" on import below.
 CHAOS_MODES = {
     "mtbf": MtbfMttrChaos,
-    "flap": FlappingChaos,
     "srlg": SrlgChaos,
-    "regional": RegionalChaos,
     "adversarial": AdversarialChaos,
+    "dynamic": DynamicLinkChaos,
 }
-
-# Imported for its side effect (CHAOS_MODES["dynamic"] registration);
-# sits at the bottom so the circular import back into this module finds
-# every name already bound.
-import repro.sim.adversary  # noqa: E402,F401

@@ -1,17 +1,22 @@
 """build_report determinism: identical runs produce identical bytes.
 
-The figure sections are monkeypatched with cheap stubs — the claim
-under test is the report *scaffolding* (no wall-clock text, no other
-run-varying content), not the measurements.  The header-overhead
-section is deterministic and cheap, so the committed one is held to
-the code that renders it.
+The figure sections and the header-overhead study are monkeypatched
+with cheap stubs — the claim under test is the report *scaffolding*
+(no wall-clock text, no other run-varying content), not the
+measurements.  Table 1, Table 2 and the header-overhead section are
+deterministic, so the committed ones are held to the code that renders
+them.
 """
 
 from pathlib import Path
 
+import pytest
+
 import repro.experiments.report as report_mod
 from repro.experiments.header_overhead import render_overhead_report
 from repro.experiments.report import build_report, main
+from repro.experiments.table1 import render_table1
+from repro.experiments.table2 import render_table2
 
 EXPERIMENTS_MD = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
 
@@ -23,6 +28,12 @@ def _stub_sections(monkeypatch):
             report_mod, name,
             lambda farm=None, _n=name: [f"## stub {_n}", ""],
         )
+    # The overhead study runs the synthwan754 zoo study; its committed
+    # block is checked against the real renderer below.
+    monkeypatch.setattr(
+        report_mod.header_overhead, "render_overhead_report",
+        lambda: "stub header overhead",
+    )
 
 
 class TestReportDeterminism:
@@ -47,11 +58,19 @@ class TestReportDeterminism:
         assert "wall time" in capsys.readouterr().out
 
 
-def test_committed_header_overhead_block_is_current():
-    # `repro report` regenerates this block; a change to the study that
-    # skips the regeneration goes red here rather than going stale.
+@pytest.mark.parametrize("head, render", [
+    pytest.param("## Table 1 — route-ID bit length (15-node network)",
+                 render_table1, id="table1"),
+    pytest.param("## Table 2 — related-work feature matrix",
+                 render_table2, id="table2"),
+    pytest.param("## Header overhead (Section 2.3, extended)",
+                 render_overhead_report, id="header-overhead"),
+])
+def test_committed_block_is_current(head, render):
+    # `repro report` regenerates these blocks; a change to the code
+    # that skips the regeneration goes red here rather than going stale.
     text = EXPERIMENTS_MD.read_text(encoding="utf-8")
-    head = "## Header overhead (Section 2.3, extended)\n\n```\n"
-    assert text.count(head) == 1
-    block = text.split(head, 1)[1].split("\n```\n", 1)[0]
-    assert block == render_overhead_report()
+    assert text.count(f"{head}\n") == 1
+    section = text.split(f"{head}\n", 1)[1]
+    block = section.split("```\n", 1)[1].split("\n```\n", 1)[0]
+    assert block == render()

@@ -10,6 +10,10 @@ properties the deflection techniques claim:
 * packet conservation holds for every technique: injected ==
   delivered + dropped once the network drains.
 
+One more check holds ``srlg``'s place among the chaos modes: at an
+equal mean number of links down, its correlated strikes cost AVP and
+NIP more delivery than independent ``mtbf`` failures do.
+
 The invariant checker runs in collect mode so a failing trial reports
 every violation (with hop traces) instead of stopping at the first.
 """
@@ -19,8 +23,15 @@ import random
 import pytest
 
 from repro.controller.protection import ProtectionPlanner
+from repro.experiments import chaos_sweep
 from repro.runner import KarSimulation
-from repro.topology import Scenario, attach_host_pair, random_connected, shortest_path
+from repro.topology import (
+    Scenario,
+    attach_host_pair,
+    fifteen_node,
+    random_connected,
+    shortest_path,
+)
 
 #: Seeds for the trial generator — bump to widen the search.
 MASTER_SEEDS = (11, 23)
@@ -109,3 +120,56 @@ def test_conservation_under_chaos(technique):
     dropped = sum(ks.tracer.drop_reasons.values())
     assert sink.received + dropped == src.sent
     assert ks.invariants.injected == src.sent
+
+
+def _mean_links_down(mode, chaos_kwargs, seed):
+    """Time-averaged links down over the probe window, from the log.
+
+    The injector draws only from its own named streams, so replaying it
+    without traffic reproduces the event log ``run_chaos_once`` saw.
+    """
+    horizon = chaos_sweep.TRAFFIC_S
+    ks = KarSimulation(fifteen_node(), seed=seed)
+    injector = ks.add_chaos(mode, until=horizon, **chaos_kwargs)
+    ks.run(until=horizon + chaos_sweep.DRAIN_S)
+    down, last, area = set(), 0.0, 0.0
+    for ev in injector.events:
+        at = min(ev.time, horizon)
+        area += len(down) * (at - last)
+        last = at
+        if ev.kind == "fail":
+            down.add(ev.link)
+        else:
+            down.discard(ev.link)
+    area += len(down) * (horizon - last)
+    return area / horizon, injector.digest()
+
+
+def test_srlg_costs_more_than_mtbf_at_equal_links_down():
+    # srlg at its defaults against the mtbf setting with as many links
+    # down on average: correlation, not volume, must cost the delivery.
+    modes = {"srlg": {}, "mtbf": {"mtbf_s": 6.0, "mttr_s": 0.5}}
+    seeds = range(1, 11)
+    down, delivery = {}, {}
+    for mode, kwargs in modes.items():
+        downs = []
+        for seed in seeds:
+            mean_down, digest = _mean_links_down(mode, kwargs, seed)
+            downs.append(mean_down)
+            for technique in ("avp", "nip"):
+                run = chaos_sweep.run_chaos_once(
+                    "fifteen_node", technique, mode, seed,
+                    chaos_kwargs=kwargs,
+                )
+                assert run.digest == digest
+                assert run.violation_count == 0
+                delivery.setdefault((mode, technique), []).append(
+                    run.delivery_ratio
+                )
+        down[mode] = sum(downs) / len(downs)
+    assert down["srlg"] == pytest.approx(down["mtbf"], rel=0.15), down
+    for technique in ("avp", "nip"):
+        srlg, mtbf = (
+            sum(delivery[mode, technique]) / len(seeds) for mode in modes
+        )
+        assert srlg < mtbf, (technique, srlg, mtbf)

@@ -3,8 +3,8 @@
 import pytest
 
 from repro import KarSimulation, fifteen_node
-from repro.sim.adversary import DynamicLinkChaos, search_worst_schedule
-from repro.sim.chaos import CHAOS_MODES
+from repro.experiments.frontier import search_worst_schedule
+from repro.sim.chaos import CHAOS_MODES, DynamicLinkChaos
 
 HORIZON = 2.0
 

@@ -28,9 +28,7 @@ def _mode_kwargs(mode):
     # Parameters aggressive enough that every mode fires within HORIZON.
     return {
         "mtbf": {"mtbf_s": 0.5, "mttr_s": 0.2},
-        "flap": {"flap_count": 2, "period_s": 0.5},
         "srlg": {"group_mtbf_s": 0.5, "mttr_s": 0.2},
-        "regional": {"strike_mtbf_s": 0.5, "mttr_s": 0.2},
         "adversarial": {"interval_s": 0.5, "hold_s": 0.2},
         "dynamic": {"strikes": 16, "min_down_s": 0.05, "max_down_s": 0.2},
     }[mode]
@@ -139,29 +137,6 @@ class TestMtbfMttr:
             MtbfMttrChaos(ks.network, ks.rng, until=1.0, mtbf_s=-1.0)
 
 
-class TestFlapping:
-    def test_down_windows_match_configured_fraction(self):
-        ks = _sim()
-        injector = ks.add_chaos("flap", until=HORIZON, flap_count=1,
-                                period_s=1.0, down_fraction=0.3)
-        ks.run(until=HORIZON + 1.0)
-        events = injector.events
-        assert len(events) >= 4
-        # fail/repair pairs; each down window is period * down_fraction.
-        for fail, repair in zip(events[0::2], events[1::2]):
-            assert fail.kind == "fail" and repair.kind == "repair"
-            assert repair.time - fail.time == pytest.approx(0.3)
-        # Consecutive failures keep the period cadence.
-        fails = [e.time for e in events if e.kind == "fail"]
-        for a, b in zip(fails, fails[1:]):
-            assert b - a == pytest.approx(1.0)
-
-    def test_bad_fraction_rejected(self):
-        ks = _sim()
-        with pytest.raises(ValueError, match="fraction"):
-            ks.add_chaos("flap", until=HORIZON, down_fraction=1.5)
-
-
 class TestSrlg:
     def test_group_members_fail_and_repair_together(self):
         ks = _sim()
@@ -184,18 +159,33 @@ class TestSrlg:
         with pytest.raises(ValueError, match="empty"):
             ks.add_chaos("srlg", until=HORIZON, groups=[[]])
 
-
-class TestRegional:
-    def test_victims_touch_the_named_center(self):
+    def test_node_star_groups_take_a_switch_dark(self):
+        # One group per core switch's links: a strike takes the switch
+        # dark.
         ks = _sim()
-        injector = ks.add_chaos("regional", until=HORIZON, radius=0,
-                                strike_mtbf_s=0.3, mttr_s=0.2)
+        core = sorted({name for key in ks.network.core_link_keys()
+                       for name in key})
+        stars = [[key for key in ks.network.core_link_keys() if sw in key]
+                 for sw in core]
+        injector = ks.add_chaos("srlg", until=HORIZON, groups=stars,
+                                group_mtbf_s=0.3, mttr_s=0.2)
         ks.run(until=HORIZON + 2.0)
-        fails = [e for e in injector.events if e.kind == "fail"]
-        assert fails
-        for ev in fails:
-            center = ev.cause.removeprefix("region-")
-            assert center in ev.link, (center, ev.link)
+        strikes = {}
+        for ev in injector.events:
+            if ev.kind == "fail":
+                strikes.setdefault((ev.time, ev.cause), []).append(ev.link)
+        assert len(strikes) >= 3
+        for (at, cause), victims in strikes.items():
+            switch = core[int(cause.removeprefix("srlg-"))]
+            assert all(switch in key for key in victims), (switch, victims)
+            repairs = {
+                next(e.time for e in injector.events
+                     if e.kind == "repair" and e.link == key
+                     and e.time > at)
+                for key in victims
+            }
+            # The whole strike comes back at one instant.
+            assert len(repairs) == 1, (cause, victims, repairs)
 
 
 class TestAdversarial:

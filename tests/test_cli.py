@@ -145,6 +145,15 @@ class TestChaosParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["chaos", "--mode", "entropy"])
 
+    @pytest.mark.parametrize("mode", ["flap", "regional"])
+    def test_retired_modes_rejected(self, mode, capsys):
+        # Neither answered a question mtbf or srlg does not; a switch
+        # going dark is srlg with one explicit group per switch.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["chaos", "--mode", mode])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestChaosCommand:
     def test_single_run_reports_invariants(self, capsys):

@@ -49,7 +49,7 @@ REASONS = {ORACLE, CASEGEN, FIXTURE, ROADMAP}
 CLAIMED: Dict[str, Dict[str, str]] = {
     ROADMAP: {
         "repro.transport.cubic": "item 4: exercised by the sweep or deleted",
-        "repro.sim.adversary:search_worst_schedule":
+        "repro.experiments.frontier:search_worst_schedule":
             "item 3(c): kept only if it beats the adaptive adversary",
         "repro.sim.monitors:LinkMonitor":
             "items 1(c)/6: bottleneck utilisation, telemetry spine",
