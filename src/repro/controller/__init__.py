@@ -12,7 +12,6 @@ from repro.controller.provision import (
     ProvisionedRoute,
     ProvisioningEngine,
 )
-from repro.controller.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.controller.routing import (
     RoutingError,
     core_path_between_edges,
@@ -22,8 +21,6 @@ from repro.controller.routing import (
 
 __all__ = [
     "KarController",
-    "RetryPolicy",
-    "DEFAULT_RETRY_POLICY",
     "ProvisioningEngine",
     "ProvisionedRoute",
     "DestinationTree",

@@ -26,7 +26,6 @@ from repro.experiments.common import scenario_factory
 if TYPE_CHECKING:  # lazy at runtime: the farm imports this module back
     from repro.farm.executor import FarmOptions
 from repro.runner import KarSimulation
-from repro.sim.monitors import InvariantSampler
 from repro.topology.topologies import PARTIAL
 
 __all__ = [
@@ -114,8 +113,18 @@ def run_chaos_once(
     injectors = [injector]
     if ctrl_outage:
         injectors.append(ks.add_controller_outage(until=until))
-    sampler = InvariantSampler(ks.network, ks.invariants, interval_s=0.25)
-    sampler.start()
+    peak_links_down = 0
+
+    def sample_links_down() -> None:
+        # Armed before the probe, so each sample keeps its place in the
+        # (time, seq) order of the run's events.
+        nonlocal peak_links_down
+        peak_links_down = max(
+            peak_links_down, len(ks.network.down_link_keys())
+        )
+        ks.sim.post(0.25, sample_links_down)
+
+    ks.sim.post(0.25, sample_links_down)
     src, sink = ks.add_udp_probe(rate_pps=rate_pps, duration_s=traffic_s)
     src.start(at=0.1)
     ks.run(until=until + DRAIN_S)
@@ -140,7 +149,7 @@ def run_chaos_once(
         violations=tuple(sorted(inv.violation_counts.items())),
         chaos_events=sum(len(i.events) for i in injectors),
         digest="+".join(i.digest() for i in injectors),
-        peak_links_down=sampler.peak_links_down(),
+        peak_links_down=peak_links_down,
         reencode_requests=sum(e.reencode_requests for e in edges),
         reencode_timeouts=sum(e.reencode_timeouts for e in edges),
         reencode_giveups=sum(e.reencode_giveups for e in edges),

@@ -95,9 +95,11 @@ def scenario_factory(name: str) -> Callable[[], Scenario]:
 def seeds_from_env(default: int = 3) -> List[int]:
     """Seed list for repeated runs; override count via REPRO_SEEDS.
 
-    The paper averages 30 iperf runs per point; each of our runs is a
-    full deterministic simulation, so a handful of seeds already gives
-    tight intervals.  Set ``REPRO_SEEDS=30`` to match the paper's n.
+    The paper averages 30 iperf runs per point.  Each of our runs is
+    deterministic, but seeds still differ a lot under failure: at the
+    default n = 3 the Fig. 5 block in EXPERIMENTS.md has 95% intervals
+    as wide as ±44 points.  The default keeps the figures cheap; set
+    ``REPRO_SEEDS=30`` to match the paper's n.
     """
     count = int(os.environ.get("REPRO_SEEDS", default))
     if count < 1:

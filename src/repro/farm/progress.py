@@ -44,7 +44,6 @@ class ProgressReporter:
         label: str = "farm",
         enabled: Optional[bool] = None,
         stream: Optional[TextIO] = None,
-        min_interval_s: float = 0.2,
     ):
         self.total = total
         self.label = label
@@ -54,7 +53,6 @@ class ProgressReporter:
         #: Only an explicit ``False`` silences the final summary.
         self.summary_on = enabled is not False
         self._tty = is_tty
-        self.min_interval_s = min_interval_s
         self.done = 0
         self.cached = 0
         self._started = time.monotonic()
@@ -83,8 +81,8 @@ class ProgressReporter:
         if not self.live:
             return
         now = time.monotonic()
-        if (self.done < self.total
-                and now - self._last_render < self.min_interval_s):
+        # At most five redraws a second; the last job always draws.
+        if self.done < self.total and now - self._last_render < 0.2:
             return
         self._last_render = now
         line = self._render()

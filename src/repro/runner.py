@@ -96,7 +96,6 @@ class KarSimulation:
         ttl: int = 64,
         trace_paths: bool = False,
         install_primary_flow: bool = True,
-        misdelivery_policy: str = "reencode",
         invariants: bool | InvariantChecker = False,
         strategy_factory: Optional[
             Callable[[str], DeflectionStrategy]
@@ -113,7 +112,6 @@ class KarSimulation:
         except ValueError:
             scenario = copy.deepcopy(scenario)
             reassign_switch_ids(scenario.graph, strategy=backend.id_strategy)
-        self.misdelivery_policy = misdelivery_policy
         self.scenario = scenario
         self.sim = Simulator()
         self.rng = RngRegistry(seed)
@@ -184,7 +182,6 @@ class KarSimulation:
     def _make_edge(self, info: NodeInfo, sim: Simulator) -> Node:
         return EdgeNode(
             info.name, sim, info.degree, tracer=self.tracer,
-            misdelivery_policy=self.misdelivery_policy,
             rng=self.rng.stream(f"edge:{info.name}"),
             invariants=self.invariants,
         )
@@ -279,11 +276,12 @@ class KarSimulation:
         self.chaos.append(injector)
         return injector
 
-    def check_conservation(self, expect_in_flight: int = 0) -> None:
-        """Run the invariant checker's drain-time conservation check."""
+    def check_conservation(self) -> None:
+        """Run the invariant checker's drain-time conservation check:
+        nothing may still be in flight."""
         if self.invariants is None:
             raise RuntimeError("simulation was built without invariants")
-        self.invariants.check_conservation(self.sim.now, expect_in_flight)
+        self.invariants.check_conservation(self.sim.now)
 
     # ------------------------------------------------------------------
     # traffic

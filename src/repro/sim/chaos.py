@@ -327,8 +327,8 @@ class MtbfMttrChaos(ChaosInjector):
 class SrlgChaos(ChaosInjector):
     """Correlated failures via shared-risk link groups.
 
-    Links are partitioned into *group_count* SRLGs (explicit *groups*
-    override the random partition).  Group failures arrive as a Poisson
+    Links are partitioned at random into three SRLGs (explicit *groups*
+    override the partition).  Group failures arrive as a Poisson
     process with mean inter-arrival *group_mtbf_s*; a strike downs every
     up member at once and repairs them together after Exp(mttr).
     """
@@ -340,7 +340,6 @@ class SrlgChaos(ChaosInjector):
         network: Network,
         rng: RngRegistry,
         until: float,
-        group_count: int = 3,
         group_mtbf_s: float = 1.5,
         mttr_s: float = 0.5,
         groups: Optional[Sequence[Sequence[LinkKey]]] = None,
@@ -364,9 +363,7 @@ class SrlgChaos(ChaosInjector):
             if not self.groups:
                 raise ValueError("explicit SRLG list is empty")
         else:
-            if group_count < 1:
-                raise ValueError(f"need >= 1 group, got {group_count}")
-            self.groups = self._partition(min(group_count, len(self.eligible)))
+            self.groups = self._partition(min(3, len(self.eligible)))
 
     def _partition(self, count: int) -> List[List[LinkKey]]:
         shuffled = list(self.eligible)

@@ -8,28 +8,25 @@ edge/core split):
 * **egress** — packets arriving from the core for a served host get the
   header stripped and are delivered;
 * **misdelivery** — a deflected packet can surface at an edge that does
-  not serve its destination.  The paper evaluates the second of its two
-  options: the edge asks the controller for a fresh route ID from here
-  to the destination and re-injects the packet (after a control-plane
-  round-trip worth of delay).
+  not serve its destination.  The paper describes two options and
+  evaluates only the second ("In all our tests, we considered this
+  second approach"), which is the one modelled here: the edge asks the
+  controller for a fresh route ID from here to the destination and
+  re-injects the packet (after a control-plane round-trip worth of
+  delay).  Bouncing the packet back unchanged is not modelled.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Protocol
+from typing import Dict, Mapping, Optional, Protocol
 
 from repro.sim.engine import Simulator
 from repro.sim.invariants import InvariantChecker
 from repro.sim.node import Node
 from repro.sim.packet import KarHeader, Packet
 from repro.sim.trace import PacketTracer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    # Imported lazily at runtime: repro.controller.controller imports
-    # this module, so a module-level import here would be circular.
-    from repro.controller.retry import RetryPolicy
 
 __all__ = ["EdgeNode", "IngressEntry", "ReencodeService"]
 
@@ -75,13 +72,34 @@ class ReencodeService(Protocol):
         ...
 
 
-#: Misdelivery policies (Section 2.1 of the paper describes both): the
-#: edge either bounces the stray packet back unchanged, or asks the
-#: controller for a fresh route ID ("In all our tests, we considered
-#: this second approach" — our default too).
-BOUNCE = "bounce"
-REENCODE = "reencode"
-MISDELIVERY_POLICIES = (BOUNCE, REENCODE)
+#: Re-encode RPC discipline.  An unreachable controller never answers,
+#: so each request waits RETRY_TIMEOUT_S; after a timeout the edge backs
+#: off (see :func:`backoff_s`) and tries again, and the packet is
+#: dropped with reason ``reencode-unreachable`` when request number
+#: RETRY_MAX_ATTEMPTS times out.
+RETRY_TIMEOUT_S = 0.02
+RETRY_MAX_ATTEMPTS = 4
+BACKOFF_BASE_S = 0.01
+BACKOFF_MULTIPLIER = 2.0
+BACKOFF_MAX_S = 0.25
+BACKOFF_JITTER = 0.5
+
+
+def backoff_s(attempt: int, rng: random.Random) -> float:
+    """Wait before retry number *attempt* (1 = first retry).
+
+    Exponential from BACKOFF_BASE_S, capped at BACKOFF_MAX_S, then
+    stretched by ``[0, BACKOFF_JITTER)`` of itself with one draw from
+    the edge's named stream: seed-reproducible, and it desynchronizes
+    retries from different edges after a shared outage.
+    """
+    if attempt < 1:
+        raise ValueError(f"attempt must be >= 1, got {attempt}")
+    base = min(
+        BACKOFF_BASE_S * BACKOFF_MULTIPLIER ** (attempt - 1),
+        BACKOFF_MAX_S,
+    )
+    return base * (1.0 + BACKOFF_JITTER * rng.random())
 
 
 class EdgeNode(Node):
@@ -93,24 +111,11 @@ class EdgeNode(Node):
         sim: Simulator,
         num_ports: int,
         tracer: Optional[PacketTracer] = None,
-        misdelivery_policy: str = REENCODE,
-        retry_policy: Optional["RetryPolicy"] = None,
         rng: Optional[random.Random] = None,
         invariants: Optional[InvariantChecker] = None,
     ):
         super().__init__(name, sim, num_ports)
-        if misdelivery_policy not in MISDELIVERY_POLICIES:
-            raise ValueError(
-                f"unknown misdelivery policy {misdelivery_policy!r}; "
-                f"choose from {MISDELIVERY_POLICIES}"
-            )
-        if retry_policy is None:
-            from repro.controller.retry import DEFAULT_RETRY_POLICY
-
-            retry_policy = DEFAULT_RETRY_POLICY
         self.tracer = tracer
-        self.misdelivery_policy = misdelivery_policy
-        self.retry_policy = retry_policy
         self.invariants = invariants
         self._rng = rng if rng is not None else random.Random(0)
         self._host_ports: Dict[str, int] = {}
@@ -123,7 +128,6 @@ class EdgeNode(Node):
         self.reencode_timeouts = 0
         self.reencode_retries = 0
         self.reencode_giveups = 0
-        self.bounces = 0
         self.drops = 0
 
     # -- provisioning (done by the network builder / controller) --------
@@ -182,22 +186,15 @@ class EdgeNode(Node):
     def _misdelivered(self, packet: Packet) -> None:
         """A deflected packet surfaced at the wrong edge.
 
-        Under the default REENCODE policy (the paper's evaluated
-        approach) the controller recomputes the route ID "based on the
-        best path from the edge node to the destination" and the packet
-        re-enters the core after one control RTT.  Under BOUNCE (the
-        paper's first option) the edge "directly returns the packet to
-        the network without any change" — zero latency, but the stale
-        route ID means the packet resumes wandering.
+        The controller recomputes the route ID "based on the best path
+        from the edge node to the destination" and the packet re-enters
+        the core after one control RTT.
 
         The re-encode RPC can fail: an unreachable controller never
         answers, so the request times out and the edge retries with
-        exponential backoff + jitter per its :class:`RetryPolicy`,
+        exponential backoff + jitter (the module's retry constants),
         finally dropping with reason ``reencode-unreachable``.
         """
-        if self.misdelivery_policy == BOUNCE:
-            self._bounce(packet)
-            return
         if self._controller is None:
             self._drop(packet, "misdelivered-no-controller")
             return
@@ -218,41 +215,20 @@ class EdgeNode(Node):
             return
         # No answer is coming; the timeout fires, then we back off.
         self.sim.schedule(
-            self.retry_policy.timeout_s, self._reencode_timed_out,
-            packet, attempt,
+            RETRY_TIMEOUT_S, self._reencode_timed_out, packet, attempt,
         )
 
     def _reencode_timed_out(self, packet: Packet, attempt: int) -> None:
         self.reencode_timeouts += 1
-        if attempt >= self.retry_policy.max_attempts:
+        if attempt >= RETRY_MAX_ATTEMPTS:
             self.reencode_giveups += 1
             self._drop(packet, "reencode-unreachable")
             return
         self.reencode_retries += 1
         self.sim.schedule(
-            self.retry_policy.backoff_s(attempt, self._rng),
+            backoff_s(attempt, self._rng),
             self._reencode_attempt, packet, attempt + 1,
         )
-
-    def _bounce(self, packet: Packet) -> None:
-        """Return a stray packet to the core unchanged (BOUNCE policy).
-
-        The packet leaves on this edge's first healthy core-facing port;
-        its TTL (still decremented by every switch) bounds the total
-        excursion as usual.
-        """
-        if packet.kar is None or packet.kar.ttl <= 0:
-            self._drop(packet, "ttl-expired")
-            return
-        for port in self.healthy_ports():
-            if self._host_ports and port in self._host_ports.values():
-                continue
-            self.bounces += 1
-            if self.invariants is not None:
-                self.invariants.on_reencode(self.sim.now, self.name, packet)
-            self.send(port, packet)
-            return
-        self._drop(packet, "bounce-no-port")
 
     def _reinject(self, packet: Packet, entry: IngressEntry) -> None:
         if packet.kar is None or packet.kar.ttl <= 0:

@@ -139,6 +139,24 @@ class TestChaosSweep:
         assert a.sent > 0
         assert a.delivered + a.dropped == a.sent
 
+    def test_controller_outage_run_is_pinned(self):
+        # The one run in which the re-encode retry timing shows: every
+        # timeout, backoff and give-up lands at a pinned time, so a moved
+        # wait changes the counts, the drops or the chaos digest.
+        from repro.experiments.chaos_sweep import ChaosRun, run_chaos_once
+
+        run = run_chaos_once(technique="hp", seed=42, ctrl_outage=True)
+        assert run == ChaosRun(
+            scenario="fifteen_node", technique="hp", mode="mtbf", seed=42,
+            sent=1200, delivered=1112,
+            drop_reasons=(("link-down", 8), ("reencode-unreachable", 64),
+                          ("ttl-expired", 16)),
+            violations=(), chaos_events=80,
+            digest="6f9cb1ebe55fd5a4+d3c554806d62acbf",
+            peak_links_down=9, reencode_requests=1397,
+            reencode_timeouts=317, reencode_giveups=64,
+        )
+
     def test_render_sweep_flags_violations(self):
         from repro.experiments.chaos_sweep import ChaosRun, render_chaos_sweep
 

@@ -133,9 +133,11 @@ def test_figure5_nip_beats_avp(fig5):
 # ---------------------------------------------------------------------------
 
 def test_figure7_rnp():
+    # Eight independent DES runs on two workers, as for Fig. 5.
+    farm = FarmOptions(jobs=2, no_cache=True, progress=False)
     ratio = {
         point.failure: point.ratio.mean
-        for point in run_figure7(seeds=(1, 2), timeline=QUICK)
+        for point in run_figure7(seeds=(1, 2), timeline=QUICK, farm=farm)
     }
     assert ratio[None] == pytest.approx(1.0, abs=0.05)
     # SW7-SW13: near-nominal (paper < 5 % loss; we allow 15 %).

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import re
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
@@ -48,13 +49,11 @@ REASONS = {ORACLE, CASEGEN, FIXTURE, ROADMAP}
 #: whole module; ``module:name`` one top-level name.
 CLAIMED: Dict[str, Dict[str, str]] = {
     ROADMAP: {
-        "repro.transport.cubic": "item 4: exercised by the sweep or deleted",
+        "repro.transport.cubic":
+            "item 4 (@a60f408): exercised by the sweep or deleted",
         "repro.experiments.frontier:search_worst_schedule":
-            "item 3(c): kept only if it beats the adaptive adversary",
-        "repro.sim.monitors:LinkMonitor":
-            "items 1(c)/6: bottleneck utilisation, telemetry spine",
-        "repro.sim.monitors:LinkSample": "items 1(c)/6: LinkMonitor's sample",
-        "repro.sim.monitors:NetworkMonitor": "items 1(c)/6",
+            "item 3(c) (@a60f408): kept only if it beats the adaptive "
+            "adversary",
     },
     ORACLE: {
         "repro.controller.bulk:mesh_digest_reference":
@@ -273,6 +272,15 @@ def test_claimed_table_can_only_shrink():
 def test_every_claim_gives_one_reason_from_the_closed_set():
     assert set(CLAIMED) <= REASONS
     assert sum(map(len, CLAIMED.values())) == len(_claims())
+
+
+def test_every_roadmap_claim_names_its_item_and_anchor():
+    # "item N (@<commit>): why" -- the commit that made the claim, so a
+    # later ROADMAP revision can tell how long the item has held it.
+    anchored = re.compile(r"items? [0-9][^ ]* \(@[0-9a-f]{7,40}\): \S")
+    loose = [k for k, why in CLAIMED[ROADMAP].items()
+             if not anchored.match(why)]
+    assert not loose, loose
 
 
 if __name__ == "__main__":
