@@ -24,23 +24,27 @@ Everything is bit-identical to the per-flow path by construction (the
 extended CRT solution is unique) and by test: the Hypothesis suite in
 ``tests/controller/test_bulk.py`` compares hop-for-hop and
 route-ID-for-route-ID against :meth:`ProvisioningEngine.provision` on
-random topologies, and holds :func:`mesh_digest` — the canonical
-fingerprint of a mesh — equal to :func:`mesh_digest_reference`, the
-same byte stream computed from the per-flow oracle.  The engine does
-not dispatch here: a caller that wants a mesh builds a
-:class:`BulkProvisioner` itself, as the ``wan754-coldstart`` workload
-of ``benchmarks/e2e`` does (it is also where this path is timed).
+random topologies, and holds :func:`mesh_digest` — a fingerprint of
+a mesh within one interpreter, not a pin across Python versions —
+equal to :func:`mesh_digest_reference`, the same byte stream computed
+from the per-flow oracle.  The engine does not dispatch here: a
+caller that wants a mesh builds a :class:`BulkProvisioner` itself, as
+the ``wan754-coldstart`` workload of ``benchmarks/e2e`` does (it is
+also where this path is timed).
 """
 
 from __future__ import annotations
 
 import hashlib
+import marshal
+from itertools import groupby
 from typing import (
     Dict,
     FrozenSet,
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -89,8 +93,8 @@ def full_mesh_pairs(graph: PortGraph) -> List[Tuple[str, str]]:
 class DestinationBlock:
     """One destination's tree plus every route ID rooted under it.
 
-    ``route_id(x)`` / ``modulus(x)`` give the encoded route for the
-    branch entering the core at node index ``x``; routes are computed
+    ``encoded_route(x)`` gives the encoded route for the branch
+    entering the core at node index ``x``; routes are computed
     once per block in BFS order via :func:`~repro.rns.crt.crt_extend`
     (each node's system = its parent's system + one hop).
     """
@@ -142,9 +146,6 @@ class DestinationBlock:
         # the first collection they survive; a list is walked every time.
         self._ids, self._mods = tuple(ids), tuple(mods)
 
-    def reaches(self, idx: int) -> bool:
-        return self._ids[idx] is not None
-
     def route_id(self, idx: int) -> int:
         rid = self._ids[idx]
         if rid is None:
@@ -154,10 +155,6 @@ class DestinationBlock:
                 f"{self.dst_edge!r} through the core",
             )
         return rid
-
-    def modulus(self, idx: int) -> int:
-        self.route_id(idx)
-        return self._mods[idx]  # type: ignore[return-value]
 
     def hops(self, idx: int) -> Tuple[Hop, ...]:
         """Hop tuple for the branch entering the core at *idx* — in
@@ -204,7 +201,7 @@ class DestinationBlock:
             hops = self.hops(idx)
             route = EncodedRoute(
                 route_id=self.route_id(idx),
-                modulus=self.modulus(idx),
+                modulus=self._mods[idx],  # type: ignore[arg-type]
                 hops=hops,
                 _residues={h.switch_id: h.port for h in hops},
             )
@@ -212,7 +209,7 @@ class DestinationBlock:
         return route
 
 
-class MeshRow:
+class MeshRow(NamedTuple):
     """One destination's slice of the full mesh, in array form.
 
     ``src_edges[i]`` enters the core at node index ``entries[i]``
@@ -221,20 +218,13 @@ class MeshRow:
     canonical mesh order.
     """
 
-    __slots__ = ("dst_edge", "src_edges", "entries", "out_ports",
-                 "route_ids", "moduli", "block")
-
-    def __init__(self, dst_edge: str, src_edges: List[str],
-                 entries: np.ndarray, out_ports: np.ndarray,
-                 route_ids: Tuple[int, ...], moduli: Tuple[int, ...],
-                 block: DestinationBlock):
-        self.dst_edge = dst_edge
-        self.src_edges = src_edges
-        self.entries = entries
-        self.out_ports = out_ports
-        self.route_ids = route_ids
-        self.moduli = moduli
-        self.block = block
+    dst_edge: str
+    src_edges: List[str]
+    entries: np.ndarray
+    out_ports: np.ndarray
+    route_ids: Tuple[int, ...]
+    moduli: Tuple[int, ...]
+    block: DestinationBlock
 
 
 class BulkProvisioner:
@@ -448,26 +438,37 @@ class BulkProvisioner:
         return out
 
 
+def _digest(
+    rows: Iterable[Tuple[str, Sequence[str], Sequence[int], Sequence[int]]],
+) -> Tuple[str, int]:
+    # Marshal version 2 writes every int and str by value, with no
+    # back-references and no interning flags, so the bytes depend on
+    # the route values only, not on which objects hold them.
+    h = hashlib.sha256()
+    count = 0
+    for dst, srcs, ids, mods in rows:
+        h.update(marshal.dumps(
+            (dst, tuple(srcs), tuple(ids), tuple(mods)), 2
+        ))
+        count += len(srcs)
+    return h.hexdigest(), count
+
+
 def mesh_digest(
     rows: Iterable[MeshRow],
 ) -> Tuple[str, int]:
-    """Canonical sha256 fingerprint over mesh rows.
+    """sha256 fingerprint over mesh rows, in row order.
 
-    Hashes ``src>dst=route_id/modulus;`` per pair, in row order — the
-    exact byte stream :func:`mesh_digest_reference` produces from the
-    per-flow engine, so equal digests mean every route ID (and its
-    modulus) matches bit for bit.  Returns ``(hexdigest, pair_count)``.
+    Hashes one marshalled ``(dst, sources, route IDs, moduli)`` tuple
+    per row — the byte stream :func:`mesh_digest_reference` produces
+    from the per-flow engine, so equal digests mean every route ID (and
+    its modulus) matches bit for bit.  It is an in-interpreter
+    fingerprint, not a cross-version pin: marshal's format belongs to
+    the Python version.  Returns ``(hexdigest, pair_count)``.
     """
-    h = hashlib.sha256()
-    count = 0
-    for row in rows:
-        dst = row.dst_edge
-        h.update("".join([
-            f"{src}>{dst}={rid}/{mod};"
-            for src, rid, mod in zip(row.src_edges, row.route_ids, row.moduli)
-        ]).encode())
-        count += len(row.src_edges)
-    return h.hexdigest(), count
+    return _digest(
+        (r.dst_edge, r.src_edges, r.route_ids, r.moduli) for r in rows
+    )
 
 
 def mesh_digest_reference(
@@ -477,14 +478,13 @@ def mesh_digest_reference(
 
     *engine* is a :class:`~repro.controller.provision
     .ProvisioningEngine`; pairs must be in canonical mesh order
-    (destination-major — see :func:`full_mesh_pairs`).
+    (destination-major — see :func:`full_mesh_pairs`): each
+    destination's run of pairs is one row.
     """
-    h = hashlib.sha256()
-    count = 0
-    for src, dst in pairs:
-        p = engine.provision(src, dst)
-        h.update(
-            f"{src}>{dst}={p.route.route_id}/{p.route.modulus};".encode()
-        )
-        count += 1
-    return h.hexdigest(), count
+    rows = []
+    for dst, group in groupby(pairs, key=lambda pair: pair[1]):
+        srcs = [src for src, _ in group]
+        routes = [engine.provision(src, dst).route for src in srcs]
+        rows.append((dst, srcs, [r.route_id for r in routes],
+                     [r.modulus for r in routes]))
+    return _digest(rows)

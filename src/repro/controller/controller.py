@@ -59,7 +59,6 @@ class KarController:
         self._reencode_cache: Dict[Tuple[str, str], Optional[IngressEntry]] = {}
         self.reencodes_served = 0
         self._reachable = True
-        self.outages = 0
 
     # ------------------------------------------------------------------
     # ReencodeService protocol (used by EdgeNode)
@@ -79,8 +78,6 @@ class KarController:
         return self._reachable
 
     def set_reachable(self, up: bool) -> None:
-        if not up and self._reachable:
-            self.outages += 1
         self._reachable = up
 
     def reencode(self, edge_name: str, dst_host: str) -> Optional[IngressEntry]:

@@ -5,16 +5,18 @@ Layout (two-level sharding keeps any one directory small)::
     <root>/
       ab/
         ab3f…e2.json     # full content key + ".json"
-      sweeps/
-        <name>.json      # sweep checkpoints (repro.farm.sweep)
 
-Each record file holds the format version, the content key, the full
-RunSpec (so a cache directory is self-describing and debuggable with
-``jq``), and the result record.  Reads validate all three; anything
-malformed — truncated JSON, a record whose embedded key disagrees with
-its filename, a missing result digest — counts as an **invalidation**
-and is treated as a miss, never as an error: the farm just re-runs the
-job and overwrites the bad record.
+Each record file holds the format version, the content key, the
+fingerprint of the code that computed it, the full RunSpec (so a cache
+directory is self-describing and debuggable with ``jq``), and the
+result record.  Reads validate all of them; anything malformed —
+truncated JSON, a record whose embedded key disagrees with its
+filename, a missing result digest — counts as an **invalidation** and
+is treated as a miss, never as an error: the farm just re-runs the job
+and overwrites the bad record.  So does a record written by other code
+(:func:`code_fingerprint` differs): the content key names the
+experiment, the fingerprint the program that ran it, and a result from
+an older program is stale even when the spec is the same.
 
 Writes go through a temp file + ``os.replace`` so a killed process
 never leaves a half-written record behind (rerunning a killed sweep
@@ -24,6 +26,8 @@ cross-process write race to guard against.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
 from dataclasses import dataclass
@@ -32,7 +36,23 @@ from typing import Any, Dict, Optional
 
 from repro.farm.spec import FORMAT_VERSION, RunSpec
 
-__all__ = ["CacheStats", "ResultCache"]
+__all__ = ["CacheStats", "ResultCache", "code_fingerprint"]
+
+
+@functools.lru_cache(maxsize=None)
+def code_fingerprint() -> str:
+    """sha256 over every ``*.py`` of the ``repro`` package, computed once
+    per process: each file's path relative to the package, then its
+    bytes, in path order, each length-prefixed."""
+    package = Path(__file__).resolve().parent.parent
+    h = hashlib.sha256()
+    for rel, path in sorted(
+        (p.relative_to(package).as_posix(), p) for p in package.rglob("*.py")
+    ):
+        data = path.read_bytes()
+        h.update(f"{len(rel)}:{rel}{len(data)}:".encode())
+        h.update(data)
+    return h.hexdigest()
 
 
 @dataclass
@@ -73,7 +93,8 @@ class ResultCache:
     def get(self, spec: RunSpec) -> Optional[Dict[str, Any]]:
         """The cached result record for ``spec``, or None on a miss.
 
-        Corrupt or mismatched records are deleted (best-effort),
+        Corrupt or mismatched records, and records written by other
+        code, are deleted (best-effort),
         counted in ``stats.invalidated`` and reported as a miss.
         """
         key = spec.content_key()
@@ -91,6 +112,8 @@ class ResultCache:
                 raise ValueError("format version mismatch")
             if record.get("key") != key:
                 raise ValueError("embedded key mismatch")
+            if record.get("code") != code_fingerprint():
+                raise ValueError("written by other code")
             result = record["result"]
             if not isinstance(result, dict) or "digest" not in result:
                 raise ValueError("malformed result")
@@ -113,6 +136,7 @@ class ResultCache:
         record = {
             "format": FORMAT_VERSION,
             "key": key,
+            "code": code_fingerprint(),
             "spec": spec.to_record(),
             "result": result,
         }

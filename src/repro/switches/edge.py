@@ -81,24 +81,22 @@ RETRY_TIMEOUT_S = 0.02
 RETRY_MAX_ATTEMPTS = 4
 BACKOFF_BASE_S = 0.01
 BACKOFF_MULTIPLIER = 2.0
-BACKOFF_MAX_S = 0.25
 BACKOFF_JITTER = 0.5
 
 
 def backoff_s(attempt: int, rng: random.Random) -> float:
     """Wait before retry number *attempt* (1 = first retry).
 
-    Exponential from BACKOFF_BASE_S, capped at BACKOFF_MAX_S, then
-    stretched by ``[0, BACKOFF_JITTER)`` of itself with one draw from
-    the edge's named stream: seed-reproducible, and it desynchronizes
-    retries from different edges after a shared outage.
+    Exponential from BACKOFF_BASE_S, then stretched by
+    ``[0, BACKOFF_JITTER)`` of itself with one draw from the edge's
+    named stream: seed-reproducible, and it desynchronizes retries from
+    different edges after a shared outage.  There is no cap: an edge
+    retries at most RETRY_MAX_ATTEMPTS - 1 times, so the longest wait
+    it schedules grows from a 0.04 s base.
     """
     if attempt < 1:
         raise ValueError(f"attempt must be >= 1, got {attempt}")
-    base = min(
-        BACKOFF_BASE_S * BACKOFF_MULTIPLIER ** (attempt - 1),
-        BACKOFF_MAX_S,
-    )
+    base = BACKOFF_BASE_S * BACKOFF_MULTIPLIER ** (attempt - 1)
     return base * (1.0 + BACKOFF_JITTER * rng.random())
 
 

@@ -217,6 +217,50 @@ class TestBlockMemo:
         assert bp.block_hits == len(edges)
 
 
+class TestMeshDigestStream:
+    """The digest is a function of the route values only: the same
+    values in other objects hash alike, other values never do."""
+
+    @pytest.fixture(scope="class")
+    def rows(self, abilene_mesh):
+        return list(BulkProvisioner(abilene_mesh).iter_full_mesh())
+
+    def test_fresh_objects_hash_alike(self, rows):
+        fresh = [
+            row._replace(
+                dst_edge="".join(row.dst_edge),
+                src_edges=["".join(src) for src in row.src_edges],
+                route_ids=tuple(int(str(x)) for x in row.route_ids),
+                moduli=tuple(int(str(x)) for x in row.moduli),
+            )
+            for row in rows
+        ]
+        assert fresh[0].dst_edge is not rows[0].dst_edge
+        assert fresh[0].moduli[0] is not rows[0].moduli[0]
+        digest, count = mesh_digest(fresh)
+        assert (digest, count) == mesh_digest(rows)
+        assert count == 11 * 10
+
+    def test_same_residues_other_bits_change_the_digest(self, rows):
+        row = rows[3]
+        rid, mod = row.route_ids[0], row.moduli[0]
+        moved = row._replace(route_ids=(rid + mod,) + row.route_ids[1:])
+        changed = rows[:3] + [moved] + rows[4:]
+        assert mesh_digest(changed) != mesh_digest(rows)
+
+    def test_swapped_sources_change_the_digest(self, rows):
+        row = rows[0]
+        assert (row.route_ids[0], row.moduli[0]) != (
+            row.route_ids[1], row.moduli[1]
+        )
+        swap = [1, 0] + list(range(2, len(row.src_edges)))
+        swapped = row._replace(
+            route_ids=tuple(row.route_ids[i] for i in swap),
+            moduli=tuple(row.moduli[i] for i in swap),
+        )
+        assert mesh_digest([swapped] + rows[1:]) != mesh_digest(rows)
+
+
 class TestUntrackedColumns:
     def test_route_columns_leave_the_collector(self, abilene_mesh):
         # Tuples of ints and None stop being tracked at the first

@@ -9,7 +9,6 @@ import pytest
 from repro.sim.engine import Simulator
 from repro.sim.packet import KarHeader, Packet
 from repro.switches.edge import (
-    BACKOFF_MAX_S,
     RETRY_MAX_ATTEMPTS,
     EdgeNode,
     IngressEntry,
@@ -31,10 +30,12 @@ class TestBackoffSchedule:
         assert waits == pytest.approx([0.01, 0.02, 0.04, 0.08])
 
     def test_backoff_capped(self):
+        # The attempt limit is the cap: the last retry waits from 0.04 s.
         rng = _NoJitter()
         assert backoff_s(5, rng) == pytest.approx(0.16)
-        assert backoff_s(6, rng) == BACKOFF_MAX_S == 0.25
-        assert backoff_s(40, rng) == BACKOFF_MAX_S
+        for seed in range(20):
+            wait = backoff_s(RETRY_MAX_ATTEMPTS - 1, random.Random(seed))
+            assert wait <= 0.04 * 1.5
 
     def test_attempt_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.farm.cache import ResultCache
+from repro.farm.cache import ResultCache, code_fingerprint
 from repro.farm.jobs import echo_spec
 from repro.farm.spec import FORMAT_VERSION
 
@@ -81,6 +81,29 @@ class TestCorruption:
         del record["result"]["digest"]
         path.write_text(json.dumps(record))
         assert cache.get(spec) is None
+
+    def test_record_from_other_code_is_a_counted_miss(self, tmp_path):
+        cache = make_cache(tmp_path)
+        specs = [echo_spec(v, seed=i) for i, v in enumerate("abc")]
+        for spec in specs:
+            cache.put(spec, {"value": spec.seed, "digest": "d"})
+        stale = cache.path_for(specs[1].content_key())
+        record = json.loads(stale.read_text())
+        assert record["code"] == code_fingerprint()
+        record["code"] = "0" * 64
+        stale.write_text(json.dumps(record))
+
+        first = [cache.get(spec) for spec in specs]
+        assert first[1] is None and None not in (first[0], first[2])
+        assert (cache.stats.hits, cache.stats.misses) == (2, 1)
+        assert cache.stats.invalidated == 1
+        assert not stale.exists()
+
+        cache.put(specs[1], {"value": 1, "digest": "d"})
+        assert [cache.get(spec) for spec in specs] == [
+            {"value": i, "digest": "d"} for i in range(3)
+        ]
+        assert (cache.stats.hits, cache.stats.misses) == (5, 1)
 
     def test_non_object_record_is_a_miss(self, tmp_path):
         cache, spec, path = self.put_one(tmp_path)
