@@ -102,7 +102,7 @@ def _add_farm_args(
                             "stderr is a terminal)")
 
 
-def _farm_options(args: argparse.Namespace, label: str):
+def _farm_options(args: argparse.Namespace):
     from repro.farm.executor import FarmOptions
 
     return FarmOptions(
@@ -111,7 +111,6 @@ def _farm_options(args: argparse.Namespace, label: str):
         no_cache=args.no_cache,
         refresh=args.refresh,
         progress=args.progress,
-        label=label,
     )
 
 
@@ -308,7 +307,7 @@ def _cmd_fig4(args: argparse.Namespace) -> int:
     from repro.experiments.export import figure4_rows, write_rows
     from repro.experiments.figure4 import render_figure4, run_figure4
 
-    series = run_figure4(seed=args.seed, farm=_farm_options(args, "fig4"))
+    series = run_figure4(seed=args.seed, farm=_farm_options(args))
     print(render_figure4(series))
     if args.export:
         write_rows(figure4_rows(series), args.export)
@@ -320,7 +319,7 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
     from repro.experiments.export import figure5_rows, write_rows
     from repro.experiments.figure5 import render_figure5, run_figure5
 
-    cells = run_figure5(farm=_farm_options(args, "fig5"))
+    cells = run_figure5(farm=_farm_options(args))
     print(render_figure5(cells))
     if args.export:
         write_rows(figure5_rows(cells), args.export)
@@ -332,7 +331,7 @@ def _cmd_fig7(args: argparse.Namespace) -> int:
     from repro.experiments.export import figure7_rows, write_rows
     from repro.experiments.figure7 import render_figure7, run_figure7
 
-    points = run_figure7(farm=_farm_options(args, "fig7"))
+    points = run_figure7(farm=_farm_options(args))
     print(render_figure7(points))
     if args.export:
         write_rows(figure7_rows(points), args.export)
@@ -343,14 +342,14 @@ def _cmd_fig7(args: argparse.Namespace) -> int:
 def _cmd_fig8(args: argparse.Namespace) -> int:
     from repro.experiments.figure8 import render_figure8, run_figure8
 
-    print(render_figure8(run_figure8(farm=_farm_options(args, "fig8"))))
+    print(render_figure8(run_figure8(farm=_farm_options(args))))
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.report import build_report
 
-    report = build_report(farm=_farm_options(args, "report"))
+    report = build_report(farm=_farm_options(args))
     with open(args.path, "w", encoding="utf-8") as f:
         f.write(report)
     print(f"wrote {args.path}")
@@ -450,33 +449,30 @@ def _chaos_kwargs(args: argparse.Namespace) -> dict:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.experiments.chaos_sweep import (
+        ChaosRun,
         render_chaos_run,
         render_chaos_sweep,
         run_chaos_sweep,
     )
-    from repro.farm.jobs import chaos_spec
-    from repro.farm.sweep import run_chaos_specs
+    from repro.farm import RunSpec, run_specs
 
     if args.sweep:
         runs = run_chaos_sweep(
             scenario_name=args.scenario,
             seed=args.seed,
-            farm=_farm_options(args, "chaos-sweep"),
+            farm=_farm_options(args),
         )
         print(render_chaos_sweep(runs))
     else:
-        spec = chaos_spec(
-            args.scenario,
-            args.deflection,
-            args.mode,
-            args.seed,
-            chaos_kwargs=_chaos_kwargs(args),
-            ctrl_outage=args.ctrl_outage,
-            traffic_s=args.duration,
-        )
-        runs = run_chaos_specs(
-            [spec], _farm_options(args, "chaos"), label="chaos"
-        )
+        spec = RunSpec.make("chaos", args.scenario, args.seed, {
+            "technique": args.deflection,
+            "mode": args.mode,
+            "chaos_kwargs": _chaos_kwargs(args),
+            "ctrl_outage": args.ctrl_outage,
+            "traffic_s": args.duration,
+        })
+        [record] = run_specs([spec], _farm_options(args), "chaos")
+        runs = [ChaosRun.from_record(record["result"])]
         print(render_chaos_run(runs[0]))
     if args.export:
         from repro.experiments.export import chaos_rows, write_rows
@@ -499,7 +495,7 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
         max_failures=args.max_failures,
         seeds=args.seeds,
         dynamic=args.dynamic,
-        farm=_farm_options(args, "frontier"),
+        farm=_farm_options(args),
     )
     print(render_frontier(cells))
     if args.export:
@@ -533,7 +529,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         oracles=args.oracles,
         shrink=args.shrink,
         artifact_dir=args.artifact_dir,
-        farm=_farm_options(args, "verify"),
+        farm=_farm_options(args),
     )
     print(render_verify(outcome))
     return 0 if outcome.ok else 1
@@ -564,24 +560,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.farm.jobs import service_spec
-    from repro.farm.sweep import run_service_specs
-    from repro.service.loadgen import churn_rows, render_churn
+    from repro.farm import RunSpec, run_specs
+    from repro.service.loadgen import ChurnReport, churn_rows, render_churn
 
     specs = [
-        service_spec(
-            args.topology,
-            seed,
-            users=args.users,
-            operations=args.ops,
-            qos_fraction=args.qos,
-            transport=args.transport,
-        )
+        RunSpec.make("service", args.topology, seed, {
+            "users": args.users,
+            "operations": args.ops,
+            "qos_fraction": args.qos,
+            "transport": args.transport,
+        })
         for seed in args.seeds
     ]
-    reports = run_service_specs(
-        specs, _farm_options(args, "loadgen"), label="loadgen"
-    )
+    reports = [
+        ChurnReport.from_record(r["result"])
+        for r in run_specs(specs, _farm_options(args), "loadgen")
+    ]
     print(render_churn(reports))
     if args.export:
         from repro.experiments.export import write_rows

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments.common import scenario_factory
-
-if TYPE_CHECKING:  # lazy at runtime: the farm imports this module back
-    from repro.farm.executor import FarmOptions
+from repro.farm.executor import FarmOptions, run_specs
+from repro.farm.spec import RunSpec
 from repro.runner import KarSimulation
 from repro.topology.topologies import PARTIAL
 
@@ -44,6 +43,9 @@ SWEEP_TECHNIQUES: Tuple[str, ...] = ("hp", "avp", "nip")
 #: Per-link MTBF levels (seconds), harshest last.  With ~16 core links
 #: and MTTR 0.4 s, the harshest level keeps several links dark at once.
 SWEEP_MTBFS: Tuple[float, ...] = (8.0, 4.0, 2.0, 1.0)
+
+#: Per-link MTTR (seconds) at every sweep level.
+SWEEP_MTTR_S = 0.4
 
 #: Simulated seconds of probe traffic per run.
 TRAFFIC_S = 4.0
@@ -86,6 +88,15 @@ class ChaosRun:
     @property
     def violation_count(self) -> int:
         return sum(count for _, count in self.violations)
+
+    @classmethod
+    def from_record(cls, record: Mapping[str, Any]) -> "ChaosRun":
+        """Inverse of ``asdict``, also after a JSON round trip."""
+        return cls(**{
+            **record,
+            "drop_reasons": tuple(map(tuple, record["drop_reasons"])),
+            "violations": tuple(map(tuple, record["violations"])),
+        })
 
 
 def run_chaos_once(
@@ -159,11 +170,8 @@ def run_chaos_once(
 
 def run_chaos_sweep(
     scenario_name: str = "fifteen_node",
-    techniques: Sequence[str] = SWEEP_TECHNIQUES,
-    mtbfs: Sequence[float] = SWEEP_MTBFS,
-    mttr_s: float = 0.4,
     seed: int = 42,
-    farm: "FarmOptions | None" = None,
+    farm: Optional[FarmOptions] = None,
 ) -> List[ChaosRun]:
     """Delivery ratio per technique as per-link MTBF shrinks.
 
@@ -176,22 +184,19 @@ def run_chaos_sweep(
     sequential cacheless default; pass :class:`FarmOptions` for worker
     parallelism, result caching and resumable sweeps.
     """
-    from repro.farm.jobs import chaos_spec
-    from repro.farm.sweep import run_chaos_specs
-
     specs = [
-        chaos_spec(
-            scenario_name,
-            technique,
-            "mtbf",
-            seed,
-            chaos_kwargs={"mtbf_s": mtbf_s, "mttr_s": mttr_s},
-            traffic_s=TRAFFIC_S,
-        )
-        for mtbf_s in mtbfs
-        for technique in techniques
+        RunSpec.make("chaos", scenario_name, seed, {
+            "technique": technique,
+            "mode": "mtbf",
+            "chaos_kwargs": {"mtbf_s": mtbf_s, "mttr_s": SWEEP_MTTR_S},
+        })
+        for mtbf_s in SWEEP_MTBFS
+        for technique in SWEEP_TECHNIQUES
     ]
-    return run_chaos_specs(specs, farm, label="chaos-sweep")
+    return [
+        ChaosRun.from_record(r["result"])
+        for r in run_specs(specs, farm, "chaos-sweep")
+    ]
 
 
 def render_chaos_run(run: ChaosRun) -> str:

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.experiments.common import DEFAULT_TIMELINE, Timeline
-from repro.farm.executor import FarmOptions
-from repro.farm.jobs import failure_spec
-from repro.farm.sweep import run_failure_specs
+from repro.farm.executor import FarmOptions, run_specs
+from repro.farm.jobs import FailureResult, failure_spec
 from repro.topology.topologies import PARTIAL
 
 __all__ = ["Figure4Series", "run_figure4", "render_figure4", "TECHNIQUES"]
@@ -48,11 +47,14 @@ def run_figure4(
 ) -> Dict[str, Figure4Series]:
     """Run the four curves; returns technique -> series."""
     specs = [
-        failure_spec("fifteen_node", technique, PARTIAL, FAILURE, seed,
-                     timeline)
+        failure_spec("fifteen_node", seed, timeline, deflection=technique,
+                     protection=PARTIAL, failure=FAILURE)
         for technique in TECHNIQUES
     ]
-    results = run_failure_specs(specs, farm, label="fig4")
+    results = [
+        FailureResult.from_record(r["result"])
+        for r in run_specs(specs, farm, "fig4")
+    ]
     out: Dict[str, Figure4Series] = {}
     for technique, result in zip(TECHNIQUES, results):
         out[technique] = Figure4Series(

@@ -25,9 +25,8 @@ from repro.experiments.common import (
     Timeline,
     resolve_seeds,
 )
-from repro.farm.executor import FarmOptions
-from repro.farm.jobs import failure_spec
-from repro.farm.sweep import run_failure_specs
+from repro.farm.executor import FarmOptions, run_specs
+from repro.farm.jobs import FailureResult, failure_spec
 from repro.topology.topologies import FULL, PARTIAL, UNPROTECTED
 
 __all__ = ["Figure5Cell", "run_figure5", "render_figure5",
@@ -65,12 +64,15 @@ def run_figure5(
         for failure in FAILURES
     ]
     specs = [
-        failure_spec("fifteen_node", technique, protection, failure, seed,
-                     timeline)
+        failure_spec("fifteen_node", seed, timeline, deflection=technique,
+                     protection=protection, failure=failure)
         for technique, protection, failure in grid
         for seed in seeds
     ]
-    results = run_failure_specs(specs, farm, label="fig5")
+    results = [
+        FailureResult.from_record(r["result"])
+        for r in run_specs(specs, farm, "fig5")
+    ]
     cells: List[Figure5Cell] = []
     for i, (technique, protection, failure) in enumerate(grid):
         chunk = results[i * len(seeds):(i + 1) * len(seeds)]

@@ -24,9 +24,8 @@ from repro.experiments.common import (
     Timeline,
     resolve_seeds,
 )
-from repro.farm.executor import FarmOptions
-from repro.farm.jobs import failure_spec
-from repro.farm.sweep import run_failure_specs
+from repro.farm.executor import FarmOptions, run_specs
+from repro.farm.jobs import FailureResult, failure_spec
 from repro.topology.topologies import PARTIAL
 
 __all__ = ["Figure7Point", "run_figure7", "render_figure7", "CASES"]
@@ -57,11 +56,15 @@ def run_figure7(
 ) -> List[Figure7Point]:
     seeds = resolve_seeds(seeds)
     specs = [
-        failure_spec("rnp28", "nip", PARTIAL, failure, seed, timeline)
+        failure_spec("rnp28", seed, timeline, deflection="nip",
+                     protection=PARTIAL, failure=failure)
         for failure in CASES
         for seed in seeds
     ]
-    results = run_failure_specs(specs, farm, label="fig7")
+    results = [
+        FailureResult.from_record(r["result"])
+        for r in run_specs(specs, farm, "fig7")
+    ]
     points: List[Figure7Point] = []
     for i, failure in enumerate(CASES):
         chunk = results[i * len(seeds):(i + 1) * len(seeds)]

@@ -23,9 +23,8 @@ from repro.experiments.common import (
     Timeline,
     resolve_seeds,
 )
-from repro.farm.executor import FarmOptions
-from repro.farm.jobs import failure_spec
-from repro.farm.sweep import run_failure_specs
+from repro.farm.executor import FarmOptions, run_specs
+from repro.farm.jobs import FailureResult, failure_spec
 from repro.topology.topologies import PARTIAL
 
 __all__ = ["Figure8Result", "run_figure8", "render_figure8", "PAPER_RATIO"]
@@ -60,11 +59,14 @@ def run_figure8(
 ) -> Figure8Result:
     seeds = resolve_seeds(seeds)
     specs = [
-        failure_spec("redundant_path", "nip", PARTIAL, FAILURE, seed,
-                     timeline)
+        failure_spec("redundant_path", seed, timeline, deflection="nip",
+                     protection=PARTIAL, failure=FAILURE)
         for seed in seeds
     ]
-    results = run_failure_specs(specs, farm, label="fig8")
+    results = [
+        FailureResult.from_record(r["result"])
+        for r in run_specs(specs, farm, "fig8")
+    ]
     return Figure8Result(
         ratio=mean_ci([r.ratio for r in results]),
         throughput_mbps=mean_ci([r.failure_mbps for r in results]),

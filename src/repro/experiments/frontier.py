@@ -48,7 +48,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     List,
@@ -62,6 +62,8 @@ from repro.baselines import BASELINE_SCHEMES, plan_baseline_strategies
 from repro.baselines.arborescence import ArborescenceFailoverStrategy
 from repro.baselines.fastfailover import FastFailoverStrategy
 from repro.controller.idassign import reassign_switch_ids
+from repro.farm.executor import FarmOptions, run_specs
+from repro.farm.spec import RunSpec
 from repro.rns.backends import BACKEND_NAMES, backend_by_name
 from repro.rns.crt import CrtError
 from repro.rns.encoder import Hop
@@ -78,16 +80,11 @@ from repro.topology.paths import is_reachable_without
 from repro.topology.topologies import Scenario
 from repro.topology.zoo import abilene
 
-if TYPE_CHECKING:  # lazy at runtime: the farm imports this module back
-    from repro.farm.executor import FarmOptions
-    from repro.farm.spec import RunSpec
-
 __all__ = [
     "FrontierCell",
     "FRONTIER_TOPOLOGIES",
     "FRONTIER_SCHEMES",
     "run_frontier_once",
-    "run_frontier_cells",
     "run_frontier",
     "search_worst_schedule",
     "max_tolerated",
@@ -178,8 +175,7 @@ class FrontierCell:
     #: (backend name, primary-route header bits) per encoding backend —
     #: what the *same* route costs under each encoding (Eq. 9 for the
     #: integer CRT, polynomial degree for XSR on the re-IDed dual pool).
-    #: Empty on records predating the encoding-backend study.
-    header_bits_by_backend: Tuple[Tuple[str, int], ...] = ()
+    header_bits_by_backend: Tuple[Tuple[str, int], ...]
 
     @property
     def delivery_ratio(self) -> float:
@@ -199,6 +195,19 @@ class FrontierCell:
             and self.delivered == self.sent
             and self.violation_count == 0
         )
+
+    @classmethod
+    def from_record(cls, record: Mapping[str, Any]) -> "FrontierCell":
+        """Inverse of ``asdict``, also after a JSON round trip."""
+        return cls(**{
+            **record,
+            "drop_reasons": tuple(map(tuple, record["drop_reasons"])),
+            "violations": tuple(map(tuple, record["violations"])),
+            "failed_links": tuple(record["failed_links"]),
+            "header_bits_by_backend": tuple(
+                map(tuple, record["header_bits_by_backend"])
+            ),
+        })
 
 
 def _pick_static_failures(
@@ -423,19 +432,6 @@ def run_frontier_once(
     )
 
 
-def run_frontier_cells(
-    specs: "Sequence[RunSpec]",
-    options: "FarmOptions | None" = None,
-    label: str = "frontier",
-) -> List[FrontierCell]:
-    """Run frontier specs on the farm; cells in spec order."""
-    from repro.farm.executor import FarmOptions, run_specs
-    from repro.farm.jobs import frontier_cell_from_record
-
-    records = run_specs(specs, options or FarmOptions(progress=False), label)
-    return [frontier_cell_from_record(r) for r in records]
-
-
 def run_frontier(
     topologies: Sequence[str] = ("clique", "torus", "abilene"),
     schemes: Sequence[str] = FRONTIER_SCHEMES,
@@ -443,7 +439,7 @@ def run_frontier(
     seeds: Sequence[int] = (42,),
     dynamic: bool = False,
     adversary: Optional[Dict] = None,
-    farm: "FarmOptions | None" = None,
+    farm: Optional[FarmOptions] = None,
 ) -> List[FrontierCell]:
     """The full frontier grid, farm-orchestrated.
 
@@ -451,26 +447,26 @@ def run_frontier(
     (topology, scheme, seed); ``dynamic=True`` adds one dynamic-
     adversary cell per static level (same budget, schedule seed 0).
     """
-    from repro.farm.jobs import frontier_spec
-
     unknown = sorted(set(topologies) - set(FRONTIER_TOPOLOGIES))
     if unknown:
         raise ValueError(f"unknown frontier topologies: {unknown}")
-    specs = []
-    for topology in topologies:
-        for scheme in schemes:
-            for seed in seeds:
-                for failures in range(max_failures + 1):
-                    specs.append(frontier_spec(
-                        topology, scheme, "static", failures, seed,
-                    ))
-                if dynamic:
-                    for failures in range(1, max_failures + 1):
-                        specs.append(frontier_spec(
-                            topology, scheme, "dynamic", failures, seed,
-                            adversary=dict(adversary or {}),
-                        ))
-    return run_frontier_cells(specs, farm, label="frontier")
+    levels = [("static", k) for k in range(max_failures + 1)]
+    if dynamic:
+        levels += [("dynamic", k) for k in range(1, max_failures + 1)]
+    specs = [
+        RunSpec.make("frontier", topology, seed, {
+            "scheme": scheme, "mode": mode, "failures": failures,
+            "adversary": adversary,
+        })
+        for topology in topologies
+        for scheme in schemes
+        for seed in seeds
+        for mode, failures in levels
+    ]
+    return [
+        FrontierCell.from_record(r["result"])
+        for r in run_specs(specs, farm, "frontier")
+    ]
 
 
 def search_worst_schedule(
@@ -479,7 +475,7 @@ def search_worst_schedule(
     seed: int = 1,
     schedules: int = 8,
     budget: int = 2,
-    farm: "FarmOptions | None" = None,
+    farm: Optional[FarmOptions] = None,
     adversary: Optional[Dict] = None,
 ) -> List[FrontierCell]:
     """Sweep adversarial schedules, worst delivery ratio first.
@@ -494,21 +490,21 @@ def search_worst_schedule(
     digest-reproducible), so the worst case found is a replayable
     record, not just a number.
     """
-    from repro.farm.jobs import frontier_spec
-
     if schedules < 1:
         raise ValueError(f"need >= 1 schedule, got {schedules}")
     if budget < 1:
         raise ValueError(f"adversary budget must be >= 1, got {budget}")
     specs = [
-        frontier_spec(
-            topology, scheme, "dynamic", budget, seed,
-            schedule_seed=schedule_seed,
-            adversary=dict(adversary or {}),
-        )
+        RunSpec.make("frontier", topology, seed, {
+            "scheme": scheme, "mode": "dynamic", "failures": budget,
+            "schedule_seed": schedule_seed, "adversary": adversary,
+        })
         for schedule_seed in range(schedules)
     ]
-    cells = run_frontier_cells(specs, farm, label="adversary-search")
+    cells = [
+        FrontierCell.from_record(r["result"])
+        for r in run_specs(specs, farm, "adversary-search")
+    ]
     return sorted(cells, key=lambda c: (c.delivery_ratio, c.schedule_seed))
 
 

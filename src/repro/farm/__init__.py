@@ -11,11 +11,14 @@ also how a killed sweep resumes: rerun it, finished jobs are hits.
 Module map:
 
 * :mod:`~repro.farm.spec` — the job model and content hashing;
-* :mod:`~repro.farm.jobs` — job kinds (failure / chaos / echo);
+* :mod:`~repro.farm.jobs` — job kinds, each one call to its experiment
+  function with the spec's params as keyword arguments;
 * :mod:`~repro.farm.cache` — the on-disk result cache;
 * :mod:`~repro.farm.executor` — inline + multiprocess execution;
-* :mod:`~repro.farm.progress` — done/total + ETA + cache-hit reporting;
-* :mod:`~repro.farm.sweep` — typed sweep runners over the farm.
+* :mod:`~repro.farm.progress` — done/total + ETA + cache-hit reporting.
+
+A sweep is ``run_specs(specs, farm, label)``; each typed result is its
+type's ``from_record(record["result"])``.
 """
 
 from repro.farm.cache import CacheStats, ResultCache
@@ -28,18 +31,11 @@ from repro.farm.executor import (
     WORKER_START_METHOD,
     run_specs,
 )
-from repro.farm.jobs import (
-    FailureResult,
-    chaos_spec,
-    execute_spec,
-    failure_spec,
-)
+from repro.farm.jobs import FailureResult, execute_spec, failure_spec
 from repro.farm.progress import ProgressReporter
-from repro.farm.spec import FORMAT_VERSION, RunSpec
-from repro.farm.sweep import run_chaos_specs, run_failure_specs
+from repro.farm.spec import RunSpec
 
 __all__ = [
-    "FORMAT_VERSION",
     "WORKER_START_METHOD",
     "RunSpec",
     "CacheStats",
@@ -52,9 +48,6 @@ __all__ = [
     "FailureResult",
     "ProgressReporter",
     "run_specs",
-    "run_failure_specs",
-    "run_chaos_specs",
     "failure_spec",
-    "chaos_spec",
     "execute_spec",
 ]

@@ -6,14 +6,14 @@ Layout (two-level sharding keeps any one directory small)::
       ab/
         ab3f…e2.json     # full content key + ".json"
 
-Each record file holds the format version, the content key, the
-fingerprint of the code that computed it, the full RunSpec (so a cache
-directory is self-describing and debuggable with ``jq``), and the
-result record.  Reads validate all of them; anything malformed —
-truncated JSON, a record whose embedded key disagrees with its
-filename, a missing result digest — counts as an **invalidation** and
-is treated as a miss, never as an error: the farm just re-runs the job
-and overwrites the bad record.  So does a record written by other code
+Each record file holds the content key, the fingerprint of the code
+that computed it, the full RunSpec (so a cache directory is
+self-describing and debuggable with ``jq``), and the result record.
+Reads validate all of them; anything malformed — truncated JSON, a
+record whose embedded key disagrees with its filename, a missing
+result digest — counts as an **invalidation** and is treated as a
+miss, never as an error: the farm just re-runs the job and overwrites
+the bad record.  So does a record written by other code
 (:func:`code_fingerprint` differs): the content key names the
 experiment, the fingerprint the program that ran it, and a result from
 an older program is stale even when the spec is the same.
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-from repro.farm.spec import FORMAT_VERSION, RunSpec
+from repro.farm.spec import RunSpec
 
 __all__ = ["CacheStats", "ResultCache", "code_fingerprint"]
 
@@ -108,8 +108,6 @@ class ResultCache:
             record = json.loads(text)
             if not isinstance(record, dict):
                 raise ValueError("record is not an object")
-            if record.get("format") != FORMAT_VERSION:
-                raise ValueError("format version mismatch")
             if record.get("key") != key:
                 raise ValueError("embedded key mismatch")
             if record.get("code") != code_fingerprint():
@@ -134,7 +132,6 @@ class ResultCache:
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         record = {
-            "format": FORMAT_VERSION,
             "key": key,
             "code": code_fingerprint(),
             "spec": spec.to_record(),

@@ -76,18 +76,18 @@ class FarmJobError(FarmError):
 class FarmOptions:
     """Everything that shapes a farm run (CLI flags map 1:1 onto this).
 
-    ``progress`` is tri-state: None auto-detects a TTY, True forces
-    output (even into a pipe), False silences everything.
+    ``progress`` is tri-state: False (the default, so ``farm=None`` is
+    silent everywhere) silences everything, None draws a live line on a
+    TTY and prints the summary, True forces both (even into a pipe).
     """
 
     jobs: int = 1
     cache_dir: Optional[str] = None
     no_cache: bool = False
     refresh: bool = False
-    progress: Optional[bool] = None
+    progress: Optional[bool] = False
     timeout_s: float = 600.0
     max_retries: int = 2
-    label: str = "farm"
 
 
 @dataclass
@@ -127,7 +127,7 @@ class Farm:
     def run(
         self,
         specs: Sequence[RunSpec],
-        label: Optional[str] = None,
+        label: str = "farm",
     ) -> List[Dict[str, Any]]:
         """Execute all specs; result records in spec order."""
         specs = list(specs)
@@ -138,7 +138,7 @@ class Farm:
         )
         reporter = ProgressReporter(
             total=len(specs),
-            label=label or opts.label,
+            label=label,
             enabled=opts.progress,
         )
         results: Dict[int, Dict[str, Any]] = {}
@@ -163,7 +163,7 @@ class Farm:
                     self._run_pool(specs, pending, results, reporter)
         finally:
             self.stats.elapsed_s = time.monotonic() - started
-            reporter.finish(self.stats.summary(label or opts.label))
+            reporter.finish(self.stats.summary(label))
         return [results[i] for i in range(len(specs))]
 
     # -- shared completion path --------------------------------------
@@ -275,7 +275,7 @@ class Farm:
 def run_specs(
     specs: Sequence[RunSpec],
     options: Optional[FarmOptions] = None,
-    label: Optional[str] = None,
+    label: str = "farm",
 ) -> List[Dict[str, Any]]:
     """One-shot convenience: build a Farm, run, return result records."""
     return Farm(options).run(specs, label=label)

@@ -1,37 +1,45 @@
 """Job kinds: how a :class:`~repro.farm.spec.RunSpec` actually runs.
 
-A *job kind* maps a spec to a JSON-able **result record**.  Kinds are
-registered at import time of this module, which matters more than it
-looks: worker processes are started with the ``spawn`` method (see
-:mod:`repro.farm.executor`), so they re-import this module fresh and
-must find every kind they are asked to run.  Test- or session-local
-registrations therefore only work on the inline (``jobs=1``) path.
+A *job kind* is one call to its experiment function:
+:func:`execute_spec` runs ``fn(spec.scenario, seed=spec.seed,
+**spec.params)``.  A spec's params are exactly the keyword arguments
+its builder set, so each default is stated once, in the experiment
+function's signature, and a name the function does not take fails the
+job.  The function's result (a dataclass, or a JSON-able dict) becomes
+the **result record** ``{"result": ..., "digest": ...}``; a typed
+result comes back through its type's ``from_record`` on
+``record["result"]``.
+
+Kinds are registered at import time of this module, which matters more
+than it looks: worker processes are started with the ``spawn`` method
+(see :mod:`repro.farm.executor`), so they re-import this module fresh
+and must find every kind they are asked to run.  Test- or
+session-local registrations therefore only work on the inline
+(``jobs=1``) path.
 
 Every result record carries a ``digest`` — a short sha256 over the
-record's canonical JSON — computed identically for a fresh execution,
-a cache hit, and the pre-farm sequential code path.  Equal digests ⇒
-bit-identical results; that is the equivalence the tests pin down.
+record's canonical JSON — computed identically for a fresh execution
+and a cache hit.  Equal digests ⇒ bit-identical results.
 
 Built-in kinds:
 
 * ``failure`` — one iperf-under-failure run
-  (:func:`repro.experiments.common.run_failure_experiment`);
+  (:func:`repro.experiments.common.run_failure_experiment`), built by
+  :func:`failure_spec`, typed by :class:`FailureResult`;
 * ``chaos`` — one seeded chaos run
   (:func:`repro.experiments.chaos_sweep.run_chaos_once`);
 * ``verify`` — one differential-verification trial
-  (:func:`repro.verify.harness.run_trial_record`);
+  (:func:`repro.verify.harness.run_trial_record`; scenario ``fuzz``);
 * ``frontier`` — one resilience-frontier cell
   (:func:`repro.experiments.frontier.run_frontier_once`);
 * ``service`` — one controller-service churn shard
-  (:func:`repro.service.loadgen.run_churn`): seeded flow
-  arrive/depart/reroute/port-flap traffic against a live service, with
-  admission-invariant audits and offline route-ID re-derivation;
+  (:func:`repro.service.loadgen.run_churn`);
 * ``echo`` — the farm's self-test job (sleep / crash-once knobs for
   exercising timeouts and worker-crash retry without real workloads).
 
-Experiment imports happen lazily inside the job functions: the chaos
-module itself drives sweeps through the farm, so a top-level import
-would be circular.
+Experiment imports happen lazily inside the job functions: the
+experiment modules drive their sweeps through the farm, so a top-level
+import would be circular.
 """
 
 from __future__ import annotations
@@ -39,8 +47,8 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.farm.spec import RunSpec, canonical_json
 from repro.rns.backends import resolve_backend_name
@@ -52,18 +60,10 @@ __all__ = [
     "execute_spec",
     "execute_record",
     "failure_spec",
-    "failure_outcome_record",
     "FailureResult",
-    "chaos_spec",
-    "chaos_run_from_record",
-    "verify_spec",
-    "frontier_spec",
-    "frontier_cell_from_record",
-    "service_spec",
-    "echo_spec",
 ]
 
-JobFn = Callable[[RunSpec], Dict[str, Any]]
+JobFn = Callable[..., Any]
 
 #: kind name -> job function (populated by :func:`job_kind` below).
 JOB_KINDS: Dict[str, JobFn] = {}
@@ -96,7 +96,10 @@ def execute_spec(spec: RunSpec) -> Dict[str, Any]:
             f"unknown job kind {spec.kind!r}; registered: "
             f"{sorted(JOB_KINDS)}"
         ) from None
-    record = fn(spec)
+    result = fn(spec.scenario, seed=spec.seed, **spec.params)
+    if not isinstance(result, dict):
+        result = asdict(result)
+    record = {"result": result}
     record["digest"] = record_digest(record)
     return record
 
@@ -110,67 +113,29 @@ def execute_record(spec_record: Mapping[str, Any]) -> Dict[str, Any]:
 # "failure" — the iperf-under-failure experiment unit
 # ---------------------------------------------------------------------------
 
-def _timeline_record(timeline: Any) -> Dict[str, Any]:
-    from dataclasses import asdict
-
-    return asdict(timeline)
-
-
-def _timeline_from(record: Mapping[str, Any]) -> Any:
-    from repro.experiments.common import Timeline
-
-    fields = dict(record)
-    fields["baseline_window"] = tuple(fields["baseline_window"])
-    fields["failure_window"] = tuple(fields["failure_window"])
-    return Timeline(**fields)
-
-
 def failure_spec(
     scenario: str,
-    deflection: str,
-    protection: str,
-    failure: Optional[Tuple[str, str]],
     seed: int,
     timeline: Any,
-    control_rtt_s: float = 0.005,
     backend: Optional[str] = "env",
+    **kwargs: Any,
 ) -> RunSpec:
     """Spec for one :func:`run_failure_experiment` call.
 
-    ``backend`` is the encoding backend; the default sentinel ``"env"``
-    resolves ``REPRO_BACKEND`` *here*, at spec-build time
+    *kwargs* are that function's own (``deflection``, ``protection``,
+    ``failure``, ...).  The :class:`Timeline` is written as its fields,
+    and ``backend``'s sentinel ``"env"`` resolves ``REPRO_BACKEND``
+    *here*, at spec-build time
     (:func:`repro.rns.backends.resolve_backend_name`, which also rejects
-    unknown names), so the resolved name lands in the content key — a
-    figure swept under XSR can never collide with a cached
-    default-datapath run.  ``None``
-    (the default datapath) is omitted from the params entirely, keeping
-    every pre-PR-10 content key — and therefore the whole existing
-    farm cache — valid.
+    unknown names), so the resolved name — None included — lands in the
+    content key: a figure swept under XSR never collides with a cached
+    default-datapath run, and a worker never reads the environment.
     """
-    backend = resolve_backend_name(backend)
-    params = {
-        "deflection": deflection,
-        "protection": protection,
-        "failure": list(failure) if failure is not None else None,
-        "timeline": _timeline_record(timeline),
-        "control_rtt_s": control_rtt_s,
-    }
-    if backend is not None:
-        params["backend"] = backend
+    params = dict(
+        kwargs, timeline=asdict(timeline),
+        backend=resolve_backend_name(backend),
+    )
     return RunSpec.make("failure", scenario, seed, params)
-
-
-def failure_outcome_record(outcome: Any) -> Dict[str, Any]:
-    """Flatten a :class:`RunOutcome` into the cacheable record shape."""
-    iperf = outcome.iperf
-    return {
-        "baseline_mbps": outcome.baseline_mbps,
-        "failure_mbps": outcome.failure_mbps,
-        "intervals": [[t, mbps] for t, mbps in iperf.intervals],
-        "retransmits": iperf.retransmits,
-        "fast_retransmits": iperf.fast_retransmits,
-        "timeouts": iperf.timeouts,
-    }
 
 
 @dataclass(frozen=True)
@@ -183,7 +148,6 @@ class FailureResult:
     retransmits: int
     fast_retransmits: int
     timeouts: int
-    digest: str
 
     @property
     def ratio(self) -> float:
@@ -194,302 +158,88 @@ class FailureResult:
 
     @classmethod
     def from_record(cls, record: Mapping[str, Any]) -> "FailureResult":
-        return cls(
-            baseline_mbps=record["baseline_mbps"],
-            failure_mbps=record["failure_mbps"],
-            intervals=tuple(
-                (t, mbps) for t, mbps in record["intervals"]
-            ),
-            retransmits=record["retransmits"],
-            fast_retransmits=record["fast_retransmits"],
-            timeouts=record["timeouts"],
-            digest=record["digest"],
-        )
+        """Inverse of ``asdict``, also after a JSON round trip."""
+        return cls(**{
+            **record, "intervals": tuple(map(tuple, record["intervals"])),
+        })
 
 
 @job_kind("failure")
-def _run_failure(spec: RunSpec) -> Dict[str, Any]:
+def _run_failure(
+    scenario: str, timeline: Mapping[str, Any], **kwargs: Any
+) -> FailureResult:
     from repro.experiments.common import (
+        Timeline,
         run_failure_experiment,
         scenario_factory,
     )
 
-    p = spec.params
-    failure = tuple(p["failure"]) if p.get("failure") else None
     outcome = run_failure_experiment(
-        scenario_factory(spec.scenario)(),
-        p["deflection"],
-        p["protection"],
-        failure,
-        spec.seed,
-        timeline=_timeline_from(p["timeline"]),
-        control_rtt_s=p.get("control_rtt_s", 0.005),
-        backend=p.get("backend"),  # never "env": resolved at spec time
+        scenario_factory(scenario)(),
+        timeline=Timeline(**{
+            **timeline,
+            "baseline_window": tuple(timeline["baseline_window"]),
+            "failure_window": tuple(timeline["failure_window"]),
+        }),
+        **kwargs,
     )
-    return failure_outcome_record(outcome)
+    iperf = outcome.iperf
+    return FailureResult(
+        baseline_mbps=outcome.baseline_mbps,
+        failure_mbps=outcome.failure_mbps,
+        intervals=tuple(iperf.intervals),
+        retransmits=iperf.retransmits,
+        fast_retransmits=iperf.fast_retransmits,
+        timeouts=iperf.timeouts,
+    )
 
 
 # ---------------------------------------------------------------------------
-# "chaos" — one seeded chaos run with invariant checking
+# The other kinds: one call each
 # ---------------------------------------------------------------------------
-
-def chaos_spec(
-    scenario: str,
-    technique: str,
-    mode: str,
-    seed: int,
-    chaos_kwargs: Optional[Mapping[str, Any]] = None,
-    ctrl_outage: bool = False,
-    rate_pps: float = 300.0,
-    traffic_s: float = 4.0,
-    ttl: int = 128,
-) -> RunSpec:
-    """Spec for one :func:`run_chaos_once` call."""
-    return RunSpec.make(
-        "chaos",
-        scenario,
-        seed,
-        {
-            "technique": technique,
-            "mode": mode,
-            "chaos_kwargs": dict(chaos_kwargs or {}),
-            "ctrl_outage": ctrl_outage,
-            "rate_pps": rate_pps,
-            "traffic_s": traffic_s,
-            "ttl": ttl,
-        },
-    )
-
-
-def chaos_run_from_record(record: Mapping[str, Any]) -> Any:
-    """Rebuild a :class:`ChaosRun` from a (possibly JSON-loaded) record."""
-    from repro.experiments.chaos_sweep import ChaosRun
-
-    fields = dict(record["chaos"])
-    fields["drop_reasons"] = tuple(
-        (reason, count) for reason, count in fields["drop_reasons"]
-    )
-    fields["violations"] = tuple(
-        (name, count) for name, count in fields["violations"]
-    )
-    return ChaosRun(**fields)
-
 
 @job_kind("chaos")
-def _run_chaos(spec: RunSpec) -> Dict[str, Any]:
-    from dataclasses import asdict
-
+def _run_chaos(scenario: str, **kwargs: Any) -> Any:
     from repro.experiments.chaos_sweep import run_chaos_once
 
-    p = spec.params
-    run = run_chaos_once(
-        scenario_name=spec.scenario,
-        technique=p["technique"],
-        mode=p["mode"],
-        seed=spec.seed,
-        chaos_kwargs=p.get("chaos_kwargs") or None,
-        ctrl_outage=p.get("ctrl_outage", False),
-        rate_pps=p.get("rate_pps", 300.0),
-        traffic_s=p.get("traffic_s", 4.0),
-        ttl=p.get("ttl", 128),
-    )
-    # Nested under "chaos": ChaosRun has its own `digest` field (the
-    # injector event digest) which must not collide with the farm's
-    # record digest.
-    return {"chaos": asdict(run)}
-
-
-# ---------------------------------------------------------------------------
-# "verify" — one differential-verification trial
-# ---------------------------------------------------------------------------
-
-def verify_spec(
-    trial_seed: int,
-    oracles: Optional[Sequence[str]] = None,
-) -> RunSpec:
-    """Spec for one :func:`run_trial_record` call.
-
-    ``oracles`` (None means all) is part of the content key: a trial
-    over two oracles is a different result than one over four.
-    """
-    return RunSpec.make(
-        "verify",
-        "fuzz",
-        trial_seed,
-        {"oracles": sorted(oracles) if oracles else None},
-    )
+    return run_chaos_once(scenario, **kwargs)
 
 
 @job_kind("verify")
-def _run_verify(spec: RunSpec) -> Dict[str, Any]:
+def _run_verify(scenario: str, **kwargs: Any) -> Dict[str, Any]:
     from repro.verify.harness import run_trial_record
 
-    return run_trial_record(spec.seed, spec.params.get("oracles"))
-
-
-# ---------------------------------------------------------------------------
-# "frontier" — one resilience-frontier cell
-# ---------------------------------------------------------------------------
-
-def frontier_spec(
-    topology: str,
-    scheme: str,
-    mode: str,
-    failures: int,
-    seed: int,
-    schedule_seed: int = 0,
-    adversary: Optional[Mapping[str, Any]] = None,
-    rate_pps: float = 200.0,
-    traffic_s: float = 1.5,
-    ttl: int = 96,
-) -> RunSpec:
-    """Spec for one :func:`run_frontier_once` call."""
-    return RunSpec.make(
-        "frontier",
-        topology,
-        seed,
-        {
-            "scheme": scheme,
-            "mode": mode,
-            "failures": failures,
-            "schedule_seed": schedule_seed,
-            "adversary": dict(adversary or {}),
-            "rate_pps": rate_pps,
-            "traffic_s": traffic_s,
-            "ttl": ttl,
-        },
-    )
-
-
-def frontier_cell_from_record(record: Mapping[str, Any]) -> Any:
-    """Rebuild a :class:`FrontierCell` from a (JSON-loaded) record."""
-    from repro.experiments.frontier import FrontierCell
-
-    fields = dict(record["frontier"])
-    fields["drop_reasons"] = tuple(
-        (reason, count) for reason, count in fields["drop_reasons"]
-    )
-    fields["violations"] = tuple(
-        (name, count) for name, count in fields["violations"]
-    )
-    fields["failed_links"] = tuple(fields["failed_links"])
-    # Absent on cached records predating the encoding-backend columns —
-    # the dataclass default () keeps those records loadable.
-    if "header_bits_by_backend" in fields:
-        fields["header_bits_by_backend"] = tuple(
-            (name, bits) for name, bits in fields["header_bits_by_backend"]
-        )
-    return FrontierCell(**fields)
+    return run_trial_record(**kwargs)  # *scenario* is always "fuzz"
 
 
 @job_kind("frontier")
-def _run_frontier(spec: RunSpec) -> Dict[str, Any]:
-    from dataclasses import asdict
-
+def _run_frontier(scenario: str, **kwargs: Any) -> Any:
     from repro.experiments.frontier import run_frontier_once
 
-    p = spec.params
-    cell = run_frontier_once(
-        topology=spec.scenario,
-        scheme=p["scheme"],
-        mode=p["mode"],
-        failures=p["failures"],
-        seed=spec.seed,
-        schedule_seed=p.get("schedule_seed", 0),
-        adversary=p.get("adversary") or None,
-        rate_pps=p.get("rate_pps", 200.0),
-        traffic_s=p.get("traffic_s", 1.5),
-        ttl=p.get("ttl", 96),
-    )
-    # Nested under "frontier": FrontierCell carries its own `digest`
-    # (the failure-set / chaos-event fingerprint) which must not
-    # collide with the farm's record digest.
-    return {"frontier": asdict(cell)}
-
-
-# ---------------------------------------------------------------------------
-# "service" — one controller-service churn shard
-# ---------------------------------------------------------------------------
-
-def service_spec(
-    topology: str,
-    seed: int,
-    users: int = 2000,
-    operations: int = 4000,
-    qos_fraction: float = 0.3,
-    transport: str = "direct",
-) -> RunSpec:
-    """Spec for one :func:`repro.service.loadgen.run_churn` shard.
-
-    ``transport`` is part of the content key on purpose: an ``http``
-    shard proves socket framing on top of the state machine, so it is
-    a different (if digest-equal) experiment than a ``direct`` one.
-    """
-    return RunSpec.make(
-        "service",
-        topology,
-        seed,
-        {
-            "users": users,
-            "operations": operations,
-            "qos_fraction": qos_fraction,
-            "transport": transport,
-        },
-    )
+    return run_frontier_once(scenario, **kwargs)
 
 
 @job_kind("service")
-def _run_service(spec: RunSpec) -> Dict[str, Any]:
-    from repro.service.loadgen import churn_record, run_churn
+def _run_service(scenario: str, **kwargs: Any) -> Any:
+    from repro.service.loadgen import run_churn
 
-    p = spec.params
-    report = run_churn(
-        topology=spec.scenario,
-        seed=spec.seed,
-        users=p.get("users", 2000),
-        operations=p.get("operations", 4000),
-        qos_fraction=p.get("qos_fraction", 0.3),
-        transport=p.get("transport", "direct"),
-    )
-    # Nested under "service": ChurnReport carries its own `digest`
-    # (the transport-independent op-log fingerprint) which must not
-    # collide with the farm's record digest.
-    return churn_record(report)
-
-
-# ---------------------------------------------------------------------------
-# "echo" — self-test job (no simulation)
-# ---------------------------------------------------------------------------
-
-def echo_spec(
-    value: Any,
-    seed: int = 0,
-    sleep_s: float = 0.0,
-    crash_marker: Optional[str] = None,
-) -> RunSpec:
-    """Spec for the self-test job.
-
-    ``sleep_s`` busy-waits wall-clock time (for timeout tests);
-    ``crash_marker`` names a path — if the file does *not* exist the
-    job creates it and kills its own process, so the first attempt
-    crashes and the retry succeeds (for worker-crash tests).
-    """
-    return RunSpec.make(
-        "echo",
-        "none",
-        seed,
-        {"value": value, "sleep_s": sleep_s, "crash_marker": crash_marker},
-    )
+    return run_churn(scenario, **kwargs)
 
 
 @job_kind("echo")
-def _run_echo(spec: RunSpec) -> Dict[str, Any]:
-    p = spec.params
-    marker = p.get("crash_marker")
-    if marker and not os.path.exists(marker):
-        with open(marker, "w", encoding="utf-8") as f:
-            f.write(spec.content_key())
+def _run_echo(
+    scenario: str,
+    seed: int,
+    value: Any = None,
+    sleep_s: float = 0.0,
+    crash_marker: Optional[str] = None,
+) -> Dict[str, Any]:
+    """``sleep_s`` waits wall-clock time (for timeout tests);
+    ``crash_marker`` names a path — if the file does *not* exist the
+    job creates it and kills its own process, so the first attempt
+    crashes and the retry succeeds (for worker-crash tests)."""
+    if crash_marker and not os.path.exists(crash_marker):
+        open(crash_marker, "w", encoding="utf-8").close()
         os._exit(3)  # simulate a hard worker crash (no cleanup, no trace)
-    if p.get("sleep_s"):
-        time.sleep(p["sleep_s"])
-    return {"value": p.get("value"), "seed": spec.seed}
+    time.sleep(sleep_s)
+    return {"value": value, "seed": seed}

@@ -3,14 +3,12 @@
 PR 1 made every experiment run a pure function of (scenario, config,
 seed); a :class:`RunSpec` is exactly that tuple, written down.  Hashing
 its canonical JSON form gives a stable **content key** — the address of
-the run's result in the on-disk cache, and the identity the sweep
-driver checkpoints against.  Two RunSpecs with the same key are the
-same experiment, no matter which process, platform or session builds
-them.
-
-Keys are versioned: bump :data:`FORMAT_VERSION` whenever the meaning
-of a spec or the shape of a result record changes, and every old cache
-entry silently becomes a miss instead of a stale hit.
+the run's result in the on-disk cache, which is all a rerun of a killed
+sweep needs to find its finished jobs.  Two RunSpecs with the same key
+are the same experiment, no matter which process, platform or session
+builds them.  A key names the experiment, not the program that ran it:
+the cache holds each record to the code that wrote it
+(:func:`repro.farm.cache.code_fingerprint`).
 """
 
 from __future__ import annotations
@@ -20,10 +18,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
 
-__all__ = ["FORMAT_VERSION", "RunSpec", "canonical_json"]
-
-#: Version of the spec/record format baked into every content key.
-FORMAT_VERSION = 2
+__all__ = ["RunSpec", "canonical_json"]
 
 
 def canonical_json(value: Any) -> str:
@@ -46,9 +41,12 @@ class RunSpec:
         kind: registered job kind (see :mod:`repro.farm.jobs`).
         scenario: scenario factory name (``fifteen_node``, ...).
         seed: the run's RNG seed.
-        params_json: canonical-JSON string of all other parameters.
-            Stored as a string so the spec stays hashable and the
-            canonical form is fixed at construction time.
+        params_json: canonical-JSON string of the keyword arguments
+            its builder set for the kind's experiment function (see
+            :func:`repro.farm.jobs.execute_spec`); a default left out
+            is the function's own.  Stored as a string so the spec
+            stays hashable and the canonical form is fixed at
+            construction time.
     """
 
     kind: str
@@ -79,14 +77,8 @@ class RunSpec:
 
     def content_key(self) -> str:
         """Stable sha256 hex key addressing this run's cached result."""
-        payload = {
-            "format": FORMAT_VERSION,
-            "kind": self.kind,
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "params": json.loads(self.params_json),
-        }
-        digest = hashlib.sha256(canonical_json(payload).encode("utf-8"))
+        payload = canonical_json(self.to_record())
+        digest = hashlib.sha256(payload.encode("utf-8"))
         return digest.hexdigest()
 
     def label(self) -> str:
@@ -112,5 +104,5 @@ class RunSpec:
             kind=record["kind"],
             scenario=record["scenario"],
             seed=record["seed"],
-            params=record.get("params") or {},
+            params=record["params"],
         )

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.controller.routing import hops_for_path
@@ -106,6 +106,11 @@ class ChurnReport:
             and self.qos_violations == 0
             and self.drained
         )
+
+    @classmethod
+    def from_record(cls, record: Dict[str, Any]) -> "ChurnReport":
+        """Inverse of ``asdict``, also after a JSON round trip."""
+        return cls(**record)
 
 
 class _Transport:
@@ -448,13 +453,3 @@ def churn_rows(reports: List[ChurnReport]) -> List[Dict[str, Any]]:
         }
         for r in reports
     ]
-
-
-def churn_report_from_record(record: Dict[str, Any]) -> ChurnReport:
-    """Rebuild a :class:`ChurnReport` from a farm result record."""
-    return ChurnReport(**dict(record["service"]))
-
-
-def churn_record(report: ChurnReport) -> Dict[str, Any]:
-    """The farm result-record shape (nested under ``service``)."""
-    return {"service": asdict(report)}

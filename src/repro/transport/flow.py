@@ -74,7 +74,7 @@ class IperfFlow:
             with forward and reverse routes installed at their edges).
         flow_id: unique flow name.
         sample_interval_s: goodput sampling period (iperf's ``-i``).
-        tcp_kwargs: forwarded to :class:`TcpSender` (mss, rwnd, ...).
+        tcp_kwargs: forwarded to :class:`TcpSender` (mss, max_rto, ...).
     """
 
     def __init__(

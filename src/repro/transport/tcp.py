@@ -34,6 +34,20 @@ __all__ = ["TcpSegment", "TcpSender", "TcpReceiver", "TCP_HEADER_BYTES"]
 #: (Table 1 routes need at most 43 bits, comfortably inside 8 bytes.)
 TCP_HEADER_BYTES = 66
 
+#: Receiver window the sender assumes (bytes) — static.
+RWND = 262144
+
+#: RTO before the first RTT sample (seconds).
+INITIAL_RTO = 0.5
+
+#: Slow-start threshold at connection start (bytes).
+INITIAL_SSTHRESH = 65536.0
+
+#: Duplicate ACKs that trigger fast retransmit, and the ceiling that
+#: reorder adaptation may raise that count to.
+DUPACK_THRESHOLD = 3
+MAX_DUPACK_THRESHOLD = 12
+
 
 @dataclass
 class TcpSegment:
@@ -64,8 +78,10 @@ class TcpSender:
         dst_host: destination host name.
         flow_id: flow identifier shared with the receiver.
         mss: maximum segment size (payload bytes).
-        rwnd: receiver window we assume (bytes) — static.
-        min_rto / initial_rto: RTO clamps, seconds.
+        min_rto / max_rto: RTO clamps, seconds.
+        reorder_adaptation: undo a fast recovery that the echoed
+            timestamp shows was spurious, and raise the duplicate-ACK
+            threshold (up to :data:`MAX_DUPACK_THRESHOLD`).
         max_data: stop after this many payload bytes (None = unlimited).
     """
 
@@ -76,14 +92,9 @@ class TcpSender:
         dst_host: str,
         flow_id: str,
         mss: int = 1400,
-        rwnd: int = 262144,
         min_rto: float = 0.2,
-        initial_rto: float = 0.5,
         max_rto: float = 60.0,
-        dupack_threshold: int = 3,
-        max_dupack_threshold: int = 12,
         reorder_adaptation: bool = True,
-        initial_ssthresh: Optional[float] = 65536.0,
         max_data: Optional[int] = None,
     ):
         if mss <= 0:
@@ -93,11 +104,9 @@ class TcpSender:
         self.dst_host = dst_host
         self.flow_id = flow_id
         self.mss = mss
-        self.rwnd = rwnd
         self.min_rto = min_rto
         self.max_rto = max_rto
-        self.dupack_threshold = dupack_threshold
-        self.max_dupack_threshold = max_dupack_threshold
+        self.dupack_threshold = DUPACK_THRESHOLD
         self.reorder_adaptation = reorder_adaptation
         self.max_data = max_data
 
@@ -105,9 +114,7 @@ class TcpSender:
         self.send_base = 0          # lowest unacknowledged byte
         self.next_seq = 0           # next new byte to transmit
         self.cwnd = float(2 * mss)
-        self.ssthresh = (
-            float(initial_ssthresh) if initial_ssthresh else float(rwnd)
-        )
+        self.ssthresh = INITIAL_SSTHRESH
         self.dupacks = 0
         self.in_recovery = False
         self.recover_point = 0
@@ -121,7 +128,7 @@ class TcpSender:
         # RTT estimation.
         self.srtt: Optional[float] = None
         self.rttvar = 0.0
-        self.rto = initial_rto
+        self.rto = INITIAL_RTO
         self._probe: Optional[Tuple[int, float]] = None  # (end_seq, sent_at)
         self._rto_timer: Optional[EventHandle] = None
 
@@ -233,7 +240,7 @@ class TcpSender:
         self.ssthresh = max(self.ssthresh, self._ssthresh_before_recovery)
         self.dupack_threshold = min(
             max(self.dupack_threshold + 1, self.dupacks + 1),
-            self.max_dupack_threshold,
+            MAX_DUPACK_THRESHOLD,
         )
         self.dupacks = 0
 
@@ -260,7 +267,7 @@ class TcpSender:
     # transmit path
     # ------------------------------------------------------------------
     def _window(self) -> float:
-        return min(self.cwnd, float(self.rwnd))
+        return min(self.cwnd, float(RWND))
 
     def _try_send(self) -> None:
         if not self.started:
@@ -368,15 +375,15 @@ class TcpReceiver:
     segments, and they are what makes reordering visible to the sender.
     """
 
-    def __init__(self, sim: Simulator, host: Host, src_host: str, flow_id: str,
-                 log_arrivals: bool = True):
+    def __init__(
+        self, sim: Simulator, host: Host, src_host: str, flow_id: str
+    ):
         self.sim = sim
         self.host = host
         self.src_host = src_host
         self.flow_id = flow_id
         self.rcv_next = 0
         self._ooo: Dict[int, int] = {}  # seq -> length
-        self.log_arrivals = log_arrivals
         self.arrivals: List[Tuple[float, int]] = []  # (time, seq)
         self.data_segments = 0
         self.duplicate_segments = 0
@@ -393,8 +400,7 @@ class TcpReceiver:
         if not isinstance(seg, TcpSegment) or seg.is_ack or seg.length == 0:
             return
         self.data_segments += 1
-        if self.log_arrivals:
-            self.arrivals.append((self.sim.now, seg.seq))
+        self.arrivals.append((self.sim.now, seg.seq))
         if seg.seq == self.rcv_next:
             self.rcv_next += seg.length
             self._drain_buffer()

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.farm.executor import FarmOptions, run_specs
-from repro.farm.jobs import verify_spec
+from repro.farm.spec import RunSpec
 from repro.verify.artifact import artifact_record, write_artifact
 from repro.verify.cases import FuzzCase, generate_case
 from repro.verify.oracles import ORACLE_NAMES, run_case, run_oracle
@@ -50,6 +50,8 @@ def run_trial_record(
     This is the ``verify`` job kind's body (see
     :mod:`repro.farm.jobs`); the record is JSON-able so it caches and
     ships across process boundaries like every other farm result.
+    ``oracles`` (None means all) is part of the content key: a trial
+    over two oracles is a different result than one over four.
     """
     case = generate_case(seed)
     results = run_case(case, oracles)
@@ -153,13 +155,14 @@ def run_verify(
             )
     started = time.perf_counter()
     specs = [
-        verify_spec(trial_seed(seed, i), oracles=names)
+        RunSpec.make("verify", "fuzz", trial_seed(seed, i),
+                     {"oracles": sorted(names)})
         for i in range(trials)
     ]
-    records = run_specs(specs, farm, label="verify")
     outcome = VerifyOutcome(trials=trials, seed=seed,
                             checks={name: 0 for name in names})
-    for record in records:
+    for r in run_specs(specs, farm, "verify"):
+        record = r["result"]
         case = FuzzCase.from_record(record["case"])
         for name, oracle_rec in record["oracles"].items():
             outcome.checks[name] = (

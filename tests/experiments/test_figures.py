@@ -88,7 +88,7 @@ FIG5_FAILURES = (("SW10", "SW7"), ("SW7", "SW13"), ("SW13", "SW29"))
 def fig5():
     # 54 independent DES runs: two workers halve the module's longest
     # set-up, and the farm's records do not depend on the pool.
-    farm = FarmOptions(jobs=2, no_cache=True, progress=False)
+    farm = FarmOptions(jobs=2, no_cache=True)
     return {
         (cell.technique, cell.protection, cell.failure): cell.ratio.mean
         for cell in run_figure5(seeds=(1, 2, 3), timeline=QUICK, farm=farm)
@@ -134,7 +134,7 @@ def test_figure5_nip_beats_avp(fig5):
 
 def test_figure7_rnp():
     # Eight independent DES runs on two workers, as for Fig. 5.
-    farm = FarmOptions(jobs=2, no_cache=True, progress=False)
+    farm = FarmOptions(jobs=2, no_cache=True)
     ratio = {
         point.failure: point.ratio.mean
         for point in run_figure7(seeds=(1, 2), timeline=QUICK, farm=farm)

@@ -3,8 +3,7 @@
 import json
 
 from repro.farm.cache import ResultCache, code_fingerprint
-from repro.farm.jobs import echo_spec
-from repro.farm.spec import FORMAT_VERSION
+from tests.farm.test_executor import echo
 
 
 def make_cache(tmp_path):
@@ -14,7 +13,7 @@ def make_cache(tmp_path):
 class TestGetPut:
     def test_miss_then_hit(self, tmp_path):
         cache = make_cache(tmp_path)
-        spec = echo_spec("hello", seed=1)
+        spec = echo("hello", seed=1)
         assert cache.get(spec) is None
         cache.put(spec, {"value": "hello", "digest": "d1"})
         assert cache.get(spec) == {"value": "hello", "digest": "d1"}
@@ -24,7 +23,7 @@ class TestGetPut:
 
     def test_distinct_specs_distinct_records(self, tmp_path):
         cache = make_cache(tmp_path)
-        a, b = echo_spec("a", seed=1), echo_spec("b", seed=2)
+        a, b = echo("a", seed=1), echo("b", seed=2)
         cache.put(a, {"value": "a", "digest": "da"})
         cache.put(b, {"value": "b", "digest": "db"})
         assert cache.get(a)["value"] == "a"
@@ -32,7 +31,7 @@ class TestGetPut:
 
     def test_sharded_layout(self, tmp_path):
         cache = make_cache(tmp_path)
-        spec = echo_spec("x", seed=3)
+        spec = echo("x", seed=3)
         cache.put(spec, {"digest": "d"})
         key = spec.content_key()
         path = cache.path_for(key)
@@ -40,7 +39,6 @@ class TestGetPut:
         assert path.parent.name == key[:2]
         record = json.loads(path.read_text())
         assert record["key"] == key
-        assert record["format"] == FORMAT_VERSION
         assert record["spec"]["seed"] == 3  # self-describing record
 
 
@@ -49,7 +47,7 @@ class TestCorruption:
 
     def put_one(self, tmp_path):
         cache = make_cache(tmp_path)
-        spec = echo_spec("v", seed=9)
+        spec = echo("v", seed=9)
         cache.put(spec, {"value": "v", "digest": "d"})
         return cache, spec, cache.path_for(spec.content_key())
 
@@ -68,13 +66,6 @@ class TestCorruption:
         assert cache.get(spec) is None
         assert cache.stats.invalidated == 1
 
-    def test_wrong_format_version_is_a_miss(self, tmp_path):
-        cache, spec, path = self.put_one(tmp_path)
-        record = json.loads(path.read_text())
-        record["format"] = FORMAT_VERSION + 1
-        path.write_text(json.dumps(record))
-        assert cache.get(spec) is None
-
     def test_result_without_digest_is_a_miss(self, tmp_path):
         cache, spec, path = self.put_one(tmp_path)
         record = json.loads(path.read_text())
@@ -84,7 +75,7 @@ class TestCorruption:
 
     def test_record_from_other_code_is_a_counted_miss(self, tmp_path):
         cache = make_cache(tmp_path)
-        specs = [echo_spec(v, seed=i) for i, v in enumerate("abc")]
+        specs = [echo(v, seed=i) for i, v in enumerate("abc")]
         for spec in specs:
             cache.put(spec, {"value": spec.seed, "digest": "d"})
         stale = cache.path_for(specs[1].content_key())
@@ -121,7 +112,7 @@ class TestCorruption:
 class TestStats:
     def test_hit_ratio(self, tmp_path):
         cache = make_cache(tmp_path)
-        spec = echo_spec("r", seed=4)
+        spec = echo("r", seed=4)
         cache.get(spec)
         cache.put(spec, {"digest": "d"})
         cache.get(spec)

@@ -14,22 +14,33 @@ from repro.farm.executor import (
     FarmJobError,
     FarmOptions,
     WORKER_START_METHOD,
+    run_specs,
 )
-from repro.farm.jobs import JOB_KINDS, echo_spec, job_kind
+from repro.farm.jobs import JOB_KINDS, job_kind
 from repro.farm.spec import RunSpec
+
+
+def echo(value, seed=0, **knobs):
+    """A self-test job: ``sleep_s`` / ``crash_marker`` knobs, no
+    simulation."""
+    return RunSpec.make("echo", "none", seed, {"value": value, **knobs})
+
+
+def values(records):
+    return [r["result"]["value"] for r in records]
 
 
 class TestInline:
     def test_executes_in_order(self):
-        farm = Farm(FarmOptions(progress=False))
-        records = farm.run([echo_spec(i, seed=i) for i in range(5)])
-        assert [r["value"] for r in records] == [0, 1, 2, 3, 4]
+        farm = Farm(FarmOptions())
+        records = farm.run([echo(i, seed=i) for i in range(5)])
+        assert values(records) == [0, 1, 2, 3, 4]
         assert farm.stats.executed == 5
         assert farm.stats.cached == 0
 
     def test_same_spec_twice_is_one_execution_one_hit(self, tmp_path):
-        opts = FarmOptions(cache_dir=str(tmp_path / "c"), progress=False)
-        spec = echo_spec("once", seed=1)
+        opts = FarmOptions(cache_dir=str(tmp_path / "c"))
+        spec = echo("once", seed=1)
         first = Farm(opts)
         [r1] = first.run([spec])
         assert (first.stats.executed, first.stats.cached) == (1, 0)
@@ -40,35 +51,38 @@ class TestInline:
         assert r1["digest"] == r2["digest"]
 
     def test_refresh_re_executes(self, tmp_path):
-        opts = FarmOptions(cache_dir=str(tmp_path / "c"), progress=False)
-        spec = echo_spec("again", seed=1)
+        opts = FarmOptions(cache_dir=str(tmp_path / "c"))
+        spec = echo("again", seed=1)
         Farm(opts).run([spec])
         refresh = Farm(FarmOptions(cache_dir=str(tmp_path / "c"),
-                                   refresh=True, progress=False))
+                                   refresh=True))
         refresh.run([spec])
         assert refresh.stats.executed == 1
         assert refresh.stats.cached == 0
 
+    def test_default_options_are_silent(self, capsys):
+        run_specs([echo("hush", seed=1)])
+        assert capsys.readouterr() == ("", "")
+
     def test_no_cache_writes_nothing(self, tmp_path):
         root = tmp_path / "c"
-        opts = FarmOptions(cache_dir=str(root), no_cache=True,
-                           progress=False)
-        Farm(opts).run([echo_spec("quiet", seed=1)])
+        opts = FarmOptions(cache_dir=str(root), no_cache=True)
+        Farm(opts).run([echo("quiet", seed=1)])
         assert not root.exists()
 
     def test_unknown_kind_raises_farm_job_error(self):
         bad = RunSpec.make("no-such-kind", "none", 0)
         with pytest.raises(FarmJobError, match="no-such-kind"):
-            Farm(FarmOptions(progress=False)).run([bad])
+            Farm(FarmOptions()).run([bad])
 
     def test_deterministic_job_error_aborts(self):
         @job_kind("_test_boom")
-        def _boom(spec):
+        def _boom(scenario, seed):
             raise ValueError("deterministic failure")
 
         try:
             with pytest.raises(FarmJobError, match="deterministic"):
-                Farm(FarmOptions(progress=False)).run(
+                Farm(FarmOptions()).run(
                     [RunSpec.make("_test_boom", "none", 0)]
                 )
         finally:
@@ -82,19 +96,19 @@ class TestPool:
         assert WORKER_START_METHOD == "spawn"
 
     def test_parallel_matches_inline(self, tmp_path):
-        specs = [echo_spec(i, seed=i) for i in range(4)]
-        inline = Farm(FarmOptions(progress=False)).run(specs)
-        pool = Farm(FarmOptions(jobs=2, progress=False))
+        specs = [echo(i, seed=i) for i in range(4)]
+        inline = Farm(FarmOptions()).run(specs)
+        pool = Farm(FarmOptions(jobs=2))
         parallel = pool.run(specs)
         assert parallel == inline
         assert pool.stats.executed == 4
 
     def test_parallel_reads_and_fills_cache(self, tmp_path):
         cache = str(tmp_path / "c")
-        specs = [echo_spec(i, seed=i) for i in range(4)]
-        cold = Farm(FarmOptions(jobs=2, cache_dir=cache, progress=False))
+        specs = [echo(i, seed=i) for i in range(4)]
+        cold = Farm(FarmOptions(jobs=2, cache_dir=cache))
         first = cold.run(specs)
-        warm = Farm(FarmOptions(jobs=2, cache_dir=cache, progress=False))
+        warm = Farm(FarmOptions(jobs=2, cache_dir=cache))
         second = warm.run(specs)
         assert first == second
         assert warm.stats.cached == 4
@@ -103,12 +117,12 @@ class TestPool:
     def test_crashed_worker_is_retried(self, tmp_path):
         marker = tmp_path / "crash-once"
         specs = [
-            echo_spec("survivor", seed=1),
-            echo_spec("crasher", seed=2, crash_marker=str(marker)),
+            echo("survivor", seed=1),
+            echo("crasher", seed=2, crash_marker=str(marker)),
         ]
-        farm = Farm(FarmOptions(jobs=2, progress=False))
+        farm = Farm(FarmOptions(jobs=2))
         records = farm.run(specs)
-        assert [r["value"] for r in records] == ["survivor", "crasher"]
+        assert values(records) == ["survivor", "crasher"]
         assert farm.stats.retries >= 1
         assert marker.exists()  # first attempt really did crash
 
@@ -117,23 +131,22 @@ class TestPool:
         # absent, so to crash persistently point each attempt at a
         # fresh path via max_retries=0 (one attempt, one crash).
         marker = tmp_path / "always"
-        spec = echo_spec("doomed", seed=3, crash_marker=str(marker))
-        farm = Farm(FarmOptions(jobs=2, max_retries=0, progress=False))
+        spec = echo("doomed", seed=3, crash_marker=str(marker))
+        farm = Farm(FarmOptions(jobs=2, max_retries=0))
         marker.unlink(missing_ok=True)
         with pytest.raises(FarmError, match="did not complete"):
-            farm.run([spec, echo_spec("bystander", seed=4)])
+            farm.run([spec, echo("bystander", seed=4)])
 
     def test_stalled_job_times_out(self):
-        farm = Farm(FarmOptions(jobs=2, timeout_s=1.0, max_retries=0,
-                                progress=False))
+        farm = Farm(FarmOptions(jobs=2, timeout_s=1.0, max_retries=0))
         with pytest.raises(FarmError, match="did not complete"):
-            farm.run([echo_spec("fast", seed=5),
-                      echo_spec("slow", seed=6, sleep_s=60.0)])
+            farm.run([echo("fast", seed=5),
+                      echo("slow", seed=6, sleep_s=60.0)])
 
 
 class TestStatsSummary:
     def test_summary_line_shape(self):
-        farm = Farm(FarmOptions(progress=False))
-        farm.run([echo_spec(i, seed=i) for i in range(3)])
+        farm = Farm(FarmOptions())
+        farm.run([echo(i, seed=i) for i in range(3)])
         line = farm.stats.summary("demo")
         assert line.startswith("demo: 3 jobs — 3 executed, 0 cached")

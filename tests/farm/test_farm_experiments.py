@@ -1,33 +1,33 @@
-"""The farm produces bit-identical results to the pre-farm code paths.
+"""Every job kind gives the same typed result directly, through the
+farm, through a worker pool and from a JSON cache hit.
 
-This is the porting contract from the orchestrator issue: running an
-experiment directly, through the farm inline, through the cache, or
-with worker processes must all yield the same digest.  A tiny timeline
-keeps each simulated run fast while exercising the full failure/repair
-cycle.
+A job kind is one call to its experiment function, so "direct" is that
+call made in-process; "typed" is the result type's ``from_record`` on
+the farm record, which must undo the JSON round trip exactly (a list
+left where the dataclass holds a tuple breaks equality here).  Every
+case is sized to run in well under a second.
 """
 
 import pytest
 
-from repro.experiments.chaos_sweep import run_chaos_once
+from repro.experiments.chaos_sweep import ChaosRun
 from repro.experiments.common import (
     Timeline,
     run_failure_experiment,
     scenario_factory,
 )
+from repro.experiments.frontier import FrontierCell
 from repro.farm import (
-    FarmOptions,
-    chaos_spec,
-    failure_spec,
-    run_chaos_specs,
-    run_failure_specs,
-)
-from repro.farm.executor import Farm
-from repro.farm.jobs import (
     FailureResult,
-    failure_outcome_record,
-    record_digest,
+    Farm,
+    FarmJobError,
+    FarmOptions,
+    RunSpec,
+    failure_spec,
+    run_specs,
 )
+from repro.farm.jobs import JOB_KINDS
+from repro.service.loadgen import ChurnReport
 
 TINY = Timeline(
     flow_start=0.1,
@@ -39,58 +39,91 @@ TINY = Timeline(
     sample_interval_s=0.2,
 )
 
-FAILURE_ARGS = dict(
-    scenario="fifteen_node",
-    deflection="nip",
-    protection="partial",
-    failure=("SW7", "SW13"),
-    seed=1,
-)
+FAILURE_ARGS = dict(deflection="nip", protection="partial",
+                    failure=("SW7", "SW13"))
 
 
-def tiny_spec(**overrides):
-    args = dict(FAILURE_ARGS, timeline=TINY)
-    args.update(overrides)
-    return failure_spec(**args)
+def tiny_spec(seed=1, timeline=TINY, **overrides):
+    return failure_spec("fifteen_node", seed, timeline,
+                        **{**FAILURE_ARGS, **overrides})
+
+
+#: kind -> (spec, typed result from the record's "result").
+KINDS = {
+    "failure": (tiny_spec(), FailureResult.from_record),
+    "chaos": (
+        RunSpec.make("chaos", "fifteen_node", 7, {
+            "technique": "nip", "chaos_kwargs": {"mtbf_s": 0.5},
+            "traffic_s": 1.0,
+        }),
+        ChaosRun.from_record,
+    ),
+    "verify": (
+        RunSpec.make("verify", "fuzz", 5, {"oracles": ["strategy", "wire"]}),
+        dict,
+    ),
+    "frontier": (
+        RunSpec.make("frontier", "clique", 5, {
+            "scheme": "nip", "failures": 1, "rate_pps": 100.0,
+            "traffic_s": 0.5,
+        }),
+        FrontierCell.from_record,
+    ),
+    "service": (
+        RunSpec.make("service", "six_node", 1,
+                     {"users": 30, "operations": 80}),
+        ChurnReport.from_record,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_direct_inline_and_cache_hit_agree(kind, tmp_path):
+    spec, typed = KINDS[kind]
+    direct = JOB_KINDS[kind](spec.scenario, seed=spec.seed, **spec.params)
+    opts = FarmOptions(cache_dir=str(tmp_path / "c"))
+    fresh_farm, hit_farm = Farm(opts), Farm(opts)
+    [fresh] = fresh_farm.run([spec])
+    [hit] = hit_farm.run([spec])
+    assert (fresh_farm.stats.executed, hit_farm.stats.cached) == (1, 1)
+    assert hit["digest"] == fresh["digest"]
+    # fresh["result"] is the in-process asdict form (tuples), hit's the
+    # JSON-loaded one (lists).
+    assert typed(fresh["result"]) == typed(hit["result"]) == direct
+
+
+def test_unknown_parameter_fails_naming_the_spec():
+    spec = RunSpec.make("chaos", "fifteen_node", 7,
+                        {"technique": "nip", "trafic_s": 1.0})
+    with pytest.raises(FarmJobError, match="trafic_s") as raised:
+        run_specs([spec])
+    assert raised.value.spec == spec
+    assert spec.label() in str(raised.value)
 
 
 class TestFailureEquivalence:
     def test_direct_inline_and_cached_digests_match(self, tmp_path):
         direct = run_failure_experiment(
-            scenario_factory(FAILURE_ARGS["scenario"])(),
-            FAILURE_ARGS["deflection"],
-            FAILURE_ARGS["protection"],
-            FAILURE_ARGS["failure"],
-            FAILURE_ARGS["seed"],
-            timeline=TINY,
+            scenario_factory("fifteen_node")(), seed=1, timeline=TINY,
+            **FAILURE_ARGS,
         )
-        opts = FarmOptions(cache_dir=str(tmp_path / "c"), progress=False)
-        [fresh] = run_failure_specs([tiny_spec()], opts)
-        [hit] = run_failure_specs([tiny_spec()], opts)
-        assert fresh.digest == record_digest(failure_outcome_record(direct))
-        assert hit.digest == fresh.digest
-        assert hit == fresh  # full record, not just the digest
-        assert fresh.baseline_mbps == direct.baseline_mbps
-        assert fresh.failure_mbps == direct.failure_mbps
-        assert fresh.intervals == tuple(direct.iperf.intervals)
+        opts = FarmOptions(cache_dir=str(tmp_path / "c"))
+        [fresh] = run_specs([tiny_spec()], opts)
+        [hit] = run_specs([tiny_spec()], opts)
+        assert hit["digest"] == fresh["digest"]
+        result = FailureResult.from_record(hit["result"])
+        assert result.baseline_mbps == direct.baseline_mbps
+        assert result.failure_mbps == direct.failure_mbps
+        assert result.intervals == tuple(direct.iperf.intervals)
+        assert result.ratio == direct.ratio
         # Worker processes: nip and avp through a two-worker pool give
         # the inline farm's records, every field.
         specs = [tiny_spec(), tiny_spec(deflection="avp")]
-        inline = Farm(FarmOptions(progress=False)).run(specs)
-        pool = Farm(FarmOptions(jobs=2, progress=False))
+        inline = Farm().run(specs)
+        pool = Farm(FarmOptions(jobs=2))
         assert pool.run(specs) == inline
         assert pool.stats.executed == len(specs)
-        assert inline[0]["digest"] == fresh.digest
-
-    def test_result_survives_json_round_trip(self, tmp_path):
-        opts = FarmOptions(cache_dir=str(tmp_path / "c"), progress=False)
-        [fresh] = run_failure_specs([tiny_spec()], opts)
-        # The cache hit has been through json.dumps/json.loads; tuple
-        # reconstruction and float repr round-tripping must be exact.
-        [hit] = run_failure_specs([tiny_spec()], opts)
-        assert isinstance(hit, FailureResult)
-        assert isinstance(hit.intervals[0], tuple)
-        assert hit == fresh
+        assert inline[0]["digest"] == fresh["digest"]
 
     def test_changed_seed_and_config_get_distinct_keys(self):
         base = tiny_spec()
@@ -117,6 +150,7 @@ class TestFailureEquivalence:
     def test_env_backend_lands_in_the_key(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         default = tiny_spec()
+        assert default.params["backend"] is None  # written, not omitted
         monkeypatch.setenv("REPRO_BACKEND", "xsr")
         swept = tiny_spec()
         assert swept.content_key() == tiny_spec(backend="xsr").content_key()
@@ -131,39 +165,6 @@ class TestFailureEquivalence:
             tiny_spec()
         with pytest.raises(ValueError, match=r"\['crt', 'xsr'\]"):
             run_failure_experiment(
-                scenario_factory(FAILURE_ARGS["scenario"])(),
-                FAILURE_ARGS["deflection"],
-                FAILURE_ARGS["protection"],
-                FAILURE_ARGS["failure"],
-                FAILURE_ARGS["seed"],
-                timeline=TINY,
+                scenario_factory("fifteen_node")(), seed=1, timeline=TINY,
+                **FAILURE_ARGS,
             )
-
-
-class TestChaosEquivalence:
-    def test_direct_and_farm_chaos_runs_are_equal(self, tmp_path):
-        kwargs = dict(
-            scenario_name="fifteen_node",
-            technique="nip",
-            mode="mtbf",
-            seed=7,
-            chaos_kwargs={"mtbf_s": 0.5},
-            traffic_s=1.0,
-        )
-        direct = run_chaos_once(**kwargs)
-        spec = chaos_spec(
-            scenario="fifteen_node",
-            technique="nip",
-            mode="mtbf",
-            seed=7,
-            chaos_kwargs={"mtbf_s": 0.5},
-            traffic_s=1.0,
-        )
-        opts = FarmOptions(cache_dir=str(tmp_path / "c"), progress=False)
-        [farm_run] = run_chaos_specs([spec], opts)
-        assert farm_run == direct  # dataclass equality, every field
-        # And again via the cache: the JSON round trip must restore
-        # the tuple-typed fields exactly.
-        [cached_run] = run_chaos_specs([spec], opts)
-        assert cached_run == direct
-

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.farm.spec import FORMAT_VERSION, RunSpec, canonical_json
+from repro.farm.spec import RunSpec, canonical_json
 
 
 class TestCanonicalJson:
@@ -53,11 +53,6 @@ class TestContentKey:
         assert base.content_key() != RunSpec.make(
             "failure", "rnp28", 1
         ).content_key()
-
-    def test_key_is_version_pinned(self):
-        # Changing FORMAT_VERSION must invalidate every existing key;
-        # this pins the current value so bumps are deliberate.
-        assert FORMAT_VERSION == 2
 
 
 class TestRecordRoundTrip:

@@ -3,14 +3,13 @@
 import pytest
 
 from repro.farm.executor import Farm, FarmOptions
-from repro.farm.jobs import JOB_KINDS, echo_spec, job_kind
+from repro.farm.jobs import JOB_KINDS, job_kind
 from repro.farm.spec import RunSpec
+from tests.farm.test_executor import echo, values
 
 
-def opts(tmp_path, **kw):
-    kw.setdefault("cache_dir", str(tmp_path / "cache"))
-    kw.setdefault("progress", False)
-    return FarmOptions(**kw)
+def opts(tmp_path):
+    return FarmOptions(cache_dir=str(tmp_path / "cache"))
 
 
 class TestResume:
@@ -20,10 +19,10 @@ class TestResume:
         armed = [True]
 
         @job_kind("_test_ctrl_c")
-        def _interruptible(spec):
-            if armed[0] and spec.seed == 2:
+        def _interruptible(scenario, seed):
+            if armed[0] and seed == 2:
                 raise KeyboardInterrupt
-            return {"value": spec.seed}
+            return {"value": seed}
 
         specs = [RunSpec.make("_test_ctrl_c", "none", i) for i in range(4)]
         try:
@@ -36,17 +35,17 @@ class TestResume:
             records = rerun.run(specs, label="resume-me")
         finally:
             del JOB_KINDS["_test_ctrl_c"]
-        assert [r["value"] for r in records] == [0, 1, 2, 3]
+        assert values(records) == [0, 1, 2, 3]
         assert (rerun.stats.cached, rerun.stats.executed) == (2, 2)
         assert "2 executed, 2 cached" in rerun.stats.summary("resume-me")
         # nothing but content-addressed records on disk
         assert not (tmp_path / "cache" / "sweeps").exists()
 
     def test_full_resume_is_all_hits(self, tmp_path):
-        specs = [echo_spec(i, seed=i) for i in range(3)]
+        specs = [echo(i, seed=i) for i in range(3)]
         Farm(opts(tmp_path)).run(specs, label="twice")
         again = Farm(opts(tmp_path))
         records = again.run(specs, label="twice")
         assert again.stats.executed == 0
         assert again.stats.cached == 3
-        assert [r["value"] for r in records] == [0, 1, 2]
+        assert values(records) == [0, 1, 2]

@@ -1,16 +1,13 @@
 """The churn load generator: invariants, digests, farm integration."""
 
 import dataclasses
+import json
 
 import pytest
 
-from repro.farm.executor import FarmOptions
-from repro.farm.jobs import execute_spec, service_spec
-from repro.farm.sweep import run_service_specs
+from repro.farm import FarmOptions, RunSpec, run_specs
 from repro.service.loadgen import (
     ChurnReport,
-    churn_record,
-    churn_report_from_record,
     churn_rows,
     render_churn,
     run_churn,
@@ -63,28 +60,24 @@ class TestChurnInvariants:
 
 class TestChurnRecordRoundtrip:
     def test_report_record_report(self, direct_report):
-        record = churn_record(direct_report)
-        back = churn_report_from_record(record)
+        record = json.loads(json.dumps(dataclasses.asdict(direct_report)))
+        back = ChurnReport.from_record(record)
         assert isinstance(back, ChurnReport)
         assert back == direct_report
 
 
 class TestFarmIntegration:
-    def _specs(self):
-        return [
-            service_spec("six_node", seed, users=30, operations=80)
+    def test_sweep_and_cache_hit(self, tmp_path):
+        specs = [
+            RunSpec.make("service", "six_node", seed,
+                         {"users": 30, "operations": 80})
             for seed in (1, 2)
         ]
-
-    def test_job_kind_runs_standalone(self):
-        record = execute_spec(self._specs()[0])
-        report = churn_report_from_record(record)
-        assert report.ok and report.transport == "direct"
-
-    def test_sweep_and_cache_hit(self, tmp_path):
-        options = FarmOptions(cache_dir=str(tmp_path / "cache"),
-                              progress=False, label="loadgen-test")
-        first = run_service_specs(self._specs(), options=options)
-        again = run_service_specs(self._specs(), options=options)
-        assert [r.digest for r in first] == [r.digest for r in again]
-        assert all(r.ok for r in first)
+        options = FarmOptions(cache_dir=str(tmp_path / "cache"))
+        first, again = (
+            [ChurnReport.from_record(r["result"])
+             for r in run_specs(specs, options, "loadgen-test")]
+            for _ in range(2)
+        )
+        assert first == again
+        assert all(r.ok and r.transport == "direct" for r in first)

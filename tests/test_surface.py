@@ -72,8 +72,6 @@ CLAIMED: Dict[str, Dict[str, str]] = {
             "tests/integration/test_datapath_golden.py",
         "repro.controller.protection:ProtectionPlan":
             "ProtectionPlanner's result type",
-        "repro.farm.jobs:echo_spec":
-            "tests/farm/test_executor.py: crash, stall and retry cases",
         "repro.sim.vector:synthetic_spec":
             "tests/integration/test_datapath_golden.py",
         "repro.topology.zoo:fat_tree":

@@ -10,6 +10,7 @@ from repro.sim import Link, Packet, Simulator
 from repro.sim.node import Node
 from repro.transport import TcpReceiver, TcpSegment, TcpSender
 from repro.transport.host import Host
+from repro.transport.tcp import RWND
 
 
 class MiddleBox(Node):
@@ -107,7 +108,7 @@ class TestLossRecovery:
         sim.schedule_at(0.2, lambda: pre.append(snd.cwnd))
         sim.run_until(5.0)
         assert snd.fast_retransmits >= 1
-        assert snd.ssthresh < snd.rwnd
+        assert snd.ssthresh < RWND
 
     def test_rto_recovers_tail_loss(self, rig):
         sim, snd, rcv, box = rig

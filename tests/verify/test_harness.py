@@ -3,7 +3,6 @@
 import pytest
 
 from repro.farm.executor import FarmOptions
-from repro.farm.jobs import execute_spec, verify_spec
 from repro.verify.cases import FuzzCase, generate_case
 from repro.verify.harness import (
     TrialDivergence,
@@ -38,20 +37,13 @@ class TestRunTrialRecord:
             assert oracle_rec["checks"] > 0
             assert oracle_rec["divergences"] == []
 
-    def test_matches_farm_job_kind(self):
-        # The "verify" farm kind runs the same body (plus the digest).
-        spec = verify_spec(5, oracles=FAST_ORACLES)
-        farmed = execute_spec(spec)
-        direct = run_trial_record(5, oracles=FAST_ORACLES)
-        assert {k: v for k, v in farmed.items() if k != "digest"} == direct
-
 
 class TestRunVerify:
     def test_smoke_clean(self, tmp_path):
         outcome = run_verify(
             trials=3, seed=0, oracles=FAST_ORACLES,
             artifact_dir=str(tmp_path / "artifacts"),
-            farm=FarmOptions(jobs=1, progress=False, label="verify"),
+            farm=FarmOptions(jobs=1),
         )
         assert outcome.ok
         assert outcome.trials == 3
@@ -72,7 +64,7 @@ class TestRenderVerify:
         outcome = run_verify(
             trials=2, seed=1, oracles=FAST_ORACLES,
             artifact_dir=str(tmp_path),
-            farm=FarmOptions(jobs=1, progress=False, label="verify"),
+            farm=FarmOptions(jobs=1),
         )
         text = render_verify(outcome)
         assert "2 trials (seed 1)" in text
