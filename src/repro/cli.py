@@ -80,9 +80,10 @@ def _add_farm_args(
     """The shared farm flags (--jobs/--cache-dir/--refresh/...).
 
     ``cache_default=None`` disables the result cache unless the user
-    opts in — the verify command uses this, since a cache key covers
-    the spec but not the code under test, and a stale "no divergence"
-    would defeat the whole point.
+    opts in — the verify command uses this.  A record is served only
+    to the ``repro`` sources that wrote it, but that fingerprint omits
+    numpy and the interpreter, and a "no divergence" left over from
+    another one would defeat the whole point.
     """
     group = parser.add_argument_group("farm")
     group.add_argument("--jobs", type=int, default=1, metavar="N",

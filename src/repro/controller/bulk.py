@@ -14,11 +14,12 @@ solve per route.  This module batches all three:
   :class:`~repro.controller.provision.DestinationTree`.  A miss also
   builds the trees of the next destinations without one; they wait,
   unencoded, until requested, so every refusal belongs to its request;
-* **one** :func:`~repro.rns.crt.crt_extend` **per (destination,
-  switch)** — a route down a destination tree shares every residue of
+* **one** :func:`~repro.rns.crt.crt_extend` **per switch a request
+  reaches** — a route down a destination tree shares every residue of
   its parent's route plus one hop, so route IDs are computed by
-  extending the parent's solved system (O(1) modular ops) in BFS
-  order, never by re-solving Eq. 4 per flow.
+  extending the parent's solved system (O(1) modular ops), never by
+  re-solving Eq. 4 per flow: down the whole tree in BFS order for a
+  full mesh row, up to the first solved ancestor for named sources.
 
 Everything is bit-identical to the per-flow path by construction (the
 extended CRT solution is unique) and by test: the Hypothesis suite in
@@ -91,12 +92,18 @@ def full_mesh_pairs(graph: PortGraph) -> List[Tuple[str, str]]:
 
 
 class DestinationBlock:
-    """One destination's tree plus every route ID rooted under it.
+    """One destination's tree plus the route IDs requested under it.
 
     ``encoded_route(x)`` gives the encoded route for the branch
-    entering the core at node index ``x``; routes are computed
-    once per block in BFS order via :func:`~repro.rns.crt.crt_extend`
-    (each node's system = its parent's system + one hop).
+    entering the core at node index ``x``.  Building a block only
+    checks that every switch of the tree can carry its hop; route IDs
+    are solved on request, one :func:`~repro.rns.crt.crt_extend` per
+    switch a request reaches (each node's system = its parent's system
+    + one hop, the root's the empty system ``(0, 1)``):
+    ``_encode_all`` runs down the whole tree in BFS order for a
+    full mesh row, :meth:`route_id` up one branch to its first solved
+    ancestor for anything less.  Either way a node's solution is the
+    unique CRT one, so the mix and order of requests cannot move it.
     """
 
     __slots__ = (
@@ -114,47 +121,59 @@ class DestinationBlock:
         self._routes: Dict[int, EncodedRoute] = {}
         # BulkProvisioner's per-edge (entry, out-port) arrays, memoised.
         self._entries: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._encode_all()
+        # Lists while partly solved, tuples once _encode_all has run.
+        ids: List[Optional[int]] = [None] * csr.n
+        mods: List[Optional[int]] = [None] * csr.n
+        ids[self.dst_idx], mods[self.dst_idx] = 0, 1
+        self._ids, self._mods = ids, mods
+        order = tree.order
+        sids, ports = csr.switch_ids[order], tree.parent_port[order]
+        bad = np.flatnonzero((sids <= 1) | (ports >= sids))
+        if bad.size:  # the first unencodable switch in BFS order
+            i = int(bad[0])
+            name, s, p = csr.names[int(order[i])], int(sids[i]), int(ports[i])
+            raise ProvisionError("bad-path", (
+                f"core switch {name!r} has no switch ID" if s <= 1
+                else f"{name}: port {p} not addressable by switch ID {s}"))
 
     def _encode_all(self) -> None:
+        """Solve every reached switch, in BFS order (parents first)."""
+        if type(self._ids) is tuple:
+            return
+        ids, mods = self._ids, self._mods
         order = self.tree.order
-        ids: List[Optional[int]] = [None] * self.csr.n
-        mods: List[Optional[int]] = [None] * self.csr.n
-        root = self.dst_idx
         for x, s, p, par in zip(
             order.tolist(),
             self.csr.switch_ids[order].tolist(),
             self.tree.parent_port[order].tolist(),
             self.tree.parent[order].tolist(),
         ):
-            if s <= 1:
-                raise ProvisionError(
-                    "bad-path",
-                    f"core switch {self.csr.names[x]!r} has no switch ID",
-                )
-            if p >= s:
-                raise ProvisionError(
-                    "bad-path",
-                    f"{self.csr.names[x]}: port {p} not addressable by "
-                    f"switch ID {s}",
-                )
-            if par == root:
-                ids[x], mods[x] = p % s, s
-            else:
-                ids[x], mods[x] = crt_extend(ids[par], mods[par], s, p)
+            ids[x], mods[x] = crt_extend(ids[par], mods[par], s, p)
         # Tuples of ints and None: the collector stops tracking them at
         # the first collection they survive; a list is walked every time.
         self._ids, self._mods = tuple(ids), tuple(mods)
 
     def route_id(self, idx: int) -> int:
-        rid = self._ids[idx]
-        if rid is None:
-            raise ProvisionError(
-                "no-core-path",
-                f"{self.csr.names[idx]!r} cannot reach "
-                f"{self.dst_edge!r} through the core",
-            )
-        return rid
+        """Route ID for entry *idx*, solving the switches between it and
+        its first solved ancestor."""
+        ids, mods = self._ids, self._mods
+        if ids[idx] is None or idx == self.dst_idx:
+            if self.tree.depth[idx] <= 0:
+                raise ProvisionError(
+                    "no-core-path",
+                    f"{self.csr.names[idx]!r} cannot reach "
+                    f"{self.dst_edge!r} through the core",
+                )
+            parent = self.tree.parent
+            chain = [idx]
+            while ids[int(parent[chain[-1]])] is None:
+                chain.append(int(parent[chain[-1]]))
+            sids, ports = self.csr.switch_ids, self.tree.parent_port
+            for x in reversed(chain):
+                par = int(parent[x])
+                ids[x], mods[x] = crt_extend(
+                    ids[par], mods[par], int(sids[x]), int(ports[x]))
+        return ids[idx]
 
     def hops(self, idx: int) -> Tuple[Hop, ...]:
         """Hop tuple for the branch entering the core at *idx* — in
@@ -400,8 +419,13 @@ class BulkProvisioner:
                 f"{src!r} has no core neighbor that reaches "
                 f"{dst_edge!r}",
             )
-        ids, mods = blk._ids, blk._mods
         picks = entries.tolist()
+        if src_edges is None:
+            blk._encode_all()
+        else:
+            for e in set(picks):
+                blk.route_id(e)
+        ids, mods = blk._ids, blk._mods
         return MeshRow(dst_edge, srcs, entries, out_ports,
                        tuple([ids[e] for e in picks]),
                        tuple([mods[e] for e in picks]), blk)

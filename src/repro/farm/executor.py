@@ -26,6 +26,10 @@ Failure handling:
   per-job timeout: some submitted job has hogged a worker for that
   long) — the pool is torn down, its processes killed, and unfinished
   jobs retried under the same attempt budget;
+* a parent whose ``__main__`` is not a file the workers can re-run
+  (a script read from stdin, ``python - <<EOF``) is refused with one
+  :class:`FarmError` before any worker starts: each would die in its
+  bootstrap, which the pool cannot tell from a crash;
 * Ctrl-C drains gracefully: every result completed so far is already
   in the cache, so rerunning the same command picks up where the
   interrupted sweep stopped.
@@ -34,6 +38,8 @@ Failure handling:
 from __future__ import annotations
 
 import multiprocessing
+import os
+import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -197,6 +203,7 @@ class Farm:
     # -- jobs>1: the worker pool -------------------------------------
 
     def _run_pool(self, specs, pending, results, reporter):
+        _require_spawnable_main()
         opts = self.options
         ctx = multiprocessing.get_context(WORKER_START_METHOD)
         attempts = {i: 0 for i in pending}
@@ -270,6 +277,27 @@ class Farm:
                 process.terminate()
             except OSError:  # already gone
                 pass
+
+
+def _require_spawnable_main() -> None:
+    """Refuse a ``__main__`` that a spawn worker cannot re-run.
+
+    A spawned worker imports the parent's ``__main__`` by module name
+    or, failing that, from its ``__file__`` (``multiprocessing.spawn``'s
+    rule, mirrored here).  A script read from stdin names the file
+    ``'<stdin>'``, so every worker would fail to start.
+    """
+    main = sys.modules["__main__"]
+    path = getattr(main, "__file__", None)
+    if getattr(getattr(main, "__spec__", None), "name", None) or path is None:
+        return
+    if not os.path.isfile(
+        os.path.join(multiprocessing.process.ORIGINAL_DIR or "", path)
+    ):
+        raise FarmError(
+            f"spawn workers cannot re-import __main__ from {path!r}: "
+            f"run the script from a file, or use jobs=1"
+        )
 
 
 def run_specs(

@@ -190,8 +190,8 @@ def crt_extend(
     (:meth:`repro.rns.encoder.RouteEncoder.with_hop` / ``with_port``) and
     the bulk provisioner's down-tree encoding (:mod:`repro.controller.bulk`):
     a child's route shares every residue of its parent's route plus one
-    new hop, so the whole all-pairs mesh costs one ``crt_extend`` per
-    (destination, switch) instead of one full solve per flow.
+    new hop, so a mesh costs one ``crt_extend`` per switch a request
+    reaches instead of one full solve per flow.
 
     Raises:
         CrtError: on a residue out of range.

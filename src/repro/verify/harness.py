@@ -8,9 +8,12 @@ process** (shrinking is sequential by nature — each step depends on
 the last verdict) and written out as replayable JSON artifacts.
 
 Caching note: verify results are deliberately *not* cached by default.
-A farm cache key covers the spec, not the code under test, so a cached
-"no divergence" from before a code change would be a false clean bill.
-Pass an explicit cache dir only when that is understood.
+A record is served only to the ``repro`` sources that wrote it (the
+cache's code fingerprint), but the fingerprint omits numpy and the
+interpreter, and the oracles check exactly what those can move (array
+kernels, ``random``, big-int arithmetic): a cached "no divergence" from
+another numpy or Python would be a false clean bill.  Pass an explicit
+cache dir only when that is understood.
 """
 
 from __future__ import annotations

@@ -203,6 +203,87 @@ class TestErrors:
             BulkProvisioner(graph).mesh_row("E-D")
         assert (e.value.pair, e.value.gcd) == ((11, 22), 11)
 
+    # Only the requested branches are encoded, so a clash elsewhere in
+    # the tree is refused by the request that reaches it, as the
+    # per-flow engine refuses it.  E-S enters at SW4: SW4, SW7, SW11.
+    def test_clash_off_the_requested_branch_is_not_refused(self):
+        graph = six_node().graph
+        graph.node("SW5").switch_id = 22  # SW11's 11 divides it
+        got = BulkProvisioner(graph).routes_for("E-D", ["E-S"])["E-S"]
+        assert got == ProvisioningEngine(graph).provision("E-S", "E-D")
+
+    def test_clash_on_the_requested_branch_is_refused(self):
+        graph = six_node().graph
+        graph.node("SW7").switch_id = 22
+        with pytest.raises(NotCoprimeError) as e:
+            BulkProvisioner(graph).routes_for("E-D", ["E-S"])
+        assert (e.value.pair, e.value.gcd) == ((11, 22), 11)
+
+
+class TestPartialEncoding:
+    """A request for some sources solves only the switches on their
+    branches; a full row after it is what a fresh block gives."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        calls = []
+        extend = bulk_module.crt_extend
+
+        def counting(route_id, modulus, switch_id, port):
+            calls.append(switch_id)
+            return extend(route_id, modulus, switch_id, port)
+
+        monkeypatch.setattr(bulk_module, "crt_extend", counting)
+        return calls
+
+    @staticmethod
+    def _core(route):
+        return set(route.node_path[1:-1])
+
+    def test_one_source_steps_once_per_branch_switch(
+        self, abilene_mesh, steps
+    ):
+        edges = _edge_names(abilene_mesh)
+        dst, src = edges[0], edges[-1]
+        got = BulkProvisioner(abilene_mesh).routes_for(dst, [src])[src]
+        assert sorted(steps) == sorted(h.switch_id for h in got.route.hops)
+        assert len(steps) == len(self._core(got)) > 1
+
+    def test_second_source_steps_only_on_new_switches(
+        self, abilene_mesh, steps
+    ):
+        edges = _edge_names(abilene_mesh)
+        engine = ProvisioningEngine(abilene_mesh)
+        dst, first = edges[0], edges[-1]
+        a = self._core(engine.provision(first, dst))
+        second = next(
+            s for s in edges[1:-1]
+            if a & self._core(engine.provision(s, dst))
+            and self._core(engine.provision(s, dst)) - a
+        )
+        bp = BulkProvisioner(abilene_mesh)
+        bp.routes_for(dst, [first])
+        del steps[:]
+        got = bp.routes_for(dst, [second])[second]
+        assert got == engine.provision(second, dst)
+        assert len(steps) == len(self._core(got) - a)
+
+    def test_full_row_after_partial_requests_equals_a_fresh_row(
+        self, abilene_mesh
+    ):
+        edges = _edge_names(abilene_mesh)
+        bp = BulkProvisioner(abilene_mesh)
+        for dst in edges[:4]:
+            bp.routes_for(dst, edges[5:7])
+            bp.mesh_row(dst, [s for s in edges[-3:] if s != dst])
+        fresh = BulkProvisioner(abilene_mesh)
+        for dst in edges[:4]:
+            row, ref = bp.mesh_row(dst), fresh.mesh_row(dst)
+            assert (row.dst_edge, row.src_edges, row.route_ids, row.moduli) \
+                == (ref.dst_edge, ref.src_edges, ref.route_ids, ref.moduli)
+            assert row.entries.tolist() == ref.entries.tolist()
+            assert row.out_ports.tolist() == ref.out_ports.tolist()
+
 
 class TestBlockMemo:
     def test_tree_builds_bounded_by_distinct_destinations(

@@ -6,8 +6,14 @@ re-imports the package, which is why test-local job kinds only appear
 in inline (``jobs=1``) tests.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.farm.executor import (
     Farm,
     FarmError,
@@ -142,6 +148,33 @@ class TestPool:
         with pytest.raises(FarmError, match="did not complete"):
             farm.run([echo("fast", seed=5),
                       echo("slow", seed=6, sleep_s=60.0)])
+
+    def test_main_read_from_stdin_fails_fast(self):
+        # Spawn workers re-run the parent's __main__ from its file; a
+        # script read from stdin has none, so the pool is refused once,
+        # before any worker starts, and jobs=1 still runs.
+        script = (
+            "from repro.farm.executor import FarmOptions, run_specs\n"
+            "from repro.farm.spec import RunSpec\n"
+            "specs = [RunSpec.make('echo', 'none', i, {'value': i})\n"
+            "         for i in range(2)]\n"
+            "print(len(run_specs(specs, FarmOptions(jobs=1))))\n"
+            "run_specs(specs, FarmOptions(jobs=2))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run(
+            [sys.executable, "-"], input=script, capture_output=True,
+            text=True, env=env, timeout=120,
+        )
+        assert proc.returncode != 0
+        assert proc.stdout == "2\n"
+        assert proc.stderr.count("Traceback") == 1
+        assert ("FarmError: spawn workers cannot re-import __main__ from "
+                "'<stdin>': run the script from a file, or use jobs=1"
+                in proc.stderr)
 
 
 class TestStatsSummary:
