@@ -242,8 +242,6 @@ class ProvisioningEngine:
         self.tree_hits = 0
         self.provisions = 0
         self.reroutes = 0
-        self.epoch_bumps = 0
-        self.link_invalidations = 0
         self.encoder = RouteEncoder()
 
     # ------------------------------------------------------------------
@@ -258,8 +256,6 @@ class ProvisioningEngine:
         ``link_down``/``link_up``/``port_flap`` event.
         """
         self.epoch += 1
-        self.epoch_bumps += 1
-        self.link_invalidations += 1
         self._trees.clear()
 
     # ------------------------------------------------------------------
@@ -468,9 +464,10 @@ class ProvisioningEngine:
             "reroutes": self.reroutes,
             "links_down": len(self._down),
             "trees": {"built": self.trees_built, "hits": self.tree_hits},
+            # Every bump is a link invalidation: both count epochs.
             "epochs": {
-                "bumps": self.epoch_bumps,
-                "link_invalidations": self.link_invalidations,
+                "bumps": self.epoch,
+                "link_invalidations": self.epoch,
             },
             "delta": {
                 "applied": self.encoder.deltas_applied,

@@ -133,9 +133,9 @@ def run_chaos_once(
         peak_links_down = max(
             peak_links_down, len(ks.network.down_link_keys())
         )
-        ks.sim.post(0.25, sample_links_down)
+        ks.sim.schedule(0.25, sample_links_down)
 
-    ks.sim.post(0.25, sample_links_down)
+    ks.sim.schedule(0.25, sample_links_down)
     src, sink = ks.add_udp_probe(rate_pps=rate_pps, duration_s=traffic_s)
     src.start(at=0.1)
     ks.run(until=until + DRAIN_S)

@@ -324,7 +324,6 @@ def run_frontier_once(
     failures: int = 1,
     seed: int = 42,
     schedule_seed: int = 0,
-    adversary: Optional[Dict] = None,
     rate_pps: float = 200.0,
     traffic_s: float = TRAFFIC_S,
     ttl: int = 96,
@@ -334,9 +333,8 @@ def run_frontier_once(
     ``static`` downs :func:`_pick_static_failures` links before
     traffic; ``dynamic`` arms the oblivious adversary
     (:class:`~repro.sim.chaos.DynamicLinkChaos`) with
-    ``max_down=failures`` and the given *schedule_seed* (extra
-    injector kwargs via *adversary*).  ``failures=0`` is the healthy
-    baseline either way.
+    ``max_down=failures`` and the given *schedule_seed*.  ``failures=0``
+    is the healthy baseline either way.
     """
     try:
         scenario = FRONTIER_TOPOLOGIES[topology]()
@@ -384,7 +382,7 @@ def run_frontier_once(
     elif mode == "dynamic" and failures > 0:
         injector = ks.add_chaos(
             "dynamic", until=traffic_s, max_down=failures,
-            schedule_seed=schedule_seed, **(adversary or {}),
+            schedule_seed=schedule_seed,
         )
         digest = ""  # filled from the event log after the run
     else:
@@ -438,7 +436,6 @@ def run_frontier(
     max_failures: int = 3,
     seeds: Sequence[int] = (42,),
     dynamic: bool = False,
-    adversary: Optional[Dict] = None,
     farm: Optional[FarmOptions] = None,
 ) -> List[FrontierCell]:
     """The full frontier grid, farm-orchestrated.
@@ -456,7 +453,6 @@ def run_frontier(
     specs = [
         RunSpec.make("frontier", topology, seed, {
             "scheme": scheme, "mode": mode, "failures": failures,
-            "adversary": adversary,
         })
         for topology in topologies
         for scheme in schemes
@@ -476,7 +472,6 @@ def search_worst_schedule(
     schedules: int = 8,
     budget: int = 2,
     farm: Optional[FarmOptions] = None,
-    adversary: Optional[Dict] = None,
 ) -> List[FrontierCell]:
     """Sweep adversarial schedules, worst delivery ratio first.
 
@@ -497,7 +492,7 @@ def search_worst_schedule(
     specs = [
         RunSpec.make("frontier", topology, seed, {
             "scheme": scheme, "mode": "dynamic", "failures": budget,
-            "schedule_seed": schedule_seed, "adversary": adversary,
+            "schedule_seed": schedule_seed,
         })
         for schedule_seed in range(schedules)
     ]

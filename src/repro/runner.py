@@ -29,7 +29,6 @@ from repro.rns.backends import backend_by_name
 from repro.rns.encoder import EncodedRoute, RouteEncoder
 from repro.sim.chaos import CHAOS_MODES, ChaosInjector, ControllerOutageChaos
 from repro.sim.engine import Simulator
-from repro.sim.failures import FailureSchedule
 from repro.sim.invariants import InvariantChecker
 from repro.sim.network import Network
 from repro.sim.node import Node
@@ -240,13 +239,32 @@ class KarSimulation:
     def schedule_failure(
         self, a: str, b: str, at: float, repair_at: Optional[float] = None
     ) -> None:
-        """Fail link a-b at *at*; optionally repair at *repair_at*."""
-        schedule = FailureSchedule()
-        if repair_at is None:
-            schedule.fail(at, a, b)
-        else:
-            schedule.fail_between(a, b, at, repair_at)
-        schedule.install(self.network)
+        """Fail link a-b at *at*; optionally repair at *repair_at*.
+
+        The paper's scripted Mininet pattern (fail at t, repair at t').
+        Every argument is checked before anything is scheduled, so a
+        refused call leaves the clock untouched.
+        """
+        if repair_at is not None and repair_at <= at:
+            raise ValueError(
+                f"link {a}-{b}: repair time t={repair_at} must come after "
+                f"failure time t={at}"
+            )
+        if at < 0:
+            raise ValueError(
+                f"failure time for {a}-{b} must be non-negative, got {at}"
+            )
+        try:
+            link = self.network.link_between(a, b)
+        except KeyError:
+            raise ValueError(
+                f"failure schedule references link {a}-{b} "
+                f"(event: t={at:g}s fail {a}-{b}), which does not exist in "
+                f"the network"
+            ) from None
+        self.sim.schedule_at(at, link.set_up, False)
+        if repair_at is not None:
+            self.sim.schedule_at(repair_at, link.set_up, True)
 
     def add_chaos(self, mode: str, until: float, **kwargs) -> ChaosInjector:
         """Arm a generative fault injector (a

@@ -62,6 +62,9 @@ _OP_WEIGHTS = (
     ("flap", 0.10),
 )
 
+#: Operations between two full audits of the service's promises.
+_AUDIT_EVERY = 250
+
 #: QoS request palette: bandwidths in Mbit/s and one-way latency
 #: budgets in seconds (None = bandwidth-only).  Budgets are chosen to
 #: straddle realistic path delays so churn runs exercise *both*
@@ -199,7 +202,6 @@ def run_churn(
     transport: str = "direct",
     host: Optional[str] = None,
     port: Optional[int] = None,
-    audit_every: int = 250,
 ) -> ChurnReport:
     """Run one seeded churn shard and audit every service promise.
 
@@ -361,7 +363,7 @@ def run_churn(
                 report.flows_evicted += len(evicted)
                 report.flows_repaired += len(repaired)
                 note(i, op, status, [evicted, repaired])
-            if audit_every and (i + 1) % audit_every == 0:
+            if (i + 1) % _AUDIT_EVERY == 0:
                 audit(i)
 
         # Final survey: every live flow re-derived offline against the

@@ -4,8 +4,7 @@ This package is the substrate that replaces the paper's Mininet/OVS
 emulation environment: an event engine (:mod:`~repro.sim.engine`),
 links with serialization/queueing/propagation/failure
 (:mod:`~repro.sim.link`), port-based nodes (:mod:`~repro.sim.node`),
-network assembly (:mod:`~repro.sim.network`), scripted failure
-injection (:mod:`~repro.sim.failures`), generative chaos fault
+network assembly (:mod:`~repro.sim.network`), generative chaos fault
 injection (:mod:`~repro.sim.chaos`), runtime invariant checking
 (:mod:`~repro.sim.invariants`), seeded randomness
 (:mod:`~repro.sim.rng`) and packet tracing (:mod:`~repro.sim.trace`).
@@ -22,8 +21,7 @@ from repro.sim.chaos import (
     SrlgChaos,
     events_digest,
 )
-from repro.sim.engine import EventHandle, SimError, Simulator
-from repro.sim.failures import FailureEvent, FailureSchedule
+from repro.sim.engine import SimError, Simulator
 from repro.sim.invariants import InvariantChecker, InvariantViolation, Violation
 from repro.sim.link import Channel, ChannelStats, Link
 from repro.sim.network import Network
@@ -47,7 +45,6 @@ __all__ = [
     "Violation",
     "Simulator",
     "SimError",
-    "EventHandle",
     "Link",
     "Channel",
     "ChannelStats",
@@ -61,6 +58,4 @@ __all__ = [
     "PacketTracer",
     "HopRecord",
     "DropRecord",
-    "FailureSchedule",
-    "FailureEvent",
 ]

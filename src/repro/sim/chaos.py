@@ -1,11 +1,11 @@
 """Generative chaos fault injection.
 
-:mod:`repro.sim.failures` replays the paper's two scripted fail/repair
-pairs; this module *generates* failures, so the resilience envelope can
-be mapped instead of spot-checked.  Related work motivates each
-process: Dai & Foerster show dynamic failures defeat schemes that
-survive static ones; Chiesa et al. motivate adversarial multi-failure
-stress.
+:meth:`repro.runner.KarSimulation.schedule_failure` replays the paper's
+scripted fail/repair pairs; this module *generates* failures, so the
+resilience envelope can be mapped instead of spot-checked.  Related work
+motivates each process: Dai & Foerster show dynamic failures defeat
+schemes that survive static ones; Chiesa et al. motivate adversarial
+multi-failure stress.
 
 Injector families (all layered on the existing
 :class:`~repro.sim.network.Network` / virtual clock, nothing in the
@@ -15,8 +15,7 @@ dataplane knows chaos exists), keyed by mode in :data:`CHAOS_MODES`:
   process: up for Exp(MTBF), down for Exp(MTTR), repeat.
 * :class:`SrlgChaos` (``"srlg"``) — correlated failures: links are
   partitioned into shared-risk link groups (a conduit cut takes out
-  every member).  Explicit ``groups=`` model other shared risks, e.g.
-  one group per core switch's links for a switch going dark.
+  every member).
 * :class:`AdversarialChaos` (``"adversarial"``) — targets the live
   traffic: periodically fails the eligible link that carried the most
   packets since the last strike (worst case for deflection, which
@@ -36,6 +35,11 @@ two runs with the same seed produce bit-identical event logs —
 Injectors never cut host access links (chaos on the core is the
 interesting regime; a severed host proves nothing) and respect a
 ``max_down`` budget so the core cannot be driven fully dark.
+
+Each process's rates and windows are module constants (below); only the
+per-link MTBF/MTTR, the down budget and the dynamic schedule seed are
+constructor arguments, because the CLI, the sweep and the frontier set
+them.
 """
 
 from __future__ import annotations
@@ -61,6 +65,20 @@ __all__ = [
 ]
 
 LinkKey = Tuple[str, str]
+
+#: SRLG strikes: mean time between group failures, seconds.
+SRLG_GROUP_MTBF_S = 1.5
+#: Adversarial strikes: how often the hottest link is looked for, and
+#: how long a struck link stays down, seconds.
+ADVERSARIAL_INTERVAL_S = 0.5
+ADVERSARIAL_HOLD_S = 0.4
+#: Dynamic strikes per run and each strike's down window, seconds.
+DYNAMIC_STRIKES = 32
+DYNAMIC_MIN_DOWN_S = 0.002
+DYNAMIC_MAX_DOWN_S = 0.03
+#: Controller outages: mean time between outages and mean length, seconds.
+OUTAGE_MTBF_S = 2.0
+OUTAGE_S = 0.5
 
 
 @dataclass(frozen=True)
@@ -95,7 +113,7 @@ class _FlipCoordinator:
     events landing on the *same timestamp* applied in scheduler
     insertion order — an accident of who armed first.  The coordinator
     stages every requested flip instead and flushes the batch once per
-    timestamp (a zero-delay post, which the engine fires before time
+    timestamp (a zero-delay event, which the engine fires before time
     can advance) in a canonical order: repairs first, then fails, each
     group sorted by link key and cause.  Repairs-before-fails is the
     conservative tie-break — when a fail and a repair of the same link
@@ -127,7 +145,7 @@ class _FlipCoordinator:
         if self._effective(injector.network, key) == up:
             return False
         if not self._pending:
-            self.sim.post(0.0, self._flush)
+            self.sim.schedule(0.0, self._flush)
         self._pending.append((up, key, cause, injector))
         return True
 
@@ -152,8 +170,9 @@ class ChaosInjector:
             quiesce).
         max_down: budget of concurrently-down eligible links; a fault
             that would exceed it is skipped, not queued.
-        links: explicit eligible link keys; default every core–core
-            link (host and edge access links are never chaos targets).
+
+    The eligible links are every core–core link (host and edge access
+    links are never chaos targets).
     """
 
     #: subclasses set this; it prefixes every RNG stream name.
@@ -165,7 +184,6 @@ class ChaosInjector:
         rng: RngRegistry,
         until: float,
         max_down: Optional[int] = None,
-        links: Optional[Sequence[LinkKey]] = None,
     ):
         if until <= 0:
             raise ValueError(f"chaos horizon must be positive, got {until}")
@@ -173,15 +191,9 @@ class ChaosInjector:
         self.sim = network.sim
         self.rng = rng
         self.until = until
-        self.eligible: List[LinkKey] = (
-            [self._canon(k) for k in links]
-            if links is not None
-            else network.core_link_keys()
-        )
+        self.eligible: List[LinkKey] = network.core_link_keys()
         if not self.eligible:
             raise ValueError("no eligible links for chaos injection")
-        for key in self.eligible:
-            network.link_between(*key)  # validate early, clear KeyError
         if max_down is None:
             max_down = max(1, len(self.eligible) // 3)
         if max_down < 1:
@@ -327,10 +339,10 @@ class MtbfMttrChaos(ChaosInjector):
 class SrlgChaos(ChaosInjector):
     """Correlated failures via shared-risk link groups.
 
-    Links are partitioned at random into three SRLGs (explicit *groups*
-    override the partition).  Group failures arrive as a Poisson
-    process with mean inter-arrival *group_mtbf_s*; a strike downs every
-    up member at once and repairs them together after Exp(mttr).
+    Links are partitioned at random into three SRLGs.  Group failures
+    arrive as a Poisson process with mean inter-arrival
+    :data:`SRLG_GROUP_MTBF_S`; a strike downs every up member at once
+    and repairs them together after Exp(mean=*mttr_s*).
     """
 
     stream_prefix = "chaos:srlg"
@@ -340,30 +352,14 @@ class SrlgChaos(ChaosInjector):
         network: Network,
         rng: RngRegistry,
         until: float,
-        group_mtbf_s: float = 1.5,
         mttr_s: float = 0.5,
-        groups: Optional[Sequence[Sequence[LinkKey]]] = None,
         **kwargs,
     ):
         super().__init__(network, rng, until, **kwargs)
-        if group_mtbf_s <= 0 or mttr_s <= 0:
-            raise ValueError(
-                f"group mtbf/mttr must be positive, got "
-                f"{group_mtbf_s}/{mttr_s}"
-            )
-        self.group_mtbf_s = group_mtbf_s
+        if mttr_s <= 0:
+            raise ValueError(f"group mttr must be positive, got {mttr_s}")
         self.mttr_s = mttr_s
-        if groups is not None:
-            self.groups: List[List[LinkKey]] = [
-                [self._canon(k) for k in g] for g in groups if g
-            ]
-            for group in self.groups:
-                for key in group:
-                    network.link_between(*key)
-            if not self.groups:
-                raise ValueError("explicit SRLG list is empty")
-        else:
-            self.groups = self._partition(min(3, len(self.eligible)))
+        self.groups = self._partition(min(3, len(self.eligible)))
 
     def _partition(self, count: int) -> List[List[LinkKey]]:
         shuffled = list(self.eligible)
@@ -378,7 +374,7 @@ class SrlgChaos(ChaosInjector):
         self._schedule_strike()
 
     def _schedule_strike(self) -> None:
-        at = self.sim.now + self._clock.expovariate(1.0 / self.group_mtbf_s)
+        at = self.sim.now + self._clock.expovariate(1.0 / SRLG_GROUP_MTBF_S)
         if at > self.until:
             return
         self.sim.schedule_at(at, self._strike)
@@ -405,33 +401,15 @@ class SrlgChaos(ChaosInjector):
 class AdversarialChaos(ChaosInjector):
     """Strikes the link the traffic is actually using.
 
-    Every *interval_s* the injector ranks eligible up links by packets
-    carried since the last look (both directions) and fails the hottest
-    one, repairing it *hold_s* later.  Deflection concentrates a flow
-    onto its current detour, so this adversary chases the flow from
-    detour to detour — the worst case Chiesa et al.'s adversarial model
-    asks about, applied online.
+    Every :data:`ADVERSARIAL_INTERVAL_S` the injector ranks eligible up
+    links by packets carried since the last look (both directions) and
+    fails the hottest one, repairing it :data:`ADVERSARIAL_HOLD_S`
+    later.  Deflection concentrates a flow onto its current detour, so
+    this adversary chases the flow from detour to detour — the worst
+    case Chiesa et al.'s adversarial model asks about, applied online.
     """
 
     stream_prefix = "chaos:adversarial"
-
-    def __init__(
-        self,
-        network: Network,
-        rng: RngRegistry,
-        until: float,
-        interval_s: float = 0.5,
-        hold_s: float = 0.4,
-        **kwargs,
-    ):
-        super().__init__(network, rng, until, **kwargs)
-        if interval_s <= 0 or hold_s <= 0:
-            raise ValueError(
-                f"interval/hold must be positive, got {interval_s}/{hold_s}"
-            )
-        self.interval_s = interval_s
-        self.hold_s = hold_s
-        self._last_tx: Dict[LinkKey, int] = {}
 
     def _carried(self, key: LinkKey) -> int:
         link = self.network.link_between(*key)
@@ -439,9 +417,10 @@ class AdversarialChaos(ChaosInjector):
 
     def _arm(self) -> None:
         self._tiebreak = self._stream("tiebreak")
-        for key in self.eligible:
-            self._last_tx[key] = self._carried(key)
-        self.sim.schedule(self.interval_s, self._tick)
+        self._last_tx: Dict[LinkKey, int] = {
+            key: self._carried(key) for key in self.eligible
+        }
+        self.sim.schedule(ADVERSARIAL_INTERVAL_S, self._tick)
 
     def _tick(self) -> None:
         if self.sim.now > self.until:
@@ -458,9 +437,9 @@ class AdversarialChaos(ChaosInjector):
             hottest = [key for d, key in deltas if d == top]
             victim = self._tiebreak.choice(sorted(hottest))
             self._set_link(victim, False, f"hot:{top}pkts")
-            self.sim.schedule(self.hold_s, self._set_link, victim, True,
-                              "hold-expired")
-        self.sim.schedule(self.interval_s, self._tick)
+            self.sim.schedule(ADVERSARIAL_HOLD_S, self._set_link, victim,
+                              True, "hold-expired")
+        self.sim.schedule(ADVERSARIAL_INTERVAL_S, self._tick)
 
 
 class DynamicLinkChaos(ChaosInjector):
@@ -468,9 +447,10 @@ class DynamicLinkChaos(ChaosInjector):
 
     Dai & Foerster show that failover schemes proven resilient against
     *static* failure sets can still lose packets when links fail **and
-    recover while packets are in flight**.  *strikes* strike times are
-    drawn uniformly over (0, *until*), each with a victim link and a
-    down duration uniform in [*min_down_s*, *max_down_s*] — short
+    recover while packets are in flight**.  :data:`DYNAMIC_STRIKES`
+    strike times are drawn uniformly over (0, *until*), each with a
+    victim link and a down duration uniform in
+    [:data:`DYNAMIC_MIN_DOWN_S`, :data:`DYNAMIC_MAX_DOWN_S`] — short
     enough that links come back while the packets they stranded are
     still walking.  The whole schedule is drawn up front from the
     ``schedule:<schedule_seed>`` stream, so the adversary cannot peek
@@ -487,32 +467,19 @@ class DynamicLinkChaos(ChaosInjector):
         network: Network,
         rng: RngRegistry,
         until: float,
-        strikes: int = 32,
-        min_down_s: float = 0.002,
-        max_down_s: float = 0.03,
         schedule_seed: int = 0,
         **kwargs,
     ):
         super().__init__(network, rng, until, **kwargs)
-        if strikes < 1:
-            raise ValueError(f"strikes must be >= 1, got {strikes}")
-        if not 0.0 < min_down_s <= max_down_s:
-            raise ValueError(
-                f"down window must satisfy 0 < min <= max, got "
-                f"{min_down_s}/{max_down_s}"
-            )
-        self.strikes = strikes
-        self.min_down_s = min_down_s
-        self.max_down_s = max_down_s
         self.schedule_seed = schedule_seed
 
     def _arm(self) -> None:
         stream = self._stream(f"schedule:{self.schedule_seed}")
         schedule: List[Tuple[float, int, LinkKey, float]] = []
-        for i in range(self.strikes):
+        for i in range(DYNAMIC_STRIKES):
             at = stream.uniform(0.0, self.until)
             victim = stream.choice(self.eligible)
-            down_s = stream.uniform(self.min_down_s, self.max_down_s)
+            down_s = stream.uniform(DYNAMIC_MIN_DOWN_S, DYNAMIC_MAX_DOWN_S)
             schedule.append((at, i, victim, down_s))
         for at, i, victim, down_s in sorted(schedule):
             self.sim.schedule_at(at, self._strike, i, victim, down_s)
@@ -530,7 +497,9 @@ class ControllerOutageChaos(ChaosInjector):
 
     Exercises the edge's hardened degradation path (timeout, bounded
     retries with backoff, drop-with-reason) instead of the dataplane.
-    The *controller* only needs a ``set_reachable(bool)`` method —
+    Outages arrive with mean inter-arrival :data:`OUTAGE_MTBF_S` and
+    last Exp(mean=:data:`OUTAGE_S`).  The *controller* only needs a
+    ``set_reachable(bool)`` method —
     :class:`~repro.controller.controller.KarController` provides it.
     """
 
@@ -542,8 +511,6 @@ class ControllerOutageChaos(ChaosInjector):
         rng: RngRegistry,
         until: float,
         controller: object = None,
-        outage_mtbf_s: float = 2.0,
-        outage_s: float = 0.5,
         **kwargs,
     ):
         super().__init__(network, rng, until, **kwargs)
@@ -551,27 +518,20 @@ class ControllerOutageChaos(ChaosInjector):
             raise ValueError(
                 "ControllerOutageChaos needs a controller with set_reachable()"
             )
-        if outage_mtbf_s <= 0 or outage_s <= 0:
-            raise ValueError(
-                f"outage mtbf/duration must be positive, got "
-                f"{outage_mtbf_s}/{outage_s}"
-            )
         self.controller = controller
-        self.outage_mtbf_s = outage_mtbf_s
-        self.outage_s = outage_s
 
     def _arm(self) -> None:
         self._clock = self._stream("clock")
         self._schedule_outage()
 
     def _schedule_outage(self) -> None:
-        at = self.sim.now + self._clock.expovariate(1.0 / self.outage_mtbf_s)
+        at = self.sim.now + self._clock.expovariate(1.0 / OUTAGE_MTBF_S)
         if at > self.until:
             return
         self.sim.schedule_at(at, self._outage_start)
 
     def _outage_start(self) -> None:
-        duration = self._clock.expovariate(1.0 / self.outage_s)
+        duration = self._clock.expovariate(1.0 / OUTAGE_S)
         self.controller.set_reachable(False)
         self.events.append(
             ChaosEvent(self.sim.now, "ctrl-down",

@@ -16,13 +16,13 @@ A :class:`Link` joins two node ports and owns two independent
 
 A channel pushes its serializer-completion and arrival entries straight
 onto the simulator's heap, each keyed ``(now + dt, next(seq))`` from the
-simulator's own counter — the key :meth:`Simulator.post` would assign,
-without the call.  Neither is ever cancelled: a link-down empties the
-queue and the pipe (accounting every casualty) and identity checks make
-the stale entries no-ops.  An arrival calls the peer's ``receive``,
+simulator's own counter — the key :meth:`Simulator.schedule` would
+assign, without the call.  Neither is ever cancelled: a link-down
+empties the queue and the pipe (accounting every casualty) and identity
+checks make the stale entries no-ops.  An arrival calls the peer's ``receive``,
 bound with its port when the link is built.  :class:`Link` validates
 rate, delay and queue size up front, which is what makes skipping
-``post``'s delay guard safe.
+``schedule``'s delay guard safe.
 """
 
 from __future__ import annotations
@@ -115,10 +115,6 @@ class Channel:
                 self._drop(pkt, "link-down")
                 self.stats.failure_drops += 1
             self._in_flight.clear()
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
 
     # -- datapath ------------------------------------------------------
     def send(self, packet: Packet) -> bool:

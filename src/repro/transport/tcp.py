@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 from repro.transport.host import Host
 
@@ -130,7 +130,10 @@ class TcpSender:
         self.rttvar = 0.0
         self.rto = INITIAL_RTO
         self._probe: Optional[Tuple[int, float]] = None  # (end_seq, sent_at)
-        self._rto_timer: Optional[EventHandle] = None
+        # The retransmission timer is never cancelled: a restart bumps
+        # the generation and a timeout from an older one returns at once.
+        self._rto_gen = 0
+        self._rto_armed = False
 
         # Counters.
         self.segments_sent = 0
@@ -156,10 +159,6 @@ class TcpSender:
     @property
     def flight_size(self) -> int:
         return self.next_seq - self.send_base
-
-    @property
-    def bytes_acked(self) -> int:
-        return self.send_base
 
     # ------------------------------------------------------------------
     # receive path (ACKs from the receiver)
@@ -283,7 +282,7 @@ class TcpSender:
                 retransmission=self.next_seq < self._rewound_until,
             )
             self.next_seq += length
-        if self._rto_timer is None and self.flight_size > 0:
+        if not self._rto_armed and self.flight_size > 0:
             self._restart_rto()
 
     def _send_segment(self, seq: int, length: int, retransmission: bool) -> None:
@@ -336,14 +335,15 @@ class TcpSender:
         )
 
     def _restart_rto(self) -> None:
-        if self._rto_timer is not None:
-            self._rto_timer.cancel()
-            self._rto_timer = None
-        if self.flight_size > 0:
-            self._rto_timer = self.sim.schedule(self.rto, self._on_rto)
+        self._rto_gen += 1
+        self._rto_armed = self.flight_size > 0
+        if self._rto_armed:
+            self.sim.schedule(self.rto, self._on_rto, self._rto_gen)
 
-    def _on_rto(self) -> None:
-        self._rto_timer = None
+    def _on_rto(self, gen: int) -> None:
+        if gen != self._rto_gen:
+            return  # superseded by a later restart
+        self._rto_armed = False
         if self.flight_size == 0:
             return
         self.timeouts += 1
@@ -362,7 +362,7 @@ class TcpSender:
         self._try_send()
         self.rto = min(self.rto * 2.0, self.max_rto)  # exponential backoff
         # _try_send may have armed a timer with the pre-backoff RTO;
-        # _restart_rto cancels it before arming the backed-off one
+        # _restart_rto supersedes it before arming the backed-off one
         # (double-armed timers would multiply into an RTO storm).
         self._restart_rto()
 

@@ -69,7 +69,7 @@ class UdpSource:
         if at is None or at <= self.sim.now:
             self._tick()
         else:
-            self.sim.post_at(at, self._tick)
+            self.sim.schedule_at(at, self._tick)
 
     def _tick(self) -> None:
         if self._stop_at is not None and self.sim.now >= self._stop_at:
@@ -87,9 +87,7 @@ class UdpSource:
             )
         )
         self.sent += 1
-        # Tick events are never cancelled (the stop check is at the top),
-        # so they take the engine's handle-free post() path.
-        self.sim.post(self.interval, self._tick)
+        self.sim.schedule(self.interval, self._tick)
 
 
 class UdpSink:

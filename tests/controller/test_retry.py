@@ -102,7 +102,7 @@ class TestEdgeDegradation:
 
         # Route a stray core packet in (port 0 is not a host port).
         edge.receive(_stray_packet(), in_port=0)
-        sim.run()
+        sim.run_until(10.0)
         assert ctrl.calls == 0  # never answered, never invoked
         assert RETRY_MAX_ATTEMPTS == 4
         assert edge.reencode_requests == 4
@@ -118,7 +118,7 @@ class TestEdgeDegradation:
         edge = _edge(sim, ctrl)
         drops = _drop_log(edge)
         edge.receive(_stray_packet(), in_port=0)
-        sim.run()
+        sim.run_until(10.0)
         [(time, reason)] = drops
         assert reason == "reencode-unreachable"
         # Four 0.02 s timeouts plus backoffs of 0.01, 0.02 and 0.04 s,
@@ -135,7 +135,7 @@ class TestEdgeDegradation:
         # before the second attempt (0.03-0.035 s).
         sim.schedule_at(0.025, setattr, ctrl, "reachable", True)
         edge.receive(_stray_packet(), in_port=0)
-        sim.run()
+        sim.run_until(10.0)
         assert ctrl.calls == 1          # second attempt got through
         assert edge.reencode_timeouts == 1
         assert edge.reencode_giveups == 0
@@ -149,7 +149,7 @@ class TestEdgeDegradation:
             edge = _edge(sim, ctrl, seed=seed)
             drops = _drop_log(edge)
             edge.receive(_stray_packet(), in_port=0)
-            sim.run()
+            sim.run_until(10.0)
             return drops
 
         assert run(5) == run(5)
@@ -161,7 +161,7 @@ class TestEdgeDegradation:
             route_id=3, modulus=5, out_port=0, ttl=16))
         edge = _edge(sim, ctrl)
         edge.receive(_stray_packet(), in_port=0)
-        sim.run()
+        sim.run_until(10.0)
         assert ctrl.calls == 1
         assert edge.reencode_timeouts == 0
         assert edge.reencode_requests == 1

@@ -17,6 +17,7 @@ from repro.experiments.frontier import (
     run_frontier_once,
 )
 from repro.farm.executor import FarmOptions
+from repro.sim import chaos
 from repro.topology import NodeKind, is_reachable_without
 
 FAST = dict(rate_pps=100.0, traffic_s=0.5)
@@ -77,8 +78,9 @@ class TestRunOnce:
         assert cell.failed_links == ()
         assert cell.tolerated
 
-    def test_dynamic_cell_digest_tracks_the_schedule(self):
-        kwargs = dict(seed=5, adversary={"strikes": 8}, **FAST)
+    def test_dynamic_cell_digest_tracks_the_schedule(self, monkeypatch):
+        monkeypatch.setattr(chaos, "DYNAMIC_STRIKES", 8)
+        kwargs = dict(seed=5, **FAST)
         a = run_frontier_once("clique", "arb", "dynamic", 1,
                               schedule_seed=0, **kwargs)
         b = run_frontier_once("clique", "arb", "dynamic", 1,

@@ -4,16 +4,26 @@ import pytest
 
 from repro import KarSimulation, fifteen_node
 from repro.experiments.frontier import search_worst_schedule
+from repro.sim import chaos
 from repro.sim.chaos import CHAOS_MODES, DynamicLinkChaos
 
 HORIZON = 2.0
 
 
+@pytest.fixture(autouse=True)
+def _small_budget(monkeypatch):
+    # Fewer, longer strikes than the defaults: quick runs whose down
+    # windows are easy to bound.  The searches below run inline (the
+    # default farm), so the patch reaches every cell.
+    monkeypatch.setattr(chaos, "DYNAMIC_STRIKES", 12)
+    monkeypatch.setattr(chaos, "DYNAMIC_MIN_DOWN_S", 0.01)
+    monkeypatch.setattr(chaos, "DYNAMIC_MAX_DOWN_S", 0.05)
+
+
 def _run(seed=42, schedule_seed=0, **kwargs):
     ks = KarSimulation(fifteen_node(), deflection="nip", seed=seed)
     injector = ks.add_chaos(
-        "dynamic", until=HORIZON, schedule_seed=schedule_seed,
-        strikes=12, min_down_s=0.01, max_down_s=0.05, **kwargs,
+        "dynamic", until=HORIZON, schedule_seed=schedule_seed, **kwargs,
     )
     src, sink = ks.add_udp_probe(rate_pps=200, duration_s=HORIZON)
     src.start(at=0.05)
@@ -70,29 +80,25 @@ class TestDynamicLinkChaos:
         # Unlike the adversarial injector, the schedule is drawn up
         # front: an idle network sees the same strikes as a busy one.
         ks = KarSimulation(fifteen_node(), deflection="nip", seed=7)
-        idle = ks.add_chaos("dynamic", until=HORIZON, strikes=12,
-                            min_down_s=0.01, max_down_s=0.05)
+        idle = ks.add_chaos("dynamic", until=HORIZON)
         ks.run(until=HORIZON + 1.0)
         _, busy, _, _ = _run(seed=7)
         assert idle.digest() == busy.digest()
 
     def test_bad_parameters_rejected(self):
+        # The horizon and the down budget (the frontier's failure
+        # count) are what a caller sets; both are checked.
         ks = KarSimulation(fifteen_node(), deflection="nip", seed=0)
-        with pytest.raises(ValueError, match="strikes"):
-            DynamicLinkChaos(ks.network, ks.rng, until=1.0, strikes=0)
-        with pytest.raises(ValueError, match="down window"):
-            DynamicLinkChaos(ks.network, ks.rng, until=1.0,
-                             min_down_s=0.2, max_down_s=0.1)
-        with pytest.raises(ValueError, match="down window"):
-            DynamicLinkChaos(ks.network, ks.rng, until=1.0,
-                             min_down_s=0.0)
+        with pytest.raises(ValueError, match="max_down"):
+            DynamicLinkChaos(ks.network, ks.rng, until=1.0, max_down=0)
+        with pytest.raises(ValueError, match="horizon"):
+            DynamicLinkChaos(ks.network, ks.rng, until=0.0)
 
 
 class TestWorstScheduleSearch:
     def test_ranked_worst_first_and_reproducible(self):
         cells = search_worst_schedule(
             "clique", "nip", seed=1, schedules=3, budget=2,
-            adversary={"strikes": 16},
         )
         assert len(cells) == 3
         ratios = [c.delivery_ratio for c in cells]
@@ -103,7 +109,6 @@ class TestWorstScheduleSearch:
             assert cell.violation_count == 0
         again = search_worst_schedule(
             "clique", "nip", seed=1, schedules=3, budget=2,
-            adversary={"strikes": 16},
         )
         assert [c.digest for c in again] == [c.digest for c in cells]
 

@@ -1,89 +1,82 @@
-"""Tests for the declarative failure schedule (validation & messages)."""
+"""Tests for scripted link failures (``KarSimulation.schedule_failure``).
+
+The paper's pattern: fail a link at t, repair it at t'.  Every refusal
+names the link and happens before anything reaches the clock.
+"""
 
 import pytest
 
-from repro.sim import FailureSchedule, Network, Simulator
-from repro.sim.node import Node
-from repro.topology import NodeKind, PortGraph
+from repro import KarSimulation, fifteen_node
 
 
-class Sink(Node):
-    def receive(self, packet, in_port):
-        pass
-
-
-def _triangle_network():
-    g = PortGraph()
-    for name, sid in (("A", 5), ("B", 7), ("C", 11)):
-        g.add_node(name, switch_id=sid)
-    g.add_link("A", "B")
-    g.add_link("B", "C")
-    g.add_link("C", "A")
-    sim = Simulator()
-
-    def make(info, sim):
-        return Sink(info.name, sim, info.degree)
-
-    factories = {k: make for k in (NodeKind.CORE, NodeKind.EDGE, NodeKind.HOST)}
-    return sim, Network(g, sim, factories)
+def _ks():
+    return KarSimulation(fifteen_node(), deflection="nip", seed=0,
+                         install_primary_flow=False)
 
 
 class TestEventValidation:
     def test_negative_fail_time_rejected(self):
-        with pytest.raises(ValueError, match="A-B.*non-negative"):
-            FailureSchedule().fail(-1.0, "A", "B")
+        with pytest.raises(ValueError, match="SW7-SW13.*non-negative"):
+            _ks().schedule_failure("SW7", "SW13", at=-1.0)
 
     def test_negative_repair_time_rejected(self):
-        with pytest.raises(ValueError, match="B-C.*non-negative"):
-            FailureSchedule().repair(-0.5, "B", "C")
+        # A repair before t=0 comes before any valid failure time.
+        with pytest.raises(ValueError, match="SW13-SW29.*must come after"):
+            _ks().schedule_failure("SW13", "SW29", at=0.0, repair_at=-0.5)
 
     def test_fail_between_rejects_inverted_window(self):
         # The message must name the link and both times.
         with pytest.raises(ValueError) as exc:
-            FailureSchedule().fail_between("A", "B", start=5.0, end=2.0)
+            _ks().schedule_failure("SW7", "SW13", at=5.0, repair_at=2.0)
         msg = str(exc.value)
-        assert "A-B" in msg
+        assert "SW7-SW13" in msg
         assert "t=2.0" in msg and "t=5.0" in msg
 
     def test_fail_between_rejects_zero_width_window(self):
         with pytest.raises(ValueError):
-            FailureSchedule().fail_between("A", "B", start=3.0, end=3.0)
+            _ks().schedule_failure("SW7", "SW13", at=3.0, repair_at=3.0)
 
     def test_fail_between_valid_window_produces_pair(self):
-        sched = FailureSchedule().fail_between("A", "B", 1.0, 2.0)
-        kinds = [(ev.time, ev.up) for ev in sched.events]
-        assert kinds == [(1.0, False), (2.0, True)]
+        ks = _ks()
+        link = ks.network.link_between("SW7", "SW13")
+        states = []
+        for t in (0.5, 1.5, 2.5):
+            ks.sim.schedule_at(t, lambda: states.append(link.up))
+        ks.schedule_failure("SW7", "SW13", at=1.0, repair_at=2.0)
+        ks.run(until=3.0)
+        assert states == [True, False, True]
 
 
 class TestInstallValidation:
     def test_install_rejects_unknown_link(self):
-        sim, net = _triangle_network()
-        sched = FailureSchedule().fail(1.0, "A", "Z")
         with pytest.raises(ValueError) as exc:
-            sched.install(net)
+            _ks().schedule_failure("SW7", "SW99", at=1.0)
         msg = str(exc.value)
-        assert "A-Z" in msg
+        assert "SW7-SW99" in msg
         assert "does not exist" in msg
         # The offending event is spelled out too.
         assert "t=1" in msg and "fail" in msg
 
     def test_install_validates_before_scheduling_anything(self):
-        # One bad event poisons the whole install: nothing runs.
-        sim, net = _triangle_network()
-        sched = (
-            FailureSchedule()
-            .fail(0.5, "A", "B")
-            .fail(1.0, "B", "Q")  # typo'd endpoint
-        )
-        with pytest.raises(ValueError, match="B-Q"):
-            sched.install(net)
-        sim.run()
-        assert net.link_between("A", "B").up  # good event never scheduled
+        # A refused call leaves nothing on the clock, whichever check
+        # refused it.
+        ks = _ks()
+        for a, b, at, repair_at in (
+            ("SW7", "SW99", 1.0, 2.0),    # typo'd endpoint
+            ("SW7", "SW13", -1.0, None),  # negative time
+            ("SW7", "SW13", 2.0, 1.0),    # inverted window
+            ("SW7", "SW13", 1.0, 1.0),    # empty window
+        ):
+            with pytest.raises(ValueError):
+                ks.schedule_failure(a, b, at=at, repair_at=repair_at)
+        ks.run(until=3.0)
+        assert ks.sim.events_processed == 0
+        assert ks.network.link_between("SW7", "SW13").up
 
     def test_install_applies_valid_schedule(self):
-        sim, net = _triangle_network()
-        FailureSchedule().fail_between("A", "B", 1.0, 2.0).install(net)
-        sim.run_until(1.5)
-        assert not net.link_between("A", "B").up
-        sim.run_until(2.5)
-        assert net.link_between("A", "B").up
+        ks = _ks()
+        ks.schedule_failure("SW7", "SW13", at=1.0, repair_at=2.0)
+        ks.run(until=1.5)
+        assert not ks.network.link_between("SW7", "SW13").up
+        ks.run(until=2.5)
+        assert ks.network.link_between("SW7", "SW13").up

@@ -35,7 +35,7 @@ class TestDelivery:
     def test_serialization_plus_propagation(self, pair):
         sim, a, b, link = pair
         assert a.send(0, _pkt()) is True
-        sim.run()
+        sim.run_until(10.0)
         assert len(b.received) == 1
         # 1 ms serialization + 2 ms propagation.
         assert b.received[0][0] == pytest.approx(0.003)
@@ -45,14 +45,14 @@ class TestDelivery:
         sim, a, b, link = pair
         a.send(0, _pkt())
         b.send(0, _pkt())
-        sim.run()
+        sim.run_until(10.0)
         assert len(a.received) == 1 and len(b.received) == 1
 
     def test_back_to_back_serialize(self, pair):
         sim, a, b, link = pair
         a.send(0, _pkt())
         a.send(0, _pkt())
-        sim.run()
+        sim.run_until(10.0)
         times = [t for t, _, _ in b.received]
         assert times == [pytest.approx(0.003), pytest.approx(0.004)]
 
@@ -62,7 +62,7 @@ class TestDelivery:
         sim, a, b, link = pair
         for _ in range(3):
             a.send(0, _pkt())
-        sim.run()
+        sim.run_until(10.0)
         arrive = [t for t, _, _ in b.received]
         assert arrive == [pytest.approx(0.003), pytest.approx(0.004),
                           pytest.approx(0.005)]
@@ -74,14 +74,14 @@ class TestQueueing:
         # 1 transmitting + 2 queued fit; the 4th and 5th drop.
         results = [a.send(0, _pkt()) for _ in range(5)]
         assert results == [True, True, True, False, False]
-        sim.run()
+        sim.run_until(10.0)
         assert len(b.received) == 3
         assert link.stats_ab.queue_drops == 2
 
     def test_stats_counters(self, pair):
         sim, a, b, link = pair
         a.send(0, _pkt())
-        sim.run()
+        sim.run_until(10.0)
         assert link.stats_ab.tx_packets == 1
         assert link.stats_ab.tx_bytes == 1000
         assert link.stats_ab.delivered_packets == 1
@@ -93,7 +93,7 @@ class TestFailure:
         sim, a, b, link = pair
         link.set_up(False)
         assert a.send(0, _pkt()) is False
-        sim.run()
+        sim.run_until(10.0)
         assert b.received == []
         assert link.stats_ab.failure_drops == 1
 
@@ -103,7 +103,7 @@ class TestFailure:
             a.send(0, _pkt())
         # Fail mid-transfer: first packet is mid-flight at 1.5 ms.
         sim.schedule(0.0015, link.set_up, False)
-        sim.run()
+        sim.run_until(10.0)
         assert b.received == []
 
     def test_repair_restores_service(self, pair):
@@ -111,7 +111,7 @@ class TestFailure:
         link.set_up(False)
         link.set_up(True)
         a.send(0, _pkt())
-        sim.run()
+        sim.run_until(10.0)
         assert len(b.received) == 1
 
     def test_endpoints_notified(self, pair):
@@ -181,7 +181,7 @@ class TestParameterValidation:
         Link(sim, a, 0, b, 0, delay_s=0.0, queue_packets=0)
         assert a.send(0, _pkt()) is True
         assert a.send(0, _pkt()) is False  # no queue: the second drops
-        sim.run()
+        sim.run_until(10.0)
         assert len(b.received) == 1
 
 
@@ -203,7 +203,7 @@ class TestSameTimeArrivals:
         p1, p2 = _pkt(size), _pkt(size)
         a.send(0, p1)
         a.send(0, p2)
-        sim.run()
+        sim.run_until(10.0)
         assert [(p, port) for _, p, port in c.received] == [
             (p1, 0), (q, 1), (p2, 0)
         ]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import FailureSchedule, Network, Packet, Simulator
+from repro.sim import Network, Packet, Simulator
 from repro.sim.node import Node
 from repro.topology import NodeKind, PortGraph
 
@@ -46,7 +46,7 @@ class TestAssembly:
         # Topology: A port0->B; sending there must arrive at B.
         net.node("A").send(g.port_of("A", "B"), Packet(
             src_host="x", dst_host="y", size_bytes=100))
-        sim.run()
+        sim.run_until(10.0)
         b = net.node("B")
         assert len(b.received) == 1
         assert b.received[0][1] == g.port_of("B", "A")
@@ -80,26 +80,14 @@ class TestAssembly:
 
 class TestFailureSchedule:
     def test_fail_and_repair(self, triangle):
+        # The primitive under KarSimulation.schedule_failure: link flips
+        # put on the clock apply at their instants.
         g, sim, net = triangle
-        schedule = FailureSchedule().fail_between("A", "B", 1.0, 2.0)
-        schedule.install(net)
         link = net.link_between("A", "B")
+        sim.schedule_at(1.0, link.set_up, False)
+        sim.schedule_at(2.0, link.set_up, True)
         assert link.up
         sim.run_until(1.5)
         assert not link.up
         sim.run_until(2.5)
         assert link.up
-
-    def test_events_sorted(self):
-        s = FailureSchedule().repair(2.0, "A", "B").fail(1.0, "A", "B")
-        assert [e.time for e in s.events] == [1.0, 2.0]
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            FailureSchedule().fail_between("A", "B", 2.0, 1.0)
-
-    def test_describe(self):
-        s = FailureSchedule().fail_between("A", "B", 1.0, 2.0)
-        text = s.describe()
-        assert "fail A-B" in text and "repair A-B" in text
-        assert FailureSchedule().describe() == "no failures"

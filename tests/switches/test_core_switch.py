@@ -43,7 +43,7 @@ class TestModuloForwarding:
         sim, sw, sinks = build_switch()
         # 44 mod 7 == 2 -> port 2 (Z).
         sw.receive(_pkt(44), in_port=0)
-        sim.run()
+        sim.run_until(10.0)
         assert len(sinks[2].received) == 1
         assert sw.forwarded == 1
 
@@ -51,14 +51,14 @@ class TestModuloForwarding:
         for route_id, port in ((7, 0), (8, 1), (9, 2)):
             sim, sw, sinks = build_switch()
             sw.receive(_pkt(route_id), in_port=1 if port != 1 else 0)
-            sim.run()
+            sim.run_until(10.0)
             assert len(sinks[port].received) == 1
 
     def test_hop_count_and_ttl(self):
         sim, sw, sinks = build_switch()
         p = _pkt(44, ttl=10)
         sw.receive(p, in_port=0)
-        sim.run()
+        sim.run_until(10.0)
         assert p.hops == 1
         assert p.kar.ttl == 9
 
@@ -66,7 +66,7 @@ class TestModuloForwarding:
         tracer = PacketTracer()
         sim, sw, sinks = build_switch(tracer=tracer)
         sw.receive(_pkt(44, ttl=0), in_port=0)
-        sim.run()
+        sim.run_until(10.0)
         assert sw.drops == 1
         assert tracer.drop_reasons["ttl-expired"] == 1
         assert all(not s.received for s in sinks)
@@ -75,7 +75,7 @@ class TestModuloForwarding:
         tracer = PacketTracer()
         sim, sw, sinks = build_switch(tracer=tracer)
         sw.receive(Packet(src_host="s", dst_host="d", size_bytes=50), 0)
-        sim.run()
+        sim.run_until(10.0)
         assert tracer.drop_reasons["no-kar-header"] == 1
 
     def test_invalid_residue_drops_without_deflection(self):
@@ -83,7 +83,7 @@ class TestModuloForwarding:
         sim, sw, sinks = build_switch(tracer=tracer)
         # 5 mod 7 == 5 -> no port 5; NoDeflection drops.
         sw.receive(_pkt(5), in_port=0)
-        sim.run()
+        sim.run_until(10.0)
         assert sw.drops == 1
         assert tracer.drop_reasons["no-usable-port(none)"] == 1
 
@@ -115,7 +115,7 @@ class TestTtlOffByOne:
     def test_ttl_n_buys_exactly_n_core_hops(self, ttl, delivered):
         sim, a, b, z = build_chain()
         a.receive(_pkt(44, ttl=ttl), in_port=0)
-        sim.run()
+        sim.run_until(10.0)
         assert bool(z.received) == delivered
 
     def test_ttl_zero_dies_before_the_first_hop(self):
@@ -123,7 +123,7 @@ class TestTtlOffByOne:
         sim, a, b, z = build_chain(tracer=tracer)
         p = _pkt(44, ttl=0)
         a.receive(p, in_port=0)
-        sim.run()
+        sim.run_until(10.0)
         assert (a.drops, a.forwarded) == (1, 0)
         assert tracer.drop_reasons["ttl-expired"] == 1
         # Check-then-decrement: an expired packet is not decremented.
@@ -135,7 +135,7 @@ class TestTtlOffByOne:
         sim, a, b, z = build_chain(tracer=tracer)
         p = _pkt(44, ttl=1)
         a.receive(p, in_port=0)
-        sim.run()
+        sim.run_until(10.0)
         assert a.forwarded == 1       # first hop happens...
         assert b.drops == 1           # ...expiry is at the *second* switch
         assert p.kar.ttl == 0
@@ -145,7 +145,7 @@ class TestTtlOffByOne:
     def test_delivered_ttl_is_initial_minus_hops(self):
         sim, a, b, z = build_chain()
         a.receive(_pkt(44, ttl=5), in_port=0)
-        sim.run()
+        sim.run_until(10.0)
         [p] = z.received
         assert p.hops == 2
         assert p.kar.ttl == 3
@@ -162,7 +162,7 @@ class TestTtlOffByOne:
         sim, a, b, z = build_chain()
         p = Packet(src_host="s", dst_host="d", size_bytes=100, kar=decoded)
         a.receive(p, in_port=0)
-        sim.run()
+        sim.run_until(10.0)
         assert b.drops == 1 and not z.received
         assert p.kar.ttl == 0
         assert encode_header(p.kar)  # ttl=0 still round-trips the wire
@@ -174,7 +174,7 @@ class TestDeflectionIntegration:
         sim, sw, sinks = build_switch(strategy=NotInputPort(), tracer=tracer)
         p = _pkt(5)  # invalid residue -> random among ports != input
         sw.receive(p, in_port=0)
-        sim.run()
+        sim.run_until(10.0)
         assert p.kar.deflected
         assert sw.deflections == 1
         assert tracer.deflection_count == 1
@@ -192,5 +192,5 @@ class TestDeflectionIntegration:
         sim, sw, sinks = build_switch(tracer=tracer)
         p = _pkt(44)
         sw.receive(p, in_port=0)
-        sim.run()
+        sim.run_until(10.0)
         assert tracer.switch_sequence(p.uid) == ["SW"]

@@ -54,7 +54,7 @@ class TestIngress:
                                                 out_port=0, ttl=32))
         p = Packet(src_host="H1", dst_host="H2", size_bytes=100)
         edge.receive(p, in_port=1)
-        sim.run()
+        sim.run_until(10.0)
         assert len(core.received) == 1
         assert p.kar.route_id == 44
         assert p.kar.ttl == 32
@@ -64,7 +64,7 @@ class TestIngress:
         sim, edge, core, host, tracer = rig
         p = Packet(src_host="H1", dst_host="H9", size_bytes=100)
         edge.receive(p, in_port=1)
-        sim.run()
+        sim.run_until(10.0)
         assert tracer.drop_reasons["no-ingress-route"] == 1
         assert not core.received
 
@@ -75,7 +75,7 @@ class TestEgress:
         p = Packet(src_host="H9", dst_host="H1", size_bytes=100,
                    kar=KarHeader(route_id=77))
         edge.receive(p, in_port=0)
-        sim.run()
+        sim.run_until(10.0)
         assert len(host.received) == 1
         assert host.received[0].kar is None
         assert edge.delivered == 1
@@ -93,7 +93,7 @@ class TestMisdelivery:
         edge.set_controller(ctrl)
         p = self._stray()
         edge.receive(p, in_port=0)
-        sim.run()
+        sim.run_until(10.0)
         assert ctrl.requests == [("E", "H-ELSEWHERE")]
         assert len(core.received) == 1
         assert p.kar.route_id == 99
@@ -114,14 +114,14 @@ class TestMisdelivery:
     def test_no_controller_drops(self, rig):
         sim, edge, core, host, tracer = rig
         edge.receive(self._stray(), in_port=0)
-        sim.run()
+        sim.run_until(10.0)
         assert tracer.drop_reasons["misdelivered-no-controller"] == 1
 
     def test_controller_without_route_drops(self, rig):
         sim, edge, core, host, tracer = rig
         edge.set_controller(FakeController(entry=None))
         edge.receive(self._stray(), in_port=0)
-        sim.run()
+        sim.run_until(10.0)
         assert tracer.drop_reasons["misdelivered-no-route"] == 1
 
     def test_expired_ttl_dropped_at_reinjection(self, rig):
@@ -131,7 +131,7 @@ class TestMisdelivery:
         p = Packet(src_host="H9", dst_host="H-X", size_bytes=100,
                    kar=KarHeader(route_id=77, ttl=0))
         edge.receive(p, in_port=0)
-        sim.run()
+        sim.run_until(10.0)
         assert tracer.drop_reasons["ttl-expired"] == 1
         assert not core.received
 

@@ -69,7 +69,7 @@ class TestResidueHint:
         sim, sw, sinks = build_switch(decode=decode)
         for _ in range(3):
             sw.receive(_pkt(7 * 10**20 + 2, residues={7: 2}), in_port=0)
-        sim.run()
+        sim.run_until(10.0)
         assert len(sinks[2].received) == 3
         assert calls == []
 
@@ -82,7 +82,7 @@ class TestResidueHint:
         rid = 7 * 10**20 + 2
         for residues in ({11: 0}, None, {11: 0}):
             sw.receive(_pkt(rid, residues=residues), in_port=0)
-        sim.run()
+        sim.run_until(10.0)
         assert len(sinks[rid % 7].received) == 3
         assert calls == [(rid, 7)] * 3
 

@@ -55,7 +55,7 @@ class TestBulkTransfer:
         snd.start()
         sim.run_until(5.0)
         assert rcv.bytes_received == 50_000
-        assert snd.bytes_acked == 50_000
+        assert snd.send_base == 50_000
         assert snd.retransmits == 0
 
     def test_throughput_near_line_rate(self, rig):
@@ -119,6 +119,32 @@ class TestLossRecovery:
         sim.run_until(5.0)
         assert rcv.bytes_received == 10_000
         assert snd.timeouts >= 1
+
+    def test_restarted_rto_fires_once_from_the_last_restart(self, rig):
+        # The timer is never cancelled: each restart leaves the older
+        # timeout in the heap, and only its generation check stops it.
+        sim, snd, rcv, box = rig
+        snd.max_data = 1_000
+        box.drop_seqs.add(0)  # lose the only segment: no ACK re-arms
+        fired = []
+        on_rto = snd._on_rto
+
+        def spy(gen):
+            before = snd.timeouts
+            on_rto(gen)
+            if snd.timeouts > before:
+                fired.append(sim.now)
+
+        snd._on_rto = spy
+        snd.start()
+        rto = snd.rto
+        restarts = (0.1, 0.2, 0.3)
+        for at in restarts:
+            sim.schedule_at(at, snd._restart_rto)
+        sim.run_until(restarts[-1] + 2 * rto)
+        assert fired == [pytest.approx(restarts[-1] + rto)]
+        assert snd.timeouts == 1
+        assert rcv.bytes_received == 1_000
 
     def test_multiple_losses_eventually_recover(self, rig):
         sim, snd, rcv, box = rig

@@ -56,7 +56,7 @@ def test_reno_stream_invariants(drop_idx, delay_idx, delay_s):
     sender, receiver = _run(drop_idx, delay_idx, delay_s, TcpSender)
     # Reliability: the full transfer completes despite interference.
     assert receiver.bytes_received == TRANSFER
-    assert sender.bytes_acked == TRANSFER
+    assert sender.send_base == TRANSFER
     # Integrity: nothing beyond the transfer is ever delivered.
     assert receiver.rcv_next <= TRANSFER
 
@@ -69,7 +69,7 @@ def test_reno_stream_invariants(drop_idx, delay_idx, delay_s):
 def test_cubic_stream_invariants(drop_idx, delay_s):
     sender, receiver = _run(drop_idx, set(), delay_s, CubicTcpSender)
     assert receiver.bytes_received == TRANSFER
-    assert sender.bytes_acked == TRANSFER
+    assert sender.send_base == TRANSFER
 
 
 @settings(max_examples=10, deadline=None)
