@@ -14,9 +14,9 @@ solve per route.  This module batches all three:
   :class:`~repro.controller.provision.DestinationTree`.  A miss also
   builds the trees of the next destinations without one; they wait,
   unencoded, until requested, so every refusal belongs to its request;
-* **one** :func:`~repro.rns.crt.crt_extend` **per switch a request
-  reaches** — a route down a destination tree shares every residue of
-  its parent's route plus one hop, so route IDs are computed by
+* **one CRT step** (:func:`~repro.rns.crt.crt_fold`) **per switch a
+  request reaches** — a route down a destination tree shares every
+  residue of its parent's route plus one hop, so route IDs are computed by
   extending the parent's solved system (O(1) modular ops), never by
   re-solving Eq. 4 per flow: down the whole tree in BFS order for a
   full mesh row, up to the first solved ancestor for named sources.
@@ -60,7 +60,7 @@ from repro.controller.provision import (
     require_flow_endpoints,
     require_link,
 )
-from repro.rns.crt import crt_extend
+from repro.rns.crt import crt_fold
 from repro.rns.encoder import EncodedRoute, Hop
 from repro.topology.csr import (
     _FOREST_CELLS, CsrTopology, TreeArrays, destination_forest,
@@ -97,7 +97,7 @@ class DestinationBlock:
     ``encoded_route(x)`` gives the encoded route for the branch
     entering the core at node index ``x``.  Building a block only
     checks that every switch of the tree can carry its hop; route IDs
-    are solved on request, one :func:`~repro.rns.crt.crt_extend` per
+    are solved on request, one :func:`~repro.rns.crt.crt_fold` step per
     switch a request reaches (each node's system = its parent's system
     + one hop, the root's the empty system ``(0, 1)``):
     ``_encode_all`` runs down the whole tree in BFS order for a
@@ -142,13 +142,9 @@ class DestinationBlock:
             return
         ids, mods = self._ids, self._mods
         order = self.tree.order
-        for x, s, p, par in zip(
-            order.tolist(),
-            self.csr.switch_ids[order].tolist(),
-            self.tree.parent_port[order].tolist(),
-            self.tree.parent[order].tolist(),
-        ):
-            ids[x], mods[x] = crt_extend(ids[par], mods[par], s, p)
+        crt_fold(ids, mods, order.tolist(), self.csr.switch_ids[order].tolist(),
+                 self.tree.parent_port[order].tolist(),
+                 self.tree.parent[order].tolist())
         # Tuples of ints and None: the collector stops tracking them at
         # the first collection they survive; a list is walked every time.
         self._ids, self._mods = tuple(ids), tuple(mods)
@@ -168,11 +164,11 @@ class DestinationBlock:
             chain = [idx]
             while ids[int(parent[chain[-1]])] is None:
                 chain.append(int(parent[chain[-1]]))
-            sids, ports = self.csr.switch_ids, self.tree.parent_port
-            for x in reversed(chain):
-                par = int(parent[x])
-                ids[x], mods[x] = crt_extend(
-                    ids[par], mods[par], int(sids[x]), int(ports[x]))
+            down = np.array(chain[::-1])
+            crt_fold(ids, mods, down.tolist(),
+                     self.csr.switch_ids[down].tolist(),
+                     self.tree.parent_port[down].tolist(),
+                     parent[down].tolist())
         return ids[idx]
 
     def hops(self, idx: int) -> Tuple[Hop, ...]:

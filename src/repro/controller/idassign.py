@@ -167,10 +167,19 @@ def route_frequency_weights(graph) -> Dict[str, float]:
     path in the tree rooted at u is that same path read from r, and
     every node is both root and source, so both count one multiset.
 
-    Computed as a forest (:func:`~repro.topology.csr.bfs_forest`),
-    ``_FOREST_CELLS // n`` roots per numpy pass, subtree counts folded
-    by one ``np.add.at`` per level from the deepest up.  Returns a
-    weight per non-host node, name-sorted (edge entries included).
+    Only the *inner* nodes root a tree.  A *pendant* ``f`` — every edge
+    node of :func:`~repro.topology.generators.attach_edges` — has one
+    non-host neighbour, its anchor ``y``, which has two or more: ``f`` is
+    a leaf of every tree rooted elsewhere, and its own tree is ``y``'s
+    with ``f`` on top.  So the forest (:func:`~repro.topology.csr
+    .bfs_forest`, ``_FOREST_CELLS // n`` roots per numpy pass) spans the
+    inner nodes, each counting ``1 + a(y)`` (itself and its pendants),
+    root ``r``'s tree weighed ``1 + a(r)`` times; subtree counts fold by
+    one ``np.add.at`` per level from the deepest up.  An anchor holds one
+    node fewer in each pendant's tree than in its own (``− a(r)``); a
+    pendant gets ``N(y)``, the size of ``y``'s tree, from its own tree
+    and one from each other node of it: ``2·N(y) − 1``.  Returns a weight
+    per non-host node, name-sorted (edge entries included).
     """
     # Local: the CLI and the service import this module and need no numpy.
     import numpy as np
@@ -178,19 +187,32 @@ def route_frequency_weights(graph) -> Dict[str, float]:
 
     csr = CsrTopology.from_graph(graph)
     n = csr.n
-    allowed = np.array(
-        [graph.node(name).kind != NodeKind.HOST for name in csr.names]
-    )
-    roots = np.flatnonzero(allowed)
-    total = np.zeros(n, dtype=np.int64)
+    allowed = np.array([graph.node(name).kind != NodeKind.HOST
+                        for name in csr.names], dtype=bool)
+    u = np.repeat(np.arange(n), np.diff(csr.indptr))
+    link = allowed[u] & allowed[csr.indices]
+    u, v = u[link], csr.indices[link]
+    degree = np.bincount(u, minlength=n)
+    anchor = np.full(n, -1)
+    anchor[u[degree[u] == 1]] = v[degree[u] == 1]
+    is_pendant = (anchor >= 0) & (degree[anchor] >= 2)
+    pendant, inner = np.flatnonzero(is_pendant), allowed & ~is_pendant
+    hung = np.bincount(anchor[pendant], minlength=n)  # a(y)
+    roots = np.flatnonzero(inner)
+    total, size = np.zeros((2, n), dtype=np.int64)  # size: N(r)
     batch = max(1, _FOREST_CELLS // max(n, 1))
     for lo in range(0, roots.size, batch):
-        parent, levels = bfs_forest(csr, roots[lo:lo + batch], allowed)
-        counts = (parent < parent.size).astype(np.int64)
+        slots = roots[lo:lo + batch]
+        parent, levels = bfs_forest(csr, slots, inner)
+        counts = np.tile(1 + hung, slots.size) * (parent < parent.size)
         for keys, _ in reversed(levels):
             np.add.at(counts, parent[keys], counts[keys])
-        total += counts.reshape(-1, n).sum(axis=0)
-    return {csr.names[i]: float(total[i]) for i in roots.tolist()}
+        counts = counts.reshape(-1, n)
+        size[slots] = counts[np.arange(slots.size), slots]
+        total += (1 + hung[slots]) @ counts
+    total -= hung
+    total[pendant] = 2 * size[anchor[pendant]] - 1
+    return {csr.names[i]: float(total[i]) for i in range(n) if allowed[i]}
 
 
 def reassign_switch_ids(

@@ -3,7 +3,8 @@
 Public surface:
 
 * :func:`repro.rns.crt.crt` and friends — CRT arithmetic: the one step
-  :func:`~repro.rns.crt.crt_extend` and the solver that folds it.
+  :func:`~repro.rns.crt.crt_fold` over a parent array, its one-node
+  case :func:`~repro.rns.crt.crt_extend` and the solver along a chain.
 * :class:`repro.rns.encoder.RouteEncoder` / :class:`~repro.rns.encoder.EncodedRoute`
   — (switch, port) hops ⇄ integer route IDs, with incremental updates.
 * :mod:`repro.rns.coprime` — switch-ID pool generation/validation.

@@ -5,8 +5,8 @@ controller, verify oracles, analysis walks, benches — holds one encoder
 object, and there is one encoder class per ring:
 
 * ``crt`` — :class:`~repro.rns.encoder.RouteEncoder`, the integer CRT
-  (:func:`~repro.rns.crt.crt`, a fold of the one step
-  :func:`~repro.rns.crt.crt_extend`);
+  (:func:`~repro.rns.crt.crt`, the one step
+  :func:`~repro.rns.crt.crt_fold` down a chain);
 * ``xsr`` — :class:`XsrEncoder`, XOR-based Source Routing: the same CRT
   template over GF(2)[X] (:mod:`repro.rns.gf2`).  A genuinely different
   datapath — switch decode is a carry-less shift/XOR remainder, not an

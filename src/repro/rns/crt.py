@@ -12,9 +12,9 @@ pairwise coprime.  This module provides the arithmetic core:
 
 * :func:`modular_inverse` — modular multiplicative inverse (the
   built-in ``pow(a, -1, m)``: the extended Euclid runs in C),
-* :func:`crt_extend` — the one CRT step: fold one congruence into a
-  solved system,
-* :func:`crt` — CRT solver (Eq. 4 of the paper), a fold of that step,
+* :func:`crt_fold` — the one CRT step, over a parent array,
+* :func:`crt_extend` — its one-node case, one congruence at a time,
+* :func:`crt` — CRT solver (Eq. 4 of the paper), the fold over a chain,
 * :func:`pairwise_coprime` — the KAR switch-ID precondition.
 
 All functions operate on plain Python integers, so route IDs of arbitrary
@@ -24,12 +24,13 @@ bit length (Section 2.3 of the paper) are supported without overflow.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "modular_inverse",
     "crt",
     "crt_extend",
+    "crt_fold",
     "pairwise_coprime",
     "first_noncoprime_pair",
     "CrtError",
@@ -124,10 +125,10 @@ def crt(residues: Sequence[int], moduli: Sequence[int]) -> Tuple[int, int]:
         R = < sum_i  p_i * M_i * L_i >_M
 
     with ``M = prod(moduli)``, ``M_i = M / s_i`` and ``L_i`` the modular
-    inverse of ``M_i`` modulo ``s_i`` — reached by folding
-    :func:`crt_extend` over the congruences from ``(0, 1)``.  The addends
-    are independent (Section 2.2), so one congruence at a time lands on
-    the same ``R`` in k small inverses; a shared factor surfaces as the
+    inverse of ``M_i`` modulo ``s_i`` — reached by :func:`crt_fold`
+    down the chain of congruences from ``(0, 1)``.  The addends are
+    independent (Section 2.2), so one congruence at a time lands on the
+    same ``R`` in k small inverses; a shared factor surfaces as the
     failing step's inverse.
 
     Args:
@@ -163,14 +164,14 @@ def crt(residues: Sequence[int], moduli: Sequence[int]) -> Tuple[int, int]:
                 f"residue {p} out of range for modulus {s}: "
                 f"a switch with ID {s} only has ports 0..{s - 1} addressable"
             )
-    route_id, modulus = 0, 1
+    k = len(moduli)
+    ids, mods = [0] * (k + 1), [1] * (k + 1)
     try:
-        for p, s in zip(residues, moduli):
-            route_id, modulus = crt_extend(route_id, modulus, s, p)
+        crt_fold(ids, mods, range(1, k + 1), moduli, residues, range(k))
     except NotCoprimeError:
         bad = first_noncoprime_pair(moduli)
         raise NotCoprimeError(bad, math.gcd(*bad)) from None
-    return route_id, modulus
+    return ids[k], mods[k]
 
 
 def crt_extend(
@@ -181,17 +182,10 @@ def crt_extend(
     Given the unique ``route_id`` in ``[0, modulus)`` of an existing
     system, fold in ``x ≡ port (mod switch_id)`` and return the unique
     solution of the extended system in ``[0, modulus * switch_id)``, in
-    O(1) modular operations::
-
-        x = R + M * t   with   t = <(port - R) * M^{-1}>_{switch_id}
-
-    This is the one step :func:`crt` folds, and the primitive behind
-    incremental protection and re-pointing
-    (:meth:`repro.rns.encoder.RouteEncoder.with_hop` / ``with_port``) and
-    the bulk provisioner's down-tree encoding (:mod:`repro.controller.bulk`):
-    a child's route shares every residue of its parent's route plus one
-    new hop, so a mesh costs one ``crt_extend`` per switch a request
-    reaches instead of one full solve per flow.
+    O(1) modular operations — :func:`crt_fold` on one node whose parent
+    holds ``(route_id, modulus)``.  The primitive behind incremental
+    protection and re-pointing
+    (:meth:`repro.rns.encoder.RouteEncoder.with_hop` / ``with_port``).
 
     Raises:
         CrtError: on a residue out of range.
@@ -211,6 +205,33 @@ def crt_extend(
             f"a switch with ID {switch_id} only has ports "
             f"0..{switch_id - 1} addressable"
         )
-    inv = modular_inverse(modulus, switch_id)
-    t = ((port - route_id) * inv) % switch_id
-    return route_id + modulus * t, modulus * switch_id
+    ids, mods = [route_id, 0], [modulus, 1]
+    crt_fold(ids, mods, (1,), (switch_id,), (port,), (0,))
+    return ids[1], mods[1]
+
+
+def crt_fold(ids: List[Optional[int]], mods: List[Optional[int]],
+             nodes: Iterable[int], switch_ids: Iterable[int],
+             ports: Iterable[int], parents: Iterable[int]) -> None:
+    """The one CRT step, over a parent array: for each node ``x`` with
+    switch ID ``s``, port ``p`` and parent ``par``, parents first, extend
+    the solved ``(R, M) = (ids[par], mods[par])`` by ``x ≡ p (mod s)``
+    into ``ids[x], mods[x]``: ``R + M * <(p - R) * M^{-1}>_s``, the
+    unique solution in ``[0, M * s)``.  :func:`crt` runs it down a chain,
+    :func:`crt_extend` on one node, :mod:`repro.controller.bulk` down a
+    tree or up a branch.  The caller checks ``s > 1`` and ``0 <= p < s``;
+    a shared factor raises :class:`NotCoprimeError` with ``pair == (M,
+    s)``, the nodes before it solved.
+
+    >>> ids, mods = [0, None, None], [1, None, None]
+    >>> crt_fold(ids, mods, [1, 2], [4, 7], [0, 2], [0, 1])
+    >>> ids[2], mods[2]
+    (16, 28)
+    """
+    try:
+        for x, s, p, par in zip(nodes, switch_ids, ports, parents):
+            r, m = ids[par], mods[par]
+            ids[x], mods[x] = r + m * ((p - r % s) * pow(m, -1, s) % s), m * s
+    except ValueError:
+        modular_inverse(m, s)  # raises the NotCoprimeError naming (m, s)
+        raise

@@ -219,6 +219,20 @@ class TestErrors:
             BulkProvisioner(graph).routes_for("E-D", ["E-S"])
         assert (e.value.pair, e.value.gcd) == ((11, 22), 11)
 
+    @pytest.mark.parametrize("request_", ["routes_for", "mesh_row"])
+    def test_a_deeper_clash_names_its_parents_modulus(self, request_):
+        # SW4 = 22 meets SW11's 11 inside SW7's modulus 7 * 11, on the
+        # walk up from E-S's entry and on the full row alike.
+        graph = six_node().graph
+        graph.node("SW4").switch_id = 22
+        bp = BulkProvisioner(graph)
+        with pytest.raises(NotCoprimeError) as e:
+            if request_ == "routes_for":
+                bp.routes_for("E-D", ["E-S"])
+            else:
+                bp.mesh_row("E-D")
+        assert (e.value.pair, e.value.gcd) == ((77, 22), 11)
+
 
 class TestPartialEncoding:
     """A request for some sources solves only the switches on their
@@ -227,13 +241,13 @@ class TestPartialEncoding:
     @pytest.fixture
     def steps(self, monkeypatch):
         calls = []
-        extend = bulk_module.crt_extend
+        fold = bulk_module.crt_fold
 
-        def counting(route_id, modulus, switch_id, port):
-            calls.append(switch_id)
-            return extend(route_id, modulus, switch_id, port)
+        def counting(ids, mods, nodes, switch_ids, ports, parents):
+            calls.extend(switch_ids)
+            return fold(ids, mods, nodes, switch_ids, ports, parents)
 
-        monkeypatch.setattr(bulk_module, "crt_extend", counting)
+        monkeypatch.setattr(bulk_module, "crt_fold", counting)
         return calls
 
     @staticmethod

@@ -16,6 +16,8 @@ from repro.controller.idassign import (
     route_frequency_weights,
 )
 from repro.rns import pairwise_coprime
+from repro.topology import csr as csr_module
+from repro.topology.csr import CsrTopology
 from repro.topology.generators import attach_edges, random_connected
 from repro.topology.graph import NodeKind, PortGraph
 from repro.topology.zoo import graph_from_gml, zoo_fixture_path
@@ -266,17 +268,89 @@ def _same_weights(got, want):
     assert all(type(v) is float for v in got.values())
 
 
+@st.composite
+def pendant_graphs(draw):
+    """A drawn core with ``attach_edges`` on it, then what the pendant
+    fold must get right: chains hung off any node (a pendant of a
+    pendant), two-node components, hosts behind any node, and edge
+    nodes with several uplinks."""
+    size = draw(st.integers(min_value=1, max_value=6))
+    cores = [f"C{i}" for i in range(size)]
+    graph = PortGraph()
+    for name in cores:
+        graph.add_node(name)
+    pairs = list(itertools.combinations(cores, 2))
+    if pairs:
+        for a, b in draw(st.lists(st.sampled_from(pairs), unique=True)):
+            graph.add_link(a, b)
+    attach_edges(graph)
+    kinds = st.sampled_from([NodeKind.CORE, NodeKind.EDGE])
+
+    def non_hosts():
+        return sorted(n.name for n in graph.nodes() if n.kind != "host")
+
+    for i in range(draw(st.integers(min_value=0, max_value=3))):
+        prev = draw(st.sampled_from(non_hosts()))
+        for j in range(draw(st.integers(min_value=1, max_value=3))):
+            graph.add_node(f"P{i}{j}", kind=draw(kinds))
+            graph.add_link(prev, f"P{i}{j}")
+            prev = f"P{i}{j}"
+    for i in range(draw(st.integers(min_value=0, max_value=2))):
+        graph.add_node(f"T{i}a", kind=draw(kinds))
+        graph.add_node(f"T{i}b", kind=draw(kinds))
+        graph.add_link(f"T{i}a", f"T{i}b")
+    for i in range(draw(st.integers(min_value=0, max_value=3))):
+        graph.add_node(f"H{i}", kind=NodeKind.HOST)
+        graph.add_link(f"H{i}", draw(st.sampled_from(non_hosts())))
+    if size >= 2:
+        for i in range(draw(st.integers(min_value=0, max_value=2))):
+            graph.add_node(f"U{i}", kind=NodeKind.EDGE)
+            for core in draw(st.lists(st.sampled_from(cores), min_size=2,
+                                      unique=True)):
+                graph.add_link(f"U{i}", core)
+    return graph
+
+
+def _fixture_with_edges(fixture):
+    with open(zoo_fixture_path(fixture), encoding="utf-8") as fh:
+        graph = graph_from_gml(fh.read())
+    attach_edges(graph)
+    return graph
+
+
 class TestRouteFrequencyWeights:
     @given(mixed_graphs())
     def test_equals_the_dict_loop_on_drawn_graphs(self, graph):
         _same_weights(route_frequency_weights(graph), dict_loop_weights(graph))
 
+    @given(pendant_graphs())
+    def test_equals_the_dict_loop_on_pendant_rich_graphs(self, graph):
+        _same_weights(route_frequency_weights(graph), dict_loop_weights(graph))
+
     @pytest.mark.parametrize("fixture", ["abilene", "synthwan754"])
     def test_equals_the_dict_loop_on_the_fixtures(self, fixture):
-        with open(zoo_fixture_path(fixture), encoding="utf-8") as fh:
-            graph = graph_from_gml(fh.read())
-        attach_edges(graph)
+        graph = _fixture_with_edges(fixture)
         _same_weights(route_frequency_weights(graph), dict_loop_weights(graph))
+
+    def test_synthwan754_roots_only_its_inner_nodes(self, monkeypatch):
+        # Every edge node is a pendant, so only the 754 cores root a
+        # tree; a fall-back to one tree per non-host node would root
+        # 1,508.
+        graph = _fixture_with_edges("synthwan754")
+        passes = []
+        forest = csr_module.bfs_forest
+
+        def recording(csr, roots, allowed):
+            passes.append(list(roots))
+            return forest(csr, roots, allowed)
+
+        monkeypatch.setattr(csr_module, "bfs_forest", recording)
+        weights = route_frequency_weights(graph)
+        names = CsrTopology.from_graph(graph).names
+        roots = [names[r] for batch in passes for r in batch]
+        cores = sorted(n.name for n in graph.nodes(NodeKind.CORE))
+        assert len(cores) == 754 and len(weights) == 1508
+        assert roots == cores
 
     def test_hosts_neither_root_nor_forward(self):
         # A-H-B: the host is the only way from A to B.

@@ -14,6 +14,7 @@ from repro.rns import (
     modular_inverse,
     pairwise_coprime,
 )
+from repro.rns.crt import crt_extend, crt_fold
 
 
 def egcd(a, b):
@@ -57,6 +58,22 @@ def reference_crt(residues, moduli):
         M_i = M // s
         total += p * M_i * reference_inverse(M_i, s)
     return total % M, M
+
+
+def reference_extend(route_id, modulus, switch_id, port):
+    """``crt_extend`` before it became the fold's one-node case, word
+    for word."""
+    if switch_id <= 1:
+        raise CrtError(f"modulus must be > 1, got {switch_id}")
+    if not 0 <= port < switch_id:
+        raise CrtError(
+            f"residue {port} out of range for modulus {switch_id}: "
+            f"a switch with ID {switch_id} only has ports "
+            f"0..{switch_id - 1} addressable"
+        )
+    inv = modular_inverse(modulus, switch_id)
+    t = ((port - route_id) * inv) % switch_id
+    return route_id + modulus * t, modulus * switch_id
 
 
 def reference_inverse(a, modulus):
@@ -261,3 +278,80 @@ class TestCrt:
     def test_equals_the_eq4_sum_on_coprime_systems(self, moduli, data):
         residues = [data.draw(st.integers(0, s - 1)) for s in moduli]
         assert crt(residues, moduli) == reference_crt(residues, moduli)
+
+
+PRIMES = [p for p in range(3, 400) if all(p % q for q in range(2, p))]
+
+
+@st.composite
+def solved_roots(draw):
+    """A solved system ``(R, M)`` to extend from: the empty one or one
+    whose modulus has over 200 bits and no factor in ``PRIMES``."""
+    if draw(st.booleans()):
+        return 0, 1
+    modulus = draw(st.integers(min_value=2**200, max_value=2**260))
+    while math.gcd(modulus, math.prod(PRIMES)) != 1:
+        modulus += 1
+    return draw(st.integers(min_value=0, max_value=modulus - 1)), modulus
+
+
+class TestCrtFold:
+    """The one CRT step over a parent array, held to a chain of the old
+    ``crt_extend``."""
+
+    @given(solved_roots(), st.lists(
+        st.integers(min_value=2, max_value=2**230), min_size=1, max_size=12,
+    ), st.data())
+    def test_chain_equals_extends(self, root, drawn, data):
+        moduli, product = [], root[1]
+        for s in drawn:  # keep those coprime to the system so far
+            if math.gcd(s, product) == 1:
+                moduli.append(s)
+                product *= s
+        ports = [data.draw(st.integers(0, s - 1)) for s in moduli]
+        k = len(moduli)
+        ids, mods = [root[0]] + [None] * k, [root[1]] + [None] * k
+        crt_fold(ids, mods, range(1, k + 1), moduli, ports, range(k))
+        want = [root]
+        for s, p in zip(moduli, ports):
+            want.append(reference_extend(*want[-1], s, p))
+        assert list(zip(ids, mods)) == want
+
+    @given(solved_roots(), st.integers(min_value=1, max_value=30), st.data())
+    def test_tree_in_bfs_order_equals_extends(self, root, size, data):
+        # Node 0 is the root; distinct primes keep every chain coprime.
+        parent = [-1] + [data.draw(st.integers(0, i - 1))
+                         for i in range(1, size + 1)]
+        depth = [0]
+        for i in range(1, size + 1):
+            depth.append(depth[parent[i]] + 1)
+        order = sorted(range(1, size + 1), key=lambda x: (depth[x], x))
+        sids = data.draw(st.permutations(PRIMES))[:size + 1]
+        ports = [data.draw(st.integers(0, s - 1)) for s in sids]
+        ids, mods = [None] * (size + 1), [None] * (size + 1)
+        ids[0], mods[0] = root
+        crt_fold(ids, mods, order, [sids[x] for x in order],
+                 [ports[x] for x in order], [parent[x] for x in order])
+        want = {0: root}
+        for x in order:
+            want[x] = reference_extend(*want[parent[x]], sids[x], ports[x])
+        assert list(zip(ids, mods)) == [want[x] for x in range(size + 1)]
+
+    def test_shared_factor_names_the_parent_modulus_and_switch(self):
+        ids, mods = [0, None, None, None], [1, None, None, None]
+        with pytest.raises(NotCoprimeError) as exc:
+            crt_fold(ids, mods, [1, 2, 3], [4, 7, 6], [1, 2, 3], [0, 1, 2])
+        assert (exc.value.pair, exc.value.gcd) == ((28, 6), 2)
+        # The nodes before the clash stay solved.
+        assert (ids[2], mods[2]) == reference_extend(1, 4, 7, 2)
+        assert ids[3] is None
+
+    def test_extend_is_the_one_node_fold(self):
+        assert crt_extend(44, 308, 5, 0) == (660, 1540)
+        with pytest.raises(NotCoprimeError) as exc:
+            crt_extend(3, 4, 6, 1)
+        assert (exc.value.pair, exc.value.gcd) == ((4, 6), 2)
+        with pytest.raises(CrtError, match="out of range"):
+            crt_extend(3, 4, 7, 7)
+        with pytest.raises(CrtError, match="must be > 1"):
+            crt_extend(0, 1, 1, 0)
